@@ -14,7 +14,6 @@ from .measures import (
     AtomicMeasure,
     PiecewiseLinearFn,
     ZERO_MEASURE,
-    combine,
     integrate,
     pushforward,
     quantize,
@@ -71,6 +70,7 @@ from .stability import (
 )
 from .limits import (
     CoboundaryError,
+    InconsistencyError,
     Observable,
     asymptotic_variance,
     clt_experiment,

@@ -3,9 +3,10 @@
 Configs are JSON with a system block plus optional per-experiment blocks;
 unknown keys are rejected with their JSON pointer path.  Every subcommand
 writes CSV tables and a ``summary.json`` into the output directory.  Exit
-codes: 0 = all asserted bounds hold, 1 = some bound failed, 2 = usage or
-configuration error.  Reports contain no timestamps, so identical config and
-seed give byte-identical output files; timing goes to stderr.
+codes: 0 = all asserted bounds hold, 1 = some bound failed or the numerics
+are inconsistent, 2 = usage or configuration error.  Reports contain no
+timestamps, so identical config and seed give byte-identical output files;
+timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import __version__
 from .limits import (
     CoboundaryError,
+    InconsistencyError,
     Observable,
     asymptotic_variance,
     clt_experiment,
@@ -391,7 +393,7 @@ def _build_family(config):
     )
 
 
-def run_stability(config, out_dir, threads=1):
+def run_stability(config, out_dir):
     report = Report("stability", config, out_dir)
     fam = _build_family(config)
     block = config.stability
@@ -399,7 +401,7 @@ def run_stability(config, out_dir, threads=1):
     depth = block.get("depth", config.depth)
     grid = block.get("grid", config.grid)
     tol = block.get("tol", config.tol)
-    result = stability_sweep(fam, deltas, depth=depth, tol=tol, grid=grid, threads=threads)
+    result = stability_sweep(fam, deltas, depth=depth, tol=tol, grid=grid)
     report.write_text("stability.csv", sweep_to_csv(result))
     report.metric("ratio_bound", result.ratio_bound)
     ok_rows = [row for row in result.rows if not row.failed]
@@ -661,7 +663,6 @@ def build_parser():
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", required=True, help="output directory for reports")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -680,7 +681,7 @@ def main(argv=None):
         elif args.command == "spectral":
             code = run_spectral(config, args.out)
         elif args.command == "stability":
-            code = run_stability(config, args.out, threads=max(1, args.threads))
+            code = run_stability(config, args.out)
         elif args.command == "correlations":
             code = run_correlations(config, args.out)
         else:
@@ -691,6 +692,9 @@ def main(argv=None):
     except (ValueError, ConvergenceError, CoboundaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InconsistencyError as exc:
+        print(f"numerical inconsistency: {exc}", file=sys.stderr)
+        return 1
     if args.verbose:
         print(f"{args.command} finished in {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return code

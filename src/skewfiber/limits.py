@@ -17,6 +17,10 @@ For base-only observables only the fiber masses matter, and those evolve
 exactly (pushforwards and quantization both preserve mass), so exact-zero
 statements, such as independence of disjoint coordinate blocks under an
 i.i.d. base, hold to machine precision.
+
+Gordin's conditional expectations need no word sums either: at level n
+their L2 norm is ||P^n s||, the base transfer operator power applied to the
+fiber integrals s of the centered observable (see ``gordin_norms``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from .fitting import ExpFit, exp_fit
 from .measures import AtomicMeasure, PiecewiseLinearFn, integrate
 from .skew import sample_orbits
-from .symbolic import CylinderFunction, cylinder_mass
+from .symbolic import CylinderFunction, cylinder_mass, cylinder_mass_vector, ruelle_apply
 from .transfer import (
     lip_constant,
     quantize_disintegration,
@@ -43,12 +47,12 @@ __all__ = [
     "GordinResult",
     "CLTResult",
     "CoboundaryError",
+    "InconsistencyError",
     "integrate_observable",
     "fiber_average",
     "fiber_average_margin",
     "correlation_curve",
     "correlation_lattice",
-    "correlation_mc",
     "gordin_norms",
     "asymptotic_variance",
     "clt_experiment",
@@ -59,6 +63,10 @@ DEFAULT_GRID = 1 << 15
 
 class CoboundaryError(RuntimeError):
     pass
+
+
+class InconsistencyError(RuntimeError):
+    """Computed quantities contradict their own certified bounds."""
 
 
 class Observable:
@@ -254,34 +262,6 @@ def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
     return total
 
 
-def correlation_mc(sys, now, later, nmax, trials, length=None, seed=0, burn_in=40):
-    """Monte Carlo estimate of the correlation curve with standard errors.
-
-    Ensemble estimator over independent orbits; returns (values, standard
-    errors) for lags 0..nmax.  For use beyond the exact engines' budgets.
-    """
-    window = max(now.depth, later.depth) + nmax
-    length = length or 1
-    orbits = sample_orbits(sys, seed, length + nmax, trials, burn_in=burn_in, window=window)
-    now_vals = np.empty((trials, length))
-    later_vals = np.empty((trials, length + nmax))
-    for i, orbit in enumerate(orbits):
-        for t in range(length):
-            now_vals[i, t] = now.evaluate(tuple(orbit.symbols[t:]), orbit.ys[t])
-        for t in range(length + nmax):
-            later_vals[i, t] = later.evaluate(tuple(orbit.symbols[t:]), orbit.ys[t])
-    values = np.empty(nmax + 1)
-    errors = np.empty(nmax + 1)
-    m_now = now_vals.mean()
-    m_later = later_vals.mean()
-    for n in range(nmax + 1):
-        prod = (now_vals[:, :length] - m_now) * (later_vals[:, n:n + length] - m_later)
-        per_trial = prod.mean(axis=1)
-        values[n] = per_trial.mean()
-        errors[n] = per_trial.std(ddof=1) / math.sqrt(trials)
-    return values, errors
-
-
 # ---------------------------------------------------------------------------
 # Gordin conditional expectations
 # ---------------------------------------------------------------------------
@@ -291,7 +271,6 @@ def correlation_mc(sys, now, later, nmax, trials, length=None, seed=0, burn_in=4
 class GordinResult:
     norms: np.ndarray
     fit: ExpFit
-    standard_errors: np.ndarray | None = None
 
     @property
     def ratio_margin(self):
@@ -299,80 +278,25 @@ class GordinResult:
         return 1.0 - self.fit.rate
 
 
-def gordin_norms(sys, mu0, phi, nmax, budget=1 << 20):
-    """L2 norms of the conditional expectations of centered phi on the past filtration.
+def gordin_norms(sys, mu0, phi, nmax):
+    """L2 norms of the conditional expectations of centered phi on the future filtration.
 
-    The conditioning sigma-algebra at level n is generated by the base
-    coordinates from time n on; the conditional expectation on the tail word
-    v averages the fiber integrals over all admissible length-n pasts u,
-    weighted by m([uv]) / m([v]).  Exact as long as the word enumeration
-    fits the budget.
+    Level n conditions on the base coordinates from time n on.  With s(w) =
+    int phi~_w d mu0|_w the unnormalized fiber integrals of the centered
+    observable, the conditional expectation is P^n s for the base transfer
+    operator P, so ||E[phi~ | sigma^-n B]||_2 = ||P^n s||_{L2(m)} (Gordin
+    1969; Liverani 1996): one ``ruelle_apply`` per level, exact at every n.
     """
-    matrix = sys.matrix
     m_phi = integrate_observable(sys, mu0, phi)
     phit = phi.shifted(-m_phi)
-    reach = max(phi.depth, mu0.depth)
+    integrals = [integrate(mu0.fibers[w], phit.component(w)) for w in mu0.words()]
+    s = CylinderFunction(mu0.matrix, mu0.depth, integrals)
+    masses = cylinder_mass_vector(sys.weights, mu0.matrix, mu0.depth)
     norms = np.empty(nmax + 1)
     for n in range(nmax + 1):
-        v_depth = max(1, reach - n)
-        if matrix.word_count(1) ** (n + v_depth) > budget:
-            raise ValueError(
-                f"gordin_norms at level {n} exceeds the word budget; "
-                "use gordin_norms_mc or lower nmax"
-            )
-        total = 0.0
-        for v in matrix.words(v_depth):
-            mass_v = cylinder_mass(sys.weights, v)
-            acc = 0.0
-            for u in matrix.words(n):
-                if n and not matrix.entries[u[-1], v[0]]:
-                    continue
-                uv = u + v
-                word = uv + matrix.smallest_tail(uv[-1], max(0, reach - len(uv)))
-                mu = mu0.fibers[word[: mu0.depth]]
-                fiber_integral = integrate(mu, phit.component(word))
-                acc += cylinder_mass(sys.weights, uv) * fiber_integral
-            total += (acc / mass_v) ** 2 * mass_v
-        norms[n] = math.sqrt(total)
+        norms[n] = math.sqrt(float(np.dot(masses, s.values**2)))
+        s = ruelle_apply(s, sys.weights)
     return GordinResult(norms, exp_fit(np.arange(nmax + 1), norms))
-
-
-def gordin_norms_mc(sys, phi, levels, trials, seed=0, burn_in=40):
-    """Monte Carlo fallback for the conditional-expectation norms.
-
-    Orbit samples are binned by the truncated future window; the bin means
-    estimate the conditional expectation.  Standard errors of the binned
-    means are propagated to the norm estimate.
-    """
-    matrix = sys.matrix
-    nmax = max(levels)
-    reach = phi.depth
-    window = nmax + reach
-    orbits = sample_orbits(sys, seed, 1, trials, burn_in=burn_in, window=window)
-    vals = np.array([phi.evaluate(tuple(o.symbols), o.ys[0]) for o in orbits])
-    vals = vals - vals.mean()
-    norms = np.full(nmax + 1, np.nan)
-    ses = np.full(nmax + 1, np.nan)
-    for n in levels:
-        v_depth = max(1, reach)
-        bins = {}
-        for o, value in zip(orbits, vals):
-            key = tuple(o.symbols[n:n + v_depth])
-            bins.setdefault(key, []).append(value)
-        total = 0.0
-        var_total = 0.0
-        for key, entries in bins.items():
-            arr = np.asarray(entries)
-            p_hat = arr.size / trials
-            mean = arr.mean()
-            total += p_hat * mean**2
-            if arr.size > 1:
-                se_mean = arr.std(ddof=1) / math.sqrt(arr.size)
-                var_total += (p_hat * 2 * abs(mean) * se_mean) ** 2
-        norms[n] = math.sqrt(max(total, 0.0))
-        ses[n] = math.sqrt(var_total) / (2 * norms[n]) if norms[n] > 0 else math.sqrt(var_total)
-    used = sorted(levels)
-    return GordinResult(norms, exp_fit(np.array(used), norms[used]), standard_errors=ses)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +342,7 @@ def asymptotic_variance(sys, mu0, phi, truncation, grid=DEFAULT_GRID):
     numeric = float(curve.err_bounds[0] + 2.0 * curve.err_bounds[1:].sum())
     combined = tail + numeric
     if sigma2 < -combined:
-        raise ValueError(
+        raise InconsistencyError(
             f"truncated variance {sigma2:.3g} is below -(tail+numeric) = {-combined:.3g}; "
             "inconsistent truncation"
         )

@@ -29,7 +29,6 @@ __all__ = [
     "wk_distance_bruteforce",
     "pushforward",
     "quantize",
-    "combine",
     "integrate",
 ]
 
@@ -304,13 +303,6 @@ def quantize(mu, grid):
         return ZERO_MEASURE, 0.0
     snapped = np.round(mu.positions * grid) / grid
     return AtomicMeasure(snapped, mu.weights), bound
-
-
-def combine(alpha, mu, beta=0.0, nu=ZERO_MEASURE):
-    """Linear combination alpha*mu + beta*nu with shared atoms merged."""
-    pos = np.concatenate([mu.positions, nu.positions])
-    w = np.concatenate([alpha * mu.weights, beta * nu.weights])
-    return AtomicMeasure(pos, w)
 
 
 def combine_many(terms):

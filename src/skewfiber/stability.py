@@ -12,7 +12,6 @@ Delta(delta) against the modulus R(delta) |log delta|.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,14 +254,14 @@ class SweepResult:
     report: AdmissibilityReport = field(repr=False)
 
 
-def stability_sweep(fam, deltas, depth, tol, grid, threads=1, u3_depth=6):
+def stability_sweep(fam, deltas, depth, tol, grid, u3_depth=6):
     """Invariant-measure variation along a descending delta grid.
 
-    Each delta owns an independent fixed-point computation (parallelizable);
-    rows carry the measured variation Delta(delta) = ||mu_delta - mu_0||_inf,
-    the measured R(delta), the ratio Delta / (R |log delta|), and the sum of
-    the two fixed-point certificates.  A failed fixed point flags its row and
-    the sweep continues.
+    Each delta owns an independent fixed-point computation; rows carry the
+    measured variation Delta(delta) = ||mu_delta - mu_0||_inf, the measured
+    R(delta), the ratio Delta / (R |log delta|), and the sum of the two
+    fixed-point certificates.  A failed fixed point flags its row and the
+    sweep continues.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
@@ -271,24 +270,19 @@ def stability_sweep(fam, deltas, depth, tol, grid, threads=1, u3_depth=6):
         raise ValueError("sweep deltas must be sorted descending")
     report = admissibility_report(fam, deltas, u3_depth=u3_depth)
     base_res = fixed_point(fam.base, depth=depth, tol=tol, grid=grid)
-
-    def one(delta):
+    rows = []
+    for delta in deltas:
+        r_delta = report.r_of(delta)
         try:
             res = fixed_point(realize(fam, delta), depth=depth, tol=tol, grid=grid)
         except (ConvergenceError, ValueError) as exc:
-            return StabilityRow(delta, report.r_of(delta), math.nan, math.nan, math.nan, 0,
-                                failed=True, message=str(exc))
+            rows.append(StabilityRow(delta, r_delta, math.nan, math.nan, math.nan, 0,
+                                     failed=True, message=str(exc)))
+            continue
         variation = change_between(res.disintegration, base_res.disintegration)
-        r_delta = report.r_of(delta)
         ratio = variation / (r_delta * abs(math.log(delta)))
         err = res.certified_error + base_res.certified_error
-        return StabilityRow(delta, r_delta, variation, ratio, err, res.iterations)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, deltas))
-    else:
-        rows = [one(d) for d in deltas]
+        rows.append(StabilityRow(delta, r_delta, variation, ratio, err, res.iterations))
     good = [row.ratio for row in rows if not row.failed]
     bound = max(good) if good else math.nan
     return SweepResult(rows=rows, ratio_bound=bound, base_result=base_res, report=report)

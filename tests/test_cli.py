@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from skewfiber.cli import ConfigError, main, parse_config
+from skewfiber.limits import InconsistencyError
 
 BUNDLED = resources.files("skewfiber") / "data" / "cantor_demo.json"
 BUNDLED_COUPLED = resources.files("skewfiber") / "data" / "coupled_demo.json"
@@ -121,6 +122,14 @@ class TestExitCodes:
         code = main(["clt", "--config", config_path(cfg), "--out", str(tmp_path / "c")])
         assert code == 2
 
+    def test_inconsistent_variance_is_bound_failure(self, config_path, tmp_path, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise InconsistencyError("truncated variance below -(tail+numeric)")
+
+        monkeypatch.setattr("skewfiber.cli.asymptotic_variance", inconsistent)
+        code = main(["clt", "--config", config_path(small_config()), "--out", str(tmp_path / "c")])
+        assert code == 1
+
 
 class TestArtifacts:
     def test_stability_csv_columns(self, config_path, tmp_path):
@@ -153,10 +162,3 @@ class TestArtifacts:
         assert main(["verify", "--config", path, "--out", str(out_b)]) == 0
         for name in ("summary.json", "verify.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-    def test_threaded_stability_identical(self, config_path, tmp_path):
-        path = config_path(small_config())
-        out_a, out_b = tmp_path / "t1", tmp_path / "t2"
-        assert main(["stability", "--config", path, "--out", str(out_a), "--threads", "1"]) == 0
-        assert main(["stability", "--config", path, "--out", str(out_b), "--threads", "3"]) == 0
-        assert (out_a / "stability.csv").read_bytes() == (out_b / "stability.csv").read_bytes()

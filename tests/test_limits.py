@@ -1,6 +1,7 @@
 """Tests for observables, correlation decay, Gordin norms, and the CLT."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,20 +14,31 @@ from skewfiber.limits import (
     clt_experiment,
     correlation_curve,
     correlation_lattice,
-    correlation_mc,
     fiber_average,
     fiber_average_margin,
     gordin_norms,
-    gordin_norms_mc,
     integrate_observable,
     observable_sums,
 )
-from skewfiber.measures import PiecewiseLinearFn
-from skewfiber.symbolic import cylinder_mass
+from skewfiber.measures import PiecewiseLinearFn, integrate
+from skewfiber.skew import FiberMapSpec, SystemSpec
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass
 from skewfiber.transfer import fixed_point
 
 CANTOR = cantor_demo()
 COUPLED = coupled_demo()
+# 3-symbol SFT that is not the full shift, with a Markov base and offset depth 3
+MARKOV3 = SystemSpec(
+    TransitionMatrix([[1, 1, 0], [1, 0, 1], [1, 1, 1]]),
+    0.5,
+    BaseWeights.markov([[0.6, 0.4, 0.0], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]),
+    [
+        FiberMapSpec(0.3, 0.0, {(0, 1, 2): 0.05}),
+        FiberMapSpec(0.25, 0.375, {(1, 0, 0): 0.05}),
+        FiberMapSpec(0.35, 0.65, {(2, 2, 1): -0.05, (2, 0, 1): -0.1}),
+    ],
+    offset_depth=3,
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +49,11 @@ def mu0():
 @pytest.fixture(scope="module")
 def mu0_coupled():
     return fixed_point(COUPLED, depth=4, tol=1e-7, grid=1 << 14).disintegration
+
+
+@pytest.fixture(scope="module")
+def mu0_markov3():
+    return fixed_point(MARKOV3, depth=4, tol=1e-6, grid=512).disintegration
 
 
 def height_obs(sys=CANTOR):
@@ -157,11 +174,31 @@ class TestCorrelationCurve:
         curve = correlation_curve(CANTOR, mu0, zero, height_obs(), nmax=4)
         assert np.abs(curve.values).max() == 0.0
 
-    def test_mc_estimator_covers_closed_form(self):
-        values, errors = correlation_mc(
-            CANTOR, first_symbol_indicator(), height_obs(), nmax=2, trials=4000, seed=3
-        )
-        assert abs(values[1] - (-0.5 / 3)) <= 5 * errors[1] + 1e-3
+
+def gordin_norms_word_sum(sys, mu0, phi, nmax):
+    """Oracle: conditional expectations on the future algebra by explicit word sums.
+
+    At level n the conditional expectation on the tail word v averages the
+    fiber integrals of the centered observable over all admissible length-n
+    pasts u, weighted by m([uv]) / m([v]).  Exponential in n.
+    """
+    matrix = sys.matrix
+    phit = phi.shifted(-integrate_observable(sys, mu0, phi))
+    norms = np.empty(nmax + 1)
+    for n in range(nmax + 1):
+        total = 0.0
+        for v in matrix.words(max(1, mu0.depth - n)):
+            mass_v = cylinder_mass(sys.weights, v)
+            acc = 0.0
+            for u in matrix.words(n):
+                if n and not matrix.entries[u[-1], v[0]]:
+                    continue
+                uv = u + v
+                fiber_integral = integrate(mu0.fibers[uv[: mu0.depth]], phit.component(uv))
+                acc += cylinder_mass(sys.weights, uv) * fiber_integral
+            total += (acc / mass_v) ** 2 * mass_v
+        norms[n] = math.sqrt(total)
+    return norms
 
 
 class TestGordin:
@@ -199,17 +236,31 @@ class TestGordin:
         assert res.norms[4] <= 1e-12  # beyond the working depth the algebra is exhausted
         assert res.fit.rate < 1.0
 
-    def test_mc_fallback_approximates_exact(self, mu0_coupled):
-        phi = height_obs(COUPLED)
-        exact = gordin_norms(COUPLED, mu0_coupled, phi, nmax=2)
-        mc = gordin_norms_mc(COUPLED, phi, levels=[0, 1], trials=6000, seed=5)
-        for n in (0, 1):
-            tol = 5 * mc.standard_errors[n] + 0.02
-            assert abs(mc.norms[n] - exact.norms[n]) <= tol
+    @pytest.mark.parametrize("name", ["cantor", "coupled", "markov3"])
+    def test_matches_word_sum_oracle(self, name, mu0, mu0_coupled, mu0_markov3):
+        sys, dis = {
+            "cantor": (CANTOR, mu0),
+            "coupled": (COUPLED, mu0_coupled),
+            "markov3": (MARKOV3, mu0_markov3),
+        }[name]
+        phi = height_obs(sys)
+        res = gordin_norms(sys, dis, phi, nmax=8)
+        oracle = gordin_norms_word_sum(sys, dis, phi, nmax=8)
+        assert np.abs(res.norms - oracle).max() <= 1e-12
 
-    def test_budget_error_advises(self, mu0):
-        with pytest.raises(ValueError, match="budget"):
-            gordin_norms(CANTOR, mu0, height_obs(), nmax=25)
+    def test_markov_sft_norms_do_not_truncate(self, mu0_markov3):
+        # a Markov base keeps memory past the working depth, unlike the i.i.d. demos
+        res = gordin_norms(MARKOV3, mu0_markov3, height_obs(MARKOV3), nmax=8)
+        assert res.norms[8] > 1e-12
+        assert res.fit.rate < 1.0
+
+    def test_deep_levels_are_cheap(self, mu0):
+        started = time.perf_counter()
+        res = gordin_norms(CANTOR, mu0, height_obs(), nmax=25)
+        elapsed = time.perf_counter() - started
+        assert res.norms.size == 26
+        assert np.abs(res.norms).max() <= 1e-12
+        assert elapsed < 1.0
 
 
 class TestAsymptoticVariance:

@@ -8,7 +8,7 @@ from skewfiber.measures import (
     AtomicMeasure,
     PiecewiseLinearFn,
     ZERO_MEASURE,
-    combine,
+    combine_many,
     integrate,
     pushforward,
     quantize,
@@ -159,10 +159,10 @@ class TestQuantize:
 class TestCombine:
     def test_exact_cancellation(self):
         mu = AtomicMeasure([0.2, 0.8], [1.0, -2.0])
-        assert combine(1.0, mu, -1.0, mu).n_atoms == 0
+        assert combine_many([(1.0, mu), (-1.0, mu)]).n_atoms == 0
 
     def test_union_of_atoms(self):
-        out = combine(2.0, AtomicMeasure.dirac(0.0), 1.0, AtomicMeasure.dirac(1.0))
+        out = combine_many([(2.0, AtomicMeasure.dirac(0.0)), (1.0, AtomicMeasure.dirac(1.0))])
         assert out.positions.tolist() == [0.0, 1.0]
         assert out.weights.tolist() == [2.0, 1.0]
 

@@ -151,12 +151,6 @@ class TestSweep:
         assert all(not row.failed for row in result.rows)
         assert math.isfinite(result.ratio_bound)
 
-    def test_threaded_sweep_matches_sequential(self):
-        fam = shift_family()
-        seq = stability_sweep(fam, [0.1, 0.05], depth=2, tol=1e-6, grid=2048, threads=1)
-        par = stability_sweep(fam, [0.1, 0.05], depth=2, tol=1e-6, grid=2048, threads=2)
-        assert sweep_to_csv(seq) == sweep_to_csv(par)
-
     def test_failed_delta_is_flagged_and_sweep_continues(self, monkeypatch):
         import skewfiber.stability as stability_module
         from skewfiber.transfer import ConvergenceError
