@@ -39,8 +39,6 @@ from .skew import (
     SystemSpec,
     c1_constant,
     estimate_H,
-    iterate_fiber,
-    sample_orbit,
     sample_orbits,
     verify_G1,
 )
@@ -62,7 +60,6 @@ from .transfer import (
 from .stability import (
     PerturbationFamily,
     admissibility_report,
-    bu_estimate,
     fiber_op_gap,
     operator_gap,
     realize,

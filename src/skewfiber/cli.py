@@ -46,7 +46,6 @@ from .measures import (
 from .skew import FiberMapSpec, SystemSpec, c1_constant
 from .stability import (
     PerturbationFamily,
-    bu_estimate,
     fiber_op_gap,
     operator_gap,
     realize,
@@ -277,7 +276,8 @@ class Report:
         path = self.out_dir / name
         lines = [header]
         for row in rows:
-            lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+            # float() drops the np.float64(...) wrapper NumPy 2 puts in repr
+            lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
         path.write_text("\n".join(lines) + "\n")
         self.artifacts.append(name)
         return path
@@ -414,11 +414,9 @@ def run_stability(config, out_dir):
             f"Delta={variations!r}",
         )
     report.check("ratio_bound_finite", math.isfinite(result.ratio_bound))
-    # operator-gap lemmas at the largest sweep delta
-    delta = ok_rows[0].delta if ok_rows else None
-    if delta is not None:
-        res_d = fixed_point(realize(fam, delta), depth=depth, tol=tol, grid=grid)
-        r_delta = result.report.r_of(delta)
+    # operator-gap lemmas at the largest converged delta, on the sweep's own solves
+    if ok_rows:
+        delta, r_delta, res_d = ok_rows[0].delta, ok_rows[0].r_delta, ok_rows[0].result
         max_norm = norm_inf(res_d.disintegration)
         f_gap = fiber_op_gap(fam.base, realize(fam, delta), res_d.disintegration)
         report.metric("fiber_op_gap", f_gap)
@@ -426,7 +424,9 @@ def run_stability(config, out_dir):
             "fiber_gap_lemma", f_gap <= r_delta * max_norm + 1e-10,
             f"gap={f_gap!r} bound={r_delta * max_norm!r}",
         )
-        b_u = bu_estimate(fam, [0.0, delta], depth=depth, tol=tol, grid=grid)
+        # B_u: largest Lipschitz constant of the invariant disintegrations
+        theta = fam.base.theta
+        b_u = max(lip_constant(r.disintegration, theta) for r in (result.base_result, res_d))
         o_gap = operator_gap(fam, delta, res_d.disintegration)
         report.metric("operator_gap", o_gap)
         report.check(

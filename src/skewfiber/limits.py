@@ -34,11 +34,7 @@ from .fitting import ExpFit, exp_fit
 from .measures import AtomicMeasure, PiecewiseLinearFn, integrate
 from .skew import sample_orbits
 from .symbolic import CylinderFunction, cylinder_mass, cylinder_mass_vector, ruelle_apply
-from .transfer import (
-    lip_constant,
-    quantize_disintegration,
-    transfer_apply,
-)
+from .transfer import quantize_disintegration, transfer_apply
 
 __all__ = [
     "Observable",
@@ -59,6 +55,11 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 1 << 15
+# CLT experiment: inflation of the KS critical value for the plug-in variance,
+# the smallest trial count worth a KS test, and the fiber burn-in per orbit
+KS_SLACK = 1.3
+MIN_TRIALS = 100
+BURN_IN = 40
 
 
 class CoboundaryError(RuntimeError):
@@ -162,12 +163,16 @@ def fiber_average(sys, mu0, obs):
     return CylinderFunction(mu0.matrix, mu0.depth, values)
 
 
-def fiber_average_margin(sys, mu0, obs):
-    """Margin of the regularity bound |s|_theta <= max(L, sup) lip(mu0) + L."""
+def fiber_average_margin(sys, mu0, obs, lip_mu0):
+    """Margin of the regularity bound |s|_theta <= max(L, sup) lip(mu0) + L.
+
+    ``lip_mu0`` is ``lip_constant(mu0, sys.theta)``, computed once by the
+    caller for any number of observables.
+    """
     theta = sys.theta
     s = fiber_average(sys, mu0, obs)
     lip = obs.lipschitz(theta)
-    bound = max(lip, obs.sup_norm()) * lip_constant(mu0, theta) + lip
+    bound = max(lip, obs.sup_norm()) * lip_mu0 + lip
     return bound - s.lipschitz(theta)
 
 
@@ -398,32 +403,29 @@ def clt_experiment(
     seed,
     truncation=30,
     variance=None,
-    ks_slack=1.3,
-    min_trials=100,
-    burn_in=40,
 ):
     """Kolmogorov-Smirnov test of the normalized Birkhoff sums.
 
     ``trials`` independent orbits are sampled, the centered sums S_n/sqrt(n)
     are compared against the centered normal law with the truncated
     asymptotic variance, and the run passes when the KS statistic stays
-    below the 5% critical value 1.36/sqrt(trials) inflated by ``ks_slack``
+    below the 5% critical value 1.36/sqrt(trials) inflated by ``KS_SLACK``
     to absorb the plug-in variance noise.
     """
     from scipy import stats
 
-    if trials < min_trials:
-        raise ValueError(f"need at least {min_trials} trials for a meaningful KS test")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful KS test")
     if variance is None:
         variance = asymptotic_variance(sys, mu0, phi, truncation)
     if variance.possible_coboundary or variance.sigma2 <= 0.0:
         raise CoboundaryError("coboundary regime, CLT statement vacuous")
     m_phi = integrate_observable(sys, mu0, phi)
-    orbits = sample_orbits(sys, seed, length, trials, burn_in=burn_in, window=phi.depth)
+    orbits = sample_orbits(sys, seed, length, trials, burn_in=BURN_IN, window=phi.depth)
     sums = observable_sums(phi, orbits) - length * m_phi
     normalized = sums / math.sqrt(length)
     ks = float(stats.kstest(normalized, "norm", args=(0.0, variance.sigma)).statistic)
-    threshold = 1.36 / math.sqrt(trials) * ks_slack
+    threshold = 1.36 / math.sqrt(trials) * KS_SLACK
     return CLTResult(
         ks_statistic=ks,
         passed=ks <= threshold,

@@ -89,9 +89,6 @@ class AtomicMeasure:
             return ZERO_MEASURE
         return AtomicMeasure(self.positions, factor * self.weights)
 
-    def is_probability(self, tol=1e-10):
-        return bool((self.weights >= -tol).all() and abs(self.total_weight() - 1.0) <= tol)
-
     def __repr__(self):
         return f"AtomicMeasure({self.n_atoms} atoms, mass={self.total_weight():.6g})"
 

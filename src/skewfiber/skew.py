@@ -29,9 +29,7 @@ __all__ = [
     "verify_G1",
     "estimate_H",
     "c1_constant",
-    "sample_orbit",
     "sample_orbits",
-    "iterate_fiber",
 ]
 
 _RANGE_TOL = 1e-12
@@ -117,10 +115,6 @@ class SystemSpec:
             key = key + self.matrix.smallest_tail(key[-1], d - len(key))
         return AffineMap(fm.slope, fm.offset + fm.correction(key))
 
-    def fiber_value(self, word, y):
-        """Fiber coordinate of F on the cylinder of ``word``."""
-        return self.branch_map(word)(y)
-
     def code_tables(self):
         """Slope/offset lookups indexed by the encoded depth-d symbol window."""
         if self._code_tables is None:
@@ -155,24 +149,24 @@ def verify_G1(sys):
     return alpha
 
 
-def estimate_H(sys, y_points=5):
+def estimate_H(sys):
     """Lipschitz constant of the fiber map in the base coordinate.
 
     Maximizes |G(u, y) - G(v, y)| / d_theta(u, v) over pairs of admissible
-    depth-d words and a fixed y grid.  Exact for affine branches since the
-    difference is affine in y and the grid contains both endpoints.
+    depth-d words and y in [0, 1].  The difference of two affine branches is
+    affine in y, so its supremum is max(|db|, |da + db|), taken at y = 0 or
+    y = 1.
     """
     d = sys.offset_depth
     words = sys.matrix.words(d)
-    ys = np.linspace(0.0, 1.0, y_points)
     best = 0.0
     for a in range(len(words)):
         for b in range(a + 1, len(words)):
             dist = word_distance(words[a], words[b], sys.theta)
             ta, tb = sys.branch_map(words[a]), sys.branch_map(words[b])
-            gap = np.abs((ta.a - tb.a) * ys + (ta.b - tb.b)).max()
-            best = max(best, gap / dist)
-    return float(best)
+            da, db = ta.a - tb.a, ta.b - tb.b
+            best = max(best, max(abs(db), abs(da + db)) / dist)
+    return best
 
 
 def c1_constant(sys):
@@ -225,50 +219,20 @@ def _symbol_track(weights, uniforms):
     return out
 
 
-def iterate_fiber(sys, symbols, y0):
-    """Deterministic fiber evolution below a fixed symbol track.
-
-    Returns the y values before each application, one per usable step.
-    """
-    d = sys.offset_depth
-    steps = len(symbols) - d + 1
-    ys = np.empty(steps)
-    y = float(y0)
-    for t in range(steps):
-        ys[t] = y
-        y = sys.branch_map(tuple(symbols[t:t + d]))(y)
-    return ys
-
-
-def sample_orbit(sys, seed, length, burn_in=40, window=1):
-    """Sample one orbit of the skew product, stationary up to alpha^burn_in.
-
-    The symbol track starts from the stationary base law; the fiber
-    coordinate is initialized by running ``burn_in`` extra fiber maps before
-    recording, so the recorded fiber states are within alpha^burn_in of the
-    invariant law in the dual metric.  Deterministic given the seed.
-    """
-    if length < 1:
-        raise ValueError("length must be positive")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
-    window = max(int(window), sys.offset_depth)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    total = burn_in + length + window - 1
-    symbols = _symbol_track(sys.weights, rng.random(total))
-    ys = iterate_fiber(sys, symbols, 0.5)[burn_in:burn_in + length]
-    return OrbitSample(symbols[burn_in:], ys, window)
-
-
 def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
     """Sample many independent orbits with per-trial derived seeds.
 
-    Trial t uses the spawn key (t,) of the root seed sequence, so results do
-    not depend on batching or evaluation order.  The fiber recursion runs
-    vectorized across trials.
+    Each symbol track starts from the stationary base law and the fiber
+    coordinate runs ``burn_in`` maps from 1/2 before recording, so the
+    recorded fiber states are within alpha^burn_in of the invariant law in
+    the dual metric.  Trial t uses the spawn key (t,) of the root seed
+    sequence, so results do not depend on batching or evaluation order.  The
+    fiber recursion runs vectorized across trials.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if length < 1 or trials < 1:
+        raise ValueError("length and trials must be positive")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     window = max(int(window), sys.offset_depth)
     total = burn_in + length + window - 1
     root = np.random.SeedSequence(seed)

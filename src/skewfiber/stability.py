@@ -21,10 +21,10 @@ from .skew import FiberMapSpec, SystemSpec, c1_constant
 from .symbolic import BaseWeights, base_gap_estimate, cylinder_mass, jacobian_weight
 from .transfer import (
     ConvergenceError,
+    FixedPointResult,
     change_between,
     combine_disintegrations,
     fixed_point,
-    lip_constant,
     norm_inf,
     transfer_apply,
 )
@@ -39,12 +39,16 @@ __all__ = [
     "admissibility_report",
     "fiber_op_gap",
     "operator_gap",
-    "bu_estimate",
     "stability_sweep",
     "sweep_to_csv",
 ]
 
 KINDS = ("fiber_shift", "base_weights", "combined")
+# cylinder depth of the U3 density-ratio proxy
+U3_DEPTH = 6
+# depth and power-iteration count of the A1 base spectral-gap envelope
+GAP_DEPTH = 3
+GAP_ITERS = 8
 
 
 @dataclass
@@ -151,21 +155,22 @@ def _jacobian_gap(sys0, sys_d):
     return worst
 
 
-def _fiber_gap(sys0, sys_d, y_points=5):
-    ys = np.linspace(0.0, 1.0, y_points)
+def _fiber_gap(sys0, sys_d):
+    # an affine gap in y peaks at an endpoint of [0, 1]
     worst = 0.0
     for u in sys0.matrix.words(sys0.offset_depth):
         t0, td = sys0.branch_map(u), sys_d.branch_map(u)
-        worst = max(worst, float(np.abs((t0.a - td.a) * ys + (t0.b - td.b)).max()))
+        da, db = t0.a - td.a, t0.b - td.b
+        worst = max(worst, abs(db), abs(da + db))
     return worst
 
 
-def admissibility_report(fam, deltas, u3_depth=6, gap_depth=3, gap_iters=8):
+def admissibility_report(fam, deltas):
     """Measured admissibility quantities on a delta grid.
 
     Per delta: the summed jacobian-weight discrepancy maximized over target
     symbols, the supremum gap of the fiber maps over the offset cylinders,
-    the largest depth-``u3_depth`` cylinder mass ratio against the base, the
+    the largest depth-``U3_DEPTH`` cylinder mass ratio against the base, the
     regularity constant of the realized system, and a base spectral-gap
     envelope fit.  R(delta) is the larger of the first two.
     """
@@ -175,12 +180,12 @@ def admissibility_report(fam, deltas, u3_depth=6, gap_depth=3, gap_iters=8):
     for delta in deltas:
         sys_d = realize(fam, delta)
         ratio = 1.0
-        for w in fam.base.matrix.words(u3_depth):
+        for w in fam.base.matrix.words(U3_DEPTH):
             ratio = max(
                 ratio, cylinder_mass(sys_d.weights, w) / cylinder_mass(fam.base.weights, w)
             )
         rate, constant = base_gap_estimate(
-            sys_d.weights, sys_d.matrix, sys_d.theta, depth=gap_depth, iters=gap_iters
+            sys_d.weights, sys_d.matrix, sys_d.theta, depth=GAP_DEPTH, iters=GAP_ITERS
         )
         rows.append(
             AdmissibilityRow(
@@ -224,16 +229,6 @@ def operator_gap(fam, delta, mu_delta):
     return norm_inf(combine_disintegrations(1.0, lhs, -1.0, rhs))
 
 
-def bu_estimate(fam, deltas, depth=3, tol=1e-6, grid=2048):
-    """Largest disintegration Lipschitz constant among the fixed points on the grid."""
-    worst = 0.0
-    for delta in deltas:
-        sys_d = realize(fam, delta)
-        res = fixed_point(sys_d, depth=depth, tol=tol, grid=grid)
-        worst = max(worst, lip_constant(res.disintegration, sys_d.theta))
-    return worst
-
-
 @dataclass
 class StabilityRow:
     delta: float
@@ -244,31 +239,32 @@ class StabilityRow:
     iterations: int
     failed: bool = False
     message: str = ""
+    result: FixedPointResult | None = field(default=None, repr=False)
 
 
 @dataclass
 class SweepResult:
     rows: list
     ratio_bound: float
-    base_result: object = field(repr=False)
+    base_result: FixedPointResult = field(repr=False)
     report: AdmissibilityReport = field(repr=False)
 
 
-def stability_sweep(fam, deltas, depth, tol, grid, u3_depth=6):
+def stability_sweep(fam, deltas, depth, tol, grid):
     """Invariant-measure variation along a descending delta grid.
 
     Each delta owns an independent fixed-point computation; rows carry the
     measured variation Delta(delta) = ||mu_delta - mu_0||_inf, the measured
     R(delta), the ratio Delta / (R |log delta|), and the sum of the two
-    fixed-point certificates.  A failed fixed point flags its row and the
-    sweep continues.
+    fixed-point certificates.  A converged row keeps its fixed point for
+    later checks; a failed fixed point flags its row and the sweep continues.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise ValueError("sweep deltas must be positive; delta = 0 is the base system")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("sweep deltas must be sorted descending")
-    report = admissibility_report(fam, deltas, u3_depth=u3_depth)
+    report = admissibility_report(fam, deltas)
     base_res = fixed_point(fam.base, depth=depth, tol=tol, grid=grid)
     rows = []
     for delta in deltas:
@@ -282,7 +278,8 @@ def stability_sweep(fam, deltas, depth, tol, grid, u3_depth=6):
         variation = change_between(res.disintegration, base_res.disintegration)
         ratio = variation / (r_delta * abs(math.log(delta)))
         err = res.certified_error + base_res.certified_error
-        rows.append(StabilityRow(delta, r_delta, variation, ratio, err, res.iterations))
+        rows.append(StabilityRow(delta, r_delta, variation, ratio, err, res.iterations,
+                                 result=res))
     good = [row.ratio for row in rows if not row.failed]
     bound = max(good) if good else math.nan
     return SweepResult(rows=rows, ratio_bound=bound, base_result=base_res, report=report)

@@ -261,11 +261,6 @@ class CylinderFunction:
     def constant(cls, matrix, depth, c):
         return cls(matrix, depth, np.full(matrix.word_count(depth), float(c)))
 
-    @classmethod
-    def from_dict(cls, matrix, depth, mapping, default=0.0):
-        vals = [float(mapping.get(w, default)) for w in matrix.words(depth)]
-        return cls(matrix, depth, vals)
-
     def value(self, word):
         return float(self.values[self.matrix.word_index(self.depth)[word]])
 

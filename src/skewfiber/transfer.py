@@ -170,37 +170,23 @@ def norm_s_inf(dis, theta):
     return marginal_density(dis).norm_theta(theta) + norm_inf(dis)
 
 
-def lip_constant(dis, theta, max_exhaustive=2000, sample_pairs=100_000, seed=0):
+def lip_constant(dis, theta):
     """Lipschitz constant of the disintegration path.
 
-    Maximum of wk(mu|_w1, mu|_w2) / d(w1, w2) over admissible word pairs;
-    exhaustive up to ``max_exhaustive`` words, otherwise over a seeded random
-    pair sample (then a lower estimate).  The value is attached to this
-    particular representation, an upper bound for the infimum over all
-    equivalent disintegrations.
+    Maximum of wk(mu|_w1, mu|_w2) / d(w1, w2) over every pair of admissible
+    words, so the value is exact for this representation and an upper bound
+    for the infimum over all equivalent disintegrations.
     """
     words = dis.words()
     n = len(words)
-    if n < 2:
-        return 0.0
     best = 0.0
-    if n <= max_exhaustive:
-        for a in range(n):
-            mu_a = dis.fibers[words[a]]
-            for b in range(a + 1, n):
-                d = wk_distance(mu_a, dis.fibers[words[b]])
-                if d == 0.0:
-                    continue
-                best = max(best, d / word_distance(words[a], words[b], theta))
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = rng.integers(0, n, size=(sample_pairs, 2))
-        for a, b in pairs:
-            if a == b:
+    for a in range(n):
+        mu_a = dis.fibers[words[a]]
+        for b in range(a + 1, n):
+            d = wk_distance(mu_a, dis.fibers[words[b]])
+            if d == 0.0:
                 continue
-            d = wk_distance(dis.fibers[words[a]], dis.fibers[words[b]])
-            if d:
-                best = max(best, d / word_distance(words[a], words[b], theta))
+            best = max(best, d / word_distance(words[a], words[b], theta))
     return best
 
 

@@ -32,7 +32,6 @@ from skewfiber.skew import c1_constant
 from skewfiber.stability import (
     PerturbationFamily,
     admissibility_report,
-    bu_estimate,
     fiber_op_gap,
     operator_gap,
     realize,
@@ -203,11 +202,12 @@ def test_criterion_08_operator_gaps():
     fam = shift_family()
     deltas = [0.1, 0.01]
     rep = admissibility_report(fam, deltas)
-    b_u = bu_estimate(fam, [0.0] + deltas, depth=2, tol=1e-6, grid=4096)
+    solved = {d: fixed_point(realize(fam, d), depth=2, tol=1e-6, grid=4096) for d in [0.0] + deltas}
+    b_u = max(lip_constant(res.disintegration, CANTOR.theta) for res in solved.values())
     details = []
     for delta in deltas:
         sys_d = realize(fam, delta)
-        res_d = fixed_point(sys_d, depth=2, tol=1e-6, grid=4096)
+        res_d = solved[delta]
         r_delta = rep.r_of(delta)
         max_norm = max(wk_norm(mu) for mu in res_d.disintegration.fibers.values())
         f_gap = fiber_op_gap(CANTOR, sys_d, res_d.disintegration)

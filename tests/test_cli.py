@@ -5,6 +5,8 @@ from importlib import resources
 
 import pytest
 
+import skewfiber.cli
+import skewfiber.stability
 from skewfiber.cli import ConfigError, main, parse_config
 from skewfiber.limits import InconsistencyError
 
@@ -122,6 +124,12 @@ class TestExitCodes:
         code = main(["clt", "--config", config_path(cfg), "--out", str(tmp_path / "c")])
         assert code == 2
 
+    def test_clt_empty_orbit_rejected(self, config_path, tmp_path):
+        cfg = small_config()
+        cfg["clt"]["length"] = 0
+        code = main(["clt", "--config", config_path(cfg), "--out", str(tmp_path / "c")])
+        assert code == 2
+
     def test_inconsistent_variance_is_bound_failure(self, config_path, tmp_path, monkeypatch):
         def inconsistent(*args, **kwargs):
             raise InconsistencyError("truncated variance below -(tail+numeric)")
@@ -162,3 +170,27 @@ class TestArtifacts:
         assert main(["verify", "--config", path, "--out", str(out_b)]) == 0
         for name in ("summary.json", "verify.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_csv_cells_parse_as_numbers(self, tmp_path):
+        out = tmp_path / "corr"
+        assert main(["correlations", "--config", str(BUNDLED), "--out", str(out)]) == 0
+        for name in ("correlations.csv", "gordin.csv"):
+            for line in (out / name).read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    float(cell)
+
+    def test_stability_solves_each_fixed_point_once(self, config_path, tmp_path, monkeypatch):
+        cfg = small_config()
+        calls = []
+        real_fixed_point = skewfiber.stability.fixed_point
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_fixed_point(*args, **kwargs)
+
+        for module in (skewfiber.cli, skewfiber.stability):
+            monkeypatch.setattr(module, "fixed_point", counted)
+        code = main(["stability", "--config", config_path(cfg), "--out", str(tmp_path / "s")])
+        assert code == 0
+        # the base system plus one solve per sweep delta
+        assert len(calls) == len(cfg["stability"]["deltas"]) + 1

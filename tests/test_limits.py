@@ -23,7 +23,7 @@ from skewfiber.limits import (
 from skewfiber.measures import PiecewiseLinearFn, integrate
 from skewfiber.skew import FiberMapSpec, SystemSpec
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass
-from skewfiber.transfer import fixed_point
+from skewfiber.transfer import fixed_point, lip_constant
 
 CANTOR = cantor_demo()
 COUPLED = coupled_demo()
@@ -129,10 +129,11 @@ class TestFiberAverage:
 
     def test_bound_margin_on_random_observables(self, mu0_coupled):
         rng = np.random.default_rng(1)
+        lip_mu0 = lip_constant(mu0_coupled, COUPLED.theta)
         for _ in range(5):
             h = PiecewiseLinearFn([0.0, 0.4, 1.0], rng.uniform(-1, 1, 3))
             obs = Observable.fiber(COUPLED.matrix, h)
-            assert fiber_average_margin(COUPLED, mu0_coupled, obs) >= -1e-8
+            assert fiber_average_margin(COUPLED, mu0_coupled, obs, lip_mu0) >= -1e-8
 
 
 class TestCorrelationCurve:

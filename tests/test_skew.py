@@ -9,15 +9,25 @@ from skewfiber.skew import (
     SystemSpec,
     c1_constant,
     estimate_H,
-    iterate_fiber,
-    sample_orbit,
     sample_orbits,
     verify_G1,
 )
-from skewfiber.symbolic import BaseWeights, TransitionMatrix
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, word_distance
 
 FULL2 = TransitionMatrix([[1, 1], [1, 1]])
 FAIR = BaseWeights.bernoulli([0.5, 0.5])
+
+
+def iterate_fiber(sys, symbols, y0):
+    """Scalar replay oracle: the fiber coordinate before each usable step of a track."""
+    d = sys.offset_depth
+    steps = len(symbols) - d + 1
+    ys = np.empty(steps)
+    y = float(y0)
+    for t in range(steps):
+        ys[t] = y
+        y = sys.branch_map(tuple(symbols[t:t + d]))(y)
+    return ys
 
 
 class TestContraction:
@@ -41,6 +51,17 @@ class TestEstimateH:
     def test_symbol_only_offsets(self):
         # offsets 0 and 2/3 at base distance 1 give H = 2/3
         assert estimate_H(cantor_demo()) == pytest.approx(2 / 3)
+        # on random affine pairs the endpoint form max(|db|, |da + db|)
+        # equals the gap maximized over a dense y grid
+        rng = np.random.default_rng(6)
+        ys = np.linspace(0.0, 1.0, 1001)
+        for _ in range(20):
+            slopes = rng.uniform(-0.9, 0.9, 2)
+            offsets = [rng.uniform(max(0.0, -a), min(1.0, 1.0 - a)) for a in slopes]
+            sys = SystemSpec(FULL2, 0.5, FAIR, [FiberMapSpec(a, b) for a, b in zip(slopes, offsets)])
+            ta, tb = sys.branch_map((0,)), sys.branch_map((1,))
+            dense = np.abs((ta.a - tb.a) * ys + (ta.b - tb.b)).max()
+            assert estimate_H(sys) == dense / word_distance((0,), (1,), sys.theta)
 
     def test_constant_offsets_give_zero(self):
         sys = SystemSpec(FULL2, 0.5, FAIR, [FiberMapSpec(0.5, 0.25), FiberMapSpec(0.5, 0.25)])
@@ -84,17 +105,17 @@ class TestOrbits:
         assert (1 / 3) ** 40 < 1e-19
 
     def test_orbit_stays_in_unit_interval(self):
-        orbit = sample_orbit(cantor_demo(), seed=1, length=5000, burn_in=40)
+        orbit = sample_orbits(cantor_demo(), seed=1, length=5000, trials=1, burn_in=40)[0]
         assert orbit.ys.min() >= 0.0 and orbit.ys.max() <= 1.0
 
     def test_empirical_mean_matches_hutchinson_moment(self):
         # first moment of the invariant fiber law is 1/2
-        orbit = sample_orbit(cantor_demo(), seed=7, length=100_000, burn_in=40)
+        orbit = sample_orbits(cantor_demo(), seed=7, length=100_000, trials=1, burn_in=40)[0]
         assert orbit.ys.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_same_seed_is_bit_identical(self):
-        a = sample_orbit(coupled_demo(), seed=3, length=500, burn_in=10)
-        b = sample_orbit(coupled_demo(), seed=3, length=500, burn_in=10)
+        a = sample_orbits(coupled_demo(), seed=3, length=500, trials=1, burn_in=10)[0]
+        b = sample_orbits(coupled_demo(), seed=3, length=500, trials=1, burn_in=10)[0]
         assert np.array_equal(a.symbols, b.symbols)
         assert np.array_equal(a.ys, b.ys)
 

@@ -11,14 +11,19 @@ from skewfiber.measures import AtomicMeasure
 from skewfiber.stability import (
     PerturbationFamily,
     admissibility_report,
-    bu_estimate,
     fiber_op_gap,
     operator_gap,
     realize,
     stability_sweep,
     sweep_to_csv,
 )
-from skewfiber.transfer import Disintegration, fixed_point, norm_inf, transfer_apply
+from skewfiber.transfer import (
+    Disintegration,
+    fixed_point,
+    lip_constant,
+    norm_inf,
+    transfer_apply,
+)
 
 CANTOR = cantor_demo()
 
@@ -85,7 +90,7 @@ class TestAdmissibility:
         assert report.rows[0].jacobian_gap == pytest.approx(0.1)
 
     def test_density_ratio_hand_value(self):
-        report = admissibility_report(weight_family(), [0.01], u3_depth=6)
+        report = admissibility_report(weight_family(), [0.01])
         assert report.rows[0].density_ratio == pytest.approx((0.51 / 0.50) ** 6)
 
     def test_c1_envelope_finite(self):
@@ -131,14 +136,19 @@ class TestOperatorGaps:
         fam = shift_family()
         delta = 0.05
         res = fixed_point(realize(fam, delta), depth=2, tol=1e-6, grid=512)
-        b_u = bu_estimate(fam, [0.0, delta], depth=2, grid=512)
+        base = fixed_point(CANTOR, depth=2, tol=1e-6, grid=512)
+        b_u = max(lip_constant(r.disintegration, CANTOR.theta) for r in (base, res))
         gap = operator_gap(fam, delta, res.disintegration)
         assert 0.0 <= gap <= (2.0 + b_u) * delta + 1e-8
 
     def test_bu_bounded_by_uniform_regularity(self):
         fam = shift_family()
         report = admissibility_report(fam, [0.0, 0.05, 0.1])
-        b_u = bu_estimate(fam, [0.0, 0.05, 0.1], depth=2, grid=512)
+        b_u = max(
+            lip_constant(fixed_point(realize(fam, d), depth=2, tol=1e-6, grid=512).disintegration,
+                         CANTOR.theta)
+            for d in (0.0, 0.05, 0.1)
+        )
         theta = CANTOR.theta
         assert b_u <= report.sup_c1 / (1.0 - theta) + 1e-6
 
