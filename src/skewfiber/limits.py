@@ -21,6 +21,10 @@ i.i.d. base, hold to machine precision.
 Gordin's conditional expectations need no word sums either: at level n
 their L2 norm is ||P^n s||, the base transfer operator power applied to the
 fiber integrals s of the centered observable (see ``gordin_norms``).
+
+The CLT experiment reads the ``(symbols, ys)`` arrays of ``sample_orbits``
+directly: ``observable_sums`` codes each depth-k window of ``symbols`` and
+sums the matching fiber components over ``ys``, with no per-orbit copies.
 """
 
 from __future__ import annotations
@@ -371,26 +375,21 @@ class CLTResult:
     seed: int
 
 
-def observable_sums(phi, orbits):
-    """Birkhoff sums of an observable over sampled orbits, vectorized."""
-    trials = len(orbits)
-    length = orbits[0].ys.size
-    ys = np.stack([o.ys for o in orbits])
+def observable_sums(phi, symbols, ys):
+    """Birkhoff sums of an observable over the orbits of ``sample_orbits``, vectorized."""
+    length = ys.shape[1]
     n = phi.matrix.n_symbols
-    codes = np.stack([o.symbols[:length].copy() for o in orbits])
+    codes = symbols[:, :length]
     for j in range(1, phi.depth):
-        codes = codes * n + np.stack([o.symbols[j:length + j] for o in orbits])
-    sums = np.zeros(trials)
-    code_of = {}
+        codes = codes * n + symbols[:, j:length + j]
+    sums = np.zeros(ys.shape[0])
     for w in phi.matrix.words(phi.depth):
         c = 0
         for s in w:
             c = c * n + s
-        code_of[c] = phi.components[w]
-    for c, h in code_of.items():
         mask = codes == c
         if mask.any():
-            sums += np.where(mask, h(ys), 0.0).sum(axis=1)
+            sums += np.where(mask, phi.components[w](ys), 0.0).sum(axis=1)
     return sums
 
 
@@ -421,8 +420,8 @@ def clt_experiment(
     if variance.possible_coboundary or variance.sigma2 <= 0.0:
         raise CoboundaryError("coboundary regime, CLT statement vacuous")
     m_phi = integrate_observable(sys, mu0, phi)
-    orbits = sample_orbits(sys, seed, length, trials, burn_in=BURN_IN, window=phi.depth)
-    sums = observable_sums(phi, orbits) - length * m_phi
+    symbols, ys = sample_orbits(sys, seed, length, trials, burn_in=BURN_IN, window=phi.depth)
+    sums = observable_sums(phi, symbols, ys) - length * m_phi
     normalized = sums / math.sqrt(length)
     ks = float(stats.kstest(normalized, "norm", args=(0.0, variance.sigma)).statistic)
     threshold = 1.36 / math.sqrt(trials) * KS_SLACK

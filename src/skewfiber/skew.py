@@ -6,6 +6,9 @@ additive offset read from the first ``offset_depth`` symbols.  Depth 1
 reproduces plain iterated function systems (whose invariant measure is a
 product); deeper offset tables couple the fiber to the base and produce
 genuinely non-product invariant measures.
+
+``sample_orbits`` returns a batch of orbits as two arrays, the symbol
+tracks and the fiber coordinates, one row per trial.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .symbolic import (
 __all__ = [
     "FiberMapSpec",
     "SystemSpec",
-    "OrbitSample",
     "verify_G1",
     "estimate_H",
     "c1_constant",
@@ -104,16 +106,14 @@ class SystemSpec:
         """Affine fiber map attached to the cylinder of ``source_word``.
 
         The branch symbol is the word's first entry; the offset correction is
-        read from the depth-``offset_depth`` prefix, extended by the
-        lexicographically smallest admissible tail when the word is shorter.
+        read from the depth-``offset_depth`` prefix, so the word needs at
+        least that many symbols.
         """
-        i = source_word[0]
-        fm = self.fiber_maps[i]
         d = self.offset_depth
-        key = tuple(source_word[:d])
-        if len(key) < d:
-            key = key + self.matrix.smallest_tail(key[-1], d - len(key))
-        return AffineMap(fm.slope, fm.offset + fm.correction(key))
+        if len(source_word) < d:
+            raise ValueError(f"branch map needs a word of at least {d} symbols, got {source_word}")
+        fm = self.fiber_maps[source_word[0]]
+        return AffineMap(fm.slope, fm.offset + fm.correction(tuple(source_word[:d])))
 
     def code_tables(self):
         """Slope/offset lookups indexed by the encoded depth-d symbol window."""
@@ -135,7 +135,7 @@ class SystemSpec:
     def __repr__(self):
         return (
             f"SystemSpec(N={self.n_symbols}, theta={self.theta!r}, "
-            f"{self.weights.kind}, depth={self.offset_depth})"
+            f"{self.weights!r}, depth={self.offset_depth})"
         )
 
 
@@ -187,47 +187,22 @@ def c1_constant(sys):
 # ---------------------------------------------------------------------------
 
 
-class OrbitSample:
-    """Realized orbit: symbol track plus the fiber coordinate at each step.
-
-    ``symbols`` carries ``length + window - 1`` entries so that a depth-k
-    observable (k <= window) can be evaluated at every one of the ``length``
-    recorded fiber states via ``symbols[t:t+k]``.
-    """
-
-    __slots__ = ("symbols", "ys", "window")
-
-    def __init__(self, symbols, ys, window):
-        self.symbols = symbols
-        self.ys = ys
-        self.window = window
-
-
-def _symbol_track(weights, uniforms):
-    """Map i.i.d. uniforms to a stationary symbol sequence by inverse CDF."""
-    top = weights.n_symbols - 1
-    if weights.kind == "bernoulli":
-        cum = np.cumsum(weights.p)
-        idx = np.searchsorted(cum, uniforms, side="right")
-        return np.minimum(idx, top).astype(np.int64)
-    cum_rows = np.cumsum(weights.transition, axis=1)
-    cum_pi = np.cumsum(weights.stationary)
-    out = np.empty(uniforms.shape[0], dtype=np.int64)
-    out[0] = min(np.searchsorted(cum_pi, uniforms[0], side="right"), top)
-    for t in range(1, uniforms.shape[0]):
-        out[t] = min(np.searchsorted(cum_rows[out[t - 1]], uniforms[t], side="right"), top)
-    return out
-
-
 def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
     """Sample many independent orbits with per-trial derived seeds.
 
-    Each symbol track starts from the stationary base law and the fiber
-    coordinate runs ``burn_in`` maps from 1/2 before recording, so the
-    recorded fiber states are within alpha^burn_in of the invariant law in
-    the dual metric.  Trial t uses the spawn key (t,) of the root seed
-    sequence, so results do not depend on batching or evaluation order.  The
-    fiber recursion runs vectorized across trials.
+    Returns ``(symbols, ys)``: ``symbols`` is trials x (length + w - 1) with
+    w = max(window, offset_depth), so a depth-k observable (k <= w) can be
+    evaluated at recorded step t via ``symbols[:, t:t+k]``, and ``ys`` is
+    trials x length, the fiber coordinate before each recorded step.
+
+    Trial t draws its uniforms from the spawn key (t,) of the root seed
+    sequence, so results do not depend on batching or evaluation order.
+    Every symbol track starts from the stationary law and is continued by
+    the inverse CDF of the transition row of the previous symbol; one loop
+    over time maps the uniforms of all trials at once (a Bernoulli base is
+    the chain whose rows all equal p).  The fiber coordinate runs
+    ``burn_in`` maps from 1/2 before recording, so the recorded states are
+    within alpha^burn_in of the invariant law in the dual metric.
     """
     if length < 1 or trials < 1:
         raise ValueError("length and trials must be positive")
@@ -236,21 +211,35 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
     window = max(int(window), sys.offset_depth)
     total = burn_in + length + window - 1
     root = np.random.SeedSequence(seed)
-    tracks = np.empty((trials, total), dtype=np.int64)
+    # time-major, so every step of the loops below reads one contiguous row
+    uniforms = np.empty((total, trials))
     for t in range(trials):
         child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(t,))
-        tracks[t] = _symbol_track(sys.weights, np.random.default_rng(child).random(total))
+        uniforms[:, t] = np.random.default_rng(child).random(total)
+    n = sys.n_symbols
+    # row n is the start law: the track begins in a virtual state whose next-symbol law is pi
+    weights = sys.weights
+    cum = np.cumsum(np.vstack([weights.transition, weights.stationary]), axis=1)
+    tracks = np.empty((total, trials), dtype=np.intp)
+    prev = np.full(trials, n)
+    for t in range(total):
+        # inverse CDF of row prev: the count of cum[prev, k] <= u; the last entry
+        # (1 up to rounding) is left out, which caps the symbol at n - 1
+        sym = np.zeros(trials, dtype=np.intp)
+        for k in range(n - 1):
+            sym += cum[prev, k] <= uniforms[t]
+        tracks[t] = prev = sym
+    del uniforms  # lowers the peak memory of the fiber pass
     slopes, offsets = sys.code_tables()
     d = sys.offset_depth
-    n = sys.n_symbols
-    codes = tracks[:, : total - d + 1].copy()
+    codes = tracks[: total - d + 1]
     for j in range(1, d):
-        codes = codes * n + tracks[:, j: total - d + 1 + j]
+        codes = codes * n + tracks[j: total - d + 1 + j]
     y = np.full(trials, 0.5)
     ys = np.empty((trials, length))
     for t in range(burn_in + length):
         if t >= burn_in:
             ys[:, t - burn_in] = y
-        c = codes[:, t]
+        c = codes[t]
         y = slopes[c] * y + offsets[c]
-    return [OrbitSample(tracks[t, burn_in:], ys[t], window) for t in range(trials)]
+    return np.ascontiguousarray(tracks[burn_in:].T), ys

@@ -23,9 +23,7 @@ from .transfer import (
     ConvergenceError,
     FixedPointResult,
     change_between,
-    combine_disintegrations,
     fixed_point,
-    norm_inf,
     transfer_apply,
 )
 
@@ -71,7 +69,7 @@ class PerturbationFamily:
             if self.fiber_direction.shape != (n,):
                 raise ValueError("fiber direction needs one offset change per symbol")
         if self.kind in ("base_weights", "combined"):
-            if self.base.weights.kind != "bernoulli":
+            if not self.base.weights.is_bernoulli:
                 raise ValueError("base-weight perturbations require Bernoulli weights")
             self.weight_direction = np.asarray(self.weight_direction, dtype=float)
             if self.weight_direction.shape != (n,):
@@ -103,7 +101,7 @@ def realize(fam, delta):
         ]
     weights = base.weights
     if fam.kind in ("base_weights", "combined"):
-        weights = BaseWeights.bernoulli(weights.p + delta * fam.weight_direction)
+        weights = BaseWeights.bernoulli(weights.stationary + delta * fam.weight_direction)
     return SystemSpec(base.matrix, base.theta, weights, maps, base.offset_depth)
 
 
@@ -223,10 +221,8 @@ def fiber_op_gap(sys0, sys_d, dis):
 
 def operator_gap(fam, delta, mu_delta):
     """Fiberwise norm of (F0* - Fdelta*) applied to the perturbed fixed point."""
-    sys_d = realize(fam, delta)
-    lhs = transfer_apply(fam.base, mu_delta)
-    rhs = transfer_apply(sys_d, mu_delta)
-    return norm_inf(combine_disintegrations(1.0, lhs, -1.0, rhs))
+    return change_between(transfer_apply(fam.base, mu_delta),
+                          transfer_apply(realize(fam, delta), mu_delta))
 
 
 @dataclass

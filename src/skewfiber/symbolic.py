@@ -8,6 +8,10 @@ infimum of the sequence metric over the two cylinders whenever a common
 admissible tail exists (always on the full shift) and a lower bound
 otherwise, so Lipschitz constants estimated against it are conservative
 upper estimates.
+
+Every base measure is a stationary Markov chain (pi, P); a Bernoulli
+measure p is stored as the chain with all rows equal to p, so cylinder
+masses and jacobian weights have one formula each.
 """
 
 from __future__ import annotations
@@ -76,17 +80,19 @@ class TransitionMatrix:
         return self._word_cache[key]
 
     def word_count(self, depth):
-        return len(self.words(depth))
+        """Number of admissible words of a depth, without enumerating them.
 
-    def smallest_tail(self, symbol, length):
-        """Lexicographically smallest admissible continuation after ``symbol``."""
-        tail = []
-        cur = symbol
-        for _ in range(length):
-            nxt = int(np.flatnonzero(self.entries[cur])[0])
-            tail.append(nxt)
-            cur = nxt
-        return tuple(tail)
+        It is the entry sum of A^(depth-1), computed in exact integers.
+        """
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        if depth == 0:
+            return 1
+        rows = self.entries.tolist()
+        counts = [1] * self.n_symbols
+        for _ in range(depth - 1):
+            counts = [sum(c for c, a in zip(counts, row) if a) for row in rows]
+        return sum(counts)
 
     def __eq__(self, other):
         return isinstance(other, TransitionMatrix) and np.array_equal(self.entries, other.entries)
@@ -108,59 +114,54 @@ def _is_primitive(a):
 
 
 class BaseWeights:
-    """Shift-invariant base measure: Bernoulli vector or stationary Markov pair."""
+    """Shift-invariant Markov base measure: stochastic matrix P and stationary pi.
 
-    def __init__(self, kind, p=None, transition=None, stationary=None):
-        if kind not in ("bernoulli", "markov"):
-            raise ValueError(f"unknown base measure kind {kind!r}")
-        self.kind = kind
-        if kind == "bernoulli":
-            p = np.asarray(p, dtype=float)
-            if (p <= 0).any():
-                raise ValueError("Bernoulli weights must be positive")
-            if abs(p.sum() - 1.0) > _STOCHASTIC_TOL:
-                raise ValueError("Bernoulli weights must sum to 1")
-            self.p = p
-            self.transition = None
-            self.stationary = None
-            self.n_symbols = p.size
-        else:
-            tm = np.asarray(transition, dtype=float)
-            if tm.ndim != 2 or tm.shape[0] != tm.shape[1]:
-                raise ValueError("Markov transition matrix must be square")
-            if (tm < 0).any():
-                raise ValueError("Markov transition probabilities must be nonnegative")
-            if np.abs(tm.sum(axis=1) - 1.0).max() > _STOCHASTIC_TOL:
-                raise ValueError("Markov transition rows must sum to 1")
-            if stationary is None:
-                stationary = _stationary_vector(tm)
-            pi = np.asarray(stationary, dtype=float)
-            if (pi <= 0).any() or abs(pi.sum() - 1.0) > _STOCHASTIC_TOL:
-                raise ValueError("stationary vector must be positive and sum to 1")
-            if np.abs(pi @ tm - pi).max() > _STOCHASTIC_TOL:
-                raise ValueError("stationary vector must satisfy pi P = pi")
-            self.p = None
-            self.transition = tm
-            self.stationary = pi
-            self.n_symbols = tm.shape[0]
+    A Bernoulli measure p is the chain whose rows all equal p (P = 1 p^T,
+    pi = p), so its jacobian pi_i P_ij / pi_j is p_i.
+    """
+
+    def __init__(self, transition, stationary=None):
+        tm = np.asarray(transition, dtype=float)
+        if tm.ndim != 2 or tm.shape[0] != tm.shape[1]:
+            raise ValueError("Markov transition matrix must be square")
+        if (tm < 0).any():
+            raise ValueError("Markov transition probabilities must be nonnegative")
+        if np.abs(tm.sum(axis=1) - 1.0).max() > _STOCHASTIC_TOL:
+            raise ValueError("Markov transition rows must sum to 1")
+        if stationary is None:
+            stationary = _stationary_vector(tm)
+        pi = np.asarray(stationary, dtype=float)
+        if (pi <= 0).any() or abs(pi.sum() - 1.0) > _STOCHASTIC_TOL:
+            raise ValueError("stationary vector must be positive and sum to 1")
+        if np.abs(pi @ tm - pi).max() > _STOCHASTIC_TOL:
+            raise ValueError("stationary vector must satisfy pi P = pi")
+        self.transition = tm
+        self.stationary = pi
+        self.n_symbols = tm.shape[0]
 
     @classmethod
     def bernoulli(cls, p):
-        return cls("bernoulli", p=p)
+        p = np.asarray(p, dtype=float)
+        if (p <= 0).any():
+            raise ValueError("Bernoulli weights must be positive")
+        if abs(p.sum() - 1.0) > _STOCHASTIC_TOL:
+            raise ValueError("Bernoulli weights must sum to 1")
+        return cls(np.tile(p, (p.size, 1)), p)
 
     @classmethod
     def markov(cls, transition, stationary=None):
-        return cls("markov", transition=transition, stationary=stationary)
+        return cls(transition, stationary)
+
+    @property
+    def is_bernoulli(self):
+        """True when every row of P is the same vector, which then equals pi."""
+        return bool((self.transition == self.transition[0]).all())
 
     def compatible_with(self, matrix):
         """True if the measure is supported exactly on the admissible transitions."""
-        if self.kind == "bernoulli":
-            return matrix.is_full()
         return bool(((self.transition > 0) == (matrix.entries > 0)).all())
 
     def __repr__(self):
-        if self.kind == "bernoulli":
-            return f"BaseWeights.bernoulli({self.p.tolist()})"
         return f"BaseWeights.markov({self.transition.tolist()})"
 
 
@@ -209,11 +210,9 @@ def word_tail_diameter(depth, theta):
 
 
 def cylinder_mass(weights, word):
-    """Base measure of the cylinder given by a word; empty word has mass 1."""
+    """Base measure pi_{w0} P_{w0 w1} ... of a word's cylinder; empty word has mass 1."""
     if len(word) == 0:
         return 1.0
-    if weights.kind == "bernoulli":
-        return float(np.prod(weights.p[list(word)]))
     mass = weights.stationary[word[0]]
     for a, b in zip(word[:-1], word[1:]):
         step = weights.transition[a, b]
@@ -224,16 +223,14 @@ def cylinder_mass(weights, word):
 
 
 def jacobian_weight(weights, symbol, word):
-    """Weight g(i.word) = 1/J of the branch prepending ``symbol`` to ``word``.
+    """Weight g(i.word) = 1/J = pi_i P_{i w0} / pi_{w0} of the branch prepending ``symbol``.
 
     Returns 0 for an inadmissible transition so that inadmissible branches
     drop out of transfer-operator sums.  Admissible weights for a fixed
     target word sum to 1, which is exactly invariance of the base measure.
     """
-    if weights.kind == "bernoulli":
-        return float(weights.p[symbol])
     if len(word) == 0:
-        raise ValueError("Markov jacobian weight needs a nonempty target word")
+        raise ValueError("jacobian weight needs a nonempty target word")
     step = weights.transition[symbol, word[0]]
     if step == 0.0:
         return 0.0

@@ -51,7 +51,6 @@ __all__ = [
     "lip_constant",
     "transfer_apply",
     "quantize_disintegration",
-    "combine_disintegrations",
     "word_sum_iterate",
     "hutchinson_reference",
     "fixed_point",
@@ -237,16 +236,6 @@ def quantize_disintegration(dis, grid):
     return Disintegration(dis.matrix, dis.depth, fibers, dis.err_bound + step), step
 
 
-def combine_disintegrations(alpha, d1, beta, d2):
-    if d1.depth != d2.depth or d1.matrix != d2.matrix:
-        raise ValueError("disintegrations must share matrix and depth")
-    fibers = {
-        w: combine_many([(alpha, d1.fibers[w]), (beta, d2.fibers[w])]) for w in d1.words()
-    }
-    err = abs(alpha) * d1.err_bound + abs(beta) * d2.err_bound
-    return Disintegration(d1.matrix, d1.depth, fibers, err)
-
-
 def change_between(d1, d2):
     """Largest fiberwise wk distance between two disintegrations."""
     return max(wk_distance(d1.fibers[w], d2.fibers[w]) for w in d1.words())
@@ -263,12 +252,12 @@ def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
     if steps < 1:
         raise ValueError("steps must be positive")
     matrix = sys.matrix
-    prefixes = matrix.words(steps)
-    if len(prefixes) * max(nu0.n_atoms, 1) * matrix.word_count(depth) > budget:
+    if matrix.word_count(steps) * max(nu0.n_atoms, 1) * matrix.word_count(depth) > budget:
         raise ValueError(
             "word sum exceeds the atom budget; reduce steps or use fixed_point with a "
             "quantization grid"
         )
+    prefixes = matrix.words(steps)
     fibers = {}
     for w in matrix.words(depth):
         terms = []
@@ -292,18 +281,19 @@ def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
 def hutchinson_reference(sys, steps, x0=0.5):
     """Depth-``steps`` iteration of the plain fiber iterated function system.
 
-    Only meaningful for symbol-only Bernoulli systems, where the invariant
-    disintegration is the product of the base measure with this ifs fixed
-    point; the result is within alpha^steps of it in the dual metric.
+    Only meaningful for symbol-only Bernoulli systems (every row of the base
+    chain equals pi), where the invariant disintegration is the product of
+    the base measure with this ifs fixed point; the result is within
+    alpha^steps of it in the dual metric.
     """
-    if sys.offset_depth != 1 or sys.weights.kind != "bernoulli":
+    if sys.offset_depth != 1 or not sys.weights.is_bernoulli:
         raise ValueError("the ifs reference needs a symbol-only system with Bernoulli weights")
     atoms = np.array([float(x0)])
     weights = np.array([1.0])
     for _ in range(steps):
         parts_pos = []
         parts_w = []
-        for i, p in enumerate(sys.weights.p):
+        for i, p in enumerate(sys.weights.stationary):
             t = sys.branch_map((i,))
             parts_pos.append(t.a * atoms + t.b)
             parts_w.append(p * weights)

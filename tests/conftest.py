@@ -3,8 +3,22 @@
 import numpy as np
 
 from skewfiber.measures import AtomicMeasure
-from skewfiber.symbolic import cylinder_mass_vector
+from skewfiber.skew import FiberMapSpec, SystemSpec
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector
 from skewfiber.transfer import Disintegration
+
+# 3-symbol SFT that is not the full shift, with a Markov base and offset depth 3
+MARKOV3 = SystemSpec(
+    TransitionMatrix([[1, 1, 0], [1, 0, 1], [1, 1, 1]]),
+    0.5,
+    BaseWeights.markov([[0.6, 0.4, 0.0], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]),
+    [
+        FiberMapSpec(0.3, 0.0, {(0, 1, 2): 0.05}),
+        FiberMapSpec(0.25, 0.375, {(1, 0, 0): 0.05}),
+        FiberMapSpec(0.35, 0.65, {(2, 2, 1): -0.05, (2, 0, 1): -0.1}),
+    ],
+    offset_depth=3,
+)
 
 
 def random_fiber(rng, n_atoms=3, signed=True, total=None):

@@ -124,6 +124,13 @@ class TestExitCodes:
         code = main(["clt", "--config", config_path(cfg), "--out", str(tmp_path / "c")])
         assert code == 2
 
+    def test_clt_seeds_key_rejected(self, config_path, tmp_path, capsys):
+        cfg = small_config()
+        cfg["clt"]["seeds"] = [1, 2, 3]
+        code = main(["clt", "--config", config_path(cfg), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "/clt/seeds: unknown key" in capsys.readouterr().err
+
     def test_clt_empty_orbit_rejected(self, config_path, tmp_path):
         cfg = small_config()
         cfg["clt"]["length"] = 0

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import MARKOV3
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import (
     CoboundaryError,
@@ -21,26 +22,11 @@ from skewfiber.limits import (
     observable_sums,
 )
 from skewfiber.measures import PiecewiseLinearFn, integrate
-from skewfiber.skew import FiberMapSpec, SystemSpec
-from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass
+from skewfiber.symbolic import cylinder_mass
 from skewfiber.transfer import fixed_point, lip_constant
 
 CANTOR = cantor_demo()
 COUPLED = coupled_demo()
-# 3-symbol SFT that is not the full shift, with a Markov base and offset depth 3
-MARKOV3 = SystemSpec(
-    TransitionMatrix([[1, 1, 0], [1, 0, 1], [1, 1, 1]]),
-    0.5,
-    BaseWeights.markov([[0.6, 0.4, 0.0], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]),
-    [
-        FiberMapSpec(0.3, 0.0, {(0, 1, 2): 0.05}),
-        FiberMapSpec(0.25, 0.375, {(1, 0, 0): 0.05}),
-        FiberMapSpec(0.35, 0.65, {(2, 2, 1): -0.05, (2, 0, 1): -0.1}),
-    ],
-    offset_depth=3,
-)
-
-
 @pytest.fixture(scope="module")
 def mu0():
     return fixed_point(CANTOR, depth=4, tol=1e-7, grid=1 << 14).disintegration
@@ -325,12 +311,10 @@ class TestCLT:
         from skewfiber.skew import sample_orbits
 
         phi = height_obs(COUPLED)
-        orbits = sample_orbits(COUPLED, seed=8, length=40, trials=3, burn_in=5, window=2)
-        sums = observable_sums(phi, orbits)
-        for orbit, total in zip(orbits, sums):
-            direct = sum(
-                phi.evaluate(tuple(orbit.symbols[t:t + 2]), orbit.ys[t]) for t in range(40)
-            )
+        symbols, ys = sample_orbits(COUPLED, seed=8, length=40, trials=3, burn_in=5, window=2)
+        sums = observable_sums(phi, symbols, ys)
+        for track, path, total in zip(symbols, ys, sums):
+            direct = sum(phi.evaluate(tuple(track[t:t + 2]), path[t]) for t in range(40))
             assert total == pytest.approx(direct, abs=1e-10)
 
     def test_small_cantor_run_passes(self, mu0):

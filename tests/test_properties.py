@@ -1,0 +1,82 @@
+"""Property tests for the dual distance: LP oracle, metric axioms, quantization.
+
+Generated inputs include near-balanced pairs, whose net total weight is zero
+up to floating-point rounding or a tiny residual.  Example counts are small
+and the search is derandomized, so the suite stays fast and repeatable.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from skewfiber.measures import (  # noqa: E402
+    AtomicMeasure,
+    quantize,
+    wk_distance,
+    wk_distance_bruteforce,
+)
+
+FAST = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+positions = st.floats(0.0, 1.0, allow_subnormal=False)
+weights = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def measures(draw, max_atoms=6):
+    n = draw(st.integers(1, max_atoms))
+    pos = draw(st.lists(positions, min_size=n, max_size=n))
+    w = draw(st.lists(weights, min_size=n, max_size=n))
+    return AtomicMeasure(pos, w)
+
+
+@st.composite
+def near_balanced_pairs(draw, max_atoms=6):
+    """(mu, nu) whose totals agree up to rounding plus a residual below 1e-9."""
+    n = draw(st.integers(1, max_atoms))
+    w = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
+    mu = AtomicMeasure(draw(st.lists(positions, min_size=n, max_size=n)), w)
+    # nu carries the same weights in another order at other positions
+    order = draw(st.permutations(range(n)))
+    residual = draw(st.sampled_from([0.0, 1e-15, -3e-13, 1e-9]))
+    nu_w = w[list(order)]
+    nu_w[0] += residual
+    nu = AtomicMeasure(draw(st.lists(positions, min_size=n, max_size=n)), nu_w)
+    return mu, nu
+
+
+class TestWkProperties:
+    @FAST
+    @given(measures(), measures())
+    def test_matches_lp_oracle(self, mu, nu):
+        assert abs(wk_distance(mu, nu) - wk_distance_bruteforce(mu, nu)) <= 2e-3
+
+    @FAST
+    @given(near_balanced_pairs())
+    def test_matches_lp_oracle_near_balance(self, pair):
+        mu, nu = pair
+        assert abs(wk_distance(mu, nu) - wk_distance_bruteforce(mu, nu)) <= 2e-3
+
+    @FAST
+    @given(measures(), measures())
+    def test_symmetry_is_bit_identical(self, mu, nu):
+        assert wk_distance(mu, nu) == wk_distance(nu, mu)
+
+    @FAST
+    @given(near_balanced_pairs())
+    def test_symmetry_near_balance(self, pair):
+        mu, nu = pair
+        assert wk_distance(mu, nu) == wk_distance(nu, mu)
+
+    @FAST
+    @given(measures(), measures(), measures())
+    def test_triangle_inequality(self, a, b, c):
+        assert wk_distance(a, c) <= wk_distance(a, b) + wk_distance(b, c) + 1e-10
+
+    @FAST
+    @given(measures(max_atoms=40), st.integers(2, 4096))
+    def test_quantize_certificate(self, mu, grid):
+        snapped, bound = quantize(mu, grid)
+        assert wk_distance(mu, snapped) <= bound + 1e-14

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import MARKOV3
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.skew import (
     FiberMapSpec,
@@ -28,6 +29,30 @@ def iterate_fiber(sys, symbols, y0):
         ys[t] = y
         y = sys.branch_map(tuple(symbols[t:t + d]))(y)
     return ys
+
+
+def replay_symbols(weights, seed, trial, total):
+    """Scalar replay oracle: one trial's symbol track, one inverse-CDF draw per step.
+
+    The trial's uniforms come from the spawn key (trial,) of the root seed;
+    each step accumulates the current law (pi first, then the transition row
+    of the previous symbol) until the running sum exceeds the uniform.
+    """
+    root = np.random.SeedSequence(seed)
+    child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(trial,))
+    n = weights.n_symbols
+    law = weights.stationary.tolist()
+    track = []
+    for u in np.random.default_rng(child).random(total):
+        symbol, acc = 0, 0.0
+        while symbol < n - 1:
+            acc += law[symbol]
+            if acc > u:
+                break
+            symbol += 1
+        track.append(symbol)
+        law = weights.transition[symbol].tolist()
+    return track
 
 
 class TestContraction:
@@ -105,38 +130,56 @@ class TestOrbits:
         assert (1 / 3) ** 40 < 1e-19
 
     def test_orbit_stays_in_unit_interval(self):
-        orbit = sample_orbits(cantor_demo(), seed=1, length=5000, trials=1, burn_in=40)[0]
-        assert orbit.ys.min() >= 0.0 and orbit.ys.max() <= 1.0
+        _, ys = sample_orbits(cantor_demo(), seed=1, length=5000, trials=1, burn_in=40)
+        assert ys.min() >= 0.0 and ys.max() <= 1.0
 
     def test_empirical_mean_matches_hutchinson_moment(self):
         # first moment of the invariant fiber law is 1/2
-        orbit = sample_orbits(cantor_demo(), seed=7, length=100_000, trials=1, burn_in=40)[0]
-        assert orbit.ys.mean() == pytest.approx(0.5, abs=0.01)
+        _, ys = sample_orbits(cantor_demo(), seed=7, length=100_000, trials=1, burn_in=40)
+        assert ys.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_same_seed_is_bit_identical(self):
-        a = sample_orbits(coupled_demo(), seed=3, length=500, trials=1, burn_in=10)[0]
-        b = sample_orbits(coupled_demo(), seed=3, length=500, trials=1, burn_in=10)[0]
-        assert np.array_equal(a.symbols, b.symbols)
-        assert np.array_equal(a.ys, b.ys)
+        a_symbols, a_ys = sample_orbits(coupled_demo(), seed=3, length=500, trials=1, burn_in=10)
+        b_symbols, b_ys = sample_orbits(coupled_demo(), seed=3, length=500, trials=1, burn_in=10)
+        assert np.array_equal(a_symbols, b_symbols)
+        assert np.array_equal(a_ys, b_ys)
+
+    def test_returns_two_arrays(self):
+        symbols, ys = sample_orbits(MARKOV3, seed=4, length=30, trials=5, burn_in=7, window=4)
+        # the window covers the larger of the requested 4 and the offset depth 3
+        assert symbols.shape == (5, 30 + 4 - 1)
+        assert ys.shape == (5, 30)
 
     def test_multi_orbit_matches_offsets_and_depth(self):
         sys = coupled_demo()
-        orbits = sample_orbits(sys, seed=11, length=200, trials=3, burn_in=5)
-        for orbit in orbits:
+        symbols, ys = sample_orbits(sys, seed=11, length=200, trials=3, burn_in=5)
+        for track, path in zip(symbols, ys):
             # replay the vectorized fiber recursion with the scalar one
-            replay = iterate_fiber(sys, orbit.symbols, orbit.ys[0])
-            assert np.allclose(replay[:200], orbit.ys, atol=1e-14)
+            replay = iterate_fiber(sys, track, path[0])
+            assert np.allclose(replay[:200], path, atol=1e-14)
 
     def test_trials_are_order_independent(self):
         sys = cantor_demo()
-        many = sample_orbits(sys, seed=5, length=50, trials=4, burn_in=5)
-        again = sample_orbits(sys, seed=5, length=50, trials=2, burn_in=5)
-        assert np.array_equal(many[1].ys, again[1].ys)
+        _, many = sample_orbits(sys, seed=5, length=50, trials=4, burn_in=5)
+        _, again = sample_orbits(sys, seed=5, length=50, trials=2, burn_in=5)
+        assert np.array_equal(many[1], again[1])
 
     def test_markov_track_starts_stationary(self):
-        orbits = sample_orbits(markov_demo(), seed=2, length=1, trials=4000, burn_in=0)
-        first = np.array([o.symbols[0] for o in orbits])
-        assert np.mean(first == 0) == pytest.approx(5 / 6, abs=0.02)
+        symbols, _ = sample_orbits(markov_demo(), seed=2, length=1, trials=4000, burn_in=0)
+        assert np.mean(symbols[:, 0] == 0) == pytest.approx(5 / 6, abs=0.02)
+
+    @pytest.mark.parametrize("name", ["cantor", "markov", "markov3"])
+    def test_symbols_match_scalar_inverse_cdf_replay(self, name):
+        sys = {"cantor": cantor_demo(), "markov": markov_demo(), "markov3": MARKOV3}[name]
+        length, window = 60, 2
+        # burn_in 0 keeps the first, stationary draw in the compared track
+        for trials, burn_in in ((1, 0), (64, 0), (4, 9)):
+            total = burn_in + length + max(window, sys.offset_depth) - 1
+            symbols, _ = sample_orbits(sys, seed=13, length=length, trials=trials,
+                                       burn_in=burn_in, window=window)
+            for t in range(trials):
+                replay = replay_symbols(sys.weights, 13, t, total)
+                assert symbols[t].tolist() == replay[burn_in:]
 
 
 class TestOffsetTables:
@@ -156,8 +199,13 @@ class TestOffsetTables:
                 offset_depth=2,
             )
 
-    def test_short_word_extends_with_smallest_tail(self):
+    def test_short_word_rejected(self):
         sys = coupled_demo(coupling=0.1)
-        # word (0,) extends to (0, 0), which carries no correction
-        assert sys.branch_map((0,)).b == 0.0
+        with pytest.raises(ValueError, match="at least 2 symbols"):
+            sys.branch_map((0,))
+        assert sys.branch_map((0, 0)).b == 0.0
         assert sys.branch_map((0, 1)).b == pytest.approx(0.1)
+        # longer words read only the offset-depth prefix
+        assert sys.branch_map((0, 1, 0)).b == sys.branch_map((0, 1)).b
+        with pytest.raises(ValueError, match="at least 3 symbols"):
+            MARKOV3.branch_map((2, 0))

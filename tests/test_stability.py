@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_disintegration
-from skewfiber.demos import cantor_demo
+from skewfiber.demos import cantor_demo, markov_demo
 from skewfiber.measures import AtomicMeasure
 from skewfiber.stability import (
     PerturbationFamily,
@@ -51,7 +51,8 @@ class TestRealize:
 
     def test_weight_arithmetic(self):
         sys = realize(weight_family(), 0.1)
-        assert sys.weights.p.tolist() == pytest.approx([0.6, 0.4])
+        assert sys.weights.stationary.tolist() == pytest.approx([0.6, 0.4])
+        assert sys.weights.is_bernoulli
 
     def test_structure_never_changes(self):
         for fam in (shift_family(), weight_family()):
@@ -71,6 +72,10 @@ class TestRealize:
         )
         with pytest.raises(ValueError, match="unit interval"):
             realize(fam, 0.5)
+
+    def test_weight_family_needs_bernoulli_base(self):
+        with pytest.raises(ValueError, match="Bernoulli"):
+            PerturbationFamily(markov_demo(), "base_weights", weight_direction=[1.0, -1.0])
 
     def test_weight_direction_must_balance(self):
         with pytest.raises(ValueError, match="sum to zero"):

@@ -50,8 +50,14 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix([[1, 2], [1, 1]])
 
-    def test_smallest_tail_respects_admissibility(self):
-        assert GOLDEN.smallest_tail(1, 3) == (0, 0, 0)
+    def test_word_count_is_exact_without_enumerating(self):
+        # golden-mean words of depth d are counted by the Fibonacci number F(d + 2)
+        fib = [0, 1]
+        while len(fib) < 103:
+            fib.append(fib[-1] + fib[-2])
+        assert GOLDEN.word_count(100) == fib[102]
+        assert GOLDEN.word_count(0) == 1
+        assert 100 not in GOLDEN._word_cache
 
 
 class TestEnumerateWords:
@@ -74,7 +80,7 @@ class TestEnumerateWords:
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_count_matches_matrix_power(self, matrix, depth):
         power = np.linalg.matrix_power(matrix.entries, depth - 1)
-        assert matrix.word_count(depth) == power.sum()
+        assert len(matrix.words(depth)) == matrix.word_count(depth) == power.sum()
 
 
 class TestWordDistance:
@@ -95,6 +101,32 @@ class TestWordDistance:
         assert word_tail_diameter(1, 0.5) == pytest.approx(1.0)
         assert word_tail_diameter(3, 0.5) == pytest.approx(0.25)
         assert word_tail_diameter(2, 1 / 3) == pytest.approx(1 / 6)
+
+
+class TestBaseWeights:
+    def test_bernoulli_is_the_equal_row_chain(self):
+        w = BaseWeights.bernoulli([0.25, 0.75])
+        assert w.transition.tolist() == [[0.25, 0.75], [0.25, 0.75]]
+        assert w.stationary.tolist() == [0.25, 0.75]
+        assert w.is_bernoulli
+        assert not MARKOV.is_bernoulli
+
+    def test_equal_row_markov_counts_as_bernoulli(self):
+        assert BaseWeights.markov([[0.25, 0.75], [0.25, 0.75]]).is_bernoulli
+
+    def test_bernoulli_input_checks(self):
+        with pytest.raises(ValueError, match="positive"):
+            BaseWeights.bernoulli([1.5, -0.5])
+        with pytest.raises(ValueError, match="sum to 1"):
+            BaseWeights.bernoulli([0.6, 0.6])
+
+    def test_bernoulli_needs_full_shift(self):
+        assert FAIR.compatible_with(FULL2)
+        assert not FAIR.compatible_with(GOLDEN)
+
+    def test_repr_tells_measures_apart(self):
+        reprs = {repr(w) for w in (FAIR, BaseWeights.bernoulli([0.6, 0.4]), MARKOV)}
+        assert len(reprs) == 3
 
 
 class TestCylinderMass:
@@ -124,6 +156,14 @@ class TestJacobianWeight:
         w = BaseWeights.bernoulli([0.25, 0.75])
         for word in FULL2.words(3):
             assert jacobian_weight(w, 0, word) == 0.25
+
+    def test_bernoulli_within_one_ulp_of_symbol_weight(self):
+        # p_i p_j / p_j is p_i up to the rounding of the product
+        p = [0.6, 0.4]
+        w = BaseWeights.bernoulli(p)
+        for word in FULL2.words(2):
+            for i in range(2):
+                assert abs(jacobian_weight(w, i, word) - p[i]) <= np.spacing(p[i])
 
     def test_markov_hand_value(self):
         # (pi_1 P_{10}) / pi_0 = (1/6 * 0.5) / (5/6)

@@ -10,7 +10,6 @@ from skewfiber.symbolic import ruelle_apply
 from skewfiber.transfer import (
     Disintegration,
     change_between,
-    combine_disintegrations,
     equilibrium_decay,
     fixed_point,
     hutchinson_reference,
@@ -148,6 +147,22 @@ class TestWordSum:
         with pytest.raises(ValueError, match="budget"):
             word_sum_iterate(CANTOR, DIRAC0, 20, 6)
 
+    def test_budget_error_before_enumerating(self, monkeypatch):
+        import skewfiber.symbolic
+
+        depths = []
+        real = skewfiber.symbolic.enumerate_words
+
+        def recording(matrix, depth):
+            depths.append(depth)
+            return real(matrix, depth)
+
+        sys = cantor_demo()  # a fresh matrix with an empty word cache
+        monkeypatch.setattr(skewfiber.symbolic, "enumerate_words", recording)
+        with pytest.raises(ValueError, match="budget"):
+            word_sum_iterate(sys, DIRAC0, 20, 6)
+        assert max(depths, default=0) < 20
+
     def test_lip_of_iterates_bounded(self):
         # iterated regularity bound with zero initial lip
         from skewfiber.skew import c1_constant
@@ -166,6 +181,10 @@ class TestHutchinsonReference:
     def test_rejects_word_dependent_systems(self):
         with pytest.raises(ValueError):
             hutchinson_reference(coupled_demo(), 4)
+
+    def test_rejects_markov_base(self):
+        with pytest.raises(ValueError, match="Bernoulli"):
+            hutchinson_reference(markov_demo(), 4)
 
 
 class TestFixedPoint:
@@ -269,9 +288,3 @@ class TestSerialization:
         assert back.depth == dis.depth
         assert back.err_bound == dis.err_bound
         assert change_between(back, dis) == 0.0
-
-    def test_combine_cancels(self):
-        rng = np.random.default_rng(12)
-        dis = random_disintegration(CANTOR.matrix, 2, rng)
-        zero = combine_disintegrations(1.0, dis, -1.0, dis)
-        assert norm_inf(zero) == 0.0
