@@ -27,12 +27,10 @@ from .symbolic import (
     TransitionMatrix,
     base_correlation,
     base_gap_estimate,
-    cylinder_mass,
+    cylinder_mass_vector,
     enumerate_words,
-    jacobian_weight,
     ruelle_apply,
-    word_distance,
-    word_tail_diameter,
+    word_distances,
 )
 from .skew import (
     FiberMapSpec,

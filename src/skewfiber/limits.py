@@ -37,7 +37,7 @@ import numpy as np
 from .fitting import ExpFit, exp_fit
 from .measures import AtomicMeasure, PiecewiseLinearFn, integrate
 from .skew import sample_orbits
-from .symbolic import CylinderFunction, cylinder_mass, cylinder_mass_vector, ruelle_apply
+from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, word_distances
 from .transfer import quantize_disintegration, transfer_apply
 
 __all__ = [
@@ -109,9 +109,8 @@ class Observable:
         return max(h.lipschitz() for h in self.components.values())
 
     def base_lipschitz(self, theta):
-        from .symbolic import word_distance
-
         words = self.matrix.words(self.depth)
+        dist = word_distances(self.matrix, self.depth, theta)
         best = 0.0
         for a in range(len(words)):
             ha = self.components[words[a]]
@@ -119,8 +118,8 @@ class Observable:
                 hb = self.components[words[b]]
                 grid = np.union1d(ha.breakpoints, hb.breakpoints)
                 gap = float(np.abs(ha(grid) - hb(grid)).max())
-                best = max(best, gap / word_distance(words[a], words[b], theta))
-        return best
+                best = max(best, gap / dist[a, b])
+        return float(best)
 
     def lipschitz(self, theta):
         """Lipschitz constant for the sum metric d(x,x') + |y - y'|."""
@@ -148,9 +147,10 @@ def integrate_observable(sys, dis, obs):
     """Exact integral sum_w m([w]) int h_w d mu|_w; linear in both arguments."""
     if obs.depth > dis.depth:
         raise ValueError("observable depth exceeds the disintegration depth")
+    masses = cylinder_mass_vector(sys.weights, dis.matrix, dis.depth)
     total = 0.0
-    for w in dis.words():
-        total += cylinder_mass(sys.weights, w) * integrate(dis.fibers[w], obs.component(w))
+    for mass, w in zip(masses, dis.words()):
+        total += mass * integrate(dis.fibers[w], obs.component(w))
     return float(total)
 
 
@@ -258,8 +258,9 @@ def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
     if matrix.word_count(1) ** length > budget:
         raise ValueError("lattice sum exceeds the word budget; use correlation_curve")
     m_now = integrate_observable(sys, mu0, now)
+    masses = cylinder_mass_vector(sys.weights, matrix, length)
     total = 0.0
-    for w in matrix.words(length):
+    for mass, w in zip(masses, matrix.words(length)):
         mu = mu0.fibers[w[: mu0.depth]]
         ys = mu.positions
         path = ys
@@ -267,7 +268,7 @@ def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
             b = sys.branch_map(w[t:])
             path = b.a * path + b.b
         vals = (now.component(w)(ys) - m_now) * later.component(w[lag:])(path)
-        total += cylinder_mass(sys.weights, w) * float(np.dot(mu.weights, vals))
+        total += mass * float(np.dot(mu.weights, vals))
     return total
 
 
@@ -315,6 +316,15 @@ def gordin_norms(sys, mu0, phi, nmax):
 
 @dataclass
 class VarianceResult:
+    """Truncated Green-Kubo variance and its two error terms.
+
+    ``tail_bound`` is fitted, not certified: it sums the least-squares
+    exponential envelope of the covariances beyond the truncation, so it is
+    only as good as the fit (reported as ``tailBoundFitted`` in ``clt.json``).
+    ``numeric_error`` is certified: it adds up the tracked quantization
+    errors of the computed covariances.
+    """
+
     sigma2: float
     tail_bound: float
     numeric_error: float
@@ -379,9 +389,10 @@ def observable_sums(phi, symbols, ys):
     """Birkhoff sums of an observable over the orbits of ``sample_orbits``, vectorized."""
     length = ys.shape[1]
     n = phi.matrix.n_symbols
+    # the codes reach n^depth - 1, so they are built in intp, not in the symbol dtype
     codes = symbols[:, :length]
     for j in range(1, phi.depth):
-        codes = codes * n + symbols[:, j:length + j]
+        codes = codes * np.intp(n) + symbols[:, j:length + j]
     sums = np.zeros(ys.shape[0])
     for w in phi.matrix.words(phi.depth):
         c = 0

@@ -21,8 +21,7 @@ from .symbolic import (
     CylinderFunction,
     TransitionMatrix,
     check_theta,
-    jacobian_weight,
-    word_distance,
+    word_distances,
 )
 
 __all__ = [
@@ -159,14 +158,14 @@ def estimate_H(sys):
     """
     d = sys.offset_depth
     words = sys.matrix.words(d)
+    dist = word_distances(sys.matrix, d, sys.theta)
     best = 0.0
     for a in range(len(words)):
         for b in range(a + 1, len(words)):
-            dist = word_distance(words[a], words[b], sys.theta)
             ta, tb = sys.branch_map(words[a]), sys.branch_map(words[b])
             da, db = ta.a - tb.a, ta.b - tb.b
-            best = max(best, max(abs(db), abs(da + db)) / dist)
-    return best
+            best = max(best, max(abs(db), abs(da + db)) / dist[a, b])
+    return float(best)
 
 
 def c1_constant(sys):
@@ -177,7 +176,8 @@ def c1_constant(sys):
     symbols, so depth 2 already realizes the supremum.
     """
     h = estimate_H(sys)
-    vals = [jacobian_weight(sys.weights, w[0], w[1:]) for w in sys.matrix.words(2)]
+    words = np.asarray(sys.matrix.words(2))
+    vals = sys.weights.jacobian[words[:, 0], words[:, 1]]
     g_lip = CylinderFunction(sys.matrix, 2, vals).lipschitz(sys.theta)
     return max(h * sys.theta + sys.theta * sys.n_symbols * g_lip, 2.0)
 
@@ -190,7 +190,8 @@ def c1_constant(sys):
 def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
     """Sample many independent orbits with per-trial derived seeds.
 
-    Returns ``(symbols, ys)``: ``symbols`` is trials x (length + w - 1) with
+    Returns ``(symbols, ys)``: ``symbols`` is trials x (length + w - 1),
+    in the smallest unsigned integer type that holds the symbols, with
     w = max(window, offset_depth), so a depth-k observable (k <= w) can be
     evaluated at recorded step t via ``symbols[:, t:t+k]``, and ``ys`` is
     trials x length, the fiber coordinate before each recorded step.
@@ -220,7 +221,7 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
     # row n is the start law: the track begins in a virtual state whose next-symbol law is pi
     weights = sys.weights
     cum = np.cumsum(np.vstack([weights.transition, weights.stationary]), axis=1)
-    tracks = np.empty((total, trials), dtype=np.intp)
+    tracks = np.empty((total, trials), dtype=np.min_scalar_type(n - 1))
     prev = np.full(trials, n)
     for t in range(total):
         # inverse CDF of row prev: the count of cum[prev, k] <= u; the last entry
@@ -232,9 +233,10 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
     del uniforms  # lowers the peak memory of the fiber pass
     slopes, offsets = sys.code_tables()
     d = sys.offset_depth
+    # the codes reach n^d - 1, so they are built in intp, not in the track dtype
     codes = tracks[: total - d + 1]
     for j in range(1, d):
-        codes = codes * n + tracks[j: total - d + 1 + j]
+        codes = codes * np.intp(n) + tracks[j: total - d + 1 + j]
     y = np.full(trials, 0.5)
     ys = np.empty((trials, length))
     for t in range(burn_in + length):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .measures import pushforward, wk_distance
 from .skew import FiberMapSpec, SystemSpec, c1_constant
-from .symbolic import BaseWeights, base_gap_estimate, cylinder_mass, jacobian_weight
+from .symbolic import BaseWeights, base_gap_estimate, cylinder_mass_vector
 from .transfer import (
     ConvergenceError,
     FixedPointResult,
@@ -140,17 +140,9 @@ class AdmissibilityReport:
 
 
 def _jacobian_gap(sys0, sys_d):
-    matrix = sys0.matrix
-    worst = 0.0
-    for w in matrix.words(1):
-        total = 0.0
-        for i in range(matrix.n_symbols):
-            if matrix.entries[i, w[0]]:
-                total += abs(
-                    jacobian_weight(sys_d.weights, i, w) - jacobian_weight(sys0.weights, i, w)
-                )
-        worst = max(worst, total)
-    return worst
+    # summed over branches i into one target symbol j, maximized over j
+    gap = np.abs(sys_d.weights.jacobian - sys0.weights.jacobian)
+    return float(gap.sum(axis=0).max())
 
 
 def _fiber_gap(sys0, sys_d):
@@ -174,14 +166,12 @@ def admissibility_report(fam, deltas):
     """
     if len(deltas) == 0:
         raise ValueError("need a nonempty delta grid")
+    masses_0 = cylinder_mass_vector(fam.base.weights, fam.base.matrix, U3_DEPTH)
     rows = []
     for delta in deltas:
         sys_d = realize(fam, delta)
-        ratio = 1.0
-        for w in fam.base.matrix.words(U3_DEPTH):
-            ratio = max(
-                ratio, cylinder_mass(sys_d.weights, w) / cylinder_mass(fam.base.weights, w)
-            )
+        masses_d = cylinder_mass_vector(sys_d.weights, sys_d.matrix, U3_DEPTH)
+        ratio = max(1.0, float((masses_d / masses_0).max()))
         rate, constant = base_gap_estimate(
             sys_d.weights, sys_d.matrix, sys_d.theta, depth=GAP_DEPTH, iters=GAP_ITERS
         )
@@ -243,7 +233,6 @@ class SweepResult:
     rows: list
     ratio_bound: float
     base_result: FixedPointResult = field(repr=False)
-    report: AdmissibilityReport = field(repr=False)
 
 
 def stability_sweep(fam, deltas, depth, tol, grid):
@@ -254,19 +243,23 @@ def stability_sweep(fam, deltas, depth, tol, grid):
     R(delta), the ratio Delta / (R |log delta|), and the sum of the two
     fixed-point certificates.  A converged row keeps its fixed point for
     later checks; a failed fixed point flags its row and the sweep continues.
+    Every delta is realized before the first solve, so a delta outside the
+    family's range fails at once.
     """
     deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ValueError("need a nonempty delta grid")
     if any(d <= 0.0 for d in deltas):
         raise ValueError("sweep deltas must be positive; delta = 0 is the base system")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("sweep deltas must be sorted descending")
-    report = admissibility_report(fam, deltas)
+    systems = [realize(fam, delta) for delta in deltas]
     base_res = fixed_point(fam.base, depth=depth, tol=tol, grid=grid)
     rows = []
-    for delta in deltas:
-        r_delta = report.r_of(delta)
+    for delta, sys_d in zip(deltas, systems):
+        r_delta = max(_jacobian_gap(fam.base, sys_d), _fiber_gap(fam.base, sys_d))
         try:
-            res = fixed_point(realize(fam, delta), depth=depth, tol=tol, grid=grid)
+            res = fixed_point(sys_d, depth=depth, tol=tol, grid=grid)
         except (ConvergenceError, ValueError) as exc:
             rows.append(StabilityRow(delta, r_delta, math.nan, math.nan, math.nan, 0,
                                      failed=True, message=str(exc)))
@@ -278,7 +271,7 @@ def stability_sweep(fam, deltas, depth, tol, grid):
                                  result=res))
     good = [row.ratio for row in rows if not row.failed]
     bound = max(good) if good else math.nan
-    return SweepResult(rows=rows, ratio_bound=bound, base_result=base_res, report=report)
+    return SweepResult(rows=rows, ratio_bound=bound, base_result=base_res)
 
 
 def sweep_to_csv(result):

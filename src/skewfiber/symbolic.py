@@ -11,7 +11,10 @@ upper estimates.
 
 Every base measure is a stationary Markov chain (pi, P); a Bernoulli
 measure p is stored as the chain with all rows equal to p, so cylinder
-masses and jacobian weights have one formula each.
+masses and jacobian weights have one formula each.  The base quantities
+are arrays built once: ``BaseWeights.jacobian`` (the N x N branch weights),
+``cylinder_mass_vector`` (one mass per word) and ``word_distances`` (the
+word-by-word distance table).
 """
 
 from __future__ import annotations
@@ -24,10 +27,8 @@ __all__ = [
     "CylinderFunction",
     "check_theta",
     "enumerate_words",
-    "word_distance",
-    "word_tail_diameter",
-    "cylinder_mass",
-    "jacobian_weight",
+    "word_distances",
+    "cylinder_mass_vector",
     "ruelle_apply",
     "base_gap_estimate",
     "base_correlation",
@@ -59,12 +60,6 @@ class TransitionMatrix:
         self.entries = a
         self.n_symbols = a.shape[0]
         self._word_cache = {}
-
-    def admissible(self, i, j):
-        return bool(self.entries[i, j])
-
-    def is_full(self):
-        return bool((self.entries == 1).all())
 
     def words(self, depth):
         """All admissible words of the given depth, lexicographically sorted."""
@@ -117,7 +112,10 @@ class BaseWeights:
     """Shift-invariant Markov base measure: stochastic matrix P and stationary pi.
 
     A Bernoulli measure p is the chain whose rows all equal p (P = 1 p^T,
-    pi = p), so its jacobian pi_i P_ij / pi_j is p_i.
+    pi = p), so its jacobian pi_i P_ij / pi_j is p_i.  ``jacobian[i, j]`` is
+    the weight g(i.x) of the branch prepending symbol i to a point starting
+    with j; it is zero off the support, and each column sums to 1, which is
+    exactly invariance of the base measure.
     """
 
     def __init__(self, transition, stationary=None):
@@ -138,6 +136,7 @@ class BaseWeights:
         self.transition = tm
         self.stationary = pi
         self.n_symbols = tm.shape[0]
+        self.jacobian = pi[:, None] * tm / pi[None, :]
 
     @classmethod
     def bernoulli(cls, p):
@@ -193,48 +192,32 @@ def enumerate_words(matrix, depth):
     return words
 
 
-def word_distance(w1, w2, theta):
-    """Prefix-sum base distance: sum of theta^i over disagreeing coordinates."""
-    if len(w1) != len(w2):
-        raise ValueError("words must have equal depth")
-    theta = check_theta(theta)
-    return float(sum(theta**i for i, (a, b) in enumerate(zip(w1, w2)) if a != b))
+def word_distances(matrix, depth, theta):
+    """Base distances between all admissible words of a depth, as an n x n array.
 
-
-def word_tail_diameter(depth, theta):
-    """Diameter bound theta^depth / (1 - theta) for points sharing a depth-prefix."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    theta = check_theta(theta)
-    return theta**depth / (1.0 - theta)
-
-
-def cylinder_mass(weights, word):
-    """Base measure pi_{w0} P_{w0 w1} ... of a word's cylinder; empty word has mass 1."""
-    if len(word) == 0:
-        return 1.0
-    mass = weights.stationary[word[0]]
-    for a, b in zip(word[:-1], word[1:]):
-        step = weights.transition[a, b]
-        if step == 0.0:
-            raise ValueError(f"word {word} is not admissible for the base measure")
-        mass *= step
-    return float(mass)
-
-
-def jacobian_weight(weights, symbol, word):
-    """Weight g(i.word) = 1/J = pi_i P_{i w0} / pi_{w0} of the branch prepending ``symbol``.
-
-    Returns 0 for an inadmissible transition so that inadmissible branches
-    drop out of transfer-operator sums.  Admissible weights for a fixed
-    target word sum to 1, which is exactly invariance of the base measure.
+    Entry (a, b) is the sum of theta^i over the coordinates where words a
+    and b disagree, added one coordinate at a time in increasing i.
     """
-    if len(word) == 0:
-        raise ValueError("jacobian weight needs a nonempty target word")
-    step = weights.transition[symbol, word[0]]
-    if step == 0.0:
-        return 0.0
-    return float(weights.stationary[symbol] * step / weights.stationary[word[0]])
+    theta = check_theta(theta)
+    arr = np.asarray(matrix.words(depth))
+    dist = np.zeros((len(arr), len(arr)))
+    for i in range(depth):
+        dist += np.where(arr[:, None, i] != arr[None, :, i], theta**i, 0.0)
+    return dist
+
+
+def cylinder_mass_vector(weights, matrix, depth):
+    """Base measures pi_{w0} P_{w0 w1} ... of the depth-``depth`` cylinders, in word order.
+
+    The factors multiply left to right; the empty word has mass 1.
+    """
+    if depth == 0:
+        return np.ones(1)
+    arr = np.asarray(matrix.words(depth))
+    mass = weights.stationary[arr[:, 0]]
+    for j in range(1, depth):
+        mass = mass * weights.transition[arr[:, j - 1], arr[:, j]]
+    return mass
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +253,12 @@ class CylinderFunction:
 
     def lipschitz(self, theta):
         """Largest |f(w1)-f(w2)| / base distance over admissible word pairs."""
-        words = self.matrix.words(self.depth)
-        if len(words) < 2:
+        dist = word_distances(self.matrix, self.depth, theta)
+        mask = dist > 0
+        if not mask.any():
             return 0.0
-        arr = np.asarray(words)
-        pow_theta = check_theta(theta) ** np.arange(self.depth)
-        best = 0.0
-        block = max(1, 2_000_000 // (len(words) * max(self.depth, 1)))
-        for start in range(0, len(words), block):
-            stop = min(start + block, len(words))
-            diff = arr[start:stop, None, :] != arr[None, :, :]
-            dist = diff @ pow_theta
-            gap = np.abs(self.values[start:stop, None] - self.values[None, :])
-            mask = dist > 0
-            if mask.any():
-                best = max(best, float((gap[mask] / dist[mask]).max()))
-        return best
+        gap = np.abs(self.values[:, None] - self.values[None, :])
+        return float((gap[mask] / dist[mask]).max())
 
     def norm_theta(self, theta):
         return self.sup_norm() + self.lipschitz(theta)
@@ -295,10 +268,6 @@ class CylinderFunction:
 
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, {self.values.size} values)"
-
-
-def cylinder_mass_vector(weights, matrix, depth):
-    return np.array([cylinder_mass(weights, w) for w in matrix.words(depth)])
 
 
 def ruelle_apply(f, weights):
@@ -314,13 +283,12 @@ def ruelle_apply(f, weights):
         raise ValueError("ruelle_apply needs depth at least 1")
     words = matrix.words(f.depth)
     index = matrix.word_index(f.depth)
+    jacobian = weights.jacobian.tolist()
     out = np.zeros(len(words))
     for k, w in enumerate(words):
         total = 0.0
         for i in range(matrix.n_symbols):
-            if not matrix.entries[i, w[0]]:
-                continue
-            g = jacobian_weight(weights, i, w)
+            g = jacobian[i][w[0]]
             if g:
                 total += g * f.values[index[(i,) + w[:-1]]]
         out[k] = total
@@ -374,8 +342,8 @@ def base_correlation(weights, matrix, psi, s, lag):
         raise ValueError("observables must share a depth")
     k = psi.depth
     idx = matrix.word_index(k)
+    masses = cylinder_mass_vector(weights, matrix, lag + k)
     cross = 0.0
-    for w in matrix.words(lag + k):
-        mass = cylinder_mass(weights, w)
+    for mass, w in zip(masses, matrix.words(lag + k)):
         cross += mass * psi.values[idx[w[lag:lag + k]]] * s.values[idx[w[:k]]]
     return float(cross - psi.mean(weights) * s.mean(weights))

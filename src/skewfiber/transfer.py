@@ -36,9 +36,8 @@ from .skew import c1_constant
 from .symbolic import (
     CylinderFunction,
     TransitionMatrix,
-    cylinder_mass,
-    jacobian_weight,
-    word_distance,
+    cylinder_mass_vector,
+    word_distances,
 )
 
 __all__ = [
@@ -83,9 +82,6 @@ class Disintegration:
     def words(self):
         return self.matrix.words(self.depth)
 
-    def fiber(self, word):
-        return self.fibers[word]
-
     def scaled(self, factor):
         return Disintegration(
             self.matrix,
@@ -106,8 +102,9 @@ class Disintegration:
         return np.array([self.fibers[w].total_weight() for w in self.words()])
 
     def total_mass(self, weights):
+        masses = cylinder_mass_vector(weights, self.matrix, self.depth)
         return float(
-            sum(cylinder_mass(weights, w) * self.fibers[w].total_weight() for w in self.words())
+            sum(m * self.fibers[w].total_weight() for m, w in zip(masses, self.words()))
         )
 
     def max_atoms(self):
@@ -177,6 +174,7 @@ def lip_constant(dis, theta):
     for the infimum over all equivalent disintegrations.
     """
     words = dis.words()
+    dist = word_distances(dis.matrix, dis.depth, theta)
     n = len(words)
     best = 0.0
     for a in range(n):
@@ -185,8 +183,8 @@ def lip_constant(dis, theta):
             d = wk_distance(mu_a, dis.fibers[words[b]])
             if d == 0.0:
                 continue
-            best = max(best, d / word_distance(words[a], words[b], theta))
-    return best
+            best = max(best, d / dist[a, b])
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +207,12 @@ def transfer_apply(sys, dis):
             f"offset depth {sys.offset_depth} exceeds the working depth {dis.depth}"
         )
     matrix = sys.matrix
+    jacobian = sys.weights.jacobian.tolist()
     new_fibers = {}
     for w in dis.words():
         terms = []
         for i in range(matrix.n_symbols):
-            if not matrix.entries[i, w[0]]:
-                continue
-            g = jacobian_weight(sys.weights, i, w)
+            g = jacobian[i][w[0]]
             if g == 0.0:
                 continue
             source = (i,) + w[:-1]
@@ -258,6 +255,7 @@ def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
             "quantization grid"
         )
     prefixes = matrix.words(steps)
+    jacobian = sys.weights.jacobian.tolist()
     fibers = {}
     for w in matrix.words(depth):
         terms = []
@@ -267,7 +265,7 @@ def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
             full = a + w
             weight = 1.0
             for t in range(steps):
-                weight *= jacobian_weight(sys.weights, full[t], (full[t + 1],))
+                weight *= jacobian[full[t]][full[t + 1]]
             if weight == 0.0:
                 continue
             composed = sys.branch_map(full[0:])

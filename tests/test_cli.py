@@ -168,7 +168,7 @@ class TestArtifacts:
         out = tmp_path / "c"
         main(["clt", "--config", config_path(small_config()), "--out", str(out)])
         data = json.loads((out / "clt.json").read_text())
-        assert set(data) == {"sigma2", "tailBound", "ks", "pass", "seed"}
+        assert set(data) == {"sigma2", "tailBoundFitted", "ks", "pass", "seed"}
 
     def test_verify_reports_are_byte_identical(self, config_path, tmp_path):
         path = config_path(small_config())

@@ -22,7 +22,7 @@ from skewfiber.limits import (
     observable_sums,
 )
 from skewfiber.measures import PiecewiseLinearFn, integrate
-from skewfiber.symbolic import cylinder_mass
+from skewfiber.symbolic import cylinder_mass_vector
 from skewfiber.transfer import fixed_point, lip_constant
 
 CANTOR = cantor_demo()
@@ -40,6 +40,10 @@ def mu0_coupled():
 @pytest.fixture(scope="module")
 def mu0_markov3():
     return fixed_point(MARKOV3, depth=4, tol=1e-6, grid=512).disintegration
+
+
+def masses_by_word(sys, depth):
+    return dict(zip(sys.matrix.words(depth), cylinder_mass_vector(sys.weights, sys.matrix, depth)))
 
 
 def height_obs(sys=CANTOR):
@@ -173,16 +177,19 @@ def gordin_norms_word_sum(sys, mu0, phi, nmax):
     phit = phi.shifted(-integrate_observable(sys, mu0, phi))
     norms = np.empty(nmax + 1)
     for n in range(nmax + 1):
+        depth_v = max(1, mu0.depth - n)
+        masses_v = masses_by_word(sys, depth_v)
+        masses_uv = masses_by_word(sys, n + depth_v)
         total = 0.0
-        for v in matrix.words(max(1, mu0.depth - n)):
-            mass_v = cylinder_mass(sys.weights, v)
+        for v in matrix.words(depth_v):
+            mass_v = masses_v[v]
             acc = 0.0
             for u in matrix.words(n):
                 if n and not matrix.entries[u[-1], v[0]]:
                     continue
                 uv = u + v
                 fiber_integral = integrate(mu0.fibers[uv[: mu0.depth]], phit.component(uv))
-                acc += cylinder_mass(sys.weights, uv) * fiber_integral
+                acc += masses_uv[uv] * fiber_integral
             total += (acc / mass_v) ** 2 * mass_v
         norms[n] = math.sqrt(total)
     return norms
@@ -194,12 +201,8 @@ class TestGordin:
         m = integrate_observable(COUPLED, mu0_coupled, phi)
         res = gordin_norms(COUPLED, mu0_coupled, phi, nmax=3)
         s = fiber_average(COUPLED, mu0_coupled, phi.shifted(-m))
-        expected = math.sqrt(
-            sum(
-                cylinder_mass(COUPLED.weights, w) * s.value(w) ** 2
-                for w in mu0_coupled.words()
-            )
-        )
+        masses = masses_by_word(COUPLED, mu0_coupled.depth)
+        expected = math.sqrt(sum(masses[w] * s.value(w) ** 2 for w in mu0_coupled.words()))
         assert res.norms[0] == pytest.approx(expected, abs=1e-10)
 
     def test_base_only_iid_vanishes_beyond_depth(self, mu0):
@@ -255,11 +258,12 @@ class TestAsymptoticVariance:
         phi = height_obs()
         m = integrate_observable(CANTOR, mu0, phi)
         var = asymptotic_variance(CANTOR, mu0, phi, truncation=10)
+        masses = masses_by_word(CANTOR, mu0.depth)
         direct = 0.0
         for w in mu0.words():
             mu = mu0.fibers[w]
             h = phi.component(w)
-            direct += cylinder_mass(CANTOR.weights, w) * float(
+            direct += masses[w] * float(
                 np.dot(mu.weights, (h(mu.positions) - m) ** 2)
             )
         assert var.curve.values[0] == pytest.approx(direct, abs=1e-10)
@@ -315,6 +319,24 @@ class TestCLT:
         sums = observable_sums(phi, symbols, ys)
         for track, path, total in zip(symbols, ys, sums):
             direct = sum(phi.evaluate(tuple(track[t:t + 2]), path[t]) for t in range(40))
+            assert total == pytest.approx(direct, abs=1e-10)
+
+    def test_deep_window_codes_do_not_overflow(self):
+        # depth-6 windows over 3 symbols have codes up to 728, beyond the
+        # one-byte symbol dtype, and every word gets its own component
+        from skewfiber.skew import sample_orbits
+
+        rng = np.random.default_rng(12)
+        comps = {
+            w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2))
+            for w in MARKOV3.matrix.words(6)
+        }
+        phi = Observable(MARKOV3.matrix, 6, comps)
+        symbols, ys = sample_orbits(MARKOV3, seed=5, length=60, trials=8, burn_in=5, window=6)
+        assert symbols.dtype == np.uint8
+        sums = observable_sums(phi, symbols, ys)
+        for track, path, total in zip(symbols, ys, sums):
+            direct = sum(phi.evaluate(tuple(track[t:t + 6]), path[t]) for t in range(60))
             assert total == pytest.approx(direct, abs=1e-10)
 
     def test_small_cantor_run_passes(self, mu0):

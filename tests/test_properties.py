@@ -1,4 +1,5 @@
-"""Property tests for the dual distance: LP oracle, metric axioms, quantization.
+"""Property tests: the dual distance (LP oracle, metric axioms, quantization)
+and the fixed-point certificate against a high-grid reference solve.
 
 Generated inputs include near-balanced pairs, whose net total weight is zero
 up to floating-point rounding or a tiny residual.  Example counts are small
@@ -17,6 +18,10 @@ from skewfiber.measures import (  # noqa: E402
     wk_distance,
     wk_distance_bruteforce,
 )
+from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
+from skewfiber.skew import FiberMapSpec, SystemSpec  # noqa: E402
+from skewfiber.symbolic import BaseWeights, TransitionMatrix  # noqa: E402
+from skewfiber.transfer import change_between, fixed_point  # noqa: E402
 
 FAST = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -80,3 +85,43 @@ class TestWkProperties:
     def test_quantize_certificate(self, mu, grid):
         snapped, bound = quantize(mu, grid)
         assert wk_distance(mu, snapped) <= bound + 1e-14
+
+
+SOLVES = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+REF_GRID = 1 << 16
+
+
+@st.composite
+def systems(draw):
+    """Symbol-only system on the full 2- or 3-symbol shift with a random Markov base."""
+    n = draw(st.integers(2, 3))
+    rows = [draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)) for _ in range(n)]
+    transition = np.array(rows) / np.sum(rows, axis=1, keepdims=True)
+    maps = []
+    for _ in range(n):
+        slope = draw(st.floats(-0.5, 0.5))
+        # the offset keeps the branch image inside [0, 1]
+        offset = draw(st.floats(max(0.0, -slope), min(1.0, 1.0 - slope)))
+        maps.append(FiberMapSpec(slope, offset))
+    matrix = TransitionMatrix(np.ones((n, n), dtype=int))
+    return SystemSpec(matrix, 0.5, BaseWeights.markov(transition), maps)
+
+
+def assert_certificate_covers_reference(sys, depth):
+    res = fixed_point(sys, depth=depth, grid=512)
+    ref = fixed_point(sys, depth=depth, tol=1e-10, grid=REF_GRID)
+    gap = change_between(res.disintegration, ref.disintegration)
+    # both certificates bound the distance to the same invariant disintegration
+    assert gap <= res.certified_error + ref.certified_error
+
+
+class TestFixedPointCertificate:
+    @SOLVES
+    @given(systems())
+    def test_random_systems(self, sys):
+        assert_certificate_covers_reference(sys, depth=2)
+
+    @pytest.mark.parametrize("demo", [coupled_demo, markov_demo])
+    def test_demos(self, demo):
+        sys = demo()
+        assert_certificate_covers_reference(sys, depth=sys.offset_depth)

@@ -13,7 +13,7 @@ from skewfiber.skew import (
     sample_orbits,
     verify_G1,
 )
-from skewfiber.symbolic import BaseWeights, TransitionMatrix, word_distance
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, word_distances
 
 FULL2 = TransitionMatrix([[1, 1], [1, 1]])
 FAIR = BaseWeights.bernoulli([0.5, 0.5])
@@ -86,7 +86,7 @@ class TestEstimateH:
             sys = SystemSpec(FULL2, 0.5, FAIR, [FiberMapSpec(a, b) for a, b in zip(slopes, offsets)])
             ta, tb = sys.branch_map((0,)), sys.branch_map((1,))
             dense = np.abs((ta.a - tb.a) * ys + (ta.b - tb.b)).max()
-            assert estimate_H(sys) == dense / word_distance((0,), (1,), sys.theta)
+            assert estimate_H(sys) == dense / word_distances(FULL2, 1, sys.theta)[0, 1]
 
     def test_constant_offsets_give_zero(self):
         sys = SystemSpec(FULL2, 0.5, FAIR, [FiberMapSpec(0.5, 0.25), FiberMapSpec(0.5, 0.25)])

@@ -183,6 +183,26 @@ class TestSweep:
         assert "no fixed point" in result.rows[0].message
         assert math.isfinite(result.rows[1].ratio)
 
+    def test_r_delta_matches_admissibility_report(self):
+        for fam in (shift_family(), weight_family()):
+            deltas = [0.1, 0.01]
+            result = stability_sweep(fam, deltas, depth=2, tol=1e-5, grid=512)
+            report = admissibility_report(fam, deltas)
+            assert [row.r_delta for row in result.rows] == [report.r_of(d) for d in deltas]
+
+    def test_grid_errors_come_before_any_solve(self, monkeypatch):
+        import skewfiber.stability as stability_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("fixed point solved before the grid was checked")
+
+        monkeypatch.setattr(stability_module, "fixed_point", unreachable)
+        with pytest.raises(ValueError, match="nonempty"):
+            stability_sweep(shift_family(), [], depth=2, tol=1e-6, grid=512)
+        # the largest delta lies outside the family's range
+        with pytest.raises(ValueError, match="delta must lie"):
+            stability_sweep(shift_family(0.05), [0.1, 0.01], depth=2, tol=1e-6, grid=512)
+
     def test_rejects_zero_delta(self):
         with pytest.raises(ValueError, match="positive"):
             stability_sweep(shift_family(), [0.1, 0.0], depth=2, tol=1e-6, grid=512)

@@ -11,13 +11,10 @@ from skewfiber.symbolic import (
     TransitionMatrix,
     base_correlation,
     base_gap_estimate,
-    cylinder_mass,
     cylinder_mass_vector,
     enumerate_words,
-    jacobian_weight,
     ruelle_apply,
-    word_distance,
-    word_tail_diameter,
+    word_distances,
 )
 
 FULL2 = TransitionMatrix([[1, 1], [1, 1]])
@@ -83,24 +80,42 @@ class TestEnumerateWords:
         assert len(matrix.words(depth)) == matrix.word_count(depth) == power.sum()
 
 
+def distance(matrix, w1, w2, theta):
+    """Entry of the distance table for two words of equal depth."""
+    index = matrix.word_index(len(w1))
+    return word_distances(matrix, len(w1), theta)[index[w1], index[w2]]
+
+
+def mass(weights, matrix, word):
+    """Entry of the cylinder mass vector for one word."""
+    return cylinder_mass_vector(weights, matrix, len(word))[matrix.word_index(len(word))[word]]
+
+
 class TestWordDistance:
     def test_identical_words(self):
-        assert word_distance((0, 1, 0), (0, 1, 0), 0.5) == 0.0
+        assert distance(FULL2, (0, 1, 0), (0, 1, 0), 0.5) == 0.0
 
     def test_first_index_disagreement(self):
-        assert word_distance((0, 1), (1, 1), 0.5) == 1.0
+        assert distance(FULL2, (0, 1), (1, 1), 0.5) == 1.0
 
     def test_all_indices_disagree(self):
-        assert word_distance((0, 0, 0), (1, 1, 1), 0.5) == pytest.approx(1.75)
+        assert distance(FULL2, (0, 0, 0), (1, 1, 1), 0.5) == pytest.approx(1.75)
 
-    def test_unequal_depths_rejected(self):
-        with pytest.raises(ValueError):
-            word_distance((0,), (0, 1), 0.5)
+    @pytest.mark.parametrize("matrix", [FULL2, GOLDEN])
+    @pytest.mark.parametrize("theta", [0.5, 1 / 3, 0.9])
+    def test_table_matches_prefix_sum(self, matrix, theta):
+        # the table adds theta^i in increasing i, as a scalar prefix sum does
+        words = matrix.words(5)
+        table = word_distances(matrix, 5, theta)
+        assert table.shape == (len(words), len(words))
+        for a, w1 in enumerate(words):
+            for b, w2 in enumerate(words):
+                expected = float(sum(theta**i for i, (x, y) in enumerate(zip(w1, w2)) if x != y))
+                assert table[a, b] == expected
 
-    def test_tail_diameter_values(self):
-        assert word_tail_diameter(1, 0.5) == pytest.approx(1.0)
-        assert word_tail_diameter(3, 0.5) == pytest.approx(0.25)
-        assert word_tail_diameter(2, 1 / 3) == pytest.approx(1 / 6)
+    def test_theta_checked(self):
+        with pytest.raises(ValueError, match="theta"):
+            word_distances(FULL2, 2, 1.0)
 
 
 class TestBaseWeights:
@@ -131,19 +146,28 @@ class TestBaseWeights:
 
 class TestCylinderMass:
     def test_bernoulli_product(self):
-        assert cylinder_mass(FAIR, (0, 1, 1)) == pytest.approx(0.125)
+        assert mass(FAIR, FULL2, (0, 1, 1)) == pytest.approx(0.125)
 
     def test_markov_two_factor(self):
         # pi_0 * P_{01} = 5/6 * 0.1
-        assert cylinder_mass(MARKOV, (0, 1)) == pytest.approx(5 / 6 * 0.1)
+        assert mass(MARKOV, FULL2, (0, 1)) == pytest.approx(5 / 6 * 0.1)
 
     def test_empty_word(self):
-        assert cylinder_mass(MARKOV, ()) == 1.0
+        assert cylinder_mass_vector(MARKOV, FULL2, 0).tolist() == [1.0]
 
-    def test_inadmissible_markov_word_rejected(self):
-        weights = BaseWeights.markov([[0.5, 0.5], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="not admissible"):
-            cylinder_mass(weights, (1, 1))
+    @pytest.mark.parametrize(
+        "weights,matrix",
+        [(FAIR, FULL2), (MARKOV, FULL2), (BaseWeights.markov([[0.5, 0.5], [1.0, 0.0]]), GOLDEN)],
+    )
+    def test_vector_matches_left_to_right_product(self, weights, matrix):
+        # bit for bit the product pi_{w0} P_{w0 w1} ... taken left to right
+        for depth in range(1, 6):
+            masses = cylinder_mass_vector(weights, matrix, depth)
+            for got, w in zip(masses, matrix.words(depth)):
+                expected = weights.stationary[w[0]]
+                for a, b in zip(w[:-1], w[1:]):
+                    expected *= weights.transition[a, b]
+                assert got == expected
 
     @pytest.mark.parametrize("weights,matrix", [(FAIR, FULL2), (MARKOV, FULL2)])
     @pytest.mark.parametrize("depth", range(1, 9))
@@ -154,30 +178,29 @@ class TestCylinderMass:
 class TestJacobianWeight:
     def test_bernoulli_is_symbol_weight(self):
         w = BaseWeights.bernoulli([0.25, 0.75])
-        for word in FULL2.words(3):
-            assert jacobian_weight(w, 0, word) == 0.25
+        assert (w.jacobian[0] == 0.25).all()
 
     def test_bernoulli_within_one_ulp_of_symbol_weight(self):
         # p_i p_j / p_j is p_i up to the rounding of the product
         p = [0.6, 0.4]
         w = BaseWeights.bernoulli(p)
-        for word in FULL2.words(2):
+        for j in range(2):
             for i in range(2):
-                assert abs(jacobian_weight(w, i, word) - p[i]) <= np.spacing(p[i])
+                assert abs(w.jacobian[i, j] - p[i]) <= np.spacing(p[i])
 
     def test_markov_hand_value(self):
         # (pi_1 P_{10}) / pi_0 = (1/6 * 0.5) / (5/6)
-        assert jacobian_weight(MARKOV, 1, (0, 1)) == pytest.approx(0.1)
+        assert MARKOV.jacobian[1, 0] == pytest.approx(0.1)
 
     @pytest.mark.parametrize("weights", [FAIR, MARKOV])
     def test_row_normalization(self, weights):
-        for word in FULL2.words(4):
-            total = sum(jacobian_weight(weights, i, word) for i in range(2))
+        # the branches into one target symbol carry total weight 1
+        for total in weights.jacobian.sum(axis=0):
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_inadmissible_transition_gives_zero(self):
         weights = BaseWeights.markov([[0.5, 0.5], [1.0, 0.0]])
-        assert jacobian_weight(weights, 1, (1, 0)) == 0.0
+        assert weights.jacobian[1, 1] == 0.0
 
 
 class TestRuelleApply:
