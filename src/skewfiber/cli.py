@@ -574,7 +574,7 @@ def run_verify(config, out_dir):
             k = int(rng.integers(2, 5))
             weights = rng.uniform(-1, 1, k) if signed else rng.uniform(0.1, 1.0, k)
             fibers[w] = AtomicMeasure(rng.random(k), weights)
-        return Disintegration(matrix, min(config.depth, 3), fibers)
+        return Disintegration.from_fibers(matrix, min(config.depth, 3), fibers)
 
     ok = True
     for _ in range(10):
@@ -623,8 +623,7 @@ def run_verify(config, out_dir):
     var = asymptotic_variance(sys_, mu0, phi, truncation=10)
     masses = cylinder_mass_vector(sys_.weights, matrix, mu0.depth)
     direct = 0.0
-    for mass, w in zip(masses, mu0.words()):
-        fm = mu0.fibers[w]
+    for mass, w, fm in zip(masses, mu0.words(), mu0.fiber_views()):
         h = phi.component(w)
         direct += float(np.dot(fm.weights, (h(fm.positions) - m_phi) ** 2)) * mass
     report.check("autocovariance_lag0_is_variance", abs(var.curve.values[0] - direct) <= 1e-10)

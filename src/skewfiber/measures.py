@@ -9,10 +9,11 @@ point masses on [0, 1].  Distances between measures are taken in the dual
 which is a norm on signed measures and agrees with the usual flat metric.
 The supremum only involves the values of g at the atoms of the two measures,
 so it is a finite linear program; on a line the pairwise Lipschitz
-constraints reduce to adjacent differences.  ``wk_distance`` solves that
-program exactly by dynamic programming over concave piecewise-linear value
-functions, and ``wk_distance_bruteforce`` solves the same program with an
-off-the-shelf LP solver on a refined grid, as an independent cross-check.
+constraints reduce to adjacent differences.  ``wk_distance`` returns closed
+forms for one-signed and balanced net measures and solves the rest exactly by
+dynamic programming over concave piecewise-linear value functions, and
+``wk_distance_bruteforce`` solves the same program with an off-the-shelf LP
+solver on a refined grid, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,30 +31,42 @@ __all__ = [
     "pushforward",
     "quantize",
     "integrate",
+    "merge_atoms",
 ]
 
 _POSITION_TOL = 1e-12
+# |net total| up to this share of the total variation takes the balanced closed form
+_BALANCE_RTOL = 1e-12
 
 
-def _canonical(positions, weights):
-    """Sort atoms, merge exactly coincident positions, drop zero weights."""
+def merge_atoms(rows, positions, weights):
+    """Canonical atom table: sorted by (row, position), coincident atoms summed, zeros dropped.
+
+    ``rows`` is one row per atom, or one for all.  Positions are clipped onto
+    [0, 1], so atoms pushed marginally past an endpoint merge with atoms
+    there.  Unordered input takes a stable ``lexsort``, so coincident atoms
+    sum in input order.  Returns new (rows, positions, weights) arrays.
+    """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    rows = np.broadcast_to(np.asarray(rows, dtype=np.intp), positions.shape)
     if positions.size == 0:
-        return positions.reshape(0), weights.reshape(0)
-    order = np.argsort(positions, kind="stable")
-    positions = positions[order]
-    weights = weights[order]
-    # merge runs of identical positions (exact float equality)
-    keep = np.empty(positions.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(positions[1:], positions[:-1], out=keep[1:])
-    group = np.cumsum(keep) - 1
-    merged_pos = positions[keep]
-    merged_w = np.zeros(merged_pos.size)
-    np.add.at(merged_w, group, weights)
-    nz = merged_w != 0.0
-    return merged_pos[nz], merged_w[nz]
+        return rows.copy(), positions.copy(), weights.copy()
+    if positions.min() < -_POSITION_TOL or positions.max() > 1 + _POSITION_TOL:
+        raise ValueError("atom positions must lie in [0, 1]")
+    positions = np.clip(positions, 0.0, 1.0)
+    d_row, d_pos = np.diff(rows), np.diff(positions)
+    # ordered: rows never fall, and positions fall only where the row rises
+    if (d_row < 0).any() or not d_row[d_pos < 0].all():
+        order = np.lexsort((positions, rows))
+        rows, positions, weights = rows[order], positions[order], weights[order]
+        d_row, d_pos = np.diff(rows), np.diff(positions)
+    first = np.concatenate([[True], (d_row != 0) | (d_pos != 0)])
+    keep = np.flatnonzero(first)
+    if keep.size < first.size:
+        weights = np.bincount(np.cumsum(first) - 1, weights=weights)
+    nz = np.flatnonzero(weights)
+    return rows[keep[nz]], positions[keep[nz]], weights[nz]
 
 
 class AtomicMeasure:
@@ -62,17 +75,18 @@ class AtomicMeasure:
     __slots__ = ("positions", "weights")
 
     def __init__(self, positions, weights):
-        positions = np.asarray(positions, dtype=float)
-        if positions.size and (positions.min() < -_POSITION_TOL or positions.max() > 1 + _POSITION_TOL):
-            raise ValueError("atom positions must lie in [0, 1]")
-        # clip before merging so that atoms pushed marginally past an endpoint
-        # coincide with atoms already there
-        positions = np.clip(positions, 0.0, 1.0)
-        self.positions, self.weights = _canonical(positions, weights)
+        _, self.positions, self.weights = merge_atoms(0, positions, weights)
 
     @classmethod
     def dirac(cls, x, weight=1.0):
         return cls([x], [weight])
+
+    @classmethod
+    def from_canonical(cls, positions, weights):
+        """Wrap arrays already in canonical form (e.g. one row of an atom table), uncopied."""
+        mu = object.__new__(cls)
+        mu.positions, mu.weights = positions, weights
+        return mu
 
     @property
     def n_atoms(self):
@@ -80,9 +94,6 @@ class AtomicMeasure:
 
     def total_weight(self):
         return float(self.weights.sum())
-
-    def total_abs_weight(self):
-        return float(np.abs(self.weights).sum())
 
     def scaled(self, factor):
         if factor == 0.0:
@@ -170,8 +181,7 @@ class PiecewiseLinearFn:
 def _net_coefficients(mu, nu):
     """Merged support and net weights of mu - nu, zero entries dropped."""
     pos = np.concatenate([mu.positions, nu.positions])
-    w = np.concatenate([mu.weights, -nu.weights])
-    return _canonical(pos, w)
+    return merge_atoms(0, pos, np.concatenate([mu.weights, -nu.weights]))[1:]
 
 
 def wk_distance(mu, nu=ZERO_MEASURE):
@@ -188,6 +198,12 @@ def wk_distance(mu, nu=ZERO_MEASURE):
     O(breakpoints).  The final answer is max over [-1, 1] of V_k; the
     constraint set is symmetric under g -> -g, so the absolute value in the
     definition is attained on one sign.
+
+    Closed forms come first.  A one-signed c has norm |sum c|.  A balanced
+    c has norm W1 = int |F_c| (Kantorovich-Rubinstein: a 1-Lipschitz g
+    shifts into [-1/2, 1/2]).  If |sum c| <= 1e-12 sum |c|, c is balanced
+    up to sum(c) at its last atom, which leaves F_c unchanged before it, so
+    int |F_c| + |sum c| is an upper estimate within 2 |sum c|.
     """
     x, c = _net_coefficients(mu, nu)
     k = x.size
@@ -196,8 +212,11 @@ def wk_distance(mu, nu=ZERO_MEASURE):
     # canonical sign: makes wk(mu, nu) and wk(nu, mu) bit-identical
     if c[0] < 0:
         c = -c
-    if k == 1:
-        return abs(c[0])
+    total = float(c.sum())
+    if c.min() > 0.0:
+        return total
+    if abs(total) <= _BALANCE_RTOL * float(np.abs(c).sum()):
+        return float(np.dot(np.abs(np.cumsum(c)[:-1]), np.diff(x))) + abs(total)
     # value function on [-1, 1]
     xs = np.array([-1.0, 1.0])
     vs = c[0] * xs
@@ -280,8 +299,6 @@ def pushforward(mu, t):
         t = AffineMap(*t)
     if not t.is_contraction_into_unit():
         raise ValueError(f"{t!r} is not an affine contraction of [0,1] into itself")
-    if mu.n_atoms == 0:
-        return ZERO_MEASURE
     return AtomicMeasure(t.a * mu.positions + t.b, mu.weights)
 
 
@@ -289,24 +306,14 @@ def quantize(mu, grid):
     """Snap atoms to the nearest of grid+1 uniform points.
 
     Returns the snapped measure together with the certified bound
-    total_abs_weight/(2*grid) on the wk distance moved: every atom travels at
-    most half a grid cell and test functions are 1-Lipschitz.
+    sum |w| / (2*grid) on the wk distance moved: every atom travels at most
+    half a grid cell and test functions are 1-Lipschitz.
     """
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    bound = mu.total_abs_weight() / (2.0 * grid)
-    if mu.n_atoms == 0:
-        return ZERO_MEASURE, 0.0
-    snapped = np.round(mu.positions * grid) / grid
-    return AtomicMeasure(snapped, mu.weights), bound
-
-
-def combine_many(terms):
-    """Sum of (coefficient, measure) pairs, merged in one pass."""
-    pos = np.concatenate([m.positions for _, m in terms]) if terms else np.empty(0)
-    w = np.concatenate([a * m.weights for a, m in terms]) if terms else np.empty(0)
-    return AtomicMeasure(pos, w)
+    bound = float(np.abs(mu.weights).sum()) / (2.0 * grid)
+    return AtomicMeasure(np.round(mu.positions * grid) / grid, mu.weights), bound
 
 
 def integrate(mu, h):

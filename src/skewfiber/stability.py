@@ -202,7 +202,7 @@ def fiber_op_gap(sys0, sys_d, dis):
     branch maps; the lemma bound is R(delta) times the largest fiber norm.
     """
     worst = 0.0
-    for s, mu in dis.fibers.items():
+    for s, mu in zip(dis.words(), dis.fiber_views()):
         a = pushforward(mu, sys0.branch_map(s))
         b = pushforward(mu, sys_d.branch_map(s))
         worst = max(worst, wk_distance(a, b))

@@ -1,10 +1,10 @@
 """Finite-depth disintegrations and the fiberwise transfer operator.
 
 A measure on the product space is carried as its family of fiber
-restrictions over the admissible words of a working depth, one atomic
-measure per word, together with a running bound on the accumulated
-quantization error.  The transfer operator mixes branch pushforwards with
-the base jacobian weights:
+restrictions over the admissible words of a working depth, stored as one
+atom table, together with a running bound on the accumulated quantization
+error.  The transfer operator mixes branch pushforwards with the base
+jacobian weights:
 
     nu|_w = sum_i g(i.w) T_{i.w} # mu|_{i.w[:-1]},
 
@@ -17,21 +17,13 @@ point computation and the quantization error bookkeeping below.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fitting import exp_fit
-from .measures import (
-    AtomicMeasure,
-    combine_many,
-    pushforward,
-    quantize,
-    wk_distance,
-    wk_norm,
-)
+from .measures import AtomicMeasure, merge_atoms, wk_distance, wk_norm
 from .skew import c1_constant
 from .symbolic import (
     CylinderFunction,
@@ -63,61 +55,70 @@ class ConvergenceError(RuntimeError):
 
 
 class Disintegration:
-    """Map from admissible words of one depth to fiber restriction measures."""
+    """Fiber restrictions over the admissible words of one depth, as one atom table.
 
-    def __init__(self, matrix, depth, fibers, err_bound=0.0):
-        words = matrix.words(depth)
-        if set(fibers) != set(words):
-            raise ValueError("fibers must be given for exactly the admissible words")
+    ``row``, ``pos`` and ``w`` hold every atom, sorted by (word row, position)
+    with no repeated pair and no zero weight (``measures.merge_atoms``);
+    the fiber of word row r is the slice ``starts[r]:starts[r + 1]``.
+    """
+
+    def __init__(self, matrix, depth, rows, positions, weights, err_bound=0.0):
         self.matrix = matrix
         self.depth = depth
-        self.fibers = dict(fibers)
+        self.row, self.pos, self.w = merge_atoms(rows, positions, weights)
+        n_words = matrix.word_count(depth)
+        if self.row.size and (self.row[0] < 0 or self.row[-1] >= n_words):
+            raise ValueError(f"atom rows must index the {n_words} admissible words")
+        self.starts = np.searchsorted(self.row, np.arange(n_words + 1))
         self.err_bound = float(err_bound)
+
+    @classmethod
+    def from_fibers(cls, matrix, depth, fibers, err_bound=0.0):
+        """Table of a map from every admissible word to its atomic fiber measure."""
+        if set(fibers) != set(matrix.words(depth)):
+            raise ValueError("fibers must be given for exactly the admissible words")
+        mus = [fibers[w] for w in matrix.words(depth)]
+        rows = np.repeat(np.arange(len(mus)), [mu.n_atoms for mu in mus])
+        pos = np.concatenate([mu.positions for mu in mus])
+        return cls(matrix, depth, rows, pos, np.concatenate([mu.weights for mu in mus]), err_bound)
 
     @classmethod
     def product(cls, matrix, depth, fiber):
         """Product disintegration m x nu: the same fiber over every word."""
-        return cls(matrix, depth, {w: fiber for w in matrix.words(depth)})
+        return cls.from_fibers(matrix, depth, dict.fromkeys(matrix.words(depth), fiber))
 
     def words(self):
         return self.matrix.words(self.depth)
 
-    def scaled(self, factor):
-        return Disintegration(
-            self.matrix,
-            self.depth,
-            {w: mu.scaled(factor) for w, mu in self.fibers.items()},
-            abs(factor) * self.err_bound,
-        )
+    def fiber_views(self):
+        """Fiber measures in word order, as uncopied views of the table."""
+        s = self.starts.tolist()
+        return [AtomicMeasure.from_canonical(self.pos[a:b], self.w[a:b]) for a, b in zip(s, s[1:])]
 
-    def map_fibers(self, fn, err_bound=None):
-        return Disintegration(
-            self.matrix,
-            self.depth,
-            {w: fn(w, mu) for w, mu in self.fibers.items()},
-            self.err_bound if err_bound is None else err_bound,
-        )
+    @property
+    def fibers(self):
+        """Word -> fiber view map, rebuilt on each read (for readers outside the package)."""
+        return dict(zip(self.words(), self.fiber_views()))
+
+    def scaled(self, factor):
+        err = abs(factor) * self.err_bound
+        return Disintegration(self.matrix, self.depth, self.row, self.pos, factor * self.w, err)
 
     def fiber_masses(self):
-        return np.array([self.fibers[w].total_weight() for w in self.words()])
+        return np.bincount(self.row, weights=self.w, minlength=self.starts.size - 1)
 
     def total_mass(self, weights):
         masses = cylinder_mass_vector(weights, self.matrix, self.depth)
-        return float(
-            sum(m * self.fibers[w].total_weight() for m, w in zip(masses, self.words()))
-        )
-
-    def max_atoms(self):
-        return max((mu.n_atoms for mu in self.fibers.values()), default=0)
+        return float(sum((masses * self.fiber_masses()).tolist()))
 
     def to_json_dict(self):
-        words = self.words()
+        views = self.fiber_views()
         return {
             "depth": self.depth,
             "matrix": self.matrix.entries.tolist(),
-            "words": [list(w) for w in words],
-            "atoms": [self.fibers[w].positions.tolist() for w in words],
-            "weights": [self.fibers[w].weights.tolist() for w in words],
+            "words": [list(w) for w in self.words()],
+            "atoms": [mu.positions.tolist() for mu in views],
+            "weights": [mu.weights.tolist() for mu in views],
             "errorBound": self.err_bound,
         }
 
@@ -128,21 +129,12 @@ class Disintegration:
             tuple(w): AtomicMeasure(a, ws)
             for w, a, ws in zip(data["words"], data["atoms"], data["weights"])
         }
-        return cls(matrix, data["depth"], fibers, data["errorBound"])
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_fibers(matrix, data["depth"], fibers, data["errorBound"])
 
     def __repr__(self):
         return (
-            f"Disintegration(depth={self.depth}, {len(self.fibers)} words, "
-            f"max_atoms={self.max_atoms()}, err<={self.err_bound:.3g})"
+            f"Disintegration(depth={self.depth}, {self.starts.size - 1} words, "
+            f"{self.w.size} atoms, err<={self.err_bound:.3g})"
         )
 
 
@@ -153,7 +145,7 @@ class Disintegration:
 
 def norm_inf(dis):
     """Largest fiberwise dual norm over the working words."""
-    return max(wk_norm(mu) for mu in dis.fibers.values())
+    return max(wk_norm(mu) for mu in dis.fiber_views())
 
 
 def marginal_density(dis):
@@ -173,17 +165,12 @@ def lip_constant(dis, theta):
     words, so the value is exact for this representation and an upper bound
     for the infimum over all equivalent disintegrations.
     """
-    words = dis.words()
+    views = dis.fiber_views()
     dist = word_distances(dis.matrix, dis.depth, theta)
-    n = len(words)
     best = 0.0
-    for a in range(n):
-        mu_a = dis.fibers[words[a]]
-        for b in range(a + 1, n):
-            d = wk_distance(mu_a, dis.fibers[words[b]])
-            if d == 0.0:
-                continue
-            best = max(best, d / dist[a, b])
+    for a in range(len(views)):
+        for b in range(a + 1, len(views)):
+            best = max(best, wk_distance(views[a], views[b]) / dist[a, b])
     return float(best)
 
 
@@ -198,7 +185,7 @@ def transfer_apply(sys, dis):
     The accumulated error bound contracts by the fiber rate: the tracked
     error is always against an equal-mass reference, and branch pushforwards
     shrink equal-mass discrepancies by at least alpha before the convex
-    jacobian mixing.
+    jacobian mixing.  The step is one gather of source fibers into one merge.
     """
     if dis.matrix != sys.matrix:
         raise ValueError("disintegration and system use different transition matrices")
@@ -206,36 +193,42 @@ def transfer_apply(sys, dis):
         raise ValueError(
             f"offset depth {sys.offset_depth} exceeds the working depth {dis.depth}"
         )
-    matrix = sys.matrix
     jacobian = sys.weights.jacobian.tolist()
-    new_fibers = {}
-    for w in dis.words():
-        terms = []
-        for i in range(matrix.n_symbols):
+    index = sys.matrix.word_index(dis.depth)
+    # one term (target row, source row, g, a, b) per nonzero branch weight
+    terms = []
+    for r, w in enumerate(dis.words()):
+        for i in range(sys.n_symbols):
             g = jacobian[i][w[0]]
-            if g == 0.0:
-                continue
-            source = (i,) + w[:-1]
-            pushed = pushforward(dis.fibers[source], sys.branch_map(source))
-            terms.append((g, pushed))
-        new_fibers[w] = combine_many(terms)
-    return Disintegration(matrix, dis.depth, new_fibers, sys.alpha * dis.err_bound)
+            if g != 0.0:
+                source = (i,) + w[:-1]
+                t = sys.branch_map(source)
+                terms.append((r, index[source], g, t.a, t.b))
+    target, source, g, a, b = (np.array(col) for col in zip(*terms))
+    lo = dis.starts[source]
+    counts = dis.starts[source + 1] - lo
+    # atom k of term j reads the table at lo[j] + k
+    take = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    rows, g, a, b = (np.repeat(v, counts) for v in (target, g, a, b))
+    pos = a * dis.pos[take] + b
+    return Disintegration(dis.matrix, dis.depth, rows, pos, g * dis.w[take], sys.alpha * dis.err_bound)
 
 
 def quantize_disintegration(dis, grid):
-    """Snap every fiber to the uniform grid; returns (snapped, step bound)."""
-    step = 0.0
-    fibers = {}
-    for w, mu in dis.fibers.items():
-        snapped, bound = quantize(mu, grid)
-        fibers[w] = snapped
-        step = max(step, bound)
-    return Disintegration(dis.matrix, dis.depth, fibers, dis.err_bound + step), step
+    """Snap every fiber to the grid; returns (snapped, largest fiber's ``quantize`` bound)."""
+    grid = int(grid)
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    step = float(np.bincount(dis.row, np.abs(dis.w), 1).max()) / (2.0 * grid)
+    pos = np.round(dis.pos * grid) / grid
+    return Disintegration(dis.matrix, dis.depth, dis.row, pos, dis.w, dis.err_bound + step), step
 
 
 def change_between(d1, d2):
-    """Largest fiberwise wk distance between two disintegrations."""
-    return max(wk_distance(d1.fibers[w], d2.fibers[w]) for w in d1.words())
+    """Largest fiberwise wk distance between two disintegrations of one depth and matrix."""
+    if d1.depth != d2.depth or d1.matrix != d2.matrix:
+        raise ValueError("disintegrations differ in depth or transition matrix")
+    return max(wk_distance(a, b) for a, b in zip(d1.fiber_views(), d2.fiber_views()))
 
 
 def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
@@ -256,24 +249,22 @@ def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
         )
     prefixes = matrix.words(steps)
     jacobian = sys.weights.jacobian.tolist()
-    fibers = {}
-    for w in matrix.words(depth):
-        terms = []
+    rows, positions, weights = [], [], []
+    for r, w in enumerate(matrix.words(depth)):
         for a in prefixes:
-            if not matrix.entries[a[-1], w[0]]:
-                continue
             full = a + w
-            weight = 1.0
-            for t in range(steps):
-                weight *= jacobian[full[t]][full[t + 1]]
+            weight = math.prod(jacobian[full[t]][full[t + 1]] for t in range(steps))
             if weight == 0.0:
                 continue
-            composed = sys.branch_map(full[0:])
+            composed = sys.branch_map(full)
             for t in range(1, steps):
                 composed = sys.branch_map(full[t:]).compose(composed)
-            terms.append((weight, pushforward(nu0, composed)))
-        fibers[w] = combine_many(terms)
-    return Disintegration(matrix, depth, fibers, 0.0)
+            rows.append(np.full(nu0.n_atoms, r))
+            positions.append(composed(nu0.positions))
+            weights.append(weight * nu0.weights)
+    return Disintegration(
+        matrix, depth, np.concatenate(rows), np.concatenate(positions), np.concatenate(weights)
+    )
 
 
 def hutchinson_reference(sys, steps, x0=0.5):
@@ -286,17 +277,12 @@ def hutchinson_reference(sys, steps, x0=0.5):
     """
     if sys.offset_depth != 1 or not sys.weights.is_bernoulli:
         raise ValueError("the ifs reference needs a symbol-only system with Bernoulli weights")
+    maps = [sys.branch_map((i,)) for i in range(sys.n_symbols)]
     atoms = np.array([float(x0)])
     weights = np.array([1.0])
     for _ in range(steps):
-        parts_pos = []
-        parts_w = []
-        for i, p in enumerate(sys.weights.stationary):
-            t = sys.branch_map((i,))
-            parts_pos.append(t.a * atoms + t.b)
-            parts_w.append(p * weights)
-        atoms = np.concatenate(parts_pos)
-        weights = np.concatenate(parts_w)
+        atoms = np.concatenate([t.a * atoms + t.b for t in maps])
+        weights = np.concatenate([p * weights for p in sys.weights.stationary])
     return AtomicMeasure(atoms, weights)
 
 
@@ -341,7 +327,7 @@ def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
     if np.abs(masses - 1.0).max() > 1e-9:
         raise ValueError("fixed point iteration expects unit fiber masses")
     mu, _ = quantize_disintegration(init, grid)
-    mu = Disintegration(mu.matrix, mu.depth, mu.fibers, 0.0)
+    mu.err_bound = 0.0
     max_iter = 10 * max(1, math.ceil(math.log(tol) / math.log(alpha))) if alpha > 0 else 10
     q_acc = 0.0
     for iteration in range(1, max_iter + 1):
@@ -385,9 +371,8 @@ def verify_ly(sys, dis, nmax):
     (no quantization), and one row of (measured lip, bound) is produced per
     iterate.
     """
-    for mu in dis.fibers.values():
-        if (mu.weights < 0).any():
-            raise ValueError("verify_ly expects a positive disintegration")
+    if (dis.w < 0).any():
+        raise ValueError("verify_ly expects a positive disintegration")
     theta = sys.theta
     c1 = c1_constant(sys)
     lip0 = lip_constant(dis, theta)

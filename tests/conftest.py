@@ -34,13 +34,13 @@ def random_disintegration(matrix, depth, rng, n_atoms=3, signed=True, unit_mass=
     fibers = {}
     for w in matrix.words(depth):
         fibers[w] = random_fiber(rng, n_atoms, signed, total=1.0 if unit_mass else None)
-    return Disintegration(matrix, depth, fibers)
+    return Disintegration.from_fibers(matrix, depth, fibers)
 
 
 def random_vanishing_disintegration(matrix, weights, depth, rng, n_atoms=2):
     """Random signed disintegration whose marginal has zero base mean."""
     fibers = {w: random_fiber(rng, n_atoms, signed=True) for w in matrix.words(depth)}
-    dis = Disintegration(matrix, depth, fibers)
+    dis = Disintegration.from_fibers(matrix, depth, fibers)
     masses = cylinder_mass_vector(weights, matrix, depth)
     mean = float(np.dot(masses, dis.fiber_masses()))
     # shift every fiber's first atom weight to cancel the mean exactly
@@ -51,4 +51,4 @@ def random_vanishing_disintegration(matrix, weights, depth, rng, n_atoms=2):
         np.concatenate([fibers[first].positions, correction.positions]),
         np.concatenate([fibers[first].weights, correction.weights * scale]),
     )
-    return Disintegration(matrix, depth, fibers)
+    return Disintegration.from_fibers(matrix, depth, fibers)

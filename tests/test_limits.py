@@ -19,6 +19,7 @@ from skewfiber.limits import (
     fiber_average_margin,
     gordin_norms,
     integrate_observable,
+    ks_statistic,
     observable_sums,
 )
 from skewfiber.measures import PiecewiseLinearFn, integrate
@@ -338,6 +339,16 @@ class TestCLT:
         for track, path, total in zip(symbols, ys, sums):
             direct = sum(phi.evaluate(tuple(track[t:t + 6]), path[t]) for t in range(60))
             assert total == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 2000])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.0, 3.0])
+    def test_ks_statistic_equals_scipy_kstest(self, n, sigma):
+        from scipy import stats
+
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * rng.uniform(0.3, 3.0) + rng.uniform(-0.3, 0.3)
+        expected = float(stats.kstest(x, "norm", args=(0.0, sigma)).statistic)
+        assert ks_statistic(x, sigma) == expected
 
     def test_small_cantor_run_passes(self, mu0):
         res = clt_experiment(CANTOR, mu0, height_obs(), length=300, trials=400, seed=0)

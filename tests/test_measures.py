@@ -8,8 +8,8 @@ from skewfiber.measures import (
     AtomicMeasure,
     PiecewiseLinearFn,
     ZERO_MEASURE,
-    combine_many,
     integrate,
+    merge_atoms,
     pushforward,
     quantize,
     wk_distance,
@@ -157,14 +157,43 @@ class TestQuantize:
 
 
 class TestCombine:
+    """Sums of measures, formed by merging their concatenated atoms."""
+
     def test_exact_cancellation(self):
         mu = AtomicMeasure([0.2, 0.8], [1.0, -2.0])
-        assert combine_many([(1.0, mu), (-1.0, mu)]).n_atoms == 0
+        rows, pos, w = merge_atoms(
+            np.zeros(4, dtype=int),
+            np.concatenate([mu.positions, mu.positions]),
+            np.concatenate([mu.weights, -mu.weights]),
+        )
+        assert rows.size == pos.size == w.size == 0
 
     def test_union_of_atoms(self):
-        out = combine_many([(2.0, AtomicMeasure.dirac(0.0)), (1.0, AtomicMeasure.dirac(1.0))])
-        assert out.positions.tolist() == [0.0, 1.0]
-        assert out.weights.tolist() == [2.0, 1.0]
+        rows, pos, w = merge_atoms([0, 0], [0.0, 1.0], [2.0, 1.0])
+        assert pos.tolist() == [0.0, 1.0]
+        assert w.tolist() == [2.0, 1.0]
+
+
+class TestMergeAtoms:
+    def test_rows_sort_before_positions(self):
+        rows, pos, w = merge_atoms([1, 0, 1, 0], [0.1, 0.9, 0.1, 0.2], [1.0, 2.0, 3.0, 4.0])
+        assert rows.tolist() == [0, 0, 1]
+        assert pos.tolist() == [0.2, 0.9, 0.1]
+        assert w.tolist() == [4.0, 2.0, 4.0]
+
+    def test_coincident_atoms_sum_in_input_order(self):
+        # 1e16 + 1 - 1e16 is 0 in floating point, 1e16 - 1e16 + 1 is 1
+        _, _, w = merge_atoms([0, 0, 0, 0], [0.5, 0.2, 0.5, 0.5], [1e16, 1.0, -1e16, 1.0])
+        assert w.tolist() == [1.0, 1.0]  # sorted path, stable
+        _, _, w = merge_atoms([0, 0, 0], [0.5, 0.5, 0.5], [1e16, 1.0, -1e16])
+        assert w.size == 0  # ordered path
+
+    def test_input_arrays_not_aliased(self):
+        pos, w = np.array([0.1, 0.4]), np.array([1.0, 2.0])
+        out = merge_atoms([0, 0], pos, w)
+        out[1][0] = 0.3
+        out[2][0] = 5.0
+        assert pos.tolist() == [0.1, 0.4] and w.tolist() == [1.0, 2.0]
 
 
 class TestIntegrate:

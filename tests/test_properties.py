@@ -24,6 +24,7 @@ from skewfiber.symbolic import BaseWeights, TransitionMatrix  # noqa: E402
 from skewfiber.transfer import change_between, fixed_point  # noqa: E402
 
 FAST = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+BRACKET = settings(max_examples=90, deadline=None, derandomize=True, database=None)
 
 positions = st.floats(0.0, 1.0, allow_subnormal=False)
 weights = st.floats(-2.0, 2.0, allow_subnormal=False)
@@ -38,7 +39,7 @@ def measures(draw, max_atoms=6):
 
 
 @st.composite
-def near_balanced_pairs(draw, max_atoms=6):
+def near_balanced_pairs(draw, max_atoms=6, weights=weights, positions=positions):
     """(mu, nu) whose totals agree up to rounding plus a residual below 1e-9."""
     n = draw(st.integers(1, max_atoms))
     w = np.array(draw(st.lists(weights, min_size=n, max_size=n)))
@@ -52,7 +53,61 @@ def near_balanced_pairs(draw, max_atoms=6):
     return mu, nu
 
 
+# The LP oracle is exact only up to its solver's feasibility tolerance, which
+# lets g step across gaps narrower than it and scales with the weights, so
+# the tight bracket draws atoms on a 2^-12 grid and weights of at least 1e-3.
+grid_positions = st.integers(0, 1 << 12).map(lambda i: i / 4096)
+positive_weights = st.floats(1e-3, 2.0)
+sizable_weights = st.one_of(positive_weights, positive_weights.map(lambda x: -x))
+
+
+@st.composite
+def one_signed_pairs(draw, max_atoms=6):
+    """(mu, nu) with mu - nu of one sign: a positive mu against zero or a negative nu."""
+    n = draw(st.integers(1, max_atoms))
+    mu = AtomicMeasure(
+        draw(st.lists(grid_positions, min_size=n, max_size=n)),
+        draw(st.lists(positive_weights, min_size=n, max_size=n)),
+    )
+    m = draw(st.integers(0, max_atoms))
+    nu = AtomicMeasure(
+        draw(st.lists(grid_positions, min_size=m, max_size=m)),
+        [-x for x in draw(st.lists(positive_weights, min_size=m, max_size=m))],
+    )
+    return mu, nu
+
+
+@st.composite
+def balanced_pairs(draw, max_atoms=6):
+    """(mu, nu) with exactly equal totals: dyadic weights sum without rounding."""
+    n = draw(st.integers(1, max_atoms))
+    w = np.array(draw(st.lists(st.integers(1, 128), min_size=n, max_size=n))) / 64.0
+    w *= np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    mu = AtomicMeasure(draw(st.lists(grid_positions, min_size=n, max_size=n)), w)
+    order = draw(st.permutations(range(n)))
+    nu = AtomicMeasure(draw(st.lists(grid_positions, min_size=n, max_size=n)), w[list(order)])
+    return mu, nu
+
+
+def net_total(mu, nu):
+    return abs(mu.total_weight() - nu.total_weight())
+
+
 class TestWkProperties:
+    @BRACKET
+    @given(
+        st.one_of(
+            one_signed_pairs(),
+            balanced_pairs(),
+            near_balanced_pairs(weights=sizable_weights, positions=grid_positions),
+        )
+    )
+    def test_closed_forms_within_tight_lp_bracket(self, pair):
+        # the balanced form may overestimate by up to 2 |net total|, never underestimate
+        mu, nu = pair
+        lp = wk_distance_bruteforce(mu, nu)
+        assert lp - 1e-11 <= wk_distance(mu, nu) <= lp + 2 * net_total(mu, nu) + 1e-11
+
     @FAST
     @given(measures(), measures())
     def test_matches_lp_oracle(self, mu, nu):

@@ -1,12 +1,15 @@
 """Tests for disintegrations, the transfer operator, and the fixed point."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_disintegration, random_vanishing_disintegration
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.measures import AtomicMeasure, wk_distance
-from skewfiber.symbolic import ruelle_apply
+from skewfiber.skew import FiberMapSpec, SystemSpec
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, ruelle_apply
 from skewfiber.transfer import (
     Disintegration,
     change_between,
@@ -25,10 +28,32 @@ from skewfiber.transfer import (
 
 CANTOR = cantor_demo()
 DIRAC0 = AtomicMeasure.dirac(0.0)
+# orientation-reversing, overlapping branches: the transfer step gathers atoms
+# out of (row, position) order, so merge_atoms takes its sorting path
+REVERSING = SystemSpec(
+    TransitionMatrix([[1, 1], [1, 1]]),
+    0.5,
+    BaseWeights.bernoulli([0.3, 0.7]),
+    [FiberMapSpec(-0.4, 0.6), FiberMapSpec(0.5, 0.3)],
+)
+# primitive 3-symbol SFT with as many depth-2 words as the full 2-shift
+CYCLE3 = TransitionMatrix([[1, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 
 def product_dirac(sys, depth, x=0.0):
     return Disintegration.product(sys.matrix, depth, AtomicMeasure.dirac(x))
+
+
+def assert_canonical(dis):
+    n_words = len(dis.words())
+    assert dis.row.size == dis.pos.size == dis.w.size
+    assert (dis.w != 0.0).all()
+    assert ((dis.pos >= 0.0) & (dis.pos <= 1.0)).all()
+    assert (np.diff(dis.row) >= 0).all()
+    same_row = np.diff(dis.row) == 0
+    assert (np.diff(dis.pos)[same_row] > 0).all()
+    assert dis.starts.tolist() == np.searchsorted(dis.row, np.arange(n_words + 1)).tolist()
+    assert dis.starts[0] == 0 and dis.starts[-1] == dis.w.size
 
 
 class TestNorms:
@@ -71,7 +96,7 @@ class TestLipConstant:
 
     def test_two_word_point_masses(self):
         fibers = {(0,): AtomicMeasure.dirac(0.0), (1,): AtomicMeasure.dirac(1.0)}
-        dis = Disintegration(CANTOR.matrix, 1, fibers)
+        dis = Disintegration.from_fibers(CANTOR.matrix, 1, fibers)
         assert lip_constant(dis, CANTOR.theta) == pytest.approx(1.0)
 
 
@@ -114,6 +139,24 @@ class TestTransferApply:
             out = transfer_apply(sys, dis)
             assert out.total_mass(sys.weights) == pytest.approx(dis.total_mass(sys.weights), abs=1e-12)
 
+    def test_mismatched_matrix_rejected(self):
+        with pytest.raises(ValueError, match="transition matrices"):
+            transfer_apply(CANTOR, Disintegration.product(CYCLE3, 2, DIRAC0))
+
+    def test_table_stays_canonical(self):
+        rng = np.random.default_rng(12)
+        for sys in (CANTOR, REVERSING, markov_demo(), coupled_demo()):
+            dis = random_disintegration(sys.matrix, 3, rng)
+            for _ in range(3):
+                dis = transfer_apply(sys, dis)
+                assert_canonical(dis)
+                dis, _ = quantize_disintegration(dis, 64)
+                assert_canonical(dis)
+
+    def test_rows_outside_the_words_rejected(self):
+        with pytest.raises(ValueError, match="admissible words"):
+            Disintegration(CANTOR.matrix, 1, [2], [0.5], [1.0])
+
     def test_offset_depth_must_fit(self):
         with pytest.raises(ValueError, match="offset depth"):
             transfer_apply(coupled_demo(), product_dirac(coupled_demo(), 1))
@@ -133,7 +176,7 @@ class TestWordSum:
             assert np.allclose(mu.positions, [0.0, 2 / 9, 2 / 3, 8 / 9])
             assert np.allclose(mu.weights, 0.25)
 
-    @pytest.mark.parametrize("sys", [CANTOR, markov_demo(), coupled_demo()])
+    @pytest.mark.parametrize("sys", [CANTOR, markov_demo(), coupled_demo(), REVERSING])
     @pytest.mark.parametrize("steps", [1, 2, 3, 4])
     def test_matches_iterated_transfer(self, sys, steps):
         depth = 4
@@ -142,6 +185,24 @@ class TestWordSum:
         for _ in range(steps):
             iterated = transfer_apply(sys, iterated)
         assert change_between(direct, iterated) <= 1e-12
+
+    @pytest.mark.parametrize("steps,depth", [(1, 2), (3, 3), (5, 2)])
+    def test_sorting_path_matches_word_sum(self, steps, depth, monkeypatch):
+        sorts = []
+        real = np.lexsort
+
+        def recording(keys, *args, **kwargs):
+            sorts.append(len(keys[0]))
+            return real(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", recording)
+        iterated = Disintegration.product(REVERSING.matrix, depth, DIRAC0)
+        for _ in range(steps):
+            iterated = transfer_apply(REVERSING, iterated)
+            assert_canonical(iterated)
+        assert sorts, "reversing overlapping branches must take the sorting path"
+        direct = word_sum_iterate(REVERSING, DIRAC0, steps, depth)
+        assert change_between(direct, iterated) <= 1e-15
 
     def test_budget_error_advises(self):
         with pytest.raises(ValueError, match="budget"):
@@ -277,14 +338,23 @@ class TestEquilibriumDecay:
             equilibrium_decay(CANTOR, dis, 3)
 
 
+class TestChangeBetween:
+    def test_depth_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            change_between(product_dirac(CANTOR, 2), product_dirac(CANTOR, 3))
+
+    def test_matrix_mismatch_rejected(self):
+        # four words at depth 2 on both sides, so the tables alone would line up
+        with pytest.raises(ValueError, match="matrix"):
+            change_between(Disintegration.product(CYCLE3, 2, DIRAC0), product_dirac(CANTOR, 2))
+
+
 class TestSerialization:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         rng = np.random.default_rng(11)
         dis = random_disintegration(CANTOR.matrix, 3, rng)
         dis.err_bound = 1.5e-4
-        path = tmp_path / "dis.json"
-        dis.save(path)
-        back = Disintegration.load(path)
+        back = Disintegration.from_json_dict(json.loads(json.dumps(dis.to_json_dict())))
         assert back.depth == dis.depth
         assert back.err_bound == dis.err_bound
         assert change_between(back, dis) == 0.0
