@@ -22,9 +22,13 @@ Gordin's conditional expectations need no word sums either: at level n
 their L2 norm is ||P^n s||, the base transfer operator power applied to the
 fiber integrals s of the centered observable (see ``gordin_norms``).
 
-The CLT experiment reads the ``(symbols, ys)`` arrays of ``sample_orbits``
-directly: ``observable_sums`` codes each depth-k window of ``symbols`` and
+The CLT experiment streams its orbits in blocks of trials, about
+``BLOCK_CELLS`` orbit cells each, so memory does not grow with the trial
+count.  ``observable_sums`` reads each block's ``(symbols, ys)`` arrays from
+``sample_orbits`` directly: it codes each depth-k window of ``symbols`` and
 sums the matching fiber components over ``ys``, with no per-orbit copies.
+Sums are per trial and every trial has its own seed, so the result does not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -60,10 +64,12 @@ __all__ = [
 
 DEFAULT_GRID = 1 << 15
 # CLT experiment: inflation of the KS critical value for the plug-in variance,
-# the smallest trial count worth a KS test, and the fiber burn-in per orbit
+# the smallest trial count worth a KS test, the fiber burn-in per orbit, and
+# the orbit cells (steps x trials) sampled per block, 16 MB per float array
 KS_SLACK = 1.3
 MIN_TRIALS = 100
 BURN_IN = 40
+BLOCK_CELLS = 1 << 21
 
 
 class CoboundaryError(RuntimeError):
@@ -392,13 +398,17 @@ def observable_sums(phi, symbols, ys):
     for j in range(1, phi.depth):
         codes = codes * np.intp(n) + symbols[:, j:length + j]
     sums = np.zeros(ys.shape[0])
+    h_last = values = None
     for w in phi.matrix.words(phi.depth):
         c = 0
         for s in w:
             c = c * n + s
         mask = codes == c
         if mask.any():
-            sums += np.where(mask, phi.components[w](ys), 0.0).sum(axis=1)
+            h = phi.components[w]
+            if h is not h_last:  # words sharing one component evaluate it once
+                h_last, values = h, h(ys)
+            sums += np.where(mask, values, 0.0).sum(axis=1)
     return sums
 
 
@@ -423,8 +433,10 @@ def clt_experiment(
 ):
     """Kolmogorov-Smirnov test of the normalized Birkhoff sums.
 
-    ``trials`` independent orbits are sampled, the centered sums S_n/sqrt(n)
-    are compared against the centered normal law with the truncated
+    ``trials`` independent orbits are sampled in blocks of about
+    ``BLOCK_CELLS`` orbit cells, and each block is reduced to its Birkhoff
+    sums before the next is sampled.  The centered sums S_n/sqrt(n) are
+    compared against the centered normal law with the truncated
     asymptotic variance, and the run passes when the KS statistic stays
     below the 5% critical value 1.36/sqrt(trials) inflated by ``KS_SLACK``
     to absorb the plug-in variance noise.
@@ -436,8 +448,16 @@ def clt_experiment(
     if variance.possible_coboundary or variance.sigma2 <= 0.0:
         raise CoboundaryError("coboundary regime, CLT statement vacuous")
     m_phi = integrate_observable(sys, mu0, phi)
-    symbols, ys = sample_orbits(sys, seed, length, trials, burn_in=BURN_IN, window=phi.depth)
-    sums = observable_sums(phi, symbols, ys) - length * m_phi
+    cells = BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
+    block = max(1, BLOCK_CELLS // cells)
+    sums = np.empty(trials)
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        # one expression, so the block's arrays are freed before the next block is sampled
+        sums[lo:hi] = observable_sums(phi, *sample_orbits(
+            sys, seed, length, hi - lo, burn_in=BURN_IN, window=phi.depth, start=lo
+        ))
+    sums -= length * m_phi
     normalized = sums / math.sqrt(length)
     ks = ks_statistic(normalized, variance.sigma)
     threshold = 1.36 / math.sqrt(trials) * KS_SLACK

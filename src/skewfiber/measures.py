@@ -13,7 +13,7 @@ constraints reduce to adjacent differences.  ``wk_distance`` returns closed
 forms for one-signed and balanced net measures and solves the rest exactly by
 dynamic programming over concave piecewise-linear value functions, and
 ``wk_distance_bruteforce`` solves the same program with an off-the-shelf LP
-solver on a refined grid, as an independent cross-check.
+solver on the merged support, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -250,35 +250,34 @@ def wk_norm(mu):
     return wk_distance(mu, ZERO_MEASURE)
 
 
-def wk_distance_bruteforce(mu, nu=ZERO_MEASURE, spacing=1e-3):
-    """Grid LP reference for ``wk_distance``.
+def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
+    """LP reference for ``wk_distance``.
 
-    Solves the same dual program with scipy's LP solver, over test functions
-    that are piecewise linear with vertices on the union of the supports and
-    a uniform grid of the given spacing.  Because the objective only reads g
-    at the atoms and adjacent-difference constraints encode the Lipschitz
-    condition exactly, refining the grid does not change the optimum; the
-    grid is kept anyway so that this reference stays a plain discretization
-    of the definition, independent of the sweep in ``wk_distance``.
+    Solves the same dual program with scipy's LP solver: one variable g_i
+    per atom of the merged support, bounds |g_i| <= 1, and
+    |g_{i+1} - g_i| <= x_{i+1} - x_i, which encodes Lip(g) <= 1 exactly on a
+    line.  The objective only reads g at the atoms, so no finer grid can
+    change the optimum.  The solver may move each g_i past its bounds by up
+    to its feasibility tolerance, so the feasibility tolerances are 1e-10,
+    the smallest HiGHS accepts, not its default 1e-7.  The solver shares no
+    code with the sweep in ``wk_distance``.
     """
     from scipy import sparse
     from scipy.optimize import linprog
 
     x, c = _net_coefficients(mu, nu)
-    if x.size == 0:
+    n = x.size
+    if n == 0:
         return 0.0
-    grid = np.unique(np.concatenate([x, np.arange(0.0, 1.0 + spacing / 2, spacing), [1.0]]))
-    idx = np.searchsorted(grid, x)
-    obj = np.zeros(grid.size)
-    obj[idx] = -c  # linprog minimizes
-    n = grid.size
-    gaps = np.diff(grid)
+    gaps = np.diff(x)
     rows = np.repeat(np.arange(2 * (n - 1)), 2)
     cols = np.tile(np.stack([np.arange(n - 1), np.arange(1, n)], axis=1).ravel(), 2)
     data = np.concatenate([np.tile([-1.0, 1.0], n - 1), np.tile([1.0, -1.0], n - 1)])
     a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(2 * (n - 1), n))
     b_ub = np.concatenate([gaps, gaps])
-    res = linprog(obj, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs")
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    # linprog minimizes
+    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs", options=tol)
     if not res.success:
         raise RuntimeError(f"reference LP failed: {res.message}")
     return float(-res.fun)

@@ -8,7 +8,9 @@ product); deeper offset tables couple the fiber to the base and produce
 genuinely non-product invariant measures.
 
 ``sample_orbits`` returns a batch of orbits as two arrays, the symbol
-tracks and the fiber coordinates, one row per trial.
+tracks and the fiber coordinates, one row per trial.  Each trial draws from
+its own spawn key, so a batch can start at any trial index, and a stream of
+blocks gives the same rows, bit for bit, as one whole batch.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def c1_constant(sys):
 # ---------------------------------------------------------------------------
 
 
-def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
+def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     """Sample many independent orbits with per-trial derived seeds.
 
     Returns ``(symbols, ys)``: ``symbols`` is trials x (length + w - 1),
@@ -196,8 +198,10 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
     evaluated at recorded step t via ``symbols[:, t:t+k]``, and ``ys`` is
     trials x length, the fiber coordinate before each recorded step.
 
-    Trial t draws its uniforms from the spawn key (t,) of the root seed
-    sequence, so results do not depend on batching or evaluation order.
+    The batch holds trials ``start`` to ``start + trials - 1``.  Trial t
+    draws its uniforms from the spawn key (t,) of the root seed sequence,
+    so results do not depend on batching or evaluation order: rows lo:hi of
+    a batch from trial 0 equal the batch of hi - lo trials from ``start=lo``.
     Every symbol track starts from the stationary law and is continued by
     the inverse CDF of the transition row of the previous symbol; one loop
     over time maps the uniforms of all trials at once (a Bernoulli base is
@@ -215,7 +219,7 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1):
     # time-major, so every step of the loops below reads one contiguous row
     uniforms = np.empty((total, trials))
     for t in range(trials):
-        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(t,))
+        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(start + t,))
         uniforms[:, t] = np.random.default_rng(child).random(total)
     n = sys.n_symbols
     # row n is the start law: the track begins in a virtual state whose next-symbol law is pi

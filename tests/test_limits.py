@@ -322,6 +322,22 @@ class TestCLT:
             direct = sum(phi.evaluate(tuple(track[t:t + 2]), path[t]) for t in range(40))
             assert total == pytest.approx(direct, abs=1e-10)
 
+    def test_shared_component_is_evaluated_once(self):
+        from skewfiber.skew import sample_orbits
+
+        calls = []
+        h = PiecewiseLinearFn.identity()
+
+        def counted(ys):
+            calls.append(ys.shape)
+            return h(ys)
+
+        phi = Observable.fiber(MARKOV3.matrix, counted)
+        symbols, ys = sample_orbits(MARKOV3, seed=2, length=30, trials=6, burn_in=5)
+        sums = observable_sums(phi, symbols, ys)
+        assert len(calls) == 1
+        assert np.array_equal(sums, observable_sums(Observable.fiber(MARKOV3.matrix, h), symbols, ys))
+
     def test_deep_window_codes_do_not_overflow(self):
         # depth-6 windows over 3 symbols have codes up to 728, beyond the
         # one-byte symbol dtype, and every word gets its own component
@@ -354,6 +370,40 @@ class TestCLT:
         res = clt_experiment(CANTOR, mu0, height_obs(), length=300, trials=400, seed=0)
         assert res.passed
         assert res.sigma == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("sys_name", ["cantor", "markov3"])
+    def test_ks_statistic_does_not_depend_on_the_block(self, sys_name, monkeypatch, mu0, mu0_markov3):
+        from skewfiber import limits
+
+        sys, mu, length, trials = {
+            "cantor": (CANTOR, mu0, 60, 100),
+            "markov3": (MARKOV3, mu0_markov3, 50, 100),
+        }[sys_name]
+        phi = height_obs(sys)
+        variance = asymptotic_variance(sys, mu, phi, truncation=10)
+        cells = limits.BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
+        results = []
+        for per_block in (trials, 7, 1):
+            monkeypatch.setattr(limits, "BLOCK_CELLS", per_block * cells)
+            res = clt_experiment(sys, mu, phi, length, trials, seed=4, variance=variance)
+            results.append(res.ks_statistic)
+        assert results[0] == results[1] == results[2]
+
+    def test_memory_does_not_grow_with_trials(self, mu0):
+        import tracemalloc
+
+        phi = height_obs()
+        variance = asymptotic_variance(CANTOR, mu0, phi, truncation=10)
+        peaks = []
+        for trials in (1000, 4000):
+            tracemalloc.start()
+            try:
+                clt_experiment(CANTOR, mu0, phi, length=2000, trials=trials, seed=1, variance=variance)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one block at length 2000 holds 1028 trials, so both runs peak at one block
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_too_few_trials_rejected(self, mu0):
         with pytest.raises(ValueError, match="trials"):

@@ -61,17 +61,21 @@ positive_weights = st.floats(1e-3, 2.0)
 sizable_weights = st.one_of(positive_weights, positive_weights.map(lambda x: -x))
 
 
+# atoms far closer than HiGHS's default feasibility tolerance of 1e-7
+close_positions = st.sampled_from([0.0, 1e-287, 1e-38, 1e-14, 1e-11, 1e-9])
+
+
 @st.composite
-def one_signed_pairs(draw, max_atoms=6):
+def one_signed_pairs(draw, max_atoms=6, positions=grid_positions):
     """(mu, nu) with mu - nu of one sign: a positive mu against zero or a negative nu."""
     n = draw(st.integers(1, max_atoms))
     mu = AtomicMeasure(
-        draw(st.lists(grid_positions, min_size=n, max_size=n)),
+        draw(st.lists(positions, min_size=n, max_size=n)),
         draw(st.lists(positive_weights, min_size=n, max_size=n)),
     )
     m = draw(st.integers(0, max_atoms))
     nu = AtomicMeasure(
-        draw(st.lists(grid_positions, min_size=m, max_size=m)),
+        draw(st.lists(positions, min_size=m, max_size=m)),
         [-x for x in draw(st.lists(positive_weights, min_size=m, max_size=m))],
     )
     return mu, nu
@@ -107,6 +111,16 @@ class TestWkProperties:
         mu, nu = pair
         lp = wk_distance_bruteforce(mu, nu)
         assert lp - 1e-11 <= wk_distance(mu, nu) <= lp + 2 * net_total(mu, nu) + 1e-11
+
+    @BRACKET
+    @given(one_signed_pairs(positions=close_positions))
+    def test_lp_oracle_exact_on_close_atoms(self, pair):
+        # a one-signed net measure has norm |total|, however close its atoms;
+        # the solver may still move each g_i past its bound by up to its
+        # feasibility tolerance 1e-10, which costs at most 1e-10 |total|
+        mu, nu = pair
+        total = net_total(mu, nu)
+        assert abs(wk_distance_bruteforce(mu, nu) - total) <= 1e-10 * total
 
     @FAST
     @given(measures(), measures())

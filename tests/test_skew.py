@@ -164,6 +164,18 @@ class TestOrbits:
         _, again = sample_orbits(sys, seed=5, length=50, trials=2, burn_in=5)
         assert np.array_equal(many[1], again[1])
 
+    @pytest.mark.parametrize("name", ["cantor", "markov", "markov3"])
+    def test_block_from_start_equals_rows_of_full_batch(self, name):
+        sys = {"cantor": cantor_demo(), "markov": markov_demo(), "markov3": MARKOV3}[name]
+        symbols, ys = sample_orbits(sys, seed=9, length=40, trials=23, burn_in=6, window=2)
+        for lo, hi in ((0, 23), (0, 7), (7, 14), (14, 23), (22, 23)):
+            part_symbols, part_ys = sample_orbits(
+                sys, seed=9, length=40, trials=hi - lo, burn_in=6, window=2, start=lo
+            )
+            assert np.array_equal(part_symbols, symbols[lo:hi])
+            assert part_symbols.dtype == symbols.dtype
+            assert np.array_equal(part_ys, ys[lo:hi])
+
     def test_markov_track_starts_stationary(self):
         symbols, _ = sample_orbits(markov_demo(), seed=2, length=1, trials=4000, burn_in=0)
         assert np.mean(symbols[:, 0] == 0) == pytest.approx(5 / 6, abs=0.02)
