@@ -26,7 +26,7 @@ from .symbolic import (
     CylinderFunction,
     TransitionMatrix,
     base_correlation,
-    base_gap_estimate,
+    base_rate,
     cylinder_mass_vector,
     enumerate_words,
     ruelle_apply,

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .limits import (
+    MIN_TRIALS,
     CoboundaryError,
     InconsistencyError,
     Observable,
@@ -56,7 +57,7 @@ from .symbolic import (
     BaseWeights,
     CylinderFunction,
     TransitionMatrix,
-    base_gap_estimate,
+    base_rate,
     cylinder_mass_vector,
     ruelle_apply,
 )
@@ -94,6 +95,7 @@ _TOP_KEYS = {"system", "depth", "grid", "tol", "seed", "stability", "correlation
 _SYSTEM_KEYS = {"matrix", "theta", "weights", "fiber_maps", "offset_depth"}
 _WEIGHT_KEYS = {"kind", "p", "transition", "stationary"}
 _MAP_KEYS = {"slope", "offset", "offset_table"}
+# "k5" is accepted and ignored: the bundled cantor demo and the cantor benchmark config carry it
 _STAB_KEYS = {"kind", "fiber_direction", "weight_direction", "deltas", "delta_max", "k5",
               "depth", "grid", "tol"}
 _CORR_KEYS = {"nmax", "psi", "phi", "gordin_nmax"}
@@ -193,7 +195,11 @@ def parse_observable(block, matrix, pointer):
         depth = int(_require(block, "depth", pointer))
         comps = {}
         for k, sub in _require(block, "components", pointer).items():
-            comps[_parse_word(k, pointer)] = PiecewiseLinearFn(sub["breakpoints"], sub["values"])
+            sp = f"{pointer}/components/{k}"
+            _reject_unknown(sub, {"breakpoints", "values"}, sp)
+            comps[_parse_word(k, pointer)] = PiecewiseLinearFn(
+                _require(sub, "breakpoints", sp), _require(sub, "values", sp)
+            )
         return Observable(matrix, depth, comps)
     raise ConfigError(f"{pointer}/type", f"unknown observable type {kind!r}")
 
@@ -223,7 +229,20 @@ def parse_config(path):
     seed = int(raw.get("seed", 0))
     for name, keys in (("stability", _STAB_KEYS), ("correlations", _CORR_KEYS), ("clt", _CLT_KEYS)):
         if name in raw:
+            if not isinstance(raw[name], dict):
+                raise ConfigError(f"/{name}", f"{name} block must be an object")
             _reject_unknown(raw[name], keys, f"/{name}")
+    for name, key, minimum in (
+        ("clt", "length", 1), ("clt", "trials", MIN_TRIALS), ("clt", "truncation", 1),
+        ("correlations", "nmax", 0), ("correlations", "gordin_nmax", 0),
+        ("stability", "depth", system.offset_depth), ("stability", "grid", 2),
+    ):
+        value = raw.get(name, {}).get(key, minimum)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"/{name}/{key}", f"must be an integer >= {minimum}, got {value!r}")
+    value = raw.get("stability", {}).get("tol", 1.0)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigError("/stability/tol", f"must be a positive number, got {value!r}")
     if "correlations" in raw:
         for obs_key in ("psi", "phi"):
             if obs_key in raw["correlations"]:
@@ -355,12 +374,8 @@ def run_fixed_point(config, out_dir):
 def run_spectral(config, out_dir):
     report = Report("spectral", config, out_dir)
     sys_ = config.system
-    rate, constant = base_gap_estimate(
-        sys_.weights, sys_.matrix, sys_.theta, depth=min(config.depth, 4), iters=10,
-        seed=config.seed,
-    )
+    rate = base_rate(sys_.weights)
     report.metric("base_rate", rate)
-    report.metric("base_constant", constant)
     report.check("base_gap_below_one", rate < 1.0, f"rate={rate!r}")
     diff = AtomicMeasure([0.0, 1.0], [1.0, -1.0])
     dis = Disintegration.product(sys_.matrix, config.depth, diff)
@@ -386,7 +401,6 @@ def _build_family(config):
         fiber_direction=block.get("fiber_direction"),
         weight_direction=block.get("weight_direction"),
         delta_max=block.get("delta_max", 0.2),
-        k5=block.get("k5"),
     )
 
 

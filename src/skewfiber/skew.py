@@ -5,7 +5,9 @@ point: branch i acts by y -> a_i y + b_i, optionally corrected by an
 additive offset read from the first ``offset_depth`` symbols.  Depth 1
 reproduces plain iterated function systems (whose invariant measure is a
 product); deeper offset tables couple the fiber to the base and produce
-genuinely non-product invariant measures.
+genuinely non-product invariant measures.  The branch maps are one table
+built once, ``SystemSpec.code_tables``; ``SystemSpec.word_branches`` reads
+it for every admissible word of a working depth.
 
 ``sample_orbits`` returns a batch of orbits as two arrays, the symbol
 tracks and the fiber coordinates, one row per trial.  Each trial draws from
@@ -120,24 +122,40 @@ class SystemSpec:
         """Slope/offset lookups indexed by the encoded depth-d symbol window."""
         if self._code_tables is None:
             d = self.offset_depth
-            n = self.n_symbols
-            slopes = np.zeros(n**d)
-            offsets = np.zeros(n**d)
-            for word in self.matrix.words(d):
-                code = 0
-                for s in word:
-                    code = code * n + s
-                t = self.branch_map(word)
-                slopes[code] = t.a
-                offsets[code] = t.b
+            maps = [self.branch_map(word) for word in self.matrix.words(d)]
+            codes = _codes(self.matrix.word_array(d).T, self.n_symbols)
+            slopes, offsets = np.zeros((2, self.n_symbols**d))
+            slopes[codes] = [t.a for t in maps]
+            offsets[codes] = [t.b for t in maps]
             self._code_tables = (slopes, offsets)
         return self._code_tables
+
+    def word_branches(self, depth):
+        """Branch slopes and offsets of the depth-``depth`` words, read at their offset prefixes."""
+        d = self.offset_depth
+        if depth < d:
+            raise ValueError(f"offset depth {d} exceeds the working depth {depth}")
+        codes = _codes(self.matrix.word_array(depth).T[:d], self.n_symbols)
+        slopes, offsets = self.code_tables()
+        return slopes[codes], offsets[codes]
 
     def __repr__(self):
         return (
             f"SystemSpec(N={self.n_symbols}, theta={self.theta!r}, "
             f"{self.weights!r}, depth={self.offset_depth})"
         )
+
+
+def _codes(columns, n):
+    """Base-n code of symbol windows given column by column, first symbol most significant.
+
+    The codes reach n^d - 1, so past one column they are built in intp,
+    whatever the symbol dtype.
+    """
+    codes = columns[0]
+    for column in columns[1:]:
+        codes = codes * np.intp(n) + column
+    return codes
 
 
 def verify_G1(sys):
@@ -159,15 +177,11 @@ def estimate_H(sys):
     y = 1.
     """
     d = sys.offset_depth
-    words = sys.matrix.words(d)
+    a, b = sys.word_branches(d)
+    da, db = a[:, None] - a[None, :], b[:, None] - b[None, :]
     dist = word_distances(sys.matrix, d, sys.theta)
-    best = 0.0
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            ta, tb = sys.branch_map(words[a]), sys.branch_map(words[b])
-            da, db = ta.a - tb.a, ta.b - tb.b
-            best = max(best, max(abs(db), abs(da + db)) / dist[a, b])
-    return float(best)
+    mask = dist > 0
+    return float((np.maximum(np.abs(db), np.abs(da + db))[mask] / dist[mask]).max(initial=0.0))
 
 
 def c1_constant(sys):
@@ -178,7 +192,7 @@ def c1_constant(sys):
     symbols, so depth 2 already realizes the supremum.
     """
     h = estimate_H(sys)
-    words = np.asarray(sys.matrix.words(2))
+    words = sys.matrix.word_array(2)
     vals = sys.weights.jacobian[words[:, 0], words[:, 1]]
     g_lip = CylinderFunction(sys.matrix, 2, vals).lipschitz(sys.theta)
     return max(h * sys.theta + sys.theta * sys.n_symbols * g_lip, 2.0)
@@ -237,10 +251,7 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     del uniforms  # lowers the peak memory of the fiber pass
     slopes, offsets = sys.code_tables()
     d = sys.offset_depth
-    # the codes reach n^d - 1, so they are built in intp, not in the track dtype
-    codes = tracks[: total - d + 1]
-    for j in range(1, d):
-        codes = codes * np.intp(n) + tracks[j: total - d + 1 + j]
+    codes = _codes([tracks[j: total - d + 1 + j] for j in range(d)], n)
     y = np.full(trials, 0.5)
     ys = np.empty((trials, length))
     for t in range(burn_in + length):

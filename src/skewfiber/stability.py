@@ -18,7 +18,7 @@ import numpy as np
 
 from .measures import pushforward, wk_distance
 from .skew import FiberMapSpec, SystemSpec, c1_constant
-from .symbolic import BaseWeights, base_gap_estimate, cylinder_mass_vector
+from .symbolic import BaseWeights, base_rate, cylinder_mass_vector
 from .transfer import (
     ConvergenceError,
     FixedPointResult,
@@ -44,9 +44,6 @@ __all__ = [
 KINDS = ("fiber_shift", "base_weights", "combined")
 # cylinder depth of the U3 density-ratio proxy
 U3_DEPTH = 6
-# depth and power-iteration count of the A1 base spectral-gap envelope
-GAP_DEPTH = 3
-GAP_ITERS = 8
 
 
 @dataclass
@@ -58,7 +55,6 @@ class PerturbationFamily:
     fiber_direction: np.ndarray | None = None
     weight_direction: np.ndarray | None = None
     delta_max: float = 0.2
-    k5: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -112,8 +108,7 @@ class AdmissibilityRow:
     fiber_gap: float  # U2.2 quantity
     density_ratio: float  # finite-depth U3 proxy
     c1: float  # A2 quantity
-    base_rate: float  # A1 envelope rate
-    base_constant: float
+    base_rate: float  # A1 quantity, exact
 
     @property
     def r_delta(self):
@@ -126,7 +121,6 @@ class AdmissibilityReport:
     sup_c1: float
     sup_density_ratio: float
     a1_rate: float
-    a1_constant: float
 
     @property
     def c1_finite(self):
@@ -147,12 +141,9 @@ def _jacobian_gap(sys0, sys_d):
 
 def _fiber_gap(sys0, sys_d):
     # an affine gap in y peaks at an endpoint of [0, 1]
-    worst = 0.0
-    for u in sys0.matrix.words(sys0.offset_depth):
-        t0, td = sys0.branch_map(u), sys_d.branch_map(u)
-        da, db = t0.a - td.a, t0.b - td.b
-        worst = max(worst, abs(db), abs(da + db))
-    return worst
+    (a0, b0), (ad, bd) = (s.word_branches(sys0.offset_depth) for s in (sys0, sys_d))
+    da, db = a0 - ad, b0 - bd
+    return float(np.maximum(np.abs(db), np.abs(da + db)).max())
 
 
 def admissibility_report(fam, deltas):
@@ -161,8 +152,9 @@ def admissibility_report(fam, deltas):
     Per delta: the summed jacobian-weight discrepancy maximized over target
     symbols, the supremum gap of the fiber maps over the offset cylinders,
     the largest depth-``U3_DEPTH`` cylinder mass ratio against the base, the
-    regularity constant of the realized system, and a base spectral-gap
-    envelope fit.  R(delta) is the larger of the first two.
+    regularity constant of the realized system, and the exact base rate
+    ``symbolic.base_rate`` of its base chain.  R(delta) is the larger of the
+    first two.
     """
     if len(deltas) == 0:
         raise ValueError("need a nonempty delta grid")
@@ -172,9 +164,6 @@ def admissibility_report(fam, deltas):
         sys_d = realize(fam, delta)
         masses_d = cylinder_mass_vector(sys_d.weights, sys_d.matrix, U3_DEPTH)
         ratio = max(1.0, float((masses_d / masses_0).max()))
-        rate, constant = base_gap_estimate(
-            sys_d.weights, sys_d.matrix, sys_d.theta, depth=GAP_DEPTH, iters=GAP_ITERS
-        )
         rows.append(
             AdmissibilityRow(
                 delta=float(delta),
@@ -182,8 +171,7 @@ def admissibility_report(fam, deltas):
                 fiber_gap=_fiber_gap(fam.base, sys_d),
                 density_ratio=ratio,
                 c1=c1_constant(sys_d),
-                base_rate=rate,
-                base_constant=constant,
+                base_rate=base_rate(sys_d.weights),
             )
         )
     return AdmissibilityReport(
@@ -191,7 +179,6 @@ def admissibility_report(fam, deltas):
         sup_c1=max(row.c1 for row in rows),
         sup_density_ratio=max(row.density_ratio for row in rows),
         a1_rate=max(row.base_rate for row in rows),
-        a1_constant=max(row.base_constant for row in rows),
     )
 
 

@@ -13,8 +13,9 @@ Every base measure is a stationary Markov chain (pi, P); a Bernoulli
 measure p is stored as the chain with all rows equal to p, so cylinder
 masses and jacobian weights have one formula each.  The base quantities
 are arrays built once: ``BaseWeights.jacobian`` (the N x N branch weights),
-``cylinder_mass_vector`` (one mass per word) and ``word_distances`` (the
-word-by-word distance table).
+``cylinder_mass_vector`` (one mass per word), ``word_distances`` (the
+word-by-word distance table) and ``TransitionMatrix.preimages`` (which word
+precedes which, under which symbol), the table the transfer operators read.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
     "word_distances",
     "cylinder_mass_vector",
     "ruelle_apply",
-    "base_gap_estimate",
+    "base_rate",
     "base_correlation",
 ]
 
@@ -72,6 +73,36 @@ class TransitionMatrix:
         key = ("index", depth)
         if key not in self._word_cache:
             self._word_cache[key] = {w: i for i, w in enumerate(self.words(depth))}
+        return self._word_cache[key]
+
+    def word_array(self, depth):
+        """``words(depth)`` as a read-only intp array, one word per row."""
+        key = ("array", depth)
+        if key not in self._word_cache:
+            arr = np.asarray(self.words(depth), dtype=np.intp)
+            arr.flags.writeable = False
+            self._word_cache[key] = arr
+        return self._word_cache[key]
+
+    def preimages(self, depth):
+        """Admissible one-symbol extensions i.w of the depth-``depth`` words, as intp arrays.
+
+        Returns ``(target, source, symbol, head)`` sorted by (target, symbol):
+        word ``source`` is ``(symbol,) + words[target][:-1]`` and ``head`` is
+        the target's first symbol, so the branch weight is ``jacobian[symbol, head]``.
+        """
+        key = ("preimages", depth)
+        if key not in self._word_cache:
+            if depth < 1:
+                raise ValueError("preimages need depth at least 1")
+            words, index = self.words(depth), self.word_index(depth)
+            head = self.word_array(depth)[:, 0]
+            target, symbol = np.nonzero(self.entries.T[head])
+            source = [index[(i,) + words[t][:-1]] for t, i in zip(target.tolist(), symbol.tolist())]
+            tables = (target, np.array(source, dtype=np.intp), symbol, head[target])
+            for table in tables:
+                table.flags.writeable = False
+            self._word_cache[key] = tables
         return self._word_cache[key]
 
     def word_count(self, depth):
@@ -199,7 +230,7 @@ def word_distances(matrix, depth, theta):
     and b disagree, added one coordinate at a time in increasing i.
     """
     theta = check_theta(theta)
-    arr = np.asarray(matrix.words(depth))
+    arr = matrix.word_array(depth)
     dist = np.zeros((len(arr), len(arr)))
     for i in range(depth):
         dist += np.where(arr[:, None, i] != arr[None, :, i], theta**i, 0.0)
@@ -213,7 +244,7 @@ def cylinder_mass_vector(weights, matrix, depth):
     """
     if depth == 0:
         return np.ones(1)
-    arr = np.asarray(matrix.words(depth))
+    arr = matrix.word_array(depth)
     mass = weights.stationary[arr[:, 0]]
     for j in range(1, depth):
         mass = mass * weights.transition[arr[:, j - 1], arr[:, j]]
@@ -273,61 +304,27 @@ class CylinderFunction:
 def ruelle_apply(f, weights):
     """One step of the normalized transfer operator on a cylinder function.
 
-    (Pf)(word) = sum over admissible symbols i of g(i.word) f(i.word[:-1]).
-    The result is again stored at the same depth but is constant on cylinders
-    one level shorter; the operator is exact on functions constant on
-    cylinders of the stored depth.
+    (Pf)(word) = sum over admissible symbols i of g(i.word) f(i.word[:-1]),
+    added in symbol order from ``TransitionMatrix.preimages``.  The result is
+    stored at the same depth but is constant on cylinders one level shorter;
+    the operator is exact on functions constant on cylinders of that depth.
     """
-    matrix = f.matrix
     if f.depth < 1:
         raise ValueError("ruelle_apply needs depth at least 1")
-    words = matrix.words(f.depth)
-    index = matrix.word_index(f.depth)
-    jacobian = weights.jacobian.tolist()
-    out = np.zeros(len(words))
-    for k, w in enumerate(words):
-        total = 0.0
-        for i in range(matrix.n_symbols):
-            g = jacobian[i][w[0]]
-            if g:
-                total += g * f.values[index[(i,) + w[:-1]]]
-        out[k] = total
-    return CylinderFunction(matrix, f.depth, out)
+    target, source, symbol, head = f.matrix.preimages(f.depth)
+    out = np.bincount(target, weights.jacobian[symbol, head] * f.values[source])
+    return CylinderFunction(f.matrix, f.depth, out)
 
 
-def base_gap_estimate(weights, matrix, theta, depth, iters, seed=0, n_functions=4):
-    """Empirical spectral gap of the base transfer operator.
+def base_rate(weights):
+    """Exact rate of the base transfer operator on zero-mean functions.
 
-    Power-iterates ``ruelle_apply`` on seeded random zero-mean cylinder
-    functions and fits the norm envelope ||P^k f||_theta <= C r^k by least
-    squares on the log norms.  Returns (rate, constant); the rate is 0 when
-    the iterate norms collapse below 1e-14 (exact for a Bernoulli base once
-    the depth is exhausted).
+    It is the spectral radius of P - 1 pi^T, the largest |eigenvalue| of P
+    other than the Perron 1, at every depth: d - 1 steps of ``ruelle_apply``
+    leave a depth-1 function, moved by ``jacobian``^T, which has the
+    eigenvalues of P.  It is exactly 0 on a Bernoulli base.
     """
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
-    rng = np.random.default_rng(seed)
-    envelope = np.zeros(iters)
-    for _ in range(n_functions):
-        vals = rng.standard_normal(matrix.word_count(depth))
-        f = CylinderFunction(matrix, depth, vals)
-        f = f.shifted(-f.mean(weights))
-        norm0 = f.norm_theta(theta)
-        if norm0 > 0:
-            f = CylinderFunction(matrix, depth, f.values / norm0)
-        for k in range(iters):
-            f = ruelle_apply(f, weights)
-            envelope[k] = max(envelope[k], f.norm_theta(theta))
-    usable = envelope > 1e-14
-    if usable.sum() < 2 or not usable[-1]:
-        return 0.0, float(envelope.max(initial=0.0))
-    ks = np.arange(1, iters + 1)[usable]
-    logs = np.log(envelope[usable])
-    slope, intercept = np.polyfit(ks, logs, 1)
-    rate = float(np.exp(slope))
-    # inflate the fitted constant to an actual envelope of the data
-    constant = float(np.max(envelope[usable] / rate ** ks)) if rate > 0 else float(envelope.max())
-    return rate, constant
+    return float(np.abs(np.linalg.eigvals(weights.transition - weights.stationary)).max())
 
 
 def base_correlation(weights, matrix, psi, s, lag):

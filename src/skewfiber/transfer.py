@@ -185,26 +185,16 @@ def transfer_apply(sys, dis):
     The accumulated error bound contracts by the fiber rate: the tracked
     error is always against an equal-mass reference, and branch pushforwards
     shrink equal-mass discrepancies by at least alpha before the convex
-    jacobian mixing.  The step is one gather of source fibers into one merge.
+    jacobian mixing.  The terms come from ``TransitionMatrix.preimages`` and
+    ``SystemSpec.word_branches``; the step is one gather of source fibers
+    into one merge.
     """
     if dis.matrix != sys.matrix:
         raise ValueError("disintegration and system use different transition matrices")
-    if sys.offset_depth > dis.depth:
-        raise ValueError(
-            f"offset depth {sys.offset_depth} exceeds the working depth {dis.depth}"
-        )
-    jacobian = sys.weights.jacobian.tolist()
-    index = sys.matrix.word_index(dis.depth)
-    # one term (target row, source row, g, a, b) per nonzero branch weight
-    terms = []
-    for r, w in enumerate(dis.words()):
-        for i in range(sys.n_symbols):
-            g = jacobian[i][w[0]]
-            if g != 0.0:
-                source = (i,) + w[:-1]
-                t = sys.branch_map(source)
-                terms.append((r, index[source], g, t.a, t.b))
-    target, source, g, a, b = (np.array(col) for col in zip(*terms))
+    # one term (target, source, g, a, b) per admissible extension, each with g > 0
+    target, source, symbol, head = sys.matrix.preimages(dis.depth)
+    g = sys.weights.jacobian[symbol, head]
+    a, b = (v[source] for v in sys.word_branches(dis.depth))
     lo = dis.starts[source]
     counts = dis.starts[source + 1] - lo
     # atom k of term j reads the table at lo[j] + k

@@ -73,7 +73,7 @@ def height_observable():
 
 def shift_family():
     return PerturbationFamily(
-        CANTOR, "fiber_shift", fiber_direction=[0.0, -1.0], delta_max=0.2, k5=1.0
+        CANTOR, "fiber_shift", fiber_direction=[0.0, -1.0], delta_max=0.2
     )
 
 

@@ -101,7 +101,37 @@ class TestParseConfig:
         assert config.seed == 1
 
 
+# (block, key, malformed value, JSON pointer of the offender)
+MALFORMED = [
+    ("clt", "length", "abc", "/clt/length"),
+    ("clt", "trials", 500.5, "/clt/trials"),
+    ("clt", "truncation", True, "/clt/truncation"),
+    ("stability", "depth", "x", "/stability/depth"),
+    ("stability", "tol", 0, "/stability/tol"),
+    ("correlations", "nmax", -1, "/correlations/nmax"),
+    ("correlations", "gordin_nmax", "a", "/correlations/gordin_nmax"),
+    (
+        "correlations", "phi",
+        {"type": "components", "depth": 1, "components": {
+            "0": {"values": [0.0, 1.0]},
+            "1": {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]},
+        }},
+        "/correlations/phi/components/0",
+    ),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("block,key,value,pointer", MALFORMED, ids=[f"{m[0]}.{m[1]}" for m in MALFORMED])
+    def test_malformed_experiment_block_is_config_error(
+        self, block, key, value, pointer, config_path, tmp_path, capsys
+    ):
+        cfg = small_config()
+        cfg[block][key] = value
+        code = main([block, "--config", config_path(cfg), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert f"config error: {pointer}:" in capsys.readouterr().err
+
     def test_verify_passes(self, config_path, tmp_path):
         code = main(["verify", "--config", config_path(small_config()), "--out", str(tmp_path / "v")])
         assert code == 0
@@ -147,6 +177,19 @@ class TestExitCodes:
 
 
 class TestArtifacts:
+    def test_spectral_does_not_depend_on_seed(self, config_path, tmp_path):
+        cfg = small_config()
+        cfg["system"]["weights"] = {"kind": "markov", "transition": [[0.9, 0.1], [0.5, 0.5]]}
+        path = config_path(cfg)
+        outs = [tmp_path / "s0", tmp_path / "s5"]
+        for seed, out in zip(("0", "5"), outs):
+            assert main(["spectral", "--config", path, "--out", str(out), "--seed", seed]) == 0
+        a, b = (json.loads((out / "summary.json").read_text()) for out in outs)
+        assert a["metrics"] == b["metrics"]
+        # oracle: the chain's eigenvalues are 1 and 0.4
+        assert a["metrics"]["base_rate"] == pytest.approx(0.4, abs=1e-12)
+        assert (outs[0] / "equilibrium.csv").read_bytes() == (outs[1] / "equilibrium.csv").read_bytes()
+
     def test_stability_csv_columns(self, config_path, tmp_path):
         out = tmp_path / "s"
         code = main(["stability", "--config", config_path(small_config()), "--out", str(out)])

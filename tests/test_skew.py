@@ -88,6 +88,19 @@ class TestEstimateH:
             dense = np.abs((ta.a - tb.a) * ys + (ta.b - tb.b)).max()
             assert estimate_H(sys) == dense / word_distances(FULL2, 1, sys.theta)[0, 1]
 
+    @pytest.mark.parametrize("sys", [coupled_demo(), MARKOV3])
+    def test_matches_pairwise_branch_loop(self, sys):
+        # oracle: the supremum over y of |G(u, y) - G(v, y)| / d(u, v), pair by pair
+        words = sys.matrix.words(sys.offset_depth)
+        dist = word_distances(sys.matrix, sys.offset_depth, sys.theta)
+        best = 0.0
+        for a in range(len(words)):
+            for b in range(a + 1, len(words)):
+                ta, tb = sys.branch_map(words[a]), sys.branch_map(words[b])
+                da, db = ta.a - tb.a, ta.b - tb.b
+                best = max(best, max(abs(db), abs(da + db)) / dist[a, b])
+        assert estimate_H(sys) == best
+
     def test_constant_offsets_give_zero(self):
         sys = SystemSpec(FULL2, 0.5, FAIR, [FiberMapSpec(0.5, 0.25), FiberMapSpec(0.5, 0.25)])
         assert estimate_H(sys) == 0.0

@@ -30,7 +30,7 @@ CANTOR = cantor_demo()
 
 def shift_family(delta_max=0.2):
     return PerturbationFamily(
-        CANTOR, "fiber_shift", fiber_direction=[0.0, -1.0], delta_max=delta_max, k5=1.0
+        CANTOR, "fiber_shift", fiber_direction=[0.0, -1.0], delta_max=delta_max
     )
 
 
@@ -106,6 +106,12 @@ class TestAdmissibility:
     def test_a1_envelope_collapses_for_bernoulli(self):
         report = admissibility_report(weight_family(), [0.05, 0.01])
         assert report.a1_rate == 0.0
+
+    def test_a1_rate_is_exact_base_rate(self):
+        # oracle: markov_demo's chain has eigenvalues 1 and 0.4
+        fam = PerturbationFamily(markov_demo(), "fiber_shift", fiber_direction=[0.0, -1.0])
+        report = admissibility_report(fam, [0.05, 0.01])
+        assert report.a1_rate == pytest.approx(0.4, abs=1e-12)
 
     def test_modulus_vanishes_along_default_grid(self):
         deltas = [1e-1, 1e-2, 1e-3, 1e-4]

@@ -5,12 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import MARKOV3
 from skewfiber.symbolic import (
     BaseWeights,
     CylinderFunction,
     TransitionMatrix,
     base_correlation,
-    base_gap_estimate,
+    base_rate,
     cylinder_mass_vector,
     enumerate_words,
     ruelle_apply,
@@ -22,6 +23,7 @@ GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
 FAIR = BaseWeights.bernoulli([0.5, 0.5])
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
 MARKOV = BaseWeights.markov(MARKOV_P, stationary=[5 / 6, 1 / 6])
+GOLDEN_MARKOV = BaseWeights.markov([[0.5, 0.5], [1.0, 0.0]])
 
 
 def brute_force_words(entries, depth):
@@ -157,7 +159,7 @@ class TestCylinderMass:
 
     @pytest.mark.parametrize(
         "weights,matrix",
-        [(FAIR, FULL2), (MARKOV, FULL2), (BaseWeights.markov([[0.5, 0.5], [1.0, 0.0]]), GOLDEN)],
+        [(FAIR, FULL2), (MARKOV, FULL2), (GOLDEN_MARKOV, GOLDEN)],
     )
     def test_vector_matches_left_to_right_product(self, weights, matrix):
         # bit for bit the product pi_{w0} P_{w0 w1} ... taken left to right
@@ -199,11 +201,53 @@ class TestJacobianWeight:
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_inadmissible_transition_gives_zero(self):
-        weights = BaseWeights.markov([[0.5, 0.5], [1.0, 0.0]])
-        assert weights.jacobian[1, 1] == 0.0
+        assert GOLDEN_MARKOV.jacobian[1, 1] == 0.0
+
+
+class TestPreimages:
+    @pytest.mark.parametrize("matrix", [GOLDEN, MARKOV3.matrix])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_matches_brute_force(self, matrix, depth):
+        # oracle: every admissible extension i.w, target by target and symbol by symbol
+        words = brute_force_words(matrix.entries.tolist(), depth)
+        expected = [
+            (t, words.index((i,) + w[:-1]), i, w[0])
+            for t, w in enumerate(words)
+            for i in range(matrix.n_symbols)
+            if matrix.entries[i, w[0]]
+        ]
+        tables = matrix.preimages(depth)
+        assert all(a.dtype == np.intp for a in tables)
+        assert list(zip(*(a.tolist() for a in tables))) == expected
+
+    def test_cached(self):
+        assert MARKOV3.matrix.preimages(3) is MARKOV3.matrix.preimages(3)
+
+    def test_depth_zero_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            FULL2.preimages(0)
 
 
 class TestRuelleApply:
+    @pytest.mark.parametrize(
+        "weights,matrix",
+        [(MARKOV, FULL2), (GOLDEN_MARKOV, GOLDEN), (MARKOV3.weights, MARKOV3.matrix)],
+    )
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_matches_defining_sum_bit_for_bit(self, weights, matrix, depth):
+        # oracle: (Pf)(w) = sum over admissible i of g(i.w) f(i.w[:-1]), in symbol order
+        rng = np.random.default_rng(depth)
+        f = CylinderFunction(matrix, depth, rng.standard_normal(matrix.word_count(depth)))
+        index = matrix.word_index(depth)
+        expected = []
+        for w in matrix.words(depth):
+            total = 0.0
+            for i in range(matrix.n_symbols):
+                if matrix.entries[i, w[0]]:
+                    total += weights.jacobian[i, w[0]] * f.values[index[(i,) + w[:-1]]]
+            expected.append(total)
+        assert ruelle_apply(f, weights).values.tolist() == expected
+
     def test_constant_one_is_fixed(self):
         f = CylinderFunction.constant(FULL2, 3, 1.0)
         out = ruelle_apply(f, MARKOV)
@@ -241,21 +285,23 @@ class TestRuelleApply:
 
 
 class TestBaseGapEstimate:
+    """The exact base rate ``base_rate``: the spectral radius of P - 1 pi^T."""
+
     def test_bernoulli_collapses_to_rate_zero(self):
-        rate, _ = base_gap_estimate(FAIR, FULL2, 0.5, depth=3, iters=8)
-        assert rate == 0.0
+        # oracle: P - 1 pi^T is the zero matrix for a Bernoulli chain
+        for p in ([0.5, 0.5], [0.55, 0.45], [0.2, 0.3, 0.5]):
+            assert base_rate(BaseWeights.bernoulli(p)) == 0.0
 
     def test_markov_rate_matches_second_eigenvalue(self):
         # oracle: eigenvalues of the 2x2 stochastic matrix are 1 and 0.4
         lam2 = sorted(np.abs(np.linalg.eigvals(np.array(MARKOV_P))))[0]
         assert lam2 == pytest.approx(0.4, abs=1e-12)
-        rate, constant = base_gap_estimate(MARKOV, FULL2, 0.5, depth=3, iters=12)
-        assert rate == pytest.approx(0.4, abs=0.05)
-        assert constant >= 0.0
+        assert base_rate(MARKOV) == pytest.approx(0.4, abs=1e-12)
 
-    def test_short_run_constant_nonnegative(self):
-        _, constant = base_gap_estimate(MARKOV, FULL2, 0.5, depth=2, iters=1)
-        assert constant >= 0.0
+    def test_non_full_shift_rate_is_second_eigenvalue(self):
+        # oracle: the second-largest |eigenvalue| of MARKOV3's stochastic matrix
+        lam2 = sorted(np.abs(np.linalg.eigvals(MARKOV3.weights.transition)))[-2]
+        assert base_rate(MARKOV3.weights) == pytest.approx(lam2, abs=1e-12)
 
 
 class TestBaseCorrelation:
@@ -278,12 +324,15 @@ class TestBaseCorrelation:
         assert got == pytest.approx(1 / 18, abs=1e-12)
 
     def test_markov_decay_rate_bounded_by_gap(self):
-        rate, _ = base_gap_estimate(MARKOV, FULL2, 0.5, depth=3, iters=12)
+        # a two-state chain has one nontrivial eigenvalue, so the covariances
+        # are exactly pi_0 pi_1 lambda^n and decay at the base rate; the
+        # tolerance covers the cancellation in the lag-12 covariance
+        rate = base_rate(MARKOV)
         ind = CylinderFunction(FULL2, 1, [1.0, 0.0])
         corr = [base_correlation(MARKOV, FULL2, ind, ind, n) for n in range(1, 13)]
         lags = np.arange(1, 13)
         slope, _ = np.polyfit(lags, np.log(np.abs(corr)), 1)
-        assert np.exp(slope) <= rate + 0.05
+        assert np.exp(slope) == pytest.approx(rate, abs=1e-8)
 
 
 class TestCylinderFunctionNorm:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_disintegration, random_vanishing_disintegration
+from conftest import MARKOV3, random_disintegration, random_vanishing_disintegration
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.measures import AtomicMeasure, wk_distance
 from skewfiber.skew import FiberMapSpec, SystemSpec
@@ -176,7 +176,8 @@ class TestWordSum:
             assert np.allclose(mu.positions, [0.0, 2 / 9, 2 / 3, 8 / 9])
             assert np.allclose(mu.weights, 0.25)
 
-    @pytest.mark.parametrize("sys", [CANTOR, markov_demo(), coupled_demo(), REVERSING])
+    # MARKOV3 is a non-full SFT with offset depth 3
+    @pytest.mark.parametrize("sys", [CANTOR, markov_demo(), coupled_demo(), REVERSING, MARKOV3])
     @pytest.mark.parametrize("steps", [1, 2, 3, 4])
     def test_matches_iterated_transfer(self, sys, steps):
         depth = 4
