@@ -51,7 +51,6 @@ from .stability import (
     operator_gap,
     realize,
     stability_sweep,
-    sweep_to_csv,
 )
 from .symbolic import (
     BaseWeights,
@@ -117,6 +116,8 @@ class ExperimentConfig:
 
 
 def _reject_unknown(block, allowed, pointer):
+    if not isinstance(block, dict):
+        raise ConfigError(pointer or "/", f"must be an object, got {block!r}")
     for key in block:
         if key not in allowed:
             raise ConfigError(f"{pointer}/{key}", f"unknown key {key!r}")
@@ -126,6 +127,21 @@ def _require(block, key, pointer):
     if key not in block:
         raise ConfigError(pointer, f"missing required key {key!r}")
     return block[key]
+
+
+def _int(block, key, default, minimum, pointer):
+    """``block[key]`` as an integer >= ``minimum``; a ``default`` of None makes the key required."""
+    value = _require(block, key, pointer) if default is None else block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{pointer}/{key}", f"must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _positive(block, key, default, pointer):
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigError(f"{pointer}/{key}", f"must be a positive number, got {value!r}")
+    return value
 
 
 def _parse_word(text, pointer):
@@ -138,8 +154,6 @@ def _parse_word(text, pointer):
 
 
 def _parse_system(block, pointer="/system"):
-    if not isinstance(block, dict):
-        raise ConfigError(pointer, "system block must be an object")
     _reject_unknown(block, _SYSTEM_KEYS, pointer)
     matrix = _require(block, "matrix", pointer)
     theta = _require(block, "theta", pointer)
@@ -161,7 +175,9 @@ def _parse_system(block, pointer="/system"):
     except ValueError as exc:
         raise ConfigError(f"{pointer}/weights", str(exc)) from exc
     maps = []
-    for i, mblock in enumerate(_require(block, "fiber_maps", pointer)):
+    if not isinstance(_require(block, "fiber_maps", pointer), list):
+        raise ConfigError(f"{pointer}/fiber_maps", "must be a list")
+    for i, mblock in enumerate(block["fiber_maps"]):
         mp = f"{pointer}/fiber_maps/{i}"
         _reject_unknown(mblock, _MAP_KEYS, mp)
         table = {
@@ -169,10 +185,9 @@ def _parse_system(block, pointer="/system"):
             for k, v in (mblock.get("offset_table") or {}).items()
         }
         maps.append(FiberMapSpec(_require(mblock, "slope", mp), _require(mblock, "offset", mp), table))
+    offset_depth = _int(block, "offset_depth", 1, 1, pointer)
     try:
-        return SystemSpec(
-            TransitionMatrix(matrix), theta, weights, maps, block.get("offset_depth", 1)
-        )
+        return SystemSpec(TransitionMatrix(matrix), theta, weights, maps, offset_depth)
     except ValueError as exc:
         raise ConfigError(pointer, str(exc)) from exc
 
@@ -181,7 +196,7 @@ def parse_observable(block, matrix, pointer):
     _reject_unknown(block, _OBS_KEYS, pointer)
     kind = _require(block, "type", pointer)
     if kind == "base_only":
-        depth = int(_require(block, "depth", pointer))
+        depth = _int(block, "depth", None, 1, pointer)
         raw = _require(block, "values", pointer)
         values = {_parse_word(k, pointer): float(v) for k, v in raw.items()}
         missing = set(matrix.words(depth)) - set(values)
@@ -192,7 +207,7 @@ def parse_observable(block, matrix, pointer):
         h = PiecewiseLinearFn(_require(block, "breakpoints", pointer), _require(block, "values", pointer))
         return Observable.fiber(matrix, h)
     if kind == "components":
-        depth = int(_require(block, "depth", pointer))
+        depth = _int(block, "depth", None, 1, pointer)
         comps = {}
         for k, sub in _require(block, "components", pointer).items():
             sp = f"{pointer}/components/{k}"
@@ -213,36 +228,25 @@ def parse_config(path):
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("/", f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("/", "top level must be an object")
     _reject_unknown(raw, _TOP_KEYS, "")
     system = _parse_system(_require(raw, "system", "/"))
-    depth = int(raw.get("depth", 4))
-    if depth < system.offset_depth:
-        raise ConfigError("/depth", f"working depth {depth} below offset depth")
-    grid = int(raw.get("grid", 512))
-    if grid < 2:
-        raise ConfigError("/grid", "grid must be at least 2")
-    tol = float(raw.get("tol", 1e-6))
-    if tol <= 0:
-        raise ConfigError("/tol", "tol must be positive")
-    seed = int(raw.get("seed", 0))
+    depth = _int(raw, "depth", 4, system.offset_depth, "")
+    grid = _int(raw, "grid", 512, 2, "")
+    tol = _positive(raw, "tol", 1e-6, "")
+    seed = _int(raw, "seed", 0, 0, "")
     for name, keys in (("stability", _STAB_KEYS), ("correlations", _CORR_KEYS), ("clt", _CLT_KEYS)):
         if name in raw:
-            if not isinstance(raw[name], dict):
-                raise ConfigError(f"/{name}", f"{name} block must be an object")
             _reject_unknown(raw[name], keys, f"/{name}")
     for name, key, minimum in (
         ("clt", "length", 1), ("clt", "trials", MIN_TRIALS), ("clt", "truncation", 1),
         ("correlations", "nmax", 0), ("correlations", "gordin_nmax", 0),
         ("stability", "depth", system.offset_depth), ("stability", "grid", 2),
     ):
-        value = raw.get(name, {}).get(key, minimum)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ConfigError(f"/{name}/{key}", f"must be an integer >= {minimum}, got {value!r}")
-    value = raw.get("stability", {}).get("tol", 1.0)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigError("/stability/tol", f"must be a positive number, got {value!r}")
+        _int(raw.get(name, {}), key, minimum, minimum, f"/{name}")
+    for key, default in (("tol", 1.0), ("delta_max", 0.2)):
+        _positive(raw.get("stability", {}), key, default, "/stability")
+    if not isinstance(raw.get("stability", {}).get("deltas", []), list):
+        raise ConfigError("/stability/deltas", "must be a list")
     if "correlations" in raw:
         for obs_key in ("psi", "phi"):
             if obs_key in raw["correlations"]:
@@ -413,7 +417,8 @@ def run_stability(config, out_dir):
     grid = block.get("grid", config.grid)
     tol = block.get("tol", config.tol)
     result = stability_sweep(fam, deltas, depth=depth, tol=tol, grid=grid)
-    report.write_text("stability.csv", sweep_to_csv(result))
+    rows = [(r.delta, r.r_delta, r.variation, r.ratio, r.err_bound, r.iterations) for r in result.rows]
+    report.write_csv("stability.csv", "delta,R_delta,Delta,ratio,err_bound,iterations", rows)
     report.metric("ratio_bound", result.ratio_bound)
     ok_rows = [row for row in result.rows if not row.failed]
     report.check("all_deltas_converged", len(ok_rows) == len(result.rows))
@@ -636,10 +641,8 @@ def run_verify(config, out_dir):
     m_phi = integrate_observable(sys_, mu0, phi)
     var = asymptotic_variance(sys_, mu0, phi, truncation=10)
     masses = cylinder_mass_vector(sys_.weights, matrix, mu0.depth)
-    direct = 0.0
-    for mass, w, fm in zip(masses, mu0.words(), mu0.fiber_views()):
-        h = phi.component(w)
-        direct += float(np.dot(fm.weights, (h(fm.positions) - m_phi) ** 2)) * mass
+    squares = np.bincount(mu0.row, mu0.w * (phi.on_atoms(mu0) - m_phi) ** 2, masses.size)
+    direct = float(np.dot(masses, squares))
     report.check("autocovariance_lag0_is_variance", abs(var.curve.values[0] - direct) <= 1e-10)
 
     gn = gordin_norms(sys_, mu0, phi, nmax=2)

@@ -22,13 +22,15 @@ Gordin's conditional expectations need no word sums either: at level n
 their L2 norm is ||P^n s||, the base transfer operator power applied to the
 fiber integrals s of the centered observable (see ``gordin_norms``).
 
+Every reader of an observable calls ``Observable.values(codes, y)``, which
+evaluates each cell once, by the component its window code
+(``symbolic.window_codes``) selects: the word prefixes of the atoms of a
+disintegration, or the depth-k windows of the CLT orbits' symbol tracks.
+
 The CLT experiment streams its orbits in blocks of trials, about
 ``BLOCK_CELLS`` orbit cells each, so memory does not grow with the trial
-count.  ``observable_sums`` reads each block's ``(symbols, ys)`` arrays from
-``sample_orbits`` directly: it codes each depth-k window of ``symbols`` and
-sums the matching fiber components over ``ys``, with no per-orbit copies.
-Sums are per trial and every trial has its own seed, so the result does not
-depend on the block size.
+count.  Sums are per trial and every trial has its own seed, so the result
+does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import ExpFit, exp_fit
-from .measures import PiecewiseLinearFn, integrate
+from .measures import PiecewiseLinearFn
 from .skew import sample_orbits
-from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, word_distances
+from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes, word_distances
 from .transfer import Disintegration, quantize_disintegration, transfer_apply
 
 __all__ = [
@@ -85,11 +87,17 @@ class Observable:
 
     def __init__(self, matrix, depth, components):
         words = matrix.words(depth)
-        if set(components) != set(words):
-            raise ValueError("need one fiber component per admissible word")
+        if depth < 1 or set(components) != set(words):
+            raise ValueError("need depth at least 1 and one fiber component per admissible word")
         self.matrix = matrix
         self.depth = depth
         self.components = dict(components)
+        # the distinct components by identity, in word order, and the piece of each window code
+        self.pieces = list({id(self.components[w]): self.components[w] for w in words}.values())
+        slot = {id(h): j for j, h in enumerate(self.pieces)}
+        self.piece_of_code = np.zeros(matrix.n_symbols**depth, dtype=np.intp)
+        codes = window_codes(matrix.word_array(depth).T, matrix.n_symbols)
+        self.piece_of_code[codes] = [slot[id(self.components[w])] for w in words]
 
     @classmethod
     def base_only(cls, matrix, depth, values):
@@ -107,6 +115,23 @@ class Observable:
 
     def evaluate(self, word, y):
         return float(self.component(word)(y))
+
+    def values(self, codes, y):
+        """phi at admissible depth-k window codes and fiber points of one shape, each cell once."""
+        if len(self.pieces) == 1:
+            return self.pieces[0](y)
+        piece, out = self.piece_of_code[codes], np.empty(y.shape)
+        for j, h in enumerate(self.pieces):
+            sel = piece == j
+            out[sel] = h(y[sel])
+        return out
+
+    def on_atoms(self, dis):
+        """phi at every atom of a disintegration, in table order."""
+        if self.depth > dis.depth:
+            raise ValueError("observable depth exceeds the disintegration depth")
+        columns = dis.matrix.word_array(dis.depth).T[: self.depth]
+        return self.values(window_codes(columns, self.matrix.n_symbols)[dis.row], dis.pos)
 
     def sup_norm(self):
         return max(h.sup_norm() for h in self.components.values())
@@ -141,36 +166,32 @@ class Observable:
         )
 
     def shifted(self, c):
+        moved = {id(h): h.shifted(c) for h in self.pieces}
         return Observable(
-            self.matrix, self.depth, {w: h.shifted(c) for w, h in self.components.items()}
+            self.matrix, self.depth, {w: moved[id(h)] for w, h in self.components.items()}
         )
 
     def __repr__(self):
         return f"Observable(depth={self.depth}, {len(self.components)} components)"
 
 
+def _fiber_integrals(dis, obs):
+    """Fiber integrals int h_w d mu|_w, in word order."""
+    return np.bincount(dis.row, dis.w * obs.on_atoms(dis), dis.starts.size - 1)
+
+
 def integrate_observable(sys, dis, obs):
     """Exact integral sum_w m([w]) int h_w d mu|_w; linear in both arguments."""
-    if obs.depth > dis.depth:
-        raise ValueError("observable depth exceeds the disintegration depth")
     masses = cylinder_mass_vector(sys.weights, dis.matrix, dis.depth)
-    total = 0.0
-    for mass, w, mu in zip(masses, dis.words(), dis.fiber_views()):
-        total += mass * integrate(mu, obs.component(w))
-    return float(total)
+    return float(sum((masses * _fiber_integrals(dis, obs)).tolist()))
 
 
 def fiber_average(sys, mu0, obs):
     """Fiber averages s(w) = int h_w d mu0|_w / phi1(w) as a cylinder function."""
-    if obs.depth > mu0.depth:
-        raise ValueError("observable depth exceeds the disintegration depth")
-    values = []
-    for w, mu in zip(mu0.words(), mu0.fiber_views()):
-        mass = mu.total_weight()
-        if mass == 0.0:
-            raise ValueError(f"vanishing marginal density on word {w}")
-        values.append(integrate(mu, obs.component(w)) / mass)
-    return CylinderFunction(mu0.matrix, mu0.depth, values)
+    integrals, masses = _fiber_integrals(mu0, obs), mu0.fiber_masses()
+    if (masses == 0.0).any():
+        raise ValueError(f"vanishing marginal density on word {mu0.words()[np.argmax(masses == 0.0)]}")
+    return CylinderFunction(mu0.matrix, mu0.depth, integrals / masses)
 
 
 def fiber_average_margin(sys, mu0, obs, lip_mu0):
@@ -199,9 +220,8 @@ def _weighted_disintegration(dis, obs):
     Lip(g) sup(h) + sup(g) Lip(h) for any admissible test function g.
     """
     factor = obs.sup_norm() + obs.fiber_lipschitz()
-    fibers = zip(dis.words(), dis.fiber_views())
-    h = np.concatenate([obs.component(w)(mu.positions) for w, mu in fibers])
-    return Disintegration(dis.matrix, dis.depth, dis.row, dis.pos, dis.w * h, dis.err_bound * factor)
+    w = dis.w * obs.on_atoms(dis)
+    return Disintegration(dis.matrix, dis.depth, dis.row, dis.pos, w, dis.err_bound * factor)
 
 
 @dataclass
@@ -261,17 +281,17 @@ def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
         raise ValueError("lattice sum exceeds the word budget; use correlation_curve")
     m_now = integrate_observable(sys, mu0, now)
     masses = cylinder_mass_vector(sys.weights, matrix, length)
-    fibers = dict(zip(mu0.words(), mu0.fiber_views()))
+    index, starts = matrix.word_index(mu0.depth), mu0.starts
     total = 0.0
     for mass, w in zip(masses, matrix.words(length)):
-        mu = fibers[w[: mu0.depth]]
-        ys = mu.positions
-        path = ys
+        r = index[w[: mu0.depth]]
+        fiber = slice(starts[r], starts[r + 1])
+        path = ys = mu0.pos[fiber]
         for t in range(lag):
             b = sys.branch_map(w[t:])
             path = b.a * path + b.b
         vals = (now.component(w)(ys) - m_now) * later.component(w[lag:])(path)
-        total += mass * float(np.dot(mu.weights, vals))
+        total += mass * float(np.dot(mu0.w[fiber], vals))
     return total
 
 
@@ -301,10 +321,7 @@ def gordin_norms(sys, mu0, phi, nmax):
     1969; Liverani 1996): one ``ruelle_apply`` per level, exact at every n.
     """
     m_phi = integrate_observable(sys, mu0, phi)
-    phit = phi.shifted(-m_phi)
-    fibers = zip(mu0.words(), mu0.fiber_views())
-    integrals = [integrate(mu, phit.component(w)) for w, mu in fibers]
-    s = CylinderFunction(mu0.matrix, mu0.depth, integrals)
+    s = CylinderFunction(mu0.matrix, mu0.depth, _fiber_integrals(mu0, phi.shifted(-m_phi)))
     masses = cylinder_mass_vector(sys.weights, mu0.matrix, mu0.depth)
     norms = np.empty(nmax + 1)
     for n in range(nmax + 1):
@@ -390,26 +407,10 @@ class CLTResult:
 
 
 def observable_sums(phi, symbols, ys):
-    """Birkhoff sums of an observable over the orbits of ``sample_orbits``, vectorized."""
+    """Birkhoff sums of an observable over the orbits of ``sample_orbits``, one per trial."""
     length = ys.shape[1]
-    n = phi.matrix.n_symbols
-    # the codes reach n^depth - 1, so they are built in intp, not in the symbol dtype
-    codes = symbols[:, :length]
-    for j in range(1, phi.depth):
-        codes = codes * np.intp(n) + symbols[:, j:length + j]
-    sums = np.zeros(ys.shape[0])
-    h_last = values = None
-    for w in phi.matrix.words(phi.depth):
-        c = 0
-        for s in w:
-            c = c * n + s
-        mask = codes == c
-        if mask.any():
-            h = phi.components[w]
-            if h is not h_last:  # words sharing one component evaluate it once
-                h_last, values = h, h(ys)
-            sums += np.where(mask, values, 0.0).sum(axis=1)
-    return sums
+    windows = [symbols[:, j:length + j] for j in range(phi.depth)]
+    return phi.values(window_codes(windows, phi.matrix.n_symbols), ys).sum(axis=1)
 
 
 def ks_statistic(samples, sigma):

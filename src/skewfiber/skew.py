@@ -25,6 +25,7 @@ from .symbolic import (
     CylinderFunction,
     TransitionMatrix,
     check_theta,
+    window_codes,
     word_distances,
 )
 
@@ -123,7 +124,7 @@ class SystemSpec:
         if self._code_tables is None:
             d = self.offset_depth
             maps = [self.branch_map(word) for word in self.matrix.words(d)]
-            codes = _codes(self.matrix.word_array(d).T, self.n_symbols)
+            codes = window_codes(self.matrix.word_array(d).T, self.n_symbols)
             slopes, offsets = np.zeros((2, self.n_symbols**d))
             slopes[codes] = [t.a for t in maps]
             offsets[codes] = [t.b for t in maps]
@@ -135,7 +136,7 @@ class SystemSpec:
         d = self.offset_depth
         if depth < d:
             raise ValueError(f"offset depth {d} exceeds the working depth {depth}")
-        codes = _codes(self.matrix.word_array(depth).T[:d], self.n_symbols)
+        codes = window_codes(self.matrix.word_array(depth).T[:d], self.n_symbols)
         slopes, offsets = self.code_tables()
         return slopes[codes], offsets[codes]
 
@@ -144,18 +145,6 @@ class SystemSpec:
             f"SystemSpec(N={self.n_symbols}, theta={self.theta!r}, "
             f"{self.weights!r}, depth={self.offset_depth})"
         )
-
-
-def _codes(columns, n):
-    """Base-n code of symbol windows given column by column, first symbol most significant.
-
-    The codes reach n^d - 1, so past one column they are built in intp,
-    whatever the symbol dtype.
-    """
-    codes = columns[0]
-    for column in columns[1:]:
-        codes = codes * np.intp(n) + column
-    return codes
 
 
 def verify_G1(sys):
@@ -251,7 +240,7 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     del uniforms  # lowers the peak memory of the fiber pass
     slopes, offsets = sys.code_tables()
     d = sys.offset_depth
-    codes = _codes([tracks[j: total - d + 1 + j] for j in range(d)], n)
+    codes = window_codes([tracks[j: total - d + 1 + j] for j in range(d)], n)
     y = np.full(trials, 0.5)
     ys = np.empty((trials, length))
     for t in range(burn_in + length):

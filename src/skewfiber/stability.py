@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import pushforward, wk_distance
 from .skew import FiberMapSpec, SystemSpec, c1_constant
 from .symbolic import BaseWeights, base_rate, cylinder_mass_vector
 from .transfer import (
     ConvergenceError,
+    Disintegration,
     FixedPointResult,
     change_between,
     fixed_point,
@@ -38,7 +38,6 @@ __all__ = [
     "fiber_op_gap",
     "operator_gap",
     "stability_sweep",
-    "sweep_to_csv",
 ]
 
 KINDS = ("fiber_shift", "base_weights", "combined")
@@ -188,12 +187,11 @@ def fiber_op_gap(sys0, sys_d, dis):
     For every working word the same source fiber is pushed through both
     branch maps; the lemma bound is R(delta) times the largest fiber norm.
     """
-    worst = 0.0
-    for s, mu in zip(dis.words(), dis.fiber_views()):
-        a = pushforward(mu, sys0.branch_map(s))
-        b = pushforward(mu, sys_d.branch_map(s))
-        worst = max(worst, wk_distance(a, b))
-    return worst
+    pushed = []
+    for s in (sys0, sys_d):
+        a, b = (v[dis.row] for v in s.word_branches(dis.depth))
+        pushed.append(Disintegration(dis.matrix, dis.depth, dis.row, a * dis.pos + b, dis.w))
+    return change_between(*pushed)
 
 
 def operator_gap(fam, delta, mu_delta):
@@ -259,13 +257,3 @@ def stability_sweep(fam, deltas, depth, tol, grid):
     good = [row.ratio for row in rows if not row.failed]
     bound = max(good) if good else math.nan
     return SweepResult(rows=rows, ratio_bound=bound, base_result=base_res)
-
-
-def sweep_to_csv(result):
-    lines = ["delta,R_delta,Delta,ratio,err_bound,iterations"]
-    for row in result.rows:
-        lines.append(
-            f"{row.delta!r},{row.r_delta!r},{row.variation!r},{row.ratio!r},"
-            f"{row.err_bound!r},{row.iterations}"
-        )
-    return "\n".join(lines) + "\n"

@@ -16,6 +16,8 @@ are arrays built once: ``BaseWeights.jacobian`` (the N x N branch weights),
 ``cylinder_mass_vector`` (one mass per word), ``word_distances`` (the
 word-by-word distance table) and ``TransitionMatrix.preimages`` (which word
 precedes which, under which symbol), the table the transfer operators read.
+``window_codes`` numbers symbol windows base N, first symbol most significant;
+the branch-map and observable tables are indexed by it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "CylinderFunction",
     "check_theta",
     "enumerate_words",
+    "window_codes",
     "word_distances",
     "cylinder_mass_vector",
     "ruelle_apply",
@@ -221,6 +224,18 @@ def enumerate_words(matrix, depth):
     for _ in range(depth - 1):
         words = [w + (j,) for w in words for j in range(matrix.n_symbols) if matrix.entries[w[-1], j]]
     return words
+
+
+def window_codes(columns, n):
+    """Base-n code of symbol windows given column by column, first symbol most significant.
+
+    The codes reach n^d - 1, so past one column they are built in intp,
+    whatever the symbol dtype.
+    """
+    codes = columns[0]
+    for column in columns[1:]:
+        codes = codes * np.intp(n) + column
+    return codes
 
 
 def word_distances(matrix, depth, theta):

@@ -121,7 +121,41 @@ MALFORMED = [
 ]
 
 
+# (path of one field in small_config, malformed value, JSON pointer of the offender)
+MALFORMED_FIELDS = [
+    (("stability", "delta_max"), "x", "/stability/delta_max"),
+    (("stability", "deltas"), 0.1, "/stability/deltas"),
+    (("system", "offset_depth"), "2", "/system/offset_depth"),
+    (("system", "offset_depth"), 1.5, "/system/offset_depth"),
+    (("system", "fiber_maps"), 5, "/system/fiber_maps"),
+    (("system", "weights"), 5, "/system/weights"),
+    (("correlations", "psi"), 5, "/correlations/psi"),
+    (("correlations", "psi", "depth"), 1.5, "/correlations/psi/depth"),
+    (("correlations", "psi", "depth"), True, "/correlations/psi/depth"),
+    (("depth",), True, "/depth"),
+    (("depth",), 3.7, "/depth"),
+    (("grid",), 256.7, "/grid"),
+    (("tol",), True, "/tol"),
+    (("seed",), 1.5, "/seed"),
+    (("seed",), True, "/seed"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "path,value,pointer", MALFORMED_FIELDS, ids=[f"{'.'.join(m[0])}={m[1]!r}" for m in MALFORMED_FIELDS]
+    )
+    def test_malformed_field_is_config_error(self, path, value, pointer, config_path, tmp_path, capsys):
+        cfg = small_config()
+        cfg["correlations"]["psi"] = {"type": "base_only", "depth": 1, "values": {"0": 1.0, "1": 0.0}}
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        code = main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert f"config error: {pointer}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("block,key,value,pointer", MALFORMED, ids=[f"{m[0]}.{m[1]}" for m in MALFORMED])
     def test_malformed_experiment_block_is_config_error(
         self, block, key, value, pointer, config_path, tmp_path, capsys
@@ -194,8 +228,10 @@ class TestArtifacts:
         out = tmp_path / "s"
         code = main(["stability", "--config", config_path(small_config()), "--out", str(out)])
         assert code == 0
-        header = (out / "stability.csv").read_text().splitlines()[0]
-        assert header == "delta,R_delta,Delta,ratio,err_bound,iterations"
+        lines = (out / "stability.csv").read_text().splitlines()
+        assert lines[0] == "delta,R_delta,Delta,ratio,err_bound,iterations"
+        # one row per delta
+        assert len(lines) == 1 + len(small_config()["stability"]["deltas"])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
         assert "stability.csv" in summary["artifacts"]

@@ -23,7 +23,7 @@ from skewfiber.limits import (
     observable_sums,
 )
 from skewfiber.measures import PiecewiseLinearFn, integrate
-from skewfiber.symbolic import cylinder_mass_vector
+from skewfiber.symbolic import cylinder_mass_vector, window_codes
 from skewfiber.transfer import fixed_point, lip_constant
 
 CANTOR = cantor_demo()
@@ -72,6 +72,79 @@ class TestObservable:
         obs = first_symbol_indicator()
         assert obs.base_lipschitz(0.5) == pytest.approx(1.0)
         assert obs.is_base_only()
+
+
+def random_observables(sys, depth, rng):
+    """A base_only, a fiber and a components observable; the last shares one piece per last symbol."""
+    words = sys.matrix.words(depth)
+    shared = [PiecewiseLinearFn([0.0, 0.4, 1.0], rng.standard_normal(3)) for _ in range(sys.n_symbols)]
+    return [
+        Observable.base_only(sys.matrix, depth, {w: rng.standard_normal() for w in words}),
+        Observable.fiber(sys.matrix, PiecewiseLinearFn([0.0, 0.3, 1.0], rng.standard_normal(3))),
+        Observable(sys.matrix, depth, {w: shared[w[-1]] for w in words}),
+    ]
+
+
+def fixed_point_of(name, mu0, mu0_coupled, mu0_markov3):
+    return {
+        "cantor": (CANTOR, mu0),
+        "coupled": (COUPLED, mu0_coupled),
+        "markov3": (MARKOV3, mu0_markov3),
+    }[name]
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sys", [CANTOR, MARKOV3], ids=["cantor", "markov3"])
+    def test_values_match_evaluate(self, sys, depth):
+        # oracle: Observable.evaluate, one word and one point at a time
+        rng = np.random.default_rng(depth)
+        words = sys.matrix.word_array(depth)[rng.integers(0, sys.matrix.word_count(depth), (20, 10))]
+        ys = rng.random((20, 10))
+        for obs in random_observables(sys, depth, rng):
+            codes = window_codes(np.moveaxis(words, -1, 0)[: obs.depth], sys.n_symbols)
+            cells = zip(words.reshape(-1, depth).tolist(), ys.ravel())
+            expected = [obs.evaluate(tuple(w), y) for w, y in cells]
+            assert np.array_equal(obs.values(codes, ys).ravel(), expected)
+
+    @pytest.mark.parametrize("name", ["cantor", "coupled", "markov3"])
+    def test_fiber_integrals_match_per_fiber_loop(self, name, mu0, mu0_coupled, mu0_markov3):
+        # oracle: measures.integrate on each word's fiber, then the weighted sums
+        sys, dis = fixed_point_of(name, mu0, mu0_coupled, mu0_markov3)
+        rng = np.random.default_rng(3)
+        masses = cylinder_mass_vector(sys.weights, sys.matrix, dis.depth)
+        fiber_masses = np.array([dis.fibers[w].total_weight() for w in dis.words()])
+        for depth in (1, 2, dis.depth):
+            for obs in random_observables(sys, depth, rng):
+                integrals = np.array([integrate(dis.fibers[w], obs.component(w)) for w in dis.words()])
+                mean = float(np.dot(masses, integrals))
+                assert integrate_observable(sys, dis, obs) == pytest.approx(mean, rel=1e-12)
+                average = fiber_average(sys, dis, obs).values
+                assert np.allclose(average, integrals / fiber_masses, rtol=1e-12, atol=0.0)
+                centered = obs.shifted(-mean)
+                s = np.array([integrate(dis.fibers[w], centered.component(w)) for w in dis.words()])
+                level0 = gordin_norms(sys, dis, obs, nmax=0).norms[0]
+                # centered integrals of a product fixed point are rounding noise, hence the floor
+                assert level0 == pytest.approx(math.sqrt(np.dot(masses, s**2)), rel=1e-12, abs=1e-14)
+
+    def test_each_cell_is_evaluated_once(self):
+        from skewfiber.skew import sample_orbits
+
+        cells = []
+
+        def counted(h):
+            def evaluate(ys):
+                cells.append(ys.size)
+                return h(ys)
+            return evaluate
+
+        shared = [counted(PiecewiseLinearFn([0.0, 1.0], [i, i + 1.0])) for i in range(3)]
+        phi = Observable(MARKOV3.matrix, 2, {w: shared[w[-1]] for w in MARKOV3.matrix.words(2)})
+        symbols, ys = sample_orbits(MARKOV3, seed=2, length=30, trials=6, burn_in=5, window=2)
+        observable_sums(phi, symbols, ys)
+        # the words' components alternate between the three pieces
+        assert sum(cells) == ys.size
+        assert len(phi.pieces) == 3
 
 
 class TestIntegrateObservable:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_disintegration
-from skewfiber.demos import cantor_demo, markov_demo
-from skewfiber.measures import AtomicMeasure
+from conftest import MARKOV3, random_disintegration
+from skewfiber.cli import ExperimentConfig, run_stability
+from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
+from skewfiber.measures import AtomicMeasure, pushforward, wk_distance
 from skewfiber.stability import (
     PerturbationFamily,
     admissibility_report,
@@ -15,7 +16,6 @@ from skewfiber.stability import (
     operator_gap,
     realize,
     stability_sweep,
-    sweep_to_csv,
 )
 from skewfiber.transfer import (
     Disintegration,
@@ -143,6 +143,23 @@ class TestOperatorGaps:
         gap = fiber_op_gap(CANTOR, realize(fam, 0.05), res.disintegration)
         assert gap <= report.rows[0].r_delta * max_norm + 1e-10
 
+    @pytest.mark.parametrize("delta", [0.1, 0.01])
+    @pytest.mark.parametrize("name", ["cantor", "coupled", "markov3"])
+    def test_fiber_op_gap_matches_per_word_pushforwards(self, name, delta):
+        # oracle: each word's fiber pushed through both branch maps, one word at a time
+        base, direction = {
+            "cantor": (CANTOR, [0.0, -1.0]),
+            "coupled": (coupled_demo(), [0.0, -1.0]),
+            "markov3": (MARKOV3, [0.5, 0.0, -1.0]),
+        }[name]
+        sys_d = realize(PerturbationFamily(base, "fiber_shift", fiber_direction=direction), delta)
+        dis = fixed_point(base, depth=base.offset_depth + 1, tol=1e-6, grid=512).disintegration
+        per_word = max(
+            wk_distance(pushforward(mu, base.branch_map(w)), pushforward(mu, sys_d.branch_map(w)))
+            for w, mu in dis.fibers.items()
+        )
+        assert fiber_op_gap(base, sys_d, dis) == per_word
+
     def test_operator_gap_bound(self):
         fam = shift_family()
         delta = 0.05
@@ -217,12 +234,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="descending"):
             stability_sweep(shift_family(), [0.01, 0.1], depth=2, tol=1e-6, grid=512)
 
-    def test_csv_shape(self):
-        result = stability_sweep(shift_family(), [0.1], depth=2, tol=1e-5, grid=1024)
-        csv = sweep_to_csv(result)
-        lines = csv.strip().split("\n")
+    def test_csv_shape(self, tmp_path):
+        config = ExperimentConfig(
+            system=CANTOR, depth=2, grid=1024, tol=1e-5, seed=0,
+            stability={"kind": "fiber_shift", "fiber_direction": [0.0, -1.0], "deltas": [0.1]},
+        )
+        run_stability(config, tmp_path)
+        lines = (tmp_path / "stability.csv").read_text().strip().split("\n")
         assert lines[0] == "delta,R_delta,Delta,ratio,err_bound,iterations"
         assert len(lines) == 2
+        row = stability_sweep(shift_family(), [0.1], depth=2, tol=1e-5, grid=1024).rows[0]
+        expected = (row.delta, row.r_delta, row.variation, row.ratio, row.err_bound)
+        assert [float(x) for x in lines[1].split(",")[:5]] == list(expected)
+        assert int(lines[1].split(",")[5]) == row.iterations
 
 
 class TestPerturbedContraction:
