@@ -92,7 +92,7 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {"system", "depth", "grid", "tol", "seed", "stability", "correlations", "clt"}
 _SYSTEM_KEYS = {"matrix", "theta", "weights", "fiber_maps", "offset_depth"}
-_WEIGHT_KEYS = {"kind", "p", "transition", "stationary"}
+_WEIGHT_KEYS = {"bernoulli": {"kind", "p"}, "markov": {"kind", "transition", "stationary"}}
 _MAP_KEYS = {"slope", "offset", "offset_table"}
 # "k5" is accepted and ignored: the bundled cantor demo and the cantor benchmark config carry it
 _STAB_KEYS = {"kind", "fiber_direction", "weight_direction", "deltas", "delta_max", "k5",
@@ -115,10 +115,14 @@ class ExperimentConfig:
     digest: str = ""
 
 
-def _reject_unknown(block, allowed, pointer):
+def _object(block, pointer):
     if not isinstance(block, dict):
         raise ConfigError(pointer or "/", f"must be an object, got {block!r}")
-    for key in block:
+    return block
+
+
+def _reject_unknown(block, allowed, pointer):
+    for key in _object(block, pointer):
         if key not in allowed:
             raise ConfigError(f"{pointer}/{key}", f"unknown key {key!r}")
 
@@ -137,9 +141,15 @@ def _int(block, key, default, minimum, pointer):
     return value
 
 
+def _number(value, pointer):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(pointer, f"must be a number, got {value!r}")
+    return value
+
+
 def _positive(block, key, default, pointer):
-    value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+    value = _number(block.get(key, default), f"{pointer}/{key}")
+    if not value > 0:
         raise ConfigError(f"{pointer}/{key}", f"must be a positive number, got {value!r}")
     return value
 
@@ -156,20 +166,18 @@ def _parse_word(text, pointer):
 def _parse_system(block, pointer="/system"):
     _reject_unknown(block, _SYSTEM_KEYS, pointer)
     matrix = _require(block, "matrix", pointer)
-    theta = _require(block, "theta", pointer)
-    wblock = _require(block, "weights", pointer)
-    _reject_unknown(wblock, _WEIGHT_KEYS, f"{pointer}/weights")
-    kind = _require(wblock, "kind", f"{pointer}/weights")
+    theta = _number(_require(block, "theta", pointer), f"{pointer}/theta")
+    wp = f"{pointer}/weights"
+    wblock = _object(_require(block, "weights", pointer), wp)
+    kind = _require(wblock, "kind", wp)
+    if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
+        raise ConfigError(f"{wp}/kind", f"unknown weights kind {kind!r}")
+    _reject_unknown(wblock, _WEIGHT_KEYS[kind], wp)
     try:
         if kind == "bernoulli":
-            weights = BaseWeights.bernoulli(_require(wblock, "p", f"{pointer}/weights"))
-        elif kind == "markov":
-            weights = BaseWeights.markov(
-                _require(wblock, "transition", f"{pointer}/weights"),
-                wblock.get("stationary"),
-            )
+            weights = BaseWeights.bernoulli(_require(wblock, "p", wp))
         else:
-            raise ConfigError(f"{pointer}/weights/kind", f"unknown weights kind {kind!r}")
+            weights = BaseWeights.markov(_require(wblock, "transition", wp), wblock.get("stationary"))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -180,13 +188,16 @@ def _parse_system(block, pointer="/system"):
     for i, mblock in enumerate(block["fiber_maps"]):
         mp = f"{pointer}/fiber_maps/{i}"
         _reject_unknown(mblock, _MAP_KEYS, mp)
+        tp = f"{mp}/offset_table"
         table = {
-            _parse_word(k, f"{mp}/offset_table"): v
-            for k, v in (mblock.get("offset_table") or {}).items()
+            _parse_word(k, tp): _number(v, f"{tp}/{k}")
+            for k, v in _object(mblock.get("offset_table", {}), tp).items()
         }
-        maps.append(FiberMapSpec(_require(mblock, "slope", mp), _require(mblock, "offset", mp), table))
+        slope, offset = (_number(_require(mblock, key, mp), f"{mp}/{key}") for key in ("slope", "offset"))
+        maps.append((slope, offset, table))
     offset_depth = _int(block, "offset_depth", 1, 1, pointer)
     try:
+        maps = [FiberMapSpec(*m) for m in maps]
         return SystemSpec(TransitionMatrix(matrix), theta, weights, maps, offset_depth)
     except ValueError as exc:
         raise ConfigError(pointer, str(exc)) from exc
@@ -197,8 +208,9 @@ def parse_observable(block, matrix, pointer):
     kind = _require(block, "type", pointer)
     if kind == "base_only":
         depth = _int(block, "depth", None, 1, pointer)
-        raw = _require(block, "values", pointer)
-        values = {_parse_word(k, pointer): float(v) for k, v in raw.items()}
+        vp = f"{pointer}/values"
+        raw = _object(_require(block, "values", pointer), vp)
+        values = {_parse_word(k, pointer): float(_number(v, f"{vp}/{k}")) for k, v in raw.items()}
         missing = set(matrix.words(depth)) - set(values)
         if missing:
             raise ConfigError(f"{pointer}/values", f"missing word {sorted(missing)[0]}")
@@ -209,7 +221,7 @@ def parse_observable(block, matrix, pointer):
     if kind == "components":
         depth = _int(block, "depth", None, 1, pointer)
         comps = {}
-        for k, sub in _require(block, "components", pointer).items():
+        for k, sub in _object(_require(block, "components", pointer), f"{pointer}/components").items():
             sp = f"{pointer}/components/{k}"
             _reject_unknown(sub, {"breakpoints", "values"}, sp)
             comps[_parse_word(k, pointer)] = PiecewiseLinearFn(

@@ -120,11 +120,13 @@ class Observable:
         """phi at admissible depth-k window codes and fiber points of one shape, each cell once."""
         if len(self.pieces) == 1:
             return self.pieces[0](y)
-        piece, out = self.piece_of_code[codes], np.empty(y.shape)
-        for j, h in enumerate(self.pieces):
-            sel = piece == j
-            out[sel] = h(y[sel])
-        return out
+        piece = self.piece_of_code[codes].ravel()
+        order = np.argsort(piece, kind="stable")  # each piece reads its own range of cells
+        cuts = np.searchsorted(piece[order], np.arange(1, len(self.pieces)))
+        flat, out = y.ravel(), np.empty(y.size)
+        for h, idx in zip(self.pieces, np.split(order, cuts)):
+            out[idx] = h(flat[idx])
+        return out.reshape(y.shape)
 
     def on_atoms(self, dis):
         """phi at every atom of a disintegration, in table order."""
@@ -230,10 +232,6 @@ class CorrelationCurve:
     values: np.ndarray
     err_bounds: np.ndarray
     fit: ExpFit = field(repr=False)
-
-    @property
-    def tau(self):
-        return self.fit.rate
 
 
 def correlation_curve(sys, mu0, now, later, nmax, grid=DEFAULT_GRID):

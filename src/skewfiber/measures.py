@@ -9,9 +9,10 @@ point masses on [0, 1].  Distances between measures are taken in the dual
 which is a norm on signed measures and agrees with the usual flat metric.
 The supremum only involves the values of g at the atoms of the two measures,
 so it is a finite linear program; on a line the pairwise Lipschitz
-constraints reduce to adjacent differences.  ``wk_distance`` returns closed
-forms for one-signed and balanced net measures and solves the rest exactly by
-dynamic programming over concave piecewise-linear value functions, and
+constraints reduce to adjacent differences.  ``row_norms`` merges a signed
+atom table once and returns each row's norm: closed forms for one-signed and
+balanced rows, exact dynamic programming over concave piecewise-linear value
+functions for the rest.  ``wk_distance`` is its one-row case, and
 ``wk_distance_bruteforce`` solves the same program with an off-the-shelf LP
 solver on the merged support, as an independent cross-check.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "PiecewiseLinearFn",
     "ZERO_MEASURE",
     "wk_distance",
+    "row_norms",
     "wk_norm",
     "wk_distance_bruteforce",
     "pushforward",
@@ -80,13 +82,6 @@ class AtomicMeasure:
     @classmethod
     def dirac(cls, x, weight=1.0):
         return cls([x], [weight])
-
-    @classmethod
-    def from_canonical(cls, positions, weights):
-        """Wrap arrays already in canonical form (e.g. one row of an atom table), uncopied."""
-        mu = object.__new__(cls)
-        mu.positions, mu.weights = positions, weights
-        return mu
 
     @property
     def n_atoms(self):
@@ -178,18 +173,12 @@ class PiecewiseLinearFn:
 # ---------------------------------------------------------------------------
 
 
-def _net_coefficients(mu, nu):
-    """Merged support and net weights of mu - nu, zero entries dropped."""
-    pos = np.concatenate([mu.positions, nu.positions])
-    return merge_atoms(0, pos, np.concatenate([mu.weights, -nu.weights]))[1:]
+def row_norms(rows, positions, weights, n_rows):
+    """Dual norm of each row of a signed atom table, in one ``merge_atoms``.
 
-
-def wk_distance(mu, nu=ZERO_MEASURE):
-    """Bounded-Lipschitz distance between two atomic signed measures.
-
-    Maximizes sum_i c_i g_i over g with |g_i| <= 1 and
-    |g_{i+1} - g_i| <= x_{i+1} - x_i, where c is the net weight vector of
-    mu - nu on the merged support x.  The chain structure admits an exact
+    Row r's norm maximizes sum_i c_i g_i over g with |g_i| <= 1 and
+    |g_{i+1} - g_i| <= x_{i+1} - x_i, where (x, c) are the merged positions
+    and net weights of the row.  The chain structure admits an exact
     sweep: the partial maximum V_i(g), as a function of the value g at atom
     i, is concave piecewise linear, and passing to atom i+1 replaces V by
     its sliding-window maximum (radius = gap) plus a linear term.  The
@@ -203,9 +192,16 @@ def wk_distance(mu, nu=ZERO_MEASURE):
     c has norm W1 = int |F_c| (Kantorovich-Rubinstein: a 1-Lipschitz g
     shifts into [-1/2, 1/2]).  If |sum c| <= 1e-12 sum |c|, c is balanced
     up to sum(c) at its last atom, which leaves F_c unchanged before it, so
-    int |F_c| + |sum c| is an upper estimate within 2 |sum c|.
+    int |F_c| + |sum c| is an upper estimate within 2 |sum c|.  Coincident
+    atoms of a row sum in input order; a row with no atoms has norm 0.
     """
-    x, c = _net_coefficients(mu, nu)
+    row, x, c = merge_atoms(rows, positions, weights)
+    s = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
+    return np.array([_dual_norm(x[a:b], c[a:b]) for a, b in zip(s, s[1:])])
+
+
+def _dual_norm(x, c):
+    """Dual norm of one row: merged positions x, nonzero net weights c."""
     k = x.size
     if k == 0:
         return 0.0
@@ -225,6 +221,11 @@ def wk_distance(mu, nu=ZERO_MEASURE):
         xs, vs = _window_max(xs, vs, gaps[i - 1])
         vs = vs + c[i] * xs
     return float(vs.max())
+
+
+def wk_distance(mu, nu=ZERO_MEASURE):
+    """Bounded-Lipschitz distance between two atomic signed measures: mu's atoms, then -nu's, as one row."""
+    return float(row_norms(0, np.r_[mu.positions, nu.positions], np.r_[mu.weights, -nu.weights], 1)[0])
 
 
 def _window_max(xs, vs, d):
@@ -265,7 +266,7 @@ def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
     from scipy import sparse
     from scipy.optimize import linprog
 
-    x, c = _net_coefficients(mu, nu)
+    _, x, c = merge_atoms(0, np.r_[mu.positions, nu.positions], np.r_[mu.weights, -nu.weights])
     n = x.size
     if n == 0:
         return 0.0

@@ -12,7 +12,8 @@ so the marginal density evolves by the base transfer operator and the
 fiberwise dual norm never grows.  On pairs of disintegrations whose fibers
 carry equal masses word by word, one application contracts the fiberwise
 distance by the fiber contraction rate; that is what certifies the fixed
-point computation and the quantization error bookkeeping below.
+point computation and the quantization error bookkeeping below.  Every
+fiberwise norm reads the table through ``measures.row_norms``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import exp_fit
-from .measures import AtomicMeasure, merge_atoms, wk_distance, wk_norm
+from .measures import AtomicMeasure, merge_atoms, row_norms
 from .skew import c1_constant
 from .symbolic import (
     CylinderFunction,
@@ -90,15 +91,11 @@ class Disintegration:
     def words(self):
         return self.matrix.words(self.depth)
 
-    def fiber_views(self):
-        """Fiber measures in word order, as uncopied views of the table."""
-        s = self.starts.tolist()
-        return [AtomicMeasure.from_canonical(self.pos[a:b], self.w[a:b]) for a, b in zip(s, s[1:])]
-
     @property
     def fibers(self):
-        """Word -> fiber view map, rebuilt on each read (for readers outside the package)."""
-        return dict(zip(self.words(), self.fiber_views()))
+        """Word -> fiber measure map, rebuilt on each read (for readers outside the package)."""
+        cuts = self.starts[1:-1]
+        return dict(zip(self.words(), map(AtomicMeasure, np.split(self.pos, cuts), np.split(self.w, cuts))))
 
     def scaled(self, factor):
         err = abs(factor) * self.err_bound
@@ -112,13 +109,13 @@ class Disintegration:
         return float(sum((masses * self.fiber_masses()).tolist()))
 
     def to_json_dict(self):
-        views = self.fiber_views()
+        cuts = self.starts[1:-1]
         return {
             "depth": self.depth,
             "matrix": self.matrix.entries.tolist(),
             "words": [list(w) for w in self.words()],
-            "atoms": [mu.positions.tolist() for mu in views],
-            "weights": [mu.weights.tolist() for mu in views],
+            "atoms": [p.tolist() for p in np.split(self.pos, cuts)],
+            "weights": [w.tolist() for w in np.split(self.w, cuts)],
             "errorBound": self.err_bound,
         }
 
@@ -145,7 +142,7 @@ class Disintegration:
 
 def norm_inf(dis):
     """Largest fiberwise dual norm over the working words."""
-    return max(wk_norm(mu) for mu in dis.fiber_views())
+    return float(row_norms(dis.row, dis.pos, dis.w, dis.starts.size - 1).max())
 
 
 def marginal_density(dis):
@@ -163,15 +160,19 @@ def lip_constant(dis, theta):
 
     Maximum of wk(mu|_w1, mu|_w2) / d(w1, w2) over every pair of admissible
     words, so the value is exact for this representation and an upper bound
-    for the infimum over all equivalent disintegrations.
+    for the infimum over all equivalent disintegrations.  Word a's pairs
+    are one ``row_norms`` table whose row j is fiber a minus fiber a+1+j.
     """
-    views = dis.fiber_views()
     dist = word_distances(dis.matrix, dis.depth, theta)
+    s, n = dis.starts, dis.starts.size - 1
     best = 0.0
-    for a in range(len(views)):
-        for b in range(a + 1, len(views)):
-            best = max(best, wk_distance(views[a], views[b]) / dist[a, b])
-    return float(best)
+    for a in range(n - 1):
+        k, lo, hi = n - 1 - a, s[a], s[a + 1]
+        rows = np.concatenate([np.repeat(np.arange(k), hi - lo), dis.row[hi:] - (a + 1)])
+        pos = np.concatenate([np.tile(dis.pos[lo:hi], k), dis.pos[hi:]])
+        w = np.concatenate([np.tile(dis.w[lo:hi], k), -dis.w[hi:]])
+        best = max(best, float((row_norms(rows, pos, w, k) / dist[a, a + 1 :]).max()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,9 @@ def change_between(d1, d2):
     """Largest fiberwise wk distance between two disintegrations of one depth and matrix."""
     if d1.depth != d2.depth or d1.matrix != d2.matrix:
         raise ValueError("disintegrations differ in depth or transition matrix")
-    return max(wk_distance(a, b) for a, b in zip(d1.fiber_views(), d2.fiber_views()))
+    # d1's atoms, then d2's negated: a shared position sums as in wk_distance
+    rows, pos = np.concatenate([d1.row, d2.row]), np.concatenate([d1.pos, d2.pos])
+    return float(row_norms(rows, pos, np.concatenate([d1.w, -d2.w]), d1.starts.size - 1).max())
 
 
 def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
@@ -287,7 +290,6 @@ class FixedPointResult:
     certified_error: float
     iterations: int
     last_change: float
-    quantization_error: float
 
     @property
     def depth(self):
@@ -319,12 +321,9 @@ def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
     mu, _ = quantize_disintegration(init, grid)
     mu.err_bound = 0.0
     max_iter = 10 * max(1, math.ceil(math.log(tol) / math.log(alpha))) if alpha > 0 else 10
-    q_acc = 0.0
     for iteration in range(1, max_iter + 1):
         nu = transfer_apply(sys, mu)
         nu, q_step = quantize_disintegration(nu, grid)
-        q_acc = alpha * q_acc + q_step
-        nu.err_bound = q_acc
         delta = change_between(nu, mu)
         mu = nu
         if delta < tol:
@@ -332,7 +331,7 @@ def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
             # downstream error propagation measures against the true invariant
             # measure, so the disintegration carries the full certificate
             mu.err_bound = certified
-            return FixedPointResult(mu, certified, iteration, delta, q_acc)
+            return FixedPointResult(mu, certified, iteration, delta)
     raise ConvergenceError(
         f"no fixed point within {max_iter} iterations (last change {delta:.3g})"
     )

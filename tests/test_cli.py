@@ -138,12 +138,21 @@ MALFORMED_FIELDS = [
     (("tol",), True, "/tol"),
     (("seed",), 1.5, "/seed"),
     (("seed",), True, "/seed"),
+    (("system", "theta"), [1], "/system/theta"),
+    (("system", "fiber_maps", 0, "slope"), [1], "/system/fiber_maps/0/slope"),
+    (("system", "fiber_maps", 0, "slope"), "x", "/system/fiber_maps/0/slope"),
+    (("system", "fiber_maps", 0, "offset"), None, "/system/fiber_maps/0/offset"),
+    (("system", "fiber_maps", 0, "offset_table"), 5, "/system/fiber_maps/0/offset_table"),
+    (("system", "fiber_maps", 0, "offset_table"), {"0": "a"}, "/system/fiber_maps/0/offset_table/0"),
+    (("system", "weights", "transition"), [[0.5, 0.5], [0.5, 0.5]], "/system/weights/transition"),
+    (("correlations", "psi", "values"), 5, "/correlations/psi/values"),
+    (("correlations", "psi"), {"type": "components", "depth": 1, "components": 5}, "/correlations/psi/components"),
 ]
 
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "path,value,pointer", MALFORMED_FIELDS, ids=[f"{'.'.join(m[0])}={m[1]!r}" for m in MALFORMED_FIELDS]
+        "path,value,pointer", MALFORMED_FIELDS, ids=[f"{'.'.join(map(str, m[0]))}={m[1]!r}" for m in MALFORMED_FIELDS]
     )
     def test_malformed_field_is_config_error(self, path, value, pointer, config_path, tmp_path, capsys):
         cfg = small_config()

@@ -113,16 +113,17 @@ class TestEvaluator:
         sys, dis = fixed_point_of(name, mu0, mu0_coupled, mu0_markov3)
         rng = np.random.default_rng(3)
         masses = cylinder_mass_vector(sys.weights, sys.matrix, dis.depth)
-        fiber_masses = np.array([dis.fibers[w].total_weight() for w in dis.words()])
+        fibers = dis.fibers
+        fiber_masses = np.array([fibers[w].total_weight() for w in dis.words()])
         for depth in (1, 2, dis.depth):
             for obs in random_observables(sys, depth, rng):
-                integrals = np.array([integrate(dis.fibers[w], obs.component(w)) for w in dis.words()])
+                integrals = np.array([integrate(fibers[w], obs.component(w)) for w in dis.words()])
                 mean = float(np.dot(masses, integrals))
                 assert integrate_observable(sys, dis, obs) == pytest.approx(mean, rel=1e-12)
                 average = fiber_average(sys, dis, obs).values
                 assert np.allclose(average, integrals / fiber_masses, rtol=1e-12, atol=0.0)
                 centered = obs.shifted(-mean)
-                s = np.array([integrate(dis.fibers[w], centered.component(w)) for w in dis.words()])
+                s = np.array([integrate(fibers[w], centered.component(w)) for w in dis.words()])
                 level0 = gordin_norms(sys, dis, obs, nmax=0).norms[0]
                 # centered integrals of a product fixed point are rounding noise, hence the floor
                 assert level0 == pytest.approx(math.sqrt(np.dot(masses, s**2)), rel=1e-12, abs=1e-14)
@@ -250,6 +251,7 @@ def gordin_norms_word_sum(sys, mu0, phi, nmax):
     matrix = sys.matrix
     phit = phi.shifted(-integrate_observable(sys, mu0, phi))
     norms = np.empty(nmax + 1)
+    fibers = mu0.fibers
     for n in range(nmax + 1):
         depth_v = max(1, mu0.depth - n)
         masses_v = masses_by_word(sys, depth_v)
@@ -262,7 +264,7 @@ def gordin_norms_word_sum(sys, mu0, phi, nmax):
                 if n and not matrix.entries[u[-1], v[0]]:
                     continue
                 uv = u + v
-                fiber_integral = integrate(mu0.fibers[uv[: mu0.depth]], phit.component(uv))
+                fiber_integral = integrate(fibers[uv[: mu0.depth]], phit.component(uv))
                 acc += masses_uv[uv] * fiber_integral
             total += (acc / mass_v) ** 2 * mass_v
         norms[n] = math.sqrt(total)
@@ -334,8 +336,7 @@ class TestAsymptoticVariance:
         var = asymptotic_variance(CANTOR, mu0, phi, truncation=10)
         masses = masses_by_word(CANTOR, mu0.depth)
         direct = 0.0
-        for w in mu0.words():
-            mu = mu0.fibers[w]
+        for w, mu in mu0.fibers.items():
             h = phi.component(w)
             direct += masses[w] * float(
                 np.dot(mu.weights, (h(mu.positions) - m) ** 2)

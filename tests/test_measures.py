@@ -12,6 +12,7 @@ from skewfiber.measures import (
     merge_atoms,
     pushforward,
     quantize,
+    row_norms,
     wk_distance,
     wk_distance_bruteforce,
     wk_norm,
@@ -104,6 +105,65 @@ class TestWkDistance:
     def test_empty_measures(self):
         assert wk_distance(ZERO_MEASURE, ZERO_MEASURE) == 0.0
         assert wk_norm(ZERO_MEASURE) == 0.0
+
+
+def row_pair(rng, kind):
+    """(mu, nu) whose net measure mu - nu is of the given kind, on a coarse grid shared by both."""
+    n = int(rng.integers(1, 7))
+    grid = rng.integers(0, 9, size=(2, n)) / 8
+    if kind == "empty":
+        return (ZERO_MEASURE, ZERO_MEASURE) if rng.random() < 0.5 else (AtomicMeasure(grid[0], [1.0] * n),) * 2
+    if kind == "one_signed":
+        return AtomicMeasure(grid[0], rng.uniform(0.1, 2.0, n)), AtomicMeasure(grid[1], -rng.uniform(0.1, 2.0, n))
+    if kind == "general":
+        return AtomicMeasure(grid[0], rng.uniform(-2.0, 2.0, n)), AtomicMeasure(grid[1], rng.uniform(-2.0, 2.0, n))
+    # dyadic weights sum without rounding; nu carries them in another order
+    w = rng.integers(1, 129, n) / 64.0 * rng.choice([-1.0, 1.0], n)
+    nu_w = rng.permutation(w)
+    if kind == "near_balanced":
+        nu_w[0] += rng.choice([-3e-13, 1e-15]) * np.abs(w).sum()
+    return AtomicMeasure(grid[0], w), AtomicMeasure(grid[1], nu_w)
+
+
+def net_kind(mu, nu):
+    """Which branch of the dual norm the net measure mu - nu takes."""
+    _, _, c = merge_atoms(0, np.r_[mu.positions, nu.positions], np.r_[mu.weights, -nu.weights])
+    if c.size == 0:
+        return "empty"
+    if (c > 0).all() or (c < 0).all():
+        return "one_signed"
+    total = abs(c.sum())
+    if total <= 1e-12 * np.abs(c).sum():
+        return "balanced" if total == 0.0 else "near_balanced"
+    return "general"
+
+
+class TestRowNorms:
+    KINDS = ("empty", "one_signed", "balanced", "near_balanced", "general")
+
+    def test_rows_equal_wk_distance_of_their_pairs(self):
+        rng = np.random.default_rng(17)
+        seen, shared = set(), 0
+        for _ in range(15):
+            pairs = [row_pair(rng, kind) for kind in rng.choice(self.KINDS, 12)]
+            rows = np.repeat(np.arange(len(pairs)), [mu.n_atoms + nu.n_atoms for mu, nu in pairs])
+            pos = np.concatenate([np.r_[mu.positions, nu.positions] for mu, nu in pairs])
+            w = np.concatenate([np.r_[mu.weights, -nu.weights] for mu, nu in pairs])
+            # a shuffled table with two trailing rows that hold no atoms
+            order = rng.permutation(w.size)
+            norms = row_norms(rows[order], pos[order], w[order], len(pairs) + 2)
+            assert norms.shape == (len(pairs) + 2,)
+            assert norms[-2:].tolist() == [0.0, 0.0]
+            for norm, (mu, nu) in zip(norms, pairs):
+                seen.add(net_kind(mu, nu))
+                shared += np.intersect1d(mu.positions, nu.positions).size > 0
+                assert norm == wk_distance(mu, nu)
+                # the LP bracket: the balanced form overestimates by at most 2 |net total|
+                lp = wk_distance_bruteforce(mu, nu)
+                net = abs(mu.total_weight() - nu.total_weight())
+                assert lp - 1e-11 <= norm <= lp + 2 * net + 1e-11
+        assert seen == {"empty", "one_signed", "balanced", "near_balanced", "general"}
+        assert shared > 20
 
 
 class TestPushforward:

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import MARKOV3, random_disintegration, random_vanishing_disintegration
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
-from skewfiber.measures import AtomicMeasure, wk_distance
+from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, wk_distance, wk_norm
 from skewfiber.skew import FiberMapSpec, SystemSpec
-from skewfiber.symbolic import BaseWeights, TransitionMatrix, ruelle_apply
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, ruelle_apply, word_distances
 from skewfiber.transfer import (
     Disintegration,
     change_between,
@@ -104,8 +104,7 @@ class TestTransferApply:
     def test_cantor_point_mass_one_step(self):
         # two admissible branches with weight 1/2 each
         out = transfer_apply(CANTOR, product_dirac(CANTOR, 3))
-        for w in out.words():
-            mu = out.fibers[w]
+        for mu in out.fibers.values():
             assert mu.positions.tolist() == [0.0, 2 / 3]
             assert np.allclose(mu.weights, 0.5)
 
@@ -171,8 +170,7 @@ class TestWordSum:
     def test_cantor_two_step_atoms(self):
         # the four branch compositions applied to 0
         direct = word_sum_iterate(CANTOR, DIRAC0, 2, 2)
-        for w in direct.words():
-            mu = direct.fibers[w]
+        for mu in direct.fibers.values():
             assert np.allclose(mu.positions, [0.0, 2 / 9, 2 / 3, 8 / 9])
             assert np.allclose(mu.weights, 0.25)
 
@@ -348,6 +346,67 @@ class TestChangeBetween:
         # four words at depth 2 on both sides, so the tables alone would line up
         with pytest.raises(ValueError, match="matrix"):
             change_between(Disintegration.product(CYCLE3, 2, DIRAC0), product_dirac(CANTOR, 2))
+
+
+def norm_inf_loop(dis):
+    return max(wk_norm(mu) for mu in dis.fibers.values())
+
+
+def change_loop(d1, d2):
+    f1, f2 = d1.fibers, d2.fibers
+    return max(wk_distance(f1[w], f2[w]) for w in d1.words())
+
+
+def lip_loop(dis, theta):
+    mus = list(dis.fibers.values())
+    dist = word_distances(dis.matrix, dis.depth, theta)
+    best = 0.0
+    for a in range(len(mus)):
+        for b in range(a + 1, len(mus)):
+            best = max(best, wk_distance(mus[a], mus[b]) / dist[a, b])
+    return float(best)
+
+
+def assert_table_norms_match_loops(d1, d2, theta):
+    assert norm_inf(d1) == norm_inf_loop(d1)
+    assert change_between(d1, d2) == change_loop(d1, d2)
+    assert change_between(d2, d1) == change_loop(d2, d1)
+    assert lip_constant(d1, theta) == lip_loop(d1, theta)
+
+
+TABLE_SYSTEMS = [(CANTOR, 3), (coupled_demo(), 3), (MARKOV3, 3)]
+
+
+class TestTableNorms:
+    """norm_inf, change_between and lip_constant against per-fiber wk_distance loops, bit for bit."""
+
+    @pytest.mark.parametrize("sys,depth", TABLE_SYSTEMS, ids=["cantor", "coupled", "markov3"])
+    def test_fixed_point(self, sys, depth):
+        mu0 = fixed_point(sys, depth=depth, tol=1e-6, grid=512).disintegration
+        again, _ = quantize_disintegration(transfer_apply(sys, mu0), 512)
+        assert_table_norms_match_loops(mu0, again, sys.theta)
+        assert_table_norms_match_loops(mu0, Disintegration.product(sys.matrix, depth, DIRAC0), sys.theta)
+
+    @pytest.mark.parametrize("sys,depth", TABLE_SYSTEMS, ids=["cantor", "coupled", "markov3"])
+    def test_ly_iterates_with_unequal_masses(self, sys, depth):
+        rng = np.random.default_rng(12)
+        previous = random_disintegration(sys.matrix, depth, rng, n_atoms=2, signed=False)
+        assert np.ptp(previous.fiber_masses()) > 0.1
+        for _ in range(3):
+            current = transfer_apply(sys, previous)
+            assert_table_norms_match_loops(current, previous, sys.theta)
+            previous = current
+
+    @pytest.mark.parametrize("sys,depth", TABLE_SYSTEMS, ids=["cantor", "coupled", "markov3"])
+    def test_random_signed_with_empty_fibers(self, sys, depth):
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            d1, d2 = (random_disintegration(sys.matrix, depth, rng, n_atoms=4) for _ in range(2))
+            fibers, words = d1.fibers, d1.words()
+            for i in rng.permutation(len(words))[: len(words) // 3]:
+                fibers[words[i]] = ZERO_MEASURE
+            d1 = Disintegration.from_fibers(sys.matrix, depth, fibers)
+            assert_table_norms_match_loops(d1, d2, sys.theta)
 
 
 class TestSerialization:
