@@ -142,8 +142,9 @@ def _int(block, key, default, minimum, pointer):
 
 
 def _number(value, pointer):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(pointer, f"must be a number, got {value!r}")
+    # rejects a JSON NaN or Infinity, and integers too large for a float (compared exactly)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(pointer, f"must be a finite number, got {value!r}")
     return value
 
 
@@ -203,6 +204,31 @@ def _parse_system(block, pointer="/system"):
         raise ConfigError(pointer, str(exc)) from exc
 
 
+def _finite_list(block, key, pointer):
+    """``block[key]`` as a 1-d float array; anything else is a ConfigError at ``{pointer}/{key}``."""
+    value = _require(block, key, pointer)
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{pointer}/{key}", str(exc)) from exc
+    if array.ndim != 1 or not np.isfinite(array).all():
+        raise ConfigError(f"{pointer}/{key}", f"must be a list of finite numbers, got {value!r}")
+    return array
+
+
+def _piecewise(block, pointer):
+    """``block``'s breakpoints and values as a PiecewiseLinearFn; a bad field is a ConfigError.
+
+    A field that is not a list of finite numbers is reported at its own pointer,
+    a mismatch between the two fields at ``pointer``.
+    """
+    breakpoints, values = (_finite_list(block, key, pointer) for key in ("breakpoints", "values"))
+    try:
+        return PiecewiseLinearFn(breakpoints, values)
+    except ValueError as exc:
+        raise ConfigError(pointer, str(exc)) from exc
+
+
 def parse_observable(block, matrix, pointer):
     _reject_unknown(block, _OBS_KEYS, pointer)
     kind = _require(block, "type", pointer)
@@ -216,17 +242,14 @@ def parse_observable(block, matrix, pointer):
             raise ConfigError(f"{pointer}/values", f"missing word {sorted(missing)[0]}")
         return Observable.base_only(matrix, depth, values)
     if kind == "fiber":
-        h = PiecewiseLinearFn(_require(block, "breakpoints", pointer), _require(block, "values", pointer))
-        return Observable.fiber(matrix, h)
+        return Observable.fiber(matrix, _piecewise(block, pointer))
     if kind == "components":
         depth = _int(block, "depth", None, 1, pointer)
         comps = {}
         for k, sub in _object(_require(block, "components", pointer), f"{pointer}/components").items():
             sp = f"{pointer}/components/{k}"
             _reject_unknown(sub, {"breakpoints", "values"}, sp)
-            comps[_parse_word(k, pointer)] = PiecewiseLinearFn(
-                _require(sub, "breakpoints", sp), _require(sub, "values", sp)
-            )
+            comps[_parse_word(k, pointer)] = _piecewise(sub, sp)
         return Observable(matrix, depth, comps)
     raise ConfigError(f"{pointer}/type", f"unknown observable type {kind!r}")
 

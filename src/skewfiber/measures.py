@@ -140,6 +140,8 @@ class PiecewiseLinearFn:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if not (np.diff(breakpoints) > 0).all():
             raise ValueError("breakpoints must be strictly increasing")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         self.breakpoints = breakpoints
         self.values = values
 

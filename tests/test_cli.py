@@ -1,7 +1,11 @@
 """Tests for config parsing, CLI exit codes, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,54 @@ MALFORMED_FIELDS = [
     (("system", "weights", "transition"), [[0.5, 0.5], [0.5, 0.5]], "/system/weights/transition"),
     (("correlations", "psi", "values"), 5, "/correlations/psi/values"),
     (("correlations", "psi"), {"type": "components", "depth": 1, "components": 5}, "/correlations/psi/components"),
+    (
+        ("correlations", "psi"),
+        {"type": "fiber", "breakpoints": [0.0, "x"], "values": [0.0, 1.0]},
+        "/correlations/psi/breakpoints",
+    ),
+    (
+        ("correlations", "psi"),
+        {"type": "fiber", "breakpoints": [0.0, 1.0], "values": [None, 1.0]},
+        "/correlations/psi/values",
+    ),
+    (
+        ("correlations", "psi"),
+        {"type": "fiber", "breakpoints": [0.0, 1.0], "values": [float("nan"), 1.0]},
+        "/correlations/psi/values",
+    ),
+    (
+        ("correlations", "psi"),
+        {"type": "fiber", "breakpoints": {"0": 0.0}, "values": [0.0, 1.0]},
+        "/correlations/psi/breakpoints",
+    ),
+    (("correlations", "psi", "values", "0"), float("nan"), "/correlations/psi/values/0"),
+    (("system", "theta"), float("inf"), "/system/theta"),
+    # a relation between the two fields is reported at the observable's pointer
+    (("correlations", "psi"), {"type": "fiber", "breakpoints": [0.5, 1.0], "values": [0.0, 1.0]}, "/correlations/psi"),
+    (
+        ("correlations", "psi"),
+        {"type": "components", "depth": 1, "components": {
+            "0": {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]},
+            "1": {"breakpoints": [0.0, 1.0], "values": ["x", 1.0]},
+        }},
+        "/correlations/psi/components/1/values",
+    ),
+    (
+        ("correlations", "psi"),
+        {"type": "components", "depth": 1, "components": {
+            "0": {"breakpoints": [[0.0], [1.0]], "values": [0.0, 1.0]},
+            "1": {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]},
+        }},
+        "/correlations/psi/components/0/breakpoints",
+    ),
+    (
+        ("correlations", "psi"),
+        {"type": "components", "depth": 1, "components": {
+            "0": {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]},
+            "1": {"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 1.0]},
+        }},
+        "/correlations/psi/components/1",
+    ),
 ]
 
 
@@ -174,6 +226,13 @@ class TestExitCodes:
         code = main([block, "--config", config_path(cfg), "--out", str(tmp_path / "m")])
         assert code == 2
         assert f"config error: {pointer}:" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_is_config_error(self, config_path, tmp_path, capsys):
+        cfg = small_config()
+        cfg["system"]["theta"] = 10**400
+        code = main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert "config error: /system/theta:" in capsys.readouterr().err
 
     def test_verify_passes(self, config_path, tmp_path):
         code = main(["verify", "--config", config_path(small_config()), "--out", str(tmp_path / "v")])
@@ -289,3 +348,21 @@ class TestArtifacts:
         assert code == 0
         # the base system plus one solve per sweep delta
         assert len(calls) == len(cfg["stability"]["deltas"]) + 1
+
+
+def test_only_verify_imports_scipy(config_path, tmp_path):
+    """The subcommands other than ``verify`` run without importing scipy."""
+    script = (
+        "import sys\n"
+        "from skewfiber.cli import main\n"
+        "for sub in ('fixed-point', 'spectral', 'stability', 'correlations', 'clt'):\n"
+        "    assert main([sub, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + sub]) == 0, sub\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(skewfiber.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, config_path(small_config()), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -487,3 +487,47 @@ class TestCLT:
         const = Observable.base_only(CANTOR.matrix, 1, {(0,): 1.0, (1,): 1.0})
         with pytest.raises(CoboundaryError):
             clt_experiment(CANTOR, mu0, const, length=100, trials=200, seed=0)
+
+
+def _ndtr_bits(points):
+    from skewfiber.limits import _ndtr
+
+    return np.array([_ndtr(v) for v in np.asarray(points, dtype=float).tolist()]).view(np.int64)
+
+
+class TestNdtrPort:
+    """The Cephes ``ndtr`` port reproduces ``scipy.special.ndtr`` bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(points):
+        from scipy.special import ndtr
+
+        points = np.asarray(points, dtype=float)
+        mismatch = np.flatnonzero(_ndtr_bits(points) != ndtr(points).view(np.int64))
+        assert mismatch.size == 0, points[mismatch[:5]]
+
+    def test_dense_grid(self):
+        self.assert_bitwise(np.linspace(-40.0, 40.0, 400_001))
+
+    # ndtr's erf/erfc switch (|a| = 1), erfc's 1 - erf (|a| = sqrt 2) and its P/Q
+    # to R/S switch (|a| = 8 sqrt 2), the exp underflow cut a^2/2 = MAXLOG, and 0
+    @pytest.mark.parametrize(
+        "edge", [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384), 0.0]
+    )
+    def test_branch_edges(self, edge):
+        points = []
+        for centre in (edge, -edge):
+            lo = hi = centre
+            points.append(centre)
+            for _ in range(64):
+                lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+                points += [lo, hi]
+        self.assert_bitwise(points)
+
+    def test_underflow_region(self):
+        band = np.linspace(37.5, 38.5, 20_001)
+        self.assert_bitwise(np.concatenate([band, -band]))
+
+    def test_non_finite_and_extremes(self):
+        self.assert_bitwise([np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, -0.0])
+        assert math.isnan(_ndtr_bits([np.nan]).view(float)[0])

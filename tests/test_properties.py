@@ -156,6 +156,16 @@ class TestWkProperties:
         assert wk_distance(mu, snapped) <= bound + 1e-14
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_ndtr_port_matches_scipy_bitwise(a):
+    from scipy.special import ndtr
+
+    from skewfiber.limits import _ndtr
+
+    assert np.float64(_ndtr(a)).tobytes() == ndtr(np.float64(a)).tobytes()
+
+
 SOLVES = settings(max_examples=6, deadline=None, derandomize=True, database=None)
 REF_GRID = 1 << 16
 
