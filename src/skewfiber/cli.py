@@ -1,9 +1,10 @@
 """Command-line front end: config parsing, experiment orchestration, reports.
 
-Configs are JSON with a system block plus optional per-experiment blocks;
-unknown keys are rejected with their JSON pointer path.  Every subcommand
-writes CSV tables and a ``summary.json`` into the output directory.  Exit
-codes: 0 = all asserted bounds hold, 1 = some bound failed or the numerics
+Configs are JSON with a system block plus optional per-experiment blocks,
+parsed once into the values the experiments run on, defaults filled in; an
+unknown key or a malformed value fails at its JSON pointer before any compute.
+Every subcommand writes CSV tables and a ``summary.json`` into its output
+directory.  Exit codes: 0 = all asserted bounds hold, 1 = some bound failed or the numerics
 are inconsistent, 2 = usage or configuration error.  Reports contain no
 timestamps, so identical config and seed give byte-identical output files;
 timing goes to stderr.
@@ -17,6 +18,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +52,7 @@ from .stability import (
     fiber_op_gap,
     operator_gap,
     realize,
+    realize_grid,
     stability_sweep,
 )
 from .symbolic import (
@@ -75,9 +78,6 @@ from .transfer import (
     verify_ly,
 )
 
-SUBCOMMANDS = ("verify", "fixed-point", "spectral", "stability", "correlations", "clt")
-
-
 class ConfigError(ValueError):
     """Configuration problem, annotated with the JSON pointer of the offender."""
 
@@ -95,11 +95,18 @@ _SYSTEM_KEYS = {"matrix", "theta", "weights", "fiber_maps", "offset_depth"}
 _WEIGHT_KEYS = {"bernoulli": {"kind", "p"}, "markov": {"kind", "transition", "stationary"}}
 _MAP_KEYS = {"slope", "offset", "offset_table"}
 # "k5" is accepted and ignored: the bundled cantor demo and the cantor benchmark config carry it
-_STAB_KEYS = {"kind", "fiber_direction", "weight_direction", "deltas", "delta_max", "k5",
-              "depth", "grid", "tol"}
+_STAB_COMMON = {"kind", "deltas", "delta_max", "k5", "depth", "grid", "tol"}
+_STAB_KEYS = {"fiber_shift": _STAB_COMMON | {"fiber_direction"},
+              "base_weights": _STAB_COMMON | {"weight_direction"},
+              "combined": _STAB_COMMON | {"fiber_direction", "weight_direction"}}
 _CORR_KEYS = {"nmax", "psi", "phi", "gordin_nmax"}
 _CLT_KEYS = {"length", "trials", "truncation"}
 _OBS_KEYS = {"type", "depth", "values", "breakpoints", "components"}
+
+
+StabilityConfig = namedtuple("StabilityConfig", "family deltas depth grid tol")
+CorrelationsConfig = namedtuple("CorrelationsConfig", "psi phi nmax gordin_nmax")
+CltConfig = namedtuple("CltConfig", "length trials truncation")
 
 
 @dataclass
@@ -109,9 +116,9 @@ class ExperimentConfig:
     grid: int
     tol: float
     seed: int
-    stability: dict | None = None
-    correlations: dict | None = None
-    clt: dict | None = None
+    correlations: CorrelationsConfig
+    clt: CltConfig
+    stability: StabilityConfig | None = None
     digest: str = ""
 
 
@@ -155,6 +162,16 @@ def _positive(block, key, default, pointer):
     return value
 
 
+def _kind(block, keys, pointer, default=None):
+    """``block["kind"]``, one of ``keys``; a key that kind does not read is rejected."""
+    block = _object(block, pointer)
+    kind = _require(block, "kind", pointer) if default is None else block.get("kind", default)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"{pointer}/kind", f"must be one of {sorted(keys)}, got {kind!r}")
+    _reject_unknown(block, keys[kind], pointer)
+    return kind
+
+
 def _parse_word(text, pointer):
     try:
         if "," in text:
@@ -169,13 +186,9 @@ def _parse_system(block, pointer="/system"):
     matrix = _require(block, "matrix", pointer)
     theta = _number(_require(block, "theta", pointer), f"{pointer}/theta")
     wp = f"{pointer}/weights"
-    wblock = _object(_require(block, "weights", pointer), wp)
-    kind = _require(wblock, "kind", wp)
-    if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
-        raise ConfigError(f"{wp}/kind", f"unknown weights kind {kind!r}")
-    _reject_unknown(wblock, _WEIGHT_KEYS[kind], wp)
+    wblock = _require(block, "weights", pointer)
     try:
-        if kind == "bernoulli":
+        if _kind(wblock, _WEIGHT_KEYS, wp) == "bernoulli":
             weights = BaseWeights.bernoulli(_require(wblock, "p", wp))
         else:
             weights = BaseWeights.markov(_require(wblock, "transition", wp), wblock.get("stationary"))
@@ -204,9 +217,9 @@ def _parse_system(block, pointer="/system"):
         raise ConfigError(pointer, str(exc)) from exc
 
 
-def _finite_list(block, key, pointer):
+def _finite_list(block, key, pointer, default=None):
     """``block[key]`` as a 1-d float array; anything else is a ConfigError at ``{pointer}/{key}``."""
-    value = _require(block, key, pointer)
+    value = _require(block, key, pointer) if default is None else block.get(key, default)
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -254,6 +267,46 @@ def parse_observable(block, matrix, pointer):
     raise ConfigError(f"{pointer}/type", f"unknown observable type {kind!r}")
 
 
+def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
+    kind = _kind(block, _STAB_KEYS, pointer, default="fiber_shift")
+    directions = {key: _finite_list(block, key, pointer) for key in sorted(_STAB_KEYS[kind] - _STAB_COMMON)}
+    delta_max = _positive(block, "delta_max", 0.2, pointer)
+    try:
+        family = PerturbationFamily(system, kind, delta_max=delta_max, **directions)
+    except ValueError as exc:
+        raise ConfigError(pointer, str(exc)) from exc
+    deltas = _finite_list(block, "deltas", pointer, [0.1, 0.01, 0.001, 0.0001])
+    try:
+        deltas, _ = realize_grid(family, deltas)
+    except ValueError as exc:
+        raise ConfigError(f"{pointer}/deltas", str(exc)) from exc
+    return StabilityConfig(family, deltas, _int(block, "depth", depth, system.offset_depth, pointer),
+                           _int(block, "grid", grid, 2, pointer), _positive(block, "tol", tol, pointer))
+
+
+def _parse_correlations(block, matrix, depth, pointer="/correlations"):
+    _reject_unknown(block, _CORR_KEYS, pointer)
+    observables = {
+        "psi": Observable.base_only(matrix, 1, {w: 1.0 if w[0] == 0 else 0.0 for w in matrix.words(1)}),
+        "phi": Observable.fiber(matrix, PiecewiseLinearFn.identity()),
+    }
+    for key in ("psi", "phi"):
+        if key in block:
+            obs = observables[key] = parse_observable(block[key], matrix, f"{pointer}/{key}")
+            if obs.depth > depth:
+                raise ConfigError(f"{pointer}/{key}/depth", f"must be at most the working depth {depth}")
+    nmax = _int(block, "nmax", 12, 0, pointer)
+    return CorrelationsConfig(**observables, nmax=nmax,
+                              gordin_nmax=_int(block, "gordin_nmax", min(nmax, 8), 0, pointer))
+
+
+def _parse_clt(block, pointer="/clt"):
+    _reject_unknown(block, _CLT_KEYS, pointer)
+    return CltConfig(length=_int(block, "length", 2000, 1, pointer),
+                     trials=_int(block, "trials", 5000, MIN_TRIALS, pointer),
+                     truncation=_int(block, "truncation", 30, 1, pointer))
+
+
 def parse_config(path):
     """Load and validate a config file; raises ConfigError on the first problem."""
     path = Path(path)
@@ -269,24 +322,9 @@ def parse_config(path):
     grid = _int(raw, "grid", 512, 2, "")
     tol = _positive(raw, "tol", 1e-6, "")
     seed = _int(raw, "seed", 0, 0, "")
-    for name, keys in (("stability", _STAB_KEYS), ("correlations", _CORR_KEYS), ("clt", _CLT_KEYS)):
-        if name in raw:
-            _reject_unknown(raw[name], keys, f"/{name}")
-    for name, key, minimum in (
-        ("clt", "length", 1), ("clt", "trials", MIN_TRIALS), ("clt", "truncation", 1),
-        ("correlations", "nmax", 0), ("correlations", "gordin_nmax", 0),
-        ("stability", "depth", system.offset_depth), ("stability", "grid", 2),
-    ):
-        _int(raw.get(name, {}), key, minimum, minimum, f"/{name}")
-    for key, default in (("tol", 1.0), ("delta_max", 0.2)):
-        _positive(raw.get("stability", {}), key, default, "/stability")
-    if not isinstance(raw.get("stability", {}).get("deltas", []), list):
-        raise ConfigError("/stability/deltas", "must be a list")
-    if "correlations" in raw:
-        for obs_key in ("psi", "phi"):
-            if obs_key in raw["correlations"]:
-                parse_observable(raw["correlations"][obs_key], system.matrix,
-                                 f"/correlations/{obs_key}")
+    correlations = _parse_correlations(raw.get("correlations", {}), system.matrix, depth)
+    clt = _parse_clt(raw.get("clt", {}))
+    stability = _parse_stability(raw["stability"], system, depth, grid, tol) if "stability" in raw else None
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -296,9 +334,9 @@ def parse_config(path):
         grid=grid,
         tol=tol,
         seed=seed,
-        stability=raw.get("stability"),
-        correlations=raw.get("correlations"),
-        clt=raw.get("clt"),
+        correlations=correlations,
+        clt=clt,
+        stability=stability,
         digest=digest,
     )
 
@@ -430,28 +468,12 @@ def run_spectral(config, out_dir):
     return report.finalize()
 
 
-def _build_family(config):
-    block = config.stability
-    if not block:
-        raise ConfigError("/stability", "no stability block in the config")
-    return PerturbationFamily(
-        config.system,
-        block.get("kind", "fiber_shift"),
-        fiber_direction=block.get("fiber_direction"),
-        weight_direction=block.get("weight_direction"),
-        delta_max=block.get("delta_max", 0.2),
-    )
-
-
 def run_stability(config, out_dir):
+    stab = config.stability
+    if stab is None:
+        raise ConfigError("/stability", "no stability block in the config")
     report = Report("stability", config, out_dir)
-    fam = _build_family(config)
-    block = config.stability
-    deltas = block.get("deltas", [1e-1, 1e-2, 1e-3, 1e-4])
-    depth = block.get("depth", config.depth)
-    grid = block.get("grid", config.grid)
-    tol = block.get("tol", config.tol)
-    result = stability_sweep(fam, deltas, depth=depth, tol=tol, grid=grid)
+    result = stability_sweep(stab.family, stab.deltas, depth=stab.depth, tol=stab.tol, grid=stab.grid)
     rows = [(r.delta, r.r_delta, r.variation, r.ratio, r.err_bound, r.iterations) for r in result.rows]
     report.write_csv("stability.csv", "delta,R_delta,Delta,ratio,err_bound,iterations", rows)
     report.metric("ratio_bound", result.ratio_bound)
@@ -469,16 +491,16 @@ def run_stability(config, out_dir):
     if ok_rows:
         delta, r_delta, res_d = ok_rows[0].delta, ok_rows[0].r_delta, ok_rows[0].result
         max_norm = norm_inf(res_d.disintegration)
-        f_gap = fiber_op_gap(fam.base, realize(fam, delta), res_d.disintegration)
+        f_gap = fiber_op_gap(stab.family.base, realize(stab.family, delta), res_d.disintegration)
         report.metric("fiber_op_gap", f_gap)
         report.check(
             "fiber_gap_lemma", f_gap <= r_delta * max_norm + 1e-10,
             f"gap={f_gap!r} bound={r_delta * max_norm!r}",
         )
         # B_u: largest Lipschitz constant of the invariant disintegrations
-        theta = fam.base.theta
+        theta = config.system.theta
         b_u = max(lip_constant(r.disintegration, theta) for r in (result.base_result, res_d))
-        o_gap = operator_gap(fam, delta, res_d.disintegration)
+        o_gap = operator_gap(stab.family, delta, res_d.disintegration)
         report.metric("operator_gap", o_gap)
         report.check(
             "operator_gap_lemma", o_gap <= (2.0 + b_u) * r_delta + 1e-8,
@@ -487,43 +509,26 @@ def run_stability(config, out_dir):
     return report.finalize()
 
 
-def _default_observables(config):
-    matrix = config.system.matrix
-    ones = {w: 1.0 if w[0] == 0 else 0.0 for w in matrix.words(1)}
-    psi = Observable.base_only(matrix, 1, ones)
-    phi = Observable.fiber(matrix, PiecewiseLinearFn.identity())
-    return psi, phi
-
-
 def run_correlations(config, out_dir):
     report = Report("correlations", config, out_dir)
     sys_ = config.system
-    block = config.correlations or {}
-    if "psi" in block:
-        psi = parse_observable(block["psi"], sys_.matrix, "/correlations/psi")
-    else:
-        psi = _default_observables(config)[0]
-    if "phi" in block:
-        phi = parse_observable(block["phi"], sys_.matrix, "/correlations/phi")
-    else:
-        phi = _default_observables(config)[1]
-    nmax = block.get("nmax", 12)
+    corr = config.correlations
     res = _compute_fixed_point(config)
     mu0 = res.disintegration
-    curve = correlation_curve(sys_, mu0, psi, phi, nmax)
+    curve = correlation_curve(sys_, mu0, corr.psi, corr.phi, corr.nmax)
     report.write_csv(
         "correlations.csv",
         "lag,value,err_bound,fit",
         [
             (int(n), curve.values[n], curve.err_bounds[n],
              curve.fit.constant * curve.fit.rate ** n)
-            for n in range(nmax + 1)
+            for n in range(corr.nmax + 1)
         ],
     )
     report.metric("tau", curve.fit.rate)
     report.metric("r_squared", curve.fit.r_squared)
     report.check("decay_rate_below_one", curve.fit.rate < 1.0, f"tau={curve.fit.rate!r}")
-    gn = gordin_norms(sys_, mu0, phi, nmax=block.get("gordin_nmax", min(nmax, 8)))
+    gn = gordin_norms(sys_, mu0, corr.phi, nmax=corr.gordin_nmax)
     report.write_csv(
         "gordin.csv",
         "n,norm",
@@ -538,16 +543,13 @@ def run_correlations(config, out_dir):
 def run_clt(config, out_dir):
     report = Report("clt", config, out_dir)
     sys_ = config.system
-    block = config.clt or {}
-    length = block.get("length", 2000)
-    trials = block.get("trials", 5000)
-    truncation = block.get("truncation", 30)
-    phi = _default_observables(config)[1]
+    truncation = config.clt.truncation
+    phi = Observable.fiber(sys_.matrix, PiecewiseLinearFn.identity())
     res = _compute_fixed_point(config)
     mu0 = res.disintegration
     var = asymptotic_variance(sys_, mu0, phi, truncation)
     clt = clt_experiment(
-        sys_, mu0, phi, length=length, trials=trials, seed=config.seed,
+        sys_, mu0, phi, length=config.clt.length, trials=config.clt.trials, seed=config.seed,
         truncation=truncation, variance=var,
     )
     report.write_csv(
@@ -672,7 +674,7 @@ def run_verify(config, out_dir):
         ok &= wk_distance(pushforward(a, t), pushforward(b, t)) <= abs(t.a) * wk_distance(a, b) + 1e-12
     report.check("pushforward_contraction_factor", ok)
 
-    phi = _default_observables(config)[1]
+    phi = Observable.fiber(matrix, PiecewiseLinearFn.identity())
     m_phi = integrate_observable(sys_, mu0, phi)
     var = asymptotic_variance(sys_, mu0, phi, truncation=10)
     masses = cylinder_mass_vector(sys_.weights, matrix, mu0.depth)
@@ -697,6 +699,12 @@ def run_verify(config, out_dir):
 # entry point
 # ---------------------------------------------------------------------------
 
+RUNNERS = {
+    "verify": run_verify, "fixed-point": run_fixed_point, "spectral": run_spectral,
+    "stability": run_stability, "correlations": run_correlations, "clt": run_clt,
+}
+SUBCOMMANDS = tuple(RUNNERS)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -716,20 +724,10 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         config = parse_config(args.config)
+        parsed = time.perf_counter()
         if args.seed is not None:
             config.seed = args.seed
-        if args.command == "verify":
-            code = run_verify(config, args.out)
-        elif args.command == "fixed-point":
-            code = run_fixed_point(config, args.out)
-        elif args.command == "spectral":
-            code = run_spectral(config, args.out)
-        elif args.command == "stability":
-            code = run_stability(config, args.out)
-        elif args.command == "correlations":
-            code = run_correlations(config, args.out)
-        else:
-            code = run_clt(config, args.out)
+        code = RUNNERS[args.command](config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -740,7 +738,8 @@ def main(argv=None):
         print(f"numerical inconsistency: {exc}", file=sys.stderr)
         return 1
     if args.verbose:
-        print(f"{args.command} finished in {time.perf_counter() - started:.2f}s", file=sys.stderr)
+        print(f"config parsed in {parsed - started:.3f}s", file=sys.stderr)
+        print(f"{args.command} finished in {time.perf_counter() - parsed:.2f}s", file=sys.stderr)
     return code
 
 

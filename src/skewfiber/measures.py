@@ -54,7 +54,8 @@ def merge_atoms(rows, positions, weights):
     rows = np.broadcast_to(np.asarray(rows, dtype=np.intp), positions.shape)
     if positions.size == 0:
         return rows.copy(), positions.copy(), weights.copy()
-    if positions.min() < -_POSITION_TOL or positions.max() > 1 + _POSITION_TOL:
+    # written so that a NaN position fails it
+    if not (positions.min() >= -_POSITION_TOL and positions.max() <= 1 + _POSITION_TOL):
         raise ValueError("atom positions must lie in [0, 1]")
     positions = np.clip(positions, 0.0, 1.0)
     d_row, d_pos = np.diff(rows), np.diff(positions)

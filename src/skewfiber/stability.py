@@ -34,6 +34,7 @@ __all__ = [
     "StabilityRow",
     "SweepResult",
     "realize",
+    "realize_grid",
     "admissibility_report",
     "fiber_op_gap",
     "operator_gap",
@@ -83,7 +84,8 @@ def realize(fam, delta):
     re-runs all hypothesis checks, so a delta that breaks the contraction or
     the unit-interval range fails here with the violated constraint.
     """
-    if delta < 0.0 or delta >= fam.delta_max and delta != 0.0:
+    # written so that a NaN delta fails it
+    if not 0.0 <= delta < fam.delta_max:
         raise ValueError(f"delta must lie in [0, {fam.delta_max}), got {delta}")
     if delta == 0.0:
         return fam.base
@@ -220,16 +222,11 @@ class SweepResult:
     base_result: FixedPointResult = field(repr=False)
 
 
-def stability_sweep(fam, deltas, depth, tol, grid):
-    """Invariant-measure variation along a descending delta grid.
+def realize_grid(fam, deltas):
+    """A sweep's delta grid as floats, with the system realized at each delta.
 
-    Each delta owns an independent fixed-point computation; rows carry the
-    measured variation Delta(delta) = ||mu_delta - mu_0||_inf, the measured
-    R(delta), the ratio Delta / (R |log delta|), and the sum of the two
-    fixed-point certificates.  A converged row keeps its fixed point for
-    later checks; a failed fixed point flags its row and the sweep continues.
-    Every delta is realized before the first solve, so a delta outside the
-    family's range fails at once.
+    The grid must be nonempty, positive and strictly descending, and every
+    delta must be realizable; otherwise ValueError, before any solve.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -238,7 +235,21 @@ def stability_sweep(fam, deltas, depth, tol, grid):
         raise ValueError("sweep deltas must be positive; delta = 0 is the base system")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("sweep deltas must be sorted descending")
-    systems = [realize(fam, delta) for delta in deltas]
+    return deltas, [realize(fam, delta) for delta in deltas]
+
+
+def stability_sweep(fam, deltas, depth, tol, grid):
+    """Invariant-measure variation along a descending delta grid.
+
+    Each delta owns an independent fixed-point computation; rows carry the
+    measured variation Delta(delta) = ||mu_delta - mu_0||_inf, the measured
+    R(delta), the ratio Delta / (R |log delta|), and the sum of the two
+    fixed-point certificates.  A converged row keeps its fixed point for
+    later checks; a failed fixed point flags its row and the sweep continues.
+    The grid is checked by ``realize_grid`` before the first solve, so a
+    delta outside the family's range fails at once.
+    """
+    deltas, systems = realize_grid(fam, deltas)
     base_res = fixed_point(fam.base, depth=depth, tol=tol, grid=grid)
     rows = []
     for delta, sys_d in zip(deltas, systems):

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import skewfiber.cli
 import skewfiber.stability
-from skewfiber.cli import ConfigError, main, parse_config
+from skewfiber.cli import CltConfig, ConfigError, main, parse_config
 from skewfiber.limits import InconsistencyError
 
 BUNDLED = resources.files("skewfiber") / "data" / "cantor_demo.json"
@@ -99,6 +100,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="word"):
             parse_config(config_path(cfg))
 
+    def test_nan_delta_rejected(self, config_path):
+        cfg = small_config()
+        cfg["stability"]["deltas"] = [float("nan"), 0.01]
+        with pytest.raises(ConfigError, match="^/stability/deltas: "):
+            parse_config(config_path(cfg))
+
+    def test_absent_keys_take_their_defaults(self, config_path):
+        cfg = small_config(correlations={}, clt={})
+        del cfg["stability"]["deltas"]
+        config = parse_config(config_path(cfg))
+        stab = config.stability
+        assert stab.deltas == [0.1, 0.01, 0.001, 0.0001]
+        assert stab.family.delta_max == 0.2
+        # depth and tol fall back to the top level, the block's grid wins
+        assert (stab.depth, stab.grid, stab.tol) == (3, 2048, 1e-5)
+        corr = config.correlations
+        assert (corr.nmax, corr.gordin_nmax, corr.psi.depth, corr.phi.depth) == (12, 8, 1, 1)
+        assert config.clt == CltConfig(length=2000, trials=5000, truncation=30)
+
+    def test_observable_deeper_than_working_depth(self, config_path, tmp_path, capsys):
+        cfg = small_config()
+        words = ("".join(w) for w in product("01", repeat=4))
+        cfg["correlations"]["psi"] = {"type": "base_only", "depth": 4, "values": {w: 1.0 for w in words}}
+        code = main(["correlations", "--config", config_path(cfg), "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "config error: /correlations/psi/depth:" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_seed_override(self, config_path, tmp_path):
         path = config_path(small_config())
         config = parse_config(path)
@@ -122,6 +151,20 @@ MALFORMED = [
         }},
         "/correlations/phi/components/0",
     ),
+]
+
+
+# (stability key, malformed value, JSON pointer of the offender)
+MALFORMED_STABILITY = [
+    ("kind", "bogus", "/stability/kind"),
+    ("fiber_direction", [0.0], "/stability"),
+    ("fiber_direction", "ab", "/stability/fiber_direction"),
+    ("deltas", ["x", 0.01], "/stability/deltas"),
+    ("deltas", [], "/stability/deltas"),
+    ("deltas", [0.01, 0.1], "/stability/deltas"),
+    ("deltas", [0.5], "/stability/deltas"),  # beyond delta_max
+    # a fiber_shift family reads no weight direction
+    ("weight_direction", [1.0, -1.0], "/stability/weight_direction"),
 ]
 
 
@@ -227,6 +270,18 @@ class TestExitCodes:
         assert code == 2
         assert f"config error: {pointer}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value,pointer", MALFORMED_STABILITY, ids=[f"{m[0]}={m[1]!r}" for m in MALFORMED_STABILITY]
+    )
+    def test_malformed_stability_field_is_config_error(
+        self, key, value, pointer, config_path, tmp_path, capsys
+    ):
+        cfg = small_config()
+        cfg["stability"][key] = value
+        code = main(["stability", "--config", config_path(cfg), "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert f"config error: {pointer}:" in capsys.readouterr().err
+
     def test_integer_beyond_float_range_is_config_error(self, config_path, tmp_path, capsys):
         cfg = small_config()
         cfg["system"]["theta"] = 10**400
@@ -303,6 +358,16 @@ class TestArtifacts:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
         assert "stability.csv" in summary["artifacts"]
+
+    def test_verbose_times_go_to_stderr_only(self, config_path, tmp_path, capsys):
+        path = config_path(small_config())
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["fixed-point", "--config", path, "--out", str(out_a)]) == 0
+        capsys.readouterr()
+        assert main(["fixed-point", "--config", path, "--out", str(out_b), "--verbose"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.rsplit(" ", 1)[0] for line in err] == ["config parsed in", "fixed-point finished in"]
+        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
     def test_fixed_point_writes_disintegration(self, config_path, tmp_path):
         out = tmp_path / "f"

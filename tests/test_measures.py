@@ -248,6 +248,12 @@ class TestMergeAtoms:
         _, _, w = merge_atoms([0, 0, 0], [0.5, 0.5, 0.5], [1e16, 1.0, -1e16])
         assert w.size == 0  # ordered path
 
+    def test_nan_position_rejected(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            merge_atoms(0, [float("nan")], [1.0])
+        with pytest.raises(ValueError, match="must lie in"):
+            merge_atoms(0, [0.5, float("nan")], [1.0, 1.0])
+
     def test_input_arrays_not_aliased(self):
         pos, w = np.array([0.1, 0.4]), np.array([1.0, 2.0])
         out = merge_atoms([0, 0], pos, w)

@@ -1,12 +1,14 @@
 """Tests for perturbation families, admissibility, and the stability sweep."""
 
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from conftest import MARKOV3, random_disintegration
-from skewfiber.cli import ExperimentConfig, run_stability
+from skewfiber.cli import parse_config, run_stability
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.measures import AtomicMeasure, pushforward, wk_distance
 from skewfiber.stability import (
@@ -43,6 +45,11 @@ def weight_family(delta_max=0.2):
 class TestRealize:
     def test_zero_delta_returns_base(self):
         assert realize(shift_family(), 0.0) is CANTOR
+
+    def test_nan_delta_rejected(self):
+        for fam in (shift_family(), weight_family()):
+            with pytest.raises(ValueError, match="delta must lie"):
+                realize(fam, float("nan"))
 
     def test_fiber_shift_arithmetic(self):
         sys = realize(shift_family(), 0.01)
@@ -235,11 +242,15 @@ class TestSweep:
             stability_sweep(shift_family(), [0.01, 0.1], depth=2, tol=1e-6, grid=512)
 
     def test_csv_shape(self, tmp_path):
-        config = ExperimentConfig(
-            system=CANTOR, depth=2, grid=1024, tol=1e-5, seed=0,
-            stability={"kind": "fiber_shift", "fiber_direction": [0.0, -1.0], "deltas": [0.1]},
-        )
-        run_stability(config, tmp_path)
+        # the bundled cantor system is CANTOR, written out
+        bundled = resources.files("skewfiber") / "data" / "cantor_demo.json"
+        system = json.loads(bundled.read_text())["system"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "system": system, "depth": 2, "grid": 1024, "tol": 1e-5, "seed": 0,
+            "stability": {"kind": "fiber_shift", "fiber_direction": [0.0, -1.0], "deltas": [0.1]},
+        }))
+        run_stability(parse_config(path), tmp_path)
         lines = (tmp_path / "stability.csv").read_text().strip().split("\n")
         assert lines[0] == "delta,R_delta,Delta,ratio,err_bound,iterations"
         assert len(lines) == 2
