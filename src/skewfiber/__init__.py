@@ -14,18 +14,13 @@ from .measures import (
     AtomicMeasure,
     PiecewiseLinearFn,
     ZERO_MEASURE,
-    integrate,
-    pushforward,
-    quantize,
     wk_distance,
     wk_distance_bruteforce,
-    wk_norm,
 )
 from .symbolic import (
     BaseWeights,
     CylinderFunction,
     TransitionMatrix,
-    base_correlation,
     base_rate,
     cylinder_mass_vector,
     enumerate_words,
@@ -46,14 +41,12 @@ from .transfer import (
     FixedPointResult,
     equilibrium_decay,
     fixed_point,
-    hutchinson_reference,
     lip_constant,
     marginal_density,
     norm_inf,
     norm_s_inf,
     transfer_apply,
     verify_ly,
-    word_sum_iterate,
 )
 from .stability import (
     PerturbationFamily,

@@ -37,15 +37,7 @@ from .limits import (
     gordin_norms,
     integrate_observable,
 )
-from .measures import (
-    AtomicMeasure,
-    PiecewiseLinearFn,
-    pushforward,
-    quantize,
-    wk_distance,
-    wk_distance_bruteforce,
-    wk_norm,
-)
+from .measures import AtomicMeasure, PiecewiseLinearFn, wk_distance, wk_distance_bruteforce
 from .skew import FiberMapSpec, SystemSpec, c1_constant
 from .stability import (
     PerturbationFamily,
@@ -148,9 +140,13 @@ def _int(block, key, default, minimum, pointer):
     return value
 
 
+def _is_number(value):
+    # rejects booleans, strings, a JSON NaN or Infinity, and integers too large for a float (compared exactly)
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
 def _number(value, pointer):
-    # rejects a JSON NaN or Infinity, and integers too large for a float (compared exactly)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    if not _is_number(value):
         raise ConfigError(pointer, f"must be a finite number, got {value!r}")
     return value
 
@@ -181,17 +177,41 @@ def _parse_word(text, pointer):
         raise ConfigError(pointer, f"bad word key {text!r}") from exc
 
 
+def _square(block, key, pointer):
+    """``block[key]`` as a nonempty square list of lists; anything else is a ConfigError at ``{pointer}/{key}``."""
+    rows = _require(block, key, pointer)
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+        raise ConfigError(f"{pointer}/{key}", f"must be a square list of lists, got {rows!r}")
+    return rows
+
+
+def _transition_matrix(block, pointer):
+    """``block["matrix"]`` as a TransitionMatrix; any problem is a ConfigError at ``{pointer}/matrix``."""
+    entries = _square(block, "matrix", pointer)
+    # type() rejects the booleans and floats that np.asarray(dtype=int) would coerce
+    if not all(type(v) is int and v in (0, 1) for row in entries for v in row):
+        raise ConfigError(f"{pointer}/matrix", f"entries must be the integers 0 or 1, got {entries!r}")
+    try:
+        return TransitionMatrix(entries)
+    except ValueError as exc:
+        raise ConfigError(f"{pointer}/matrix", str(exc)) from exc
+
+
+def _parse_weights(block, pointer):
+    if _kind(block, _WEIGHT_KEYS, pointer) == "bernoulli":
+        return BaseWeights.bernoulli(_finite_list(block, "p", pointer))
+    tp = f"{pointer}/transition"
+    transition = [_numbers(row, f"{tp}/{i}") for i, row in enumerate(_square(block, "transition", pointer))]
+    stationary = _finite_list(block, "stationary", pointer) if "stationary" in block else None
+    return BaseWeights.markov(transition, stationary)
+
+
 def _parse_system(block, pointer="/system"):
     _reject_unknown(block, _SYSTEM_KEYS, pointer)
-    matrix = _require(block, "matrix", pointer)
+    matrix = _transition_matrix(block, pointer)
     theta = _number(_require(block, "theta", pointer), f"{pointer}/theta")
-    wp = f"{pointer}/weights"
-    wblock = _require(block, "weights", pointer)
     try:
-        if _kind(wblock, _WEIGHT_KEYS, wp) == "bernoulli":
-            weights = BaseWeights.bernoulli(_require(wblock, "p", wp))
-        else:
-            weights = BaseWeights.markov(_require(wblock, "transition", wp), wblock.get("stationary"))
+        weights = _parse_weights(_require(block, "weights", pointer), f"{pointer}/weights")
     except ConfigError:
         raise
     except ValueError as exc:
@@ -212,21 +232,22 @@ def _parse_system(block, pointer="/system"):
     offset_depth = _int(block, "offset_depth", 1, 1, pointer)
     try:
         maps = [FiberMapSpec(*m) for m in maps]
-        return SystemSpec(TransitionMatrix(matrix), theta, weights, maps, offset_depth)
+        return SystemSpec(matrix, theta, weights, maps, offset_depth)
     except ValueError as exc:
         raise ConfigError(pointer, str(exc)) from exc
 
 
+def _numbers(value, pointer):
+    """A list of numbers that ``_number`` accepts, as a 1-d float array; anything else is a ConfigError."""
+    if not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ConfigError(pointer, f"must be a list of finite numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def _finite_list(block, key, pointer, default=None):
-    """``block[key]`` as a 1-d float array; anything else is a ConfigError at ``{pointer}/{key}``."""
+    """``block[key]`` through ``_numbers``, reported at ``{pointer}/{key}``."""
     value = _require(block, key, pointer) if default is None else block.get(key, default)
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{pointer}/{key}", str(exc)) from exc
-    if array.ndim != 1 or not np.isfinite(array).all():
-        raise ConfigError(f"{pointer}/{key}", f"must be a list of finite numbers, got {value!r}")
-    return array
+    return _numbers(value, f"{pointer}/{key}")
 
 
 def _piecewise(block, pointer):
@@ -592,7 +613,7 @@ def run_verify(config, out_dir):
     for _ in range(30):
         w = rng.uniform(0.1, 1.0, rng.integers(1, 10))
         mu = AtomicMeasure(rng.random(w.size), w / w.sum())
-        worst = max(worst, abs(wk_norm(mu) - 1.0))
+        worst = max(worst, abs(wk_distance(mu) - 1.0))
     report.check("probability_measures_have_unit_norm", worst <= 1e-12, f"max gap {worst!r}")
 
     ok = True
@@ -602,9 +623,11 @@ def run_verify(config, out_dir):
         ok &= wk_distance(a, c) <= wk_distance(a, b) + wk_distance(b, c) + 1e-10
     report.check("metric_symmetry_and_triangle", ok)
 
+    # the fixed point's quantizer, on a one-row table over the one-symbol shift
     mu = random_measure(60)
-    snapped, bound = quantize(mu, config.grid)
-    report.check("quantize_certificate", wk_distance(mu, snapped) <= bound + 1e-14)
+    one_row = Disintegration(TransitionMatrix([[1]]), 1, 0, mu.positions, mu.weights)
+    snapped, bound = quantize_disintegration(one_row, config.grid)
+    report.check("quantize_certificate", wk_distance(mu, AtomicMeasure(snapped.pos, snapped.w)) <= bound + 1e-14)
 
     ok = True
     for depth in range(1, min(config.depth, 6) + 1):
@@ -671,7 +694,8 @@ def run_verify(config, out_dir):
         a = AtomicMeasure(rng.random(4), w / w.sum())
         w2 = rng.uniform(0.1, 1.0, 4)
         b = AtomicMeasure(rng.random(4), w2 / w2.sum())
-        ok &= wk_distance(pushforward(a, t), pushforward(b, t)) <= abs(t.a) * wk_distance(a, b) + 1e-12
+        pushed_a, pushed_b = (AtomicMeasure(t.a * m.positions + t.b, m.weights) for m in (a, b))
+        ok &= wk_distance(pushed_a, pushed_b) <= abs(t.a) * wk_distance(a, b) + 1e-12
     report.check("pushforward_contraction_factor", ok)
 
     phi = Observable.fiber(matrix, PiecewiseLinearFn.identity())

@@ -11,6 +11,8 @@ across cylinders.
 from .skew import FiberMapSpec, SystemSpec
 from .symbolic import BaseWeights, TransitionMatrix
 
+__all__ = ["cantor_demo", "coupled_demo", "markov_demo"]
+
 
 def cantor_demo(theta=0.5):
     return SystemSpec(

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["ExpFit", "exp_fit"]
+
 FIT_FLOOR = 1e-13
 
 

@@ -10,8 +10,7 @@ is evaluated by reweighting the invariant disintegration with the centered
 C_n is then the integral of ``later`` against the pushed measure.  One
 transfer step per lag replaces the exponentially large sum over depth-(n+k)
 words, and the quantization error of each step is tracked and reported as a
-certified bound.  ``correlation_lattice`` keeps the direct word-sum
-evaluation as an independent cross-check for small lags.
+certified bound.
 
 For base-only observables only the fiber masses matter, and those evolve
 exactly (pushforwards and quantization both preserve mass), so exact-zero
@@ -43,7 +42,7 @@ import numpy as np
 from .fitting import ExpFit, exp_fit
 from .measures import PiecewiseLinearFn
 from .skew import sample_orbits
-from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes, word_distances
+from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes
 from .transfer import Disintegration, quantize_disintegration, transfer_apply
 
 __all__ = [
@@ -56,12 +55,11 @@ __all__ = [
     "InconsistencyError",
     "integrate_observable",
     "fiber_average",
-    "fiber_average_margin",
     "correlation_curve",
-    "correlation_lattice",
     "gordin_norms",
     "asymptotic_variance",
     "clt_experiment",
+    "MIN_TRIALS",
 ]
 
 DEFAULT_GRID = 1 << 15
@@ -110,12 +108,6 @@ class Observable:
         """Observable depending on the fiber alone, phi(x, y) = h(y)."""
         return cls(matrix, 1, {w: h for w in matrix.words(1)})
 
-    def component(self, word):
-        return self.components[tuple(word[: self.depth])]
-
-    def evaluate(self, word, y):
-        return float(self.component(word)(y))
-
     def values(self, codes, y):
         """phi at admissible depth-k window codes and fiber points of one shape, each cell once."""
         if len(self.pieces) == 1:
@@ -141,31 +133,9 @@ class Observable:
     def fiber_lipschitz(self):
         return max(h.lipschitz() for h in self.components.values())
 
-    def base_lipschitz(self, theta):
-        words = self.matrix.words(self.depth)
-        dist = word_distances(self.matrix, self.depth, theta)
-        best = 0.0
-        for a in range(len(words)):
-            ha = self.components[words[a]]
-            for b in range(a + 1, len(words)):
-                hb = self.components[words[b]]
-                grid = np.union1d(ha.breakpoints, hb.breakpoints)
-                gap = float(np.abs(ha(grid) - hb(grid)).max())
-                best = max(best, gap / dist[a, b])
-        return float(best)
-
-    def lipschitz(self, theta):
-        """Lipschitz constant for the sum metric d(x,x') + |y - y'|."""
-        return max(self.fiber_lipschitz(), self.base_lipschitz(theta))
-
     def dual_bound(self):
         """max(Lip, sup) of the worst component: converts wk errors to integral errors."""
         return max(max(h.lipschitz(), h.sup_norm()) for h in self.components.values())
-
-    def is_base_only(self, tol=0.0):
-        return all(
-            abs(h.values.max() - h.values.min()) <= tol for h in self.components.values()
-        )
 
     def shifted(self, c):
         moved = {id(h): h.shifted(c) for h in self.pieces}
@@ -194,19 +164,6 @@ def fiber_average(sys, mu0, obs):
     if (masses == 0.0).any():
         raise ValueError(f"vanishing marginal density on word {mu0.words()[np.argmax(masses == 0.0)]}")
     return CylinderFunction(mu0.matrix, mu0.depth, integrals / masses)
-
-
-def fiber_average_margin(sys, mu0, obs, lip_mu0):
-    """Margin of the regularity bound |s|_theta <= max(L, sup) lip(mu0) + L.
-
-    ``lip_mu0`` is ``lip_constant(mu0, sys.theta)``, computed once by the
-    caller for any number of observables.
-    """
-    theta = sys.theta
-    s = fiber_average(sys, mu0, obs)
-    lip = obs.lipschitz(theta)
-    bound = max(lip, obs.sup_norm()) * lip_mu0 + lip
-    return bound - s.lipschitz(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -259,38 +216,6 @@ def correlation_curve(sys, mu0, now, later, nmax, grid=DEFAULT_GRID):
         values[n] = integrate_observable(sys, rho, later) - m_later * rho.total_mass(sys.weights)
         errs[n] = to_value * rho.err_bound
     return CorrelationCurve(lags, values, errs, exp_fit(lags, values))
-
-
-def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
-    """Direct word-sum evaluation of one lagged covariance.
-
-    Enumerates all admissible words long enough to carry the ``now``
-    component, the invariant fiber, the branch maps along the lag, and the
-    shifted ``later`` component; the fiber of a long word is the invariant
-    fiber of its working-depth prefix.  The ``now`` observable is centered
-    inside the sum (subtracting the product of the means instead would
-    differ by the deviation of the computed measure from exact invariance).
-    Exponential in the lag; an independent check of ``correlation_curve``
-    at small lags.
-    """
-    matrix = sys.matrix
-    length = max(now.depth, mu0.depth, lag + later.depth, lag - 1 + sys.offset_depth)
-    if matrix.word_count(1) ** length > budget:
-        raise ValueError("lattice sum exceeds the word budget; use correlation_curve")
-    m_now = integrate_observable(sys, mu0, now)
-    masses = cylinder_mass_vector(sys.weights, matrix, length)
-    index, starts = matrix.word_index(mu0.depth), mu0.starts
-    total = 0.0
-    for mass, w in zip(masses, matrix.words(length)):
-        r = index[w[: mu0.depth]]
-        fiber = slice(starts[r], starts[r + 1])
-        path = ys = mu0.pos[fiber]
-        for t in range(lag):
-            b = sys.branch_map(w[t:])
-            path = b.a * path + b.b
-        vals = (now.component(w)(ys) - m_now) * later.component(w[lag:])(path)
-        total += mass * float(np.dot(mu0.w[fiber], vals))
-    return total
 
 
 # ---------------------------------------------------------------------------

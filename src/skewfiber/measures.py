@@ -28,11 +28,7 @@ __all__ = [
     "ZERO_MEASURE",
     "wk_distance",
     "row_norms",
-    "wk_norm",
     "wk_distance_bruteforce",
-    "pushforward",
-    "quantize",
-    "integrate",
     "merge_atoms",
 ]
 
@@ -114,14 +110,6 @@ class AffineMap:
 
     def __call__(self, y):
         return self.a * y + self.b
-
-    def compose(self, inner):
-        """Return self o inner as a single affine map."""
-        return AffineMap(self.a * inner.a, self.a * inner.b + self.b)
-
-    def is_contraction_into_unit(self, tol=1e-12):
-        lo, hi = sorted((self.b, self.a + self.b))
-        return abs(self.a) < 1.0 and lo >= -tol and hi <= 1.0 + tol
 
     def __repr__(self):
         return f"AffineMap(a={self.a!r}, b={self.b!r})"
@@ -249,11 +237,6 @@ def _window_max(xs, vs, d):
     return cands, w
 
 
-def wk_norm(mu):
-    """Dual norm of a single signed measure, wk_distance(mu, 0)."""
-    return wk_distance(mu, ZERO_MEASURE)
-
-
 def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
     """LP reference for ``wk_distance``.
 
@@ -286,41 +269,3 @@ def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
         raise RuntimeError(f"reference LP failed: {res.message}")
     return float(-res.fun)
 
-
-# ---------------------------------------------------------------------------
-# measure arithmetic
-# ---------------------------------------------------------------------------
-
-
-def pushforward(mu, t):
-    """Image measure of mu under an affine contraction of [0,1].
-
-    Atoms are mapped through the affine map, weights kept; coincident images
-    merge by weight addition.
-    """
-    if not isinstance(t, AffineMap):
-        t = AffineMap(*t)
-    if not t.is_contraction_into_unit():
-        raise ValueError(f"{t!r} is not an affine contraction of [0,1] into itself")
-    return AtomicMeasure(t.a * mu.positions + t.b, mu.weights)
-
-
-def quantize(mu, grid):
-    """Snap atoms to the nearest of grid+1 uniform points.
-
-    Returns the snapped measure together with the certified bound
-    sum |w| / (2*grid) on the wk distance moved: every atom travels at most
-    half a grid cell and test functions are 1-Lipschitz.
-    """
-    grid = int(grid)
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    bound = float(np.abs(mu.weights).sum()) / (2.0 * grid)
-    return AtomicMeasure(np.round(mu.positions * grid) / grid, mu.weights), bound
-
-
-def integrate(mu, h):
-    """Integral of a piecewise-linear function against an atomic measure."""
-    if mu.n_atoms == 0:
-        return 0.0
-    return float(np.dot(mu.weights, h(mu.positions)))

@@ -35,7 +35,6 @@ __all__ = [
     "cylinder_mass_vector",
     "ruelle_apply",
     "base_rate",
-    "base_correlation",
 ]
 
 _STOCHASTIC_TOL = 1e-12
@@ -156,16 +155,17 @@ class BaseWeights:
         tm = np.asarray(transition, dtype=float)
         if tm.ndim != 2 or tm.shape[0] != tm.shape[1]:
             raise ValueError("Markov transition matrix must be square")
-        if (tm < 0).any():
+        # each check is written so that a NaN fails it
+        if not (tm >= 0).all():
             raise ValueError("Markov transition probabilities must be nonnegative")
-        if np.abs(tm.sum(axis=1) - 1.0).max() > _STOCHASTIC_TOL:
+        if not np.abs(tm.sum(axis=1) - 1.0).max() <= _STOCHASTIC_TOL:
             raise ValueError("Markov transition rows must sum to 1")
         if stationary is None:
             stationary = _stationary_vector(tm)
         pi = np.asarray(stationary, dtype=float)
-        if (pi <= 0).any() or abs(pi.sum() - 1.0) > _STOCHASTIC_TOL:
+        if not ((pi > 0).all() and abs(pi.sum() - 1.0) <= _STOCHASTIC_TOL):
             raise ValueError("stationary vector must be positive and sum to 1")
-        if np.abs(pi @ tm - pi).max() > _STOCHASTIC_TOL:
+        if not np.abs(pi @ tm - pi).max() <= _STOCHASTIC_TOL:
             raise ValueError("stationary vector must satisfy pi P = pi")
         self.transition = tm
         self.stationary = pi
@@ -175,9 +175,10 @@ class BaseWeights:
     @classmethod
     def bernoulli(cls, p):
         p = np.asarray(p, dtype=float)
-        if (p <= 0).any():
+        # written so that a NaN fails them
+        if not (p > 0).all():
             raise ValueError("Bernoulli weights must be positive")
-        if abs(p.sum() - 1.0) > _STOCHASTIC_TOL:
+        if not abs(p.sum() - 1.0) <= _STOCHASTIC_TOL:
             raise ValueError("Bernoulli weights must sum to 1")
         return cls(np.tile(p, (p.size, 1)), p)
 
@@ -341,21 +342,3 @@ def base_rate(weights):
     """
     return float(np.abs(np.linalg.eigvals(weights.transition - weights.stationary)).max())
 
-
-def base_correlation(weights, matrix, psi, s, lag):
-    """Correlation of two cylinder functions at a time lag, by exact summation.
-
-    Computes int (psi o sigma^lag) s dm - int psi dm int s dm over the
-    admissible words of depth lag + k.
-    """
-    if lag < 0:
-        raise ValueError("lag must be nonnegative")
-    if psi.depth != s.depth:
-        raise ValueError("observables must share a depth")
-    k = psi.depth
-    idx = matrix.word_index(k)
-    masses = cylinder_mass_vector(weights, matrix, lag + k)
-    cross = 0.0
-    for mass, w in zip(masses, matrix.words(lag + k)):
-        cross += mass * psi.values[idx[w[lag:lag + k]]] * s.values[idx[w[:k]]]
-    return float(cross - psi.mean(weights) * s.mean(weights))

@@ -26,12 +26,7 @@ import numpy as np
 from .fitting import exp_fit
 from .measures import AtomicMeasure, merge_atoms, row_norms
 from .skew import c1_constant
-from .symbolic import (
-    CylinderFunction,
-    TransitionMatrix,
-    cylinder_mass_vector,
-    word_distances,
-)
+from .symbolic import CylinderFunction, cylinder_mass_vector, word_distances
 
 __all__ = [
     "Disintegration",
@@ -43,8 +38,7 @@ __all__ = [
     "lip_constant",
     "transfer_apply",
     "quantize_disintegration",
-    "word_sum_iterate",
-    "hutchinson_reference",
+    "change_between",
     "fixed_point",
     "verify_ly",
     "equilibrium_decay",
@@ -118,15 +112,6 @@ class Disintegration:
             "weights": [w.tolist() for w in np.split(self.w, cuts)],
             "errorBound": self.err_bound,
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        matrix = TransitionMatrix(data["matrix"])
-        fibers = {
-            tuple(w): AtomicMeasure(a, ws)
-            for w, a, ws in zip(data["words"], data["atoms"], data["weights"])
-        }
-        return cls.from_fibers(matrix, data["depth"], fibers, data["errorBound"])
 
     def __repr__(self):
         return (
@@ -206,7 +191,12 @@ def transfer_apply(sys, dis):
 
 
 def quantize_disintegration(dis, grid):
-    """Snap every fiber to the grid; returns (snapped, largest fiber's ``quantize`` bound)."""
+    """Snap every atom to the nearest of grid+1 uniform points; returns (snapped, bound).
+
+    The bound is the largest fiber's sum |w| / (2*grid), certified for the
+    fiberwise wk distance moved: every atom travels at most half a grid cell
+    and test functions are 1-Lipschitz.
+    """
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -222,61 +212,6 @@ def change_between(d1, d2):
     # d1's atoms, then d2's negated: a shared position sums as in wk_distance
     rows, pos = np.concatenate([d1.row, d2.row]), np.concatenate([d1.pos, d2.pos])
     return float(row_norms(rows, pos, np.concatenate([d1.w, -d2.w]), d1.starts.size - 1).max())
-
-
-def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
-    """Direct k-step image of the product m x nu0 as one word sum.
-
-    For each target word the fibers of all admissible length-k prefixes are
-    pushed through the composed affine branch maps along the prefix and
-    mixed with the telescoping jacobian weights.  Agrees with ``steps``
-    applications of ``transfer_apply`` up to floating point.
-    """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    matrix = sys.matrix
-    if matrix.word_count(steps) * max(nu0.n_atoms, 1) * matrix.word_count(depth) > budget:
-        raise ValueError(
-            "word sum exceeds the atom budget; reduce steps or use fixed_point with a "
-            "quantization grid"
-        )
-    prefixes = matrix.words(steps)
-    jacobian = sys.weights.jacobian.tolist()
-    rows, positions, weights = [], [], []
-    for r, w in enumerate(matrix.words(depth)):
-        for a in prefixes:
-            full = a + w
-            weight = math.prod(jacobian[full[t]][full[t + 1]] for t in range(steps))
-            if weight == 0.0:
-                continue
-            composed = sys.branch_map(full)
-            for t in range(1, steps):
-                composed = sys.branch_map(full[t:]).compose(composed)
-            rows.append(np.full(nu0.n_atoms, r))
-            positions.append(composed(nu0.positions))
-            weights.append(weight * nu0.weights)
-    return Disintegration(
-        matrix, depth, np.concatenate(rows), np.concatenate(positions), np.concatenate(weights)
-    )
-
-
-def hutchinson_reference(sys, steps, x0=0.5):
-    """Depth-``steps`` iteration of the plain fiber iterated function system.
-
-    Only meaningful for symbol-only Bernoulli systems (every row of the base
-    chain equals pi), where the invariant disintegration is the product of
-    the base measure with this ifs fixed point; the result is within
-    alpha^steps of it in the dual metric.
-    """
-    if sys.offset_depth != 1 or not sys.weights.is_bernoulli:
-        raise ValueError("the ifs reference needs a symbol-only system with Bernoulli weights")
-    maps = [sys.branch_map((i,)) for i in range(sys.n_symbols)]
-    atoms = np.array([float(x0)])
-    weights = np.array([1.0])
-    for _ in range(steps):
-        atoms = np.concatenate([t.a * atoms + t.b for t in maps])
-        weights = np.concatenate([p * weights for p in sys.weights.stationary])
-    return AtomicMeasure(atoms, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ def random_disintegration(matrix, depth, rng, n_atoms=3, signed=True, unit_mass=
     return Disintegration.from_fibers(matrix, depth, fibers)
 
 
+def one_row(mu):
+    """``mu`` as the one-row atom table over the one-symbol shift."""
+    return Disintegration(TransitionMatrix([[1]]), 1, 0, mu.positions, mu.weights)
+
+
 def random_vanishing_disintegration(matrix, weights, depth, rng, n_atoms=2):
     """Random signed disintegration whose marginal has zero base mean."""
     fibers = {w: random_fiber(rng, n_atoms, signed=True) for w in matrix.words(depth)}

@@ -1,0 +1,191 @@
+"""Reference implementations that the tests hold the package to.
+
+Each oracle computes its quantity the direct way, one word, prefix or fiber
+at a time, and shares no table code with the ``skewfiber`` function it
+cross-checks.  None of them is part of the package.
+"""
+
+import math
+
+import numpy as np
+
+from skewfiber.limits import fiber_average, integrate_observable
+from skewfiber.measures import AtomicMeasure
+from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, word_distances
+from skewfiber.transfer import Disintegration
+
+
+def integrate(mu, h):
+    """Integral of a piecewise-linear function against an atomic measure."""
+    if mu.n_atoms == 0:
+        return 0.0
+    return float(np.dot(mu.weights, h(mu.positions)))
+
+
+def pushforward(mu, t):
+    """Image measure of mu under an affine contraction of [0,1].
+
+    Atoms are mapped through the affine map, weights kept; coincident images
+    merge by weight addition.
+    """
+    lo, hi = sorted((t.b, t.a + t.b))
+    if not (abs(t.a) < 1.0 and lo >= -1e-12 and hi <= 1.0 + 1e-12):
+        raise ValueError(f"{t!r} is not an affine contraction of [0,1] into itself")
+    return AtomicMeasure(t.a * mu.positions + t.b, mu.weights)
+
+
+def disintegration_from_json(data):
+    """Inverse of ``Disintegration.to_json_dict``, fiber by fiber."""
+    matrix = TransitionMatrix(data["matrix"])
+    fibers = {
+        tuple(w): AtomicMeasure(a, ws)
+        for w, a, ws in zip(data["words"], data["atoms"], data["weights"])
+    }
+    return Disintegration.from_fibers(matrix, data["depth"], fibers, data["errorBound"])
+
+
+def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
+    """Direct k-step image of the product m x nu0 as one word sum.
+
+    For each target word the fibers of all admissible length-k prefixes are
+    pushed through the composed affine branch maps along the prefix and
+    mixed with the telescoping jacobian weights.  Agrees with ``steps``
+    applications of ``transfer_apply`` up to floating point.
+    """
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    matrix = sys.matrix
+    if matrix.word_count(steps) * max(nu0.n_atoms, 1) * matrix.word_count(depth) > budget:
+        raise ValueError(
+            "word sum exceeds the atom budget; reduce steps or use fixed_point with a "
+            "quantization grid"
+        )
+    prefixes = matrix.words(steps)
+    jacobian = sys.weights.jacobian.tolist()
+    rows, positions, weights = [], [], []
+    for r, w in enumerate(matrix.words(depth)):
+        for a in prefixes:
+            full = a + w
+            weight = math.prod(jacobian[full[t]][full[t + 1]] for t in range(steps))
+            if weight == 0.0:
+                continue
+            # the branch maps along the prefix, composed innermost first
+            first = sys.branch_map(full)
+            slope, offset = first.a, first.b
+            for t in range(1, steps):
+                outer = sys.branch_map(full[t:])
+                slope, offset = outer.a * slope, outer.a * offset + outer.b
+            rows.append(np.full(nu0.n_atoms, r))
+            positions.append(slope * nu0.positions + offset)
+            weights.append(weight * nu0.weights)
+    return Disintegration(
+        matrix, depth, np.concatenate(rows), np.concatenate(positions), np.concatenate(weights)
+    )
+
+
+def hutchinson_reference(sys, steps, x0=0.5):
+    """Depth-``steps`` iteration of the plain fiber iterated function system.
+
+    Only meaningful for symbol-only Bernoulli systems (every row of the base
+    chain equals pi), where the invariant disintegration is the product of
+    the base measure with this ifs fixed point; the result is within
+    alpha^steps of it in the dual metric.
+    """
+    if sys.offset_depth != 1 or not sys.weights.is_bernoulli:
+        raise ValueError("the ifs reference needs a symbol-only system with Bernoulli weights")
+    maps = [sys.branch_map((i,)) for i in range(sys.n_symbols)]
+    atoms = np.array([float(x0)])
+    weights = np.array([1.0])
+    for _ in range(steps):
+        atoms = np.concatenate([t.a * atoms + t.b for t in maps])
+        weights = np.concatenate([p * weights for p in sys.weights.stationary])
+    return AtomicMeasure(atoms, weights)
+
+
+def base_correlation(weights, matrix, psi, s, lag):
+    """Correlation of two cylinder functions at a time lag, by exact summation.
+
+    Computes int (psi o sigma^lag) s dm - int psi dm int s dm over the
+    admissible words of depth lag + k.
+    """
+    if lag < 0:
+        raise ValueError("lag must be nonnegative")
+    if psi.depth != s.depth:
+        raise ValueError("observables must share a depth")
+    k = psi.depth
+    idx = matrix.word_index(k)
+    masses = cylinder_mass_vector(weights, matrix, lag + k)
+    cross = 0.0
+    for mass, w in zip(masses, matrix.words(lag + k)):
+        cross += mass * psi.values[idx[w[lag:lag + k]]] * s.values[idx[w[:k]]]
+    return float(cross - psi.mean(weights) * s.mean(weights))
+
+
+def component(obs, word):
+    """Fiber component of an observable over a word, read from the word's depth-k prefix."""
+    return obs.components[tuple(word[: obs.depth])]
+
+
+def base_lipschitz(obs, theta):
+    """Largest sup-gap between two words' components over their base distance."""
+    words = obs.matrix.words(obs.depth)
+    dist = word_distances(obs.matrix, obs.depth, theta)
+    best = 0.0
+    for a in range(len(words)):
+        ha = obs.components[words[a]]
+        for b in range(a + 1, len(words)):
+            hb = obs.components[words[b]]
+            grid = np.union1d(ha.breakpoints, hb.breakpoints)
+            gap = float(np.abs(ha(grid) - hb(grid)).max())
+            best = max(best, gap / dist[a, b])
+    return float(best)
+
+
+def observable_lipschitz(obs, theta):
+    """Lipschitz constant of an observable for the sum metric d(x,x') + |y - y'|."""
+    return max(obs.fiber_lipschitz(), base_lipschitz(obs, theta))
+
+
+def fiber_average_margin(sys, mu0, obs, lip_mu0):
+    """Margin of the regularity bound |s|_theta <= max(L, sup) lip(mu0) + L.
+
+    ``lip_mu0`` is ``lip_constant(mu0, sys.theta)``, computed once by the
+    caller for any number of observables.
+    """
+    theta = sys.theta
+    s = fiber_average(sys, mu0, obs)
+    lip = observable_lipschitz(obs, theta)
+    bound = max(lip, obs.sup_norm()) * lip_mu0 + lip
+    return bound - s.lipschitz(theta)
+
+
+def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
+    """Direct word-sum evaluation of one lagged covariance.
+
+    Enumerates all admissible words long enough to carry the ``now``
+    component, the invariant fiber, the branch maps along the lag, and the
+    shifted ``later`` component; the fiber of a long word is the invariant
+    fiber of its working-depth prefix.  The ``now`` observable is centered
+    inside the sum (subtracting the product of the means instead would
+    differ by the deviation of the computed measure from exact invariance).
+    Exponential in the lag; an independent check of ``correlation_curve``
+    at small lags.
+    """
+    matrix = sys.matrix
+    length = max(now.depth, mu0.depth, lag + later.depth, lag - 1 + sys.offset_depth)
+    if matrix.word_count(1) ** length > budget:
+        raise ValueError("lattice sum exceeds the word budget; use correlation_curve")
+    m_now = integrate_observable(sys, mu0, now)
+    masses = cylinder_mass_vector(sys.weights, matrix, length)
+    index, starts = matrix.word_index(mu0.depth), mu0.starts
+    total = 0.0
+    for mass, w in zip(masses, matrix.words(length)):
+        r = index[w[: mu0.depth]]
+        fiber = slice(starts[r], starts[r + 1])
+        path = ys = mu0.pos[fiber]
+        for t in range(lag):
+            b = sys.branch_map(w[t:])
+            path = b.a * path + b.b
+        vals = (component(now, w)(ys) - m_now) * component(later, w[lag:])(path)
+        total += mass * float(np.dot(mu0.w[fiber], vals))
+    return total

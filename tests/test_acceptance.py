@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_disintegration, random_vanishing_disintegration
+from oracles import hutchinson_reference
 from skewfiber.cli import main as cli_main
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.fitting import exp_fit
@@ -26,7 +27,6 @@ from skewfiber.measures import (
     PiecewiseLinearFn,
     wk_distance,
     wk_distance_bruteforce,
-    wk_norm,
 )
 from skewfiber.skew import c1_constant
 from skewfiber.stability import (
@@ -39,7 +39,6 @@ from skewfiber.stability import (
 )
 from skewfiber.transfer import (
     fixed_point,
-    hutchinson_reference,
     lip_constant,
     norm_inf,
     norm_s_inf,
@@ -84,7 +83,7 @@ def test_criterion_01_probability_normalization():
     for _ in range(100):
         w = rng.uniform(0.05, 1.0, rng.integers(1, 13))
         mu = AtomicMeasure(rng.random(w.size), w / w.sum())
-        worst = max(worst, abs(wk_norm(mu) - 1.0))
+        worst = max(worst, abs(wk_distance(mu) - 1.0))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
     assert elapsed < 1.0
@@ -209,7 +208,7 @@ def test_criterion_08_operator_gaps():
         sys_d = realize(fam, delta)
         res_d = solved[delta]
         r_delta = rep.r_of(delta)
-        max_norm = max(wk_norm(mu) for mu in res_d.disintegration.fibers.values())
+        max_norm = max(wk_distance(mu) for mu in res_d.disintegration.fibers.values())
         f_gap = fiber_op_gap(CANTOR, sys_d, res_d.disintegration)
         o_gap = operator_gap(fam, delta, res_d.disintegration)
         assert f_gap <= r_delta * max_norm + 1e-10

@@ -106,6 +106,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^/stability/deltas: "):
             parse_config(config_path(cfg))
 
+    @pytest.mark.parametrize(
+        "weights,pointer",
+        [
+            ({"kind": "bernoulli", "p": [float("nan"), float("nan")]}, "/system/weights/p"),
+            (
+                {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]], "stationary": [float("nan")] * 2},
+                "/system/weights/stationary",
+            ),
+        ],
+        ids=["p", "stationary"],
+    )
+    def test_nan_weights_rejected(self, weights, pointer, config_path):
+        cfg = small_config()
+        cfg["system"]["weights"] = weights
+        with pytest.raises(ConfigError, match=f"^{pointer}: "):
+            parse_config(config_path(cfg))
+
     def test_absent_keys_take_their_defaults(self, config_path):
         cfg = small_config(correlations={}, clt={})
         del cfg["stability"]["deltas"]
@@ -216,6 +233,26 @@ MALFORMED_FIELDS = [
     ),
     (("correlations", "psi", "values", "0"), float("nan"), "/correlations/psi/values/0"),
     (("system", "theta"), float("inf"), "/system/theta"),
+    # arrays hold JSON numbers: no booleans, numeric strings or NaN
+    (("correlations", "phi"), {"type": "fiber", "breakpoints": [False, True], "values": [0.0, 1.0]},
+     "/correlations/phi/breakpoints"),
+    (("correlations", "phi"), {"type": "fiber", "breakpoints": [0.0, 1.0], "values": ["0", "1"]},
+     "/correlations/phi/values"),
+    (("stability", "deltas"), ["0.1", "0.01"], "/stability/deltas"),
+    (("system", "weights", "p"), [0.5, "0.5"], "/system/weights/p"),
+    (("system", "weights", "p"), [float("nan"), float("nan")], "/system/weights/p"),
+    (("system", "weights"), {"kind": "markov", "transition": [["0.5", 0.5], [0.5, 0.5]]},
+     "/system/weights/transition/0"),
+    (("system", "weights"), {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]], "stationary": [0.5, "0.5"]},
+     "/system/weights/stationary"),
+    (("system", "weights"), {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
+                             "stationary": [float("nan"), float("nan")]},
+     "/system/weights/stationary"),
+    # matrix entries are the integers 0 and 1
+    (("system", "matrix"), [[1, 1.7], [1, 1]], "/system/matrix"),
+    (("system", "matrix"), [["1", 1], [1, 1]], "/system/matrix"),
+    (("system", "matrix"), [[True, 1], [1, 1]], "/system/matrix"),
+    (("system", "matrix"), [[1, 0.5], [1, 1]], "/system/matrix"),
     # a relation between the two fields is reported at the observable's pointer
     (("correlations", "psi"), {"type": "fiber", "breakpoints": [0.5, 1.0], "values": [0.0, 1.0]}, "/correlations/psi"),
     (

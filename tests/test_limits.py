@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3
+from oracles import base_lipschitz, component, correlation_lattice, fiber_average_margin, integrate
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import (
     CoboundaryError,
@@ -14,15 +15,13 @@ from skewfiber.limits import (
     asymptotic_variance,
     clt_experiment,
     correlation_curve,
-    correlation_lattice,
     fiber_average,
-    fiber_average_margin,
     gordin_norms,
     integrate_observable,
     ks_statistic,
     observable_sums,
 )
-from skewfiber.measures import PiecewiseLinearFn, integrate
+from skewfiber.measures import PiecewiseLinearFn
 from skewfiber.symbolic import cylinder_mass_vector, window_codes
 from skewfiber.transfer import fixed_point, lip_constant
 
@@ -58,20 +57,18 @@ def first_symbol_indicator(sys=CANTOR):
 class TestObservable:
     def test_component_slices_prefix(self):
         obs = first_symbol_indicator()
-        assert obs.evaluate((0, 1, 1), 0.3) == 1.0
-        assert obs.evaluate((1, 0), 0.3) == 0.0
+        assert component(obs, (0, 1, 1))(0.3) == 1.0
+        assert component(obs, (1, 0))(0.3) == 0.0
 
     def test_constants(self):
         obs = height_obs()
         assert obs.sup_norm() == 1.0
         assert obs.fiber_lipschitz() == 1.0
-        assert obs.base_lipschitz(0.5) == 0.0
-        assert obs.is_base_only() is False
+        assert base_lipschitz(obs, 0.5) == 0.0
 
     def test_base_lipschitz(self):
         obs = first_symbol_indicator()
-        assert obs.base_lipschitz(0.5) == pytest.approx(1.0)
-        assert obs.is_base_only()
+        assert base_lipschitz(obs, 0.5) == pytest.approx(1.0)
 
 
 def random_observables(sys, depth, rng):
@@ -97,19 +94,19 @@ class TestEvaluator:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("sys", [CANTOR, MARKOV3], ids=["cantor", "markov3"])
     def test_values_match_evaluate(self, sys, depth):
-        # oracle: Observable.evaluate, one word and one point at a time
+        # oracle: each word's own component, one word and one point at a time
         rng = np.random.default_rng(depth)
         words = sys.matrix.word_array(depth)[rng.integers(0, sys.matrix.word_count(depth), (20, 10))]
         ys = rng.random((20, 10))
         for obs in random_observables(sys, depth, rng):
             codes = window_codes(np.moveaxis(words, -1, 0)[: obs.depth], sys.n_symbols)
             cells = zip(words.reshape(-1, depth).tolist(), ys.ravel())
-            expected = [obs.evaluate(tuple(w), y) for w, y in cells]
+            expected = [float(component(obs, w)(y)) for w, y in cells]
             assert np.array_equal(obs.values(codes, ys).ravel(), expected)
 
     @pytest.mark.parametrize("name", ["cantor", "coupled", "markov3"])
     def test_fiber_integrals_match_per_fiber_loop(self, name, mu0, mu0_coupled, mu0_markov3):
-        # oracle: measures.integrate on each word's fiber, then the weighted sums
+        # oracle: integrate on each word's fiber, then the weighted sums
         sys, dis = fixed_point_of(name, mu0, mu0_coupled, mu0_markov3)
         rng = np.random.default_rng(3)
         masses = cylinder_mass_vector(sys.weights, sys.matrix, dis.depth)
@@ -117,13 +114,13 @@ class TestEvaluator:
         fiber_masses = np.array([fibers[w].total_weight() for w in dis.words()])
         for depth in (1, 2, dis.depth):
             for obs in random_observables(sys, depth, rng):
-                integrals = np.array([integrate(fibers[w], obs.component(w)) for w in dis.words()])
+                integrals = np.array([integrate(fibers[w], component(obs, w)) for w in dis.words()])
                 mean = float(np.dot(masses, integrals))
                 assert integrate_observable(sys, dis, obs) == pytest.approx(mean, rel=1e-12)
                 average = fiber_average(sys, dis, obs).values
                 assert np.allclose(average, integrals / fiber_masses, rtol=1e-12, atol=0.0)
                 centered = obs.shifted(-mean)
-                s = np.array([integrate(fibers[w], centered.component(w)) for w in dis.words()])
+                s = np.array([integrate(fibers[w], component(centered, w)) for w in dis.words()])
                 level0 = gordin_norms(sys, dis, obs, nmax=0).norms[0]
                 # centered integrals of a product fixed point are rounding noise, hence the floor
                 assert level0 == pytest.approx(math.sqrt(np.dot(masses, s**2)), rel=1e-12, abs=1e-14)
@@ -185,7 +182,7 @@ class TestFiberAverage:
         psi = first_symbol_indicator()
         s = fiber_average(CANTOR, mu0, psi)
         for w in mu0.words():
-            assert s.value(w) == pytest.approx(psi.evaluate(w, 0.0), abs=1e-12)
+            assert s.value(w) == pytest.approx(component(psi, w)(0.0), abs=1e-12)
 
     def test_product_system_height_average_constant(self, mu0):
         s = fiber_average(CANTOR, mu0, height_obs())
@@ -264,7 +261,7 @@ def gordin_norms_word_sum(sys, mu0, phi, nmax):
                 if n and not matrix.entries[u[-1], v[0]]:
                     continue
                 uv = u + v
-                fiber_integral = integrate(fibers[uv[: mu0.depth]], phit.component(uv))
+                fiber_integral = integrate(fibers[uv[: mu0.depth]], component(phit, uv))
                 acc += masses_uv[uv] * fiber_integral
             total += (acc / mass_v) ** 2 * mass_v
         norms[n] = math.sqrt(total)
@@ -337,7 +334,7 @@ class TestAsymptoticVariance:
         masses = masses_by_word(CANTOR, mu0.depth)
         direct = 0.0
         for w, mu in mu0.fibers.items():
-            h = phi.component(w)
+            h = component(phi, w)
             direct += masses[w] * float(
                 np.dot(mu.weights, (h(mu.positions) - m) ** 2)
             )
@@ -393,7 +390,7 @@ class TestCLT:
         symbols, ys = sample_orbits(COUPLED, seed=8, length=40, trials=3, burn_in=5, window=2)
         sums = observable_sums(phi, symbols, ys)
         for track, path, total in zip(symbols, ys, sums):
-            direct = sum(phi.evaluate(tuple(track[t:t + 2]), path[t]) for t in range(40))
+            direct = sum(component(phi, track[t:t + 2])(path[t]) for t in range(40))
             assert total == pytest.approx(direct, abs=1e-10)
 
     def test_shared_component_is_evaluated_once(self):
@@ -427,7 +424,7 @@ class TestCLT:
         assert symbols.dtype == np.uint8
         sums = observable_sums(phi, symbols, ys)
         for track, path, total in zip(symbols, ys, sums):
-            direct = sum(phi.evaluate(tuple(track[t:t + 6]), path[t]) for t in range(60))
+            direct = sum(component(phi, track[t:t + 6])(path[t]) for t in range(60))
             assert total == pytest.approx(direct, abs=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 2000])

@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
+from conftest import one_row
+from oracles import integrate, pushforward
 from skewfiber.measures import (
     AffineMap,
     AtomicMeasure,
     PiecewiseLinearFn,
     ZERO_MEASURE,
-    integrate,
     merge_atoms,
-    pushforward,
-    quantize,
     row_norms,
     wk_distance,
     wk_distance_bruteforce,
-    wk_norm,
 )
+from skewfiber.transfer import quantize_disintegration
 
 
 def random_measure(rng, n_atoms, signed=True, lo=-2.0, hi=2.0):
@@ -55,7 +54,7 @@ class TestWkDistance:
         rng = np.random.default_rng(7)
         for _ in range(20):
             mu = random_probability(rng, rng.integers(1, 12))
-            assert abs(wk_norm(mu) - 1.0) <= 1e-12
+            assert abs(wk_distance(mu) - 1.0) <= 1e-12
 
     def test_dirac_pair_quarter(self):
         # frozen from the grid LP reference: sup is attained by g(y) = |y - c|
@@ -64,7 +63,7 @@ class TestWkDistance:
 
     def test_single_atom_weight_two(self):
         # g == 1 is optimal, confirmed by the grid reference
-        assert wk_norm(AtomicMeasure.dirac(0.3, 2.0)) == pytest.approx(2.0, abs=1e-12)
+        assert wk_distance(AtomicMeasure.dirac(0.3, 2.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_dirac_distance_equals_position_gap(self):
         rng = np.random.default_rng(3)
@@ -100,11 +99,11 @@ class TestWkDistance:
         for _ in range(20):
             mu = random_measure(rng, 6)
             c = rng.uniform(0.1, 5.0)
-            assert wk_norm(mu.scaled(c)) == pytest.approx(c * wk_norm(mu), rel=1e-12)
+            assert wk_distance(mu.scaled(c)) == pytest.approx(c * wk_distance(mu), rel=1e-12)
 
     def test_empty_measures(self):
         assert wk_distance(ZERO_MEASURE, ZERO_MEASURE) == 0.0
-        assert wk_norm(ZERO_MEASURE) == 0.0
+        assert wk_distance(ZERO_MEASURE) == 0.0
 
 
 def row_pair(rng, kind):
@@ -200,20 +199,20 @@ class TestPushforward:
 class TestQuantize:
     def test_on_grid_measure_unchanged(self):
         mu = AtomicMeasure([0.0, 0.25, 0.5], [1.0, -1.0, 2.0])
-        out, bound = quantize(mu, 4)
-        assert out.positions.tolist() == [0.0, 0.25, 0.5]
+        out, bound = quantize_disintegration(one_row(mu), 4)
+        assert out.pos.tolist() == [0.0, 0.25, 0.5]
         assert bound == pytest.approx(4.0 / 8.0)
 
     def test_nearest_point_rounding(self):
-        out, bound = quantize(AtomicMeasure.dirac(0.26), 2)
-        assert out.positions.tolist() == [0.5]
+        out, bound = quantize_disintegration(one_row(AtomicMeasure.dirac(0.26)), 2)
+        assert out.pos.tolist() == [0.5]
         assert bound == pytest.approx(0.25)
 
     def test_measured_error_within_bound(self):
         rng = np.random.default_rng(21)
         mu = random_measure(rng, 100)
-        out, bound = quantize(mu, 512)
-        assert wk_distance(mu, out) <= bound + 1e-14
+        out, bound = quantize_disintegration(one_row(mu), 512)
+        assert wk_distance(mu, out.fibers[(0,)]) <= bound + 1e-14
 
 
 class TestCombine:

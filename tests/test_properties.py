@@ -12,16 +12,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import one_row  # noqa: E402
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
-    quantize,
     wk_distance,
     wk_distance_bruteforce,
 )
 from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
 from skewfiber.skew import FiberMapSpec, SystemSpec  # noqa: E402
 from skewfiber.symbolic import BaseWeights, TransitionMatrix  # noqa: E402
-from skewfiber.transfer import change_between, fixed_point  # noqa: E402
+from skewfiber.transfer import change_between, fixed_point, quantize_disintegration  # noqa: E402
 
 FAST = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 BRACKET = settings(max_examples=90, deadline=None, derandomize=True, database=None)
@@ -152,8 +152,8 @@ class TestWkProperties:
     @FAST
     @given(measures(max_atoms=40), st.integers(2, 4096))
     def test_quantize_certificate(self, mu, grid):
-        snapped, bound = quantize(mu, grid)
-        assert wk_distance(mu, snapped) <= bound + 1e-14
+        snapped, bound = quantize_disintegration(one_row(mu), grid)
+        assert wk_distance(mu, snapped.fibers[(0,)]) <= bound + 1e-14
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3, random_disintegration
+from oracles import pushforward
 from skewfiber.cli import parse_config, run_stability
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
-from skewfiber.measures import AtomicMeasure, pushforward, wk_distance
+from skewfiber.measures import AtomicMeasure, wk_distance
 from skewfiber.stability import (
     PerturbationFamily,
     admissibility_report,

@@ -1,16 +1,17 @@
 """Tests for the subshift base: words, measures, Ruelle operator, mixing."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import MARKOV3
+from oracles import base_correlation
 from skewfiber.symbolic import (
     BaseWeights,
     CylinderFunction,
     TransitionMatrix,
-    base_correlation,
     base_rate,
     cylinder_mass_vector,
     enumerate_words,
@@ -136,6 +137,19 @@ class TestBaseWeights:
             BaseWeights.bernoulli([1.5, -0.5])
         with pytest.raises(ValueError, match="sum to 1"):
             BaseWeights.bernoulli([0.6, 0.6])
+
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (lambda: BaseWeights.bernoulli([math.nan, math.nan]), "positive"),
+            (lambda: BaseWeights([[0.5, 0.5], [0.5, 0.5]], [math.nan, math.nan]), "positive"),
+            (lambda: BaseWeights([[math.nan, 0.5], [0.5, 0.5]]), "nonnegative"),
+        ],
+        ids=["bernoulli", "stationary", "transition"],
+    )
+    def test_nan_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
     def test_bernoulli_needs_full_shift(self):
         assert FAIR.compatible_with(FULL2)
