@@ -15,7 +15,7 @@ from .measures import (
     PiecewiseLinearFn,
     ZERO_MEASURE,
     wk_distance,
-    wk_distance_bruteforce,
+    wk_distance_primal,
 )
 from .symbolic import (
     BaseWeights,

@@ -37,7 +37,7 @@ from .limits import (
     gordin_norms,
     integrate_observable,
 )
-from .measures import AtomicMeasure, PiecewiseLinearFn, wk_distance, wk_distance_bruteforce
+from .measures import AtomicMeasure, PiecewiseLinearFn, wk_distance, wk_distance_primal
 from .skew import FiberMapSpec, SystemSpec, c1_constant
 from .stability import (
     PerturbationFamily,
@@ -177,6 +177,25 @@ def _parse_word(text, pointer):
         raise ConfigError(pointer, f"bad word key {text!r}") from exc
 
 
+def _word_table(block, words, what, pointer, parse):
+    """``block`` as {word: parse(value, its pointer)}; each key must name one of ``words``, once.
+
+    A key that is malformed, names another word, or repeats a word fails at
+    its own pointer; ``what`` describes ``words`` in that message.
+    """
+    allowed = set(words)
+    table = {}
+    for key, value in _object(block, pointer).items():
+        kp = f"{pointer}/{key}"
+        word = _parse_word(key, kp)
+        if word not in allowed:
+            raise ConfigError(kp, f"{word} is not {what}")
+        if word in table:
+            raise ConfigError(kp, f"word {word} is given twice")
+        table[word] = parse(value, kp)
+    return table
+
+
 def _square(block, key, pointer):
     """``block[key]`` as a nonempty square list of lists; anything else is a ConfigError at ``{pointer}/{key}``."""
     rows = _require(block, key, pointer)
@@ -203,6 +222,8 @@ def _parse_weights(block, pointer):
     tp = f"{pointer}/transition"
     transition = [_numbers(row, f"{tp}/{i}") for i, row in enumerate(_square(block, "transition", pointer))]
     stationary = _finite_list(block, "stationary", pointer) if "stationary" in block else None
+    if stationary is not None and stationary.size != len(transition):
+        raise ConfigError(f"{pointer}/stationary", "stationary vector needs one entry per symbol")
     return BaseWeights.markov(transition, stationary)
 
 
@@ -216,20 +237,18 @@ def _parse_system(block, pointer="/system"):
         raise
     except ValueError as exc:
         raise ConfigError(f"{pointer}/weights", str(exc)) from exc
+    offset_depth = _int(block, "offset_depth", 1, 1, pointer)
     maps = []
     if not isinstance(_require(block, "fiber_maps", pointer), list):
         raise ConfigError(f"{pointer}/fiber_maps", "must be a list")
     for i, mblock in enumerate(block["fiber_maps"]):
         mp = f"{pointer}/fiber_maps/{i}"
         _reject_unknown(mblock, _MAP_KEYS, mp)
-        tp = f"{mp}/offset_table"
-        table = {
-            _parse_word(k, tp): _number(v, f"{tp}/{k}")
-            for k, v in _object(mblock.get("offset_table", {}), tp).items()
-        }
+        own = [w for w in matrix.words(offset_depth) if w[0] == i]
+        what = f"an admissible word of depth {offset_depth} starting with symbol {i}"
+        table = _word_table(mblock.get("offset_table", {}), own, what, f"{mp}/offset_table", _number)
         slope, offset = (_number(_require(mblock, key, mp), f"{mp}/{key}") for key in ("slope", "offset"))
         maps.append((slope, offset, table))
-    offset_depth = _int(block, "offset_depth", 1, 1, pointer)
     try:
         maps = [FiberMapSpec(*m) for m in maps]
         return SystemSpec(matrix, theta, weights, maps, offset_depth)
@@ -263,29 +282,34 @@ def _piecewise(block, pointer):
         raise ConfigError(pointer, str(exc)) from exc
 
 
-def parse_observable(block, matrix, pointer):
+def _component(block, pointer):
+    _reject_unknown(block, {"breakpoints", "values"}, pointer)
+    return _piecewise(block, pointer)
+
+
+def parse_observable(block, matrix, max_depth, pointer):
+    """An observable of depth at most ``max_depth``, with one value or component per admissible word."""
     _reject_unknown(block, _OBS_KEYS, pointer)
     kind = _require(block, "type", pointer)
-    if kind == "base_only":
-        depth = _int(block, "depth", None, 1, pointer)
-        vp = f"{pointer}/values"
-        raw = _object(_require(block, "values", pointer), vp)
-        values = {_parse_word(k, pointer): float(_number(v, f"{vp}/{k}")) for k, v in raw.items()}
-        missing = set(matrix.words(depth)) - set(values)
-        if missing:
-            raise ConfigError(f"{pointer}/values", f"missing word {sorted(missing)[0]}")
-        return Observable.base_only(matrix, depth, values)
     if kind == "fiber":
         return Observable.fiber(matrix, _piecewise(block, pointer))
-    if kind == "components":
-        depth = _int(block, "depth", None, 1, pointer)
-        comps = {}
-        for k, sub in _object(_require(block, "components", pointer), f"{pointer}/components").items():
-            sp = f"{pointer}/components/{k}"
-            _reject_unknown(sub, {"breakpoints", "values"}, sp)
-            comps[_parse_word(k, pointer)] = _piecewise(sub, sp)
-        return Observable(matrix, depth, comps)
-    raise ConfigError(f"{pointer}/type", f"unknown observable type {kind!r}")
+    if kind not in ("base_only", "components"):
+        raise ConfigError(f"{pointer}/type", f"unknown observable type {kind!r}")
+    depth = _int(block, "depth", None, 1, pointer)
+    # checked before the words of that depth are listed
+    if depth > max_depth:
+        raise ConfigError(f"{pointer}/depth", f"must be at most the working depth {max_depth}")
+    words = matrix.words(depth)
+    field, parse = ("values", _number) if kind == "base_only" else ("components", _component)
+    fp = f"{pointer}/{field}"
+    what = f"an admissible word of depth {depth}"
+    table = _word_table(_require(block, field, pointer), words, what, fp, parse)
+    missing = [w for w in words if w not in table]
+    if missing:
+        raise ConfigError(fp, f"missing word {missing[0]}")
+    if kind == "base_only":
+        return Observable.base_only(matrix, depth, table)
+    return Observable(matrix, depth, table)
 
 
 def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
@@ -313,9 +337,7 @@ def _parse_correlations(block, matrix, depth, pointer="/correlations"):
     }
     for key in ("psi", "phi"):
         if key in block:
-            obs = observables[key] = parse_observable(block[key], matrix, f"{pointer}/{key}")
-            if obs.depth > depth:
-                raise ConfigError(f"{pointer}/{key}/depth", f"must be at most the working depth {depth}")
+            observables[key] = parse_observable(block[key], matrix, depth, f"{pointer}/{key}")
     nmax = _int(block, "nmax", 12, 0, pointer)
     return CorrelationsConfig(**observables, nmax=nmax,
                               gordin_nmax=_int(block, "gordin_nmax", min(nmax, 8), 0, pointer))
@@ -606,8 +628,8 @@ def run_verify(config, out_dir):
     worst = 0.0
     for _ in range(40):
         a, b = random_measure(rng.integers(1, 9)), random_measure(rng.integers(1, 9))
-        worst = max(worst, abs(wk_distance(a, b) - wk_distance_bruteforce(a, b)))
-    report.check("dual_solver_matches_lp_reference", worst <= 2e-3, f"max gap {worst!r}")
+        worst = max(worst, abs(wk_distance(a, b) - wk_distance_primal(a, b)))
+    report.check("dual_solver_matches_primal_flow", worst <= 2e-3, f"max gap {worst!r}")
 
     worst = 0.0
     for _ in range(30):

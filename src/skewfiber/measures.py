@@ -13,8 +13,8 @@ constraints reduce to adjacent differences.  ``row_norms`` merges a signed
 atom table once and returns each row's norm: closed forms for one-signed and
 balanced rows, exact dynamic programming over concave piecewise-linear value
 functions for the rest.  ``wk_distance`` is its one-row case, and
-``wk_distance_bruteforce`` solves the same program with an off-the-shelf LP
-solver on the merged support, as an independent cross-check.
+``wk_distance_primal`` solves the program's primal, a transport with unit-cost
+creation and deletion of mass, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = [
     "ZERO_MEASURE",
     "wk_distance",
     "row_norms",
-    "wk_distance_bruteforce",
+    "wk_distance_primal",
     "merge_atoms",
 ]
 
@@ -237,35 +237,33 @@ def _window_max(xs, vs, d):
     return cands, w
 
 
-def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
-    """LP reference for ``wk_distance``.
+def wk_distance_primal(mu, nu=ZERO_MEASURE):
+    """``wk_distance`` as the cheapest flow that carries mu - nu (Hanin, Proc. AMS 115, 1992).
 
-    Solves the same dual program with scipy's LP solver: one variable g_i
-    per atom of the merged support, bounds |g_i| <= 1, and
-    |g_{i+1} - g_i| <= x_{i+1} - x_i, which encodes Lip(g) <= 1 exactly on a
-    line.  The objective only reads g at the atoms, so no finer grid can
-    change the optimum.  The solver may move each g_i past its bounds by up
-    to its feasibility tolerance, so the feasibility tolerances are 1e-10,
-    the smallest HiGHS accepts, not its default 1e-7.  The solver shares no
-    code with the sweep in ``wk_distance``.
+    On the merged support (x, c) the norm is min over f of sum_j gap_j |f_j|
+    + sum_i |c_i - f_i + f_{i-1}|: f_j crosses the gap after atom j (0 beyond
+    the ends), and mass is created or deleted at unit cost.  An optimal basic
+    flow is a spanning tree on the atoms and a ground node, so the support
+    splits into segments l..r, each grounded at one atom k, with S(l..j)
+    across gap j left of k, -S(j+1..r) right of it, and 0 between segments
+    (S sums c).  A dynamic program over the segments is exact, in O(n^3).
+    It shares no code with the sweep but ``merge_atoms``.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
     _, x, c = merge_atoms(0, np.r_[mu.positions, nu.positions], np.r_[mu.weights, -nu.weights])
     n = x.size
     if n == 0:
         return 0.0
+    inside = np.triu(np.ones((n, n), dtype=bool))
+    sums = np.cumsum(np.where(inside, c, 0.0), axis=1)  # sums[l, r] = S(l..r) for l <= r
     gaps = np.diff(x)
-    rows = np.repeat(np.arange(2 * (n - 1)), 2)
-    cols = np.tile(np.stack([np.arange(n - 1), np.arange(1, n)], axis=1).ravel(), 2)
-    data = np.concatenate([np.tile([-1.0, 1.0], n - 1), np.tile([1.0, -1.0], n - 1)])
-    a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(2 * (n - 1), n))
-    b_ub = np.concatenate([gaps, gaps])
-    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    # linprog minimizes
-    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs", options=tol)
-    if not res.success:
-        raise RuntimeError(f"reference LP failed: {res.message}")
-    return float(-res.fun)
-
+    # to_left[l, k]: carry atoms l..k-1 right to atom k; to_right[k, r]: carry atoms k+1..r left to it
+    to_left, to_right = np.zeros((2, n, n))
+    to_left[:, 1:] = np.cumsum(gaps * np.abs(sums[:, :-1]), axis=1)
+    to_right[:-1] = np.cumsum((gaps[:, None] * np.abs(sums[1:]))[::-1], axis=0)[::-1]
+    # segment l..r grounded at its cheapest atom k, plus |S(l..r)| through the ground
+    through = np.where(inside[:, :, None] & inside, to_left[:, :, None] + to_right, np.inf)
+    segment = through.min(axis=1) + np.abs(sums)
+    best = np.zeros(n + 1)  # best[r]: cheapest flow on atoms 0..r-1
+    for r in range(n):
+        best[r + 1] = np.min(best[: r + 1] + segment[: r + 1, r])
+    return float(best[n])

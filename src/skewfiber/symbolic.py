@@ -163,6 +163,8 @@ class BaseWeights:
         if stationary is None:
             stationary = _stationary_vector(tm)
         pi = np.asarray(stationary, dtype=float)
+        if pi.shape != tm.shape[:1]:
+            raise ValueError("stationary vector needs one entry per symbol")
         if not ((pi > 0).all() and abs(pi.sum() - 1.0) <= _STOCHASTIC_TOL):
             raise ValueError("stationary vector must be positive and sum to 1")
         if not np.abs(pi @ tm - pi).max() <= _STOCHASTIC_TOL:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests hold the package to.
 
 Each oracle computes its quantity the direct way, one word, prefix or fiber
-at a time, and shares no table code with the ``skewfiber`` function it
-cross-checks.  None of them is part of the package.
+at a time, or, for the dual norm, with an off-the-shelf LP solver, and shares
+no table code with the ``skewfiber`` function it cross-checks.  None of them
+is part of the package.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from skewfiber.limits import fiber_average, integrate_observable
-from skewfiber.measures import AtomicMeasure
+from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms
 from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, word_distances
 from skewfiber.transfer import Disintegration
 
@@ -32,6 +33,39 @@ def pushforward(mu, t):
     if not (abs(t.a) < 1.0 and lo >= -1e-12 and hi <= 1.0 + 1e-12):
         raise ValueError(f"{t!r} is not an affine contraction of [0,1] into itself")
     return AtomicMeasure(t.a * mu.positions + t.b, mu.weights)
+
+
+def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
+    """LP reference for ``wk_distance``.
+
+    Solves the same dual program with scipy's LP solver: one variable g_i
+    per atom of the merged support, bounds |g_i| <= 1, and
+    |g_{i+1} - g_i| <= x_{i+1} - x_i, which encodes Lip(g) <= 1 exactly on a
+    line.  The objective only reads g at the atoms, so no finer grid can
+    change the optimum.  The solver may move each g_i past its bounds by up
+    to its feasibility tolerance, so the feasibility tolerances are 1e-10,
+    the smallest HiGHS accepts, not its default 1e-7.  The solver shares no
+    code with the sweep in ``wk_distance``.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    _, x, c = merge_atoms(0, np.r_[mu.positions, nu.positions], np.r_[mu.weights, -nu.weights])
+    n = x.size
+    if n == 0:
+        return 0.0
+    gaps = np.diff(x)
+    rows = np.repeat(np.arange(2 * (n - 1)), 2)
+    cols = np.tile(np.stack([np.arange(n - 1), np.arange(1, n)], axis=1).ravel(), 2)
+    data = np.concatenate([np.tile([-1.0, 1.0], n - 1), np.tile([1.0, -1.0], n - 1)])
+    a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(2 * (n - 1), n))
+    b_ub = np.concatenate([gaps, gaps])
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    # linprog minimizes
+    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs", options=tol)
+    if not res.success:
+        raise RuntimeError(f"reference LP failed: {res.message}")
+    return float(-res.fun)
 
 
 def disintegration_from_json(data):

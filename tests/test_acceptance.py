@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_disintegration, random_vanishing_disintegration
-from oracles import hutchinson_reference
+from oracles import hutchinson_reference, wk_distance_bruteforce
 from skewfiber.cli import main as cli_main
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.fitting import exp_fit
@@ -26,7 +26,6 @@ from skewfiber.measures import (
     AtomicMeasure,
     PiecewiseLinearFn,
     wk_distance,
-    wk_distance_bruteforce,
 )
 from skewfiber.skew import c1_constant
 from skewfiber.stability import (

@@ -279,6 +279,32 @@ MALFORMED_FIELDS = [
         }},
         "/correlations/psi/components/1",
     ),
+    (("system", "weights"), {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]], "stationary": [0.3, 0.3, 0.4]},
+     "/system/weights/stationary"),
+    # a word key must name an admissible word of its table's depth, once; a bad one fails at its own pointer
+    (("correlations", "psi", "values", "7"), 1.0, "/correlations/psi/values/7"),
+    (("correlations", "psi", "values", "01"), 1.0, "/correlations/psi/values/01"),
+    (("correlations", "psi", "values", "x"), 1.0, "/correlations/psi/values/x"),
+    (
+        ("correlations", "psi"),
+        {"type": "base_only", "depth": 2, "values": {"00": 1.0, "01": 1.0, "10": 0.0, "11": 0.0, "0,1": 1.0}},
+        "/correlations/psi/values/0,1",
+    ),
+    (
+        ("correlations", "psi"),
+        {"type": "components", "depth": 1, "components": {"0": {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]}}},
+        "/correlations/psi/components",
+    ),
+    (
+        ("correlations", "psi"),
+        {"type": "components", "depth": 1, "components": {
+            w: {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]} for w in ("0", "1", "2")
+        }},
+        "/correlations/psi/components/2",
+    ),
+    (("system", "fiber_maps", 0, "offset_table"), {"00": 0.0}, "/system/fiber_maps/0/offset_table/00"),
+    (("system", "fiber_maps", 0, "offset_table"), {"1": 0.0}, "/system/fiber_maps/0/offset_table/1"),
+    (("system", "fiber_maps", 0, "offset_table"), {"x": 0.0}, "/system/fiber_maps/0/offset_table/x"),
 ]
 
 
@@ -452,14 +478,16 @@ class TestArtifacts:
         assert len(calls) == len(cfg["stability"]["deltas"]) + 1
 
 
-def test_only_verify_imports_scipy(config_path, tmp_path):
-    """The subcommands other than ``verify`` run without importing scipy."""
+def test_no_subcommand_imports_scipy(config_path, tmp_path):
+    """Every subcommand, ``verify`` included, runs with scipy blocked and loads none of it."""
     script = (
         "import sys\n"
-        "from skewfiber.cli import main\n"
-        "for sub in ('fixed-point', 'spectral', 'stability', 'correlations', 'clt'):\n"
+        "sys.modules['scipy'] = None\n"
+        "from skewfiber.cli import SUBCOMMANDS, main\n"
+        "assert len(SUBCOMMANDS) == 6\n"
+        "for sub in SUBCOMMANDS:\n"
         "    assert main([sub, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + sub]) == 0, sub\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
     )
     src = str(Path(skewfiber.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import one_row
-from oracles import integrate, pushforward
+from oracles import integrate, pushforward, wk_distance_bruteforce
 from skewfiber.measures import (
     AffineMap,
     AtomicMeasure,
@@ -13,7 +13,6 @@ from skewfiber.measures import (
     merge_atoms,
     row_norms,
     wk_distance,
-    wk_distance_bruteforce,
 )
 from skewfiber.transfer import quantize_disintegration
 

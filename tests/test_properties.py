@@ -1,5 +1,5 @@
-"""Property tests: the dual distance (LP oracle, metric axioms, quantization)
-and the fixed-point certificate against a high-grid reference solve.
+"""Property tests: the dual distance (LP oracle, primal flow, metric axioms,
+quantization) and the fixed-point certificate against a high-grid reference solve.
 
 Generated inputs include near-balanced pairs, whose net total weight is zero
 up to floating-point rounding or a tiny residual.  Example counts are small
@@ -13,10 +13,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import one_row  # noqa: E402
+from oracles import wk_distance_bruteforce  # noqa: E402
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
     wk_distance,
-    wk_distance_bruteforce,
+    wk_distance_primal,
 )
 from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
 from skewfiber.skew import FiberMapSpec, SystemSpec  # noqa: E402
@@ -132,6 +133,25 @@ class TestWkProperties:
     def test_matches_lp_oracle_near_balance(self, pair):
         mu, nu = pair
         assert abs(wk_distance(mu, nu) - wk_distance_bruteforce(mu, nu)) <= 2e-3
+
+    @BRACKET
+    @given(
+        st.one_of(
+            st.tuples(measures(), measures()),
+            balanced_pairs(),
+            near_balanced_pairs(),
+            one_signed_pairs(positions=close_positions),
+        )
+    )
+    def test_primal_flow_matches_lp_and_sweep(self, pair):
+        # the flow is exact: the LP sits within its 1e-10 feasibility tolerance
+        # of it, and the sweep within rounding, except that the balanced form
+        # may overestimate by up to 2 |net total|
+        mu, nu = pair
+        primal = wk_distance_primal(mu, nu)
+        mass = float(np.abs(mu.weights).sum() + np.abs(nu.weights).sum())
+        assert abs(primal - wk_distance_bruteforce(mu, nu)) <= 1e-10 * mass
+        assert primal - 1e-12 * mass <= wk_distance(mu, nu) <= primal + 2 * net_total(mu, nu) + 1e-12 * mass
 
     @FAST
     @given(measures(), measures())

@@ -151,6 +151,10 @@ class TestBaseWeights:
         with pytest.raises(ValueError, match=match):
             build()
 
+    def test_stationary_needs_one_entry_per_symbol(self):
+        with pytest.raises(ValueError, match="one entry per symbol"):
+            BaseWeights([[0.5, 0.5], [0.5, 0.5]], [0.3, 0.3, 0.4])
+
     def test_bernoulli_needs_full_shift(self):
         assert FAIR.compatible_with(FULL2)
         assert not FAIR.compatible_with(GOLDEN)
