@@ -51,6 +51,7 @@ from .symbolic import (
     BaseWeights,
     CylinderFunction,
     TransitionMatrix,
+    WeightsError,
     base_rate,
     cylinder_mass_vector,
     ruelle_apply,
@@ -93,7 +94,8 @@ _STAB_KEYS = {"fiber_shift": _STAB_COMMON | {"fiber_direction"},
               "combined": _STAB_COMMON | {"fiber_direction", "weight_direction"}}
 _CORR_KEYS = {"nmax", "psi", "phi", "gordin_nmax"}
 _CLT_KEYS = {"length", "trials", "truncation"}
-_OBS_KEYS = {"type", "depth", "values", "breakpoints", "components"}
+_OBS_KEYS = {"fiber": {"type", "breakpoints", "values"}, "base_only": {"type", "depth", "values"},
+             "components": {"type", "depth", "components"}}
 
 
 StabilityConfig = namedtuple("StabilityConfig", "family deltas depth grid tol")
@@ -158,12 +160,12 @@ def _positive(block, key, default, pointer):
     return value
 
 
-def _kind(block, keys, pointer, default=None):
-    """``block["kind"]``, one of ``keys``; a key that kind does not read is rejected."""
+def _kind(block, keys, pointer, default=None, field="kind"):
+    """``block[field]``, one of ``keys``; a key that kind does not read is rejected."""
     block = _object(block, pointer)
-    kind = _require(block, "kind", pointer) if default is None else block.get("kind", default)
+    kind = _require(block, field, pointer) if default is None else block.get(field, default)
     if not isinstance(kind, str) or kind not in keys:
-        raise ConfigError(f"{pointer}/kind", f"must be one of {sorted(keys)}, got {kind!r}")
+        raise ConfigError(f"{pointer}/{field}", f"must be one of {sorted(keys)}, got {kind!r}")
     _reject_unknown(block, keys[kind], pointer)
     return kind
 
@@ -222,8 +224,6 @@ def _parse_weights(block, pointer):
     tp = f"{pointer}/transition"
     transition = [_numbers(row, f"{tp}/{i}") for i, row in enumerate(_square(block, "transition", pointer))]
     stationary = _finite_list(block, "stationary", pointer) if "stationary" in block else None
-    if stationary is not None and stationary.size != len(transition):
-        raise ConfigError(f"{pointer}/stationary", "stationary vector needs one entry per symbol")
     return BaseWeights.markov(transition, stationary)
 
 
@@ -233,10 +233,8 @@ def _parse_system(block, pointer="/system"):
     theta = _number(_require(block, "theta", pointer), f"{pointer}/theta")
     try:
         weights = _parse_weights(_require(block, "weights", pointer), f"{pointer}/weights")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{pointer}/weights", str(exc)) from exc
+    except WeightsError as exc:
+        raise ConfigError(f"{pointer}/weights/{exc.field}", str(exc)) from exc
     offset_depth = _int(block, "offset_depth", 1, 1, pointer)
     maps = []
     if not isinstance(_require(block, "fiber_maps", pointer), list):
@@ -289,12 +287,9 @@ def _component(block, pointer):
 
 def parse_observable(block, matrix, max_depth, pointer):
     """An observable of depth at most ``max_depth``, with one value or component per admissible word."""
-    _reject_unknown(block, _OBS_KEYS, pointer)
-    kind = _require(block, "type", pointer)
+    kind = _kind(block, _OBS_KEYS, pointer, field="type")
     if kind == "fiber":
         return Observable.fiber(matrix, _piecewise(block, pointer))
-    if kind not in ("base_only", "components"):
-        raise ConfigError(f"{pointer}/type", f"unknown observable type {kind!r}")
     depth = _int(block, "depth", None, 1, pointer)
     # checked before the words of that depth are listed
     if depth > max_depth:

@@ -10,14 +10,16 @@ which is a norm on signed measures and agrees with the usual flat metric.
 The supremum only involves the values of g at the atoms of the two measures,
 so it is a finite linear program; on a line the pairwise Lipschitz
 constraints reduce to adjacent differences.  ``row_norms`` merges a signed
-atom table once and returns each row's norm: closed forms for one-signed and
-balanced rows, exact dynamic programming over concave piecewise-linear value
-functions for the rest.  ``wk_distance`` is its one-row case, and
-``wk_distance_primal`` solves the program's primal, a transport with unit-cost
-creation and deletion of mass, as an independent cross-check.
+atom table once and returns each row's norm, an L1 isotonic regression solved
+by one heap pass in O(n log n), with closed forms for one-signed and balanced
+rows.  ``wk_distance`` is its one-row case, and ``wk_distance_primal`` solves
+the program's primal, a transport with unit-cost creation and deletion of
+mass, as an independent cross-check.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -169,22 +171,21 @@ def row_norms(rows, positions, weights, n_rows):
 
     Row r's norm maximizes sum_i c_i g_i over g with |g_i| <= 1 and
     |g_{i+1} - g_i| <= x_{i+1} - x_i, where (x, c) are the merged positions
-    and net weights of the row.  The chain structure admits an exact
-    sweep: the partial maximum V_i(g), as a function of the value g at atom
-    i, is concave piecewise linear, and passing to atom i+1 replaces V by
-    its sliding-window maximum (radius = gap) plus a linear term.  The
-    window maximum of a concave function shifts its increasing part left,
-    its decreasing part right, and flattens the top, so each step costs
-    O(breakpoints).  The final answer is max over [-1, 1] of V_k; the
-    constraint set is symmetric under g -> -g, so the absolute value in the
-    definition is attained on one sign.
+    and net weights of the row.  Flip c so that S = sum c >= 0 (c_0 > 0 when
+    S == 0.0, which keeps wk(mu, nu) and wk(nu, mu) bit-identical).  On a
+    span <= 1, a 1-Lipschitz g shifted up to max g = 1 is >= 0 and never
+    lowers sum c g, so g >= -1 never binds; with C_j = c_0 + ... + c_j and
+    gap_j = x_{j+1} - x_j, duality gives an L1 isotonic regression,
 
-    Closed forms come first.  A one-signed c has norm |sum c|.  A balanced
-    c has norm W1 = int |F_c| (Kantorovich-Rubinstein: a 1-Lipschitz g
-    shifts into [-1/2, 1/2]).  If |sum c| <= 1e-12 sum |c|, c is balanced
-    up to sum(c) at its last atom, which leaves F_c unchanged before it, so
-    int |F_c| + |sum c| is an upper estimate within 2 |sum c|.  Coincident
-    atoms of a row sum in input order; a row with no atoms has norm 0.
+        ||c|| = S + min { sum_j gap_j |C_j - E_j| : 0 <= E_0 <= ... <= E_{n-2} <= S },
+
+    solved exactly by one heap pass in O(n log n) (Rote, SOSA 2019).  Its
+    primal, with f_j = C_j - E_j, is ``wk_distance_primal``'s flow with
+    deletion only.  The closed forms are two of its feasible points: E = C
+    costs 0, so a one-signed c has norm |sum c|; E = 0 gives int |F_c| +
+    |sum c|, the norm W1 of a balanced c, used while |sum c| <= 1e-12 sum |c|
+    as an upper estimate within 2 |sum c|.  Coincident atoms of a row sum in
+    input order; a row with no atoms has norm 0.
     """
     row, x, c = merge_atoms(rows, positions, weights)
     s = np.searchsorted(row, np.arange(n_rows + 1)).tolist()
@@ -193,48 +194,39 @@ def row_norms(rows, positions, weights, n_rows):
 
 def _dual_norm(x, c):
     """Dual norm of one row: merged positions x, nonzero net weights c."""
-    k = x.size
-    if k == 0:
+    if x.size == 0:
         return 0.0
-    # canonical sign: makes wk(mu, nu) and wk(nu, mu) bit-identical
-    if c[0] < 0:
-        c = -c
     total = float(c.sum())
+    # canonical sign: makes wk(mu, nu) and wk(nu, mu) bit-identical
+    if total < 0 or (total == 0.0 and c[0] < 0):
+        c, total = -c, -total
     if c.min() > 0.0:
         return total
-    if abs(total) <= _BALANCE_RTOL * float(np.abs(c).sum()):
-        return float(np.dot(np.abs(np.cumsum(c)[:-1]), np.diff(x))) + abs(total)
-    # value function on [-1, 1]
-    xs = np.array([-1.0, 1.0])
-    vs = c[0] * xs
-    gaps = np.diff(x)
-    for i in range(1, k):
-        xs, vs = _window_max(xs, vs, gaps[i - 1])
-        vs = vs + c[i] * xs
-    return float(vs.max())
+    if total <= _BALANCE_RTOL * float(np.abs(c).sum()):
+        return float(np.dot(np.abs(np.cumsum(c)[:-1]), np.diff(x))) + total
+    # max-heap of [-value, weight]: the breakpoints of the regression's prefix
+    # cost as a function of its last E; the anchor enforces E >= 0
+    heap = [[0.0, float("inf")]]
+    cost = 0.0
+    for cum, gap in zip(np.cumsum(c[:-1]).tolist(), np.diff(x).tolist()):
+        rest = gap
+        while rest > 0.0 and -heap[0][0] > cum:
+            top = heap[0]
+            take = min(rest, top[1])
+            cost += take * (-top[0] - cum)
+            rest -= take
+            if take == top[1]:
+                heapq.heappop(heap)
+            else:
+                top[1] -= take
+        heapq.heappush(heap, [-cum, 2 * gap - rest])
+    # clamp the last E to at most S
+    return total + cost + sum(w * (-v - total) for v, w in heap if -v > total)
 
 
 def wk_distance(mu, nu=ZERO_MEASURE):
     """Bounded-Lipschitz distance between two atomic signed measures: mu's atoms, then -nu's, as one row."""
     return float(row_norms(0, np.r_[mu.positions, nu.positions], np.r_[mu.weights, -nu.weights], 1)[0])
-
-
-def _window_max(xs, vs, d):
-    """Sliding maximum W(g) = max V on [g-d, g+d] cap [-1,1] of a concave PL V."""
-    vmax = vs.max()
-    peak = np.flatnonzero(vs == vmax)
-    i_left, i_right = peak[0], peak[-1]
-    g_left, g_right = xs[i_left], xs[i_right]
-    cands = np.concatenate([[-1.0, 1.0], xs[: i_left + 1] - d, xs[i_right:] + d])
-    cands = np.unique(np.clip(cands, -1.0, 1.0))
-    lo = np.maximum(cands - d, -1.0)
-    hi = np.minimum(cands + d, 1.0)
-    w = np.where(
-        hi < g_left,
-        np.interp(hi, xs, vs),
-        np.where(lo > g_right, np.interp(lo, xs, vs), vmax),
-    )
-    return cands, w
 
 
 def wk_distance_primal(mu, nu=ZERO_MEASURE):
@@ -247,7 +239,7 @@ def wk_distance_primal(mu, nu=ZERO_MEASURE):
     splits into segments l..r, each grounded at one atom k, with S(l..j)
     across gap j left of k, -S(j+1..r) right of it, and 0 between segments
     (S sums c).  A dynamic program over the segments is exact, in O(n^3).
-    It shares no code with the sweep but ``merge_atoms``.
+    It shares no code with the heap pass but ``merge_atoms``.
     """
     _, x, c = merge_atoms(0, np.r_[mu.positions, nu.positions], np.r_[mu.weights, -nu.weights])
     n = x.size

@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "TransitionMatrix",
     "BaseWeights",
+    "WeightsError",
     "CylinderFunction",
     "check_theta",
     "enumerate_words",
@@ -141,6 +142,14 @@ def _is_primitive(a):
     return bool(reach.all())
 
 
+class WeightsError(ValueError):
+    """A ``BaseWeights`` input that fails a check; ``field`` names it: "transition", "stationary" or "p"."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(message)
+
+
 class BaseWeights:
     """Shift-invariant Markov base measure: stochastic matrix P and stationary pi.
 
@@ -148,27 +157,29 @@ class BaseWeights:
     pi = p), so its jacobian pi_i P_ij / pi_j is p_i.  ``jacobian[i, j]`` is
     the weight g(i.x) of the branch prepending symbol i to a point starting
     with j; it is zero off the support, and each column sums to 1, which is
-    exactly invariance of the base measure.
+    exactly invariance of the base measure.  A failed check raises
+    ``WeightsError``; a stationary vector derived from P fails as "transition".
     """
 
     def __init__(self, transition, stationary=None):
         tm = np.asarray(transition, dtype=float)
         if tm.ndim != 2 or tm.shape[0] != tm.shape[1]:
-            raise ValueError("Markov transition matrix must be square")
+            raise WeightsError("transition", "Markov transition matrix must be square")
         # each check is written so that a NaN fails it
         if not (tm >= 0).all():
-            raise ValueError("Markov transition probabilities must be nonnegative")
+            raise WeightsError("transition", "Markov transition probabilities must be nonnegative")
         if not np.abs(tm.sum(axis=1) - 1.0).max() <= _STOCHASTIC_TOL:
-            raise ValueError("Markov transition rows must sum to 1")
+            raise WeightsError("transition", "Markov transition rows must sum to 1")
+        field = "stationary"
         if stationary is None:
-            stationary = _stationary_vector(tm)
+            field, stationary = "transition", _stationary_vector(tm)
         pi = np.asarray(stationary, dtype=float)
         if pi.shape != tm.shape[:1]:
-            raise ValueError("stationary vector needs one entry per symbol")
+            raise WeightsError(field, "stationary vector needs one entry per symbol")
         if not ((pi > 0).all() and abs(pi.sum() - 1.0) <= _STOCHASTIC_TOL):
-            raise ValueError("stationary vector must be positive and sum to 1")
+            raise WeightsError(field, "stationary vector must be positive and sum to 1")
         if not np.abs(pi @ tm - pi).max() <= _STOCHASTIC_TOL:
-            raise ValueError("stationary vector must satisfy pi P = pi")
+            raise WeightsError(field, "stationary vector must satisfy pi P = pi")
         self.transition = tm
         self.stationary = pi
         self.n_symbols = tm.shape[0]
@@ -179,9 +190,9 @@ class BaseWeights:
         p = np.asarray(p, dtype=float)
         # written so that a NaN fails them
         if not (p > 0).all():
-            raise ValueError("Bernoulli weights must be positive")
+            raise WeightsError("p", "Bernoulli weights must be positive")
         if not abs(p.sum() - 1.0) <= _STOCHASTIC_TOL:
-            raise ValueError("Bernoulli weights must sum to 1")
+            raise WeightsError("p", "Bernoulli weights must sum to 1")
         return cls(np.tile(p, (p.size, 1)), p)
 
     @classmethod

@@ -1,9 +1,10 @@
 """Reference implementations that the tests hold the package to.
 
 Each oracle computes its quantity the direct way, one word, prefix or fiber
-at a time, or, for the dual norm, with an off-the-shelf LP solver, and shares
-no table code with the ``skewfiber`` function it cross-checks.  None of them
-is part of the package.
+at a time, or, for the dual norm, with an off-the-shelf LP solver that holds
+both the heap pass of ``row_norms`` and the flow of ``wk_distance_primal`` to
+the same program, and shares no table code with the ``skewfiber`` function
+it cross-checks.  None of them is part of the package.
 """
 
 import math
@@ -45,7 +46,7 @@ def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
     change the optimum.  The solver may move each g_i past its bounds by up
     to its feasibility tolerance, so the feasibility tolerances are 1e-10,
     the smallest HiGHS accepts, not its default 1e-7.  The solver shares no
-    code with the sweep in ``wk_distance``.
+    code with the heap pass in ``wk_distance``.
     """
     from scipy import sparse
     from scipy.optimize import linprog

@@ -305,6 +305,24 @@ MALFORMED_FIELDS = [
     (("system", "fiber_maps", 0, "offset_table"), {"00": 0.0}, "/system/fiber_maps/0/offset_table/00"),
     (("system", "fiber_maps", 0, "offset_table"), {"1": 0.0}, "/system/fiber_maps/0/offset_table/1"),
     (("system", "fiber_maps", 0, "offset_table"), {"x": 0.0}, "/system/fiber_maps/0/offset_table/x"),
+    # an observable accepts only the keys its type reads
+    (
+        ("correlations", "psi"),
+        {"type": "fiber", "depth": 3, "components": {"zz": 1}, "breakpoints": [0, 1], "values": [0, 1]},
+        "/correlations/psi/depth",
+    ),
+    (
+        ("correlations", "psi"),
+        {"type": "base_only", "depth": 1, "values": {"0": 1.0, "1": 0.0}, "breakpoints": "junk"},
+        "/correlations/psi/breakpoints",
+    ),
+    # a weights check fails at the field at fault
+    (("system", "weights"), {"kind": "markov", "transition": [[0.5, 0.6], [0.5, 0.5]]}, "/system/weights/transition"),
+    (("system", "weights"), {"kind": "markov", "transition": [[1.5, -0.5], [0.5, 0.5]]}, "/system/weights/transition"),
+    (("system", "weights"), {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]], "stationary": [0.2, 0.8]},
+     "/system/weights/stationary"),
+    (("system", "weights", "p"), [1.5, -0.5], "/system/weights/p"),
+    (("system", "weights", "p"), [0.5, 0.6], "/system/weights/p"),
 ]
 
 

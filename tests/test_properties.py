@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import one_row  # noqa: E402
+from conftest import MARKOV3, one_row, random_disintegration  # noqa: E402
 from oracles import wk_distance_bruteforce  # noqa: E402
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
@@ -22,7 +22,7 @@ from skewfiber.measures import (  # noqa: E402
 from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
 from skewfiber.skew import FiberMapSpec, SystemSpec  # noqa: E402
 from skewfiber.symbolic import BaseWeights, TransitionMatrix  # noqa: E402
-from skewfiber.transfer import change_between, fixed_point, quantize_disintegration  # noqa: E402
+from skewfiber.transfer import change_between, fixed_point, quantize_disintegration, transfer_apply  # noqa: E402
 
 FAST = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 BRACKET = settings(max_examples=90, deadline=None, derandomize=True, database=None)
@@ -94,6 +94,29 @@ def balanced_pairs(draw, max_atoms=6):
     return mu, nu
 
 
+@st.composite
+def general_rows(draw, max_atoms=60):
+    """(mu, nu) whose difference c mixes signs, with sum c > 0, < 0, or exactly 0 and c[0] < 0.
+
+    Weights are dyadic, so every total is exact and a nonzero one is far from
+    the balanced closed form; mu - nu is the row, split between the two
+    measures atom by atom.
+    """
+    n = draw(st.integers(2, max_atoms))
+    x = np.sort(draw(st.lists(positions, min_size=n, max_size=n, unique=True)))
+    c = np.array(draw(st.lists(st.integers(1, 128), min_size=n, max_size=n))) / 64.0
+    c *= np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    c[0], c[1] = -abs(c[0]), abs(c[1])
+    net = draw(st.sampled_from(["positive", "negative", "zero"]))
+    if net == "zero":
+        c[-1] -= c.sum()
+    else:
+        hypothesis.assume(c.sum() != 0.0)
+        if (c.sum() > 0) != (net == "positive"):
+            c = -c
+    return AtomicMeasure(x[::2], c[::2]), AtomicMeasure(x[1::2], -c[1::2])
+
+
 def net_total(mu, nu):
     return abs(mu.total_weight() - nu.total_weight())
 
@@ -145,13 +168,26 @@ class TestWkProperties:
     )
     def test_primal_flow_matches_lp_and_sweep(self, pair):
         # the flow is exact: the LP sits within its 1e-10 feasibility tolerance
-        # of it, and the sweep within rounding, except that the balanced form
+        # of it, and the heap pass within rounding, except that the balanced form
         # may overestimate by up to 2 |net total|
         mu, nu = pair
         primal = wk_distance_primal(mu, nu)
         mass = float(np.abs(mu.weights).sum() + np.abs(nu.weights).sum())
         assert abs(primal - wk_distance_bruteforce(mu, nu)) <= 1e-10 * mass
         assert primal - 1e-12 * mass <= wk_distance(mu, nu) <= primal + 2 * net_total(mu, nu) + 1e-12 * mass
+
+    @BRACKET
+    @given(general_rows())
+    def test_general_rows_match_primal_flow(self, pair):
+        mu, nu = pair
+        mass = float(np.abs(mu.weights).sum() + np.abs(nu.weights).sum())
+        assert abs(wk_distance(mu, nu) - wk_distance_primal(mu, nu)) <= 1e-12 * mass
+
+    @FAST
+    @given(general_rows())
+    def test_symmetry_on_general_rows(self, pair):
+        mu, nu = pair
+        assert wk_distance(mu, nu) == wk_distance(nu, mu)
 
     @FAST
     @given(measures(), measures())
@@ -174,6 +210,20 @@ class TestWkProperties:
     def test_quantize_certificate(self, mu, grid):
         snapped, bound = quantize_disintegration(one_row(mu), grid)
         assert wk_distance(mu, snapped.fibers[(0,)]) <= bound + 1e-14
+
+
+@pytest.mark.parametrize("a,b", [(0, 5), (5, 9), (0, 15)])
+def test_lip_rows_match_lp_oracle(a, b):
+    # rows of the kind lip_constant takes inside verify_ly: fiber a minus fiber
+    # b of unequal mass, 900-1100 merged atoms, after five exact transfer steps
+    dis = random_disintegration(MARKOV3.matrix, 3, np.random.default_rng(0), n_atoms=10, signed=False)
+    for _ in range(5):
+        dis = transfer_apply(MARKOV3, dis)
+    mu, nu = (AtomicMeasure(dis.pos[dis.starts[r]:dis.starts[r + 1]], dis.w[dis.starts[r]:dis.starts[r + 1]])
+              for r in (a, b))
+    assert mu.total_weight() != nu.total_weight()
+    mass = float(mu.weights.sum() + nu.weights.sum())
+    assert abs(wk_distance(mu, nu) - wk_distance_bruteforce(mu, nu)) <= 1e-9 * mass
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
