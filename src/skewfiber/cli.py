@@ -98,6 +98,10 @@ _OBS_KEYS = {"fiber": {"type", "breakpoints", "values"}, "base_only": {"type", "
              "components": {"type", "depth", "components"}}
 
 
+# the most admissible words a working depth may give: the word-by-word
+# distance tables of lip_constant and norm_s_inf hold n^2 floats each
+MAX_WORDS = 4096
+
 StabilityConfig = namedtuple("StabilityConfig", "family deltas depth grid tol")
 CorrelationsConfig = namedtuple("CorrelationsConfig", "psi phi nmax gordin_nmax")
 CltConfig = namedtuple("CltConfig", "length trials truncation")
@@ -114,6 +118,7 @@ class ExperimentConfig:
     clt: CltConfig
     stability: StabilityConfig | None = None
     digest: str = ""
+    verbose: bool = False
 
 
 def _object(block, pointer):
@@ -140,6 +145,24 @@ def _int(block, key, default, minimum, pointer):
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{pointer}/{key}", f"must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _depth(block, key, default, system, pointer):
+    """``_int`` for a working depth: at least the offset depth, and at most ``MAX_WORDS`` words.
+
+    Word counts never fall with the depth, so counting stops once it passes
+    MAX_WORDS^2 and the check stays short for any depth.
+    """
+    depth = _int(block, key, default, system.offset_depth, pointer)
+    count = system.matrix.word_count(depth, stop=MAX_WORDS**2)
+    if count > MAX_WORDS:
+        size = f"at least {count}" if count > MAX_WORDS**2 else str(count)
+        raise ConfigError(f"{pointer}/{key}", f"depth {depth} gives {size} admissible words, "
+                                              f"above the cap of {MAX_WORDS}")
+    # a shift with two symbols or more has more words than its depth; the one-symbol shift has one
+    if depth > MAX_WORDS:
+        raise ConfigError(f"{pointer}/{key}", f"depth {depth} is above the cap of {MAX_WORDS}")
+    return depth
 
 
 def _is_number(value):
@@ -320,7 +343,7 @@ def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
         deltas, _ = realize_grid(family, deltas)
     except ValueError as exc:
         raise ConfigError(f"{pointer}/deltas", str(exc)) from exc
-    return StabilityConfig(family, deltas, _int(block, "depth", depth, system.offset_depth, pointer),
+    return StabilityConfig(family, deltas, _depth(block, "depth", depth, system, pointer),
                            _int(block, "grid", grid, 2, pointer), _positive(block, "tol", tol, pointer))
 
 
@@ -356,7 +379,7 @@ def parse_config(path):
         raise ConfigError("/", f"not valid JSON: {exc}") from exc
     _reject_unknown(raw, _TOP_KEYS, "")
     system = _parse_system(_require(raw, "system", "/"))
-    depth = _int(raw, "depth", 4, system.offset_depth, "")
+    depth = _depth(raw, "depth", 4, system, "")
     grid = _int(raw, "grid", 512, 2, "")
     tol = _positive(raw, "tol", 1e-6, "")
     seed = _int(raw, "seed", 0, 0, "")
@@ -446,8 +469,18 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
+def _note_fixed_point(config, res, label="fixed point"):
+    """With ``--verbose``, one stderr line on how many words share how many fibers."""
+    if config.verbose:
+        dis = res.disintegration
+        print(f"{label}: {len(dis.words())} words, {dis.n_fibers} distinct fibers, {dis.w.size} atoms, "
+              f"{res.iterations} iterations", file=sys.stderr)
+
+
 def _compute_fixed_point(config):
-    return fixed_point(config.system, depth=config.depth, tol=config.tol, grid=config.grid)
+    res = fixed_point(config.system, depth=config.depth, tol=config.tol, grid=config.grid)
+    _note_fixed_point(config, res)
+    return res
 
 
 def run_fixed_point(config, out_dir):
@@ -512,6 +545,10 @@ def run_stability(config, out_dir):
         raise ConfigError("/stability", "no stability block in the config")
     report = Report("stability", config, out_dir)
     result = stability_sweep(stab.family, stab.deltas, depth=stab.depth, tol=stab.tol, grid=stab.grid)
+    _note_fixed_point(config, result.base_result, "base fixed point")
+    for row in result.rows:
+        if not row.failed:
+            _note_fixed_point(config, row.result, f"fixed point at delta={row.delta!r}")
     rows = [(r.delta, r.r_delta, r.variation, r.ratio, r.err_bound, r.iterations) for r in result.rows]
     report.write_csv("stability.csv", "delta,R_delta,Delta,ratio,err_bound,iterations", rows)
     report.metric("ratio_bound", result.ratio_bound)
@@ -719,7 +756,7 @@ def run_verify(config, out_dir):
     m_phi = integrate_observable(sys_, mu0, phi)
     var = asymptotic_variance(sys_, mu0, phi, truncation=10)
     masses = cylinder_mass_vector(sys_.weights, matrix, mu0.depth)
-    squares = np.bincount(mu0.row, mu0.w * (phi.on_atoms(mu0) - m_phi) ** 2, masses.size)
+    squares = phi.weigh(mu0, lambda v: (v - m_phi) ** 2).fiber_masses()
     direct = float(np.dot(masses, squares))
     report.check("autocovariance_lag0_is_variance", abs(var.curve.values[0] - direct) <= 1e-10)
 
@@ -768,6 +805,7 @@ def main(argv=None):
         parsed = time.perf_counter()
         if args.seed is not None:
             config.seed = args.seed
+        config.verbose = args.verbose
         code = RUNNERS[args.command](config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

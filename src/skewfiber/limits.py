@@ -21,10 +21,11 @@ Gordin's conditional expectations need no word sums either: at level n
 their L2 norm is ||P^n s||, the base transfer operator power applied to the
 fiber integrals s of the centered observable (see ``gordin_norms``).
 
-Every reader of an observable calls ``Observable.values(codes, y)``, which
-evaluates each cell once, by the component its window code
-(``symbolic.window_codes``) selects: the word prefixes of the atoms of a
-disintegration, or the depth-k windows of the CLT orbits' symbol tracks.
+Every reader of an observable evaluates each cell once, by the component
+its window code (``symbolic.window_codes``) selects: ``Observable.values``
+at the depth-k windows of the CLT orbits' symbol tracks, and
+``Observable.weigh`` at the atoms of a disintegration, once per distinct
+(fiber, component) pair of its words.
 
 The CLT experiment streams its orbits in blocks of trials, about
 ``BLOCK_CELLS`` orbit cells each, so memory does not grow with the trial
@@ -43,7 +44,7 @@ from .fitting import ExpFit, exp_fit
 from .measures import PiecewiseLinearFn
 from .skew import sample_orbits
 from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes
-from .transfer import Disintegration, quantize_disintegration, transfer_apply
+from .transfer import quantize_disintegration, transfer_apply
 
 __all__ = [
     "Observable",
@@ -112,7 +113,13 @@ class Observable:
         """phi at admissible depth-k window codes and fiber points of one shape, each cell once."""
         if len(self.pieces) == 1:
             return self.pieces[0](y)
-        piece = self.piece_of_code[codes].ravel()
+        return self._piece_values(self.piece_of_code[codes], y)
+
+    def _piece_values(self, piece, y):
+        """Piece ``piece`` of phi at ``y``, cell by cell, for arrays of one shape."""
+        if len(self.pieces) == 1:
+            return self.pieces[0](y)
+        piece = piece.ravel()
         order = np.argsort(piece, kind="stable")  # each piece reads its own range of cells
         cuts = np.searchsorted(piece[order], np.arange(1, len(self.pieces)))
         flat, out = y.ravel(), np.empty(y.size)
@@ -120,12 +127,22 @@ class Observable:
             out[idx] = h(flat[idx])
         return out.reshape(y.shape)
 
-    def on_atoms(self, dis):
-        """phi at every atom of a disintegration, in table order."""
+    def weigh(self, dis, g=None, err_bound=0.0):
+        """Fiberwise product g(h_w) . mu|_w: each atom's weight times g of its word's component there.
+
+        ``g`` maps an array of values and defaults to the identity.  It is
+        evaluated once per distinct (fiber, piece) pair of the words.
+        """
         if self.depth > dis.depth:
             raise ValueError("observable depth exceeds the disintegration depth")
         columns = dis.matrix.word_array(dis.depth).T[: self.depth]
-        return self.values(window_codes(columns, self.matrix.n_symbols)[dis.row], dis.pos)
+        pieces = self.piece_of_code[window_codes(columns, self.matrix.n_symbols)]
+
+        def times(piece, pos, w):
+            values = self._piece_values(piece, pos)
+            return pos, w * (values if g is None else g(values))
+
+        return dis.mapped(pieces, times, err_bound)
 
     def sup_norm(self):
         return max(h.sup_norm() for h in self.components.values())
@@ -149,7 +166,7 @@ class Observable:
 
 def _fiber_integrals(dis, obs):
     """Fiber integrals int h_w d mu|_w, in word order."""
-    return np.bincount(dis.row, dis.w * obs.on_atoms(dis), dis.starts.size - 1)
+    return obs.weigh(dis).fiber_masses()
 
 
 def integrate_observable(sys, dis, obs):
@@ -179,8 +196,7 @@ def _weighted_disintegration(dis, obs):
     Lip(g) sup(h) + sup(g) Lip(h) for any admissible test function g.
     """
     factor = obs.sup_norm() + obs.fiber_lipschitz()
-    w = dis.w * obs.on_atoms(dis)
-    return Disintegration(dis.matrix, dis.depth, dis.row, dis.pos, w, dis.err_bound * factor)
+    return obs.weigh(dis, err_bound=dis.err_bound * factor)
 
 
 @dataclass

@@ -131,12 +131,16 @@ class SystemSpec:
             self._code_tables = (slopes, offsets)
         return self._code_tables
 
-    def word_branches(self, depth):
-        """Branch slopes and offsets of the depth-``depth`` words, read at their offset prefixes."""
+    def word_codes(self, depth):
+        """Branch code of each depth-``depth`` word: the window code of its offset prefix."""
         d = self.offset_depth
         if depth < d:
             raise ValueError(f"offset depth {d} exceeds the working depth {depth}")
-        codes = window_codes(self.matrix.word_array(depth).T[:d], self.n_symbols)
+        return window_codes(self.matrix.word_array(depth).T[:d], self.n_symbols)
+
+    def word_branches(self, depth):
+        """Branch slopes and offsets of the depth-``depth`` words, read at their offset prefixes."""
+        codes = self.word_codes(depth)
         slopes, offsets = self.code_tables()
         return slopes[codes], offsets[codes]
 

@@ -20,7 +20,6 @@ from .skew import FiberMapSpec, SystemSpec, c1_constant
 from .symbolic import BaseWeights, base_rate, cylinder_mass_vector
 from .transfer import (
     ConvergenceError,
-    Disintegration,
     FixedPointResult,
     change_between,
     fixed_point,
@@ -187,12 +186,17 @@ def fiber_op_gap(sys0, sys_d, dis):
     """Largest fiberwise pushforward gap between two systems on one input.
 
     For every working word the same source fiber is pushed through both
-    branch maps; the lemma bound is R(delta) times the largest fiber norm.
+    branch maps, once per distinct (fiber, branch code) pair of the words;
+    the lemma bound is R(delta) times the largest fiber norm.
     """
     pushed = []
     for s in (sys0, sys_d):
-        a, b = (v[dis.row] for v in s.word_branches(dis.depth))
-        pushed.append(Disintegration(dis.matrix, dis.depth, dis.row, a * dis.pos + b, dis.w))
+        slopes, offsets = s.code_tables()
+
+        def push(code, pos, w, a=slopes, b=offsets):
+            return a[code] * pos + b[code], w
+
+        pushed.append(dis.mapped(s.word_codes(dis.depth), push))
     return change_between(*pushed)
 
 

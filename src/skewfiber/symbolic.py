@@ -108,10 +108,14 @@ class TransitionMatrix:
             self._word_cache[key] = tables
         return self._word_cache[key]
 
-    def word_count(self, depth):
+    def word_count(self, depth, stop=None):
         """Number of admissible words of a depth, without enumerating them.
 
-        It is the entry sum of A^(depth-1), computed in exact integers.
+        It is the entry sum of A^(depth-1), computed in exact integers.  Word
+        counts never fall with the depth, and once the count vector repeats
+        they are constant.  With ``stop``, counting ends at the first depth
+        whose count exceeds ``stop`` and returns that count, a lower bound for
+        the depth asked for, so the loop is short for any depth.
         """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
@@ -120,7 +124,12 @@ class TransitionMatrix:
         rows = self.entries.tolist()
         counts = [1] * self.n_symbols
         for _ in range(depth - 1):
-            counts = [sum(c for c, a in zip(counts, row) if a) for row in rows]
+            if stop is not None and sum(counts) > stop:
+                break
+            step = [sum(c for c, a in zip(counts, row) if a) for row in rows]
+            if step == counts:
+                break
+            counts = step
         return sum(counts)
 
     def __eq__(self, other):

@@ -1,10 +1,13 @@
 """Finite-depth disintegrations and the fiberwise transfer operator.
 
 A measure on the product space is carried as its family of fiber
-restrictions over the admissible words of a working depth, stored as one
-atom table, together with a running bound on the accumulated quantization
-error.  The transfer operator mixes branch pushforwards with the base
-jacobian weights:
+restrictions over the admissible words of a working depth, together with a
+running bound on the accumulated quantization error.  Each distinct fiber is
+stored once, as one row of an atom table, and a map sends every word to its
+fiber's row: for an offset depth d the invariant fiber over x depends only on
+the first max(d - 1, 1) symbols of x, so most words share a row.  Only this
+module reads that map; every other reader sees one fiber per word.  The
+transfer operator mixes branch pushforwards with the base jacobian weights:
 
     nu|_w = sum_i g(i.w) T_{i.w} # mu|_{i.w[:-1]},
 
@@ -14,6 +17,10 @@ carry equal masses word by word, one application contracts the fiberwise
 distance by the fiber contraction rate; that is what certifies the fixed
 point computation and the quantization error bookkeeping below.  Every
 fiberwise norm reads the table through ``measures.row_norms``.
+
+Each operation runs once per distinct fiber (or pair of fibers) and applies
+to it exactly the arithmetic that a word-by-word computation applies to
+every word sharing it, so results are the same floats as one row per word.
 """
 
 from __future__ import annotations
@@ -49,23 +56,64 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-class Disintegration:
-    """Fiber restrictions over the admissible words of one depth, as one atom table.
+def _gather(starts, rows):
+    """Atoms of table ``rows`` in turn: (index k of each atom's row in ``rows``, its table index)."""
+    lo = starts[rows]
+    counts = starts[rows + 1] - lo
+    take = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    return np.repeat(np.arange(rows.size), counts), take
 
-    ``row``, ``pos`` and ``w`` hold every atom, sorted by (word row, position)
-    with no repeated pair and no zero weight (``measures.merge_atoms``);
-    the fiber of word row r is the slice ``starts[r]:starts[r + 1]``.
+
+class Disintegration:
+    """Fiber restrictions over the admissible words of one depth, each distinct fiber stored once.
+
+    ``row``, ``pos`` and ``w`` hold the atoms of the distinct fibers, sorted
+    by (fiber row, position) with no repeated pair and no zero weight
+    (``measures.merge_atoms``); fiber row r is the slice
+    ``starts[r]:starts[r + 1]``, and word k's fiber is row ``word_fiber[k]``.
+    Two words share a row exactly when their fibers are equal bit for bit,
+    and rows are numbered in the order of their first word, so the layout is
+    a function of the measure alone.  The constructor takes one row per word,
+    and ``fibers``, ``fiber_masses``, ``total_mass`` and ``to_json_dict``
+    read one fiber per word.
     """
 
     def __init__(self, matrix, depth, rows, positions, weights, err_bound=0.0):
+        n_words = matrix.word_count(depth)
+        row, pos, w = merge_atoms(rows, positions, weights)
+        if row.size and (row[0] < 0 or row[-1] >= n_words):
+            raise ValueError(f"atom rows must index the {n_words} admissible words")
+        self._store(matrix, depth, row, pos, w, np.arange(n_words), err_bound)
+
+    @classmethod
+    def _shared(cls, matrix, depth, rows, positions, weights, word_fiber, err_bound):
+        """Disintegration whose word k has the fiber of table row ``word_fiber[k]``."""
+        dis = cls.__new__(cls)
+        dis._store(matrix, depth, *merge_atoms(rows, positions, weights), word_fiber, err_bound)
+        return dis
+
+    def _store(self, matrix, depth, row, pos, w, word_fiber, err_bound):
+        """Keep one row per distinct fiber, numbered by first word, from a merged table."""
+        starts = np.searchsorted(row, np.arange(int(word_fiber.max()) + 2)).tolist()
+        renumber = np.zeros(len(starts) - 1, dtype=np.intp)
+        kept, seen = [], {}
+        # the rows the words read, in the order of their first word
+        for r in dict.fromkeys(word_fiber.tolist()):
+            a, b = starts[r], starts[r + 1]
+            renumber[r] = seen.setdefault(pos[a:b].tobytes() + w[a:b].tobytes(), len(kept))
+            if renumber[r] == len(kept):
+                kept.append(r)
+        self.row, take = _gather(np.array(starts), np.array(kept, dtype=np.intp))
+        self.pos, self.w = pos[take], w[take]
+        self.starts = np.searchsorted(self.row, np.arange(len(kept) + 1))
+        self.word_fiber = renumber[word_fiber]
         self.matrix = matrix
         self.depth = depth
-        self.row, self.pos, self.w = merge_atoms(rows, positions, weights)
-        n_words = matrix.word_count(depth)
-        if self.row.size and (self.row[0] < 0 or self.row[-1] >= n_words):
-            raise ValueError(f"atom rows must index the {n_words} admissible words")
-        self.starts = np.searchsorted(self.row, np.arange(n_words + 1))
         self.err_bound = float(err_bound)
+
+    def _with_atoms(self, pos, w, err_bound):
+        """Same word map, with each table atom moved to ``pos`` and weighted ``w``."""
+        return Disintegration._shared(self.matrix, self.depth, self.row, pos, w, self.word_fiber, err_bound)
 
     @classmethod
     def from_fibers(cls, matrix, depth, fibers, err_bound=0.0):
@@ -86,37 +134,61 @@ class Disintegration:
         return self.matrix.words(self.depth)
 
     @property
+    def n_fibers(self):
+        """Number of distinct fibers, the rows of the atom table."""
+        return self.starts.size - 1
+
+    def _per_word(self):
+        """(positions, weights) of each word's fiber, in word order."""
+        cuts = self.starts[1:-1]
+        parts = list(zip(np.split(self.pos, cuts), np.split(self.w, cuts)))
+        return [parts[f] for f in self.word_fiber.tolist()]
+
+    @property
     def fibers(self):
         """Word -> fiber measure map, rebuilt on each read (for readers outside the package)."""
-        cuts = self.starts[1:-1]
-        return dict(zip(self.words(), map(AtomicMeasure, np.split(self.pos, cuts), np.split(self.w, cuts))))
+        return {word: AtomicMeasure(p, w) for word, (p, w) in zip(self.words(), self._per_word())}
+
+    def mapped(self, labels, f, err_bound=0.0):
+        """Each word's fiber with its atoms sent through ``f``, by the word's label.
+
+        ``labels`` holds one nonnegative integer per word; ``f(label, pos, w)``
+        acts atom by atom on arrays and returns the new ``(pos, w)``.  It runs
+        once on each distinct (fiber, label) pair of the words.
+        """
+        labels = np.asarray(labels, dtype=np.intp)
+        n_labels = int(labels.max()) + 1
+        pairs, word_pair = np.unique(self.word_fiber * n_labels + labels, return_inverse=True)
+        fiber, label = np.divmod(pairs, n_labels)
+        rows, take = _gather(self.starts, fiber)
+        pos, w = f(label[rows], self.pos[take], self.w[take])
+        return Disintegration._shared(self.matrix, self.depth, rows, pos, w, word_pair.ravel(), err_bound)
 
     def scaled(self, factor):
-        err = abs(factor) * self.err_bound
-        return Disintegration(self.matrix, self.depth, self.row, self.pos, factor * self.w, err)
+        return self._with_atoms(self.pos, factor * self.w, abs(factor) * self.err_bound)
 
     def fiber_masses(self):
-        return np.bincount(self.row, weights=self.w, minlength=self.starts.size - 1)
+        return np.bincount(self.row, weights=self.w, minlength=self.n_fibers)[self.word_fiber]
 
     def total_mass(self, weights):
         masses = cylinder_mass_vector(weights, self.matrix, self.depth)
         return float(sum((masses * self.fiber_masses()).tolist()))
 
     def to_json_dict(self):
-        cuts = self.starts[1:-1]
+        fibers = self._per_word()
         return {
             "depth": self.depth,
             "matrix": self.matrix.entries.tolist(),
             "words": [list(w) for w in self.words()],
-            "atoms": [p.tolist() for p in np.split(self.pos, cuts)],
-            "weights": [w.tolist() for w in np.split(self.w, cuts)],
+            "atoms": [p.tolist() for p, _ in fibers],
+            "weights": [w.tolist() for _, w in fibers],
             "errorBound": self.err_bound,
         }
 
     def __repr__(self):
         return (
-            f"Disintegration(depth={self.depth}, {self.starts.size - 1} words, "
-            f"{self.w.size} atoms, err<={self.err_bound:.3g})"
+            f"Disintegration(depth={self.depth}, {self.word_fiber.size} words, "
+            f"{self.n_fibers} fibers, {self.w.size} atoms, err<={self.err_bound:.3g})"
         )
 
 
@@ -127,7 +199,7 @@ class Disintegration:
 
 def norm_inf(dis):
     """Largest fiberwise dual norm over the working words."""
-    return float(row_norms(dis.row, dis.pos, dis.w, dis.starts.size - 1).max())
+    return float(row_norms(dis.row, dis.pos, dis.w, dis.n_fibers).max())
 
 
 def marginal_density(dis):
@@ -145,18 +217,25 @@ def lip_constant(dis, theta):
 
     Maximum of wk(mu|_w1, mu|_w2) / d(w1, w2) over every pair of admissible
     words, so the value is exact for this representation and an upper bound
-    for the infimum over all equivalent disintegrations.  Word a's pairs
-    are one ``row_norms`` table whose row j is fiber a minus fiber a+1+j.
+    for the infimum over all equivalent disintegrations.  It is taken over
+    pairs of distinct fibers, each norm divided by the smallest distance
+    between the two fibers' words: x / d falls as d grows, so that is the
+    same maximum.  Fiber a's pairs are one ``row_norms`` table whose row j is
+    fiber a minus fiber a+1+j.
     """
     dist = word_distances(dis.matrix, dis.depth, theta)
-    s, n = dis.starts, dis.starts.size - 1
+    s, n = dis.starts, dis.n_fibers
+    # nearest[a, b]: the smallest distance from a word of fiber a to one of fiber b
+    order = np.argsort(dis.word_fiber, kind="stable")
+    cuts = np.searchsorted(dis.word_fiber[order], np.arange(n))
+    nearest = np.minimum.reduceat(np.minimum.reduceat(dist[np.ix_(order, order)], cuts, axis=0), cuts, axis=1)
     best = 0.0
     for a in range(n - 1):
         k, lo, hi = n - 1 - a, s[a], s[a + 1]
         rows = np.concatenate([np.repeat(np.arange(k), hi - lo), dis.row[hi:] - (a + 1)])
         pos = np.concatenate([np.tile(dis.pos[lo:hi], k), dis.pos[hi:]])
         w = np.concatenate([np.tile(dis.w[lo:hi], k), -dis.w[hi:]])
-        best = max(best, float((row_norms(rows, pos, w, k) / dist[a, a + 1 :]).max()))
+        best = max(best, float((row_norms(rows, pos, w, k) / nearest[a, a + 1 :]).max()))
     return best
 
 
@@ -172,22 +251,34 @@ def transfer_apply(sys, dis):
     error is always against an equal-mass reference, and branch pushforwards
     shrink equal-mass discrepancies by at least alpha before the convex
     jacobian mixing.  The terms come from ``TransitionMatrix.preimages`` and
-    ``SystemSpec.word_branches``; the step is one gather of source fibers
-    into one merge.
+    ``SystemSpec.word_codes``.  A target's fiber is fixed by its terms, in
+    symbol order: each term's symbol, source fiber row, branch code (the
+    source's offset prefix) and the target's head symbol, which picks the
+    weight g = jacobian[symbol, head].  Targets with equal terms get
+    bit-identical fibers, so one target per group is pushed, as one gather of
+    source fibers into one merge.
     """
     if dis.matrix != sys.matrix:
         raise ValueError("disintegration and system use different transition matrices")
-    # one term (target, source, g, a, b) per admissible extension, each with g > 0
+    # one term (target, source, symbol, head) per admissible extension, sorted by (target, symbol)
     target, source, symbol, head = sys.matrix.preimages(dis.depth)
-    g = sys.weights.jacobian[symbol, head]
-    a, b = (v[source] for v in sys.word_branches(dis.depth))
-    lo = dis.starts[source]
-    counts = dis.starts[source + 1] - lo
-    # atom k of term j reads the table at lo[j] + k
-    take = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-    rows, g, a, b = (np.repeat(v, counts) for v in (target, g, a, b))
-    pos = a * dis.pos[take] + b
-    return Disintegration(dis.matrix, dis.depth, rows, pos, g * dis.w[take], sys.alpha * dis.err_bound)
+    code, fiber = sys.word_codes(dis.depth)[source], dis.word_fiber[source]
+    n_words = dis.word_fiber.size
+    n_terms = np.bincount(target, minlength=n_words)
+    term_starts = np.concatenate([[0], np.cumsum(n_terms)])
+    terms = np.full((n_words, n_terms.max(), 4), -1, dtype=np.intp)
+    terms[target, np.arange(target.size) - term_starts[target]] = np.column_stack([symbol, fiber, code, head])
+    _, pushed, group = np.unique(terms.reshape(n_words, -1), axis=0, return_index=True, return_inverse=True)
+    # the terms of each group's first target, then the atoms of each term's source fiber
+    term_group, term = _gather(term_starts, pushed)
+    g = sys.weights.jacobian[symbol[term], head[term]]
+    slopes, offsets = sys.code_tables()
+    a, b = slopes[code[term]], offsets[code[term]]
+    k, take = _gather(dis.starts, fiber[term])
+    pos = a[k] * dis.pos[take] + b[k]
+    return Disintegration._shared(
+        dis.matrix, dis.depth, term_group[k], pos, g[k] * dis.w[take], group.ravel(), sys.alpha * dis.err_bound
+    )
 
 
 def quantize_disintegration(dis, grid):
@@ -202,16 +293,23 @@ def quantize_disintegration(dis, grid):
         raise ValueError("grid must be at least 2")
     step = float(np.bincount(dis.row, np.abs(dis.w), 1).max()) / (2.0 * grid)
     pos = np.round(dis.pos * grid) / grid
-    return Disintegration(dis.matrix, dis.depth, dis.row, pos, dis.w, dis.err_bound + step), step
+    return dis._with_atoms(pos, dis.w, dis.err_bound + step), step
 
 
 def change_between(d1, d2):
-    """Largest fiberwise wk distance between two disintegrations of one depth and matrix."""
+    """Largest fiberwise wk distance between two disintegrations of one depth and matrix.
+
+    One norm per distinct pair (fiber in d1, fiber in d2) over the words.
+    """
     if d1.depth != d2.depth or d1.matrix != d2.matrix:
         raise ValueError("disintegrations differ in depth or transition matrix")
+    pairs = np.array(sorted(set((d1.word_fiber * d2.n_fibers + d2.word_fiber).tolist())))
+    (rows1, take1), (rows2, take2) = (
+        _gather(d.starts, f) for d, f in zip((d1, d2), np.divmod(pairs, d2.n_fibers))
+    )
     # d1's atoms, then d2's negated: a shared position sums as in wk_distance
-    rows, pos = np.concatenate([d1.row, d2.row]), np.concatenate([d1.pos, d2.pos])
-    return float(row_norms(rows, pos, np.concatenate([d1.w, -d2.w]), d1.starts.size - 1).max())
+    rows, pos = np.concatenate([rows1, rows2]), np.concatenate([d1.pos[take1], d2.pos[take2]])
+    return float(row_norms(rows, pos, np.concatenate([d1.w[take1], -d2.w[take2]]), pairs.size).max())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ Each oracle computes its quantity the direct way, one word, prefix or fiber
 at a time, or, for the dual norm, with an off-the-shelf LP solver that holds
 both the heap pass of ``row_norms`` and the flow of ``wk_distance_primal`` to
 the same program, and shares no table code with the ``skewfiber`` function
-it cross-checks.  None of them is part of the package.
+it cross-checks.  The per-word references at the end are the exception:
+they are the package's table operations with one row per word, arithmetic
+unchanged from before the package stored each distinct fiber once, and they
+hold the shared layout to the same floats.  None of them is part of the
+package.
 """
 
 import math
@@ -12,8 +16,8 @@ import math
 import numpy as np
 
 from skewfiber.limits import fiber_average, integrate_observable
-from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms
-from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, word_distances
+from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms, row_norms
+from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, window_codes, word_distances
 from skewfiber.transfer import Disintegration
 
 
@@ -212,15 +216,114 @@ def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
         raise ValueError("lattice sum exceeds the word budget; use correlation_curve")
     m_now = integrate_observable(sys, mu0, now)
     masses = cylinder_mass_vector(sys.weights, matrix, length)
-    index, starts = matrix.word_index(mu0.depth), mu0.starts
+    fibers = mu0.fibers
     total = 0.0
     for mass, w in zip(masses, matrix.words(length)):
-        r = index[w[: mu0.depth]]
-        fiber = slice(starts[r], starts[r + 1])
-        path = ys = mu0.pos[fiber]
+        fiber = fibers[w[: mu0.depth]]
+        path = ys = fiber.positions
         for t in range(lag):
             b = sys.branch_map(w[t:])
             path = b.a * path + b.b
         vals = (component(now, w)(ys) - m_now) * component(later, w[lag:])(path)
-        total += mass * float(np.dot(mu0.w[fiber], vals))
+        total += mass * float(np.dot(fiber.weights, vals))
     return total
+
+
+# ---------------------------------------------------------------------------
+# one row per word: the table operations before fibers were shared
+# ---------------------------------------------------------------------------
+
+
+def word_table(dis):
+    """(row, pos, w, starts) with one row per word, read through ``fibers`` in word order."""
+    mus = list(dis.fibers.values())
+    row = np.repeat(np.arange(len(mus)), [mu.n_atoms for mu in mus])
+    pos = np.concatenate([mu.positions for mu in mus])
+    w = np.concatenate([mu.weights for mu in mus])
+    return row, pos, w, np.searchsorted(row, np.arange(len(mus) + 1))
+
+
+def transfer_apply_per_word(sys, dis):
+    """``transfer_apply`` pushing every target word's terms."""
+    row, pos, w, starts = word_table(dis)
+    target, source, symbol, head = sys.matrix.preimages(dis.depth)
+    g = sys.weights.jacobian[symbol, head]
+    a, b = (v[source] for v in sys.word_branches(dis.depth))
+    lo = starts[source]
+    counts = starts[source + 1] - lo
+    take = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    rows, g, a, b = (np.repeat(v, counts) for v in (target, g, a, b))
+    return Disintegration(dis.matrix, dis.depth, rows, a * pos[take] + b, g * w[take], sys.alpha * dis.err_bound)
+
+
+def quantize_per_word(dis, grid):
+    """``quantize_disintegration`` on the word table; returns (snapped, bound)."""
+    row, pos, w, _ = word_table(dis)
+    step = float(np.bincount(row, np.abs(w), 1).max()) / (2.0 * grid)
+    snapped = np.round(pos * grid) / grid
+    return Disintegration(dis.matrix, dis.depth, row, snapped, w, dis.err_bound + step), step
+
+
+def norm_inf_per_word(dis):
+    row, pos, w, starts = word_table(dis)
+    return float(row_norms(row, pos, w, starts.size - 1).max())
+
+
+def change_between_per_word(d1, d2):
+    """``change_between`` with one norm per word."""
+    (r1, p1, w1, starts), (r2, p2, w2, _) = word_table(d1), word_table(d2)
+    rows, pos = np.concatenate([r1, r2]), np.concatenate([p1, p2])
+    return float(row_norms(rows, pos, np.concatenate([w1, -w2]), starts.size - 1).max())
+
+
+def lip_constant_per_word(dis, theta):
+    """``lip_constant`` over every pair of words: word a's pairs are one table."""
+    row, pos, w, s = word_table(dis)
+    dist = word_distances(dis.matrix, dis.depth, theta)
+    n = s.size - 1
+    best = 0.0
+    for a in range(n - 1):
+        k, lo, hi = n - 1 - a, s[a], s[a + 1]
+        rows = np.concatenate([np.repeat(np.arange(k), hi - lo), row[hi:] - (a + 1)])
+        p = np.concatenate([np.tile(pos[lo:hi], k), pos[hi:]])
+        c = np.concatenate([np.tile(w[lo:hi], k), -w[hi:]])
+        best = max(best, float((row_norms(rows, p, c, k) / dist[a, a + 1 :]).max()))
+    return best
+
+
+def _on_atoms(obs, dis, row, pos):
+    columns = dis.matrix.word_array(dis.depth).T[: obs.depth]
+    return obs.values(window_codes(columns, obs.matrix.n_symbols)[row], pos)
+
+
+def _integrate_per_word(sys, dis, obs):
+    row, pos, w, starts = word_table(dis)
+    masses = cylinder_mass_vector(sys.weights, dis.matrix, dis.depth)
+    return float(sum((masses * np.bincount(row, w * _on_atoms(obs, dis, row, pos), starts.size - 1)).tolist()))
+
+
+def _total_mass_per_word(sys, dis):
+    row, _, w, starts = word_table(dis)
+    masses = cylinder_mass_vector(sys.weights, dis.matrix, dis.depth)
+    return float(sum((masses * np.bincount(row, weights=w, minlength=starts.size - 1)).tolist()))
+
+
+def correlation_curve_per_word(sys, mu0, now, later, nmax, grid):
+    """(values, err_bounds) of ``correlation_curve``, every lag on the word table."""
+    m_now = _integrate_per_word(sys, mu0, now)
+    m_later = _integrate_per_word(sys, mu0, later)
+    centered = now.shifted(-m_now)
+    row, pos, w, _ = word_table(mu0)
+    factor = centered.sup_norm() + centered.fiber_lipschitz()
+    rho = Disintegration(mu0.matrix, mu0.depth, row, pos, w * _on_atoms(centered, mu0, row, pos),
+                         mu0.err_bound * factor)
+    to_value = later.dual_bound()
+    values, errs = np.empty(nmax + 1), np.empty(nmax + 1)
+    for n in range(nmax + 1):
+        if n:
+            rho = transfer_apply_per_word(sys, rho)
+            if grid is not None:
+                rho, _ = quantize_per_word(rho, grid)
+        values[n] = _integrate_per_word(sys, rho, later) - m_later * _total_mass_per_word(sys, rho)
+        errs[n] = to_value * rho.err_bound
+    return values, errs

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -198,6 +199,11 @@ MALFORMED_FIELDS = [
     (("correlations", "psi", "depth"), True, "/correlations/psi/depth"),
     (("depth",), True, "/depth"),
     (("depth",), 3.7, "/depth"),
+    # a working depth may give at most MAX_WORDS words (2^13 and 2^30 here)
+    (("depth",), 13, "/depth"),
+    (("depth",), 30, "/depth"),
+    (("depth",), 10**9, "/depth"),
+    (("stability", "depth"), 13, "/stability/depth"),
     (("grid",), 256.7, "/grid"),
     (("tol",), True, "/tol"),
     (("seed",), 1.5, "/seed"),
@@ -447,8 +453,53 @@ class TestArtifacts:
         capsys.readouterr()
         assert main(["fixed-point", "--config", path, "--out", str(out_b), "--verbose"]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert [line.rsplit(" ", 1)[0] for line in err] == ["config parsed in", "fixed-point finished in"]
+        assert [line.rsplit(" ", 1)[0] for line in err] == [
+            "fixed point: 8 words, 1 distinct fibers, 64 atoms, 10", "config parsed in", "fixed-point finished in"
+        ]
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("command,solves", [("correlations", 1), ("stability", 3)])
+    def test_verbose_names_the_sharing_of_each_fixed_point(self, command, solves, config_path, tmp_path, capsys):
+        cfg = small_config()
+        cfg["system"]["weights"] = {"kind": "markov", "transition": [[0.6, 0.4], [0.3, 0.7]]}
+        cfg["system"]["offset_depth"] = 2
+        cfg["system"]["fiber_maps"][1]["offset_table"] = {"10": -0.1}
+        path = config_path(cfg)
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert main([command, "--config", path, "--out", str(quiet)]) == 0
+        quiet_out = capsys.readouterr()
+        assert quiet_out.err == ""
+        assert main([command, "--config", path, "--out", str(loud), "--verbose"]) == 0
+        loud_out = capsys.readouterr()
+        assert loud_out.out == quiet_out.out
+        assert sorted(p.name for p in loud.iterdir()) == sorted(p.name for p in quiet.iterdir())
+        for name in quiet.iterdir():
+            assert (loud / name.name).read_bytes() == name.read_bytes()
+        lines = loud_out.err.splitlines()[:-2]
+        assert len(lines) == solves
+        for line in lines:
+            # eight depth-3 words; with offset depth 2 a fiber depends on the first symbol
+            words, fibers, atoms, iterations = (int(part.split()[0]) for part in line.split(": ")[1].split(", "))
+            assert (words, fibers) == (8, 2) and atoms > 0 and iterations > 0
+
+    def test_oversized_depth_names_count_and_cap(self, config_path, tmp_path, capsys):
+        for depth, size in ((13, "8192"), (10**9, "at least 33554432")):
+            cfg = small_config(depth=depth)
+            cfg.pop("stability")
+            started = time.perf_counter()
+            assert main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "d")]) == 2
+            assert time.perf_counter() - started < 1.0
+            err = capsys.readouterr().err
+            assert f"config error: /depth: depth {depth} gives {size} admissible words, above the cap of 4096" in err
+            assert not (tmp_path / "d").exists()
+        # the one-symbol shift has a single word at every depth
+        cfg = small_config(depth=10**9)
+        cfg.pop("stability")
+        cfg["system"].update(matrix=[[1]], weights={"kind": "bernoulli", "p": [1.0]},
+                             fiber_maps=[{"slope": 0.5, "offset": 0.0}])
+        cfg["correlations"] = {}
+        assert main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert "config error: /depth: depth 1000000000 is above the cap of 4096" in capsys.readouterr().err
 
     def test_fixed_point_writes_disintegration(self, config_path, tmp_path):
         out = tmp_path / "f"

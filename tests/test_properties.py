@@ -219,8 +219,8 @@ def test_lip_rows_match_lp_oracle(a, b):
     dis = random_disintegration(MARKOV3.matrix, 3, np.random.default_rng(0), n_atoms=10, signed=False)
     for _ in range(5):
         dis = transfer_apply(MARKOV3, dis)
-    mu, nu = (AtomicMeasure(dis.pos[dis.starts[r]:dis.starts[r + 1]], dis.w[dis.starts[r]:dis.starts[r + 1]])
-              for r in (a, b))
+    fibers, words = dis.fibers, dis.words()
+    mu, nu = fibers[words[a]], fibers[words[b]]
     assert mu.total_weight() != nu.total_weight()
     mass = float(mu.weights.sum() + nu.weights.sum())
     assert abs(wk_distance(mu, nu) - wk_distance_bruteforce(mu, nu)) <= 1e-9 * mass

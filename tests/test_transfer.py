@@ -51,8 +51,15 @@ def assert_canonical(dis):
     assert (np.diff(dis.row) >= 0).all()
     same_row = np.diff(dis.row) == 0
     assert (np.diff(dis.pos)[same_row] > 0).all()
-    assert dis.starts.tolist() == np.searchsorted(dis.row, np.arange(n_words + 1)).tolist()
-    assert dis.starts[0] == 0 and dis.starts[-1] == dis.w.size
+    starts = dis.starts.tolist()
+    assert starts == np.searchsorted(dis.row, np.arange(dis.n_fibers + 1)).tolist()
+    assert starts[0] == 0 and starts[-1] == dis.w.size
+    # every word reads one row; rows are numbered by first word and hold distinct fibers
+    assert dis.word_fiber.shape == (n_words,)
+    first = np.unique(dis.word_fiber, return_index=True)[1]
+    assert dis.word_fiber[np.sort(first)].tolist() == list(range(dis.n_fibers))
+    fibers = {dis.pos[a:b].tobytes() + dis.w[a:b].tobytes() for a, b in zip(starts, starts[1:])}
+    assert len(fibers) == dis.n_fibers
 
 
 class TestNorms:
