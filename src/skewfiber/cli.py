@@ -627,6 +627,10 @@ def run_clt(config, out_dir):
         sys_, mu0, phi, length=config.clt.length, trials=config.clt.trials, seed=config.seed,
         truncation=truncation, variance=var,
     )
+    if config.verbose:
+        blocks = -(-config.clt.trials // clt.block_trials)
+        print(f"clt: {config.clt.trials} trials in {blocks} blocks of {clt.block_trials}, "
+              f"sampling {clt.sample_s:.3f}s, summing {clt.sum_s:.3f}s", file=sys.stderr)
     report.write_csv(
         "autocovariance.csv",
         "lag,value,err_bound",
@@ -799,6 +803,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # the config's /seed is checked at parse time; the override gets the same check
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be a nonnegative integer, got {args.seed}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         config = parse_config(args.config)

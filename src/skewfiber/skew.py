@@ -12,10 +12,16 @@ it for every admissible word of a working depth.
 ``sample_orbits`` returns a batch of orbits as two arrays, the symbol
 tracks and the fiber coordinates, one row per trial.  Each trial draws from
 its own spawn key, so a batch can start at any trial index, and a stream of
-blocks gives the same rows, bit for bit, as one whole batch.
+blocks gives the same rows, bit for bit, as one whole batch.  The trials'
+generator states are derived for the whole batch at once by numpy's
+``SeedSequence`` mixing on uint32 arrays (``trial_states``), so no
+``SeedSequence`` or ``Generator`` is built per trial; the fiber recursion
+runs time-major over a small buffer, a chunk of steps at a time.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -195,6 +201,135 @@ def c1_constant(sys):
 # orbit sampling
 # ---------------------------------------------------------------------------
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), its pool
+# size in uint32 words, and PCG64's 128-bit LCG multiplier (pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# orbit cells (steps x trials) per time-major buffer of the fiber recursion
+FIBER_CELLS = 1 << 14
+
+
+def _uint32_words(n):
+    """A nonnegative integer as little-endian uint32 words, as SeedSequence reads an entropy."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+class _HashMix:
+    """SeedSequence's ``hashmix`` on uint32 arrays, carrying its running hash constant."""
+
+    def __init__(self, const, mult):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value):
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two uint32 arrays."""
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ result >> 16
+
+
+def _key_words(start, stop):
+    """Spawn keys start .. stop - 1 as uint32 word arrays, one list per key length.
+
+    A key below 2^32 is one word; from 2^32 on it is two, low word first.
+    """
+    keys = np.arange(start, stop, dtype=np.uint64)
+    split = int(np.searchsorted(keys, 1 << 32))
+    low, high = keys.astype(np.uint32), (keys >> np.uint64(32)).astype(np.uint32)
+    return [words for words in ([low[:split]], [low[split:], high[split:]]) if words[0].size]
+
+
+def trial_states(seed, start, trials):
+    """PCG64 ``(state, inc)`` of trial t's generator, for t = start .. start + trials - 1.
+
+    Trial t's generator is ``PCG64(SeedSequence(entropy=seed, spawn_key=(t,)))``.
+    The sequence's entropy mixing and ``generate_state`` run once on uint32
+    arrays for the whole block; PCG64's two-step seeding then runs on
+    Python integers, one trial at a time.
+    """
+    run = _uint32_words(seed)
+    # a spawned sequence pads its run entropy with zeros to the pool size
+    run += [0] * (_POOL_SIZE - len(run))
+    states = []
+    for keys in _key_words(start, start + trials):
+        entropy = [np.full(keys[0].size, word, dtype=np.uint32) for word in run] + keys
+        hashmix = _HashMix(_INIT_A, _MULT_A)
+        pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight words cycling through the pool, paired little-endian
+        hashmix = _HashMix(_INIT_B, _MULT_B)
+        w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        words64 = [w[2 * k] | w[2 * k + 1] << np.uint64(32) for k in range(4)]
+        for s_hi, s_lo, i_hi, i_lo in zip(*(v.tolist() for v in words64)):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            # pcg64 srandom: state 0, one step, add the seed, one more step
+            states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _trial_generators(seed, start, trials):
+    """One reused Generator, set in turn to each trial's PCG64 state."""
+    gen = np.random.Generator(np.random.PCG64())
+    for state, inc in trial_states(seed, start, trials):
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }
+        yield gen
+
+
+def _fiber_orbits(sys, tracks, burn_in, length):
+    """Fiber coordinates before recorded steps burn_in .. burn_in + length - 1, from y = 1/2.
+
+    The recursion runs time-major, a buffer of about ``FIBER_CELLS`` states
+    at a time; each chunk is copied into ``ys`` as one block transpose.
+    """
+    trials = tracks.shape[0]
+    slopes, offsets = sys.code_tables()
+    d, n = sys.offset_depth, sys.n_symbols
+    ys = np.empty((trials, length))
+    y = np.full(trials, 0.5)
+    if burn_in == 0:
+        ys[:, 0] = y
+    steps = burn_in + length - 1
+    chunk = max(1, FIBER_CELLS // trials)
+    buf = np.empty((chunk, trials))
+    for t0 in range(0, steps, chunk):
+        t1 = min(t0 + chunk, steps)
+        codes = window_codes([tracks[:, t0 + j: t1 + j].T for j in range(d)], n)
+        a, b = slopes.take(codes), offsets.take(codes)
+        for j in range(t1 - t0):
+            # rounds as slopes[c] * y + offsets[c] does: one product, then one sum
+            y = np.multiply(a[j], y, out=buf[j])
+            y += b[j]
+        # buf[j] is the state after step t0 + j; states from burn_in on are recorded
+        lo = max(t0 + 1, burn_in)
+        if lo <= t1:
+            ys[:, lo - burn_in: t1 + 1 - burn_in] = buf[lo - t0 - 1: t1 - t0].T
+    return ys
+
 
 def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     """Sample many independent orbits with per-trial derived seeds.
@@ -209,12 +344,16 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     draws its uniforms from the spawn key (t,) of the root seed sequence,
     so results do not depend on batching or evaluation order: rows lo:hi of
     a batch from trial 0 equal the batch of hi - lo trials from ``start=lo``.
-    Every symbol track starts from the stationary law and is continued by
-    the inverse CDF of the transition row of the previous symbol; one loop
-    over time maps the uniforms of all trials at once (a Bernoulli base is
-    the chain whose rows all equal p).  The fiber coordinate runs
-    ``burn_in`` maps from 1/2 before recording, so the recorded states are
-    within alpha^burn_in of the invariant law in the dual metric.
+    The block's generator states are derived together (``trial_states``),
+    and one Generator fills each trial's row in turn.  Every symbol track
+    starts from the stationary law and is continued by the inverse CDF of
+    the transition row of the previous symbol.  When every row of that
+    table equals the start law (any Bernoulli base), the symbols are i.i.d.
+    and each trial's uniforms map to symbols in one pass as they are drawn;
+    otherwise one loop over time maps the uniforms of all trials at once.
+    The fiber coordinate runs ``burn_in`` maps from 1/2 before recording, so
+    the recorded states are within alpha^burn_in of the invariant law in
+    the dual metric.
     """
     if length < 1 or trials < 1:
         raise ValueError("length and trials must be positive")
@@ -222,34 +361,30 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
         raise ValueError("burn_in must be nonnegative")
     window = max(int(window), sys.offset_depth)
     total = burn_in + length + window - 1
-    root = np.random.SeedSequence(seed)
-    # time-major, so every step of the loops below reads one contiguous row
-    uniforms = np.empty((total, trials))
-    for t in range(trials):
-        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(start + t,))
-        uniforms[:, t] = np.random.default_rng(child).random(total)
     n = sys.n_symbols
     # row n is the start law: the track begins in a virtual state whose next-symbol law is pi
     weights = sys.weights
     cum = np.cumsum(np.vstack([weights.transition, weights.stationary]), axis=1)
-    tracks = np.empty((total, trials), dtype=np.min_scalar_type(n - 1))
-    prev = np.full(trials, n)
-    for t in range(total):
-        # inverse CDF of row prev: the count of cum[prev, k] <= u; the last entry
-        # (1 up to rounding) is left out, which caps the symbol at n - 1
-        sym = np.zeros(trials, dtype=np.intp)
-        for k in range(n - 1):
-            sym += cum[prev, k] <= uniforms[t]
-        tracks[t] = prev = sym
-    del uniforms  # lowers the peak memory of the fiber pass
-    slopes, offsets = sys.code_tables()
-    d = sys.offset_depth
-    codes = window_codes([tracks[j: total - d + 1 + j] for j in range(d)], n)
-    y = np.full(trials, 0.5)
-    ys = np.empty((trials, length))
-    for t in range(burn_in + length):
-        if t >= burn_in:
-            ys[:, t - burn_in] = y
-        c = codes[t]
-        y = slopes[c] * y + offsets[c]
-    return np.ascontiguousarray(tracks[burn_in:].T), ys
+    tracks = np.empty((trials, total), dtype=np.min_scalar_type(n - 1))
+    generators = _trial_generators(seed, start, trials)
+    # inverse CDF of row prev: the count of cum[prev, k] <= u; the last entry
+    # (1 up to rounding) is left out, which caps the symbol at n - 1
+    if (cum == cum[-1]).all():
+        u = np.empty(total)
+        for track, gen in zip(tracks, generators):
+            gen.random(out=u)
+            track[:] = 0
+            for k in range(n - 1):
+                track += cum[-1, k] <= u
+    else:
+        uniforms = np.empty((trials, total))
+        for row, gen in zip(uniforms, generators):
+            gen.random(out=row)
+        prev = np.full(trials, n)
+        for t in range(total):
+            sym = np.zeros(trials, dtype=np.intp)
+            for k in range(n - 1):
+                sym += cum[prev, k] <= uniforms[:, t]
+            tracks[:, t] = prev = sym
+        del uniforms  # lowers the peak memory of the fiber pass
+    return np.ascontiguousarray(tracks[:, burn_in:]), _fiber_orbits(sys, tracks, burn_in, length)

@@ -327,3 +327,55 @@ def correlation_curve_per_word(sys, mu0, now, later, nmax, grid):
         values[n] = _integrate_per_word(sys, rho, later) - m_later * _total_mass_per_word(sys, rho)
         errs[n] = to_value * rho.err_bound
     return values, errs
+
+
+# ---------------------------------------------------------------------------
+# orbit sampling with one SeedSequence and Generator per trial
+# ---------------------------------------------------------------------------
+
+
+def sample_orbits_per_trial(sys, seed, length, trials, burn_in=40, window=1, start=0):
+    """``sample_orbits`` as it was before the block-wide seed derivation, body unchanged.
+
+    Each trial builds its own ``SeedSequence`` and ``Generator``, the
+    uniforms are one time-major block, one loop over time maps them to
+    symbols for every base, and the fiber loop writes one column of ``ys``
+    per step.
+    """
+    if length < 1 or trials < 1:
+        raise ValueError("length and trials must be positive")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    window = max(int(window), sys.offset_depth)
+    total = burn_in + length + window - 1
+    root = np.random.SeedSequence(seed)
+    # time-major, so every step of the loops below reads one contiguous row
+    uniforms = np.empty((total, trials))
+    for t in range(trials):
+        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(start + t,))
+        uniforms[:, t] = np.random.default_rng(child).random(total)
+    n = sys.n_symbols
+    # row n is the start law: the track begins in a virtual state whose next-symbol law is pi
+    weights = sys.weights
+    cum = np.cumsum(np.vstack([weights.transition, weights.stationary]), axis=1)
+    tracks = np.empty((total, trials), dtype=np.min_scalar_type(n - 1))
+    prev = np.full(trials, n)
+    for t in range(total):
+        # inverse CDF of row prev: the count of cum[prev, k] <= u; the last entry
+        # (1 up to rounding) is left out, which caps the symbol at n - 1
+        sym = np.zeros(trials, dtype=np.intp)
+        for k in range(n - 1):
+            sym += cum[prev, k] <= uniforms[t]
+        tracks[t] = prev = sym
+    del uniforms  # lowers the peak memory of the fiber pass
+    slopes, offsets = sys.code_tables()
+    d = sys.offset_depth
+    codes = window_codes([tracks[j: total - d + 1 + j] for j in range(d)], n)
+    y = np.full(trials, 0.5)
+    ys = np.empty((trials, length))
+    for t in range(burn_in + length):
+        if t >= burn_in:
+            ys[:, t - burn_in] = y
+        c = codes[t]
+        y = slopes[c] * y + offsets[c]
+    return np.ascontiguousarray(tracks[burn_in:].T), ys

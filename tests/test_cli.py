@@ -420,6 +420,16 @@ class TestExitCodes:
         assert code == 1
 
 
+    @pytest.mark.parametrize("command", ["fixed-point", "clt"])
+    def test_negative_seed_override_exits_before_compute(self, command, config_path, tmp_path, capsys):
+        out = tmp_path / "neg"
+        started = time.perf_counter()
+        assert main([command, "--config", config_path(small_config()), "--out", str(out), "--seed", "-1"]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestArtifacts:
     def test_spectral_does_not_depend_on_seed(self, config_path, tmp_path):
         cfg = small_config()
@@ -457,6 +467,28 @@ class TestArtifacts:
             "fixed point: 8 words, 1 distinct fibers, 64 atoms, 10", "config parsed in", "fixed-point finished in"
         ]
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+    def test_verbose_clt_names_blocks_and_times(self, config_path, tmp_path, capsys, monkeypatch):
+        from skewfiber import limits
+
+        path = config_path(small_config())
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert main(["clt", "--config", path, "--out", str(quiet)]) == 0
+        quiet_out = capsys.readouterr()
+        assert quiet_out.err == ""
+        # 150 trials of 40 + 200 cells stream in blocks of 64, 64 and 22
+        monkeypatch.setattr(limits, "BLOCK_CELLS", 64 * 240)
+        assert main(["clt", "--config", path, "--out", str(loud), "--verbose"]) == 0
+        loud_out = capsys.readouterr()
+        assert loud_out.out == quiet_out.out
+        for name in quiet.iterdir():
+            assert (loud / name.name).read_bytes() == name.read_bytes()
+        line = loud_out.err.splitlines()[1]
+        head, sampling, summing = line.split(", ")
+        assert head == "clt: 150 trials in 3 blocks of 64"
+        for part, label in ((sampling, "sampling"), (summing, "summing")):
+            name, seconds = part.split()
+            assert name == label and seconds.endswith("s") and float(seconds[:-1]) >= 0.0
 
     @pytest.mark.parametrize("command,solves", [("correlations", 1), ("stability", 3)])
     def test_verbose_names_the_sharing_of_each_fixed_point(self, command, solves, config_path, tmp_path, capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3
+from oracles import sample_orbits_per_trial
+from skewfiber import skew
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.skew import (
     FiberMapSpec,
@@ -11,6 +13,7 @@ from skewfiber.skew import (
     c1_constant,
     estimate_H,
     sample_orbits,
+    trial_states,
     verify_G1,
 )
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, word_distances
@@ -205,6 +208,77 @@ class TestOrbits:
             for t in range(trials):
                 replay = replay_symbols(sys.weights, 13, t, total)
                 assert symbols[t].tolist() == replay[burn_in:]
+
+
+def iid_rows_start_law_off_by_an_ulp():
+    """Equal transition rows whose start law differs from them in the last bit.
+
+    The inverse-CDF table then has a start row unlike the others, so the
+    symbols are not i.i.d. draws from one row and the loop over time runs.
+    """
+    p = np.array([0.3, 0.7])
+    pi = np.array([np.nextafter(0.3, 1.0), np.nextafter(0.7, 0.0)])
+    return SystemSpec(FULL2, 0.5, BaseWeights.markov(np.tile(p, (2, 1)), stationary=pi),
+                      [FiberMapSpec(0.4, 0.0), FiberMapSpec(0.4, 0.6)])
+
+
+ORACLE_SYSTEMS = {
+    "cantor": (cantor_demo, 1),
+    "coupled": (coupled_demo, 1),
+    "markov3": (lambda: MARKOV3, 4),
+    "markov": (markov_demo, 1),
+    "iid_rows_start_law_off_by_an_ulp": (iid_rows_start_law_off_by_an_ulp, 1),
+}
+
+
+class TestSamplerOracle:
+    """The block-wide sampler against the per-trial ``SeedSequence`` body it replaced, with ==."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
+    @pytest.mark.parametrize("length,trials,burn_in,start", [
+        (50, 23, 6, 0),
+        (300, 77, 40, 5),  # 339 steps: not a multiple of the 212-step fiber chunk
+        (1, 9, 0, 3),
+        (2, 1, 0, 0),
+        (1, 4, 7, 1000),
+    ])
+    def test_equals_per_trial_oracle(self, name, length, trials, burn_in, start):
+        build, window = ORACLE_SYSTEMS[name]
+        sys = build()
+        got = sample_orbits(sys, 5, length, trials, burn_in=burn_in, window=window, start=start)
+        want = sample_orbits_per_trial(sys, 5, length, trials, burn_in=burn_in, window=window, start=start)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("cells", [1, 40, 1 << 20])
+    def test_fiber_chunk_size_does_not_change_the_orbits(self, cells, monkeypatch):
+        # one step per chunk (the buffer row is also the step's input), a few, and one chunk for all
+        want = sample_orbits_per_trial(coupled_demo(), 2, 60, 40, burn_in=13)
+        monkeypatch.setattr(skew, "FIBER_CELLS", cells)
+        got = sample_orbits(coupled_demo(), 2, 60, 40, burn_in=13)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestTrialStates:
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32 + 5, 2**64 + 7])
+    @pytest.mark.parametrize("start,trials", [
+        (0, 3),
+        (510, 8),  # crosses the first 514-trial block of the cantor clt
+        (2**32 - 2, 4),  # spawn keys grow from one uint32 word to two
+    ])
+    def test_equals_seed_sequence_pcg64_state(self, seed, start, trials):
+        got = trial_states(seed, start, trials)
+        assert len(got) == trials
+        for t, (state, inc) in enumerate(got, start):
+            want = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state["state"]
+            assert (state, inc) == (want["state"], want["inc"])
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            trial_states(-1, 0, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_orbits(cantor_demo(), -(2**40), 5, 2)
 
 
 class TestOffsetTables:
