@@ -98,8 +98,8 @@ _OBS_KEYS = {"fiber": {"type", "breakpoints", "values"}, "base_only": {"type", "
              "components": {"type", "depth", "components"}}
 
 
-# the most admissible words a working depth may give: the word-by-word
-# distance tables of lip_constant and norm_s_inf hold n^2 floats each
+# the most admissible words a working depth may give; it bounds the per-word Python
+# loops and pair_lipschitz's |class| x n distance blocks (at most n^2/4 floats)
 MAX_WORDS = 4096
 
 StabilityConfig = namedtuple("StabilityConfig", "family deltas depth grid tol")
@@ -705,13 +705,15 @@ def run_verify(config, out_dir):
         abs(pf.mean(sys_.weights) - f.mean(sys_.weights)) <= 1e-10,
     )
 
+    small_depth = max(min(config.depth, 3), sys_.offset_depth)
+
     def random_dis(signed=True):
         fibers = {}
-        for w in matrix.words(min(config.depth, 3)):
+        for w in matrix.words(small_depth):
             k = int(rng.integers(2, 5))
             weights = rng.uniform(-1, 1, k) if signed else rng.uniform(0.1, 1.0, k)
             fibers[w] = AtomicMeasure(rng.random(k), weights)
-        return Disintegration.from_fibers(matrix, min(config.depth, 3), fibers)
+        return Disintegration.from_fibers(matrix, small_depth, fibers)
 
     ok = True
     for _ in range(10):
@@ -742,7 +744,7 @@ def run_verify(config, out_dir):
     report.check("lasota_yorke_margins", min(margins) >= -1e-8, f"min margin {min(margins)!r}")
 
     diff = AtomicMeasure([0.0, 1.0], [1.0, -1.0])
-    fit, _ = equilibrium_decay(sys_, Disintegration.product(matrix, min(config.depth, 3), diff), 8)
+    fit, _ = equilibrium_decay(sys_, Disintegration.product(matrix, small_depth, diff), 8)
     report.check("equilibrium_decay_rate", fit.rate < 1.0, f"rate={fit.rate!r}")
 
     t = sys_.branch_map(matrix.words(sys_.offset_depth)[0])

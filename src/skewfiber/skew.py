@@ -31,8 +31,8 @@ from .symbolic import (
     CylinderFunction,
     TransitionMatrix,
     check_theta,
+    pair_lipschitz,
     window_codes,
-    word_distances,
 )
 
 __all__ = [
@@ -176,11 +176,10 @@ def estimate_H(sys):
     y = 1.
     """
     d = sys.offset_depth
-    a, b = sys.word_branches(d)
+    branches, labels = np.unique(np.column_stack(sys.word_branches(d)), axis=0, return_inverse=True)
+    a, b = branches.T
     da, db = a[:, None] - a[None, :], b[:, None] - b[None, :]
-    dist = word_distances(sys.matrix, d, sys.theta)
-    mask = dist > 0
-    return float((np.maximum(np.abs(db), np.abs(da + db))[mask] / dist[mask]).max(initial=0.0))
+    return pair_lipschitz(sys.matrix, d, sys.theta, labels.ravel(), np.maximum(np.abs(db), np.abs(da + db)))
 
 
 def c1_constant(sys):

@@ -6,16 +6,16 @@ on cylinders of the working depth.  The base distance between two cylinders
 is the prefix sum of theta^i over disagreeing coordinates, which is the
 infimum of the sequence metric over the two cylinders whenever a common
 admissible tail exists (always on the full shift) and a lower bound
-otherwise, so Lipschitz constants estimated against it are conservative
-upper estimates.
+otherwise, so Lipschitz constants estimated against it, one ``pair_lipschitz``
+pass each, are conservative upper estimates.
 
 Every base measure is a stationary Markov chain (pi, P); a Bernoulli
 measure p is stored as the chain with all rows equal to p, so cylinder
 masses and jacobian weights have one formula each.  The base quantities
 are arrays built once: ``BaseWeights.jacobian`` (the N x N branch weights),
-``cylinder_mass_vector`` (one mass per word), ``word_distances`` (the
-word-by-word distance table) and ``TransitionMatrix.preimages`` (which word
-precedes which, under which symbol), the table the transfer operators read.
+``cylinder_mass_vector`` (one mass per word) and ``TransitionMatrix.preimages``
+(which word precedes which, under which symbol), the table the transfer
+operators read.
 ``window_codes`` numbers symbol windows base N, first symbol most significant;
 the branch-map and observable tables are indexed by it.
 """
@@ -33,6 +33,7 @@ __all__ = [
     "enumerate_words",
     "window_codes",
     "word_distances",
+    "pair_lipschitz",
     "cylinder_mass_vector",
     "ruelle_apply",
     "base_rate",
@@ -261,18 +262,36 @@ def window_codes(columns, n):
     return codes
 
 
-def word_distances(matrix, depth, theta):
-    """Base distances between all admissible words of a depth, as an n x n array.
+def _distances(rows, cols, theta):
+    """Distances from the words of ``rows`` to those of ``cols``: theta^i summed over disagreements, i rising."""
+    dist = np.zeros((len(rows), len(cols)))
+    for i in range(rows.shape[1]):
+        np.add(dist, theta**i, out=dist, where=rows[:, None, i] != cols[None, :, i])
+    return dist
 
-    Entry (a, b) is the sum of theta^i over the coordinates where words a
-    and b disagree, added one coordinate at a time in increasing i.
+
+def word_distances(matrix, depth, theta):
+    """Base distances between all admissible words of a depth, as an n x n array."""
+    arr = matrix.word_array(depth)
+    return _distances(arr, arr, check_theta(theta))
+
+
+def pair_lipschitz(matrix, depth, theta, labels, gap):
+    """Largest gap[a, b] / d(w1, w2) over admissible words w1 of class a and w2 of class b > a.
+
+    ``labels`` puts the words, in order, in dense classes 0..k-1; ``gap`` is a symmetric
+    k x k table of gaps >= 0.  As the rounded x / d never rises with d for x >= 0, a class
+    pair's maximum is its gap over its nearest words' distance, bit for bit.  No n x n table.
     """
     theta = check_theta(theta)
-    arr = matrix.word_array(depth)
-    dist = np.zeros((len(arr), len(arr)))
-    for i in range(depth):
-        dist += np.where(arr[:, None, i] != arr[None, :, i], theta**i, 0.0)
-    return dist
+    order = np.argsort(labels, kind="stable")
+    words, cuts = matrix.word_array(depth)[order], np.searchsorted(labels[order], np.arange(len(gap)))
+    best = 0.0
+    for a in range(len(gap) - 1):
+        dist = _distances(words[cuts[a] : cuts[a + 1]], words[cuts[a + 1] :], theta)
+        nearest = np.minimum.reduceat(dist.min(axis=0), cuts[a + 1 :] - cuts[a + 1])
+        best = max(best, float((gap[a, a + 1 :] / nearest).max()))
+    return best
 
 
 def cylinder_mass_vector(weights, matrix, depth):
@@ -322,12 +341,8 @@ class CylinderFunction:
 
     def lipschitz(self, theta):
         """Largest |f(w1)-f(w2)| / base distance over admissible word pairs."""
-        dist = word_distances(self.matrix, self.depth, theta)
-        mask = dist > 0
-        if not mask.any():
-            return 0.0
-        gap = np.abs(self.values[:, None] - self.values[None, :])
-        return float((gap[mask] / dist[mask]).max())
+        u, labels = np.unique(self.values, return_inverse=True)
+        return pair_lipschitz(self.matrix, self.depth, theta, labels, np.abs(u[:, None] - u[None, :]))
 
     def norm_theta(self, theta):
         return self.sup_norm() + self.lipschitz(theta)

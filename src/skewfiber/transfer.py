@@ -33,7 +33,7 @@ import numpy as np
 from .fitting import exp_fit
 from .measures import AtomicMeasure, merge_atoms, row_norms
 from .skew import c1_constant
-from .symbolic import CylinderFunction, cylinder_mass_vector, word_distances
+from .symbolic import CylinderFunction, cylinder_mass_vector, pair_lipschitz
 
 __all__ = [
     "Disintegration",
@@ -217,26 +217,19 @@ def lip_constant(dis, theta):
 
     Maximum of wk(mu|_w1, mu|_w2) / d(w1, w2) over every pair of admissible
     words, so the value is exact for this representation and an upper bound
-    for the infimum over all equivalent disintegrations.  It is taken over
-    pairs of distinct fibers, each norm divided by the smallest distance
-    between the two fibers' words: x / d falls as d grows, so that is the
-    same maximum.  Fiber a's pairs are one ``row_norms`` table whose row j is
-    fiber a minus fiber a+1+j.
+    for the infimum over all equivalent disintegrations.  It is one
+    ``symbolic.pair_lipschitz`` pass whose classes are the distinct fibers.
+    Fiber a's gaps are one ``row_norms`` table, row j fiber a minus fiber a+1+j.
     """
-    dist = word_distances(dis.matrix, dis.depth, theta)
     s, n = dis.starts, dis.n_fibers
-    # nearest[a, b]: the smallest distance from a word of fiber a to one of fiber b
-    order = np.argsort(dis.word_fiber, kind="stable")
-    cuts = np.searchsorted(dis.word_fiber[order], np.arange(n))
-    nearest = np.minimum.reduceat(np.minimum.reduceat(dist[np.ix_(order, order)], cuts, axis=0), cuts, axis=1)
-    best = 0.0
+    gap = np.zeros((n, n))
     for a in range(n - 1):
         k, lo, hi = n - 1 - a, s[a], s[a + 1]
         rows = np.concatenate([np.repeat(np.arange(k), hi - lo), dis.row[hi:] - (a + 1)])
         pos = np.concatenate([np.tile(dis.pos[lo:hi], k), dis.pos[hi:]])
         w = np.concatenate([np.tile(dis.w[lo:hi], k), -dis.w[hi:]])
-        best = max(best, float((row_norms(rows, pos, w, k) / nearest[a, a + 1 :]).max()))
-    return best
+        gap[a, a + 1 :] = row_norms(rows, pos, w, k)
+    return pair_lipschitz(dis.matrix, dis.depth, theta, dis.word_fiber, gap)
 
 
 # ---------------------------------------------------------------------------

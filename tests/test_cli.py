@@ -380,6 +380,21 @@ class TestExitCodes:
         code = main(["verify", "--config", config_path(small_config()), "--out", str(tmp_path / "v")])
         assert code == 0
 
+    def test_verify_runs_every_check_at_a_deep_offset(self, config_path, tmp_path):
+        # its random tables and product disintegration sit at depth 3 unless the
+        # offset depth, which transfer_apply reads, asks for more
+        cfg = json.loads((Path(__file__).parents[1] / "bench" / "configs" / "cantor_small.json").read_text())
+        checks = []
+        for offset_depth in (1, 4):
+            cfg["system"]["offset_depth"] = offset_depth
+            cfg["stability"]["depth"] = max(cfg["stability"]["depth"], offset_depth)
+            out = tmp_path / f"v{offset_depth}"
+            assert main(["verify", "--config", config_path(cfg), "--out", str(out)]) == 0
+            rows = [line.split(",") for line in (out / "verify.csv").read_text().splitlines()[1:]]
+            assert all(row[1] == "True" for row in rows)
+            checks.append([row[0] for row in rows])
+        assert cfg["depth"] == 4 and checks[1] == checks[0] and len(checks[0]) == 15
+
     def test_config_error_is_usage_error(self, config_path, tmp_path):
         cfg = small_config()
         cfg["system"]["weights"]["p"] = [0.6, 0.6]

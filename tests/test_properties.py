@@ -1,5 +1,6 @@
 """Property tests: the dual distance (LP oracle, primal flow, metric axioms,
-quantization) and the fixed-point certificate against a high-grid reference solve.
+quantization), the class-pair Lipschitz pass against every word pair, and the
+fixed-point certificate against a high-grid reference solve.
 
 Generated inputs include near-balanced pairs, whose net total weight is zero
 up to floating-point rounding or a tiny residual.  Example counts are small
@@ -21,7 +22,7 @@ from skewfiber.measures import (  # noqa: E402
 )
 from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
 from skewfiber.skew import FiberMapSpec, SystemSpec  # noqa: E402
-from skewfiber.symbolic import BaseWeights, TransitionMatrix  # noqa: E402
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, pair_lipschitz, word_distances  # noqa: E402
 from skewfiber.transfer import change_between, fixed_point, quantize_disintegration, transfer_apply  # noqa: E402
 
 FAST = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -224,6 +225,44 @@ def test_lip_rows_match_lp_oracle(a, b):
     assert mu.total_weight() != nu.total_weight()
     mass = float(mu.weights.sum() + nu.weights.sum())
     assert abs(wk_distance(mu, nu) - wk_distance_bruteforce(mu, nu)) <= 1e-9 * mass
+
+
+# the full 2-shift, the golden mean and the markov3 matrix
+SHIFTS = [TransitionMatrix([[1, 1], [1, 1]]), TransitionMatrix([[1, 1], [1, 0]]), MARKOV3.matrix]
+
+
+@st.composite
+def word_classes(draw, matrix, depth):
+    """(theta, labels, gap): dense classes of the words, among them one class and all distinct.
+
+    The gap table carries a diagonal too, which a pair within a class must not read.
+    """
+    n = matrix.word_count(depth)
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = np.array(draw(st.permutations(list(range(k)) + extra)))
+    # up to 81 x 81 gaps: drawn from a seeded generator, a third of them ties, zeros or tiny
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = rng.choice([0.0, 1e-300, 1.0, 3.0], (k, k))
+    table = np.where(rng.random((k, k)) < 1 / 3, special, 1e3 * rng.random((k, k)))
+    upper = np.triu(table, 1)
+    theta = draw(st.floats(0.01, 0.99))
+    return theta, labels, upper + upper.T + np.diag(np.diag(table))
+
+
+def pair_lipschitz_bruteforce(matrix, depth, theta, labels, gap):
+    dist = word_distances(matrix, depth, theta)
+    i, j = np.nonzero(labels[:, None] != labels[None, :])
+    return float((gap[labels[i], labels[j]] / dist[i, j]).max(initial=0.0))
+
+
+@pytest.mark.parametrize("depth", range(1, 6))
+@pytest.mark.parametrize("matrix", SHIFTS, ids=["full2", "golden", "markov3"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pair_lipschitz_is_the_largest_ratio_over_word_pairs(matrix, depth, data):
+    case = (matrix, depth, *data.draw(word_classes(matrix, depth)))
+    assert pair_lipschitz(*case) == pair_lipschitz_bruteforce(*case)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,7 @@
 """Tests for disintegrations, the transfer operator, and the fixed point."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ class TestLipConstant:
         fibers = {(0,): AtomicMeasure.dirac(0.0), (1,): AtomicMeasure.dirac(1.0)}
         dis = Disintegration.from_fibers(CANTOR.matrix, 1, fibers)
         assert lip_constant(dis, CANTOR.theta) == pytest.approx(1.0)
+
+    def test_memory_at_the_word_cap(self):
+        # 4096 words in two fibers: each class is measured against the other's
+        # words, and the constant marginal density is one class, so no n x n table
+        fibers = {w: AtomicMeasure.dirac(w[0] / 2) for w in CANTOR.matrix.words(12)}
+        dis = Disintegration.from_fibers(CANTOR.matrix, 12, fibers)
+        values, peaks = {}, {}
+        tracemalloc.start()
+        try:
+            for name, f in (("lip", lip_constant), ("strong", norm_s_inf)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                values[name] = f(dis, CANTOR.theta)
+                peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert values == {"lip": 0.5, "strong": 2.0}
+        assert peaks["lip"] < 96 and peaks["strong"] < 8, peaks
 
 
 class TestTransferApply:
