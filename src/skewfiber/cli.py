@@ -624,8 +624,7 @@ def run_clt(config, out_dir):
     mu0 = res.disintegration
     var = asymptotic_variance(sys_, mu0, phi, truncation)
     clt = clt_experiment(
-        sys_, mu0, phi, length=config.clt.length, trials=config.clt.trials, seed=config.seed,
-        truncation=truncation, variance=var,
+        sys_, mu0, phi, length=config.clt.length, trials=config.clt.trials, seed=config.seed, variance=var,
     )
     if config.verbose:
         blocks = -(-config.clt.trials // clt.block_trials)

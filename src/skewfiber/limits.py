@@ -29,8 +29,9 @@ at the depth-k windows of the CLT orbits' symbol tracks, and
 
 The CLT experiment streams its orbits in blocks of trials, about
 ``BLOCK_CELLS`` orbit cells each, so memory does not grow with the trial
-count.  Sums are per trial and every trial has its own seed, so the result
-does not depend on the block size.  A block of 2^20 cells holds 8 MB per
+count.  Sums are per trial, and trial t always reads draws t * cells ..
+(t + 1) * cells - 1 of the seed's one PCG64 stream, so the result does not
+depend on the block size.  A block of 2^20 cells holds 8 MB per
 float array; the sampler's per-step cost is low enough that a larger
 block saves little time and raises the peak memory.
 """
@@ -441,30 +442,21 @@ def ks_statistic(samples, sigma):
     return float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
 
 
-def clt_experiment(
-    sys,
-    mu0,
-    phi,
-    length,
-    trials,
-    seed,
-    truncation=30,
-    variance=None,
-):
+def clt_experiment(sys, mu0, phi, length, trials, seed, variance):
     """Kolmogorov-Smirnov test of the normalized Birkhoff sums.
 
     ``trials`` independent orbits are sampled in blocks of about
     ``BLOCK_CELLS`` orbit cells, and each block is reduced to its Birkhoff
-    sums before the next is sampled.  The centered sums S_n/sqrt(n) are
-    compared against the centered normal law with the truncated
-    asymptotic variance, and the run passes when the KS statistic stays
-    below the 5% critical value 1.36/sqrt(trials) inflated by ``KS_SLACK``
-    to absorb the plug-in variance noise.
+    sums before the next is sampled; trial t reads its own stretch of the
+    seed's one PCG64 stream (``sample_orbits``).  The centered sums
+    S_n/sqrt(n) are compared against the centered normal law with the
+    truncated asymptotic variance ``variance`` (an ``asymptotic_variance``
+    result), and the run passes when the KS statistic stays below the 5%
+    critical value 1.36/sqrt(trials) inflated by ``KS_SLACK`` to absorb
+    the plug-in variance noise.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful KS test")
-    if variance is None:
-        variance = asymptotic_variance(sys, mu0, phi, truncation)
     if variance.possible_coboundary or variance.sigma2 <= 0.0:
         raise CoboundaryError("coboundary regime, CLT statement vacuous")
     m_phi = integrate_observable(sys, mu0, phi)

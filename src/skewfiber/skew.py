@@ -10,13 +10,12 @@ built once, ``SystemSpec.code_tables``; ``SystemSpec.word_branches`` reads
 it for every admissible word of a working depth.
 
 ``sample_orbits`` returns a batch of orbits as two arrays, the symbol
-tracks and the fiber coordinates, one row per trial.  Each trial draws from
-its own spawn key, so a batch can start at any trial index, and a stream of
-blocks gives the same rows, bit for bit, as one whole batch.  The trials'
-generator states are derived for the whole batch at once by numpy's
-``SeedSequence`` mixing on uint32 arrays (``trial_states``), so no
-``SeedSequence`` or ``Generator`` is built per trial; the fiber recursion
-runs time-major over a small buffer, a chunk of steps at a time.
+tracks and the fiber coordinates, one row per trial.  All trials of a seed
+read one PCG64 stream, each its own consecutive stretch of draws, so a
+batch can start at any trial index by advancing the stream, and a run of
+blocks gives the same rows, bit for bit, as one whole batch.  No generator
+is built per trial; the symbol and fiber loops run time-major over small
+buffers, a chunk of steps at a time.
 """
 
 from __future__ import annotations
@@ -200,103 +199,8 @@ def c1_constant(sys):
 # orbit sampling
 # ---------------------------------------------------------------------------
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), its pool
-# size in uint32 words, and PCG64's 128-bit LCG multiplier (pcg64.h)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# orbit cells (steps x trials) per time-major buffer of the fiber recursion
+# orbit cells (steps x trials) per time-major buffer of the symbol and fiber loops
 FIBER_CELLS = 1 << 14
-
-
-def _uint32_words(n):
-    """A nonnegative integer as little-endian uint32 words, as SeedSequence reads an entropy."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-class _HashMix:
-    """SeedSequence's ``hashmix`` on uint32 arrays, carrying its running hash constant."""
-
-    def __init__(self, const, mult):
-        self.const, self.mult = const, mult
-
-    def __call__(self, value):
-        value = value ^ np.uint32(self.const)
-        self.const = self.const * self.mult & _MASK32
-        value = value * np.uint32(self.const)
-        return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two uint32 arrays."""
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ result >> 16
-
-
-def _key_words(start, stop):
-    """Spawn keys start .. stop - 1 as uint32 word arrays, one list per key length.
-
-    A key below 2^32 is one word; from 2^32 on it is two, low word first.
-    """
-    keys = np.arange(start, stop, dtype=np.uint64)
-    split = int(np.searchsorted(keys, 1 << 32))
-    low, high = keys.astype(np.uint32), (keys >> np.uint64(32)).astype(np.uint32)
-    return [words for words in ([low[:split]], [low[split:], high[split:]]) if words[0].size]
-
-
-def trial_states(seed, start, trials):
-    """PCG64 ``(state, inc)`` of trial t's generator, for t = start .. start + trials - 1.
-
-    Trial t's generator is ``PCG64(SeedSequence(entropy=seed, spawn_key=(t,)))``.
-    The sequence's entropy mixing and ``generate_state`` run once on uint32
-    arrays for the whole block; PCG64's two-step seeding then runs on
-    Python integers, one trial at a time.
-    """
-    run = _uint32_words(seed)
-    # a spawned sequence pads its run entropy with zeros to the pool size
-    run += [0] * (_POOL_SIZE - len(run))
-    states = []
-    for keys in _key_words(start, start + trials):
-        entropy = [np.full(keys[0].size, word, dtype=np.uint32) for word in run] + keys
-        hashmix = _HashMix(_INIT_A, _MULT_A)
-        pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], hashmix(word))
-        # generate_state(4, uint64): eight words cycling through the pool, paired little-endian
-        hashmix = _HashMix(_INIT_B, _MULT_B)
-        w = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-        words64 = [w[2 * k] | w[2 * k + 1] << np.uint64(32) for k in range(4)]
-        for s_hi, s_lo, i_hi, i_lo in zip(*(v.tolist() for v in words64)):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            # pcg64 srandom: state 0, one step, add the seed, one more step
-            states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _trial_generators(seed, start, trials):
-    """One reused Generator, set in turn to each trial's PCG64 state."""
-    gen = np.random.Generator(np.random.PCG64())
-    for state, inc in trial_states(seed, start, trials):
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
-        }
-        yield gen
 
 
 def _fiber_orbits(sys, tracks, burn_in, length):
@@ -331,7 +235,7 @@ def _fiber_orbits(sys, tracks, burn_in, length):
 
 
 def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
-    """Sample many independent orbits with per-trial derived seeds.
+    """Sample many independent orbits, each from its own stretch of one PCG64 stream.
 
     Returns ``(symbols, ys)``: ``symbols`` is trials x (length + w - 1),
     in the smallest unsigned integer type that holds the symbols, with
@@ -339,51 +243,59 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     evaluated at recorded step t via ``symbols[:, t:t+k]``, and ``ys`` is
     trials x length, the fiber coordinate before each recorded step.
 
-    The batch holds trials ``start`` to ``start + trials - 1``.  Trial t
-    draws its uniforms from the spawn key (t,) of the root seed sequence,
-    so results do not depend on batching or evaluation order: rows lo:hi of
-    a batch from trial 0 equal the batch of hi - lo trials from ``start=lo``.
-    The block's generator states are derived together (``trial_states``),
-    and one Generator fills each trial's row in turn.  Every symbol track
+    The batch holds trials ``start`` to ``start + trials - 1``.  With
+    total = burn_in + length + w - 1, trial t reads draws t * total ..
+    (t + 1) * total - 1 of ``Generator(PCG64(seed))``: the batch's one
+    generator jumps to its first trial with PCG64's O(log n) ``advance``
+    and then reads its trials in order.  A trial's uniforms depend only on
+    the seed and its index, so rows lo:hi of a batch from trial 0 equal
+    the batch of hi - lo trials from ``start=lo``.  Every symbol track
     starts from the stationary law and is continued by the inverse CDF of
     the transition row of the previous symbol.  When every row of that
     table equals the start law (any Bernoulli base), the symbols are i.i.d.
     and each trial's uniforms map to symbols in one pass as they are drawn;
-    otherwise one loop over time maps the uniforms of all trials at once.
-    The fiber coordinate runs ``burn_in`` maps from 1/2 before recording, so
+    otherwise one loop over time maps the uniforms of all trials at once,
+    reading them time-major, about ``FIBER_CELLS`` cells at a time.  The
+    fiber coordinate runs ``burn_in`` maps from 1/2 before recording, so
     the recorded states are within alpha^burn_in of the invariant law in
     the dual metric.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if length < 1 or trials < 1:
         raise ValueError("length and trials must be positive")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     window = max(int(window), sys.offset_depth)
-    total = burn_in + length + window - 1
+    total = int(burn_in) + int(length) + window - 1
+    # consecutive stretches, not a power-of-two stride: PCG64 states 2^64
+    # draws apart share their low 64 bits, and their outputs correlate
+    gen = np.random.Generator(np.random.PCG64(seed))
+    gen.bit_generator.advance(operator.index(start) * total)
     n = sys.n_symbols
     # row n is the start law: the track begins in a virtual state whose next-symbol law is pi
     weights = sys.weights
     cum = np.cumsum(np.vstack([weights.transition, weights.stationary]), axis=1)
     tracks = np.empty((trials, total), dtype=np.min_scalar_type(n - 1))
-    generators = _trial_generators(seed, start, trials)
     # inverse CDF of row prev: the count of cum[prev, k] <= u; the last entry
     # (1 up to rounding) is left out, which caps the symbol at n - 1
     if (cum == cum[-1]).all():
         u = np.empty(total)
-        for track, gen in zip(tracks, generators):
+        for track in tracks:
             gen.random(out=u)
             track[:] = 0
             for k in range(n - 1):
                 track += cum[-1, k] <= u
     else:
-        uniforms = np.empty((trials, total))
-        for row, gen in zip(uniforms, generators):
-            gen.random(out=row)
+        uniforms = gen.random((trials, total))
         prev = np.full(trials, n)
-        for t in range(total):
-            sym = np.zeros(trials, dtype=np.intp)
-            for k in range(n - 1):
-                sym += cum[prev, k] <= uniforms[:, t]
-            tracks[:, t] = prev = sym
+        chunk = max(1, FIBER_CELLS // trials)
+        for t0 in range(0, total, chunk):
+            for t, u in enumerate(uniforms[:, t0:t0 + chunk].T.copy(), t0):
+                sym = np.zeros(trials, dtype=np.intp)
+                for k in range(n - 1):
+                    sym += cum[prev, k] <= u
+                tracks[:, t] = prev = sym
         del uniforms  # lowers the peak memory of the fiber pass
     return np.ascontiguousarray(tracks[:, burn_in:]), _fiber_orbits(sys, tracks, burn_in, length)

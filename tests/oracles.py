@@ -330,14 +330,15 @@ def correlation_curve_per_word(sys, mu0, now, later, nmax, grid):
 
 
 # ---------------------------------------------------------------------------
-# orbit sampling with one SeedSequence and Generator per trial
+# orbit sampling with one Generator per trial
 # ---------------------------------------------------------------------------
 
 
 def sample_orbits_per_trial(sys, seed, length, trials, burn_in=40, window=1, start=0):
-    """``sample_orbits`` as it was before the block-wide seed derivation, body unchanged.
+    """``sample_orbits`` as one Generator per trial and one loop over time for every base.
 
-    Each trial builds its own ``SeedSequence`` and ``Generator``, the
+    Each trial builds its own ``Generator`` on a fresh ``PCG64(seed)``
+    advanced to the trial's first draw, (start + t) * total; the
     uniforms are one time-major block, one loop over time maps them to
     symbols for every base, and the fiber loop writes one column of ``ys``
     per step.
@@ -348,12 +349,12 @@ def sample_orbits_per_trial(sys, seed, length, trials, burn_in=40, window=1, sta
         raise ValueError("burn_in must be nonnegative")
     window = max(int(window), sys.offset_depth)
     total = burn_in + length + window - 1
-    root = np.random.SeedSequence(seed)
     # time-major, so every step of the loops below reads one contiguous row
     uniforms = np.empty((total, trials))
     for t in range(trials):
-        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(start + t,))
-        uniforms[:, t] = np.random.default_rng(child).random(total)
+        bit_generator = np.random.PCG64(seed)
+        bit_generator.advance((start + t) * total)
+        uniforms[:, t] = np.random.Generator(bit_generator).random(total)
     n = sys.n_symbols
     # row n is the start law: the track begins in a virtual state whose next-symbol law is pi
     weights = sys.weights

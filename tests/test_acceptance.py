@@ -294,8 +294,7 @@ def test_criterion_12_clt(cantor_fine):
     ks_values = []
     for seed in range(5):
         res = clt_experiment(
-            CANTOR, mu0, phi, length=2000, trials=5000, seed=seed,
-            truncation=30, variance=v30,
+            CANTOR, mu0, phi, length=2000, trials=5000, seed=seed, variance=v30,
         )
         passes.append(res.passed)
         ks_values.append(res.ks_statistic)

@@ -438,7 +438,9 @@ class TestCLT:
         assert ks_statistic(x, sigma) == expected
 
     def test_small_cantor_run_passes(self, mu0):
-        res = clt_experiment(CANTOR, mu0, height_obs(), length=300, trials=400, seed=0)
+        phi = height_obs()
+        variance = asymptotic_variance(CANTOR, mu0, phi, truncation=30)
+        res = clt_experiment(CANTOR, mu0, phi, length=300, trials=400, seed=0, variance=variance)
         assert res.passed
         assert res.sigma == pytest.approx(0.5, abs=0.01)
 
@@ -477,13 +479,16 @@ class TestCLT:
         assert peaks[1] < 1.5 * peaks[0]
 
     def test_too_few_trials_rejected(self, mu0):
+        phi = height_obs()
+        variance = asymptotic_variance(CANTOR, mu0, phi, truncation=30)
         with pytest.raises(ValueError, match="trials"):
-            clt_experiment(CANTOR, mu0, height_obs(), length=100, trials=10, seed=0)
+            clt_experiment(CANTOR, mu0, phi, length=100, trials=10, seed=0, variance=variance)
 
     def test_coboundary_regime_rejected(self, mu0):
         const = Observable.base_only(CANTOR.matrix, 1, {(0,): 1.0, (1,): 1.0})
+        variance = asymptotic_variance(CANTOR, mu0, const, truncation=30)
         with pytest.raises(CoboundaryError):
-            clt_experiment(CANTOR, mu0, const, length=100, trials=200, seed=0)
+            clt_experiment(CANTOR, mu0, const, length=100, trials=200, seed=0, variance=variance)
 
 
 def _ndtr_bits(points):

@@ -13,7 +13,6 @@ from skewfiber.skew import (
     c1_constant,
     estimate_H,
     sample_orbits,
-    trial_states,
     verify_G1,
 )
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, word_distances
@@ -37,16 +36,17 @@ def iterate_fiber(sys, symbols, y0):
 def replay_symbols(weights, seed, trial, total):
     """Scalar replay oracle: one trial's symbol track, one inverse-CDF draw per step.
 
-    The trial's uniforms come from the spawn key (trial,) of the root seed;
-    each step accumulates the current law (pi first, then the transition row
-    of the previous symbol) until the running sum exceeds the uniform.
+    The trial's uniforms are draws trial * total .. (trial + 1) * total - 1
+    of ``Generator(PCG64(seed))``; each step accumulates the current law
+    (pi first, then the transition row of the previous symbol) until the
+    running sum exceeds the uniform.
     """
-    root = np.random.SeedSequence(seed)
-    child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(trial,))
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(trial * total)
     n = weights.n_symbols
     law = weights.stationary.tolist()
     track = []
-    for u in np.random.default_rng(child).random(total):
+    for u in np.random.Generator(bit_generator).random(total):
         symbol, acc = 0, 0.0
         while symbol < n - 1:
             acc += law[symbol]
@@ -232,7 +232,7 @@ ORACLE_SYSTEMS = {
 
 
 class TestSamplerOracle:
-    """The block-wide sampler against the per-trial ``SeedSequence`` body it replaced, with ==."""
+    """The block-wide sampler against one Generator per trial and one loop over time, with ==."""
 
     @pytest.mark.parametrize("name", list(ORACLE_SYSTEMS))
     @pytest.mark.parametrize("length,trials,burn_in,start", [
@@ -241,6 +241,8 @@ class TestSamplerOracle:
         (1, 9, 0, 3),
         (2, 1, 0, 0),
         (1, 4, 7, 1000),
+        (3, 4, 2, 2**32 - 2),  # the first draw offset passes 2^32 * total inside the batch
+        (2, 3, 1, 2**40),
     ])
     def test_equals_per_trial_oracle(self, name, length, trials, burn_in, start):
         build, window = ORACLE_SYSTEMS[name]
@@ -253,32 +255,36 @@ class TestSamplerOracle:
 
     @pytest.mark.parametrize("cells", [1, 40, 1 << 20])
     def test_fiber_chunk_size_does_not_change_the_orbits(self, cells, monkeypatch):
-        # one step per chunk (the buffer row is also the step's input), a few, and one chunk for all
-        want = sample_orbits_per_trial(coupled_demo(), 2, 60, 40, burn_in=13)
-        monkeypatch.setattr(skew, "FIBER_CELLS", cells)
-        got = sample_orbits(coupled_demo(), 2, 60, 40, burn_in=13)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # one step per chunk (the buffer row is also the step's input), a few, and one chunk for all;
+        # markov3 also runs the loop over time in chunks of the same size
+        for sys in (coupled_demo(), MARKOV3):
+            want = sample_orbits_per_trial(sys, 2, 60, 40, burn_in=13)
+            monkeypatch.setattr(skew, "FIBER_CELLS", cells)
+            got = sample_orbits(sys, 2, 60, 40, burn_in=13)
+            monkeypatch.undo()
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-class TestTrialStates:
-    @pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32 + 5, 2**64 + 7])
-    @pytest.mark.parametrize("start,trials", [
-        (0, 3),
-        (510, 8),  # crosses the first 514-trial block of the cantor clt
-        (2**32 - 2, 4),  # spawn keys grow from one uint32 word to two
-    ])
-    def test_equals_seed_sequence_pcg64_state(self, seed, start, trials):
-        got = trial_states(seed, start, trials)
-        assert len(got) == trials
-        for t, (state, inc) in enumerate(got, start):
-            want = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state["state"]
-            assert (state, inc) == (want["state"], want["inc"])
+class TestSeed:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_trials_are_independent(self, seed):
+        # fair i.i.d. symbols: the mean over trials of one step's symbols has
+        # variance 1/(4 trials); correlated trial streams inflate it
+        trials = 2000
+        symbols, _ = sample_orbits(cantor_demo(), seed, length=500, trials=trials, burn_in=0)
+        ratio = symbols.mean(axis=0).var() / (0.25 / trials)
+        assert 0.75 <= ratio <= 1.3
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            trial_states(-1, 0, 2)
+            sample_orbits(cantor_demo(), -1, 5, 2)
         with pytest.raises(ValueError, match="nonnegative"):
             sample_orbits(cantor_demo(), -(2**40), 5, 2)
+
+    @pytest.mark.parametrize("seed", [1.0, "3", None])
+    def test_non_integer_seed_is_rejected(self, seed):
+        with pytest.raises(TypeError):
+            sample_orbits(cantor_demo(), seed, 5, 2)
 
 
 class TestOffsetTables:
