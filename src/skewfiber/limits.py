@@ -29,11 +29,13 @@ at the depth-k windows of the CLT orbits' symbol tracks, and
 
 The CLT experiment streams its orbits in blocks of trials, about
 ``BLOCK_CELLS`` orbit cells each, so memory does not grow with the trial
-count.  Sums are per trial, and trial t always reads draws t * cells ..
-(t + 1) * cells - 1 of the seed's one PCG64 stream, so the result does not
-depend on the block size.  A block of 2^20 cells holds 8 MB per
-float array; the sampler's per-step cost is low enough that a larger
-block saves little time and raises the peak memory.
+count.  A block keeps its symbol tracks, one byte per cell; phi is
+evaluated on each chunk of fiber states while the chunk is in the fiber
+recursion's buffer (``skew.fiber_states``, about 2^14 cells), and only a
+running sum per trial is kept, so no trials x length float array is ever
+built.  Trial t always reads draws t * cells .. (t + 1) * cells - 1 of the
+seed's one PCG64 stream and each trial's values are added in step order,
+so the result depends on neither the block nor the chunk size.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from .fitting import ExpFit, exp_fit
 from .measures import PiecewiseLinearFn
-from .skew import sample_orbits
+from .skew import fiber_states, orbit_stream, symbol_tracks
 from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes
 from .transfer import quantize_disintegration, transfer_apply
 
@@ -70,7 +72,7 @@ __all__ = [
 DEFAULT_GRID = 1 << 15
 # CLT experiment: inflation of the KS critical value for the plug-in variance,
 # the smallest trial count worth a KS test, the fiber burn-in per orbit, and
-# the orbit cells (steps x trials) sampled per block, 8 MB per float array
+# the orbit cells (steps x trials) sampled per block, one byte each
 KS_SLACK = 1.3
 MIN_TRIALS = 100
 BURN_IN = 40
@@ -115,10 +117,7 @@ class Observable:
 
     def values(self, codes, y):
         """phi at admissible depth-k window codes and fiber points of one shape, each cell once."""
-        # not a repeat of _piece_values' test: it skips the per-cell piece gather, 8 bytes a cell
-        if len(self.pieces) == 1:
-            return self.pieces[0](y)
-        return self._piece_values(self.piece_of_code[codes], y)
+        return self._piece_values(self.piece_of_code.take(codes), y)
 
     def _piece_values(self, piece, y):
         """Piece ``piece`` of phi at ``y``, cell by cell, for arrays of one shape."""
@@ -348,18 +347,28 @@ class CLTResult:
     tail_bound: float
     threshold: float
     seed: int
-    # how the orbits were streamed, for --verbose: trials per block and the
-    # wall seconds spent sampling orbits and summing the observable over them
+    # how the orbits were streamed, for --verbose: trials per block, and the
+    # wall seconds spent sampling the symbol tracks and running the fiber
+    # recursion with the observable's sums over its states
     block_trials: int
     sample_s: float
     sum_s: float
 
 
-def observable_sums(phi, symbols, ys):
-    """Birkhoff sums of an observable over the orbits of ``sample_orbits``, one per trial."""
-    length = ys.shape[1]
-    windows = [symbols[:, j:length + j] for j in range(phi.depth)]
-    return phi.values(window_codes(windows, phi.matrix.n_symbols), ys).sum(axis=1)
+def _birkhoff_sums(phi, tracks, chunks):
+    """Birkhoff sums of phi, one per trial, over the chunks of ``skew.fiber_states``.
+
+    ``tracks`` are the time-major symbol tracks from the first recorded
+    step on.  phi is evaluated on each chunk while its states are in the
+    fiber buffer, and each trial's values are added one step at a time, in
+    step order, so the sums do not depend on the chunk or block sizes.
+    """
+    sums = np.zeros(tracks.shape[1])
+    for s, states in chunks:
+        windows = [tracks[s + j: s + j + len(states)] for j in range(phi.depth)]
+        for row in phi.values(window_codes(windows, phi.matrix.n_symbols), states):
+            sums += row
+    return sums
 
 
 # Cephes ndtr.c (S. L. Moshier, Methods and Programs for Mathematical Functions,
@@ -447,8 +456,10 @@ def clt_experiment(sys, mu0, phi, length, trials, seed, variance):
 
     ``trials`` independent orbits are sampled in blocks of about
     ``BLOCK_CELLS`` orbit cells, and each block is reduced to its Birkhoff
-    sums before the next is sampled; trial t reads its own stretch of the
-    seed's one PCG64 stream (``sample_orbits``).  The centered sums
+    sums before the next is sampled: its symbol tracks are drawn
+    (``skew.symbol_tracks``; trial t reads its own stretch of the seed's
+    one PCG64 stream) and phi is summed over each chunk of fiber states as
+    the recursion yields it.  The centered sums
     S_n/sqrt(n) are compared against the centered normal law with the
     truncated asymptotic variance ``variance`` (an ``asymptotic_variance``
     result), and the run passes when the KS statistic stays below the 5%
@@ -462,16 +473,17 @@ def clt_experiment(sys, mu0, phi, length, trials, seed, variance):
     m_phi = integrate_observable(sys, mu0, phi)
     cells = BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
     block = max(1, BLOCK_CELLS // cells)
+    gen = orbit_stream(seed)
     sums = np.empty(trials)
     sample_s = sum_s = 0.0
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
         started = time.perf_counter()
-        orbits = sample_orbits(sys, seed, length, hi - lo, burn_in=BURN_IN, window=phi.depth, start=lo)
+        tracks = symbol_tracks(sys.weights, gen, hi - lo, cells)
         sampled = time.perf_counter()
-        sums[lo:hi] = observable_sums(phi, *orbits)
-        # frees the block's arrays before the next block is sampled
-        del orbits
+        sums[lo:hi] = _birkhoff_sums(phi, tracks[BURN_IN:], fiber_states(sys, tracks, BURN_IN, length))
+        # frees the block's tracks before the next block is sampled
+        del tracks
         sample_s += sampled - started
         sum_s += time.perf_counter() - sampled
     sums -= length * m_phi

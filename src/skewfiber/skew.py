@@ -9,13 +9,17 @@ genuinely non-product invariant measures.  The branch maps are one table
 built once, ``SystemSpec.code_tables``; ``SystemSpec.word_branches`` reads
 it for every admissible word of a working depth.
 
-``sample_orbits`` returns a batch of orbits as two arrays, the symbol
-tracks and the fiber coordinates, one row per trial.  All trials of a seed
-read one PCG64 stream, each its own consecutive stretch of draws, so a
-batch can start at any trial index by advancing the stream, and a run of
-blocks gives the same rows, bit for bit, as one whole batch.  No generator
-is built per trial; the symbol and fiber loops run time-major over small
-buffers, a chunk of steps at a time.
+Orbits are sampled in two time-major passes.  ``symbol_tracks`` draws the
+symbol tracks of a block of trials, one byte per cell: all trials of a seed
+read one PCG64 stream, each its own consecutive stretch of draws, and each
+uniform is reduced at once to its rank among the inverse-CDF thresholds.
+``fiber_states`` then runs the fiber recursion over the tracks and yields
+the recorded states a chunk of about ``FIBER_CELLS`` cells at a time, so a
+reader can reduce each chunk while it is in the buffer; the CLT experiment
+keeps only a running sum per trial.  ``sample_orbits`` assembles the same
+passes into two arrays, the symbol tracks and the fiber coordinates, one
+row per trial; it can start at any trial index by advancing the stream,
+and a run of blocks gives the same rows, bit for bit, as one whole batch.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ __all__ = [
     "estimate_H",
     "c1_constant",
     "sample_orbits",
+    "orbit_stream",
+    "symbol_tracks",
+    "fiber_states",
 ]
 
 _RANGE_TOL = 1e-12
@@ -199,39 +206,112 @@ def c1_constant(sys):
 # orbit sampling
 # ---------------------------------------------------------------------------
 
-# orbit cells (steps x trials) per time-major buffer of the symbol and fiber loops
+# orbit cells per time-major buffer: the uniforms of a group of trials, and
+# the fiber states of a chunk of steps
 FIBER_CELLS = 1 << 14
 
 
-def _fiber_orbits(sys, tracks, burn_in, length):
-    """Fiber coordinates before recorded steps burn_in .. burn_in + length - 1, from y = 1/2.
+def orbit_stream(seed, draws=0):
+    """``Generator(PCG64(seed))`` advanced past its first ``draws`` draws, for a nonnegative integer seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    gen = np.random.Generator(np.random.PCG64(seed))
+    gen.bit_generator.advance(draws)
+    return gen
 
-    The recursion runs time-major, a buffer of about ``FIBER_CELLS`` states
-    at a time; each chunk is copied into ``ys`` as one block transpose.
+
+def symbol_lookup(cum):
+    """Distinct thresholds of an inverse-CDF table and the symbol of each (row, rank) pair.
+
+    ``cum`` holds one cumulative law per row without its last entry (1 up
+    to rounding), which caps the symbol at n - 1: the inverse CDF of row
+    ``prev`` at u is the count of cum[prev, k] <= u.  That count depends on
+    u only through its rank, the number of ``thresholds`` (the distinct
+    entries of ``cum``, ascending) at or below u, so ``table[prev, rank]``
+    is the symbol, exactly.
     """
-    trials = tracks.shape[0]
+    # sorted(set()) and not np.unique, whose first call imports numpy.ma (about 20 ms)
+    thresholds = np.array(sorted(set(cum.ravel().tolist())))
+    edges = np.concatenate(([-np.inf], thresholds))
+    return thresholds, (cum[:, None, :] <= edges[:, None]).sum(axis=2)
+
+
+def symbol_ranks(thresholds, u):
+    """Rank of each uniform: the count of ``thresholds`` at or below it, in the smallest type that holds it."""
+    ranks = np.zeros(u.shape, dtype=np.min_scalar_type(thresholds.size))
+    for x in thresholds.tolist():
+        ranks += x <= u
+    return ranks
+
+
+def symbol_tracks(weights, gen, trials, total):
+    """Time-major symbol tracks, total x trials, of the next ``trials`` trials of ``gen``'s stream.
+
+    Each trial reads the next ``total`` draws.  Row n of the inverse-CDF
+    table is the start law: every track begins in a virtual state whose
+    next-symbol law is pi and goes on by the transition row of its previous
+    symbol.  The uniforms of a group of trials, about ``FIBER_CELLS`` cells,
+    are drawn at once and reduced to their ranks (``symbol_lookup``), and
+    one loop over time maps the ranks to symbols for all trials at once.
+    When every row of the symbol table is the same (any Bernoulli base) the
+    symbols are i.i.d.: a uniform's symbol is then its rank among the start
+    law's own entries, and there is no loop over time.
+    """
+    n = weights.n_symbols
+    cum = np.cumsum(np.vstack([weights.transition, weights.stationary]), axis=1)[:, :n - 1]
+    thresholds, table = symbol_lookup(cum)
+    tracks = np.empty((total, trials), dtype=np.min_scalar_type(n - 1))
+    iid = (table == table[0]).all()
+    if iid:
+        # counted with repeats, the start law's entries at or below u give the symbol itself
+        edges, ranks = cum[-1], tracks
+    else:
+        edges, ranks = thresholds, np.empty((total, trials), dtype=np.min_scalar_type(thresholds.size))
+    group = max(1, FIBER_CELLS // total)
+    for lo in range(0, trials, group):
+        u = gen.random((min(group, trials - lo), total))
+        ranks[:, lo:lo + len(u)] = symbol_ranks(edges, u).T
+    if not iid:
+        symbols, m = table.ravel(), table.shape[1]
+        prev = np.full(trials, n)
+        for rank, track in zip(ranks, tracks):
+            prev = symbols.take(prev * m + rank)
+            track[:] = prev
+    return tracks
+
+
+def fiber_states(sys, tracks, burn_in, length):
+    """Fiber coordinates before recorded steps burn_in .. burn_in + length - 1, from y = 1/2, a chunk at a time.
+
+    ``tracks`` are time-major symbol tracks (``symbol_tracks``).  The
+    recursion runs time-major, a buffer of about ``FIBER_CELLS`` states at a
+    time, and each chunk that holds recorded states yields ``(s, states)``:
+    ``states[i]`` is every trial's coordinate before recorded step s + i.
+    ``states`` is a view of the reused buffer, to be read, not written, and
+    only until the next chunk.
+    """
+    trials = tracks.shape[1]
     slopes, offsets = sys.code_tables()
     d, n = sys.offset_depth, sys.n_symbols
-    ys = np.empty((trials, length))
     y = np.full(trials, 0.5)
     if burn_in == 0:
-        ys[:, 0] = y
+        yield 0, y[None]
     steps = burn_in + length - 1
     chunk = max(1, FIBER_CELLS // trials)
     buf = np.empty((chunk, trials))
     for t0 in range(0, steps, chunk):
         t1 = min(t0 + chunk, steps)
-        codes = window_codes([tracks[:, t0 + j: t1 + j].T for j in range(d)], n)
+        codes = window_codes([tracks[t0 + j: t1 + j] for j in range(d)], n)
         a, b = slopes.take(codes), offsets.take(codes)
-        for j in range(t1 - t0):
+        for aj, bj, state in zip(a, b, buf):
             # rounds as slopes[c] * y + offsets[c] does: one product, then one sum
-            y = np.multiply(a[j], y, out=buf[j])
-            y += b[j]
+            y = np.multiply(aj, y, out=state)
+            y += bj
         # buf[j] is the state after step t0 + j; states from burn_in on are recorded
         lo = max(t0 + 1, burn_in)
         if lo <= t1:
-            ys[:, lo - burn_in: t1 + 1 - burn_in] = buf[lo - t0 - 1: t1 - t0].T
-    return ys
+            yield lo - burn_in, buf[lo - t0 - 1: t1 - t0]
 
 
 def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
@@ -249,20 +329,13 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     generator jumps to its first trial with PCG64's O(log n) ``advance``
     and then reads its trials in order.  A trial's uniforms depend only on
     the seed and its index, so rows lo:hi of a batch from trial 0 equal
-    the batch of hi - lo trials from ``start=lo``.  Every symbol track
-    starts from the stationary law and is continued by the inverse CDF of
-    the transition row of the previous symbol.  When every row of that
-    table equals the start law (any Bernoulli base), the symbols are i.i.d.
-    and each trial's uniforms map to symbols in one pass as they are drawn;
-    otherwise one loop over time maps the uniforms of all trials at once,
-    reading them time-major, about ``FIBER_CELLS`` cells at a time.  The
-    fiber coordinate runs ``burn_in`` maps from 1/2 before recording, so
-    the recorded states are within alpha^burn_in of the invariant law in
-    the dual metric.
+    the batch of hi - lo trials from ``start=lo``.  The symbols come from
+    ``symbol_tracks`` and the fiber coordinates from the chunks of
+    ``fiber_states``, the two passes that ``limits.clt_experiment`` streams
+    without assembling either array.  The fiber coordinate runs ``burn_in``
+    maps from 1/2 before recording, so the recorded states are within
+    alpha^burn_in of the invariant law in the dual metric.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if length < 1 or trials < 1:
         raise ValueError("length and trials must be positive")
     if burn_in < 0:
@@ -271,31 +344,9 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     total = int(burn_in) + int(length) + window - 1
     # consecutive stretches, not a power-of-two stride: PCG64 states 2^64
     # draws apart share their low 64 bits, and their outputs correlate
-    gen = np.random.Generator(np.random.PCG64(seed))
-    gen.bit_generator.advance(operator.index(start) * total)
-    n = sys.n_symbols
-    # row n is the start law: the track begins in a virtual state whose next-symbol law is pi
-    weights = sys.weights
-    cum = np.cumsum(np.vstack([weights.transition, weights.stationary]), axis=1)
-    tracks = np.empty((trials, total), dtype=np.min_scalar_type(n - 1))
-    # inverse CDF of row prev: the count of cum[prev, k] <= u; the last entry
-    # (1 up to rounding) is left out, which caps the symbol at n - 1
-    if (cum == cum[-1]).all():
-        u = np.empty(total)
-        for track in tracks:
-            gen.random(out=u)
-            track[:] = 0
-            for k in range(n - 1):
-                track += cum[-1, k] <= u
-    else:
-        uniforms = gen.random((trials, total))
-        prev = np.full(trials, n)
-        chunk = max(1, FIBER_CELLS // trials)
-        for t0 in range(0, total, chunk):
-            for t, u in enumerate(uniforms[:, t0:t0 + chunk].T.copy(), t0):
-                sym = np.zeros(trials, dtype=np.intp)
-                for k in range(n - 1):
-                    sym += cum[prev, k] <= u
-                tracks[:, t] = prev = sym
-        del uniforms  # lowers the peak memory of the fiber pass
-    return np.ascontiguousarray(tracks[:, burn_in:]), _fiber_orbits(sys, tracks, burn_in, length)
+    gen = orbit_stream(seed, operator.index(start) * total)
+    tracks = symbol_tracks(sys.weights, gen, trials, total)
+    ys = np.empty((trials, length))
+    for s, states in fiber_states(sys, tracks, burn_in, length):
+        ys[:, s:s + len(states)] = states.T
+    return np.ascontiguousarray(tracks[burn_in:].T), ys

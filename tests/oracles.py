@@ -380,3 +380,19 @@ def sample_orbits_per_trial(sys, seed, length, trials, burn_in=40, window=1, sta
         c = codes[t]
         y = slopes[c] * y + offsets[c]
     return np.ascontiguousarray(tracks[burn_in:].T), ys
+
+
+def observable_sums(phi, symbols, ys):
+    """Birkhoff sums of an observable over the orbits of ``sample_orbits``, added in step order.
+
+    phi is evaluated on the whole trials x length array at once, and each
+    trial's values are added one step at a time: the reference for the sums
+    that ``clt_experiment`` streams chunk by chunk.
+    """
+    length = ys.shape[1]
+    windows = [symbols[:, j:length + j] for j in range(phi.depth)]
+    values = phi.values(window_codes(windows, phi.matrix.n_symbols), ys)
+    sums = np.zeros(len(ys))
+    for column in values.T:
+        sums += column
+    return sums

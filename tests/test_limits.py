@@ -6,12 +6,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import MARKOV3
-from oracles import base_lipschitz, component, correlation_lattice, fiber_average_margin, integrate
+from conftest import MARKOV3, random_disintegration
+from oracles import (
+    base_lipschitz,
+    component,
+    correlation_lattice,
+    fiber_average_margin,
+    integrate,
+    observable_sums,
+)
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import (
     CoboundaryError,
     Observable,
+    VarianceResult,
     asymptotic_variance,
     clt_experiment,
     correlation_curve,
@@ -19,7 +27,6 @@ from skewfiber.limits import (
     gordin_norms,
     integrate_observable,
     ks_statistic,
-    observable_sums,
 )
 from skewfiber.measures import PiecewiseLinearFn
 from skewfiber.symbolic import cylinder_mass_vector, window_codes
@@ -462,21 +469,54 @@ class TestCLT:
             results.append(res.ks_statistic)
         assert results[0] == results[1] == results[2]
 
-    def test_memory_does_not_grow_with_trials(self, mu0):
+    @pytest.mark.parametrize("name", ["cantor", "coupled", "markov3_depth6"])
+    @pytest.mark.parametrize("fiber_cells", [1, 40, 1 << 20])
+    def test_streamed_sums_equal_the_step_order_oracle(self, name, fiber_cells, monkeypatch):
+        from skewfiber import limits, skew
+        from skewfiber.skew import sample_orbits
+
+        sys = {"cantor": CANTOR, "coupled": COUPLED, "markov3_depth6": MARKOV3}[name]
+        phi = height_obs(sys)
+        if name == "markov3_depth6":
+            rng = np.random.default_rng(6)
+            phi = Observable(MARKOV3.matrix, 6, {
+                w: PiecewiseLinearFn([0.0, 0.5, 1.0], rng.standard_normal(3)) for w in MARKOV3.matrix.words(6)
+            })
+        # any disintegration of the observable's depth centres the sums
+        mu = random_disintegration(sys.matrix, phi.depth, np.random.default_rng(1), signed=False)
+        length, trials = 30, 100
+        symbols, ys = sample_orbits(sys, 4, length, trials, burn_in=limits.BURN_IN, window=phi.depth)
+        want = (observable_sums(phi, symbols, ys) - length * integrate_observable(sys, mu, phi)) / math.sqrt(length)
+        variance = VarianceResult(sigma2=1.0, tail_bound=0.0, numeric_error=0.0, curve=None)
+        cells = limits.BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
+        monkeypatch.setattr(skew, "FIBER_CELLS", fiber_cells)
+        for per_block in (trials, 7, 1):
+            seen = []
+            monkeypatch.setattr(limits, "BLOCK_CELLS", per_block * cells)
+            monkeypatch.setattr(limits, "ks_statistic", lambda samples, sigma: seen.append(samples) or 0.0)
+            clt_experiment(sys, mu, phi, length, trials, seed=4, variance=variance)
+            assert np.array_equal(seen[0], want)
+
+    def test_memory_does_not_grow_with_trials(self, mu0, mu0_markov3):
         import tracemalloc
 
-        phi = height_obs()
-        variance = asymptotic_variance(CANTOR, mu0, phi, truncation=10)
-        peaks = []
-        for trials in (1000, 4000):
+        def peak(sys, mu, length, trials):
+            phi = height_obs(sys)
+            variance = asymptotic_variance(sys, mu, phi, truncation=10)
             tracemalloc.start()
             try:
-                clt_experiment(CANTOR, mu0, phi, length=2000, trials=trials, seed=1, variance=variance)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                clt_experiment(sys, mu, phi, length=length, trials=trials, seed=1, variance=variance)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # one block at length 2000 holds 1028 trials, so both runs peak at one block
+
+        peaks = [peak(CANTOR, mu0, 2000, trials) for trials in (1000, 4000)]
+        # one block at length 2000 holds 514 trials, so both runs peak at one block
         assert peaks[1] < 1.5 * peaks[0]
+        # and no trials x length float array is built: a block keeps one byte per orbit cell
+        assert peaks[1] < 4 * 2**20
+        # markov3_small's run
+        assert peak(MARKOV3, mu0_markov3, 500, 2000) < 4 * 2**20
 
     def test_too_few_trials_rejected(self, mu0):
         phi = height_obs()

@@ -1,5 +1,6 @@
 """Property tests: the dual distance (LP oracle, primal flow, metric axioms,
-quantization), the class-pair Lipschitz pass against every word pair, and the
+quantization), the class-pair Lipschitz pass against every word pair, the
+orbit sampler's rank table against the compare-and-add inverse CDF, and the
 fixed-point certificate against a high-grid reference solve.
 
 Generated inputs include near-balanced pairs, whose net total weight is zero
@@ -21,7 +22,7 @@ from skewfiber.measures import (  # noqa: E402
     wk_distance_primal,
 )
 from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
-from skewfiber.skew import FiberMapSpec, SystemSpec  # noqa: E402
+from skewfiber.skew import FiberMapSpec, SystemSpec, symbol_lookup, symbol_ranks  # noqa: E402
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, pair_lipschitz, word_distances  # noqa: E402
 from skewfiber.transfer import change_between, fixed_point, quantize_disintegration, transfer_apply  # noqa: E402
 
@@ -273,6 +274,66 @@ def test_ndtr_port_matches_scipy_bitwise(a):
     from skewfiber.limits import _ndtr
 
     assert np.float64(_ndtr(a)).tobytes() == ndtr(np.float64(a)).tobytes()
+
+
+@st.composite
+def inverse_cdf_rows(draw):
+    """Cumulative laws over 2-6 symbols without their last entry.
+
+    Zero weights repeat a threshold within a row (like markov3's 0.0), and
+    a row drawn twice repeats all of its thresholds.
+    """
+    n = draw(st.integers(2, 6))
+    weight = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.25, 0.5]), st.floats(0.01, 1.0))
+    rows = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+            continue
+        w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        hypothesis.assume(w.sum() > 0.0)
+        rows.append(np.cumsum(w / w.sum()))
+    return np.array(rows)[:, :n - 1]
+
+
+def compare_and_add(row, u):
+    """Inverse CDF of one row at u: the count of its cumulative entries at or below u."""
+    symbol = 0
+    for c in row.tolist():
+        symbol += c <= u
+    return symbol
+
+
+def assert_rank_table_matches(cum, uniforms):
+    thresholds, table = symbol_lookup(cum)
+    ranks = symbol_ranks(thresholds, uniforms)
+    assert ranks.dtype == np.min_scalar_type(thresholds.size)
+    for prev, row in enumerate(cum):
+        assert table[prev].take(ranks).tolist() == [compare_and_add(row, u) for u in uniforms.tolist()]
+
+
+@FAST
+@given(cum=inverse_cdf_rows(), draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_rank_table_gives_the_compare_and_add_symbol(cum, draws):
+    # every threshold exactly and one ulp to either side, 0, the largest double below 1, and free draws
+    edges = np.unique(cum)
+    uniforms = np.concatenate([
+        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0), [0.0, np.nextafter(1.0, 0.0)], draws,
+    ])
+    assert_rank_table_matches(cum, uniforms)
+
+
+def test_rank_table_past_255_distinct_thresholds():
+    # 20 symbols: 21 rows of 19 cumulative entries give 399 distinct thresholds and two-byte ranks
+    rng = np.random.default_rng(7)
+    w = rng.random((21, 20))
+    cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)[:, :19]
+    thresholds, _ = symbol_lookup(cum)
+    assert thresholds.size > 255
+    assert symbol_ranks(thresholds, np.zeros(1)).dtype == np.uint16
+    edges = [thresholds, np.nextafter(thresholds, -1.0), [0.0, np.nextafter(1.0, 0.0)]]
+    uniforms = np.concatenate([*edges, rng.random(200)])
+    assert_rank_table_matches(cum, uniforms)
 
 
 SOLVES = settings(max_examples=6, deadline=None, derandomize=True, database=None)

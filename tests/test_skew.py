@@ -222,12 +222,21 @@ def iid_rows_start_law_off_by_an_ulp():
                       [FiberMapSpec(0.4, 0.0), FiberMapSpec(0.4, 0.6)])
 
 
+def markov20():
+    """A random Markov base on the full 20-symbol shift: 399 distinct thresholds, two-byte ranks."""
+    w = np.random.default_rng(20).random((20, 20))
+    return SystemSpec(TransitionMatrix(np.ones((20, 20), dtype=int)), 0.5,
+                      BaseWeights.markov(w / w.sum(axis=1, keepdims=True)),
+                      [FiberMapSpec(0.4, 0.3 * i / 19) for i in range(20)])
+
+
 ORACLE_SYSTEMS = {
     "cantor": (cantor_demo, 1),
     "coupled": (coupled_demo, 1),
     "markov3": (lambda: MARKOV3, 4),
     "markov": (markov_demo, 1),
     "iid_rows_start_law_off_by_an_ulp": (iid_rows_start_law_off_by_an_ulp, 1),
+    "markov20": (markov20, 1),
 }
 
 
