@@ -32,7 +32,6 @@ from .skew import (
     SystemSpec,
     c1_constant,
     estimate_H,
-    sample_orbits,
     verify_G1,
 )
 from .transfer import (

@@ -43,7 +43,6 @@ from .stability import (
     PerturbationFamily,
     fiber_op_gap,
     operator_gap,
-    realize,
     realize_grid,
     stability_sweep,
 )
@@ -340,7 +339,7 @@ def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
         raise ConfigError(pointer, str(exc)) from exc
     deltas = _finite_list(block, "deltas", pointer, [0.1, 0.01, 0.001, 0.0001])
     try:
-        deltas, _ = realize_grid(family, deltas)
+        deltas = realize_grid(family, deltas)[0]
     except ValueError as exc:
         raise ConfigError(f"{pointer}/deltas", str(exc)) from exc
     return StabilityConfig(family, deltas, _depth(block, "depth", depth, system, pointer),
@@ -562,20 +561,20 @@ def run_stability(config, out_dir):
             f"Delta={variations!r}",
         )
     report.check("ratio_bound_finite", math.isfinite(result.ratio_bound))
-    # operator-gap lemmas at the largest converged delta, on the sweep's own solves
+    # operator-gap lemmas at the largest converged delta, on the sweep's own systems and solves
     if ok_rows:
-        delta, r_delta, res_d = ok_rows[0].delta, ok_rows[0].r_delta, ok_rows[0].result
+        sys0, row = stab.family.base, ok_rows[0]
+        sys_d, r_delta, res_d = row.system, row.r_delta, row.result
         max_norm = norm_inf(res_d.disintegration)
-        f_gap = fiber_op_gap(stab.family.base, realize(stab.family, delta), res_d.disintegration)
+        f_gap = fiber_op_gap(sys0, sys_d, res_d.disintegration)
         report.metric("fiber_op_gap", f_gap)
         report.check(
             "fiber_gap_lemma", f_gap <= r_delta * max_norm + 1e-10,
             f"gap={f_gap!r} bound={r_delta * max_norm!r}",
         )
         # B_u: largest Lipschitz constant of the invariant disintegrations
-        theta = config.system.theta
-        b_u = max(lip_constant(r.disintegration, theta) for r in (result.base_result, res_d))
-        o_gap = operator_gap(stab.family, delta, res_d.disintegration)
+        b_u = max(lip_constant(r.disintegration, sys0.theta) for r in (result.base_result, res_d))
+        o_gap = operator_gap(sys0, sys_d, res_d.disintegration)
         report.metric("operator_gap", o_gap)
         report.check(
             "operator_gap_lemma", o_gap <= (2.0 + b_u) * r_delta + 1e-8,

@@ -16,10 +16,7 @@ uniform is reduced at once to its rank among the inverse-CDF thresholds.
 ``fiber_states`` then runs the fiber recursion over the tracks and yields
 the recorded states a chunk of about ``FIBER_CELLS`` cells at a time, so a
 reader can reduce each chunk while it is in the buffer; the CLT experiment
-keeps only a running sum per trial.  ``sample_orbits`` assembles the same
-passes into two arrays, the symbol tracks and the fiber coordinates, one
-row per trial; it can start at any trial index by advancing the stream,
-and a run of blocks gives the same rows, bit for bit, as one whole batch.
+keeps only a running sum per trial, and no trials x length array is built.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ __all__ = [
     "verify_G1",
     "estimate_H",
     "c1_constant",
-    "sample_orbits",
     "orbit_stream",
     "symbol_tracks",
     "fiber_states",
@@ -211,14 +207,12 @@ def c1_constant(sys):
 FIBER_CELLS = 1 << 14
 
 
-def orbit_stream(seed, draws=0):
-    """``Generator(PCG64(seed))`` advanced past its first ``draws`` draws, for a nonnegative integer seed."""
+def orbit_stream(seed):
+    """``Generator(PCG64(seed))`` for a nonnegative integer seed: the one stream all trials of a seed read."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    gen = np.random.Generator(np.random.PCG64(seed))
-    gen.bit_generator.advance(draws)
-    return gen
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def symbol_lookup(cum):
@@ -312,41 +306,3 @@ def fiber_states(sys, tracks, burn_in, length):
         lo = max(t0 + 1, burn_in)
         if lo <= t1:
             yield lo - burn_in, buf[lo - t0 - 1: t1 - t0]
-
-
-def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
-    """Sample many independent orbits, each from its own stretch of one PCG64 stream.
-
-    Returns ``(symbols, ys)``: ``symbols`` is trials x (length + w - 1),
-    in the smallest unsigned integer type that holds the symbols, with
-    w = max(window, offset_depth), so a depth-k observable (k <= w) can be
-    evaluated at recorded step t via ``symbols[:, t:t+k]``, and ``ys`` is
-    trials x length, the fiber coordinate before each recorded step.
-
-    The batch holds trials ``start`` to ``start + trials - 1``.  With
-    total = burn_in + length + w - 1, trial t reads draws t * total ..
-    (t + 1) * total - 1 of ``Generator(PCG64(seed))``: the batch's one
-    generator jumps to its first trial with PCG64's O(log n) ``advance``
-    and then reads its trials in order.  A trial's uniforms depend only on
-    the seed and its index, so rows lo:hi of a batch from trial 0 equal
-    the batch of hi - lo trials from ``start=lo``.  The symbols come from
-    ``symbol_tracks`` and the fiber coordinates from the chunks of
-    ``fiber_states``, the two passes that ``limits.clt_experiment`` streams
-    without assembling either array.  The fiber coordinate runs ``burn_in``
-    maps from 1/2 before recording, so the recorded states are within
-    alpha^burn_in of the invariant law in the dual metric.
-    """
-    if length < 1 or trials < 1:
-        raise ValueError("length and trials must be positive")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
-    window = max(int(window), sys.offset_depth)
-    total = int(burn_in) + int(length) + window - 1
-    # consecutive stretches, not a power-of-two stride: PCG64 states 2^64
-    # draws apart share their low 64 bits, and their outputs correlate
-    gen = orbit_stream(seed, operator.index(start) * total)
-    tracks = symbol_tracks(sys.weights, gen, trials, total)
-    ys = np.empty((trials, length))
-    for s, states in fiber_states(sys, tracks, burn_in, length):
-        ys[:, s:s + len(states)] = states.T
-    return np.ascontiguousarray(tracks[burn_in:].T), ys

@@ -109,10 +109,7 @@ class AdmissibilityRow:
     density_ratio: float  # finite-depth U3 proxy
     c1: float  # A2 quantity
     base_rate: float  # A1 quantity, exact
-
-    @property
-    def r_delta(self):
-        return max(self.jacobian_gap, self.fiber_gap)
+    r_delta: float  # R(delta), ``_budget``
 
 
 @dataclass
@@ -146,6 +143,11 @@ def _fiber_gap(sys0, sys_d):
     return float(np.maximum(np.abs(db), np.abs(da + db)).max())
 
 
+def _budget(sys0, sys_d):
+    """Admissibility budget R(delta): the larger of the jacobian-weight and fiber-map gaps."""
+    return max(_jacobian_gap(sys0, sys_d), _fiber_gap(sys0, sys_d))
+
+
 def admissibility_report(fam, deltas):
     """Measured admissibility quantities on a delta grid.
 
@@ -172,6 +174,7 @@ def admissibility_report(fam, deltas):
                 density_ratio=ratio,
                 c1=c1_constant(sys_d),
                 base_rate=base_rate(sys_d.weights),
+                r_delta=_budget(fam.base, sys_d),
             )
         )
     return AdmissibilityReport(
@@ -200,10 +203,9 @@ def fiber_op_gap(sys0, sys_d, dis):
     return change_between(*pushed)
 
 
-def operator_gap(fam, delta, mu_delta):
-    """Fiberwise norm of (F0* - Fdelta*) applied to the perturbed fixed point."""
-    return change_between(transfer_apply(fam.base, mu_delta),
-                          transfer_apply(realize(fam, delta), mu_delta))
+def operator_gap(sys0, sys_d, dis):
+    """Fiberwise norm of (F0* - Fdelta*) applied to one input, the perturbed fixed point in the lemma."""
+    return change_between(transfer_apply(sys0, dis), transfer_apply(sys_d, dis))
 
 
 @dataclass
@@ -214,6 +216,7 @@ class StabilityRow:
     ratio: float
     err_bound: float
     iterations: int
+    system: SystemSpec = field(repr=False)  # the realized system at delta
     failed: bool = False
     message: str = ""
     result: FixedPointResult | None = field(default=None, repr=False)
@@ -227,10 +230,11 @@ class SweepResult:
 
 
 def realize_grid(fam, deltas):
-    """A sweep's delta grid as floats, with the system realized at each delta.
+    """A sweep's delta grid as floats, with each delta's realized system and R(delta).
 
     The grid must be nonempty, positive and strictly descending, and every
-    delta must be realizable; otherwise ValueError, before any solve.
+    delta realizable with R(delta) |log delta| > 0, the sweep's divisor;
+    otherwise ValueError, before any solve.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -239,35 +243,38 @@ def realize_grid(fam, deltas):
         raise ValueError("sweep deltas must be positive; delta = 0 is the base system")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("sweep deltas must be sorted descending")
-    return deltas, [realize(fam, delta) for delta in deltas]
+    systems = [realize(fam, delta) for delta in deltas]
+    budgets = [_budget(fam.base, sys_d) for sys_d in systems]
+    for delta, r in zip(deltas, budgets):
+        if r * abs(math.log(delta)) == 0.0:
+            raise ValueError(f"delta {delta!r} leaves the system unperturbed: R(delta) |log delta| = 0")
+    return deltas, systems, budgets
 
 
 def stability_sweep(fam, deltas, depth, tol, grid):
     """Invariant-measure variation along a descending delta grid.
 
     Each delta owns an independent fixed-point computation; rows carry the
-    measured variation Delta(delta) = ||mu_delta - mu_0||_inf, the measured
+    realized system, the measured variation Delta(delta) = ||mu_delta - mu_0||_inf,
     R(delta), the ratio Delta / (R |log delta|), and the sum of the two
     fixed-point certificates.  A converged row keeps its fixed point for
     later checks; a failed fixed point flags its row and the sweep continues.
-    The grid is checked by ``realize_grid`` before the first solve, so a
-    delta outside the family's range fails at once.
+    The grid is checked by ``realize_grid`` before the first solve.
     """
-    deltas, systems = realize_grid(fam, deltas)
+    deltas, systems, budgets = realize_grid(fam, deltas)
     base_res = fixed_point(fam.base, depth=depth, tol=tol, grid=grid)
     rows = []
-    for delta, sys_d in zip(deltas, systems):
-        r_delta = max(_jacobian_gap(fam.base, sys_d), _fiber_gap(fam.base, sys_d))
+    for delta, sys_d, r_delta in zip(deltas, systems, budgets):
         try:
             res = fixed_point(sys_d, depth=depth, tol=tol, grid=grid)
         except (ConvergenceError, ValueError) as exc:
-            rows.append(StabilityRow(delta, r_delta, math.nan, math.nan, math.nan, 0,
+            rows.append(StabilityRow(delta, r_delta, math.nan, math.nan, math.nan, 0, sys_d,
                                      failed=True, message=str(exc)))
             continue
         variation = change_between(res.disintegration, base_res.disintegration)
         ratio = variation / (r_delta * abs(math.log(delta)))
         err = res.certified_error + base_res.certified_error
-        rows.append(StabilityRow(delta, r_delta, variation, ratio, err, res.iterations,
+        rows.append(StabilityRow(delta, r_delta, variation, ratio, err, res.iterations, sys_d,
                                  result=res))
     good = [row.ratio for row in rows if not row.failed]
     bound = max(good) if good else math.nan

@@ -197,6 +197,16 @@ class Disintegration:
 # ---------------------------------------------------------------------------
 
 
+def _pair_norms(d1, f1, d2, f2):
+    """Dual norm of fiber f1[k] of d1 minus fiber f2[k] of d2 for each k, one ``row_norms`` table.
+
+    Row k holds d1's atoms, then d2's negated: a shared position sums as in ``wk_distance``.
+    """
+    (rows1, take1), (rows2, take2) = _gather(d1.starts, f1), _gather(d2.starts, f2)
+    rows, pos = np.concatenate([rows1, rows2]), np.concatenate([d1.pos[take1], d2.pos[take2]])
+    return row_norms(rows, pos, np.concatenate([d1.w[take1], -d2.w[take2]]), f1.size)
+
+
 def norm_inf(dis):
     """Largest fiberwise dual norm over the working words."""
     return float(row_norms(dis.row, dis.pos, dis.w, dis.n_fibers).max())
@@ -219,16 +229,13 @@ def lip_constant(dis, theta):
     words, so the value is exact for this representation and an upper bound
     for the infimum over all equivalent disintegrations.  It is one
     ``symbolic.pair_lipschitz`` pass whose classes are the distinct fibers.
-    Fiber a's gaps are one ``row_norms`` table, row j fiber a minus fiber a+1+j.
+    Fiber a's gaps are one ``_pair_norms`` table, fiber a against each later fiber.
     """
-    s, n = dis.starts, dis.n_fibers
+    n = dis.n_fibers
     gap = np.zeros((n, n))
     for a in range(n - 1):
-        k, lo, hi = n - 1 - a, s[a], s[a + 1]
-        rows = np.concatenate([np.repeat(np.arange(k), hi - lo), dis.row[hi:] - (a + 1)])
-        pos = np.concatenate([np.tile(dis.pos[lo:hi], k), dis.pos[hi:]])
-        w = np.concatenate([np.tile(dis.w[lo:hi], k), -dis.w[hi:]])
-        gap[a, a + 1 :] = row_norms(rows, pos, w, k)
+        later = np.arange(a + 1, n)
+        gap[a, a + 1 :] = _pair_norms(dis, np.full(later.size, a), dis, later)
     return pair_lipschitz(dis.matrix, dis.depth, theta, dis.word_fiber, gap)
 
 
@@ -297,12 +304,8 @@ def change_between(d1, d2):
     if d1.depth != d2.depth or d1.matrix != d2.matrix:
         raise ValueError("disintegrations differ in depth or transition matrix")
     pairs = np.array(sorted(set((d1.word_fiber * d2.n_fibers + d2.word_fiber).tolist())))
-    (rows1, take1), (rows2, take2) = (
-        _gather(d.starts, f) for d, f in zip((d1, d2), np.divmod(pairs, d2.n_fibers))
-    )
-    # d1's atoms, then d2's negated: a shared position sums as in wk_distance
-    rows, pos = np.concatenate([rows1, rows2]), np.concatenate([d1.pos[take1], d2.pos[take2]])
-    return float(row_norms(rows, pos, np.concatenate([d1.w[take1], -d2.w[take2]]), pairs.size).max())
+    f1, f2 = np.divmod(pairs, d2.n_fibers)
+    return float(_pair_norms(d1, f1, d2, f2).max())
 
 
 # ---------------------------------------------------------------------------

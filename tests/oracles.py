@@ -12,11 +12,13 @@ package.
 """
 
 import math
+import operator
 
 import numpy as np
 
 from skewfiber.limits import fiber_average, integrate_observable
 from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms, row_norms
+from skewfiber.skew import fiber_states, orbit_stream, symbol_tracks
 from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, window_codes, word_distances
 from skewfiber.transfer import Disintegration
 
@@ -332,6 +334,46 @@ def correlation_curve_per_word(sys, mu0, now, later, nmax, grid):
 # ---------------------------------------------------------------------------
 # orbit sampling with one Generator per trial
 # ---------------------------------------------------------------------------
+
+
+def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
+    """Sample many independent orbits, each from its own stretch of one PCG64 stream.
+
+    Returns ``(symbols, ys)``: ``symbols`` is trials x (length + w - 1),
+    in the smallest unsigned integer type that holds the symbols, with
+    w = max(window, offset_depth), so a depth-k observable (k <= w) can be
+    evaluated at recorded step t via ``symbols[:, t:t+k]``, and ``ys`` is
+    trials x length, the fiber coordinate before each recorded step.
+
+    The batch holds trials ``start`` to ``start + trials - 1``.  With
+    total = burn_in + length + w - 1, trial t reads draws t * total ..
+    (t + 1) * total - 1 of ``Generator(PCG64(seed))``: the batch's one
+    generator jumps to its first trial with PCG64's O(log n) ``advance``
+    and then reads its trials in order.  A trial's uniforms depend only on
+    the seed and its index, so rows lo:hi of a batch from trial 0 equal
+    the batch of hi - lo trials from ``start=lo``.  The symbols come from
+    ``skew.symbol_tracks`` and the fiber coordinates from the chunks of
+    ``skew.fiber_states``, the two passes that ``limits.clt_experiment``
+    streams without assembling either array: this is the tests' assembler
+    of those passes, not an independent reference.  The fiber coordinate
+    runs ``burn_in`` maps from 1/2 before recording, so the recorded states
+    are within alpha^burn_in of the invariant law in the dual metric.
+    """
+    if length < 1 or trials < 1:
+        raise ValueError("length and trials must be positive")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    window = max(int(window), sys.offset_depth)
+    total = int(burn_in) + int(length) + window - 1
+    gen = orbit_stream(seed)
+    # consecutive stretches, not a power-of-two stride: PCG64 states 2^64
+    # draws apart share their low 64 bits, and their outputs correlate
+    gen.bit_generator.advance(operator.index(start) * total)
+    tracks = symbol_tracks(sys.weights, gen, trials, total)
+    ys = np.empty((trials, length))
+    for s, states in fiber_states(sys, tracks, burn_in, length):
+        ys[:, s:s + len(states)] = states.T
+    return np.ascontiguousarray(tracks[burn_in:].T), ys
 
 
 def sample_orbits_per_trial(sys, seed, length, trials, burn_in=40, window=1, start=0):

@@ -209,7 +209,7 @@ def test_criterion_08_operator_gaps():
         r_delta = rep.r_of(delta)
         max_norm = max(wk_distance(mu) for mu in res_d.disintegration.fibers.values())
         f_gap = fiber_op_gap(CANTOR, sys_d, res_d.disintegration)
-        o_gap = operator_gap(fam, delta, res_d.disintegration)
+        o_gap = operator_gap(CANTOR, sys_d, res_d.disintegration)
         assert f_gap <= r_delta * max_norm + 1e-10
         assert o_gap <= (2.0 + b_u) * r_delta + 1e-8
         details.append(f"delta={delta}: fiber {f_gap:.3g} <= {r_delta * max_norm:.3g}, "

@@ -18,6 +18,13 @@ from skewfiber.limits import InconsistencyError
 
 BUNDLED = resources.files("skewfiber") / "data" / "cantor_demo.json"
 BUNDLED_COUPLED = resources.files("skewfiber") / "data" / "coupled_demo.json"
+CANTOR_SMALL = Path(__file__).parents[1] / "bench" / "configs" / "cantor_small.json"
+# weight-family stability blocks for the cantor_small system
+WEIGHT_FAMILIES = {
+    "combined": {"kind": "combined", "fiber_direction": [0, -1], "weight_direction": [1, -1],
+                 "depth": 2, "grid": 4096, "tol": 1e-7},
+    "base_weights": {"kind": "base_weights", "weight_direction": [1, -1], "depth": 2, "grid": 4096, "tol": 1e-7},
+}
 
 
 def small_config(**overrides):
@@ -383,7 +390,7 @@ class TestExitCodes:
     def test_verify_runs_every_check_at_a_deep_offset(self, config_path, tmp_path):
         # its random tables and product disintegration sit at depth 3 unless the
         # offset depth, which transfer_apply reads, asks for more
-        cfg = json.loads((Path(__file__).parents[1] / "bench" / "configs" / "cantor_small.json").read_text())
+        cfg = json.loads(CANTOR_SMALL.read_text())
         checks = []
         for offset_depth in (1, 4):
             cfg["system"]["offset_depth"] = offset_depth
@@ -406,6 +413,23 @@ class TestExitCodes:
         cfg["stability"]["deltas"] = [0.0]
         code = main(["stability", "--config", config_path(cfg), "--out", str(tmp_path / "s")])
         assert code == 2
+
+    @pytest.mark.parametrize("family", ["fiber_shift", "base_weights"])
+    def test_zero_direction_is_rejected_before_any_solve(self, family, config_path, tmp_path, capsys, monkeypatch):
+        # R(delta) = 0 at every delta: the sweep's ratio would divide by zero
+        cfg = json.loads(CANTOR_SMALL.read_text())
+        if family == "fiber_shift":
+            cfg["stability"]["fiber_direction"] = [0.0, 0.0]
+        else:
+            cfg["stability"] = dict(WEIGHT_FAMILIES["base_weights"], weight_direction=[0.0, 0.0])
+        solves = []
+        monkeypatch.setattr(skewfiber.stability, "fixed_point", lambda *args, **kwargs: solves.append(args))
+        out = tmp_path / "s"
+        assert main(["stability", "--config", config_path(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: /stability/deltas: delta 0.1 " in err
+        assert "Traceback" not in err
+        assert solves == [] and not out.exists()
 
     def test_clt_insufficient_trials_rejected(self, config_path, tmp_path):
         cfg = small_config()
@@ -576,6 +600,23 @@ class TestArtifacts:
             for line in (out / name).read_text().splitlines()[1:]:
                 for cell in line.split(","):
                     float(cell)
+
+    @pytest.mark.parametrize("family", list(WEIGHT_FAMILIES))
+    def test_stability_on_weight_families(self, family, config_path, tmp_path):
+        cfg = json.loads(CANTOR_SMALL.read_text())
+        cfg["stability"] = WEIGHT_FAMILIES[family]
+        path = config_path(cfg)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["stability", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        assert {"fiber_gap_lemma", "operator_gap_lemma"} <= {v["name"] for v in summary["verdicts"]}
+        assert all(v["passed"] for v in summary["verdicts"])
+        # the gaps read the sweep's realized system: weights move in both families, offsets only in combined
+        assert summary["metrics"]["operator_gap"] > 0.0
+        assert (summary["metrics"]["fiber_op_gap"] > 0.0) == (family == "combined")
+        for name in ("summary.json", "stability.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_stability_solves_each_fixed_point_once(self, config_path, tmp_path, monkeypatch):
         cfg = small_config()

@@ -14,6 +14,7 @@ from oracles import (
     fiber_average_margin,
     integrate,
     observable_sums,
+    sample_orbits,
 )
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import (
@@ -133,8 +134,6 @@ class TestEvaluator:
                 assert level0 == pytest.approx(math.sqrt(np.dot(masses, s**2)), rel=1e-12, abs=1e-14)
 
     def test_each_cell_is_evaluated_once(self):
-        from skewfiber.skew import sample_orbits
-
         cells = []
 
         def counted(h):
@@ -391,8 +390,6 @@ class TestAsymptoticVariance:
 
 class TestCLT:
     def test_observable_sums_match_scalar_evaluation(self):
-        from skewfiber.skew import sample_orbits
-
         phi = height_obs(COUPLED)
         symbols, ys = sample_orbits(COUPLED, seed=8, length=40, trials=3, burn_in=5, window=2)
         sums = observable_sums(phi, symbols, ys)
@@ -401,8 +398,6 @@ class TestCLT:
             assert total == pytest.approx(direct, abs=1e-10)
 
     def test_shared_component_is_evaluated_once(self):
-        from skewfiber.skew import sample_orbits
-
         calls = []
         h = PiecewiseLinearFn.identity()
 
@@ -419,8 +414,6 @@ class TestCLT:
     def test_deep_window_codes_do_not_overflow(self):
         # depth-6 windows over 3 symbols have codes up to 728, beyond the
         # one-byte symbol dtype, and every word gets its own component
-        from skewfiber.skew import sample_orbits
-
         rng = np.random.default_rng(12)
         comps = {
             w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2))
@@ -449,7 +442,7 @@ class TestCLT:
         variance = asymptotic_variance(CANTOR, mu0, phi, truncation=30)
         res = clt_experiment(CANTOR, mu0, phi, length=300, trials=400, seed=0, variance=variance)
         assert res.passed
-        assert res.sigma == pytest.approx(0.5, abs=0.01)
+        assert variance.sigma == pytest.approx(0.5, abs=0.01)
 
     @pytest.mark.parametrize("sys_name", ["cantor", "markov3"])
     def test_ks_statistic_does_not_depend_on_the_block(self, sys_name, monkeypatch, mu0, mu0_markov3):
@@ -473,7 +466,6 @@ class TestCLT:
     @pytest.mark.parametrize("fiber_cells", [1, 40, 1 << 20])
     def test_streamed_sums_equal_the_step_order_oracle(self, name, fiber_cells, monkeypatch):
         from skewfiber import limits, skew
-        from skewfiber.skew import sample_orbits
 
         sys = {"cantor": CANTOR, "coupled": COUPLED, "markov3_depth6": MARKOV3}[name]
         phi = height_obs(sys)

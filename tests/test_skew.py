@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3
-from oracles import sample_orbits_per_trial
+from oracles import sample_orbits, sample_orbits_per_trial
 from skewfiber import skew
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.skew import (
@@ -12,7 +12,6 @@ from skewfiber.skew import (
     SystemSpec,
     c1_constant,
     estimate_H,
-    sample_orbits,
     verify_G1,
 )
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, word_distances

@@ -136,7 +136,7 @@ class TestOperatorGaps:
     def test_zero_delta_gap_is_zero(self):
         mu = fixed_point(CANTOR, depth=2, tol=1e-6, grid=512).disintegration
         assert fiber_op_gap(CANTOR, CANTOR, mu) == 0.0
-        assert operator_gap(shift_family(), 0.0, mu) == 0.0
+        assert operator_gap(CANTOR, realize(shift_family(), 0.0), mu) == 0.0
 
     def test_dirac_fibers_feel_the_exact_shift(self):
         dis = Disintegration.product(CANTOR.matrix, 2, AtomicMeasure.dirac(0.25))
@@ -174,7 +174,7 @@ class TestOperatorGaps:
         res = fixed_point(realize(fam, delta), depth=2, tol=1e-6, grid=512)
         base = fixed_point(CANTOR, depth=2, tol=1e-6, grid=512)
         b_u = max(lip_constant(r.disintegration, CANTOR.theta) for r in (base, res))
-        gap = operator_gap(fam, delta, res.disintegration)
+        gap = operator_gap(CANTOR, realize(fam, delta), res.disintegration)
         assert 0.0 <= gap <= (2.0 + b_u) * delta + 1e-8
 
     def test_bu_bounded_by_uniform_regularity(self):

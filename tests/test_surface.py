@@ -27,3 +27,14 @@ def test_package_surface():
                 exported = importlib.import_module(f"skewfiber.{node.module}").__all__
                 for alias in node.names:
                     assert alias.name in exported, f"{path.name} imports {node.module}.{alias.name}"
+
+
+def test_readme_library_example_runs(capsys):
+    # the documented API: the python block under README's "Library example" heading
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # each print line of the block shows, and the CLT line ends with the verdict
+    assert len(lines) == block.count("print(") and lines[-1].endswith("True")
