@@ -469,11 +469,13 @@ class Report:
 
 
 def _note_fixed_point(config, res, label="fixed point"):
-    """With ``--verbose``, one stderr line on how many words share how many fibers."""
+    """With ``--verbose``, one stderr line on how many words share how many fibers, and the certificate's parts."""
     if config.verbose:
         dis = res.disintegration
+        contraction, quantization = res.certificate_parts
         print(f"{label}: {len(dis.words())} words, {dis.n_fibers} distinct fibers, {dis.w.size} atoms, "
-              f"{res.iterations} iterations", file=sys.stderr)
+              f"{res.iterations} iterations; certificate {res.certified_error!r} = contraction {contraction!r}"
+              f" + quantization {quantization!r}", file=sys.stderr)
 
 
 def _compute_fixed_point(config):

@@ -217,8 +217,10 @@ def correlation_curve(sys, mu0, now, later, nmax, grid=DEFAULT_GRID):
 
     The centered ``now`` observable reweighs mu0; each lag is one transfer
     step (quantized on ``grid`` when given, with the error tracked into
-    ``err_bounds``).  The fit is a log-linear envelope over the lags whose
-    magnitude exceeds the numerical floor.
+    ``err_bounds``: the transfer step contracts the tracked error by alpha,
+    and each snap adds the mass it moved, measured and rounded up by
+    ``quantize_disintegration``).  The fit is a log-linear envelope over the
+    lags whose magnitude exceeds the numerical floor.
     """
     m_now = integrate_observable(sys, mu0, now)
     m_later = integrate_observable(sys, mu0, later)
@@ -306,7 +308,8 @@ def asymptotic_variance(sys, mu0, phi, truncation, grid=DEFAULT_GRID):
 
     sigma^2 = var(phi) + 2 sum_{j<=J} cov(phi, phi o F^j); the tail bound is
     the fitted envelope summed beyond the truncation, and the numeric error
-    accumulates the certified quantization errors of the covariances.  A
+    accumulates the certified quantization errors of the covariances, in
+    which each snap counts the mass it moved (``quantize_disintegration``).  A
     value within the combined bound of zero is flagged as a possible
     coboundary; below minus the bound is an inconsistency and raises.
     """

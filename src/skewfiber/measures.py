@@ -20,6 +20,7 @@ mass, as an independent cross-check.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -32,11 +33,33 @@ __all__ = [
     "row_norms",
     "wk_distance_primal",
     "merge_atoms",
+    "round_up",
+    "UNIT_ROUNDOFF",
 ]
 
 _POSITION_TOL = 1e-12
 # |net total| up to this share of the total variation takes the balanced closed form
 _BALANCE_RTOL = 1e-12
+# unit roundoff of float64, round to nearest
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def round_up(value, roundings):
+    """Upper estimate of the exact value of a nonnegative float computed in ``roundings`` roundings.
+
+    Each rounding is a factor 1 + d with |d| <= u, so with gamma_k =
+    k u / (1 - k u) the computed value is at least (1 - gamma_k) times the
+    exact one, and 1 / (1 - gamma_k) <= 1 + gamma_{k+1} (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 2002, sections 3.1 and
+    4.2).  The value is inflated by gamma_{k+1}, itself rounded up, and
+    stepped one float toward +inf for the rounding of that sum.  Zero stays
+    0.0.
+    """
+    if value == 0.0:
+        return 0.0
+    ku = (roundings + 1) * UNIT_ROUNDOFF
+    gamma = math.nextafter(ku / (1.0 - ku), math.inf)
+    return math.nextafter(value + value * gamma, math.inf)
 
 
 def merge_atoms(rows, positions, weights):

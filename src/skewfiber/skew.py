@@ -257,11 +257,11 @@ def symbol_tracks(weights, gen, trials, total):
     thresholds, table = symbol_lookup(cum)
     tracks = np.empty((total, trials), dtype=np.min_scalar_type(n - 1))
     iid = (table == table[0]).all()
-    if iid:
-        # counted with repeats, the start law's entries at or below u give the symbol itself
-        edges, ranks = cum[-1], tracks
-    else:
-        edges, ranks = thresholds, np.empty((total, trials), dtype=np.min_scalar_type(thresholds.size))
+    # counted with repeats, the start law's entries at or below u give an i.i.d. symbol itself
+    edges = cum[-1] if iid else thresholds
+    rank_type = np.min_scalar_type(edges.size)
+    # the loop over time reads row t's ranks before it writes row t's symbols, so one type shares the block
+    ranks = tracks if rank_type == tracks.dtype else np.empty((total, trials), dtype=rank_type)
     group = max(1, FIBER_CELLS // total)
     for lo in range(0, trials, group):
         u = gen.random((min(group, trials - lo), total))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measures import round_up
 from .skew import FiberMapSpec, SystemSpec, c1_constant
 from .symbolic import BaseWeights, base_rate, cylinder_mass_vector
 from .transfer import (
@@ -144,8 +145,14 @@ def _fiber_gap(sys0, sys_d):
 
 
 def _budget(sys0, sys_d):
-    """Admissibility budget R(delta): the larger of the jacobian-weight and fiber-map gaps."""
-    return max(_jacobian_gap(sys0, sys_d), _fiber_gap(sys0, sys_d))
+    """Admissibility budget R(delta): the larger of the jacobian-weight and fiber-map gaps, rounded up.
+
+    A jacobian gap is a sum of n differences, n roundings, and a fiber gap
+    takes three, so R(delta) is an upper estimate of the exact gap between
+    the two systems' float jacobians and branches; zero stays 0.0.
+    """
+    gap = max(_jacobian_gap(sys0, sys_d), _fiber_gap(sys0, sys_d))
+    return round_up(gap, max(sys0.n_symbols, 3))
 
 
 def admissibility_report(fam, deltas):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import exp_fit
-from .measures import AtomicMeasure, merge_atoms, row_norms
+from .measures import UNIT_ROUNDOFF, AtomicMeasure, merge_atoms, round_up, row_norms
 from .skew import c1_constant
 from .symbolic import CylinderFunction, cylinder_mass_vector, pair_lipschitz
 
@@ -282,17 +282,39 @@ def transfer_apply(sys, dis):
 
 
 def quantize_disintegration(dis, grid):
-    """Snap every atom to the nearest of grid+1 uniform points; returns (snapped, bound).
+    """Snap every atom to the nearest of grid+1 uniform points; returns (snapped, step).
 
-    The bound is the largest fiber's sum |w| / (2*grid), certified for the
-    fiberwise wk distance moved: every atom travels at most half a grid cell
-    and test functions are 1-Lipschitz.
+    ``step`` bounds the largest fiberwise wk distance moved, from the move
+    itself and not its worst case sum |w| / (2 grid): a fiber's atoms cost
+    sum_i |w_i| |x^_i - x_i|, which bounds the move for signed fibers too,
+    since test functions are 1-Lipschitz and each atom keeps its weight.
+    Atoms of one fiber that land on one grid point are summed into one
+    weight in turn, and k of them round by at most 2 (k - 1) u sum |w|, so
+    each is charged 2 (k - 1) u |w| more.  Each atom's term takes three
+    roundings and a fiber's sum at most n - 1 more, n the largest fiber's
+    atom count, so the largest cost, plus n 2^-1074 for products that
+    underflow, is rounded up over n + 2 roundings (``round_up``).  A table
+    that does not move gives 0.0.
     """
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    step = float(np.bincount(dis.row, np.abs(dis.w), 1).max()) / (2.0 * grid)
-    pos = np.round(dis.pos * grid) / grid
+    # in place: each table-sized temporary of a large signed lag table costs page faults
+    pos = dis.pos * grid
+    np.round(pos, out=pos)
+    pos /= grid
+    cost = pos - dis.pos
+    np.abs(cost, out=cost)
+    step = 0.0
+    if cost.any():
+        # snapping keeps each fiber's atoms in order, so the atoms of one grid point are one run
+        last = np.flatnonzero((pos[1:] != pos[:-1]) | (dis.row[1:] != dis.row[:-1]))
+        run = np.diff(last, prepend=-1, append=pos.size - 1)
+        cost += np.repeat((2.0 * UNIT_ROUNDOFF) * (run - 1), run)
+        # |(d + c) w| rounds as (d + c) |w|
+        cost *= dis.w
+        n = int(np.diff(dis.starts).max())
+        step = round_up(float(np.bincount(dis.row, np.abs(cost, out=cost), 1).max()) + n * 2.0**-1074, n + 2)
     return dis._with_atoms(pos, dis.w, dis.err_bound + step), step
 
 
@@ -319,10 +341,17 @@ class FixedPointResult:
     certified_error: float
     iterations: int
     last_change: float
+    q_step: float  # the last iteration's quantization step q
+    alpha: float  # the fiber rate the certificate contracts by
 
     @property
     def depth(self):
         return self.disintegration.depth
+
+    @property
+    def certificate_parts(self):
+        """``certified_error``'s contraction part alpha Delta / (1 - alpha) and quantization part q / (1 - alpha)."""
+        return self.alpha * self.last_change / (1.0 - self.alpha), self.q_step / (1.0 - self.alpha)
 
 
 def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
@@ -336,8 +365,12 @@ def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
 
         distance to the invariant measure <= (alpha Delta + q) / (1 - alpha),
 
-    q being the per-step quantization bound.  The second initialization used
-    in the test-suite uniqueness probe is a uniform measure on the grid.
+    q being the last iteration's quantization step: the move that snap made,
+    measured atom by atom and rounded up (``quantize_disintegration``), not
+    its worst case.  The result keeps q and alpha, and
+    ``certificate_parts`` splits the certificate into its contraction and
+    quantization parts.  The second initialization used in the test-suite
+    uniqueness probe is a uniform measure on the grid.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -360,7 +393,7 @@ def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
             # downstream error propagation measures against the true invariant
             # measure, so the disintegration carries the full certificate
             mu.err_bound = certified
-            return FixedPointResult(mu, certified, iteration, delta)
+            return FixedPointResult(mu, certified, iteration, delta, q_step, alpha)
     raise ConvergenceError(
         f"no fixed point within {max_iter} iterations (last change {delta:.3g})"
     )

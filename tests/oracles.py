@@ -17,7 +17,7 @@ import operator
 import numpy as np
 
 from skewfiber.limits import fiber_average, integrate_observable
-from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms, row_norms
+from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms, round_up, row_norms
 from skewfiber.skew import fiber_states, orbit_stream, symbol_tracks
 from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, window_codes, word_distances
 from skewfiber.transfer import Disintegration
@@ -259,10 +259,19 @@ def transfer_apply_per_word(sys, dis):
 
 
 def quantize_per_word(dis, grid):
-    """``quantize_disintegration`` on the word table; returns (snapped, bound)."""
-    row, pos, w, _ = word_table(dis)
-    step = float(np.bincount(row, np.abs(w), 1).max()) / (2.0 * grid)
+    """``quantize_disintegration`` on the word table, one word's cost at a time; returns (snapped, step)."""
+    row, pos, w, starts = word_table(dis)
     snapped = np.round(pos * grid) / grid
+    costs = [0.0]
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        # each atom's move, and its share of the rounding where k atoms sum at one grid point
+        _, meet, k = np.unique(snapped[lo:hi], return_inverse=True, return_counts=True)
+        cost = 0.0
+        for term in np.abs(w[lo:hi]) * (np.abs(snapped[lo:hi] - pos[lo:hi]) + 2.0**-52 * (k[meet] - 1)):
+            cost += term
+        costs.append(cost)
+    n = int(np.diff(starts).max())
+    step = round_up(max(costs) + n * 2.0**-1074, n + 2) if (snapped != pos).any() else 0.0
     return Disintegration(dis.matrix, dis.depth, row, snapped, w, dis.err_bound + step), step
 
 

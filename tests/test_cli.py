@@ -57,6 +57,15 @@ def small_config(**overrides):
     return cfg
 
 
+def parse_certificate(text):
+    """(total, contraction, quantization) from a ``--verbose`` fixed-point line's certificate part."""
+    head, parts = text.split(" = ")
+    contraction, quantization = parts.split(" + ")
+    assert head.startswith("certificate ") and contraction.startswith("contraction ")
+    assert quantization.startswith("quantization ")
+    return tuple(float(part.split()[1]) for part in (head, contraction, quantization))
+
+
 @pytest.fixture
 def config_path(tmp_path):
     def write(cfg):
@@ -502,10 +511,14 @@ class TestArtifacts:
         capsys.readouterr()
         assert main(["fixed-point", "--config", path, "--out", str(out_b), "--verbose"]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert [line.rsplit(" ", 1)[0] for line in err] == [
-            "fixed point: 8 words, 1 distinct fibers, 64 atoms, 10", "config parsed in", "fixed-point finished in"
-        ]
+        sharing, certificate = err[0].split("; ")
+        assert sharing == "fixed point: 8 words, 1 distinct fibers, 64 atoms, 10 iterations"
+        assert [line.rsplit(" ", 1)[0] for line in err[1:]] == ["config parsed in", "fixed-point finished in"]
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+        # the certificate (alpha Delta + q) / (1 - alpha) as its contraction and quantization parts
+        total, contraction, quantization = parse_certificate(certificate)
+        assert total == json.loads((out_a / "summary.json").read_text())["metrics"]["certified_error"]
+        assert 0.0 < contraction < quantization and total == pytest.approx(contraction + quantization, rel=1e-15)
 
     def test_verbose_clt_names_blocks_and_times(self, config_path, tmp_path, capsys, monkeypatch):
         from skewfiber import limits
@@ -549,9 +562,13 @@ class TestArtifacts:
         lines = loud_out.err.splitlines()[:-2]
         assert len(lines) == solves
         for line in lines:
+            sharing, certificate = line.split(": ", 1)[1].split("; ")
             # eight depth-3 words; with offset depth 2 a fiber depends on the first symbol
-            words, fibers, atoms, iterations = (int(part.split()[0]) for part in line.split(": ")[1].split(", "))
+            words, fibers, atoms, iterations = (int(part.split()[0]) for part in sharing.split(", "))
             assert (words, fibers) == (8, 2) and atoms > 0 and iterations > 0
+            total, contraction, quantization = parse_certificate(certificate)
+            assert min(contraction, quantization) > 0.0
+            assert total == pytest.approx(contraction + quantization, rel=1e-15)
 
     def test_oversized_depth_names_count_and_cap(self, config_path, tmp_path, capsys):
         for depth, size in ((13, "8192"), (10**9, "at least 33554432")):

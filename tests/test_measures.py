@@ -14,7 +14,7 @@ from skewfiber.measures import (
     row_norms,
     wk_distance,
 )
-from skewfiber.transfer import quantize_disintegration
+from skewfiber.transfer import change_between, quantize_disintegration
 
 
 def random_measure(rng, n_atoms, signed=True, lo=-2.0, hi=2.0):
@@ -200,12 +200,20 @@ class TestQuantize:
         mu = AtomicMeasure([0.0, 0.25, 0.5], [1.0, -1.0, 2.0])
         out, bound = quantize_disintegration(one_row(mu), 4)
         assert out.pos.tolist() == [0.0, 0.25, 0.5]
-        assert bound == pytest.approx(4.0 / 8.0)
+        assert bound == 0.0
 
     def test_nearest_point_rounding(self):
         out, bound = quantize_disintegration(one_row(AtomicMeasure.dirac(0.26)), 2)
         assert out.pos.tolist() == [0.5]
-        assert bound == pytest.approx(0.25)
+        # the exact move 0.5 - 0.26, rounded up
+        assert 0.5 - 0.26 < bound <= (0.5 - 0.26) * (1 + 1e-15)
+
+    def test_rounding_of_summed_weights_is_charged(self):
+        # 1 + 2^-60 rounds to 1: the sum loses the small atom's mass, far more than its one-ulp move costs
+        mu = AtomicMeasure([0.5, np.nextafter(0.5, 1.0)], [1.0, 2.0**-60])
+        out, bound = quantize_disintegration(one_row(mu), 2)
+        assert out.w.tolist() == [1.0]
+        assert 2.0**-60 <= change_between(one_row(mu), out) <= bound
 
     def test_measured_error_within_bound(self):
         rng = np.random.default_rng(21)

@@ -24,7 +24,13 @@ from skewfiber.measures import (  # noqa: E402
 from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
 from skewfiber.skew import FiberMapSpec, SystemSpec, symbol_lookup, symbol_ranks  # noqa: E402
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, pair_lipschitz, word_distances  # noqa: E402
-from skewfiber.transfer import change_between, fixed_point, quantize_disintegration, transfer_apply  # noqa: E402
+from skewfiber.transfer import (  # noqa: E402
+    Disintegration,
+    change_between,
+    fixed_point,
+    quantize_disintegration,
+    transfer_apply,
+)
 
 FAST = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 BRACKET = settings(max_examples=90, deadline=None, derandomize=True, database=None)
@@ -212,6 +218,45 @@ class TestWkProperties:
     def test_quantize_certificate(self, mu, grid):
         snapped, bound = quantize_disintegration(one_row(mu), grid)
         assert wk_distance(mu, snapped.fibers[(0,)]) <= bound + 1e-14
+
+
+@st.composite
+def snap_tables(draw):
+    """(table, grid): 1-4 fibers of 1-300 atoms at grid points, half-cells +-1 ulp, 0 and 1.
+
+    Weights are signed or positive, tiny ones included, so atoms that meet at
+    one grid point sum to rounded weights.
+    """
+    grid = draw(st.integers(2, 4096))
+    n_fibers = draw(st.integers(1, 4))
+    signed = draw(st.booleans())
+    weight = st.floats(-2.0, 2.0) if signed else st.floats(0.0, 2.0)
+    spot = st.tuples(st.sampled_from(["point", "below", "above", "end"]), st.integers(0, grid - 1))
+    rows, pos, w = [], [], []
+    for r in range(n_fibers):
+        atoms = draw(st.lists(st.tuples(spot, weight), min_size=1, max_size=300))
+        for (kind, k), x in atoms:
+            half = (k + 0.5) / grid
+            rows.append(r)
+            pos.append({"point": k / grid, "below": np.nextafter(half, 0.0), "above": np.nextafter(half, 1.0),
+                        "end": float(k % 2)}[kind])
+            w.append(x)
+    matrix = TransitionMatrix(np.ones((n_fibers, n_fibers), dtype=int))
+    return Disintegration(matrix, 1, rows, pos, w), grid
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(snap_tables())
+def test_quantize_step_bounds_the_move(table):
+    dis, grid = table
+    snapped, step = quantize_disintegration(dis, grid)
+    assert change_between(dis, snapped) <= step
+    # at most the worst case of half a cell per atom, plus the charge for weights summed at one grid point
+    mass = np.bincount(dis.row, np.abs(dis.w), dis.n_fibers).max()
+    assert step <= mass * (0.5 / grid + 2.0**-52 * np.diff(dis.starts).max()) * (1 + 1e-12)
+    # an on-grid table does not move
+    again, zero = quantize_disintegration(snapped, grid)
+    assert zero == 0.0 and np.array_equal(again.pos, snapped.pos) and np.array_equal(again.w, snapped.w)
 
 
 @pytest.mark.parametrize("a,b", [(0, 5), (5, 9), (0, 15)])

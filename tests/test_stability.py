@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -130,6 +131,30 @@ class TestAdmissibility:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             admissibility_report(shift_family(), [])
+
+    @pytest.mark.parametrize("fam", [
+        shift_family(),
+        weight_family(),
+        PerturbationFamily(CANTOR, "combined", fiber_direction=[0.0, -1.0], weight_direction=[1.0, -1.0]),
+        PerturbationFamily(markov_demo(), "fiber_shift", fiber_direction=[0.3, -1.0]),
+    ], ids=["fiber_shift", "base_weights", "combined", "markov_fiber_shift"])
+    def test_budget_is_an_upper_estimate_of_the_exact_gap(self, fam):
+        deltas = [0.1, 0.0123, 0.01, 1e-3, 1e-4, 1e-7]
+        for delta, row in zip(deltas, admissibility_report(fam, deltas).rows):
+            exact = exact_budget(fam.base, realize(fam, delta))
+            assert exact <= Fraction(row.r_delta) <= exact * (1 + Fraction(1, 10**14))
+
+
+def exact_budget(sys0, sys_d):
+    """R(delta) in exact arithmetic over the two systems' float jacobians and branches."""
+    n = sys0.n_symbols
+    j0, jd = ([[Fraction(x) for x in row] for row in s.weights.jacobian.tolist()] for s in (sys0, sys_d))
+    jacobian_gap = max(sum(abs(jd[i][j] - j0[i][j]) for i in range(n)) for j in range(n))
+    (a0, b0), (ad, bd) = ([list(map(Fraction, v.tolist())) for v in s.word_branches(sys0.offset_depth)]
+                          for s in (sys0, sys_d))
+    # an affine gap in y peaks at y = 0 or y = 1
+    fiber_gap = max(max(abs(b - d), abs(a - c + b - d)) for a, b, c, d in zip(a0, b0, ad, bd))
+    return max(jacobian_gap, fiber_gap)
 
 
 class TestOperatorGaps:
