@@ -53,6 +53,7 @@ from .stability import (
     fiber_op_gap,
     operator_gap,
     realize,
+    realize_grid,
     stability_sweep,
 )
 from .limits import (

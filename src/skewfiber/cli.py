@@ -101,7 +101,8 @@ _OBS_KEYS = {"fiber": {"type", "breakpoints", "values"}, "base_only": {"type", "
 # loops and pair_lipschitz's |class| x n distance blocks (at most n^2/4 floats)
 MAX_WORDS = 4096
 
-StabilityConfig = namedtuple("StabilityConfig", "family deltas depth grid tol")
+# ``realized`` is ``realize_grid``'s (deltas, systems, budgets), built once at parse time
+StabilityConfig = namedtuple("StabilityConfig", "family realized depth grid tol")
 CorrelationsConfig = namedtuple("CorrelationsConfig", "psi phi nmax gordin_nmax")
 CltConfig = namedtuple("CltConfig", "length trials truncation")
 
@@ -162,6 +163,12 @@ def _depth(block, key, default, system, pointer):
     if depth > MAX_WORDS:
         raise ConfigError(f"{pointer}/{key}", f"depth {depth} is above the cap of {MAX_WORDS}")
     return depth
+
+
+def _check_window_table(matrix, depth, pointer):
+    """ConfigError at ``pointer`` if a branch-map or observable table, N^depth window codes, passes MAX_WORDS^2."""
+    if matrix.n_symbols**depth > MAX_WORDS**2:
+        raise ConfigError(pointer, f"{matrix.n_symbols}^{depth} window codes exceed the cap of {MAX_WORDS**2}")
 
 
 def _is_number(value):
@@ -258,6 +265,7 @@ def _parse_system(block, pointer="/system"):
     except WeightsError as exc:
         raise ConfigError(f"{pointer}/weights/{exc.field}", str(exc)) from exc
     offset_depth = _int(block, "offset_depth", 1, 1, pointer)
+    _check_window_table(matrix, offset_depth, f"{pointer}/offset_depth")
     maps = []
     if not isinstance(_require(block, "fiber_maps", pointer), list):
         raise ConfigError(f"{pointer}/fiber_maps", "must be a list")
@@ -316,6 +324,7 @@ def parse_observable(block, matrix, max_depth, pointer):
     # checked before the words of that depth are listed
     if depth > max_depth:
         raise ConfigError(f"{pointer}/depth", f"must be at most the working depth {max_depth}")
+    _check_window_table(matrix, depth, f"{pointer}/depth")
     words = matrix.words(depth)
     field, parse = ("values", _number) if kind == "base_only" else ("components", _component)
     fp = f"{pointer}/{field}"
@@ -339,10 +348,10 @@ def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
         raise ConfigError(pointer, str(exc)) from exc
     deltas = _finite_list(block, "deltas", pointer, [0.1, 0.01, 0.001, 0.0001])
     try:
-        deltas = realize_grid(family, deltas)[0]
+        realized = realize_grid(family, deltas)
     except ValueError as exc:
         raise ConfigError(f"{pointer}/deltas", str(exc)) from exc
-    return StabilityConfig(family, deltas, _depth(block, "depth", depth, system, pointer),
+    return StabilityConfig(family, realized, _depth(block, "depth", depth, system, pointer),
                            _int(block, "grid", grid, 2, pointer), _positive(block, "tol", tol, pointer))
 
 
@@ -545,7 +554,7 @@ def run_stability(config, out_dir):
     if stab is None:
         raise ConfigError("/stability", "no stability block in the config")
     report = Report("stability", config, out_dir)
-    result = stability_sweep(stab.family, stab.deltas, depth=stab.depth, tol=stab.tol, grid=stab.grid)
+    result = stability_sweep(stab.family, stab.realized, depth=stab.depth, tol=stab.tol, grid=stab.grid)
     _note_fixed_point(config, result.base_result, "base fixed point")
     for row in result.rows:
         if not row.failed:
@@ -638,6 +647,7 @@ def run_clt(config, out_dir):
     )
     summary = {
         "sigma2": var.sigma2,
+        "numericErrorCertified": var.numeric_error,
         "tailBoundFitted": var.tail_bound,
         "ks": clt.ks_statistic,
         "pass": clt.passed,

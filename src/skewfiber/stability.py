@@ -258,17 +258,18 @@ def realize_grid(fam, deltas):
     return deltas, systems, budgets
 
 
-def stability_sweep(fam, deltas, depth, tol, grid):
+def stability_sweep(fam, realized, depth, tol, grid):
     """Invariant-measure variation along a descending delta grid.
 
+    ``realized`` is ``realize_grid(fam, deltas)``, so the grid is checked and
+    each delta's system and R(delta) are built once, before the first solve.
     Each delta owns an independent fixed-point computation; rows carry the
     realized system, the measured variation Delta(delta) = ||mu_delta - mu_0||_inf,
     R(delta), the ratio Delta / (R |log delta|), and the sum of the two
     fixed-point certificates.  A converged row keeps its fixed point for
     later checks; a failed fixed point flags its row and the sweep continues.
-    The grid is checked by ``realize_grid`` before the first solve.
     """
-    deltas, systems, budgets = realize_grid(fam, deltas)
+    deltas, systems, budgets = realized
     base_res = fixed_point(fam.base, depth=depth, tol=tol, grid=grid)
     rows = []
     for delta, sys_d, r_delta in zip(deltas, systems, budgets):

@@ -141,15 +141,13 @@ class TransitionMatrix:
 
 
 def _is_primitive(a):
-    # Wielandt: a primitive matrix has a strictly positive power by exponent (N-1)^2 + 1
+    # Wielandt: a primitive matrix has A^k > 0 for every k >= (N-1)^2 + 1, so the one
+    # power A^(2^m) with 2^m >= (N-1)^2 + 1 decides it; bool @ cannot wrap as uint8 sums do
     n = a.shape[0]
-    reach = a > 0
-    step = a > 0
-    for _ in range((n - 1) ** 2 + 1):
-        if reach.all():
-            return True
-        reach = reach @ step
-    return bool(reach.all())
+    power = a > 0
+    for _ in range(((n - 1) ** 2).bit_length()):
+        power = power @ power
+    return bool(power.all())
 
 
 class WeightsError(ValueError):

@@ -143,6 +143,22 @@ def hutchinson_reference(sys, steps, x0=0.5):
     return AtomicMeasure(atoms, weights)
 
 
+def is_primitive_by_powers(a):
+    """Whether some power of the 0/1 matrix ``a`` is positive, one power at a time.
+
+    Checks A, A^2, ..., up to Wielandt's exponent (N-1)^2 + 1, multiplying by
+    A once per power: the loop ``symbolic._is_primitive`` replaced.
+    """
+    n = a.shape[0]
+    reach = a > 0
+    step = a > 0
+    for _ in range((n - 1) ** 2 + 1):
+        if reach.all():
+            return True
+        reach = reach @ step
+    return bool(reach.all())
+
+
 def base_correlation(weights, matrix, psi, s, lag):
     """Correlation of two cylinder functions at a time lag, by exact summation.
 

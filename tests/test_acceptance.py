@@ -34,6 +34,7 @@ from skewfiber.stability import (
     fiber_op_gap,
     operator_gap,
     realize,
+    realize_grid,
     stability_sweep,
 )
 from skewfiber.transfer import (
@@ -222,7 +223,7 @@ def test_criterion_09_quantitative_stability():
     start = time.perf_counter()
     fam = shift_family()
     result = stability_sweep(
-        fam, [1e-1, 1e-2, 1e-3, 1e-4], depth=2, tol=1e-7, grid=1 << 18
+        fam, realize_grid(fam, [1e-1, 1e-2, 1e-3, 1e-4]), depth=2, tol=1e-7, grid=1 << 18
     )
     elapsed = time.perf_counter() - start
     assert all(not row.failed for row in result.rows)

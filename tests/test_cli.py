@@ -57,6 +57,18 @@ def small_config(**overrides):
     return cfg
 
 
+def cycle_chord_system(n, offset_depth):
+    """The n-symbol cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1: n + d - 1 words at depth d."""
+    matrix = [[int(j == (i + 1) % n or (i, j) == (n - 1, 1)) for j in range(n)] for i in range(n)]
+    return {
+        "matrix": matrix,
+        "theta": 0.5,
+        "weights": {"kind": "markov", "transition": [[v / sum(row) for v in row] for row in matrix]},
+        "fiber_maps": [{"slope": 0.5, "offset": 0.25}] * n,
+        "offset_depth": offset_depth,
+    }
+
+
 def parse_certificate(text):
     """(total, contraction, quantization) from a ``--verbose`` fixed-point line's certificate part."""
     head, parts = text.split(" = ")
@@ -82,6 +94,13 @@ class TestParseConfig:
             config = parse_config(str(bundle))
             assert config.system.n_symbols == 2
             assert config.digest
+
+    @pytest.mark.parametrize("path", sorted(
+        [str(p) for p in (resources.files("skewfiber") / "data").iterdir() if p.name.endswith(".json")]
+        + [str(p) for p in CANTOR_SMALL.parent.glob("*.json")]
+    ), ids=lambda path: Path(path).name)
+    def test_every_shipped_config_parses(self, path):
+        assert parse_config(path).digest
 
     def test_weights_must_sum_to_one(self, config_path):
         cfg = small_config()
@@ -145,7 +164,7 @@ class TestParseConfig:
         del cfg["stability"]["deltas"]
         config = parse_config(config_path(cfg))
         stab = config.stability
-        assert stab.deltas == [0.1, 0.01, 0.001, 0.0001]
+        assert stab.realized[0] == [0.1, 0.01, 0.001, 0.0001]
         assert stab.family.delta_max == 0.2
         # depth and tol fall back to the top level, the block's grid wins
         assert (stab.depth, stab.grid, stab.tol) == (3, 2048, 1e-5)
@@ -589,6 +608,25 @@ class TestArtifacts:
         assert main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "d")]) == 2
         assert "config error: /depth: depth 1000000000 is above the cap of 4096" in capsys.readouterr().err
 
+    def test_oversized_window_tables_fail_at_parse(self, config_path, tmp_path, capsys):
+        # 64^5 window codes would take 16 GiB of branch tables, though depth 5 has 68 words
+        cases = [
+            ({"system": cycle_chord_system(64, 5), "depth": 5}, "/system/offset_depth"),
+            # the check comes before the observable's values are read
+            ({"system": cycle_chord_system(64, 1), "depth": 5,
+              "correlations": {"psi": {"type": "base_only", "depth": 5, "values": {}}}}, "/correlations/psi/depth"),
+        ]
+        for cfg, pointer in cases:
+            started = time.perf_counter()
+            assert main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "w")]) == 2
+            assert time.perf_counter() - started < 5.0
+            err = capsys.readouterr().err
+            assert f"config error: {pointer}: 64^5 window codes exceed the cap of 16777216" in err
+            assert not (tmp_path / "w").exists()
+        # at offset depth 4 the table has 64^4 = 4096^2 entries, at the cap
+        config = parse_config(config_path({"system": cycle_chord_system(64, 4), "depth": 4}))
+        assert config.system.matrix.word_count(4) == 67
+
     def test_fixed_point_writes_disintegration(self, config_path, tmp_path):
         out = tmp_path / "f"
         code = main(["fixed-point", "--config", config_path(small_config()), "--out", str(out)])
@@ -600,7 +638,7 @@ class TestArtifacts:
         out = tmp_path / "c"
         main(["clt", "--config", config_path(small_config()), "--out", str(out)])
         data = json.loads((out / "clt.json").read_text())
-        assert set(data) == {"sigma2", "tailBoundFitted", "ks", "pass", "seed"}
+        assert set(data) == {"sigma2", "numericErrorCertified", "tailBoundFitted", "ks", "pass", "seed"}
 
     def test_verify_reports_are_byte_identical(self, config_path, tmp_path):
         path = config_path(small_config())

@@ -435,7 +435,8 @@ class TestCLT:
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * rng.uniform(0.3, 3.0) + rng.uniform(-0.3, 0.3)
         expected = float(stats.kstest(x, "norm", args=(0.0, sigma)).statistic)
-        assert ks_statistic(x, sigma) == expected
+        # two ulps of 1.0: both CDFs lie within about one ulp of the normal CDF
+        assert abs(ks_statistic(x, sigma) - expected) <= 2.0**-51
 
     def test_small_cantor_run_passes(self, mu0):
         phi = height_obs()
@@ -523,27 +524,28 @@ class TestCLT:
             clt_experiment(CANTOR, mu0, const, length=100, trials=200, seed=0, variance=variance)
 
 
-def _ndtr_bits(points):
-    from skewfiber.limits import _ndtr
+def _cdf_values(points):
+    from skewfiber.limits import _normal_cdf
 
-    return np.array([_ndtr(v) for v in np.asarray(points, dtype=float).tolist()]).view(np.int64)
+    return np.array([_normal_cdf(v) for v in np.asarray(points, dtype=float).tolist()])
 
 
-class TestNdtrPort:
-    """The Cephes ``ndtr`` port reproduces ``scipy.special.ndtr`` bit for bit."""
+class TestNormalCdf:
+    """The KS test's normal CDF stays within two ulps of 1.0 of ``scipy.special.ndtr``."""
 
     @staticmethod
-    def assert_bitwise(points):
+    def assert_close(points):
         from scipy.special import ndtr
 
         points = np.asarray(points, dtype=float)
-        mismatch = np.flatnonzero(_ndtr_bits(points) != ndtr(points).view(np.int64))
+        # written so that a NaN on either side is a mismatch
+        mismatch = np.flatnonzero(~(np.abs(_cdf_values(points) - ndtr(points)) <= 2.0**-51))
         assert mismatch.size == 0, points[mismatch[:5]]
 
     def test_dense_grid(self):
-        self.assert_bitwise(np.linspace(-40.0, 40.0, 400_001))
+        self.assert_close(np.linspace(-40.0, 40.0, 400_001))
 
-    # ndtr's erf/erfc switch (|a| = 1), erfc's 1 - erf (|a| = sqrt 2) and its P/Q
+    # Cephes ndtr's erf/erfc switch (|a| = 1), erfc's 1 - erf (|a| = sqrt 2) and its P/Q
     # to R/S switch (|a| = 8 sqrt 2), the exp underflow cut a^2/2 = MAXLOG, and 0
     @pytest.mark.parametrize(
         "edge", [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384), 0.0]
@@ -556,12 +558,12 @@ class TestNdtrPort:
             for _ in range(64):
                 lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
                 points += [lo, hi]
-        self.assert_bitwise(points)
+        self.assert_close(points)
 
     def test_underflow_region(self):
         band = np.linspace(37.5, 38.5, 20_001)
-        self.assert_bitwise(np.concatenate([band, -band]))
+        self.assert_close(np.concatenate([band, -band]))
 
     def test_non_finite_and_extremes(self):
-        self.assert_bitwise([np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, -0.0])
-        assert math.isnan(_ndtr_bits([np.nan]).view(float)[0])
+        self.assert_close([np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, -0.0])
+        assert math.isnan(_cdf_values([np.nan])[0])

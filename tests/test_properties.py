@@ -1,7 +1,9 @@
 """Property tests: the dual distance (LP oracle, primal flow, metric axioms,
-quantization), the class-pair Lipschitz pass against every word pair, the
-orbit sampler's rank table against the compare-and-add inverse CDF, and the
-fixed-point certificate against a high-grid reference solve.
+quantization), the class-pair Lipschitz pass against every word pair,
+primitivity by repeated squaring against the power-by-power loop, the KS
+test's normal CDF against scipy's, the orbit sampler's rank table against
+the compare-and-add inverse CDF, and the fixed-point certificate against a
+high-grid reference solve.
 
 Generated inputs include near-balanced pairs, whose net total weight is zero
 up to floating-point rounding or a tiny residual.  Example counts are small
@@ -15,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import MARKOV3, one_row, random_disintegration  # noqa: E402
-from oracles import wk_distance_bruteforce  # noqa: E402
+from oracles import is_primitive_by_powers, wk_distance_bruteforce  # noqa: E402
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
     wk_distance,
@@ -23,7 +25,13 @@ from skewfiber.measures import (  # noqa: E402
 )
 from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
 from skewfiber.skew import FiberMapSpec, SystemSpec, symbol_lookup, symbol_ranks  # noqa: E402
-from skewfiber.symbolic import BaseWeights, TransitionMatrix, pair_lipschitz, word_distances  # noqa: E402
+from skewfiber.symbolic import (  # noqa: E402
+    BaseWeights,
+    TransitionMatrix,
+    _is_primitive,
+    pair_lipschitz,
+    word_distances,
+)
 from skewfiber.transfer import (  # noqa: E402
     Disintegration,
     change_between,
@@ -311,14 +319,33 @@ def test_pair_lipschitz_is_the_largest_ratio_over_word_pairs(matrix, depth, data
     assert pair_lipschitz(*case) == pair_lipschitz_bruteforce(*case)
 
 
+@st.composite
+def zero_one_matrices(draw):
+    """Square 0/1 matrices of order 1-8 with no empty row or column."""
+    n = draw(st.integers(1, 8))
+    a = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+    # sparse draws fill an empty row or column with one entry, so periodic patterns stay common
+    for i in np.flatnonzero(a.sum(axis=1) == 0):
+        a[i, draw(st.integers(0, n - 1))] = 1
+    for j in np.flatnonzero(a.sum(axis=0) == 0):
+        a[draw(st.integers(0, n - 1)), j] = 1
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(zero_one_matrices())
+def test_primitivity_by_squaring_matches_power_by_power(a):
+    assert _is_primitive(a) == is_primitive_by_powers(a)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
-def test_ndtr_port_matches_scipy_bitwise(a):
+def test_normal_cdf_matches_scipy_ndtr(a):
     from scipy.special import ndtr
 
-    from skewfiber.limits import _ndtr
+    from skewfiber.limits import _normal_cdf
 
-    assert np.float64(_ndtr(a)).tobytes() == ndtr(np.float64(a)).tobytes()
+    assert abs(_normal_cdf(a) - float(ndtr(np.float64(a)))) <= 2.0**-51
 
 
 @st.composite

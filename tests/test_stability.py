@@ -19,6 +19,7 @@ from skewfiber.stability import (
     fiber_op_gap,
     operator_gap,
     realize,
+    realize_grid,
     stability_sweep,
 )
 from skewfiber.transfer import (
@@ -216,7 +217,8 @@ class TestOperatorGaps:
 
 class TestSweep:
     def test_small_sweep_decreases(self):
-        result = stability_sweep(shift_family(), [0.1, 0.01], depth=2, tol=1e-6, grid=8192)
+        fam = shift_family()
+        result = stability_sweep(fam, realize_grid(fam, [0.1, 0.01]), depth=2, tol=1e-6, grid=8192)
         variations = [row.variation for row in result.rows]
         assert variations[1] < variations[0]
         assert all(not row.failed for row in result.rows)
@@ -234,7 +236,8 @@ class TestSweep:
             return real_fixed_point(sys_d, **kwargs)
 
         monkeypatch.setattr(stability_module, "fixed_point", flaky)
-        result = stability_sweep(shift_family(), [0.1, 0.01], depth=2, tol=1e-6, grid=512)
+        fam = shift_family()
+        result = stability_sweep(fam, realize_grid(fam, [0.1, 0.01]), depth=2, tol=1e-6, grid=512)
         assert [row.failed for row in result.rows] == [True, False]
         assert "no fixed point" in result.rows[0].message
         assert math.isfinite(result.rows[1].ratio)
@@ -242,7 +245,7 @@ class TestSweep:
     def test_r_delta_matches_admissibility_report(self):
         for fam in (shift_family(), weight_family()):
             deltas = [0.1, 0.01]
-            result = stability_sweep(fam, deltas, depth=2, tol=1e-5, grid=512)
+            result = stability_sweep(fam, realize_grid(fam, deltas), depth=2, tol=1e-5, grid=512)
             report = admissibility_report(fam, deltas)
             assert [row.r_delta for row in result.rows] == [report.r_of(d) for d in deltas]
 
@@ -254,18 +257,18 @@ class TestSweep:
 
         monkeypatch.setattr(stability_module, "fixed_point", unreachable)
         with pytest.raises(ValueError, match="nonempty"):
-            stability_sweep(shift_family(), [], depth=2, tol=1e-6, grid=512)
+            realize_grid(shift_family(), [])
         # the largest delta lies outside the family's range
         with pytest.raises(ValueError, match="delta must lie"):
-            stability_sweep(shift_family(0.05), [0.1, 0.01], depth=2, tol=1e-6, grid=512)
+            realize_grid(shift_family(0.05), [0.1, 0.01])
 
     def test_rejects_zero_delta(self):
         with pytest.raises(ValueError, match="positive"):
-            stability_sweep(shift_family(), [0.1, 0.0], depth=2, tol=1e-6, grid=512)
+            realize_grid(shift_family(), [0.1, 0.0])
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError, match="descending"):
-            stability_sweep(shift_family(), [0.01, 0.1], depth=2, tol=1e-6, grid=512)
+            realize_grid(shift_family(), [0.01, 0.1])
 
     def test_csv_shape(self, tmp_path):
         # the bundled cantor system is CANTOR, written out
@@ -280,7 +283,8 @@ class TestSweep:
         lines = (tmp_path / "stability.csv").read_text().strip().split("\n")
         assert lines[0] == "delta,R_delta,Delta,ratio,err_bound,iterations"
         assert len(lines) == 2
-        row = stability_sweep(shift_family(), [0.1], depth=2, tol=1e-5, grid=1024).rows[0]
+        fam = shift_family()
+        row = stability_sweep(fam, realize_grid(fam, [0.1]), depth=2, tol=1e-5, grid=1024).rows[0]
         expected = (row.delta, row.r_delta, row.variation, row.ratio, row.err_bound)
         assert [float(x) for x in lines[1].split(",")[:5]] == list(expected)
         assert int(lines[1].split(",")[5]) == row.iterations

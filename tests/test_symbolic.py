@@ -42,6 +42,17 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError, match="aperiodic"):
             TransitionMatrix([[0, 1], [1, 0]])
 
+    def test_256_symbols_at_wielandts_exponent(self):
+        # the cycle 0 -> 1 -> ... -> N-1 -> 0 plus the chord N-1 -> 1 first turns
+        # positive at the power (N-1)^2 + 1, Wielandt's bound; the cycle alone never does
+        n = 256
+        cycle = np.roll(np.eye(n, dtype=int), 1, axis=1)
+        chord = cycle.copy()
+        chord[n - 1, 1] = 1
+        assert TransitionMatrix(chord).n_symbols == n
+        with pytest.raises(ValueError, match="aperiodic"):
+            TransitionMatrix(cycle)
+
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError, match="row and column"):
             TransitionMatrix([[1, 1], [0, 0]])
