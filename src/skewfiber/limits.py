@@ -27,29 +27,24 @@ at the depth-k windows of the CLT orbits' symbol tracks, and
 ``Observable.weigh`` at the atoms of a disintegration, once per distinct
 (fiber, component) pair of its words.
 
-The CLT experiment streams its orbits in blocks of trials, about
-``BLOCK_CELLS`` orbit cells each, so memory does not grow with the trial
-count.  A block keeps its symbol tracks, one byte per cell; phi is
-evaluated on each chunk of fiber states while the chunk is in the fiber
-recursion's buffer (``skew.fiber_states``, about 2^14 cells), and only a
-running sum per trial is kept, so no trials x length float array is ever
-built.  Trial t always reads draws t * cells .. (t + 1) * cells - 1 of the
-seed's one PCG64 stream and each trial's values are added in step order,
-so the result depends on neither the block nor the chunk size.  A
-``CLTResult`` holds the KS verdict; sigma^2 is read from the ``VarianceResult``.
+The CLT experiment reads its Birkhoff sums from ``skew.birkhoff_sums``,
+which owns the orbit stream: the blocks of trials, the symbol tracks and
+the fiber recursion's buffer, so memory does not grow with the trial count
+and no trials x length float array is built.  This module centres and
+normalizes the sums and runs the KS test.  A ``CLTResult`` holds the KS
+verdict; sigma^2 is read from the ``VarianceResult``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fitting import ExpFit, exp_fit
 from .measures import PiecewiseLinearFn
-from .skew import fiber_states, orbit_stream, symbol_tracks
+from .skew import birkhoff_sums
 from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes
 from .transfer import quantize_disintegration, transfer_apply
 
@@ -72,12 +67,10 @@ __all__ = [
 
 DEFAULT_GRID = 1 << 15
 # CLT experiment: inflation of the KS critical value for the plug-in variance,
-# the smallest trial count worth a KS test, the fiber burn-in per orbit, and
-# the orbit cells (steps x trials) sampled per block, one byte each
+# the smallest trial count worth a KS test, and the fiber burn-in per orbit
 KS_SLACK = 1.3
 MIN_TRIALS = 100
 BURN_IN = 40
-BLOCK_CELLS = 1 << 20
 
 
 class CoboundaryError(RuntimeError):
@@ -118,6 +111,8 @@ class Observable:
 
     def values(self, codes, y):
         """phi at admissible depth-k window codes and fiber points of one shape, each cell once."""
+        if len(self.pieces) == 1:
+            return self.pieces[0](y)
         return self._piece_values(self.piece_of_code.take(codes), y)
 
     def _piece_values(self, piece, y):
@@ -355,22 +350,6 @@ class CLTResult:
     sum_s: float
 
 
-def _birkhoff_sums(phi, tracks, chunks):
-    """Birkhoff sums of phi, one per trial, over the chunks of ``skew.fiber_states``.
-
-    ``tracks`` are the time-major symbol tracks from the first recorded
-    step on.  phi is evaluated on each chunk while its states are in the
-    fiber buffer, and each trial's values are added one step at a time, in
-    step order, so the sums do not depend on the chunk or block sizes.
-    """
-    sums = np.zeros(tracks.shape[1])
-    for s, states in chunks:
-        windows = [tracks[s + j: s + j + len(states)] for j in range(phi.depth)]
-        for row in phi.values(window_codes(windows, phi.matrix.n_symbols), states):
-            sums += row
-    return sums
-
-
 _SQRT1_2 = 7.07106781186547524401e-1
 
 
@@ -394,12 +373,9 @@ def ks_statistic(samples, sigma):
 def clt_experiment(sys, mu0, phi, length, trials, seed, variance):
     """Kolmogorov-Smirnov test of the normalized Birkhoff sums.
 
-    ``trials`` independent orbits are sampled in blocks of about
-    ``BLOCK_CELLS`` orbit cells, and each block is reduced to its Birkhoff
-    sums before the next is sampled: its symbol tracks are drawn
-    (``skew.symbol_tracks``; trial t reads its own stretch of the seed's
-    one PCG64 stream) and phi is summed over each chunk of fiber states as
-    the recursion yields it.  The centered sums
+    ``trials`` independent orbits stream their Birkhoff sums of phi through
+    ``skew.birkhoff_sums`` (trial t reads its own stretch of the seed's one
+    PCG64 stream) after ``BURN_IN`` fiber steps.  The centered sums
     S_n/sqrt(n) are compared against the centered normal law with the
     truncated asymptotic variance ``variance`` (an ``asymptotic_variance``
     result), and the run passes when the KS statistic stays below the 5%
@@ -411,21 +387,7 @@ def clt_experiment(sys, mu0, phi, length, trials, seed, variance):
     if variance.possible_coboundary or variance.sigma2 <= 0.0:
         raise CoboundaryError("coboundary regime, CLT statement vacuous")
     m_phi = integrate_observable(sys, mu0, phi)
-    cells = BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
-    block = max(1, BLOCK_CELLS // cells)
-    gen = orbit_stream(seed)
-    sums = np.empty(trials)
-    sample_s = sum_s = 0.0
-    for lo in range(0, trials, block):
-        hi = min(lo + block, trials)
-        started = time.perf_counter()
-        tracks = symbol_tracks(sys.weights, gen, hi - lo, cells)
-        sampled = time.perf_counter()
-        sums[lo:hi] = _birkhoff_sums(phi, tracks[BURN_IN:], fiber_states(sys, tracks, BURN_IN, length))
-        # frees the block's tracks before the next block is sampled
-        del tracks
-        sample_s += sampled - started
-        sum_s += time.perf_counter() - sampled
+    sums, block_trials, sample_s, sum_s = birkhoff_sums(sys, phi.values, phi.depth, seed, trials, BURN_IN, length)
     sums -= length * m_phi
     normalized = sums / math.sqrt(length)
     ks = ks_statistic(normalized, variance.sigma)
@@ -434,7 +396,7 @@ def clt_experiment(sys, mu0, phi, length, trials, seed, variance):
         ks_statistic=ks,
         passed=ks <= threshold,
         threshold=threshold,
-        block_trials=min(block, trials),
+        block_trials=block_trials,
         sample_s=sample_s,
         sum_s=sum_s,
     )

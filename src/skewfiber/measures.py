@@ -168,7 +168,17 @@ class PiecewiseLinearFn:
         return cls([0.0, 1.0], [0.0, 1.0])
 
     def __call__(self, y):
-        return np.interp(y, self.breakpoints, self.values)
+        if self.breakpoints.size > 2:
+            return np.interp(y, self.breakpoints, self.values)
+        # one segment: np.interp's slope * (y - x0) + y0 and its endpoint rules, without its search
+        (x0, x1), (y0, y1) = self.breakpoints.tolist(), self.values.tolist()
+        y = np.asarray(y, dtype=float)
+        flat = y.reshape(-1)  # 1-d even for a 0-d y, for copyto
+        with np.errstate(invalid="ignore", over="ignore"):  # at an infinite or huge y, overwritten below
+            out = (flat - x0) * ((y1 - y0) / (x1 - x0)) + y0
+        np.copyto(out, y0, where=flat <= x0)
+        np.copyto(out, y1, where=flat >= x1)
+        return out.reshape(y.shape)[()]
 
     def sup_norm(self):
         return float(np.abs(self.values).max())

@@ -9,19 +9,21 @@ genuinely non-product invariant measures.  The branch maps are one table
 built once, ``SystemSpec.code_tables``; ``SystemSpec.word_branches`` reads
 it for every admissible word of a working depth.
 
-Orbits are sampled in two time-major passes.  ``symbol_tracks`` draws the
-symbol tracks of a block of trials, one byte per cell: all trials of a seed
-read one PCG64 stream, each its own consecutive stretch of draws, and each
-uniform is reduced at once to its rank among the inverse-CDF thresholds.
-``fiber_states`` then runs the fiber recursion over the tracks and yields
-the recorded states a chunk of about ``FIBER_CELLS`` cells at a time, so a
-reader can reduce each chunk while it is in the buffer; the CLT experiment
-keeps only a running sum per trial, and no trials x length array is built.
+The CLT's orbit stream has one owner, ``birkhoff_sums``: it streams the
+orbits of a seed in blocks of trials, about ``BLOCK_CELLS`` cells each.
+``symbol_tracks`` draws a block's symbol tracks, one byte per cell: all
+trials of a seed read one PCG64 stream, each its own consecutive stretch of
+draws, and each uniform is reduced at once to its rank among the
+inverse-CDF thresholds.  The fiber recursion then runs over the tracks in a
+time-major buffer of about ``FIBER_CELLS`` states, and the observable is
+summed over each chunk of recorded states while it is in the buffer, so
+only a running sum per trial is kept and no trials x length array is built.
 """
 
 from __future__ import annotations
 
 import operator
+import time
 
 import numpy as np
 
@@ -43,7 +45,7 @@ __all__ = [
     "c1_constant",
     "orbit_stream",
     "symbol_tracks",
-    "fiber_states",
+    "birkhoff_sums",
 ]
 
 _RANGE_TOL = 1e-12
@@ -202,6 +204,8 @@ def c1_constant(sys):
 # orbit sampling
 # ---------------------------------------------------------------------------
 
+# orbit cells (steps x trials) sampled per block, one byte each
+BLOCK_CELLS = 1 << 20
 # orbit cells per time-major buffer: the uniforms of a group of trials, and
 # the fiber states of a chunk of steps
 FIBER_CELLS = 1 << 14
@@ -275,34 +279,54 @@ def symbol_tracks(weights, gen, trials, total):
     return tracks
 
 
-def fiber_states(sys, tracks, burn_in, length):
-    """Fiber coordinates before recorded steps burn_in .. burn_in + length - 1, from y = 1/2, a chunk at a time.
+def birkhoff_sums(sys, f, depth, seed, trials, burn_in, length):
+    """Sums of ``f`` over recorded steps burn_in .. burn_in + length - 1 of ``trials`` orbits from y = 1/2.
 
-    ``tracks`` are time-major symbol tracks (``symbol_tracks``).  The
-    recursion runs time-major, a buffer of about ``FIBER_CELLS`` states at a
-    time, and each chunk that holds recorded states yields ``(s, states)``:
-    ``states[i]`` is every trial's coordinate before recorded step s + i.
-    ``states`` is a view of the reused buffer, to be read, not written, and
-    only until the next chunk.
+    ``f(codes, ys)`` evaluates an observable at the depth-``depth`` window
+    codes (``symbolic.window_codes``) and fiber points of arrays of one
+    shape.  The orbits stream in blocks of about ``BLOCK_CELLS`` cells, with
+    total = burn_in + length + max(depth, offset_depth) - 1 per trial:
+    trial t reads draws t * total .. (t + 1) * total - 1 of
+    ``orbit_stream(seed)`` (``symbol_tracks``).  The fiber recursion runs
+    time-major in a buffer of about ``FIBER_CELLS`` states, and row j of a
+    chunk's codes selects both the branch of the chunk's step j and the
+    observable at the state before it.  Each trial's values are added one
+    step at a time, in step order, so the sums depend on neither the block
+    nor the chunk size.  Returns ``(sums, block_trials, sample_s, sum_s)``,
+    the last two the wall seconds spent drawing symbol tracks and running
+    the recursion with its sums.
     """
-    trials = tracks.shape[1]
     slopes, offsets = sys.code_tables()
     d, n = sys.offset_depth, sys.n_symbols
-    y = np.full(trials, 0.5)
-    if burn_in == 0:
-        yield 0, y[None]
-    steps = burn_in + length - 1
-    chunk = max(1, FIBER_CELLS // trials)
-    buf = np.empty((chunk, trials))
-    for t0 in range(0, steps, chunk):
-        t1 = min(t0 + chunk, steps)
-        codes = window_codes([tracks[t0 + j: t1 + j] for j in range(d)], n)
-        a, b = slopes.take(codes), offsets.take(codes)
-        for aj, bj, state in zip(a, b, buf):
-            # rounds as slopes[c] * y + offsets[c] does: one product, then one sum
-            y = np.multiply(aj, y, out=state)
-            y += bj
-        # buf[j] is the state after step t0 + j; states from burn_in on are recorded
-        lo = max(t0 + 1, burn_in)
-        if lo <= t1:
-            yield lo - burn_in, buf[lo - t0 - 1: t1 - t0]
+    steps = burn_in + length
+    total = steps + max(depth, d) - 1
+    block = min(max(1, BLOCK_CELLS // total), trials)
+    gen = orbit_stream(seed)
+    sums = np.zeros(trials)
+    sample_s = sum_s = 0.0
+    for lo in range(0, trials, block):
+        started = time.perf_counter()
+        tracks = symbol_tracks(sys.weights, gen, min(block, trials - lo), total)
+        sampled = time.perf_counter()
+        part = sums[lo:lo + tracks.shape[1]]
+        chunk = max(1, FIBER_CELLS // part.size)
+        # buf[j] is the state before step t0 + j; the last row carries into the next chunk
+        buf = np.full((chunk + 1, part.size), 0.5)
+        for t0 in range(0, steps, chunk):
+            t1 = min(t0 + chunk, steps)
+            codes = window_codes([tracks[t0 + j: t1 + j] for j in range(d)], n)
+            for a, b, y, after in zip(slopes.take(codes), offsets.take(codes), buf, buf[1:]):
+                # rounds as slopes[c] * y + offsets[c] does: one product, then one sum
+                np.multiply(a, y, out=after)
+                after += b
+            if depth != d:
+                codes = window_codes([tracks[t0 + j: t1 + j] for j in range(depth)], n)
+            r = max(burn_in - t0, 0)
+            for row in f(codes[r:], buf[r:t1 - t0]):
+                part += row
+            buf[0] = buf[t1 - t0]
+        # frees the block's tracks, which one-column codes are a view of, before the next block is sampled
+        del tracks, codes
+        sample_s += sampled - started
+        sum_s += time.perf_counter() - sampled
+    return sums, block, sample_s, sum_s

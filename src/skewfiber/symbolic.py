@@ -142,11 +142,12 @@ class TransitionMatrix:
 
 def _is_primitive(a):
     # Wielandt: a primitive matrix has A^k > 0 for every k >= (N-1)^2 + 1, so the one
-    # power A^(2^m) with 2^m >= (N-1)^2 + 1 decides it; bool @ cannot wrap as uint8 sums do
+    # power A^(2^m) with 2^m >= (N-1)^2 + 1 decides it.  Squared in float32 on BLAS (bool @
+    # has no BLAS loop): an entry counts at most N paths, exact below 2^24, then capped at 1
     n = a.shape[0]
-    power = a > 0
+    power = (a > 0).astype(np.float32)
     for _ in range(((n - 1) ** 2).bit_length()):
-        power = power @ power
+        power = np.minimum(power @ power, 1)
     return bool(power.all())
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from skewfiber.limits import fiber_average, integrate_observable
 from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms, round_up, row_norms
-from skewfiber.skew import fiber_states, orbit_stream, symbol_tracks
+from skewfiber.skew import orbit_stream, symbol_tracks
 from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, window_codes, word_distances
 from skewfiber.transfer import Disintegration
 
@@ -377,12 +377,12 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     and then reads its trials in order.  A trial's uniforms depend only on
     the seed and its index, so rows lo:hi of a batch from trial 0 equal
     the batch of hi - lo trials from ``start=lo``.  The symbols come from
-    ``skew.symbol_tracks`` and the fiber coordinates from the chunks of
-    ``skew.fiber_states``, the two passes that ``limits.clt_experiment``
-    streams without assembling either array: this is the tests' assembler
-    of those passes, not an independent reference.  The fiber coordinate
-    runs ``burn_in`` maps from 1/2 before recording, so the recorded states
-    are within alpha^burn_in of the invariant law in the dual metric.
+    ``skew.symbol_tracks``, the symbol pass that ``skew.birkhoff_sums``
+    streams, and the fiber coordinates from one loop over time on
+    ``SystemSpec.code_tables`` (``fiber_path``), the reference for the
+    streamed recursion.  The fiber coordinate runs ``burn_in`` maps from
+    1/2 before recording, so the recorded states are within alpha^burn_in
+    of the invariant law in the dual metric.
     """
     if length < 1 or trials < 1:
         raise ValueError("length and trials must be positive")
@@ -394,11 +394,7 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     # consecutive stretches, not a power-of-two stride: PCG64 states 2^64
     # draws apart share their low 64 bits, and their outputs correlate
     gen.bit_generator.advance(operator.index(start) * total)
-    tracks = symbol_tracks(sys.weights, gen, trials, total)
-    ys = np.empty((trials, length))
-    for s, states in fiber_states(sys, tracks, burn_in, length):
-        ys[:, s:s + len(states)] = states.T
-    return np.ascontiguousarray(tracks[burn_in:].T), ys
+    return fiber_path(sys, symbol_tracks(sys.weights, gen, trials, total), burn_in, length)
 
 
 def sample_orbits_per_trial(sys, seed, length, trials, burn_in=40, window=1, start=0):
@@ -436,9 +432,18 @@ def sample_orbits_per_trial(sys, seed, length, trials, burn_in=40, window=1, sta
             sym += cum[prev, k] <= uniforms[t]
         tracks[t] = prev = sym
     del uniforms  # lowers the peak memory of the fiber pass
+    return fiber_path(sys, tracks, burn_in, length)
+
+
+def fiber_path(sys, tracks, burn_in, length):
+    """``(symbols, ys)`` of time-major symbol tracks: the fiber recursion from 1/2, one step at a time.
+
+    Step t maps y by the branch of the offset window starting at track row
+    t, and ``ys[:, t - burn_in]`` is the state before step t.
+    """
     slopes, offsets = sys.code_tables()
-    d = sys.offset_depth
-    codes = window_codes([tracks[j: total - d + 1 + j] for j in range(d)], n)
+    d, trials = sys.offset_depth, tracks.shape[1]
+    codes = window_codes([tracks[j: len(tracks) - d + 1 + j] for j in range(d)], sys.n_symbols)
     y = np.full(trials, 0.5)
     ys = np.empty((trials, length))
     for t in range(burn_in + length):
@@ -454,7 +459,7 @@ def observable_sums(phi, symbols, ys):
 
     phi is evaluated on the whole trials x length array at once, and each
     trial's values are added one step at a time: the reference for the sums
-    that ``clt_experiment`` streams chunk by chunk.
+    that ``skew.birkhoff_sums`` streams chunk by chunk.
     """
     length = ys.shape[1]
     windows = [symbols[:, j:length + j] for j in range(phi.depth)]

@@ -540,7 +540,7 @@ class TestArtifacts:
         assert 0.0 < contraction < quantization and total == pytest.approx(contraction + quantization, rel=1e-15)
 
     def test_verbose_clt_names_blocks_and_times(self, config_path, tmp_path, capsys, monkeypatch):
-        from skewfiber import limits
+        from skewfiber import skew
 
         path = config_path(small_config())
         quiet, loud = tmp_path / "quiet", tmp_path / "loud"
@@ -548,7 +548,7 @@ class TestArtifacts:
         quiet_out = capsys.readouterr()
         assert quiet_out.err == ""
         # 150 trials of 40 + 200 cells stream in blocks of 64, 64 and 22
-        monkeypatch.setattr(limits, "BLOCK_CELLS", 64 * 240)
+        monkeypatch.setattr(skew, "BLOCK_CELLS", 64 * 240)
         assert main(["clt", "--config", path, "--out", str(loud), "--verbose"]) == 0
         loud_out = capsys.readouterr()
         assert loud_out.out == quiet_out.out
@@ -647,6 +647,21 @@ class TestArtifacts:
         assert main(["verify", "--config", path, "--out", str(out_b)]) == 0
         for name in ("summary.json", "verify.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("name,expected", [
+        ("cantor_small", b'{\n  "ks": 0.01908493895827698,\n  "numericErrorCertified": 0.002038203879367159,\n'
+                         b'  "pass": true,\n  "seed": 3,\n  "sigma2": 0.25001507781238147,\n'
+                         b'  "tailBoundFitted": 9.735387347514028e-16\n}\n'),
+        ("markov3_small", b'{\n  "ks": 0.014903718968554358,\n  "numericErrorCertified": 0.002780258999405154,\n'
+                          b'  "pass": true,\n  "seed": 3,\n  "sigma2": 0.3033619268920862,\n'
+                          b'  "tailBoundFitted": 3.761035092692005e-10\n}\n'),
+    ])
+    def test_clt_json_is_pinned_at_seed_3(self, name, expected, tmp_path):
+        # ks moves with any change to the orbit stream's draws or to the order of the Birkhoff sums
+        out = tmp_path / "clt"
+        assert main(["clt", "--config", str(CANTOR_SMALL.parent / f"{name}.json"), "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert (out / "clt.json").read_bytes() == expected
 
     def test_csv_cells_parse_as_numbers(self, tmp_path):
         out = tmp_path / "corr"

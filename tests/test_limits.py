@@ -447,7 +447,7 @@ class TestCLT:
 
     @pytest.mark.parametrize("sys_name", ["cantor", "markov3"])
     def test_ks_statistic_does_not_depend_on_the_block(self, sys_name, monkeypatch, mu0, mu0_markov3):
-        from skewfiber import limits
+        from skewfiber import limits, skew
 
         sys, mu, length, trials = {
             "cantor": (CANTOR, mu0, 60, 100),
@@ -458,22 +458,27 @@ class TestCLT:
         cells = limits.BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
         results = []
         for per_block in (trials, 7, 1):
-            monkeypatch.setattr(limits, "BLOCK_CELLS", per_block * cells)
+            monkeypatch.setattr(skew, "BLOCK_CELLS", per_block * cells)
             res = clt_experiment(sys, mu, phi, length, trials, seed=4, variance=variance)
             results.append(res.ks_statistic)
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("name", ["cantor", "coupled", "markov3_depth6"])
+    @pytest.mark.parametrize("name", ["cantor", "coupled", "coupled_depth2", "markov3_depth6"])
     @pytest.mark.parametrize("fiber_cells", [1, 40, 1 << 20])
     def test_streamed_sums_equal_the_step_order_oracle(self, name, fiber_cells, monkeypatch):
         from skewfiber import limits, skew
 
-        sys = {"cantor": CANTOR, "coupled": COUPLED, "markov3_depth6": MARKOV3}[name]
+        sys = {"cantor": CANTOR, "coupled": COUPLED, "coupled_depth2": COUPLED, "markov3_depth6": MARKOV3}[name]
         phi = height_obs(sys)
+        rng = np.random.default_rng(6)
         if name == "markov3_depth6":
-            rng = np.random.default_rng(6)
             phi = Observable(MARKOV3.matrix, 6, {
                 w: PiecewiseLinearFn([0.0, 0.5, 1.0], rng.standard_normal(3)) for w in MARKOV3.matrix.words(6)
+            })
+        if name == "coupled_depth2":
+            # at the offset depth, one window code per row selects both the branch and the piece
+            phi = Observable(COUPLED.matrix, 2, {
+                w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in COUPLED.matrix.words(2)
             })
         # any disintegration of the observable's depth centres the sums
         mu = random_disintegration(sys.matrix, phi.depth, np.random.default_rng(1), signed=False)
@@ -485,7 +490,7 @@ class TestCLT:
         monkeypatch.setattr(skew, "FIBER_CELLS", fiber_cells)
         for per_block in (trials, 7, 1):
             seen = []
-            monkeypatch.setattr(limits, "BLOCK_CELLS", per_block * cells)
+            monkeypatch.setattr(skew, "BLOCK_CELLS", per_block * cells)
             monkeypatch.setattr(limits, "ks_statistic", lambda samples, sigma: seen.append(samples) or 0.0)
             clt_experiment(sys, mu, phi, length, trials, seed=4, variance=variance)
             assert np.array_equal(seen[0], want)

@@ -1,8 +1,9 @@
 """Property tests: the dual distance (LP oracle, primal flow, metric axioms,
 quantization), the class-pair Lipschitz pass against every word pair,
 primitivity by repeated squaring against the power-by-power loop, the KS
-test's normal CDF against scipy's, the orbit sampler's rank table against
-the compare-and-add inverse CDF, and the fixed-point certificate against a
+test's normal CDF against scipy's, a one-segment piecewise-linear function
+against ``np.interp``, the orbit sampler's rank table against the
+compare-and-add inverse CDF, and the fixed-point certificate against a
 high-grid reference solve.
 
 Generated inputs include near-balanced pairs, whose net total weight is zero
@@ -20,6 +21,7 @@ from conftest import MARKOV3, one_row, random_disintegration  # noqa: E402
 from oracles import is_primitive_by_powers, wk_distance_bruteforce  # noqa: E402
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
+    PiecewiseLinearFn,
     wk_distance,
     wk_distance_primal,
 )
@@ -338,6 +340,32 @@ def test_primitivity_by_squaring_matches_power_by_power(a):
     assert _is_primitive(a) == is_primitive_by_powers(a)
 
 
+@st.composite
+def wide_zero_one_matrices(draw):
+    """0/1 matrices of order 1-64, relabelled at random: an n-cycle plus one chord n-1 -> j,
+    periodic when gcd(n, j) > 1 and Wielandt's matrix at j = 1, or random entries allowed
+    only from each of p cyclic classes to the next, periodic for p >= 2 when irreducible."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = np.zeros((n, n), dtype=int)
+        a[np.arange(n), (np.arange(n) + 1) % n] = 1
+        a[n - 1, draw(st.integers(0, n - 1))] = 1
+    else:
+        p = draw(st.integers(1, 4))
+        label = rng.integers(0, p, n)
+        step = (label[:, None] + 1) % p == label[None, :]
+        a = ((rng.random((n, n)) < draw(st.sampled_from([0.05, 0.2, 0.6]))) & step).astype(int)
+    order = rng.permutation(n)
+    return a[np.ix_(order, order)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(wide_zero_one_matrices())
+def test_primitivity_by_squaring_matches_power_by_power_up_to_64_symbols(a):
+    assert _is_primitive(a) == is_primitive_by_powers(a)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_normal_cdf_matches_scipy_ndtr(a):
@@ -346,6 +374,29 @@ def test_normal_cdf_matches_scipy_ndtr(a):
     from skewfiber.limits import _normal_cdf
 
     assert abs(_normal_cdf(a) - float(ndtr(np.float64(a)))) <= 2.0**-51
+
+
+# 0, -0, 1, their neighbouring floats, points outside [0, 1], and non-finite points
+_SEGMENT_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                     np.inf, -np.inf, np.nan]),
+    st.floats(-0.5, 1.5),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.one_of(st.just(-0.0), st.floats(-1e300, 1e300)), min_size=2, max_size=2),
+    st.lists(_SEGMENT_POINTS, min_size=1, max_size=40),
+)
+def test_one_segment_evaluation_is_np_interp(values, points):
+    h = PiecewiseLinearFn([0.0, 1.0], values)
+    y = np.array(points)
+    for got, want in ((h(y), np.interp(y, [0.0, 1.0], values)), (h(y[0]), np.interp(y[0], [0.0, 1.0], values))):
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @st.composite

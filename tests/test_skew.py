@@ -263,8 +263,8 @@ class TestSamplerOracle:
 
     @pytest.mark.parametrize("cells", [1, 40, 1 << 20])
     def test_fiber_chunk_size_does_not_change_the_orbits(self, cells, monkeypatch):
-        # one step per chunk (the buffer row is also the step's input), a few, and one chunk for all;
-        # markov3 also runs the loop over time in chunks of the same size
+        # symbol_tracks draws the uniforms of one trial at a time (1 and 40 cells) or of all at once;
+        # the streamed fiber chunks of the same sizes meet the step-order oracle in test_limits.py
         for sys in (coupled_demo(), MARKOV3):
             want = sample_orbits_per_trial(sys, 2, 60, 40, burn_in=13)
             monkeypatch.setattr(skew, "FIBER_CELLS", cells)
