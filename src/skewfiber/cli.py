@@ -628,27 +628,19 @@ def run_correlations(config, out_dir):
 def run_clt(config, out_dir):
     report = Report("clt", config, out_dir)
     sys_ = config.system
-    truncation = config.clt.truncation
     phi = Observable.fiber(sys_.matrix, PiecewiseLinearFn.identity())
-    res = _compute_fixed_point(config)
-    mu0 = res.disintegration
-    var = asymptotic_variance(sys_, mu0, phi, truncation)
-    clt = clt_experiment(
-        sys_, mu0, phi, length=config.clt.length, trials=config.clt.trials, seed=config.seed, variance=var,
-    )
+    var = asymptotic_variance(sys_, phi, config.depth, config.clt.truncation)
+    clt = clt_experiment(sys_, phi, length=config.clt.length, trials=config.clt.trials, seed=config.seed, variance=var)
     if config.verbose:
+        solves = ", ".join(f"{name} rate {kappa!r} in {steps} iterations" for name, kappa, steps in var.solves)
+        print(f"variance: sigma2 {var.sigma2!r} within {var.numeric_error!r}; solves {solves}", file=sys.stderr)
         blocks = -(-config.clt.trials // clt.block_trials)
         print(f"clt: {config.clt.trials} trials in {blocks} blocks of {clt.block_trials}, "
               f"sampling {clt.sample_s:.3f}s, summing {clt.sum_s:.3f}s", file=sys.stderr)
-    report.write_csv(
-        "autocovariance.csv",
-        "lag,value,err_bound",
-        [(int(n), var.curve.values[n], var.curve.err_bounds[n]) for n in range(truncation + 1)],
-    )
+    report.write_csv("autocovariance.csv", "lag,value,err_bound", zip(range(var.lags.size), var.lags, var.lag_errors))
     summary = {
         "sigma2": var.sigma2,
         "numericErrorCertified": var.numeric_error,
-        "tailBoundFitted": var.tail_bound,
         "ks": clt.ks_statistic,
         "pass": clt.passed,
         "seed": config.seed,

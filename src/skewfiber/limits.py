@@ -28,22 +28,23 @@ at the depth-k windows of the CLT orbits' symbol tracks, and
 (fiber, component) pair of its words.
 
 The CLT experiment reads its Birkhoff sums from ``skew.birkhoff_sums``,
-which owns the orbit stream: the blocks of trials, the symbol tracks and
-the fiber recursion's buffer, so memory does not grow with the trial count
-and no trials x length float array is built.  This module centres and
-normalizes the sums and runs the KS test.  A ``CLTResult`` holds the KS
-verdict; sigma^2 is read from the ``VarianceResult``.
+which owns the orbit stream, so memory does not grow with the trial count.
+It centres them by the exact mean and tests them against the exact sigma^2
+of ``asymptotic_variance``: the fiber moments of affine branches close
+under the transfer operator, so two contraction solves and the base chain's
+fundamental matrix give both, with float bounds, and no fixed point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fitting import ExpFit, exp_fit
-from .measures import PiecewiseLinearFn
+from .measures import UNIT_ROUNDOFF, PiecewiseLinearFn, round_up
 from .skew import birkhoff_sums
 from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes
 from .transfer import quantize_disintegration, transfer_apply
@@ -60,13 +61,14 @@ __all__ = [
     "fiber_average",
     "correlation_curve",
     "gordin_norms",
+    "fiber_moments",
     "asymptotic_variance",
     "clt_experiment",
     "MIN_TRIALS",
 ]
 
 DEFAULT_GRID = 1 << 15
-# CLT experiment: inflation of the KS critical value for the plug-in variance,
+# CLT experiment: inflation of the KS critical value for finite-length sums,
 # the smallest trial count worth a KS test, and the fiber burn-in per orbit
 KS_SLACK = 1.3
 MIN_TRIALS = 100
@@ -214,25 +216,31 @@ def correlation_curve(sys, mu0, now, later, nmax, grid=DEFAULT_GRID):
     step (quantized on ``grid`` when given, with the error tracked into
     ``err_bounds``: the transfer step contracts the tracked error by alpha,
     and each snap adds the mass it moved, measured and rounded up by
-    ``quantize_disintegration``).  The fit is a log-linear envelope over the
-    lags whose magnitude exceeds the numerical floor.
+    ``quantize_disintegration``).  On unit-mass fibers, as ``fixed_point``
+    returns, a fiber-dependent ``now`` also moves each fiber's mass, by at
+    most Lip(now) times mu0's error; mixing does not contract that, so every
+    step adds it, and the ``later`` mean it pairs with adds its share to
+    every lag.  The fit is a log-linear envelope over the lags whose
+    magnitude exceeds the numerical floor.
     """
     m_now = integrate_observable(sys, mu0, now)
     m_later = integrate_observable(sys, mu0, later)
     rho = _weighted_disintegration(mu0, now.shifted(-m_now))
     to_value = later.dual_bound()
+    mass_err = now.fiber_lipschitz() * mu0.err_bound
     lags = np.arange(nmax + 1)
     values = np.empty(nmax + 1)
     errs = np.empty(nmax + 1)
     # total mass of rho is the centered mean, zero, so no product correction
     values[0] = integrate_observable(sys, rho, later) - m_later * rho.total_mass(sys.weights)
-    errs[0] = to_value * rho.err_bound
+    errs[0] = to_value * rho.err_bound + abs(m_later) * mass_err
     for n in range(1, nmax + 1):
         rho = transfer_apply(sys, rho)
+        rho.err_bound += mass_err
         if grid is not None:
             rho, _ = quantize_disintegration(rho, grid)
         values[n] = integrate_observable(sys, rho, later) - m_later * rho.total_mass(sys.weights)
-        errs[n] = to_value * rho.err_bound
+        errs[n] = to_value * rho.err_bound + abs(m_later) * mass_err
     return CorrelationCurve(lags, values, errs, exp_fit(lags, values))
 
 
@@ -276,65 +284,162 @@ def gordin_norms(sys, mu0, phi, nmax):
 # ---------------------------------------------------------------------------
 
 
+_2U = 2.0 * UNIT_ROUNDOFF
+
+
+class _Ball:
+    """Float ``x`` with ``e`` >= ||x - x*||_inf, x* its value in exact arithmetic; a rounding adds 2u |result|."""
+
+    def __init__(self, x, e=0.0):
+        self.x, self.e, self.top = x, e, float(np.abs(x).max())
+
+    def __add__(self, other):
+        z = self.x + other.x
+        return _Ball(z, round_up(self.e + other.e + _2U * float(np.abs(z).max()), 3))
+
+    def __sub__(self, other):
+        return self + _Ball(-other.x, other.e)
+
+    def __mul__(self, other):
+        z = self.x * other.x
+        return _Ball(z, round_up(self.top * other.e + (other.top + other.e) * self.e + _2U * float(np.abs(z).max()), 6))
+
+
+class _Closure:
+    """A[c] v, the sum of g c v over each depth-``depth`` word's ``preimages`` terms, with float bounds.
+
+    The per-word factors c multiply v before one ``ruelle_apply``.  ``rate``
+    bounds ||A[c]||_inf by the largest jacobian column sum times max|c|, and a
+    word's at most N terms round at most N + 2 times each, so gamma_{N+3}
+    (Higham, section 3.1) bounds an application's rounding, with a sum to spare.
+    """
+
+    def __init__(self, sys, depth):
+        self.sys, self.depth, n = sys, depth, sys.n_symbols
+        self.colmax = round_up(float(sys.weights.jacobian.sum(axis=0).max()), n)
+        self.gamma = round_up((n + 3) * UNIT_ROUNDOFF, n + 3)
+
+    def rate(self, c):
+        return round_up(self.colmax * math.prod(float(np.abs(f).max()) for f in c), len(c))
+
+    def __call__(self, v, *c):
+        y = v.x
+        for f in c:
+            y = f * y
+        out = ruelle_apply(CylinderFunction(self.sys.matrix, self.depth, y), self.sys.weights).values
+        return _Ball(out, round_up(self.rate(c) * (v.e + self.gamma * v.top), 3))
+
+    def solve(self, f, *c):
+        """x = A[c] x + f, iterated from f while the bound |A[c] x + f - x| / (1 - kappa) falls.
+
+        Returns the last iterate whose bound fell, kappa = ``rate(c)`` and the iteration count.
+        """
+        kappa, x, last = self.rate(c), _Ball(f.x), None
+        if kappa >= 1.0:
+            raise ValueError(f"the moment closure needs a fiber rate bound below 1, got {kappa!r}")
+        for steps in itertools.count(1):
+            y = self(x, *c) + f
+            residual = y - x
+            ball = _Ball(x.x, round_up((residual.top + residual.e) / (1.0 - kappa), 3))
+            if last is not None and ball.e >= last.e:
+                return last, kappa, steps
+            last, x = ball, _Ball(y.x)
+
+
+def fiber_moments(sys, depth):
+    """Invariant fiber moments M_k[w] = int y^k d mu|_w, k = 1, 2, on the depth-``depth`` words.
+
+    Affine branches y -> a y + b close them under the transfer operator
+    (Barnsley & Demko, Proc. R. Soc. Lond. A 399, 1985): M_1 = A[a] M_1 + A[b] 1
+    and M_2 = A[a^2] M_2 + 2 A[ab] M_1 + A[b^2] 1, contractions at rates max|a|
+    and max a^2, as the weights into a word sum to 1.  Returns M_1 and M_2,
+    each ``x`` with its float bound ``e``, and each solve's (name, kappa, iterations).
+    """
+    closure, (a, b) = _Closure(sys, depth), sys.word_branches(depth)
+    one = _Ball(np.ones(a.size))
+    m1, *first = closure.solve(closure(one, b), a)
+    m2, *second = closure.solve(closure(one, b, b) + closure(m1 + m1, a, b), a, a)
+    return m1, m2, [("M1", *first), ("M2", *second)]
+
+
 @dataclass
 class VarianceResult:
-    """Truncated Green-Kubo variance and its two error terms.
+    """Exact mean, sigma^2 and lags C_0..C_nlags, each with its float bound, and each solve's (name, kappa, iterations)."""
 
-    ``tail_bound`` is fitted, not certified: it sums the least-squares
-    exponential envelope of the covariances beyond the truncation, so it is
-    only as good as the fit (reported as ``tailBoundFitted`` in ``clt.json``).
-    ``numeric_error`` is certified: it adds up the tracked quantization
-    errors of the computed covariances (``numericErrorCertified``).
-    """
-
+    mean: float
+    mean_error: float
     sigma2: float
-    tail_bound: float
     numeric_error: float
-    curve: CorrelationCurve = field(repr=False)
-    possible_coboundary: bool = False
-
-    @property
-    def sigma(self):
-        return math.sqrt(max(self.sigma2, 0.0))
+    lags: np.ndarray
+    lag_errors: np.ndarray
+    solves: list
+    possible_coboundary: bool
 
 
-def asymptotic_variance(sys, mu0, phi, truncation, grid=DEFAULT_GRID):
-    """Truncated Green-Kubo variance with a fitted geometric tail bound.
+def asymptotic_variance(sys, phi, depth, nlags):
+    """Mean, sigma^2 = C_0 + 2 sum_{n>=1} C_n and C_0..C_nlags of phi = p_w + q_w y, from the moment closure.
 
-    sigma^2 = var(phi) + 2 sum_{j<=J} cov(phi, phi o F^j); the tail bound is
-    the fitted envelope summed beyond the truncation, and the numeric error
-    accumulates the certified quantization errors of the covariances, in
-    which each snap counts the mass it moved (``quantize_disintegration``).  A
-    value within the combined bound of zero is flagged as a possible
-    coboundary; below minus the bound is an inconsistency and raises.
+    With M_1, M_2 from ``fiber_moments``, masses m, p~ = p - int phi, u = p~ + q M_1
+    and w_0 = p~ M_1 + q M_2, the lag-n image of phi~ mu has fiber masses
+    A[1]^n u and first moments r_n = A[a] r_{n-1} + A[b] A[1]^{n-1} u, so
+    C_n = m.(p~ A[1]^n u + q r_n).  X = sum_{n>=1} A[1]^n u takes d - 1 steps,
+    after which the vector is a function z of the first symbol moved by
+    P = jacobian^T, and the base chain's fundamental matrix Z = I - P + 1 pi^T
+    (Kemeny & Snell, *Finite Markov Chains*, 1960, ch. 4) adds Z^-1 P z.
+    V = A[a] V + A[a] w_0 + A[b] (u + X), and sigma^2 = m.(p~ (u + 2X) + q (w_0 + 2V)).
+    Every value carries a rounded-up float bound; ||Z^-1|| takes Rump's
+    ||R|| / (1 - ||I - R Z||) for R = inv(Z).  |sigma^2| within its bound
+    flags a possible coboundary, and below minus it raises ``InconsistencyError``.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    m_phi = integrate_observable(sys, mu0, phi)
-    phit = phi.shifted(-m_phi)
-    curve = correlation_curve(sys, mu0, phit, phit, truncation, grid=grid)
-    sigma2 = float(curve.values[0] + 2.0 * curve.values[1:].sum())
-    fit = curve.fit
-    if fit.degenerate:
-        tail = 0.0
-    elif fit.rate < 1.0:
-        tail = 2.0 * fit.constant * fit.rate ** (truncation + 1) / (1.0 - fit.rate)
-    else:
-        tail = math.inf
-    numeric = float(curve.err_bounds[0] + 2.0 * curve.err_bounds[1:].sum())
-    combined = tail + numeric
-    if sigma2 < -combined:
-        raise InconsistencyError(
-            f"truncated variance {sigma2:.3g} is below -(tail+numeric) = {-combined:.3g}; "
-            "inconsistent truncation"
-        )
-    return VarianceResult(
-        sigma2=sigma2,
-        tail_bound=tail,
-        numeric_error=numeric,
-        curve=curve,
-        possible_coboundary=abs(sigma2) <= combined,
-    )
+    matrix, n = sys.matrix, sys.n_symbols
+    if phi.depth > depth or any(len(getattr(h, "breakpoints", ())) != 2 for h in phi.pieces):
+        raise ValueError(f"the moment closure needs phi of depth at most {depth}, affine in y on each word: "
+                         "one segment over [0, 1]")
+    words, closure, (a, b) = matrix.word_array(depth), _Closure(sys, depth), sys.word_branches(depth)
+    piece = phi.piece_of_code[window_codes(words.T[: phi.depth], n)]
+    p, end = (_Ball(np.array([h.values[k] for h in phi.pieces])[piece]) for k in (0, 1))
+    q, (m1, m2, solves) = end - p, fiber_moments(sys, depth)
+    m = cylinder_mass_vector(sys.weights, matrix, depth)
+    msum = round_up(math.fsum(m.tolist()), 1)
+
+    def dot(v):  # m.v by math.fsum: each product and the sum round once
+        return _Ball(math.fsum((m * v.x).tolist()), round_up(msum * (v.e + 2.0 * _2U * v.top), 3))
+
+    mean = dot(p + q * m1)
+    pt = p - mean
+    u, w0 = pt + q * m1, pt * m1 + q * m2
+    x, xsum = u, _Ball(np.zeros(m.size))
+    for _ in range(depth - 1):
+        x = closure(x)
+        xsum = xsum + x
+    jac, heads, gamma, colmax = sys.weights.jacobian, words[:, 0], closure.gamma, closure.colmax
+    z = x.x[np.searchsorted(heads, np.arange(n))]
+    zmat = np.eye(n) - jac.T + sys.weights.stationary
+    inv = np.linalg.inv(zmat)
+    tail = inv @ (jac.T @ z)
+
+    def norm(mat):
+        return round_up(float(np.abs(mat).sum(axis=1).max()), n)
+
+    # W = 3 + colmax bounds ||Z||: zmat rounds by gamma W, and a product with it by gamma ||R|| 2W
+    w, norm_inv = round_up(3.0 * gamma * (3.0 + colmax), 3), norm(inv)
+    beta = round_up(norm(np.eye(n) - inv @ zmat) + w * norm_inv, 2)
+    if not beta < 1.0:
+        raise InconsistencyError(f"the fundamental matrix is not verified: ||I - R Z|| <= {beta!r}")
+    top = float(np.abs(tail).max())
+    residual = round_up(float(np.abs(jac.T @ z - zmat @ tail).max()) + gamma * colmax * x.top + w * top, 5)
+    xsum = xsum + _Ball(tail[heads], round_up(norm_inv * (colmax * x.e + residual) / (1.0 - beta), 5))
+    v, *third = closure.solve(closure(w0, a) + closure(u + xsum, b), a)
+    sigma2 = dot(pt * (u + xsum + xsum) + q * (w0 + v + v))
+    r0, r1, lags = u, w0, []
+    for k in range(nlags + 1):
+        if k:
+            r0, r1 = closure(r0), closure(r1, a) + closure(r0, b)
+        lags.append(dot(pt * r0 + q * r1))
+    if sigma2.x < -sigma2.e:
+        raise InconsistencyError(f"sigma^2 = {sigma2.x:.3g} is below minus its float bound {sigma2.e:.3g}")
+    return VarianceResult(mean.x, mean.e, sigma2.x, sigma2.e, np.array([c.x for c in lags]),
+                          np.array([c.e for c in lags]), solves + [("V", *third)], abs(sigma2.x) <= sigma2.e)
 
 
 @dataclass
@@ -370,27 +475,26 @@ def ks_statistic(samples, sigma):
     return float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
 
 
-def clt_experiment(sys, mu0, phi, length, trials, seed, variance):
+def clt_experiment(sys, phi, length, trials, seed, variance):
     """Kolmogorov-Smirnov test of the normalized Birkhoff sums.
 
     ``trials`` independent orbits stream their Birkhoff sums of phi through
     ``skew.birkhoff_sums`` (trial t reads its own stretch of the seed's one
-    PCG64 stream) after ``BURN_IN`` fiber steps.  The centered sums
-    S_n/sqrt(n) are compared against the centered normal law with the
-    truncated asymptotic variance ``variance`` (an ``asymptotic_variance``
-    result), and the run passes when the KS statistic stays below the 5%
-    critical value 1.36/sqrt(trials) inflated by ``KS_SLACK`` to absorb
-    the plug-in variance noise.
+    PCG64 stream) after ``BURN_IN`` fiber steps.  The sums S_n, centred by
+    n times the exact mean, are normalized by sqrt(n) and compared against
+    the centred normal law with the exact sigma^2 of ``variance`` (an
+    ``asymptotic_variance`` result), and the run passes when the KS
+    statistic stays below the 5% critical value 1.36/sqrt(trials) inflated
+    by ``KS_SLACK`` for the distance of finite-length sums from their limit.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful KS test")
     if variance.possible_coboundary or variance.sigma2 <= 0.0:
         raise CoboundaryError("coboundary regime, CLT statement vacuous")
-    m_phi = integrate_observable(sys, mu0, phi)
     sums, block_trials, sample_s, sum_s = birkhoff_sums(sys, phi.values, phi.depth, seed, trials, BURN_IN, length)
-    sums -= length * m_phi
+    sums -= length * variance.mean
     normalized = sums / math.sqrt(length)
-    ks = ks_statistic(normalized, variance.sigma)
+    ks = ks_statistic(normalized, math.sqrt(variance.sigma2))
     threshold = 1.36 / math.sqrt(trials) * KS_SLACK
     return CLTResult(
         ks_statistic=ks,

@@ -7,16 +7,21 @@ the same program, and shares no table code with the ``skewfiber`` function
 it cross-checks.  The per-word references at the end are the exception:
 they are the package's table operations with one row per word, arithmetic
 unchanged from before the package stored each distinct fiber once, and they
-hold the shared layout to the same floats.  None of them is part of the
-package.
+hold the shared layout to the same floats.  So are the two references of
+the moment closure: ``lag_loop_variance`` is the quantized σ² estimate the
+closure replaced, on ``correlation_curve``, and ``exact_moment_closure``
+reads the package's float tables and does the rest in exact rationals.
+None of them is part of the package.
 """
 
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
-from skewfiber.limits import fiber_average, integrate_observable
+from skewfiber.fitting import exp_fit
+from skewfiber.limits import DEFAULT_GRID, correlation_curve, fiber_average, integrate_observable
 from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms, round_up, row_norms
 from skewfiber.skew import orbit_stream, symbol_tracks
 from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, window_codes, word_distances
@@ -247,6 +252,110 @@ def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
     return total
 
 
+def lag_loop_variance(sys, mu0, phi, truncation, grid=DEFAULT_GRID):
+    """Truncated Green-Kubo variance from quantized lags, with a fitted geometric tail.
+
+    sigma^2 = C_0 + 2 sum_{j<=J} C_j from ``correlation_curve`` on the
+    fixed point ``mu0``.  Returns ``(sigma2, tail, numeric, curve)``:
+    ``tail`` sums the curve's least-squares exponential envelope beyond the
+    truncation, so it is fitted, not certified; ``numeric`` adds up the
+    lags' certified quantization errors.  This is the estimate ``clt``
+    tested against before it read sigma^2 from the moment closure.
+    """
+    m_phi = integrate_observable(sys, mu0, phi)
+    centered = phi.shifted(-m_phi)
+    curve = correlation_curve(sys, mu0, centered, centered, truncation, grid=grid)
+    sigma2 = float(curve.values[0] + 2.0 * curve.values[1:].sum())
+    fit = exp_fit(curve.lags, curve.values)
+    if fit.degenerate:
+        tail = 0.0
+    elif fit.rate < 1.0:
+        tail = 2.0 * fit.constant * fit.rate ** (truncation + 1) / (1.0 - fit.rate)
+    else:
+        tail = math.inf
+    numeric = float(curve.err_bounds[0] + 2.0 * curve.err_bounds[1:].sum())
+    return sigma2, tail, numeric, curve
+
+
+def _exact_solve(a, rhs):
+    """Solution of the square system a x = rhs over ``Fraction`` by Gauss-Jordan elimination."""
+    n = len(rhs)
+    rows = [list(row) + [v] for row, v in zip(a, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_moment_closure(sys, phi, depth, nlags):
+    """``asymptotic_variance`` in exact rational arithmetic: (mean, sigma2, lags, m1, m2) as ``Fraction``s.
+
+    The jacobian, the branches, the cylinder masses, the stationary vector
+    and phi's values at 0 and 1 are read as the exact rationals of the
+    floats ``asymptotic_variance`` reads, so the two evaluate one closure and
+    differ only by the package's rounding.  The terms come from the admissible
+    one-symbol extensions word by word, every solve is one Gauss-Jordan
+    elimination on the whole n_words x n_words system, and the tail beyond
+    d - 1 explicit steps solves Z T = P z with Z = I - P + 1 pi^T, P = jacobian^T.
+    """
+    matrix, n = sys.matrix, sys.n_symbols
+    words, index = matrix.words(depth), matrix.word_index(depth)
+    size = len(words)
+    jac = [[Fraction(x) for x in row] for row in sys.weights.jacobian.tolist()]
+    pi = [Fraction(x) for x in sys.weights.stationary.tolist()]
+    terms = [[(index[(i,) + t[:-1]], jac[i][t[0]]) for i in range(n) if matrix.entries[i, t[0]]] for t in words]
+    maps = [sys.branch_map(w) for w in words]
+    a, b = [Fraction(t.a) for t in maps], [Fraction(t.b) for t in maps]
+    m = [Fraction(x) for x in cylinder_mass_vector(sys.weights, matrix, depth).tolist()]
+    ends = [component(phi, w).values for w in words]
+    p = [Fraction(v[0]) for v in ends]
+    q = [Fraction(v[-1]) - Fraction(v[0]) for v in ends]
+
+    def mul(*vs):
+        return [math.prod(xs) for xs in zip(*vs)]
+
+    def add(*vs):
+        return [sum(xs) for xs in zip(*vs)]
+
+    def apply(v, c=None):
+        c = c or [1] * size
+        return [sum(g * c[s] * v[s] for s, g in ts) for ts in terms]
+
+    def solve(c, f):
+        mat = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+        for t, ts in enumerate(terms):
+            for s, g in ts:
+                mat[t][s] -= g * c[s]
+        return _exact_solve(mat, f)
+
+    one = [Fraction(1)] * size
+    m1 = solve(a, apply(one, b))
+    m2 = solve(mul(a, a), add(apply(one, mul(b, b)), mul([2] * size, apply(m1, mul(a, b)))))
+    mean = sum(mul(m, add(p, mul(q, m1))))
+    pt = [x - mean for x in p]
+    u, w0 = add(pt, mul(q, m1)), add(mul(pt, m1), mul(q, m2))
+    x, xsum = u, [Fraction(0)] * size
+    for _ in range(depth - 1):
+        x = apply(x)
+        xsum = add(xsum, x)
+    z = [x[next(k for k, w in enumerate(words) if w[0] == j)] for j in range(n)]
+    zmat = [[int(i == j) - jac[j][i] + pi[j] for j in range(n)] for i in range(n)]
+    tail = _exact_solve(zmat, [sum(jac[j][i] * z[j] for j in range(n)) for i in range(n)])
+    xsum = add(xsum, [tail[w[0]] for w in words])
+    v = solve(a, add(apply(w0, a), apply(add(u, xsum), b)))
+    sigma2 = sum(mul(m, add(mul(pt, add(u, mul([2] * size, xsum))), mul(q, add(w0, mul([2] * size, v))))))
+    r0, r1, lags = u, w0, []
+    for k in range(nlags + 1):
+        if k:
+            r0, r1 = apply(r0), add(apply(r1, a), apply(r0, b))
+        lags.append(sum(mul(m, add(mul(pt, r0), mul(q, r1)))))
+    return mean, sigma2, lags, m1, m2
+
+
 # ---------------------------------------------------------------------------
 # one row per word: the table operations before fibers were shared
 # ---------------------------------------------------------------------------
@@ -345,14 +454,16 @@ def correlation_curve_per_word(sys, mu0, now, later, nmax, grid):
     rho = Disintegration(mu0.matrix, mu0.depth, row, pos, w * _on_atoms(centered, mu0, row, pos),
                          mu0.err_bound * factor)
     to_value = later.dual_bound()
+    mass_err = now.fiber_lipschitz() * mu0.err_bound
     values, errs = np.empty(nmax + 1), np.empty(nmax + 1)
     for n in range(nmax + 1):
         if n:
             rho = transfer_apply_per_word(sys, rho)
+            rho.err_bound += mass_err
             if grid is not None:
                 rho, _ = quantize_per_word(rho, grid)
         values[n] = _integrate_per_word(sys, rho, later) - m_later * _total_mass_per_word(sys, rho)
-        errs[n] = to_value * rho.err_bound
+        errs[n] = to_value * rho.err_bound + abs(m_later) * mass_err
     return values, errs
 
 

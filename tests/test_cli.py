@@ -480,7 +480,7 @@ class TestExitCodes:
 
     def test_inconsistent_variance_is_bound_failure(self, config_path, tmp_path, monkeypatch):
         def inconsistent(*args, **kwargs):
-            raise InconsistencyError("truncated variance below -(tail+numeric)")
+            raise InconsistencyError("sigma^2 below minus its float bound")
 
         monkeypatch.setattr("skewfiber.cli.asymptotic_variance", inconsistent)
         code = main(["clt", "--config", config_path(small_config()), "--out", str(tmp_path / "c")])
@@ -554,7 +554,18 @@ class TestArtifacts:
         assert loud_out.out == quiet_out.out
         for name in quiet.iterdir():
             assert (loud / name.name).read_bytes() == name.read_bytes()
-        line = loud_out.err.splitlines()[1]
+        variance, line = loud_out.err.splitlines()[:2]
+        # sigma^2 and its float bound, then each contraction solve's rate bound and iteration count
+        head, solves = variance.split("; solves ")
+        assert head.startswith("variance: sigma2 ")
+        sigma2, bound = (float(part) for part in head.split()[2::2])
+        assert head.split()[3] == "within" and 0.0 < bound <= 1e-12
+        assert sigma2 == json.loads((loud / "clt.json").read_text())["sigma2"]
+        assert abs(sigma2 - 0.25) <= bound
+        for part, name in zip(solves.split(", "), ("M1", "M2", "V")):
+            label, rate_word, kappa, in_word, steps, unit = part.split()
+            assert (label, rate_word, in_word, unit) == (name, "rate", "in", "iterations")
+            assert 0.0 < float(kappa) < 1.0 and int(steps) > 1
         head, sampling, summing = line.split(", ")
         assert head == "clt: 150 trials in 3 blocks of 64"
         for part, label in ((sampling, "sampling"), (summing, "summing")):
@@ -638,7 +649,30 @@ class TestArtifacts:
         out = tmp_path / "c"
         main(["clt", "--config", config_path(small_config()), "--out", str(out)])
         data = json.loads((out / "clt.json").read_text())
-        assert set(data) == {"sigma2", "numericErrorCertified", "tailBoundFitted", "ks", "pass", "seed"}
+        assert set(data) == {"sigma2", "numericErrorCertified", "ks", "pass", "seed"}
+
+    def test_clt_runs_no_fixed_point_transfer_step_or_fit(self, config_path, tmp_path, monkeypatch):
+        from skewfiber import fitting, transfer
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("clt reads sigma^2 from the moment closure")
+
+        banned = {id(f) for f in (transfer.fixed_point, transfer.transfer_apply,
+                                  transfer.quantize_disintegration, fitting.exp_fit)}
+        # every binding in the package, as callers import the functions by name
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "skewfiber":
+                for attr, value in list(vars(module).items()):
+                    if id(value) in banned:
+                        monkeypatch.setattr(module, attr, refuse)
+        out = tmp_path / "c"
+        assert main(["clt", "--config", config_path(small_config()), "--out", str(out)]) == 0
+        lines = (out / "autocovariance.csv").read_text().splitlines()
+        assert lines[0] == "lag,value,err_bound" and len(lines) == 1 + 11
+        # the exact lags of the middle-third height, 3^-n / 8, each within its float bound
+        for n, line in enumerate(lines[1:]):
+            lag, value, err = line.split(",")
+            assert int(lag) == n and abs(float(value) - 3.0**-n / 8) <= float(err) <= 1e-12
 
     def test_verify_reports_are_byte_identical(self, config_path, tmp_path):
         path = config_path(small_config())
@@ -649,12 +683,10 @@ class TestArtifacts:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     @pytest.mark.parametrize("name,expected", [
-        ("cantor_small", b'{\n  "ks": 0.01908493895827698,\n  "numericErrorCertified": 0.002038203879367159,\n'
-                         b'  "pass": true,\n  "seed": 3,\n  "sigma2": 0.25001507781238147,\n'
-                         b'  "tailBoundFitted": 9.735387347514028e-16\n}\n'),
-        ("markov3_small", b'{\n  "ks": 0.014903718968554358,\n  "numericErrorCertified": 0.002780258999405154,\n'
-                          b'  "pass": true,\n  "seed": 3,\n  "sigma2": 0.3033619268920862,\n'
-                          b'  "tailBoundFitted": 3.761035092692005e-10\n}\n'),
+        ("cantor_small", b'{\n  "ks": 0.019078067522815156,\n  "numericErrorCertified": 4.3475639754931554e-14,\n'
+                         b'  "pass": true,\n  "seed": 3,\n  "sigma2": 0.24999999999999983\n}\n'),
+        ("markov3_small", b'{\n  "ks": 0.01498382353248251,\n  "numericErrorCertified": 6.834449912250816e-14,\n'
+                          b'  "pass": true,\n  "seed": 3,\n  "sigma2": 0.3034506723195594\n}\n'),
     ])
     def test_clt_json_is_pinned_at_seed_3(self, name, expected, tmp_path):
         # ks moves with any change to the orbit stream's draws or to the order of the Birkhoff sums

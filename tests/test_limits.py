@@ -2,6 +2,8 @@
 
 import math
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,13 @@ from oracles import (
     base_lipschitz,
     component,
     correlation_lattice,
+    exact_moment_closure,
     fiber_average_margin,
     integrate,
     observable_sums,
     sample_orbits,
 )
+from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import (
     CoboundaryError,
@@ -25,12 +29,14 @@ from skewfiber.limits import (
     clt_experiment,
     correlation_curve,
     fiber_average,
+    fiber_moments,
     gordin_norms,
     integrate_observable,
     ks_statistic,
 )
 from skewfiber.measures import PiecewiseLinearFn
-from skewfiber.symbolic import cylinder_mass_vector, window_codes
+from skewfiber.skew import FiberMapSpec, SystemSpec
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector, window_codes
 from skewfiber.transfer import fixed_point, lip_constant
 
 CANTOR = cantor_demo()
@@ -333,59 +339,107 @@ class TestGordin:
 
 
 class TestAsymptoticVariance:
-    def test_lag_zero_equals_variance(self, mu0):
-        phi = height_obs()
-        m = integrate_observable(CANTOR, mu0, phi)
-        var = asymptotic_variance(CANTOR, mu0, phi, truncation=10)
-        masses = masses_by_word(CANTOR, mu0.depth)
-        direct = 0.0
-        for w, mu in mu0.fibers.items():
-            h = component(phi, w)
-            direct += masses[w] * float(
-                np.dot(mu.weights, (h(mu.positions) - m) ** 2)
-            )
-        assert var.curve.values[0] == pytest.approx(direct, abs=1e-10)
+    def test_lag_zero_is_the_variance_of_the_moments(self):
+        # C_0 = sum_w m_w int (y - mean)^2 d mu|_w = m.(M_2 - 2 mean M_1) + mean^2
+        for sys, depth in ((CANTOR, 4), (COUPLED, 3), (MARKOV3, 4)):
+            var = asymptotic_variance(sys, height_obs(sys), depth, 3)
+            m1, m2, _ = fiber_moments(sys, depth)
+            masses = cylinder_mass_vector(sys.weights, sys.matrix, depth)
+            direct = float(np.dot(masses, m2.x - 2.0 * var.mean * m1.x)) + var.mean**2
+            assert var.mean == pytest.approx(float(np.dot(masses, m1.x)), abs=1e-15)
+            assert var.lags[0] == pytest.approx(direct, abs=1e-14)
 
-    def test_cantor_height_autocovariances_closed_form(self, mu0):
+    def test_cantor_height_autocovariances_closed_form(self):
         # var = 1/8 and cov_j = var / 3^j for the middle-third fixed point
-        var = asymptotic_variance(CANTOR, mu0, height_obs(), truncation=12)
-        assert var.curve.values[0] == pytest.approx(1 / 8, abs=1e-4)
-        for j in (1, 2, 3, 4):
-            assert var.curve.values[j] == pytest.approx(3.0**-j / 8, abs=1e-4)
+        var = asymptotic_variance(CANTOR, height_obs(), 4, 12)
+        assert var.lags.size == var.lag_errors.size == 13
+        for j in range(13):
+            assert abs(var.lags[j] - 3.0**-j / 8) <= var.lag_errors[j]
 
-    def test_cantor_height_sigma2_is_quarter(self, mu0):
-        # 1/8 + 2 * (1/8) * sum 3^-j = 1/4
-        var = asymptotic_variance(CANTOR, mu0, height_obs(), truncation=30)
-        assert var.sigma2 == pytest.approx(0.25, abs=2e-3)
+    @pytest.mark.parametrize("depth", [1, 2, 4, 7])
+    def test_cantor_height_sigma2_is_quarter(self, depth):
+        # 1/8 + 2 * (1/8) * sum 3^-j = 1/4, at every working depth
+        var = asymptotic_variance(CANTOR, height_obs(), depth, 30)
+        assert 0.0 < var.numeric_error <= 1e-12
+        assert abs(var.sigma2 - 0.25) <= var.numeric_error
+        assert abs(var.mean - 0.5) <= var.mean_error
         assert not var.possible_coboundary
+        assert [name for name, _, _ in var.solves] == ["M1", "M2", "V"]
 
-    def test_truncation_stability(self, mu0):
-        v30 = asymptotic_variance(CANTOR, mu0, height_obs(), truncation=30)
-        v35 = asymptotic_variance(CANTOR, mu0, height_obs(), truncation=35)
-        assert abs(v35.sigma2 - v30.sigma2) <= 0.02 * abs(v30.sigma2)
+    def test_sigma2_does_not_depend_on_the_lag_count(self):
+        # no truncation enters sigma^2: the lags only fill the autocovariance table
+        v30 = asymptotic_variance(MARKOV3, height_obs(MARKOV3), 4, 30)
+        v35 = asymptotic_variance(MARKOV3, height_obs(MARKOV3), 4, 35)
+        assert (v30.sigma2, v30.numeric_error) == (v35.sigma2, v35.numeric_error)
+        assert np.array_equal(v30.lags, v35.lags[:31])
 
-    def test_constant_observable_flags_coboundary(self, mu0):
+    def test_constant_observable_flags_coboundary(self):
         const = Observable.base_only(CANTOR.matrix, 1, {(0,): 2.0, (1,): 2.0})
-        var = asymptotic_variance(CANTOR, mu0, const, truncation=5)
+        var = asymptotic_variance(CANTOR, const, 4, 5)
         assert var.sigma2 == pytest.approx(0.0, abs=1e-12)
         assert var.possible_coboundary
 
-    def test_telescoping_coboundary_flagged(self, mu0):
+    def test_telescoping_coboundary_flagged(self):
         # phi = u o F - u for base-only depth-1 u: variance telescopes to zero
         rng = np.random.default_rng(6)
         u0, u1 = rng.standard_normal(2)
         u_vals = {(0,): u0, (1,): u1}
         vals = {w: u_vals[(w[1],)] - u_vals[(w[0],)] for w in CANTOR.matrix.words(2)}
         phi = Observable.base_only(CANTOR.matrix, 2, vals)
-        var = asymptotic_variance(CANTOR, mu0, phi, truncation=20)
-        assert abs(var.sigma2) <= var.tail_bound + var.numeric_error
+        var = asymptotic_variance(CANTOR, phi, 4, 20)
+        assert abs(var.sigma2) <= var.numeric_error
         assert var.possible_coboundary
 
-    def test_centering_invariance(self, mu0):
+    def test_centering_invariance(self):
         phi = height_obs()
-        a = asymptotic_variance(CANTOR, mu0, phi, truncation=10)
-        b = asymptotic_variance(CANTOR, mu0, phi.shifted(3.7), truncation=10)
-        assert a.sigma2 == pytest.approx(b.sigma2, abs=1e-12)
+        a = asymptotic_variance(CANTOR, phi, 4, 10)
+        b = asymptotic_variance(CANTOR, phi.shifted(3.7), 4, 10)
+        assert abs(a.sigma2 - b.sigma2) <= a.numeric_error + b.numeric_error
+        assert abs(b.mean - a.mean - 3.7) <= a.mean_error + b.mean_error + 2.0**-50
+
+    @pytest.mark.parametrize("config,by_hand", [
+        ("bench/configs/cantor_small.json", 0.25), ("src/skewfiber/data/cantor_demo.json", 0.25),
+        ("src/skewfiber/data/coupled_demo.json", 0.25),
+        ("bench/configs/markov3_small.json", None), ("bench/configs/markov3.json", None),
+    ])
+    def test_clt_configs_read_the_exact_sigma2(self, config, by_hand):
+        # what ``clt`` reads: phi = y at the config's depth; 1/4 by hand on the middle-third branches
+        cfg = parse_config(Path(__file__).resolve().parents[1] / config)
+        phi = height_obs(cfg.system)
+        var = asymptotic_variance(cfg.system, phi, cfg.depth, cfg.clt.truncation)
+        assert var.numeric_error <= 1e-12 and var.lags.size == cfg.clt.truncation + 1
+        if by_hand is None:
+            by_hand = exact_moment_closure(cfg.system, phi, cfg.depth, 0)[1]
+        assert abs(Fraction(var.sigma2) - Fraction(by_hand)) <= Fraction(var.numeric_error)
+
+    def test_non_affine_observable_is_rejected(self):
+        tent = Observable.fiber(CANTOR.matrix, PiecewiseLinearFn([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="affine in y on each word"):
+            asymptotic_variance(CANTOR, tent, 4, 5)
+        deep = Observable.base_only(CANTOR.matrix, 3, dict.fromkeys(CANTOR.matrix.words(3), 1.0))
+        with pytest.raises(ValueError, match="phi of depth at most 2"):
+            asymptotic_variance(CANTOR, deep, 2, 5)
+
+    @pytest.mark.parametrize("name,depth", [("cantor", 2), ("coupled", 2), ("markov3", 3), ("random", 3)])
+    def test_float_bounds_hold_against_exact_rationals(self, name, depth):
+        # the oracle evaluates the same closure on the same float tables in Fractions
+        if name == "random":
+            rng = np.random.default_rng(3)
+            transition = rng.uniform(0.1, 1.0, (2, 2))
+            slopes = rng.uniform(-0.6, 0.6, 2)
+            sys = SystemSpec(TransitionMatrix([[1, 1], [1, 1]]), 0.5, BaseWeights.markov(transition / transition.sum(1, keepdims=True)),
+                             [FiberMapSpec(a, rng.uniform(max(0.0, -a), min(1.0, 1.0 - a))) for a in slopes])
+            comps = {w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in sys.matrix.words(2)}
+            phi = Observable(sys.matrix, 2, comps)
+        else:
+            sys = {"cantor": CANTOR, "coupled": COUPLED, "markov3": MARKOV3}[name]
+            phi = height_obs(sys)
+        var = asymptotic_variance(sys, phi, depth, 12)
+        mean, sigma2, lags, _, _ = exact_moment_closure(sys, phi, depth, 12)
+        assert abs(Fraction(var.mean) - mean) <= Fraction(var.mean_error)
+        assert abs(Fraction(var.sigma2) - sigma2) <= Fraction(var.numeric_error)
+        for value, err, exact in zip(var.lags.tolist(), var.lag_errors.tolist(), lags):
+            assert abs(Fraction(value) - exact) <= Fraction(err)
 
 
 class TestCLT:
@@ -438,28 +492,25 @@ class TestCLT:
         # two ulps of 1.0: both CDFs lie within about one ulp of the normal CDF
         assert abs(ks_statistic(x, sigma) - expected) <= 2.0**-51
 
-    def test_small_cantor_run_passes(self, mu0):
+    def test_small_cantor_run_passes(self):
         phi = height_obs()
-        variance = asymptotic_variance(CANTOR, mu0, phi, truncation=30)
-        res = clt_experiment(CANTOR, mu0, phi, length=300, trials=400, seed=0, variance=variance)
+        variance = asymptotic_variance(CANTOR, phi, 4, 30)
+        res = clt_experiment(CANTOR, phi, length=300, trials=400, seed=0, variance=variance)
         assert res.passed
-        assert variance.sigma == pytest.approx(0.5, abs=0.01)
+        assert abs(variance.sigma2 - 0.25) <= variance.numeric_error
 
     @pytest.mark.parametrize("sys_name", ["cantor", "markov3"])
-    def test_ks_statistic_does_not_depend_on_the_block(self, sys_name, monkeypatch, mu0, mu0_markov3):
+    def test_ks_statistic_does_not_depend_on_the_block(self, sys_name, monkeypatch):
         from skewfiber import limits, skew
 
-        sys, mu, length, trials = {
-            "cantor": (CANTOR, mu0, 60, 100),
-            "markov3": (MARKOV3, mu0_markov3, 50, 100),
-        }[sys_name]
+        sys, length, trials = {"cantor": (CANTOR, 60, 100), "markov3": (MARKOV3, 50, 100)}[sys_name]
         phi = height_obs(sys)
-        variance = asymptotic_variance(sys, mu, phi, truncation=10)
+        variance = asymptotic_variance(sys, phi, 4, 10)
         cells = limits.BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
         results = []
         for per_block in (trials, 7, 1):
             monkeypatch.setattr(skew, "BLOCK_CELLS", per_block * cells)
-            res = clt_experiment(sys, mu, phi, length, trials, seed=4, variance=variance)
+            res = clt_experiment(sys, phi, length, trials, seed=4, variance=variance)
             results.append(res.ks_statistic)
         assert results[0] == results[1] == results[2]
 
@@ -480,53 +531,55 @@ class TestCLT:
             phi = Observable(COUPLED.matrix, 2, {
                 w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in COUPLED.matrix.words(2)
             })
-        # any disintegration of the observable's depth centres the sums
+        # any mean centres the sums: one from a random disintegration of the observable's depth
         mu = random_disintegration(sys.matrix, phi.depth, np.random.default_rng(1), signed=False)
+        mean = integrate_observable(sys, mu, phi)
         length, trials = 30, 100
         symbols, ys = sample_orbits(sys, 4, length, trials, burn_in=limits.BURN_IN, window=phi.depth)
-        want = (observable_sums(phi, symbols, ys) - length * integrate_observable(sys, mu, phi)) / math.sqrt(length)
-        variance = VarianceResult(sigma2=1.0, tail_bound=0.0, numeric_error=0.0, curve=None)
+        want = (observable_sums(phi, symbols, ys) - length * mean) / math.sqrt(length)
+        variance = VarianceResult(mean=mean, mean_error=0.0, sigma2=1.0, numeric_error=0.0, lags=None, lag_errors=None,
+                                  solves=[], possible_coboundary=False)
         cells = limits.BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
         monkeypatch.setattr(skew, "FIBER_CELLS", fiber_cells)
         for per_block in (trials, 7, 1):
             seen = []
             monkeypatch.setattr(skew, "BLOCK_CELLS", per_block * cells)
             monkeypatch.setattr(limits, "ks_statistic", lambda samples, sigma: seen.append(samples) or 0.0)
-            clt_experiment(sys, mu, phi, length, trials, seed=4, variance=variance)
+            clt_experiment(sys, phi, length, trials, seed=4, variance=variance)
             assert np.array_equal(seen[0], want)
 
-    def test_memory_does_not_grow_with_trials(self, mu0, mu0_markov3):
+    def test_memory_does_not_grow_with_trials(self):
         import tracemalloc
 
-        def peak(sys, mu, length, trials):
+        def peak(sys, length, trials):
             phi = height_obs(sys)
-            variance = asymptotic_variance(sys, mu, phi, truncation=10)
+            variance = asymptotic_variance(sys, phi, 4, 10)
             tracemalloc.start()
             try:
-                clt_experiment(sys, mu, phi, length=length, trials=trials, seed=1, variance=variance)
+                clt_experiment(sys, phi, length=length, trials=trials, seed=1, variance=variance)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peaks = [peak(CANTOR, mu0, 2000, trials) for trials in (1000, 4000)]
+        peaks = [peak(CANTOR, 2000, trials) for trials in (1000, 4000)]
         # one block at length 2000 holds 514 trials, so both runs peak at one block
         assert peaks[1] < 1.5 * peaks[0]
         # and no trials x length float array is built: a block keeps one byte per orbit cell
         assert peaks[1] < 4 * 2**20
         # markov3_small's run
-        assert peak(MARKOV3, mu0_markov3, 500, 2000) < 4 * 2**20
+        assert peak(MARKOV3, 500, 2000) < 4 * 2**20
 
-    def test_too_few_trials_rejected(self, mu0):
+    def test_too_few_trials_rejected(self):
         phi = height_obs()
-        variance = asymptotic_variance(CANTOR, mu0, phi, truncation=30)
+        variance = asymptotic_variance(CANTOR, phi, 4, 30)
         with pytest.raises(ValueError, match="trials"):
-            clt_experiment(CANTOR, mu0, phi, length=100, trials=10, seed=0, variance=variance)
+            clt_experiment(CANTOR, phi, length=100, trials=10, seed=0, variance=variance)
 
-    def test_coboundary_regime_rejected(self, mu0):
+    def test_coboundary_regime_rejected(self):
         const = Observable.base_only(CANTOR.matrix, 1, {(0,): 1.0, (1,): 1.0})
-        variance = asymptotic_variance(CANTOR, mu0, const, truncation=30)
+        variance = asymptotic_variance(CANTOR, const, 4, 30)
         with pytest.raises(CoboundaryError):
-            clt_experiment(CANTOR, mu0, const, length=100, trials=200, seed=0, variance=variance)
+            clt_experiment(CANTOR, const, length=100, trials=200, seed=0, variance=variance)
 
 
 def _cdf_values(points):

@@ -11,6 +11,8 @@ up to floating-point rounding or a tiny residual.  Example counts are small
 and the search is derandomized, so the suite stays fast and repeatable.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import MARKOV3, one_row, random_disintegration  # noqa: E402
-from oracles import is_primitive_by_powers, wk_distance_bruteforce  # noqa: E402
+from oracles import is_primitive_by_powers, lag_loop_variance, wk_distance_bruteforce  # noqa: E402
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
     PiecewiseLinearFn,
@@ -26,6 +28,7 @@ from skewfiber.measures import (  # noqa: E402
     wk_distance_primal,
 )
 from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
+from skewfiber.limits import Observable, _weighted_disintegration, asymptotic_variance  # noqa: E402
 from skewfiber.skew import FiberMapSpec, SystemSpec, symbol_lookup, symbol_ranks  # noqa: E402
 from skewfiber.symbolic import (  # noqa: E402
     BaseWeights,
@@ -497,3 +500,32 @@ class TestFixedPointCertificate:
     def test_demos(self, demo):
         sys = demo()
         assert_certificate_covers_reference(sys, depth=sys.offset_depth)
+
+
+class TestMomentClosureAgainstTheLagLoop:
+    """The exact closure against the quantized lag loop it replaced in ``clt``, on random Markov systems."""
+
+    @SOLVES
+    @given(systems())
+    def test_exact_lags_and_sigma2_within_the_lag_loops_bounds(self, sys):
+        phi = Observable.fiber(sys.matrix, PiecewiseLinearFn.identity())
+        mu0 = fixed_point(sys, depth=2, grid=512).disintegration
+        exact = asymptotic_variance(sys, phi, 2, 400)
+        sigma2, tail, numeric, curve = lag_loop_variance(sys, mu0, phi, 30)
+        # each quantized lag within its certified error of the exact one
+        assert (np.abs(curve.values - exact.lags[:31]) <= curve.err_bounds + exact.lag_errors[:31]).all()
+        # the truncated sum within its certified error and its fitted tail
+        assert abs(sigma2 - exact.sigma2) <= numeric + tail + exact.numeric_error
+        # the two-solve sigma^2 is the series of its own lags; past lag 400 they are below 0.9^400
+        series = math.fsum([exact.lags[0]] + (2.0 * exact.lags[1:]).tolist())
+        assert abs(series - exact.sigma2) <= exact.numeric_error + exact.lag_errors[0] + 2.0 * exact.lag_errors[1:].sum()
+
+    def test_reweighing_error_factor_is_attained(self):
+        # y times delta_1 against y times delta_{1 - eps}: the fibers lie 2 eps - eps^2 apart in the dual
+        # norm, all but eps^2 of the (sup + Lip) eps that the weighted disintegration carries
+        eps = 2.0**-10
+        mu_hat = Disintegration.product(TransitionMatrix([[1, 1], [1, 1]]), 1, AtomicMeasure.dirac(1.0))
+        mu_hat.err_bound = eps
+        phi = Observable.fiber(mu_hat.matrix, PiecewiseLinearFn.identity())
+        gap = wk_distance(AtomicMeasure.dirac(1.0), AtomicMeasure.dirac(1.0 - eps, 1.0 - eps))
+        assert gap == 2.0 * eps - eps**2 <= _weighted_disintegration(mu_hat, phi).err_bound

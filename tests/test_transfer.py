@@ -2,13 +2,16 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import MARKOV3, random_disintegration, random_vanishing_disintegration
 from oracles import disintegration_from_json, hutchinson_reference, word_sum_iterate
+from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
+from skewfiber.limits import fiber_moments
 from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, wk_distance
 from skewfiber.skew import FiberMapSpec, SystemSpec
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, ruelle_apply, word_distances
@@ -311,6 +314,23 @@ class TestFixedPoint:
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
             fixed_point(CANTOR, depth=2, tol=0.0)
+
+    @pytest.mark.parametrize("config", [
+        "bench/configs/cantor_small.json", "bench/configs/markov3_small.json", "bench/configs/markov3.json",
+        "src/skewfiber/data/cantor_demo.json", "src/skewfiber/data/coupled_demo.json",
+    ])
+    def test_certificate_covers_the_exact_moment_gaps(self, config):
+        # y^k has sup 1 and Lipschitz constant k on [0, 1], so |int y^k d(mu^ - mu)|_w| <= k wk(mu^|_w, mu|_w)
+        cfg = parse_config(Path(__file__).resolve().parents[1] / config)
+        res = fixed_point(cfg.system, depth=cfg.depth, tol=cfg.tol, grid=cfg.grid)
+        moments = fiber_moments(cfg.system, cfg.depth)[:2]
+        fibers = list(res.disintegration.fibers.values())
+        gaps = []
+        for k, exact in enumerate(moments, start=1):
+            computed = np.array([float(np.dot(mu.weights, mu.positions**k)) for mu in fibers])
+            gaps.append(float(np.abs(computed - exact.x).max()) / k - exact.e)
+        # on cantor the k = 1 gap vanishes by symmetry, and k = 2 carries the audit
+        assert res.certified_error >= max(gaps) > 0.0
 
 
 class TestVerifyLY:
