@@ -20,10 +20,6 @@ class ExpFit:
     r_squared: float
     n_used: int
 
-    @property
-    def degenerate(self):
-        return self.n_used < 2
-
 
 def exp_fit(ns, values, floor=FIT_FLOOR):
     """Least-squares fit of log |values| against ns.

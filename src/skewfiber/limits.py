@@ -21,29 +21,28 @@ Gordin's conditional expectations need no word sums either: at level n
 their L2 norm is ||P^n s||, the base transfer operator power applied to the
 fiber integrals s of the centered observable (see ``gordin_norms``).
 
-Every reader of an observable evaluates each cell once, by the component
-its window code (``symbolic.window_codes``) selects: ``Observable.values``
-at the depth-k windows of the CLT orbits' symbol tracks, and
-``Observable.weigh`` at the atoms of a disintegration, once per distinct
-(fiber, component) pair of its words.
+``Observable.weigh`` evaluates an observable at the atoms of a
+disintegration, once per distinct (fiber, component) pair of its words.
+The moment closure and the CLT read an observable affine in y on each word
+as p_w + q_w y, from its values at y = 0 and 1 by window code.
 
 The CLT experiment reads its Birkhoff sums from ``skew.birkhoff_sums``,
 which owns the orbit stream, so memory does not grow with the trial count.
 It centres them by the exact mean and tests them against the exact sigma^2
 of ``asymptotic_variance``: the fiber moments of affine branches close
 under the transfer operator, so two contraction solves and the base chain's
-fundamental matrix give both, with float bounds, and no fixed point.
+fundamental matrix give both, with float bounds, and no fixed point.  The
+decay layers return their sequences; only the command line fits them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import ExpFit, exp_fit
 from .measures import UNIT_ROUNDOFF, PiecewiseLinearFn, round_up
 from .skew import birkhoff_sums
 from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes
@@ -53,7 +52,6 @@ __all__ = [
     "Observable",
     "CorrelationCurve",
     "VarianceResult",
-    "GordinResult",
     "CLTResult",
     "CoboundaryError",
     "InconsistencyError",
@@ -111,24 +109,6 @@ class Observable:
         """Observable depending on the fiber alone, phi(x, y) = h(y)."""
         return cls(matrix, 1, {w: h for w in matrix.words(1)})
 
-    def values(self, codes, y):
-        """phi at admissible depth-k window codes and fiber points of one shape, each cell once."""
-        if len(self.pieces) == 1:
-            return self.pieces[0](y)
-        return self._piece_values(self.piece_of_code.take(codes), y)
-
-    def _piece_values(self, piece, y):
-        """Piece ``piece`` of phi at ``y``, cell by cell, for arrays of one shape."""
-        if len(self.pieces) == 1:
-            return self.pieces[0](y)
-        piece = piece.ravel()
-        order = np.argsort(piece, kind="stable")  # each piece reads its own range of cells
-        cuts = np.searchsorted(piece[order], np.arange(1, len(self.pieces)))
-        flat, out = y.ravel(), np.empty(y.size)
-        for h, idx in zip(self.pieces, np.split(order, cuts)):
-            out[idx] = h(flat[idx])
-        return out.reshape(y.shape)
-
     def weigh(self, dis, g=None, err_bound=0.0):
         """Fiberwise product g(h_w) . mu|_w: each atom's weight times g of its word's component there.
 
@@ -141,20 +121,27 @@ class Observable:
         pieces = self.piece_of_code[window_codes(columns, self.matrix.n_symbols)]
 
         def times(piece, pos, w):
-            values = self._piece_values(piece, pos)
+            if len(self.pieces) == 1:
+                values = self.pieces[0](pos)
+            else:
+                order = np.argsort(piece, kind="stable")  # each piece reads its own range of atoms
+                cuts = np.searchsorted(piece[order], np.arange(1, len(self.pieces)))
+                values = np.empty(pos.size)
+                for h, idx in zip(self.pieces, np.split(order, cuts)):
+                    values[idx] = h(pos[idx])
             return pos, w * (values if g is None else g(values))
 
         return dis.mapped(pieces, times, err_bound)
 
     def sup_norm(self):
-        return max(h.sup_norm() for h in self.components.values())
+        return max(h.sup_norm() for h in self.pieces)
 
     def fiber_lipschitz(self):
-        return max(h.lipschitz() for h in self.components.values())
+        return max(h.lipschitz() for h in self.pieces)
 
     def dual_bound(self):
         """max(Lip, sup) of the worst component: converts wk errors to integral errors."""
-        return max(max(h.lipschitz(), h.sup_norm()) for h in self.components.values())
+        return max(max(h.lipschitz(), h.sup_norm()) for h in self.pieces)
 
     def shifted(self, c):
         moved = {id(h): h.shifted(c) for h in self.pieces}
@@ -206,7 +193,6 @@ class CorrelationCurve:
     lags: np.ndarray
     values: np.ndarray
     err_bounds: np.ndarray
-    fit: ExpFit = field(repr=False)
 
 
 def correlation_curve(sys, mu0, now, later, nmax, grid=DEFAULT_GRID):
@@ -220,44 +206,28 @@ def correlation_curve(sys, mu0, now, later, nmax, grid=DEFAULT_GRID):
     returns, a fiber-dependent ``now`` also moves each fiber's mass, by at
     most Lip(now) times mu0's error; mixing does not contract that, so every
     step adds it, and the ``later`` mean it pairs with adds its share to
-    every lag.  The fit is a log-linear envelope over the lags whose
-    magnitude exceeds the numerical floor.
+    every lag.
     """
     m_now = integrate_observable(sys, mu0, now)
     m_later = integrate_observable(sys, mu0, later)
     rho = _weighted_disintegration(mu0, now.shifted(-m_now))
     to_value = later.dual_bound()
     mass_err = now.fiber_lipschitz() * mu0.err_bound
-    lags = np.arange(nmax + 1)
-    values = np.empty(nmax + 1)
-    errs = np.empty(nmax + 1)
-    # total mass of rho is the centered mean, zero, so no product correction
-    values[0] = integrate_observable(sys, rho, later) - m_later * rho.total_mass(sys.weights)
-    errs[0] = to_value * rho.err_bound + abs(m_later) * mass_err
-    for n in range(1, nmax + 1):
-        rho = transfer_apply(sys, rho)
-        rho.err_bound += mass_err
-        if grid is not None:
-            rho, _ = quantize_disintegration(rho, grid)
+    values, errs = np.empty(nmax + 1), np.empty(nmax + 1)
+    for n in range(nmax + 1):
+        if n:
+            rho = transfer_apply(sys, rho)
+            rho.err_bound += mass_err
+            if grid is not None:
+                rho, _ = quantize_disintegration(rho, grid)
         values[n] = integrate_observable(sys, rho, later) - m_later * rho.total_mass(sys.weights)
         errs[n] = to_value * rho.err_bound + abs(m_later) * mass_err
-    return CorrelationCurve(lags, values, errs, exp_fit(lags, values))
+    return CorrelationCurve(np.arange(nmax + 1), values, errs)
 
 
 # ---------------------------------------------------------------------------
 # Gordin conditional expectations
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class GordinResult:
-    norms: np.ndarray
-    fit: ExpFit
-
-    @property
-    def ratio_margin(self):
-        """Ratio-test margin 1 - tau for the summability of the norms."""
-        return 1.0 - self.fit.rate
 
 
 def gordin_norms(sys, mu0, phi, nmax):
@@ -268,6 +238,7 @@ def gordin_norms(sys, mu0, phi, nmax):
     observable, the conditional expectation is P^n s for the base transfer
     operator P, so ||E[phi~ | sigma^-n B]||_2 = ||P^n s||_{L2(m)} (Gordin
     1969; Liverani 1996): one ``ruelle_apply`` per level, exact at every n.
+    Returns the norms of levels 0..nmax.
     """
     m_phi = integrate_observable(sys, mu0, phi)
     s = CylinderFunction(mu0.matrix, mu0.depth, _fiber_integrals(mu0, phi.shifted(-m_phi)))
@@ -276,7 +247,7 @@ def gordin_norms(sys, mu0, phi, nmax):
     for n in range(nmax + 1):
         norms[n] = math.sqrt(float(np.dot(masses, s.values**2)))
         s = ruelle_apply(s, sys.weights)
-    return GordinResult(norms, exp_fit(np.arange(nmax + 1), norms))
+    return norms
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +347,14 @@ class VarianceResult:
     possible_coboundary: bool
 
 
+def _end_values(phi):
+    """phi at y = 0 and y = 1 by window code, phi = p + (end - p) y; a piece without breakpoints is not affine."""
+    if any(len(getattr(h, "breakpoints", ())) != 2 for h in phi.pieces):
+        raise ValueError("phi must be affine in y on each word: one segment over [0, 1]")
+    ends = np.array([h.values for h in phi.pieces])
+    return ends[phi.piece_of_code, 0], ends[phi.piece_of_code, 1]
+
+
 def asymptotic_variance(sys, phi, depth, nlags):
     """Mean, sigma^2 = C_0 + 2 sum_{n>=1} C_n and C_0..C_nlags of phi = p_w + q_w y, from the moment closure.
 
@@ -392,12 +371,11 @@ def asymptotic_variance(sys, phi, depth, nlags):
     flags a possible coboundary, and below minus it raises ``InconsistencyError``.
     """
     matrix, n = sys.matrix, sys.n_symbols
-    if phi.depth > depth or any(len(getattr(h, "breakpoints", ())) != 2 for h in phi.pieces):
-        raise ValueError(f"the moment closure needs phi of depth at most {depth}, affine in y on each word: "
-                         "one segment over [0, 1]")
+    if phi.depth > depth:
+        raise ValueError(f"the moment closure needs phi of depth at most {depth}")
     words, closure, (a, b) = matrix.word_array(depth), _Closure(sys, depth), sys.word_branches(depth)
-    piece = phi.piece_of_code[window_codes(words.T[: phi.depth], n)]
-    p, end = (_Ball(np.array([h.values[k] for h in phi.pieces])[piece]) for k in (0, 1))
+    code = window_codes(words.T[: phi.depth], n)
+    p, end = (_Ball(v[code]) for v in _end_values(phi))
     q, (m1, m2, solves) = end - p, fiber_moments(sys, depth)
     m = cylinder_mass_vector(sys.weights, matrix, depth)
     msum = round_up(math.fsum(m.tolist()), 1)
@@ -478,29 +456,25 @@ def ks_statistic(samples, sigma):
 def clt_experiment(sys, phi, length, trials, seed, variance):
     """Kolmogorov-Smirnov test of the normalized Birkhoff sums.
 
-    ``trials`` independent orbits stream their Birkhoff sums of phi through
-    ``skew.birkhoff_sums`` (trial t reads its own stretch of the seed's one
-    PCG64 stream) after ``BURN_IN`` fiber steps.  The sums S_n, centred by
-    n times the exact mean, are normalized by sqrt(n) and compared against
-    the centred normal law with the exact sigma^2 of ``variance`` (an
-    ``asymptotic_variance`` result), and the run passes when the KS
-    statistic stays below the 5% critical value 1.36/sqrt(trials) inflated
-    by ``KS_SLACK`` for the distance of finite-length sums from their limit.
+    ``trials`` independent orbits stream their Birkhoff sums of phi, read as
+    p + q y on each word, through ``skew.birkhoff_sums`` (trial t reads its
+    own stretch of the seed's one PCG64 stream) after ``BURN_IN`` fiber
+    steps; a phi that is not affine in y on each word raises ``ValueError``
+    before any draw.  The sums S_n, centred by n times the exact mean, are
+    normalized by sqrt(n) and compared against the centred normal law with
+    the exact sigma^2 of ``variance`` (an ``asymptotic_variance`` result),
+    and the run passes when the KS statistic stays below the 5% critical
+    value 1.36/sqrt(trials) inflated by ``KS_SLACK`` for the distance of
+    finite-length sums from their limit.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful KS test")
     if variance.possible_coboundary or variance.sigma2 <= 0.0:
         raise CoboundaryError("coboundary regime, CLT statement vacuous")
-    sums, block_trials, sample_s, sum_s = birkhoff_sums(sys, phi.values, phi.depth, seed, trials, BURN_IN, length)
+    p, end = _end_values(phi)
+    sums, block_trials, sample_s, sum_s = birkhoff_sums(sys, p, end - p, phi.depth, seed, trials, BURN_IN, length)
     sums -= length * variance.mean
     normalized = sums / math.sqrt(length)
     ks = ks_statistic(normalized, math.sqrt(variance.sigma2))
     threshold = 1.36 / math.sqrt(trials) * KS_SLACK
-    return CLTResult(
-        ks_statistic=ks,
-        passed=ks <= threshold,
-        threshold=threshold,
-        block_trials=block_trials,
-        sample_s=sample_s,
-        sum_s=sum_s,
-    )
+    return CLTResult(ks, ks <= threshold, threshold, block_trials, sample_s, sum_s)

@@ -15,9 +15,10 @@ orbits of a seed in blocks of trials, about ``BLOCK_CELLS`` cells each.
 trials of a seed read one PCG64 stream, each its own consecutive stretch of
 draws, and each uniform is reduced at once to its rank among the
 inverse-CDF thresholds.  The fiber recursion then runs over the tracks in a
-time-major buffer of about ``FIBER_CELLS`` states, and the observable is
-summed over each chunk of recorded states while it is in the buffer, so
-only a running sum per trial is kept and no trials x length array is built.
+time-major buffer of about ``FIBER_CELLS`` states, and an observable
+affine in y on each word, p + q y from two tables by window code, is summed
+over each chunk of recorded states while it is in the buffer, so only a
+running sum per trial is kept and no trials x length array is built.
 """
 
 from __future__ import annotations
@@ -279,12 +280,15 @@ def symbol_tracks(weights, gen, trials, total):
     return tracks
 
 
-def birkhoff_sums(sys, f, depth, seed, trials, burn_in, length):
-    """Sums of ``f`` over recorded steps burn_in .. burn_in + length - 1 of ``trials`` orbits from y = 1/2.
+def birkhoff_sums(sys, p, q, depth, seed, trials, burn_in, length):
+    """Sums of q[c] y + p[c] over recorded steps burn_in .. burn_in + length - 1 of ``trials`` orbits from y = 1/2.
 
-    ``f(codes, ys)`` evaluates an observable at the depth-``depth`` window
-    codes (``symbolic.window_codes``) and fiber points of arrays of one
-    shape.  The orbits stream in blocks of about ``BLOCK_CELLS`` cells, with
+    ``p`` and ``q`` tabulate an observable affine in y on each word by its
+    depth-``depth`` window code c (``symbolic.window_codes``).  With p = v0
+    and q = v1 - v0 for a piece with values v0, v1 at y = 0, 1, the one
+    product and one sum are ``np.interp``'s own (y - 0) ((v1 - v0) / 1) + v0
+    for y < 1 (at y = 1 ``np.interp`` returns v1 itself).
+    The orbits stream in blocks of about ``BLOCK_CELLS`` cells, with
     total = burn_in + length + max(depth, offset_depth) - 1 per trial:
     trial t reads draws t * total .. (t + 1) * total - 1 of
     ``orbit_stream(seed)`` (``symbol_tracks``).  The fiber recursion runs
@@ -322,7 +326,10 @@ def birkhoff_sums(sys, f, depth, seed, trials, burn_in, length):
             if depth != d:
                 codes = window_codes([tracks[t0 + j: t1 + j] for j in range(depth)], n)
             r = max(burn_in - t0, 0)
-            for row in f(codes[r:], buf[r:t1 - t0]):
+            values = q.take(codes[r:])
+            values *= buf[r:t1 - t0]
+            values += p.take(codes[r:])
+            for row in values:
                 part += row
             buf[0] = buf[t1 - t0]
         # frees the block's tracks, which one-column codes are a view of, before the next block is sampled

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import exp_fit
 from .measures import UNIT_ROUNDOFF, AtomicMeasure, merge_atoms, round_up, row_norms
 from .skew import c1_constant
 from .symbolic import CylinderFunction, cylinder_mass_vector, pair_lipschitz
@@ -438,11 +437,12 @@ def verify_ly(sys, dis, nmax):
 
 
 def equilibrium_decay(sys, dis, nmax):
-    """Fit the decay of the fiberwise norm of iterates of a zero-marginal measure.
+    """Fiberwise norms of the iterates 1..nmax of a zero-marginal measure.
 
     The input must have a marginal with zero base mean (the vanishing
-    marginal subspace); the fitted rate is expected below 1 and, when the
-    marginal part collapses quickly, close to the fiber contraction rate.
+    marginal subspace); the norms are expected to decay exponentially and,
+    when the marginal part collapses quickly, at about the fiber
+    contraction rate.
     """
     mean = dis.total_mass(sys.weights)
     if abs(mean) > 1e-10:
@@ -452,5 +452,4 @@ def equilibrium_decay(sys, dis, nmax):
     for _ in range(nmax):
         current = transfer_apply(sys, current)
         norms.append(norm_inf(current))
-    fit = exp_fit(np.arange(1, nmax + 1), norms)
-    return fit, norms
+    return norms

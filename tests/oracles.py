@@ -267,7 +267,7 @@ def lag_loop_variance(sys, mu0, phi, truncation, grid=DEFAULT_GRID):
     curve = correlation_curve(sys, mu0, centered, centered, truncation, grid=grid)
     sigma2 = float(curve.values[0] + 2.0 * curve.values[1:].sum())
     fit = exp_fit(curve.lags, curve.values)
-    if fit.degenerate:
+    if fit.n_used < 2:
         tail = 0.0
     elif fit.rate < 1.0:
         tail = 2.0 * fit.constant * fit.rate ** (truncation + 1) / (1.0 - fit.rate)
@@ -428,8 +428,13 @@ def lip_constant_per_word(dis, theta):
 
 
 def _on_atoms(obs, dis, row, pos):
-    columns = dis.matrix.word_array(dis.depth).T[: obs.depth]
-    return obs.values(window_codes(columns, obs.matrix.n_symbols)[row], pos)
+    """``obs`` at each atom of a one-row-per-word table, by its own word's component."""
+    words = dis.matrix.word_array(dis.depth)
+    values = np.empty(pos.size)
+    for r, word in enumerate(words.tolist()):
+        cells = row == r
+        values[cells] = component(obs, word)(pos[cells])
+    return values
 
 
 def _integrate_per_word(sys, dis, obs):
@@ -568,13 +573,18 @@ def fiber_path(sys, tracks, burn_in, length):
 def observable_sums(phi, symbols, ys):
     """Birkhoff sums of an observable over the orbits of ``sample_orbits``, added in step order.
 
-    phi is evaluated on the whole trials x length array at once, and each
-    trial's values are added one step at a time: the reference for the sums
-    that ``skew.birkhoff_sums`` streams chunk by chunk.
+    Each cell is evaluated by its own window's component, one word at a
+    time over the whole trials x length array, and each trial's values are
+    added one step at a time: the reference for the sums that
+    ``skew.birkhoff_sums`` streams chunk by chunk.
     """
     length = ys.shape[1]
-    windows = [symbols[:, j:length + j] for j in range(phi.depth)]
-    values = phi.values(window_codes(windows, phi.matrix.n_symbols), ys)
+    values = np.empty(ys.shape)
+    for word in phi.matrix.words(phi.depth):
+        cells = np.ones(ys.shape, dtype=bool)
+        for j, symbol in enumerate(word):
+            cells &= symbols[:, j:length + j] == symbol
+        values[cells] = component(phi, word)(ys[cells])
     sums = np.zeros(len(ys))
     for column in values.T:
         sums += column

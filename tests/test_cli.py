@@ -1,5 +1,6 @@
 """Tests for config parsing, CLI exit codes, and report determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -694,6 +695,29 @@ class TestArtifacts:
         assert main(["clt", "--config", str(CANTOR_SMALL.parent / f"{name}.json"), "--seed", "3",
                      "--out", str(out)]) == 0
         assert (out / "clt.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("name,command,expected", [
+        ("cantor_small", "correlations", {
+            "correlations.csv": "23dfb118b610963ea9838e4470025232c9636dd9d3441aa8abf4b475b932a507",
+            "gordin.csv": "470003dcdbfc8b9170415ba7207a0d9f618ead36addefe8de1627fd97ed20538",
+            "summary.json": "3326aa93b4582e8cebf8cd318aaa72f397d99c2be907f2262c2453f5406f73a6"}),
+        ("cantor_small", "spectral", {
+            "equilibrium.csv": "9d2ec80f4e5f7e733d9c0ae5ae894ea7259cfdea80a4bfed02656bc253ed9897",
+            "summary.json": "d62e978d38ce84f71565015008af9ae2b964ce257908ecf5fc08c63244530498"}),
+        ("markov3_small", "correlations", {
+            "correlations.csv": "8bd46051cd25aa99dfc53fbd87d8eff07cc706922eb8c5004e85b8866db3471d",
+            "gordin.csv": "0a2d7cfaa909e63c2d28f350bc777f8baedaa3668a5b1e4d80f522def63786e6",
+            "summary.json": "aac9a7053e7e3a595b773e8fa0441f1fe27d77822647526d7b27b1f25ab90d69"}),
+        ("markov3_small", "spectral", {
+            "equilibrium.csv": "76d3e37142905c9e78e1115e3aeb5e2f18ec5f2d418c1c8909534f0192822ae4",
+            "summary.json": "e4633b7602767d9f69baddc82ab0e103d6b02977e71f53a3340155fa3fcd371a"}),
+    ])
+    def test_fitted_reports_are_pinned_at_seed_3(self, name, command, expected, tmp_path):
+        # the fits, their columns and the verdicts that read them, as bytes
+        out = tmp_path / command
+        assert main([command, "--config", str(CANTOR_SMALL.parent / f"{name}.json"), "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected} == expected
 
     def test_csv_cells_parse_as_numbers(self, tmp_path):
         out = tmp_path / "corr"

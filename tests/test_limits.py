@@ -21,6 +21,7 @@ from oracles import (
 )
 from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo
+from skewfiber.fitting import exp_fit
 from skewfiber.limits import (
     CoboundaryError,
     Observable,
@@ -34,10 +35,10 @@ from skewfiber.limits import (
     integrate_observable,
     ks_statistic,
 )
-from skewfiber.measures import PiecewiseLinearFn
+from skewfiber.measures import AtomicMeasure, PiecewiseLinearFn
 from skewfiber.skew import FiberMapSpec, SystemSpec
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector, window_codes
-from skewfiber.transfer import fixed_point, lip_constant
+from skewfiber.transfer import Disintegration, fixed_point, lip_constant
 
 CANTOR = cantor_demo()
 COUPLED = coupled_demo()
@@ -107,16 +108,16 @@ def fixed_point_of(name, mu0, mu0_coupled, mu0_markov3):
 class TestEvaluator:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     @pytest.mark.parametrize("sys", [CANTOR, MARKOV3], ids=["cantor", "markov3"])
-    def test_values_match_evaluate(self, sys, depth):
-        # oracle: each word's own component, one word and one point at a time
+    def test_weigh_matches_evaluate(self, sys, depth):
+        # oracle: each word's own component, one word and one atom at a time
         rng = np.random.default_rng(depth)
-        words = sys.matrix.word_array(depth)[rng.integers(0, sys.matrix.word_count(depth), (20, 10))]
-        ys = rng.random((20, 10))
+        dis = random_disintegration(sys.matrix, depth, rng)
         for obs in random_observables(sys, depth, rng):
-            codes = window_codes(np.moveaxis(words, -1, 0)[: obs.depth], sys.n_symbols)
-            cells = zip(words.reshape(-1, depth).tolist(), ys.ravel())
-            expected = [float(component(obs, w)(y)) for w, y in cells]
-            assert np.array_equal(obs.values(codes, ys).ravel(), expected)
+            weighed = obs.weigh(dis).fibers
+            for w, mu in dis.fibers.items():
+                expected = [x * float(component(obs, w)(y)) for y, x in zip(mu.positions.tolist(), mu.weights.tolist())]
+                assert np.array_equal(weighed[w].positions, mu.positions)
+                assert np.array_equal(weighed[w].weights, expected)
 
     @pytest.mark.parametrize("name", ["cantor", "coupled", "markov3"])
     def test_fiber_integrals_match_per_fiber_loop(self, name, mu0, mu0_coupled, mu0_markov3):
@@ -135,7 +136,7 @@ class TestEvaluator:
                 assert np.allclose(average, integrals / fiber_masses, rtol=1e-12, atol=0.0)
                 centered = obs.shifted(-mean)
                 s = np.array([integrate(fibers[w], component(centered, w)) for w in dis.words()])
-                level0 = gordin_norms(sys, dis, obs, nmax=0).norms[0]
+                level0 = gordin_norms(sys, dis, obs, nmax=0)[0]
                 # centered integrals of a product fixed point are rounding noise, hence the floor
                 assert level0 == pytest.approx(math.sqrt(np.dot(masses, s**2)), rel=1e-12, abs=1e-14)
 
@@ -149,12 +150,16 @@ class TestEvaluator:
             return evaluate
 
         shared = [counted(PiecewiseLinearFn([0.0, 1.0], [i, i + 1.0])) for i in range(3)]
-        phi = Observable(MARKOV3.matrix, 2, {w: shared[w[-1]] for w in MARKOV3.matrix.words(2)})
-        symbols, ys = sample_orbits(MARKOV3, seed=2, length=30, trials=6, burn_in=5, window=2)
-        observable_sums(phi, symbols, ys)
-        # the words' components alternate between the three pieces
-        assert sum(cells) == ys.size
-        assert len(phi.pieces) == 3
+        words = MARKOV3.matrix.words(3)
+        phi = Observable(MARKOV3.matrix, 3, {w: shared[w[-1]] for w in words})
+        # the fiber follows the first symbol and the piece the last, so words share (fiber, piece) pairs
+        rng = np.random.default_rng(2)
+        fibers = [AtomicMeasure(rng.random(k + 2), rng.uniform(0.1, 1.0, k + 2)) for k in range(3)]
+        dis = Disintegration.from_fibers(MARKOV3.matrix, 3, {w: fibers[w[0]] for w in words})
+        phi.weigh(dis, lambda v: v * v)
+        pairs = {(w[0], w[-1]) for w in words}
+        assert len(cells) == 3 and len(pairs) < len(words)
+        assert sum(cells) == sum(fibers[first].positions.size for first, _ in pairs)
 
 
 class TestIntegrateObservable:
@@ -227,8 +232,9 @@ class TestCorrelationCurve:
         curve = correlation_curve(CANTOR, mu0, first_symbol_indicator(), height_obs(), nmax=10)
         for n in range(1, 11):
             assert curve.values[n] == pytest.approx(-0.5 * 3.0**-n, abs=5e-5)
-        assert curve.fit.rate == pytest.approx(1 / 3, abs=0.02)
-        assert curve.fit.r_squared >= 0.99
+        fit = exp_fit(curve.lags, curve.values)
+        assert fit.rate == pytest.approx(1 / 3, abs=0.02)
+        assert fit.r_squared >= 0.99
 
     def test_matches_lattice_oracle_at_small_lags(self, mu0_coupled):
         now = first_symbol_indicator(COUPLED)
@@ -284,32 +290,32 @@ class TestGordin:
     def test_level_zero_matches_fiber_average_norm(self, mu0_coupled):
         phi = height_obs(COUPLED)
         m = integrate_observable(COUPLED, mu0_coupled, phi)
-        res = gordin_norms(COUPLED, mu0_coupled, phi, nmax=3)
+        norms = gordin_norms(COUPLED, mu0_coupled, phi, nmax=3)
         s = fiber_average(COUPLED, mu0_coupled, phi.shifted(-m))
         masses = masses_by_word(COUPLED, mu0_coupled.depth)
         expected = math.sqrt(sum(masses[w] * s.value(w) ** 2 for w in mu0_coupled.words()))
-        assert res.norms[0] == pytest.approx(expected, abs=1e-10)
+        assert norms[0] == pytest.approx(expected, abs=1e-10)
 
     def test_base_only_iid_vanishes_beyond_depth(self, mu0):
         rng = np.random.default_rng(4)
         vals = {w: rng.standard_normal() for w in CANTOR.matrix.words(2)}
         phi = Observable.base_only(CANTOR.matrix, 2, vals)
-        res = gordin_norms(CANTOR, mu0, phi, nmax=6)
-        assert np.abs(res.norms[2:]).max() <= 1e-12
+        norms = gordin_norms(CANTOR, mu0, phi, nmax=6)
+        assert np.abs(norms[2:]).max() <= 1e-12
 
     def test_product_system_fiber_observable_projects_to_zero(self, mu0):
         # all fibers of the product fixed point agree, so conditioning on the
         # future tells nothing about the fiber coordinate
-        res = gordin_norms(CANTOR, mu0, height_obs(), nmax=6)
-        assert np.abs(res.norms).max() <= 1e-12
-        assert res.fit.rate == 0.0
-        assert res.ratio_margin == 1.0
+        norms = gordin_norms(CANTOR, mu0, height_obs(), nmax=6)
+        assert np.abs(norms).max() <= 1e-12
+        # the fit the command line reports degenerates to rate 0, ratio margin 1
+        assert exp_fit(np.arange(norms.size), norms).rate == 0.0
 
     def test_coupled_system_decays_then_truncates(self, mu0_coupled):
-        res = gordin_norms(COUPLED, mu0_coupled, height_obs(COUPLED), nmax=6)
-        assert res.norms[0] > 1e-4
-        assert res.norms[4] <= 1e-12  # beyond the working depth the algebra is exhausted
-        assert res.fit.rate < 1.0
+        norms = gordin_norms(COUPLED, mu0_coupled, height_obs(COUPLED), nmax=6)
+        assert norms[0] > 1e-4
+        assert norms[4] <= 1e-12  # beyond the working depth the algebra is exhausted
+        assert exp_fit(np.arange(norms.size), norms).rate < 1.0
 
     @pytest.mark.parametrize("name", ["cantor", "coupled", "markov3"])
     def test_matches_word_sum_oracle(self, name, mu0, mu0_coupled, mu0_markov3):
@@ -319,22 +325,22 @@ class TestGordin:
             "markov3": (MARKOV3, mu0_markov3),
         }[name]
         phi = height_obs(sys)
-        res = gordin_norms(sys, dis, phi, nmax=8)
+        norms = gordin_norms(sys, dis, phi, nmax=8)
         oracle = gordin_norms_word_sum(sys, dis, phi, nmax=8)
-        assert np.abs(res.norms - oracle).max() <= 1e-12
+        assert np.abs(norms - oracle).max() <= 1e-12
 
     def test_markov_sft_norms_do_not_truncate(self, mu0_markov3):
         # a Markov base keeps memory past the working depth, unlike the i.i.d. demos
-        res = gordin_norms(MARKOV3, mu0_markov3, height_obs(MARKOV3), nmax=8)
-        assert res.norms[8] > 1e-12
-        assert res.fit.rate < 1.0
+        norms = gordin_norms(MARKOV3, mu0_markov3, height_obs(MARKOV3), nmax=8)
+        assert norms[8] > 1e-12
+        assert exp_fit(np.arange(norms.size), norms).rate < 1.0
 
     def test_deep_levels_are_cheap(self, mu0):
         started = time.perf_counter()
-        res = gordin_norms(CANTOR, mu0, height_obs(), nmax=25)
+        norms = gordin_norms(CANTOR, mu0, height_obs(), nmax=25)
         elapsed = time.perf_counter() - started
-        assert res.norms.size == 26
-        assert np.abs(res.norms).max() <= 1e-12
+        assert norms.size == 26
+        assert np.abs(norms).max() <= 1e-12
         assert elapsed < 1.0
 
 
@@ -451,7 +457,7 @@ class TestCLT:
             direct = sum(component(phi, track[t:t + 2])(path[t]) for t in range(40))
             assert total == pytest.approx(direct, abs=1e-10)
 
-    def test_shared_component_is_evaluated_once(self):
+    def test_shared_component_is_evaluated_once(self, mu0_markov3):
         calls = []
         h = PiecewiseLinearFn.identity()
 
@@ -459,11 +465,10 @@ class TestCLT:
             calls.append(ys.shape)
             return h(ys)
 
-        phi = Observable.fiber(MARKOV3.matrix, counted)
-        symbols, ys = sample_orbits(MARKOV3, seed=2, length=30, trials=6, burn_in=5)
-        sums = observable_sums(phi, symbols, ys)
+        weighed = Observable.fiber(MARKOV3.matrix, counted).weigh(mu0_markov3)
         assert len(calls) == 1
-        assert np.array_equal(sums, observable_sums(Observable.fiber(MARKOV3.matrix, h), symbols, ys))
+        plain = Observable.fiber(MARKOV3.matrix, h).weigh(mu0_markov3)
+        assert np.array_equal(weighed.fiber_masses(), plain.fiber_masses())
 
     def test_deep_window_codes_do_not_overflow(self):
         # depth-6 windows over 3 symbols have codes up to 728, beyond the
@@ -499,6 +504,18 @@ class TestCLT:
         assert res.passed
         assert abs(variance.sigma2 - 0.25) <= variance.numeric_error
 
+    def test_two_segment_observable_is_rejected_before_any_draw(self, monkeypatch):
+        from skewfiber import skew
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the orbit stream read phi as p + q y on a piece that is not affine")
+
+        monkeypatch.setattr(skew, "symbol_tracks", refuse)
+        tent = Observable.fiber(CANTOR.matrix, PiecewiseLinearFn([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]))
+        variance = asymptotic_variance(CANTOR, height_obs(), 4, 5)
+        with pytest.raises(ValueError, match="affine in y on each word"):
+            clt_experiment(CANTOR, tent, length=50, trials=100, seed=0, variance=variance)
+
     @pytest.mark.parametrize("sys_name", ["cantor", "markov3"])
     def test_ks_statistic_does_not_depend_on_the_block(self, sys_name, monkeypatch):
         from skewfiber import limits, skew
@@ -524,7 +541,7 @@ class TestCLT:
         rng = np.random.default_rng(6)
         if name == "markov3_depth6":
             phi = Observable(MARKOV3.matrix, 6, {
-                w: PiecewiseLinearFn([0.0, 0.5, 1.0], rng.standard_normal(3)) for w in MARKOV3.matrix.words(6)
+                w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in MARKOV3.matrix.words(6)
             })
         if name == "coupled_depth2":
             # at the offset depth, one window code per row selects both the branch and the piece

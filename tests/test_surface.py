@@ -1,6 +1,7 @@
 """The package's public surface: what each module's ``__all__`` lists, and what stays in the tests."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -38,3 +39,14 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     # each print line of the block shows, and the CLT line ends with the verdict
     assert len(lines) == block.count("print(") and lines[-1].endswith("True")
+
+
+def test_only_the_command_line_fits():
+    # the decay layers return their sequences; cli alone turns them into fitted envelopes
+    importers = set()
+    for path in Path(skewfiber.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "fitting":
+                importers.add(path.name)
+    assert importers == {"cli.py"}
+    assert [f.name for f in dataclasses.fields(skewfiber.limits.CorrelationCurve)] == ["lags", "values", "err_bounds"]
