@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .fitting import exp_fit
 from .limits import (
+    BURN_IN,
     MIN_TRIALS,
     CoboundaryError,
     InconsistencyError,
@@ -39,7 +40,7 @@ from .limits import (
     integrate_observable,
 )
 from .measures import AtomicMeasure, PiecewiseLinearFn, wk_distance, wk_distance_primal
-from .skew import FiberMapSpec, SystemSpec, c1_constant
+from .skew import BLOCK_CELLS, FiberMapSpec, SystemSpec, c1_constant
 from .stability import (
     PerturbationFamily,
     fiber_op_gap,
@@ -101,6 +102,9 @@ _OBS_KEYS = {"fiber": {"type", "breakpoints", "values"}, "base_only": {"type", "
 # the most admissible words a working depth may give; it bounds the per-word Python
 # loops and pair_lipschitz's |class| x n distance blocks (at most n^2/4 floats)
 MAX_WORDS = 4096
+# the most lags after lag 0 (each one CSV row and one transfer or closure step), and the most
+# CLT trials: one float each in the Birkhoff sums, at most one sampling block's cells
+MAX_LAGS, MAX_TRIALS = MAX_WORDS, BLOCK_CELLS
 
 # ``realized`` is ``realize_grid``'s (deltas, systems, budgets), built once at parse time
 StabilityConfig = namedtuple("StabilityConfig", "family realized depth grid tol")
@@ -140,22 +144,27 @@ def _require(block, key, pointer):
     return block[key]
 
 
-def _int(block, key, default, minimum, pointer):
-    """``block[key]`` as an integer >= ``minimum``; a ``default`` of None makes the key required."""
+def _int(block, key, default, minimum, pointer, maximum=sys.float_info.max):
+    """``block[key]`` as an integer in [``minimum``, ``maximum``], by default ``_number``'s float range.
+
+    A ``default`` of None makes the key required.
+    """
     value = _require(block, key, pointer) if default is None else block.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{pointer}/{key}", f"must be an integer >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ConfigError(f"{pointer}/{key}", f"must be at most {maximum!r}, got {value!r}")
     return value
 
 
-def _depth(block, key, default, system, pointer):
-    """``_int`` for a working depth: at least the offset depth, and at most ``MAX_WORDS`` words.
+def _depth(block, key, default, matrix, minimum, pointer):
+    """``_int`` for a depth of ``matrix``'s words: at least ``minimum``, and at most ``MAX_WORDS`` words.
 
     Word counts never fall with the depth, so counting stops once it passes
     MAX_WORDS^2 and the check stays short for any depth.
     """
-    depth = _int(block, key, default, system.offset_depth, pointer)
-    count = system.matrix.word_count(depth, stop=MAX_WORDS**2)
+    depth = _int(block, key, default, minimum, pointer)
+    count = matrix.word_count(depth, stop=MAX_WORDS**2)
     if count > MAX_WORDS:
         size = f"at least {count}" if count > MAX_WORDS**2 else str(count)
         raise ConfigError(f"{pointer}/{key}", f"depth {depth} gives {size} admissible words, "
@@ -164,12 +173,6 @@ def _depth(block, key, default, system, pointer):
     if depth > MAX_WORDS:
         raise ConfigError(f"{pointer}/{key}", f"depth {depth} is above the cap of {MAX_WORDS}")
     return depth
-
-
-def _check_window_table(matrix, depth, pointer):
-    """ConfigError at ``pointer`` if a branch-map or observable table, N^depth window codes, passes MAX_WORDS^2."""
-    if matrix.n_symbols**depth > MAX_WORDS**2:
-        raise ConfigError(pointer, f"{matrix.n_symbols}^{depth} window codes exceed the cap of {MAX_WORDS**2}")
 
 
 def _is_number(value):
@@ -265,8 +268,7 @@ def _parse_system(block, pointer="/system"):
         weights = _parse_weights(_require(block, "weights", pointer), f"{pointer}/weights")
     except WeightsError as exc:
         raise ConfigError(f"{pointer}/weights/{exc.field}", str(exc)) from exc
-    offset_depth = _int(block, "offset_depth", 1, 1, pointer)
-    _check_window_table(matrix, offset_depth, f"{pointer}/offset_depth")
+    offset_depth = _depth(block, "offset_depth", 1, matrix, 1, pointer)
     maps = []
     if not isinstance(_require(block, "fiber_maps", pointer), list):
         raise ConfigError(f"{pointer}/fiber_maps", "must be a list")
@@ -325,7 +327,6 @@ def parse_observable(block, matrix, max_depth, pointer):
     # checked before the words of that depth are listed
     if depth > max_depth:
         raise ConfigError(f"{pointer}/depth", f"must be at most the working depth {max_depth}")
-    _check_window_table(matrix, depth, f"{pointer}/depth")
     words = matrix.words(depth)
     field, parse = ("values", _number) if kind == "base_only" else ("components", _component)
     fp = f"{pointer}/{field}"
@@ -352,8 +353,9 @@ def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
         realized = realize_grid(family, deltas)
     except ValueError as exc:
         raise ConfigError(f"{pointer}/deltas", str(exc)) from exc
-    return StabilityConfig(family, realized, _depth(block, "depth", depth, system, pointer),
-                           _int(block, "grid", grid, 2, pointer), _positive(block, "tol", tol, pointer))
+    depth = _depth(block, "depth", depth, system.matrix, system.offset_depth, pointer)
+    return StabilityConfig(family, realized, depth, _int(block, "grid", grid, 2, pointer),
+                           _positive(block, "tol", tol, pointer))
 
 
 def _parse_correlations(block, matrix, depth, pointer="/correlations"):
@@ -365,16 +367,17 @@ def _parse_correlations(block, matrix, depth, pointer="/correlations"):
     for key in ("psi", "phi"):
         if key in block:
             observables[key] = parse_observable(block[key], matrix, depth, f"{pointer}/{key}")
-    nmax = _int(block, "nmax", 12, 0, pointer)
+    nmax = _int(block, "nmax", 12, 0, pointer, MAX_LAGS)
     return CorrelationsConfig(**observables, nmax=nmax,
-                              gordin_nmax=_int(block, "gordin_nmax", min(nmax, 8), 0, pointer))
+                              gordin_nmax=_int(block, "gordin_nmax", min(nmax, 8), 0, pointer, MAX_LAGS))
 
 
-def _parse_clt(block, pointer="/clt"):
+def _parse_clt(block, offset_depth, pointer="/clt"):
     _reject_unknown(block, _CLT_KEYS, pointer)
-    return CltConfig(length=_int(block, "length", 2000, 1, pointer),
-                     trials=_int(block, "trials", 5000, MIN_TRIALS, pointer),
-                     truncation=_int(block, "truncation", 30, 1, pointer))
+    # one trial's track, BURN_IN + length + offset_depth - 1 symbols, fits one sampling block
+    return CltConfig(length=_int(block, "length", 2000, 1, pointer, BLOCK_CELLS - BURN_IN - offset_depth + 1),
+                     trials=_int(block, "trials", 5000, MIN_TRIALS, pointer, MAX_TRIALS),
+                     truncation=_int(block, "truncation", 30, 1, pointer, MAX_LAGS))
 
 
 def parse_config(path):
@@ -388,12 +391,12 @@ def parse_config(path):
         raise ConfigError("/", f"not valid JSON: {exc}") from exc
     _reject_unknown(raw, _TOP_KEYS, "")
     system = _parse_system(_require(raw, "system", "/"))
-    depth = _depth(raw, "depth", 4, system, "")
+    depth = _depth(raw, "depth", 4, system.matrix, system.offset_depth, "")
     grid = _int(raw, "grid", 512, 2, "")
     tol = _positive(raw, "tol", 1e-6, "")
     seed = _int(raw, "seed", 0, 0, "")
     correlations = _parse_correlations(raw.get("correlations", {}), system.matrix, depth)
-    clt = _parse_clt(raw.get("clt", {}))
+    clt = _parse_clt(raw.get("clt", {}), system.offset_depth)
     stability = _parse_stability(raw["stability"], system, depth, grid, tol) if "stability" in raw else None
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()

@@ -24,7 +24,8 @@ fiber integrals s of the centered observable (see ``gordin_norms``).
 ``Observable.weigh`` evaluates an observable at the atoms of a
 disintegration, once per distinct (fiber, component) pair of its words.
 The moment closure and the CLT read an observable affine in y on each word
-as p_w + q_w y, from its values at y = 0 and 1 by window code.
+as p_w + q_w y, from its values at y = 0 and 1, one pair per word of its
+depth; a deeper word reads its prefix's pair (``TransitionMatrix.window_rows``).
 
 The CLT experiment reads its Birkhoff sums from ``skew.birkhoff_sums``,
 which owns the orbit stream, so memory does not grow with the trial count.
@@ -45,7 +46,7 @@ import numpy as np
 
 from .measures import UNIT_ROUNDOFF, PiecewiseLinearFn, round_up
 from .skew import birkhoff_sums
-from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply, window_codes
+from .symbolic import CylinderFunction, cylinder_mass_vector, ruelle_apply
 from .transfer import quantize_disintegration, transfer_apply
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "asymptotic_variance",
     "clt_experiment",
     "MIN_TRIALS",
+    "BURN_IN",
 ]
 
 DEFAULT_GRID = 1 << 15
@@ -91,12 +93,10 @@ class Observable:
         self.matrix = matrix
         self.depth = depth
         self.components = dict(components)
-        # the distinct components by identity, in word order, and the piece of each window code
+        # the distinct components by identity, in word order, and the piece of each word
         self.pieces = list({id(self.components[w]): self.components[w] for w in words}.values())
         slot = {id(h): j for j, h in enumerate(self.pieces)}
-        self.piece_of_code = np.zeros(matrix.n_symbols**depth, dtype=np.intp)
-        codes = window_codes(matrix.word_array(depth).T, matrix.n_symbols)
-        self.piece_of_code[codes] = [slot[id(self.components[w])] for w in words]
+        self.piece_of_word = np.array([slot[id(self.components[w])] for w in words], dtype=np.intp)
 
     @classmethod
     def base_only(cls, matrix, depth, values):
@@ -118,7 +118,7 @@ class Observable:
         if self.depth > dis.depth:
             raise ValueError("observable depth exceeds the disintegration depth")
         columns = dis.matrix.word_array(dis.depth).T[: self.depth]
-        pieces = self.piece_of_code[window_codes(columns, self.matrix.n_symbols)]
+        pieces = self.piece_of_word[dis.matrix.window_rows(columns)]
 
         def times(piece, pos, w):
             if len(self.pieces) == 1:
@@ -348,11 +348,11 @@ class VarianceResult:
 
 
 def _end_values(phi):
-    """phi at y = 0 and y = 1 by window code, phi = p + (end - p) y; a piece without breakpoints is not affine."""
+    """phi at y = 0 and y = 1 by word, phi = p + (end - p) y; a piece without breakpoints is not affine."""
     if any(len(getattr(h, "breakpoints", ())) != 2 for h in phi.pieces):
         raise ValueError("phi must be affine in y on each word: one segment over [0, 1]")
     ends = np.array([h.values for h in phi.pieces])
-    return ends[phi.piece_of_code, 0], ends[phi.piece_of_code, 1]
+    return ends[phi.piece_of_word, 0], ends[phi.piece_of_word, 1]
 
 
 def asymptotic_variance(sys, phi, depth, nlags):
@@ -374,8 +374,8 @@ def asymptotic_variance(sys, phi, depth, nlags):
     if phi.depth > depth:
         raise ValueError(f"the moment closure needs phi of depth at most {depth}")
     words, closure, (a, b) = matrix.word_array(depth), _Closure(sys, depth), sys.word_branches(depth)
-    code = window_codes(words.T[: phi.depth], n)
-    p, end = (_Ball(v[code]) for v in _end_values(phi))
+    prefix = matrix.window_rows(words.T[: phi.depth])
+    p, end = (_Ball(v[prefix]) for v in _end_values(phi))
     q, (m1, m2, solves) = end - p, fiber_moments(sys, depth)
     m = cylinder_mass_vector(sys.weights, matrix, depth)
     msum = round_up(math.fsum(m.tolist()), 1)

@@ -5,9 +5,10 @@ point: branch i acts by y -> a_i y + b_i, optionally corrected by an
 additive offset read from the first ``offset_depth`` symbols.  Depth 1
 reproduces plain iterated function systems (whose invariant measure is a
 product); deeper offset tables couple the fiber to the base and produce
-genuinely non-product invariant measures.  The branch maps are one table
-built once, ``SystemSpec.code_tables``; ``SystemSpec.word_branches`` reads
-it for every admissible word of a working depth.
+genuinely non-product invariant measures.  The branch maps are built once,
+one slope/offset pair per offset-depth word (``SystemSpec.branches``), and
+a word of any working depth reads the pair of its offset prefix
+(``SystemSpec.prefix_rows``, ``SystemSpec.word_branches``).
 
 The CLT's orbit stream has one owner, ``birkhoff_sums``: it streams the
 orbits of a seed in blocks of trials, about ``BLOCK_CELLS`` cells each.
@@ -16,7 +17,7 @@ trials of a seed read one PCG64 stream, each its own consecutive stretch of
 draws, and each uniform is reduced at once to its rank among the
 inverse-CDF thresholds.  The fiber recursion then runs over the tracks in a
 time-major buffer of about ``FIBER_CELLS`` states, and an observable
-affine in y on each word, p + q y from two tables by window code, is summed
+affine in y on each word, p + q y from two tables by word, is summed
 over each chunk of recorded states while it is in the buffer, so only a
 running sum per trial is kept and no trials x length array is built.
 """
@@ -35,7 +36,6 @@ from .symbolic import (
     TransitionMatrix,
     check_theta,
     pair_lipschitz,
-    window_codes,
 )
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "orbit_stream",
     "symbol_tracks",
     "birkhoff_sums",
+    "BLOCK_CELLS",
 ]
 
 _RANGE_TOL = 1e-12
@@ -91,8 +92,7 @@ class SystemSpec:
         self.offset_depth = int(offset_depth)
         self._validate_offset_tables()
         self.alpha = verify_G1(self)
-        self._validate_range()
-        self._code_tables = None
+        self.branches = self._validate_range()
 
     @property
     def n_symbols(self):
@@ -108,6 +108,8 @@ class SystemSpec:
                     raise ValueError(f"offset key {key} must start with its own symbol {i}")
 
     def _validate_range(self):
+        """Slopes and offsets of the offset-depth words' branch maps, each checked to map [0, 1] into itself."""
+        maps = []
         for word in self.matrix.words(self.offset_depth):
             t = self.branch_map(word)
             lo, hi = sorted((t.b, t.a + t.b))
@@ -116,6 +118,8 @@ class SystemSpec:
                     f"fiber map on cylinder {word} maps [0,1] to [{lo:.6g}, {hi:.6g}], "
                     "outside the unit interval"
                 )
+            maps.append((t.a, t.b))
+        return np.array(maps).T
 
     def branch_map(self, source_word):
         """Affine fiber map attached to the cylinder of ``source_word``.
@@ -130,30 +134,16 @@ class SystemSpec:
         fm = self.fiber_maps[source_word[0]]
         return AffineMap(fm.slope, fm.offset + fm.correction(tuple(source_word[:d])))
 
-    def code_tables(self):
-        """Slope/offset lookups indexed by the encoded depth-d symbol window."""
-        if self._code_tables is None:
-            d = self.offset_depth
-            maps = [self.branch_map(word) for word in self.matrix.words(d)]
-            codes = window_codes(self.matrix.word_array(d).T, self.n_symbols)
-            slopes, offsets = np.zeros((2, self.n_symbols**d))
-            slopes[codes] = [t.a for t in maps]
-            offsets[codes] = [t.b for t in maps]
-            self._code_tables = (slopes, offsets)
-        return self._code_tables
-
-    def word_codes(self, depth):
-        """Branch code of each depth-``depth`` word: the window code of its offset prefix."""
+    def prefix_rows(self, depth):
+        """Row of each depth-``depth`` word's offset prefix among the offset-depth words, its index in ``branches``."""
         d = self.offset_depth
         if depth < d:
             raise ValueError(f"offset depth {d} exceeds the working depth {depth}")
-        return window_codes(self.matrix.word_array(depth).T[:d], self.n_symbols)
+        return self.matrix.window_rows(self.matrix.word_array(depth).T[:d])
 
     def word_branches(self, depth):
-        """Branch slopes and offsets of the depth-``depth`` words, read at their offset prefixes."""
-        codes = self.word_codes(depth)
-        slopes, offsets = self.code_tables()
-        return slopes[codes], offsets[codes]
+        """Branch slopes and offsets of the depth-``depth`` words, read at their offset prefixes, as two rows."""
+        return self.branches[:, self.prefix_rows(depth)]
 
     def __repr__(self):
         return (
@@ -283,8 +273,9 @@ def symbol_tracks(weights, gen, trials, total):
 def birkhoff_sums(sys, p, q, depth, seed, trials, burn_in, length):
     """Sums of q[c] y + p[c] over recorded steps burn_in .. burn_in + length - 1 of ``trials`` orbits from y = 1/2.
 
-    ``p`` and ``q`` tabulate an observable affine in y on each word by its
-    depth-``depth`` window code c (``symbolic.window_codes``).  With p = v0
+    ``p`` and ``q`` tabulate an observable affine in y on each word of depth
+    ``depth``, and c is the row of a window in ``words(depth)``
+    (``TransitionMatrix.window_rows``).  With p = v0
     and q = v1 - v0 for a piece with values v0, v1 at y = 0, 1, the one
     product and one sum are ``np.interp``'s own (y - 0) ((v1 - v0) / 1) + v0
     for y < 1 (at y = 1 ``np.interp`` returns v1 itself).
@@ -293,15 +284,15 @@ def birkhoff_sums(sys, p, q, depth, seed, trials, burn_in, length):
     trial t reads draws t * total .. (t + 1) * total - 1 of
     ``orbit_stream(seed)`` (``symbol_tracks``).  The fiber recursion runs
     time-major in a buffer of about ``FIBER_CELLS`` states, and row j of a
-    chunk's codes selects both the branch of the chunk's step j and the
+    chunk's window rows selects both the branch of the chunk's step j and the
     observable at the state before it.  Each trial's values are added one
     step at a time, in step order, so the sums depend on neither the block
     nor the chunk size.  Returns ``(sums, block_trials, sample_s, sum_s)``,
     the last two the wall seconds spent drawing symbol tracks and running
     the recursion with its sums.
     """
-    slopes, offsets = sys.code_tables()
-    d, n = sys.offset_depth, sys.n_symbols
+    slopes, offsets = sys.branches
+    d, matrix = sys.offset_depth, sys.matrix
     steps = burn_in + length
     total = steps + max(depth, d) - 1
     block = min(max(1, BLOCK_CELLS // total), trials)
@@ -318,22 +309,22 @@ def birkhoff_sums(sys, p, q, depth, seed, trials, burn_in, length):
         buf = np.full((chunk + 1, part.size), 0.5)
         for t0 in range(0, steps, chunk):
             t1 = min(t0 + chunk, steps)
-            codes = window_codes([tracks[t0 + j: t1 + j] for j in range(d)], n)
-            for a, b, y, after in zip(slopes.take(codes), offsets.take(codes), buf, buf[1:]):
+            rows = matrix.window_rows([tracks[t0 + j: t1 + j] for j in range(d)])
+            for a, b, y, after in zip(slopes.take(rows), offsets.take(rows), buf, buf[1:]):
                 # rounds as slopes[c] * y + offsets[c] does: one product, then one sum
                 np.multiply(a, y, out=after)
                 after += b
             if depth != d:
-                codes = window_codes([tracks[t0 + j: t1 + j] for j in range(depth)], n)
+                rows = matrix.window_rows([tracks[t0 + j: t1 + j] for j in range(depth)])
             r = max(burn_in - t0, 0)
-            values = q.take(codes[r:])
+            values = q.take(rows[r:])
             values *= buf[r:t1 - t0]
-            values += p.take(codes[r:])
+            values += p.take(rows[r:])
             for row in values:
                 part += row
             buf[0] = buf[t1 - t0]
-        # frees the block's tracks, which one-column codes are a view of, before the next block is sampled
-        del tracks, codes
+        # frees the block's tracks, which one-column rows are a view of, before the next block is sampled
+        del tracks, rows
         sample_s += sampled - started
         sum_s += time.perf_counter() - sampled
     return sums, block, sample_s, sum_s

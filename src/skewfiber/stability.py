@@ -196,17 +196,16 @@ def fiber_op_gap(sys0, sys_d, dis):
     """Largest fiberwise pushforward gap between two systems on one input.
 
     For every working word the same source fiber is pushed through both
-    branch maps, once per distinct (fiber, branch code) pair of the words;
+    branch maps, once per distinct (fiber, offset prefix) pair of the words;
     the lemma bound is R(delta) times the largest fiber norm.
     """
     pushed = []
     for s in (sys0, sys_d):
-        slopes, offsets = s.code_tables()
+        def push(row, pos, w, branches=s.branches):
+            a, b = branches[:, row]
+            return a * pos + b, w
 
-        def push(code, pos, w, a=slopes, b=offsets):
-            return a[code] * pos + b[code], w
-
-        pushed.append(dis.mapped(s.word_codes(dis.depth), push))
+        pushed.append(dis.mapped(s.prefix_rows(dis.depth), push))
     return change_between(*pushed)
 
 

@@ -15,9 +15,8 @@ masses and jacobian weights have one formula each.  The base quantities
 are arrays built once: ``BaseWeights.jacobian`` (the N x N branch weights),
 ``cylinder_mass_vector`` (one mass per word) and ``TransitionMatrix.preimages``
 (which word precedes which, under which symbol), the table the transfer
-operators read.
-``window_codes`` numbers symbol windows base N, first symbol most significant;
-the branch-map and observable tables are indexed by it.
+operators read.  ``TransitionMatrix.window_rows`` gives a symbol window's row
+among the words of its length, so every table holds one entry per word.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "CylinderFunction",
     "check_theta",
     "enumerate_words",
-    "window_codes",
     "word_distances",
     "pair_lipschitz",
     "cylinder_mass_vector",
@@ -108,6 +106,25 @@ class TransitionMatrix:
                 table.flags.writeable = False
             self._word_cache[key] = tables
         return self._word_cache[key]
+
+    def window_rows(self, columns):
+        """Row in ``words(len(columns))`` of each admissible symbol window, given column by column.
+
+        The depth-(k+1) words list each depth-k word's extensions in turn, by
+        symbol, so one cached successor table per level, words(k) x N, gives a
+        window's row from its prefix's row and its next symbol.  A single
+        column is its own row and is returned unchanged.
+        """
+        rows = columns[0]
+        for k, column in enumerate(columns[1:], 1):
+            key = ("successors", k)
+            if key not in self._word_cache:
+                allowed = self.entries[self.word_array(k)[:, -1]]
+                successors = np.cumsum(allowed).reshape(allowed.shape) - 1
+                successors.flags.writeable = False
+                self._word_cache[key] = successors
+            rows = self._word_cache[key][rows, column]
+        return rows
 
     def word_count(self, depth, stop=None):
         """Number of admissible words of a depth, without enumerating them.
@@ -247,18 +264,6 @@ def enumerate_words(matrix, depth):
     for _ in range(depth - 1):
         words = [w + (j,) for w in words for j in range(matrix.n_symbols) if matrix.entries[w[-1], j]]
     return words
-
-
-def window_codes(columns, n):
-    """Base-n code of symbol windows given column by column, first symbol most significant.
-
-    The codes reach n^d - 1, so past one column they are built in intp,
-    whatever the symbol dtype.
-    """
-    codes = columns[0]
-    for column in columns[1:]:
-        codes = codes * np.intp(n) + column
-    return codes
 
 
 def _distances(rows, cols, theta):

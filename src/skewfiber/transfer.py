@@ -250,8 +250,8 @@ def transfer_apply(sys, dis):
     error is always against an equal-mass reference, and branch pushforwards
     shrink equal-mass discrepancies by at least alpha before the convex
     jacobian mixing.  The terms come from ``TransitionMatrix.preimages`` and
-    ``SystemSpec.word_codes``.  A target's fiber is fixed by its terms, in
-    symbol order: each term's symbol, source fiber row, branch code (the
+    ``SystemSpec.prefix_rows``.  A target's fiber is fixed by its terms, in
+    symbol order: each term's symbol, source fiber row, branch row (the
     source's offset prefix) and the target's head symbol, which picks the
     weight g = jacobian[symbol, head].  Targets with equal terms get
     bit-identical fibers, so one target per group is pushed, as one gather of
@@ -261,18 +261,17 @@ def transfer_apply(sys, dis):
         raise ValueError("disintegration and system use different transition matrices")
     # one term (target, source, symbol, head) per admissible extension, sorted by (target, symbol)
     target, source, symbol, head = sys.matrix.preimages(dis.depth)
-    code, fiber = sys.word_codes(dis.depth)[source], dis.word_fiber[source]
+    branch, fiber = sys.prefix_rows(dis.depth)[source], dis.word_fiber[source]
     n_words = dis.word_fiber.size
     n_terms = np.bincount(target, minlength=n_words)
     term_starts = np.concatenate([[0], np.cumsum(n_terms)])
     terms = np.full((n_words, n_terms.max(), 4), -1, dtype=np.intp)
-    terms[target, np.arange(target.size) - term_starts[target]] = np.column_stack([symbol, fiber, code, head])
+    terms[target, np.arange(target.size) - term_starts[target]] = np.column_stack([symbol, fiber, branch, head])
     _, pushed, group = np.unique(terms.reshape(n_words, -1), axis=0, return_index=True, return_inverse=True)
     # the terms of each group's first target, then the atoms of each term's source fiber
     term_group, term = _gather(term_starts, pushed)
     g = sys.weights.jacobian[symbol[term], head[term]]
-    slopes, offsets = sys.code_tables()
-    a, b = slopes[code[term]], offsets[code[term]]
+    a, b = sys.branches[:, branch[term]]
     k, take = _gather(dis.starts, fiber[term])
     pos = a[k] * dis.pos[take] + b[k]
     return Disintegration._shared(

@@ -24,7 +24,7 @@ from skewfiber.fitting import exp_fit
 from skewfiber.limits import DEFAULT_GRID, correlation_curve, fiber_average, integrate_observable
 from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms, round_up, row_norms
 from skewfiber.skew import orbit_stream, symbol_tracks
-from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, window_codes, word_distances
+from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, word_distances
 from skewfiber.transfer import Disintegration
 
 
@@ -494,8 +494,8 @@ def sample_orbits(sys, seed, length, trials, burn_in=40, window=1, start=0):
     the seed and its index, so rows lo:hi of a batch from trial 0 equal
     the batch of hi - lo trials from ``start=lo``.  The symbols come from
     ``skew.symbol_tracks``, the symbol pass that ``skew.birkhoff_sums``
-    streams, and the fiber coordinates from one loop over time on
-    ``SystemSpec.code_tables`` (``fiber_path``), the reference for the
+    streams, and the fiber coordinates from one loop over time on dense
+    branch tables by window code (``fiber_path``), the reference for the
     streamed recursion.  The fiber coordinate runs ``burn_in`` maps from
     1/2 before recording, so the recorded states are within alpha^burn_in
     of the invariant law in the dual metric.
@@ -551,14 +551,33 @@ def sample_orbits_per_trial(sys, seed, length, trials, burn_in=40, window=1, sta
     return fiber_path(sys, tracks, burn_in, length)
 
 
+def window_codes(columns, n):
+    """Base-n code of symbol windows given column by column, first symbol most significant, in intp."""
+    codes = np.asarray(columns[0], dtype=np.intp)
+    for column in columns[1:]:
+        codes = codes * n + column
+    return codes
+
+
+def dense_window_rows(matrix, depth):
+    """Row in ``words(depth)`` of every base-N window code, -1 where the window is inadmissible: N^depth entries."""
+    table = np.full(matrix.n_symbols**depth, -1, dtype=np.intp)
+    table[window_codes(matrix.word_array(depth).T, matrix.n_symbols)] = np.arange(matrix.word_count(depth))
+    return table
+
+
 def fiber_path(sys, tracks, burn_in, length):
     """``(symbols, ys)`` of time-major symbol tracks: the fiber recursion from 1/2, one step at a time.
 
     Step t maps y by the branch of the offset window starting at track row
-    t, and ``ys[:, t - burn_in]`` is the state before step t.
+    t, and ``ys[:, t - burn_in]`` is the state before step t.  The branch is
+    looked up in dense tables of N^d entries by the window's base-N code.
     """
-    slopes, offsets = sys.code_tables()
     d, trials = sys.offset_depth, tracks.shape[1]
+    slopes, offsets = np.zeros((2, sys.n_symbols**d))
+    for code, word in zip(window_codes(sys.matrix.word_array(d).T, sys.n_symbols), sys.matrix.words(d)):
+        t = sys.branch_map(word)
+        slopes[code], offsets[code] = t.a, t.b
     codes = window_codes([tracks[j: len(tracks) - d + 1 + j] for j in range(d)], sys.n_symbols)
     y = np.full(trials, 0.5)
     ys = np.empty((trials, length))

@@ -197,6 +197,14 @@ MALFORMED = [
     ("stability", "tol", 0, "/stability/tol"),
     ("correlations", "nmax", -1, "/correlations/nmax"),
     ("correlations", "gordin_nmax", "a", "/correlations/gordin_nmax"),
+    # a count that sizes an array is capped before any compute: 7.28 TiB of lags or sums at 10^12
+    ("correlations", "nmax", 10**12, "/correlations/nmax"),
+    ("correlations", "gordin_nmax", 4097, "/correlations/gordin_nmax"),
+    ("clt", "length", 10**12, "/clt/length"),
+    ("clt", "length", 2**20 - 39, "/clt/length"),
+    ("clt", "trials", 10**12, "/clt/trials"),
+    ("clt", "trials", 2**20 + 1, "/clt/trials"),
+    ("clt", "truncation", 10**9, "/clt/truncation"),
     (
         "correlations", "phi",
         {"type": "components", "depth": 1, "components": {
@@ -219,6 +227,8 @@ MALFORMED_STABILITY = [
     ("deltas", [0.5], "/stability/deltas"),  # beyond delta_max
     # a fiber_shift family reads no weight direction
     ("weight_direction", [1.0, -1.0], "/stability/weight_direction"),
+    # an integer count must fit the float range, as a float field must
+    ("grid", 10**400, "/stability/grid"),
 ]
 
 
@@ -241,6 +251,9 @@ MALFORMED_FIELDS = [
     (("depth",), 10**9, "/depth"),
     (("stability", "depth"), 13, "/stability/depth"),
     (("grid",), 256.7, "/grid"),
+    (("grid",), 10**400, "/grid"),
+    (("stability", "grid"), 10**400, "/stability/grid"),
+    (("seed",), 10**400, "/seed"),
     (("tol",), True, "/tol"),
     (("seed",), 1.5, "/seed"),
     (("seed",), True, "/seed"),
@@ -620,24 +633,39 @@ class TestArtifacts:
         assert main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "d")]) == 2
         assert "config error: /depth: depth 1000000000 is above the cap of 4096" in capsys.readouterr().err
 
-    def test_oversized_window_tables_fail_at_parse(self, config_path, tmp_path, capsys):
-        # 64^5 window codes would take 16 GiB of branch tables, though depth 5 has 68 words
-        cases = [
-            ({"system": cycle_chord_system(64, 5), "depth": 5}, "/system/offset_depth"),
-            # the check comes before the observable's values are read
-            ({"system": cycle_chord_system(64, 1), "depth": 5,
-              "correlations": {"psi": {"type": "base_only", "depth": 5, "values": {}}}}, "/correlations/psi/depth"),
-        ]
-        for cfg, pointer in cases:
-            started = time.perf_counter()
-            assert main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "w")]) == 2
-            assert time.perf_counter() - started < 5.0
-            err = capsys.readouterr().err
-            assert f"config error: {pointer}: 64^5 window codes exceed the cap of 16777216" in err
-            assert not (tmp_path / "w").exists()
-        # at offset depth 4 the table has 64^4 = 4096^2 entries, at the cap
-        config = parse_config(config_path({"system": cycle_chord_system(64, 4), "depth": 4}))
-        assert config.system.matrix.word_count(4) == 67
+    def test_sparse_alphabet_runs_at_deep_offsets(self, config_path, tmp_path):
+        # 64 symbols and 68 words at depth 5: the branch and observable tables hold one entry per word
+        system = cycle_chord_system(64, 5)
+        words = parse_config(config_path({"system": system, "depth": 5})).system.matrix.words(5)
+        assert len(words) == 68
+        psi = {"type": "base_only", "depth": 5, "values": {",".join(map(str, w)): float(w[0] == 0) for w in words}}
+        cfg = {"system": system, "depth": 5, "correlations": {"psi": psi}}
+        for sub in ("fixed-point", "correlations"):
+            assert main([sub, "--config", config_path(cfg), "--out", str(tmp_path / sub)]) == 0
+        # an offset depth is capped by its word count, as a working depth is
+        cfg = small_config(depth=4)
+        cfg["system"]["offset_depth"] = 30
+        with pytest.raises(ConfigError, match="/system/offset_depth: depth 30 gives at least"):
+            parse_config(config_path(cfg))
+
+    def test_sparse_alphabet_peak_memory(self, config_path, tmp_path):
+        # with a dense table of 64^4 window codes per branch map, fixed-point peaked at 292 MB.  A
+        # process's ru_maxrss starts at the peak of the one it was forked from, so the CLI runs
+        # under a bare interpreter, not forked from this test process
+        script = (
+            "import os, subprocess, sys\n"
+            "cli = [sys.executable, '-m', 'skewfiber.cli', 'fixed-point', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "_, status, usage = os.wait4(subprocess.Popen(cli).pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = str(Path(skewfiber.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cfg = config_path({"system": cycle_chord_system(64, 4), "depth": 4})
+        done = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, check=True)
+        code, peak_kib = map(int, done.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert peak_kib < 60 * 1024
 
     def test_fixed_point_writes_disintegration(self, config_path, tmp_path):
         out = tmp_path / "f"

@@ -37,7 +37,7 @@ from skewfiber.limits import (
 )
 from skewfiber.measures import AtomicMeasure, PiecewiseLinearFn
 from skewfiber.skew import FiberMapSpec, SystemSpec
-from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector, window_codes
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector
 from skewfiber.transfer import Disintegration, fixed_point, lip_constant
 
 CANTOR = cantor_demo()
@@ -470,9 +470,9 @@ class TestCLT:
         plain = Observable.fiber(MARKOV3.matrix, h).weigh(mu0_markov3)
         assert np.array_equal(weighed.fiber_masses(), plain.fiber_masses())
 
-    def test_deep_window_codes_do_not_overflow(self):
-        # depth-6 windows over 3 symbols have codes up to 728, beyond the
-        # one-byte symbol dtype, and every word gets its own component
+    def test_deep_window_rows_do_not_overflow(self):
+        # depth-6 windows read from one-byte symbol tracks: their base-3 codes reach 728,
+        # beyond the symbol dtype, and each of the 182 words gets its own component
         rng = np.random.default_rng(12)
         comps = {
             w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2))
@@ -481,6 +481,9 @@ class TestCLT:
         phi = Observable(MARKOV3.matrix, 6, comps)
         symbols, ys = sample_orbits(MARKOV3, seed=5, length=60, trials=8, burn_in=5, window=6)
         assert symbols.dtype == np.uint8
+        windows = [symbols[:, j:60 + j] for j in range(6)]
+        rows = MARKOV3.matrix.window_rows(windows)
+        assert np.array_equal(MARKOV3.matrix.word_array(6)[rows], np.stack(windows, axis=-1))
         sums = observable_sums(phi, symbols, ys)
         for track, path, total in zip(symbols, ys, sums):
             direct = sum(component(phi, track[t:t + 6])(path[t]) for t in range(60))
@@ -544,7 +547,7 @@ class TestCLT:
                 w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in MARKOV3.matrix.words(6)
             })
         if name == "coupled_depth2":
-            # at the offset depth, one window code per row selects both the branch and the piece
+            # at the offset depth, one window row per step selects both the branch and the piece
             phi = Observable(COUPLED.matrix, 2, {
                 w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in COUPLED.matrix.words(2)
             })

@@ -20,7 +20,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import MARKOV3, one_row, random_disintegration  # noqa: E402
-from oracles import is_primitive_by_powers, lag_loop_variance, wk_distance_bruteforce  # noqa: E402
+from oracles import (  # noqa: E402
+    dense_window_rows,
+    is_primitive_by_powers,
+    lag_loop_variance,
+    window_codes,
+    wk_distance_bruteforce,
+)
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
     PiecewiseLinearFn,
@@ -325,9 +331,9 @@ def test_pair_lipschitz_is_the_largest_ratio_over_word_pairs(matrix, depth, data
 
 
 @st.composite
-def zero_one_matrices(draw):
-    """Square 0/1 matrices of order 1-8 with no empty row or column."""
-    n = draw(st.integers(1, 8))
+def zero_one_matrices(draw, max_order=8):
+    """Square 0/1 matrices of order 1 to ``max_order`` with no empty row or column."""
+    n = draw(st.integers(1, max_order))
     a = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)))
     # sparse draws fill an empty row or column with one entry, so periodic patterns stay common
     for i in np.flatnonzero(a.sum(axis=1) == 0):
@@ -341,6 +347,33 @@ def zero_one_matrices(draw):
 @given(zero_one_matrices())
 def test_primitivity_by_squaring_matches_power_by_power(a):
     assert _is_primitive(a) == is_primitive_by_powers(a)
+
+
+@st.composite
+def sft_windows(draw):
+    """A primitive shift over at most 5 symbols and a batch of its admissible windows of depth 1-6.
+
+    The windows are random walks on the matrix, given column by column in one-byte symbols,
+    as orbit tracks hold them.
+    """
+    a = draw(zero_one_matrices(max_order=5).filter(_is_primitive))
+    depth = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [rng.integers(0, len(a), 40)]
+    for _ in range(depth - 1):
+        columns.append(np.array([rng.choice(np.flatnonzero(a[s])) for s in columns[-1]]))
+    return TransitionMatrix(a), [c.astype(np.uint8) for c in columns]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sft_windows())
+def test_window_rows_match_the_dense_lookup(case):
+    matrix, columns = case
+    depth = len(columns)
+    rows = matrix.window_rows(columns)
+    assert np.array_equal(rows, dense_window_rows(matrix, depth)[window_codes(columns, matrix.n_symbols)])
+    assert np.array_equal(matrix.word_array(depth)[rows], np.stack(columns, axis=-1))
+    assert np.array_equal(matrix.window_rows(matrix.word_array(depth).T), np.arange(matrix.word_count(depth)))
 
 
 @st.composite
