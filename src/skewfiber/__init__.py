@@ -10,7 +10,6 @@ experiment.
 __version__ = "0.1.0"
 
 from .measures import (
-    AffineMap,
     AtomicMeasure,
     PiecewiseLinearFn,
     ZERO_MEASURE,
@@ -25,7 +24,6 @@ from .symbolic import (
     cylinder_mass_vector,
     enumerate_words,
     ruelle_apply,
-    word_distances,
 )
 from .skew import (
     FiberMapSpec,
@@ -49,7 +47,6 @@ from .transfer import (
 )
 from .stability import (
     PerturbationFamily,
-    admissibility_report,
     fiber_op_gap,
     operator_gap,
     realize,

@@ -121,14 +121,11 @@ class Observable:
         pieces = self.piece_of_word[dis.matrix.window_rows(columns)]
 
         def times(piece, pos, w):
-            if len(self.pieces) == 1:
-                values = self.pieces[0](pos)
-            else:
-                order = np.argsort(piece, kind="stable")  # each piece reads its own range of atoms
-                cuts = np.searchsorted(piece[order], np.arange(1, len(self.pieces)))
-                values = np.empty(pos.size)
-                for h, idx in zip(self.pieces, np.split(order, cuts)):
-                    values[idx] = h(pos[idx])
+            order = np.argsort(piece, kind="stable")  # each piece reads its own range of atoms
+            cuts = np.searchsorted(piece[order], np.arange(1, len(self.pieces)))
+            values = np.empty(pos.size)
+            for h, idx in zip(self.pieces, np.split(order, cuts)):
+                values[idx] = h(pos[idx])
             return pos, w * (values if g is None else g(values))
 
         return dis.mapped(pieces, times, err_bound)

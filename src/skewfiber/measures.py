@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "AtomicMeasure",
-    "AffineMap",
     "PiecewiseLinearFn",
     "ZERO_MEASURE",
     "wk_distance",
@@ -122,22 +121,6 @@ class AtomicMeasure:
 
 
 ZERO_MEASURE = AtomicMeasure([], [])
-
-
-class AffineMap:
-    """Affine self-map of [0, 1], y -> a*y + b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = float(a)
-        self.b = float(b)
-
-    def __call__(self, y):
-        return self.a * y + self.b
-
-    def __repr__(self):
-        return f"AffineMap(a={self.a!r}, b={self.b!r})"
 
 
 class PiecewiseLinearFn:

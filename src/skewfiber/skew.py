@@ -29,7 +29,6 @@ import time
 
 import numpy as np
 
-from .measures import AffineMap
 from .symbolic import (
     BaseWeights,
     CylinderFunction,
@@ -111,28 +110,17 @@ class SystemSpec:
         """Slopes and offsets of the offset-depth words' branch maps, each checked to map [0, 1] into itself."""
         maps = []
         for word in self.matrix.words(self.offset_depth):
-            t = self.branch_map(word)
-            lo, hi = sorted((t.b, t.a + t.b))
+            # the word's first symbol picks the branch, and the whole word its offset correction
+            fm = self.fiber_maps[word[0]]
+            a, b = fm.slope, fm.offset + fm.correction(word)
+            lo, hi = sorted((b, a + b))
             if lo < -_RANGE_TOL or hi > 1.0 + _RANGE_TOL:
                 raise ValueError(
                     f"fiber map on cylinder {word} maps [0,1] to [{lo:.6g}, {hi:.6g}], "
                     "outside the unit interval"
                 )
-            maps.append((t.a, t.b))
+            maps.append((a, b))
         return np.array(maps).T
-
-    def branch_map(self, source_word):
-        """Affine fiber map attached to the cylinder of ``source_word``.
-
-        The branch symbol is the word's first entry; the offset correction is
-        read from the depth-``offset_depth`` prefix, so the word needs at
-        least that many symbols.
-        """
-        d = self.offset_depth
-        if len(source_word) < d:
-            raise ValueError(f"branch map needs a word of at least {d} symbols, got {source_word}")
-        fm = self.fiber_maps[source_word[0]]
-        return AffineMap(fm.slope, fm.offset + fm.correction(tuple(source_word[:d])))
 
     def prefix_rows(self, depth):
         """Row of each depth-``depth`` word's offset prefix among the offset-depth words, its index in ``branches``."""

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import round_up
-from .skew import FiberMapSpec, SystemSpec, c1_constant
-from .symbolic import BaseWeights, base_rate, cylinder_mass_vector
+from .skew import FiberMapSpec, SystemSpec
+from .symbolic import BaseWeights
 from .transfer import (
     ConvergenceError,
     FixedPointResult,
@@ -29,21 +29,16 @@ from .transfer import (
 
 __all__ = [
     "PerturbationFamily",
-    "AdmissibilityRow",
-    "AdmissibilityReport",
     "StabilityRow",
     "SweepResult",
     "realize",
     "realize_grid",
-    "admissibility_report",
     "fiber_op_gap",
     "operator_gap",
     "stability_sweep",
 ]
 
 KINDS = ("fiber_shift", "base_weights", "combined")
-# cylinder depth of the U3 density-ratio proxy
-U3_DEPTH = 6
 
 
 @dataclass
@@ -102,35 +97,6 @@ def realize(fam, delta):
     return SystemSpec(base.matrix, base.theta, weights, maps, base.offset_depth)
 
 
-@dataclass
-class AdmissibilityRow:
-    delta: float
-    jacobian_gap: float  # U2.1 quantity
-    fiber_gap: float  # U2.2 quantity
-    density_ratio: float  # finite-depth U3 proxy
-    c1: float  # A2 quantity
-    base_rate: float  # A1 quantity, exact
-    r_delta: float  # R(delta), ``_budget``
-
-
-@dataclass
-class AdmissibilityReport:
-    rows: list
-    sup_c1: float
-    sup_density_ratio: float
-    a1_rate: float
-
-    @property
-    def c1_finite(self):
-        return math.isfinite(self.sup_c1)
-
-    def r_of(self, delta):
-        for row in self.rows:
-            if row.delta == delta:
-                return row.r_delta
-        raise KeyError(delta)
-
-
 def _jacobian_gap(sys0, sys_d):
     # summed over branches i into one target symbol j, maximized over j
     gap = np.abs(sys_d.weights.jacobian - sys0.weights.jacobian)
@@ -153,43 +119,6 @@ def _budget(sys0, sys_d):
     """
     gap = max(_jacobian_gap(sys0, sys_d), _fiber_gap(sys0, sys_d))
     return round_up(gap, max(sys0.n_symbols, 3))
-
-
-def admissibility_report(fam, deltas):
-    """Measured admissibility quantities on a delta grid.
-
-    Per delta: the summed jacobian-weight discrepancy maximized over target
-    symbols, the supremum gap of the fiber maps over the offset cylinders,
-    the largest depth-``U3_DEPTH`` cylinder mass ratio against the base, the
-    regularity constant of the realized system, and the exact base rate
-    ``symbolic.base_rate`` of its base chain.  R(delta) is the larger of the
-    first two.
-    """
-    if len(deltas) == 0:
-        raise ValueError("need a nonempty delta grid")
-    masses_0 = cylinder_mass_vector(fam.base.weights, fam.base.matrix, U3_DEPTH)
-    rows = []
-    for delta in deltas:
-        sys_d = realize(fam, delta)
-        masses_d = cylinder_mass_vector(sys_d.weights, sys_d.matrix, U3_DEPTH)
-        ratio = max(1.0, float((masses_d / masses_0).max()))
-        rows.append(
-            AdmissibilityRow(
-                delta=float(delta),
-                jacobian_gap=_jacobian_gap(fam.base, sys_d),
-                fiber_gap=_fiber_gap(fam.base, sys_d),
-                density_ratio=ratio,
-                c1=c1_constant(sys_d),
-                base_rate=base_rate(sys_d.weights),
-                r_delta=_budget(fam.base, sys_d),
-            )
-        )
-    return AdmissibilityReport(
-        rows=rows,
-        sup_c1=max(row.c1 for row in rows),
-        sup_density_ratio=max(row.density_ratio for row in rows),
-        a1_rate=max(row.base_rate for row in rows),
-    )
 
 
 def fiber_op_gap(sys0, sys_d, dis):

@@ -30,7 +30,6 @@ __all__ = [
     "CylinderFunction",
     "check_theta",
     "enumerate_words",
-    "word_distances",
     "pair_lipschitz",
     "cylinder_mass_vector",
     "ruelle_apply",
@@ -272,12 +271,6 @@ def _distances(rows, cols, theta):
     for i in range(rows.shape[1]):
         np.add(dist, theta**i, out=dist, where=rows[:, None, i] != cols[None, :, i])
     return dist
-
-
-def word_distances(matrix, depth, theta):
-    """Base distances between all admissible words of a depth, as an n x n array."""
-    arr = matrix.word_array(depth)
-    return _distances(arr, arr, check_theta(theta))
 
 
 def pair_lipschitz(matrix, depth, theta, labels, gap):

@@ -11,11 +11,17 @@ hold the shared layout to the same floats.  So are the two references of
 the moment closure: ``lag_loop_variance`` is the quantized σ² estimate the
 closure replaced, on ``correlation_curve``, and ``exact_moment_closure``
 reads the package's float tables and does the rest in exact rationals.
+Three more are references that no command runs: ``branch_map`` reads one
+word's branch straight from its fiber map, ``word_distances`` is the dense
+n x n table of the distance kernel that ``pair_lipschitz`` reads one class
+at a time, and ``admissibility_report`` lists the U2, U3, A1 and A2
+quantities of a delta grid beside the package's R(delta), ``_budget``.
 None of them is part of the package.
 """
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +29,9 @@ import numpy as np
 from skewfiber.fitting import exp_fit
 from skewfiber.limits import DEFAULT_GRID, correlation_curve, fiber_average, integrate_observable
 from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, merge_atoms, round_up, row_norms
-from skewfiber.skew import orbit_stream, symbol_tracks
-from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector, word_distances
+from skewfiber.skew import c1_constant, orbit_stream, symbol_tracks
+from skewfiber.stability import _budget, _fiber_gap, _jacobian_gap, realize
+from skewfiber.symbolic import TransitionMatrix, _distances, base_rate, check_theta, cylinder_mass_vector
 from skewfiber.transfer import Disintegration
 
 
@@ -45,6 +52,36 @@ def pushforward(mu, t):
     if not (abs(t.a) < 1.0 and lo >= -1e-12 and hi <= 1.0 + 1e-12):
         raise ValueError(f"{t!r} is not an affine contraction of [0,1] into itself")
     return AtomicMeasure(t.a * mu.positions + t.b, mu.weights)
+
+
+class AffineMap:
+    """Affine self-map of [0, 1], y -> a*y + b."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = float(a)
+        self.b = float(b)
+
+    def __call__(self, y):
+        return self.a * y + self.b
+
+    def __repr__(self):
+        return f"AffineMap(a={self.a!r}, b={self.b!r})"
+
+
+def branch_map(sys, source_word):
+    """Affine fiber map attached to the cylinder of ``source_word``.
+
+    The branch symbol is the word's first entry; the offset correction is
+    read from the depth-``offset_depth`` prefix, so the word needs at
+    least that many symbols.
+    """
+    d = sys.offset_depth
+    if len(source_word) < d:
+        raise ValueError(f"branch map needs a word of at least {d} symbols, got {source_word}")
+    fm = sys.fiber_maps[source_word[0]]
+    return AffineMap(fm.slope, fm.offset + fm.correction(tuple(source_word[:d])))
 
 
 def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
@@ -116,10 +153,10 @@ def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
             if weight == 0.0:
                 continue
             # the branch maps along the prefix, composed innermost first
-            first = sys.branch_map(full)
+            first = branch_map(sys, full)
             slope, offset = first.a, first.b
             for t in range(1, steps):
-                outer = sys.branch_map(full[t:])
+                outer = branch_map(sys, full[t:])
                 slope, offset = outer.a * slope, outer.a * offset + outer.b
             rows.append(np.full(nu0.n_atoms, r))
             positions.append(slope * nu0.positions + offset)
@@ -139,7 +176,7 @@ def hutchinson_reference(sys, steps, x0=0.5):
     """
     if sys.offset_depth != 1 or not sys.weights.is_bernoulli:
         raise ValueError("the ifs reference needs a symbol-only system with Bernoulli weights")
-    maps = [sys.branch_map((i,)) for i in range(sys.n_symbols)]
+    maps = [branch_map(sys, (i,)) for i in range(sys.n_symbols)]
     atoms = np.array([float(x0)])
     weights = np.array([1.0])
     for _ in range(steps):
@@ -181,6 +218,12 @@ def base_correlation(weights, matrix, psi, s, lag):
     for mass, w in zip(masses, matrix.words(lag + k)):
         cross += mass * psi.values[idx[w[lag:lag + k]]] * s.values[idx[w[:k]]]
     return float(cross - psi.mean(weights) * s.mean(weights))
+
+
+def word_distances(matrix, depth, theta):
+    """Base distances between all admissible words of a depth, as an n x n array."""
+    arr = matrix.word_array(depth)
+    return _distances(arr, arr, check_theta(theta))
 
 
 def component(obs, word):
@@ -245,7 +288,7 @@ def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
         fiber = fibers[w[: mu0.depth]]
         path = ys = fiber.positions
         for t in range(lag):
-            b = sys.branch_map(w[t:])
+            b = branch_map(sys, w[t:])
             path = b.a * path + b.b
         vals = (component(now, w)(ys) - m_now) * component(later, w[lag:])(path)
         total += mass * float(np.dot(fiber.weights, vals))
@@ -308,7 +351,7 @@ def exact_moment_closure(sys, phi, depth, nlags):
     jac = [[Fraction(x) for x in row] for row in sys.weights.jacobian.tolist()]
     pi = [Fraction(x) for x in sys.weights.stationary.tolist()]
     terms = [[(index[(i,) + t[:-1]], jac[i][t[0]]) for i in range(n) if matrix.entries[i, t[0]]] for t in words]
-    maps = [sys.branch_map(w) for w in words]
+    maps = [branch_map(sys, w) for w in words]
     a, b = [Fraction(t.a) for t in maps], [Fraction(t.b) for t in maps]
     m = [Fraction(x) for x in cylinder_mass_vector(sys.weights, matrix, depth).tolist()]
     ends = [component(phi, w).values for w in words]
@@ -576,7 +619,7 @@ def fiber_path(sys, tracks, burn_in, length):
     d, trials = sys.offset_depth, tracks.shape[1]
     slopes, offsets = np.zeros((2, sys.n_symbols**d))
     for code, word in zip(window_codes(sys.matrix.word_array(d).T, sys.n_symbols), sys.matrix.words(d)):
-        t = sys.branch_map(word)
+        t = branch_map(sys, word)
         slopes[code], offsets[code] = t.a, t.b
     codes = window_codes([tracks[j: len(tracks) - d + 1 + j] for j in range(d)], sys.n_symbols)
     y = np.full(trials, 0.5)
@@ -608,3 +651,73 @@ def observable_sums(phi, symbols, ys):
     for column in values.T:
         sums += column
     return sums
+
+
+# cylinder depth of the U3 density-ratio proxy
+U3_DEPTH = 6
+
+
+@dataclass
+class AdmissibilityRow:
+    delta: float
+    jacobian_gap: float  # U2.1 quantity
+    fiber_gap: float  # U2.2 quantity
+    density_ratio: float  # finite-depth U3 proxy
+    c1: float  # A2 quantity
+    base_rate: float  # A1 quantity, exact
+    r_delta: float  # R(delta), ``_budget``
+
+
+@dataclass
+class AdmissibilityReport:
+    rows: list
+    sup_c1: float
+    sup_density_ratio: float
+    a1_rate: float
+
+    @property
+    def c1_finite(self):
+        return math.isfinite(self.sup_c1)
+
+    def r_of(self, delta):
+        for row in self.rows:
+            if row.delta == delta:
+                return row.r_delta
+        raise KeyError(delta)
+
+
+def admissibility_report(fam, deltas):
+    """Measured admissibility quantities on a delta grid.
+
+    Per delta: the summed jacobian-weight discrepancy maximized over target
+    symbols, the supremum gap of the fiber maps over the offset cylinders,
+    the largest depth-``U3_DEPTH`` cylinder mass ratio against the base, the
+    regularity constant of the realized system, and the exact base rate
+    ``symbolic.base_rate`` of its base chain.  R(delta) is the larger of the
+    first two.
+    """
+    if len(deltas) == 0:
+        raise ValueError("need a nonempty delta grid")
+    masses_0 = cylinder_mass_vector(fam.base.weights, fam.base.matrix, U3_DEPTH)
+    rows = []
+    for delta in deltas:
+        sys_d = realize(fam, delta)
+        masses_d = cylinder_mass_vector(sys_d.weights, sys_d.matrix, U3_DEPTH)
+        ratio = max(1.0, float((masses_d / masses_0).max()))
+        rows.append(
+            AdmissibilityRow(
+                delta=float(delta),
+                jacobian_gap=_jacobian_gap(fam.base, sys_d),
+                fiber_gap=_fiber_gap(fam.base, sys_d),
+                density_ratio=ratio,
+                c1=c1_constant(sys_d),
+                base_rate=base_rate(sys_d.weights),
+                r_delta=_budget(fam.base, sys_d),
+            )
+        )
+    return AdmissibilityReport(
+        rows=rows,
+        sup_c1=max(row.c1 for row in rows),
+        sup_density_ratio=max(row.density_ratio for row in rows),
+        a1_rate=max(row.base_rate for row in rows),
+    )

@@ -30,7 +30,6 @@ from skewfiber.measures import (
 from skewfiber.skew import c1_constant
 from skewfiber.stability import (
     PerturbationFamily,
-    admissibility_report,
     fiber_op_gap,
     operator_gap,
     realize,
@@ -193,15 +192,13 @@ def test_criterion_07_exponential_equilibrium():
 def test_criterion_08_operator_gaps():
     start = time.perf_counter()
     fam = shift_family()
-    deltas = [0.1, 0.01]
-    rep = admissibility_report(fam, deltas)
+    # R(delta) as ``skewfiber stability`` reads it
+    deltas, systems, budgets = realize_grid(fam, [0.1, 0.01])
     solved = {d: fixed_point(realize(fam, d), depth=2, tol=1e-6, grid=4096) for d in [0.0] + deltas}
     b_u = max(lip_constant(res.disintegration, CANTOR.theta) for res in solved.values())
     details = []
-    for delta in deltas:
-        sys_d = realize(fam, delta)
+    for delta, sys_d, r_delta in zip(deltas, systems, budgets):
         res_d = solved[delta]
-        r_delta = rep.r_of(delta)
         max_norm = max(wk_distance(mu) for mu in res_d.disintegration.fibers.values())
         f_gap = fiber_op_gap(CANTOR, sys_d, res_d.disintegration)
         o_gap = operator_gap(CANTOR, sys_d, res_d.disintegration)

@@ -79,6 +79,14 @@ def parse_certificate(text):
     return tuple(float(part.split()[1]) for part in (head, contraction, quantization))
 
 
+def report_hashes(name, command, files, tmp_path):
+    """SHA-256 of each of ``files`` that ``command`` writes on a bench config at seed 3."""
+    out = tmp_path / command
+    assert main([command, "--config", str(CANTOR_SMALL.parent / f"{name}.json"), "--seed", "3",
+                 "--out", str(out)]) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+
+
 @pytest.fixture
 def config_path(tmp_path):
     def write(cfg):
@@ -742,10 +750,28 @@ class TestArtifacts:
     ])
     def test_fitted_reports_are_pinned_at_seed_3(self, name, command, expected, tmp_path):
         # the fits, their columns and the verdicts that read them, as bytes
-        out = tmp_path / command
-        assert main([command, "--config", str(CANTOR_SMALL.parent / f"{name}.json"), "--seed", "3",
-                     "--out", str(out)]) == 0
-        assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected} == expected
+        assert report_hashes(name, command, expected, tmp_path) == expected
+
+    @pytest.mark.parametrize("name,command,expected", [
+        ("cantor_small", "verify", {
+            "verify.csv": "085078ca4507311e83fca6a1eb97b6dfec28534fd177dd9b4ff53cd046697a9c",
+            "summary.json": "3ab25cbc52f1bdfcb7bb7346d7e4cde8314ebf27cf0c1a1bf2135cc2f75a279d"}),
+        ("cantor_small", "fixed-point", {
+            "fixed_point.csv": "f5efecca67310cc5eef3dab123479e83d72c625eb0ae876451401b50304c0c0b",
+            "summary.json": "ab8109e0f8be393343eef21c2078493d59dfa581beeda22118aef530700af31e"}),
+        ("cantor_small", "stability", {
+            "stability.csv": "44579ee83f186705471d6b38dc1b2b9454618ab6a86b0c8d184990f4b43de0d6",
+            "summary.json": "0ce9e71cca1e665d3a5644917bc2de35af48cb80a576113777a69c81d33dd204"}),
+        ("markov3_small", "verify", {
+            "verify.csv": "6836a6731fa8b4e747810c62f7cb6fbcef26911def1eb94effdbe7a383a0ba32",
+            "summary.json": "ed646f6c9ca3d8cee4aa9d517dbfede22840eb0b357ff2c19b64c130f7b06c94"}),
+        ("markov3_small", "fixed-point", {
+            "fixed_point.csv": "28ac47846701d49c8b183b5253bf1d810587357a7ccabd449872bb5fbc33cfc9",
+            "summary.json": "83e2f70d2fa35551c903a58cb7648d9ca0d51b786d8285974b9254eb5223aaff"}),
+    ])
+    def test_certified_reports_are_pinned_at_seed_3(self, name, command, expected, tmp_path):
+        # the branch table, R(delta) and the checks that read them, as bytes
+        assert report_hashes(name, command, expected, tmp_path) == expected
 
     def test_csv_cells_parse_as_numbers(self, tmp_path):
         out = tmp_path / "corr"

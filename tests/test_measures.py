@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import one_row
-from oracles import integrate, pushforward, wk_distance_bruteforce
+from oracles import AffineMap, integrate, pushforward, wk_distance_bruteforce
 from skewfiber.measures import (
-    AffineMap,
     AtomicMeasure,
     PiecewiseLinearFn,
     ZERO_MEASURE,

@@ -26,6 +26,7 @@ from oracles import (  # noqa: E402
     lag_loop_variance,
     window_codes,
     wk_distance_bruteforce,
+    word_distances,
 )
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
@@ -41,7 +42,6 @@ from skewfiber.symbolic import (  # noqa: E402
     TransitionMatrix,
     _is_primitive,
     pair_lipschitz,
-    word_distances,
 )
 from skewfiber.transfer import (  # noqa: E402
     Disintegration,

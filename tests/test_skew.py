@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3
-from oracles import sample_orbits, sample_orbits_per_trial
+from oracles import branch_map, sample_orbits, sample_orbits_per_trial, word_distances
 from skewfiber import skew
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.skew import (
@@ -14,7 +14,7 @@ from skewfiber.skew import (
     estimate_H,
     verify_G1,
 )
-from skewfiber.symbolic import BaseWeights, TransitionMatrix, word_distances
+from skewfiber.symbolic import BaseWeights, TransitionMatrix
 
 FULL2 = TransitionMatrix([[1, 1], [1, 1]])
 FAIR = BaseWeights.bernoulli([0.5, 0.5])
@@ -28,7 +28,7 @@ def iterate_fiber(sys, symbols, y0):
     y = float(y0)
     for t in range(steps):
         ys[t] = y
-        y = sys.branch_map(tuple(symbols[t:t + d]))(y)
+        y = branch_map(sys, tuple(symbols[t:t + d]))(y)
     return ys
 
 
@@ -86,7 +86,7 @@ class TestEstimateH:
             slopes = rng.uniform(-0.9, 0.9, 2)
             offsets = [rng.uniform(max(0.0, -a), min(1.0, 1.0 - a)) for a in slopes]
             sys = SystemSpec(FULL2, 0.5, FAIR, [FiberMapSpec(a, b) for a, b in zip(slopes, offsets)])
-            ta, tb = sys.branch_map((0,)), sys.branch_map((1,))
+            ta, tb = branch_map(sys, (0,)), branch_map(sys, (1,))
             dense = np.abs((ta.a - tb.a) * ys + (ta.b - tb.b)).max()
             assert estimate_H(sys) == dense / word_distances(FULL2, 1, sys.theta)[0, 1]
 
@@ -98,7 +98,7 @@ class TestEstimateH:
         best = 0.0
         for a in range(len(words)):
             for b in range(a + 1, len(words)):
-                ta, tb = sys.branch_map(words[a]), sys.branch_map(words[b])
+                ta, tb = branch_map(sys, words[a]), branch_map(sys, words[b])
                 da, db = ta.a - tb.a, ta.b - tb.b
                 best = max(best, max(abs(db), abs(da + db)) / dist[a, b])
         assert estimate_H(sys) == best
@@ -315,10 +315,10 @@ class TestOffsetTables:
     def test_short_word_rejected(self):
         sys = coupled_demo(coupling=0.1)
         with pytest.raises(ValueError, match="at least 2 symbols"):
-            sys.branch_map((0,))
-        assert sys.branch_map((0, 0)).b == 0.0
-        assert sys.branch_map((0, 1)).b == pytest.approx(0.1)
+            branch_map(sys, (0,))
+        assert branch_map(sys, (0, 0)).b == 0.0
+        assert branch_map(sys, (0, 1)).b == pytest.approx(0.1)
         # longer words read only the offset-depth prefix
-        assert sys.branch_map((0, 1, 0)).b == sys.branch_map((0, 1)).b
+        assert branch_map(sys, (0, 1, 0)).b == branch_map(sys, (0, 1)).b
         with pytest.raises(ValueError, match="at least 3 symbols"):
-            MARKOV3.branch_map((2, 0))
+            branch_map(MARKOV3, (2, 0))

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3, random_disintegration
-from oracles import pushforward
+from oracles import admissibility_report, branch_map, pushforward
 from skewfiber.cli import parse_config, run_stability
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.measures import AtomicMeasure, wk_distance
 from skewfiber.stability import (
     PerturbationFamily,
-    admissibility_report,
     fiber_op_gap,
     operator_gap,
     realize,
@@ -189,7 +188,7 @@ class TestOperatorGaps:
         sys_d = realize(PerturbationFamily(base, "fiber_shift", fiber_direction=direction), delta)
         dis = fixed_point(base, depth=base.offset_depth + 1, tol=1e-6, grid=512).disintegration
         per_word = max(
-            wk_distance(pushforward(mu, base.branch_map(w)), pushforward(mu, sys_d.branch_map(w)))
+            wk_distance(pushforward(mu, branch_map(base, w)), pushforward(mu, branch_map(sys_d, w)))
             for w, mu in dis.fibers.items()
         )
         assert fiber_op_gap(base, sys_d, dis) == per_word

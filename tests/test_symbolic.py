@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3
-from oracles import base_correlation
+from oracles import base_correlation, word_distances
 from skewfiber.symbolic import (
     BaseWeights,
     CylinderFunction,
@@ -16,7 +16,6 @@ from skewfiber.symbolic import (
     cylinder_mass_vector,
     enumerate_words,
     ruelle_apply,
-    word_distances,
 )
 
 FULL2 = TransitionMatrix([[1, 1], [1, 1]])

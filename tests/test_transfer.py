@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3, random_disintegration, random_vanishing_disintegration
-from oracles import disintegration_from_json, hutchinson_reference, word_sum_iterate
+from oracles import disintegration_from_json, hutchinson_reference, word_distances, word_sum_iterate
 from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.fitting import exp_fit
 from skewfiber.limits import fiber_moments
 from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, wk_distance
 from skewfiber.skew import FiberMapSpec, SystemSpec
-from skewfiber.symbolic import BaseWeights, TransitionMatrix, ruelle_apply, word_distances
+from skewfiber.symbolic import BaseWeights, TransitionMatrix, ruelle_apply
 from skewfiber.transfer import (
     Disintegration,
     change_between,
