@@ -257,7 +257,7 @@ def _parse_weights(block, pointer):
     tp = f"{pointer}/transition"
     transition = [_numbers(row, f"{tp}/{i}") for i, row in enumerate(_square(block, "transition", pointer))]
     stationary = _finite_list(block, "stationary", pointer) if "stationary" in block else None
-    return BaseWeights.markov(transition, stationary)
+    return BaseWeights(transition, stationary)
 
 
 def _parse_system(block, pointer="/system"):

@@ -48,7 +48,7 @@ def markov_demo(theta=0.5):
     return SystemSpec(
         TransitionMatrix([[1, 1], [1, 1]]),
         theta,
-        BaseWeights.markov([[0.9, 0.1], [0.5, 0.5]], stationary=[5 / 6, 1 / 6]),
+        BaseWeights([[0.9, 0.1], [0.5, 0.5]], stationary=[5 / 6, 1 / 6]),
         [FiberMapSpec(1 / 3, 0.0), FiberMapSpec(1 / 3, 2 / 3)],
         offset_depth=1,
     )

@@ -21,10 +21,10 @@ class ExpFit:
     n_used: int
 
 
-def exp_fit(ns, values, floor=FIT_FLOOR):
+def exp_fit(ns, values):
     """Least-squares fit of log |values| against ns.
 
-    Entries at or below the floor are excluded (they are numerically zero).
+    Entries at or below ``FIT_FLOOR`` are excluded (they are numerically zero).
     With fewer than two usable points the fit degenerates to rate 0 and a
     constant equal to the largest magnitude seen; a sequence that is
     identically zero decays faster than any exponential, so rate 0 is the
@@ -33,7 +33,7 @@ def exp_fit(ns, values, floor=FIT_FLOOR):
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     mags = np.abs(values)
-    usable = mags > floor
+    usable = mags > FIT_FLOOR
     n_used = int(usable.sum())
     if n_used < 2:
         return ExpFit(0.0, float(mags.max(initial=0.0)), 1.0, n_used)

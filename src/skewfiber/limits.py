@@ -92,11 +92,10 @@ class Observable:
             raise ValueError("need depth at least 1 and one fiber component per admissible word")
         self.matrix = matrix
         self.depth = depth
-        self.components = dict(components)
         # the distinct components by identity, in word order, and the piece of each word
-        self.pieces = list({id(self.components[w]): self.components[w] for w in words}.values())
+        self.pieces = list({id(components[w]): components[w] for w in words}.values())
         slot = {id(h): j for j, h in enumerate(self.pieces)}
-        self.piece_of_word = np.array([slot[id(self.components[w])] for w in words], dtype=np.intp)
+        self.piece_of_word = np.array([slot[id(components[w])] for w in words], dtype=np.intp)
 
     @classmethod
     def base_only(cls, matrix, depth, values):
@@ -141,13 +140,12 @@ class Observable:
         return max(max(h.lipschitz(), h.sup_norm()) for h in self.pieces)
 
     def shifted(self, c):
-        moved = {id(h): h.shifted(c) for h in self.pieces}
-        return Observable(
-            self.matrix, self.depth, {w: moved[id(h)] for w, h in self.components.items()}
-        )
+        moved = [h.shifted(c) for h in self.pieces]
+        words = self.matrix.words(self.depth)
+        return Observable(self.matrix, self.depth, {w: moved[j] for w, j in zip(words, self.piece_of_word.tolist())})
 
     def __repr__(self):
-        return f"Observable(depth={self.depth}, {len(self.components)} components)"
+        return f"Observable(depth={self.depth}, {self.piece_of_word.size} components)"
 
 
 def _fiber_integrals(dis, obs):
@@ -157,8 +155,7 @@ def _fiber_integrals(dis, obs):
 
 def integrate_observable(sys, dis, obs):
     """Exact integral sum_w m([w]) int h_w d mu|_w; linear in both arguments."""
-    masses = cylinder_mass_vector(sys.weights, dis.matrix, dis.depth)
-    return float(sum((masses * _fiber_integrals(dis, obs)).tolist()))
+    return obs.weigh(dis).total_mass(sys.weights)
 
 
 def fiber_average(sys, mu0, obs):

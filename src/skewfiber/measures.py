@@ -111,11 +111,6 @@ class AtomicMeasure:
     def total_weight(self):
         return float(self.weights.sum())
 
-    def scaled(self, factor):
-        if factor == 0.0:
-            return ZERO_MEASURE
-        return AtomicMeasure(self.positions, factor * self.weights)
-
     def __repr__(self):
         return f"AtomicMeasure({self.n_atoms} atoms, mass={self.total_weight():.6g})"
 

@@ -69,13 +69,6 @@ class TransitionMatrix:
             self._word_cache[depth] = tuple(enumerate_words(self, depth))
         return self._word_cache[depth]
 
-    def word_index(self, depth):
-        """Word -> position in ``words(depth)``."""
-        key = ("index", depth)
-        if key not in self._word_cache:
-            self._word_cache[key] = {w: i for i, w in enumerate(self.words(depth))}
-        return self._word_cache[key]
-
     def word_array(self, depth):
         """``words(depth)`` as a read-only intp array, one word per row."""
         key = ("array", depth)
@@ -96,11 +89,10 @@ class TransitionMatrix:
         if key not in self._word_cache:
             if depth < 1:
                 raise ValueError("preimages need depth at least 1")
-            words, index = self.words(depth), self.word_index(depth)
-            head = self.word_array(depth)[:, 0]
-            target, symbol = np.nonzero(self.entries.T[head])
-            source = [index[(i,) + words[t][:-1]] for t, i in zip(target.tolist(), symbol.tolist())]
-            tables = (target, np.array(source, dtype=np.intp), symbol, head[target])
+            words = self.word_array(depth)
+            target, symbol = np.nonzero(self.entries.T[words[:, 0]])
+            source = self.window_rows([symbol, *words[target, :-1].T])
+            tables = (target, source, symbol, words[target, 0])
             for table in tables:
                 table.flags.writeable = False
             self._word_cache[key] = tables
@@ -220,10 +212,6 @@ class BaseWeights:
             raise WeightsError("p", "Bernoulli weights must sum to 1")
         return cls(np.tile(p, (p.size, 1)), p)
 
-    @classmethod
-    def markov(cls, transition, stationary=None):
-        return cls(transition, stationary)
-
     @property
     def is_bernoulli(self):
         """True when every row of P is the same vector, which then equals pi."""
@@ -234,7 +222,7 @@ class BaseWeights:
         return bool(((self.transition > 0) == (matrix.entries > 0)).all())
 
     def __repr__(self):
-        return f"BaseWeights.markov({self.transition.tolist()})"
+        return f"BaseWeights({self.transition.tolist()})"
 
 
 def _stationary_vector(tm):
@@ -322,13 +310,6 @@ class CylinderFunction:
         self.depth = depth
         self.values = values
 
-    @classmethod
-    def constant(cls, matrix, depth, c):
-        return cls(matrix, depth, np.full(matrix.word_count(depth), float(c)))
-
-    def value(self, word):
-        return float(self.values[self.matrix.word_index(self.depth)[word]])
-
     def mean(self, weights):
         masses = cylinder_mass_vector(weights, self.matrix, self.depth)
         return float(np.dot(masses, self.values))
@@ -343,9 +324,6 @@ class CylinderFunction:
 
     def norm_theta(self, theta):
         return self.sup_norm() + self.lipschitz(theta)
-
-    def shifted(self, c):
-        return CylinderFunction(self.matrix, self.depth, self.values + c)
 
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, {self.values.size} values)"

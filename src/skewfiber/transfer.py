@@ -163,9 +163,6 @@ class Disintegration:
         pos, w = f(label[rows], self.pos[take], self.w[take])
         return Disintegration._shared(self.matrix, self.depth, rows, pos, w, word_pair.ravel(), err_bound)
 
-    def scaled(self, factor):
-        return self._with_atoms(self.pos, factor * self.w, abs(factor) * self.err_bound)
-
     def fiber_masses(self):
         return np.bincount(self.row, weights=self.w, minlength=self.n_fibers)[self.word_fiber]
 
@@ -341,10 +338,6 @@ class FixedPointResult:
     last_change: float
     q_step: float  # the last iteration's quantization step q
     alpha: float  # the fiber rate the certificate contracts by
-
-    @property
-    def depth(self):
-        return self.disintegration.depth
 
     @property
     def certificate_parts(self):

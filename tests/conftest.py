@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from oracles import word_index
 from skewfiber.measures import AtomicMeasure
 from skewfiber.skew import FiberMapSpec, SystemSpec
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector
@@ -11,7 +12,7 @@ from skewfiber.transfer import Disintegration
 MARKOV3 = SystemSpec(
     TransitionMatrix([[1, 1, 0], [1, 0, 1], [1, 1, 1]]),
     0.5,
-    BaseWeights.markov([[0.6, 0.4, 0.0], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]),
+    BaseWeights([[0.6, 0.4, 0.0], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]),
     [
         FiberMapSpec(0.3, 0.0, {(0, 1, 2): 0.05}),
         FiberMapSpec(0.25, 0.375, {(1, 0, 0): 0.05}),
@@ -26,7 +27,7 @@ def random_fiber(rng, n_atoms=3, signed=True, total=None):
     w = rng.uniform(-1.0, 1.0, n_atoms) if signed else rng.uniform(0.1, 1.0, n_atoms)
     mu = AtomicMeasure(pos, w)
     if total is not None and mu.total_weight() != 0.0:
-        mu = mu.scaled(total / mu.total_weight())
+        mu = AtomicMeasure(mu.positions, total / mu.total_weight() * mu.weights)
     return mu
 
 
@@ -51,7 +52,7 @@ def random_vanishing_disintegration(matrix, weights, depth, rng, n_atoms=2):
     # shift every fiber's first atom weight to cancel the mean exactly
     correction = AtomicMeasure([0.5], [-mean])
     first = matrix.words(depth)[0]
-    scale = 1.0 / float(masses[matrix.word_index(depth)[first]])
+    scale = 1.0 / float(masses[word_index(matrix, depth)[first]])
     fibers[first] = AtomicMeasure(
         np.concatenate([fibers[first].positions, correction.positions]),
         np.concatenate([fibers[first].weights, correction.weights * scale]),

@@ -11,11 +11,12 @@ hold the shared layout to the same floats.  So are the two references of
 the moment closure: ``lag_loop_variance`` is the quantized σ² estimate the
 closure replaced, on ``correlation_curve``, and ``exact_moment_closure``
 reads the package's float tables and does the rest in exact rationals.
-Three more are references that no command runs: ``branch_map`` reads one
-word's branch straight from its fiber map, ``word_distances`` is the dense
-n x n table of the distance kernel that ``pair_lipschitz`` reads one class
-at a time, and ``admissibility_report`` lists the U2, U3, A1 and A2
-quantities of a delta grid beside the package's R(delta), ``_budget``.
+Four more are references that no command runs: ``branch_map`` reads one
+word's branch straight from its fiber map, ``word_index`` maps each word
+tuple to its row, ``word_distances`` is the dense n x n table of the
+distance kernel that ``pair_lipschitz`` reads one class at a time, and
+``admissibility_report`` lists the U2, U3, A1 and A2 quantities of a delta
+grid beside the package's R(delta), ``_budget``.
 None of them is part of the package.
 """
 
@@ -212,12 +213,17 @@ def base_correlation(weights, matrix, psi, s, lag):
     if psi.depth != s.depth:
         raise ValueError("observables must share a depth")
     k = psi.depth
-    idx = matrix.word_index(k)
+    idx = word_index(matrix, k)
     masses = cylinder_mass_vector(weights, matrix, lag + k)
     cross = 0.0
     for mass, w in zip(masses, matrix.words(lag + k)):
         cross += mass * psi.values[idx[w[lag:lag + k]]] * s.values[idx[w[:k]]]
     return float(cross - psi.mean(weights) * s.mean(weights))
+
+
+def word_index(matrix, depth):
+    """Word -> position in ``matrix.words(depth)``, as a dict of tuples."""
+    return {w: i for i, w in enumerate(matrix.words(depth))}
 
 
 def word_distances(matrix, depth, theta):
@@ -228,7 +234,8 @@ def word_distances(matrix, depth, theta):
 
 def component(obs, word):
     """Fiber component of an observable over a word, read from the word's depth-k prefix."""
-    return obs.components[tuple(word[: obs.depth])]
+    row = word_index(obs.matrix, obs.depth)[tuple(word[: obs.depth])]
+    return obs.pieces[obs.piece_of_word[row]]
 
 
 def base_lipschitz(obs, theta):
@@ -237,9 +244,9 @@ def base_lipschitz(obs, theta):
     dist = word_distances(obs.matrix, obs.depth, theta)
     best = 0.0
     for a in range(len(words)):
-        ha = obs.components[words[a]]
+        ha = obs.pieces[obs.piece_of_word[a]]
         for b in range(a + 1, len(words)):
-            hb = obs.components[words[b]]
+            hb = obs.pieces[obs.piece_of_word[b]]
             grid = np.union1d(ha.breakpoints, hb.breakpoints)
             gap = float(np.abs(ha(grid) - hb(grid)).max())
             best = max(best, gap / dist[a, b])
@@ -346,7 +353,7 @@ def exact_moment_closure(sys, phi, depth, nlags):
     d - 1 explicit steps solves Z T = P z with Z = I - P + 1 pi^T, P = jacobian^T.
     """
     matrix, n = sys.matrix, sys.n_symbols
-    words, index = matrix.words(depth), matrix.word_index(depth)
+    words, index = matrix.words(depth), word_index(matrix, depth)
     size = len(words)
     jac = [[Fraction(x) for x in row] for row in sys.weights.jacobian.tolist()]
     pi = [Fraction(x) for x in sys.weights.stationary.tolist()]

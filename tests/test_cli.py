@@ -10,16 +10,21 @@ from importlib import resources
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skewfiber.cli
 import skewfiber.stability
 from skewfiber.cli import CltConfig, ConfigError, main, parse_config
+from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import InconsistencyError
 
 BUNDLED = resources.files("skewfiber") / "data" / "cantor_demo.json"
 BUNDLED_COUPLED = resources.files("skewfiber") / "data" / "coupled_demo.json"
 CANTOR_SMALL = Path(__file__).parents[1] / "bench" / "configs" / "cantor_small.json"
+# the configs whose seed-3 reports are pinned, by name
+PINNED = {"cantor_small": CANTOR_SMALL, "markov3_small": CANTOR_SMALL.parent / "markov3_small.json",
+          "coupled_demo": BUNDLED_COUPLED}
 # weight-family stability blocks for the cantor_small system
 WEIGHT_FAMILIES = {
     "combined": {"kind": "combined", "fiber_direction": [0, -1], "weight_direction": [1, -1],
@@ -79,11 +84,10 @@ def parse_certificate(text):
     return tuple(float(part.split()[1]) for part in (head, contraction, quantization))
 
 
-def report_hashes(name, command, files, tmp_path):
-    """SHA-256 of each of ``files`` that ``command`` writes on a bench config at seed 3."""
+def report_hashes(config, command, files, tmp_path):
+    """SHA-256 of each of ``files`` that ``command`` writes on a config at seed 3."""
     out = tmp_path / command
-    assert main([command, "--config", str(CANTOR_SMALL.parent / f"{name}.json"), "--seed", "3",
-                 "--out", str(out)]) == 0
+    assert main([command, "--config", str(config), "--seed", "3", "--out", str(out)]) == 0
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
 
 
@@ -103,6 +107,17 @@ class TestParseConfig:
             config = parse_config(str(bundle))
             assert config.system.n_symbols == 2
             assert config.digest
+
+    @pytest.mark.parametrize("bundle,demo", [(BUNDLED, cantor_demo), (BUNDLED_COUPLED, coupled_demo)])
+    def test_bundled_demos_are_the_python_demos(self, bundle, demo):
+        # the JSON files and skewfiber.demos are two copies of one system
+        parsed, built = parse_config(str(bundle)).system, demo()
+        assert np.array_equal(parsed.matrix.entries, built.matrix.entries)
+        assert np.array_equal(parsed.theta, built.theta)
+        assert np.array_equal(parsed.weights.transition, built.weights.transition)
+        assert np.array_equal(parsed.weights.stationary, built.weights.stationary)
+        assert np.array_equal(parsed.branches, built.branches)
+        assert parsed.offset_depth == built.offset_depth
 
     @pytest.mark.parametrize("path", sorted(
         [str(p) for p in (resources.files("skewfiber") / "data").iterdir() if p.name.endswith(".json")]
@@ -747,10 +762,14 @@ class TestArtifacts:
         ("markov3_small", "spectral", {
             "equilibrium.csv": "76d3e37142905c9e78e1115e3aeb5e2f18ec5f2d418c1c8909534f0192822ae4",
             "summary.json": "e4633b7602767d9f69baddc82ab0e103d6b02977e71f53a3340155fa3fcd371a"}),
+        ("coupled_demo", "correlations", {
+            "correlations.csv": "58c78751b8b4477ab6f51a3a89716f2566dc4fb910178fd23c82f214e6b85798",
+            "gordin.csv": "ea685edf86bcf189532f43741b1c22e4676f7f5ac2aa4d7d9087ed3ac7c0a152",
+            "summary.json": "46bf42a989fcb95658872f9f76368f765b8e2180fc474a444fcb2a49c5ace36d"}),
     ])
     def test_fitted_reports_are_pinned_at_seed_3(self, name, command, expected, tmp_path):
         # the fits, their columns and the verdicts that read them, as bytes
-        assert report_hashes(name, command, expected, tmp_path) == expected
+        assert report_hashes(PINNED[name], command, expected, tmp_path) == expected
 
     @pytest.mark.parametrize("name,command,expected", [
         ("cantor_small", "verify", {
@@ -768,10 +787,14 @@ class TestArtifacts:
         ("markov3_small", "fixed-point", {
             "fixed_point.csv": "28ac47846701d49c8b183b5253bf1d810587357a7ccabd449872bb5fbc33cfc9",
             "summary.json": "83e2f70d2fa35551c903a58cb7648d9ca0d51b786d8285974b9254eb5223aaff"}),
+        ("coupled_demo", "fixed-point", {
+            "fixed_point.csv": "61a8ea66b58488d3d1f77c094d3682fa4b30edb9f3b2a2ae5aa70d30e8406c76",
+            "disintegration.json": "076f2fa6393c5c29cc0a4263e259faf9f09984331accafa1dcd3a3995cb94ae9",
+            "summary.json": "0905d832d21cdc5fc3e939d1c7f8ebe9b37b93c76ac137bb585a6eed34f7ca35"}),
     ])
     def test_certified_reports_are_pinned_at_seed_3(self, name, command, expected, tmp_path):
         # the branch table, R(delta) and the checks that read them, as bytes
-        assert report_hashes(name, command, expected, tmp_path) == expected
+        assert report_hashes(PINNED[name], command, expected, tmp_path) == expected
 
     def test_csv_cells_parse_as_numbers(self, tmp_path):
         out = tmp_path / "corr"

@@ -18,6 +18,7 @@ from oracles import (
     integrate,
     observable_sums,
     sample_orbits,
+    word_index,
 )
 from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo
@@ -198,8 +199,9 @@ class TestFiberAverage:
     def test_base_only_average_returns_values(self, mu0):
         psi = first_symbol_indicator()
         s = fiber_average(CANTOR, mu0, psi)
+        index = word_index(s.matrix, s.depth)
         for w in mu0.words():
-            assert s.value(w) == pytest.approx(component(psi, w)(0.0), abs=1e-12)
+            assert s.values[index[w]] == pytest.approx(component(psi, w)(0.0), abs=1e-12)
 
     def test_product_system_height_average_constant(self, mu0):
         s = fiber_average(CANTOR, mu0, height_obs())
@@ -293,7 +295,8 @@ class TestGordin:
         norms = gordin_norms(COUPLED, mu0_coupled, phi, nmax=3)
         s = fiber_average(COUPLED, mu0_coupled, phi.shifted(-m))
         masses = masses_by_word(COUPLED, mu0_coupled.depth)
-        expected = math.sqrt(sum(masses[w] * s.value(w) ** 2 for w in mu0_coupled.words()))
+        index = word_index(s.matrix, s.depth)
+        expected = math.sqrt(sum(masses[w] * s.values[index[w]] ** 2 for w in mu0_coupled.words()))
         assert norms[0] == pytest.approx(expected, abs=1e-10)
 
     def test_base_only_iid_vanishes_beyond_depth(self, mu0):
@@ -433,7 +436,7 @@ class TestAsymptoticVariance:
             rng = np.random.default_rng(3)
             transition = rng.uniform(0.1, 1.0, (2, 2))
             slopes = rng.uniform(-0.6, 0.6, 2)
-            sys = SystemSpec(TransitionMatrix([[1, 1], [1, 1]]), 0.5, BaseWeights.markov(transition / transition.sum(1, keepdims=True)),
+            sys = SystemSpec(TransitionMatrix([[1, 1], [1, 1]]), 0.5, BaseWeights(transition / transition.sum(1, keepdims=True)),
                              [FiberMapSpec(a, rng.uniform(max(0.0, -a), min(1.0, 1.0 - a))) for a in slopes])
             comps = {w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in sys.matrix.words(2)}
             phi = Observable(sys.matrix, 2, comps)

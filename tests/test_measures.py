@@ -97,7 +97,7 @@ class TestWkDistance:
         for _ in range(20):
             mu = random_measure(rng, 6)
             c = rng.uniform(0.1, 5.0)
-            assert wk_distance(mu.scaled(c)) == pytest.approx(c * wk_distance(mu), rel=1e-12)
+            assert wk_distance(AtomicMeasure(mu.positions, c * mu.weights)) == pytest.approx(c * wk_distance(mu), rel=1e-12)
 
     def test_empty_measures(self):
         assert wk_distance(ZERO_MEASURE, ZERO_MEASURE) == 0.0

@@ -27,6 +27,7 @@ from oracles import (  # noqa: E402
     window_codes,
     wk_distance_bruteforce,
     word_distances,
+    word_index,
 )
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
@@ -376,6 +377,22 @@ def test_window_rows_match_the_dense_lookup(case):
     assert np.array_equal(matrix.window_rows(matrix.word_array(depth).T), np.arange(matrix.word_count(depth)))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(zero_one_matrices(max_order=5).filter(_is_primitive), st.data())
+def test_preimages_are_the_one_symbol_extensions(a, data):
+    # word source is (symbol,) + words[target][:-1] and head is the target's first symbol,
+    # listed by (target, symbol), at a depth of 1-6 with at most 4096 words
+    matrix = TransitionMatrix(a)
+    depth = data.draw(st.integers(1, max(d for d in range(1, 7) if matrix.word_count(d) <= 4096)))
+    words, index = matrix.words(depth), word_index(matrix, depth)
+    expected = [(t, index[(i,) + w[:-1]], i, w[0]) for t, w in enumerate(words) for i in range(len(a)) if a[i, w[0]]]
+    tables = matrix.preimages(depth)
+    assert len(tables) == 4
+    for table, column in zip(tables, zip(*expected)):
+        assert np.array_equal(table, column)
+        assert not table.flags.writeable
+
+
 @st.composite
 def wide_zero_one_matrices(draw):
     """0/1 matrices of order 1-64, relabelled at random: an n-cycle plus one chord n-1 -> j,
@@ -512,7 +529,7 @@ def systems(draw):
         offset = draw(st.floats(max(0.0, -slope), min(1.0, 1.0 - slope)))
         maps.append(FiberMapSpec(slope, offset))
     matrix = TransitionMatrix(np.ones((n, n), dtype=int))
-    return SystemSpec(matrix, 0.5, BaseWeights.markov(transition), maps)
+    return SystemSpec(matrix, 0.5, BaseWeights(transition), maps)
 
 
 def assert_certificate_covers_reference(sys, depth):

@@ -62,7 +62,7 @@ def systems(draw):
         transition = np.array(
             [draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)) for _ in range(n)], dtype=float
         ) * matrix.entries
-    weights = BaseWeights.markov(transition / transition.sum(axis=1, keepdims=True))
+    weights = BaseWeights(transition / transition.sum(axis=1, keepdims=True))
     offset_depth = draw(st.integers(1, 3))
     maps = []
     for i in range(n):

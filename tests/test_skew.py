@@ -217,7 +217,7 @@ def iid_rows_start_law_off_by_an_ulp():
     """
     p = np.array([0.3, 0.7])
     pi = np.array([np.nextafter(0.3, 1.0), np.nextafter(0.7, 0.0)])
-    return SystemSpec(FULL2, 0.5, BaseWeights.markov(np.tile(p, (2, 1)), stationary=pi),
+    return SystemSpec(FULL2, 0.5, BaseWeights(np.tile(p, (2, 1)), stationary=pi),
                       [FiberMapSpec(0.4, 0.0), FiberMapSpec(0.4, 0.6)])
 
 
@@ -225,7 +225,7 @@ def markov20():
     """A random Markov base on the full 20-symbol shift: 399 distinct thresholds, two-byte ranks."""
     w = np.random.default_rng(20).random((20, 20))
     return SystemSpec(TransitionMatrix(np.ones((20, 20), dtype=int)), 0.5,
-                      BaseWeights.markov(w / w.sum(axis=1, keepdims=True)),
+                      BaseWeights(w / w.sum(axis=1, keepdims=True)),
                       [FiberMapSpec(0.4, 0.3 * i / 19) for i in range(20)])
 
 

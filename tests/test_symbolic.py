@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3
-from oracles import base_correlation, word_distances
+from oracles import base_correlation, word_distances, word_index
 from skewfiber.symbolic import (
     BaseWeights,
     CylinderFunction,
@@ -22,8 +22,8 @@ FULL2 = TransitionMatrix([[1, 1], [1, 1]])
 GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
 FAIR = BaseWeights.bernoulli([0.5, 0.5])
 MARKOV_P = [[0.9, 0.1], [0.5, 0.5]]
-MARKOV = BaseWeights.markov(MARKOV_P, stationary=[5 / 6, 1 / 6])
-GOLDEN_MARKOV = BaseWeights.markov([[0.5, 0.5], [1.0, 0.0]])
+MARKOV = BaseWeights(MARKOV_P, stationary=[5 / 6, 1 / 6])
+GOLDEN_MARKOV = BaseWeights([[0.5, 0.5], [1.0, 0.0]])
 
 
 def brute_force_words(entries, depth):
@@ -95,13 +95,13 @@ class TestEnumerateWords:
 
 def distance(matrix, w1, w2, theta):
     """Entry of the distance table for two words of equal depth."""
-    index = matrix.word_index(len(w1))
+    index = word_index(matrix, len(w1))
     return word_distances(matrix, len(w1), theta)[index[w1], index[w2]]
 
 
 def mass(weights, matrix, word):
     """Entry of the cylinder mass vector for one word."""
-    return cylinder_mass_vector(weights, matrix, len(word))[matrix.word_index(len(word))[word]]
+    return cylinder_mass_vector(weights, matrix, len(word))[word_index(matrix, len(word))[word]]
 
 
 class TestWordDistance:
@@ -140,7 +140,7 @@ class TestBaseWeights:
         assert not MARKOV.is_bernoulli
 
     def test_equal_row_markov_counts_as_bernoulli(self):
-        assert BaseWeights.markov([[0.25, 0.75], [0.25, 0.75]]).is_bernoulli
+        assert BaseWeights([[0.25, 0.75], [0.25, 0.75]]).is_bernoulli
 
     def test_bernoulli_input_checks(self):
         with pytest.raises(ValueError, match="positive"):
@@ -266,7 +266,7 @@ class TestRuelleApply:
         # oracle: (Pf)(w) = sum over admissible i of g(i.w) f(i.w[:-1]), in symbol order
         rng = np.random.default_rng(depth)
         f = CylinderFunction(matrix, depth, rng.standard_normal(matrix.word_count(depth)))
-        index = matrix.word_index(depth)
+        index = word_index(matrix, depth)
         expected = []
         for w in matrix.words(depth):
             total = 0.0
@@ -277,7 +277,7 @@ class TestRuelleApply:
         assert ruelle_apply(f, weights).values.tolist() == expected
 
     def test_constant_one_is_fixed(self):
-        f = CylinderFunction.constant(FULL2, 3, 1.0)
+        f = CylinderFunction(FULL2, 3, np.full(FULL2.word_count(3), 1.0))
         out = ruelle_apply(f, MARKOV)
         assert np.allclose(out.values, 1.0, atol=1e-14)
 
@@ -290,7 +290,7 @@ class TestRuelleApply:
     def test_zero_mean_collapse_for_bernoulli(self, depth):
         rng = np.random.default_rng(depth)
         f = CylinderFunction(FULL2, depth, rng.standard_normal(2**depth))
-        f = f.shifted(-f.mean(FAIR))
+        f = CylinderFunction(FULL2, depth, f.values - f.mean(FAIR))
         for _ in range(depth):
             f = ruelle_apply(f, FAIR)
         assert np.abs(f.values).max() <= 1e-12
@@ -306,7 +306,7 @@ class TestRuelleApply:
         rng = np.random.default_rng(2)
         f = CylinderFunction(FULL2, 3, rng.standard_normal(8))
         out = ruelle_apply(f, MARKOV)
-        idx = FULL2.word_index(3)
+        idx = word_index(FULL2, 3)
         for w in FULL2.words(2):
             vals = [out.values[idx[w + (j,)]] for j in range(2)]
             assert vals[0] == pytest.approx(vals[1], abs=1e-14)
@@ -334,7 +334,7 @@ class TestBaseGapEstimate:
 
 class TestBaseCorrelation:
     def test_constant_observable_uncorrelated(self):
-        psi = CylinderFunction.constant(FULL2, 2, 3.0)
+        psi = CylinderFunction(FULL2, 2, np.full(FULL2.word_count(2), 3.0))
         s = CylinderFunction(FULL2, 2, [1.0, -1.0, 0.5, 2.0])
         assert base_correlation(MARKOV, FULL2, psi, s, 4) == pytest.approx(0.0, abs=1e-14)
 
@@ -365,7 +365,7 @@ class TestBaseCorrelation:
 
 class TestCylinderFunctionNorm:
     def test_constant_has_zero_lipschitz(self):
-        f = CylinderFunction.constant(FULL2, 3, 2.5)
+        f = CylinderFunction(FULL2, 3, np.full(FULL2.word_count(3), 2.5))
         assert f.lipschitz(0.5) == 0.0
         assert f.norm_theta(0.5) == 2.5
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import MARKOV3, random_disintegration, random_vanishing_disintegration
-from oracles import disintegration_from_json, hutchinson_reference, word_distances, word_sum_iterate
+from oracles import disintegration_from_json, hutchinson_reference, word_distances, word_sum_iterate, word_table
 from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.fitting import exp_fit
@@ -78,7 +78,8 @@ class TestNorms:
     def test_norm_homogeneity(self):
         rng = np.random.default_rng(0)
         dis = random_disintegration(CANTOR.matrix, 3, rng)
-        assert norm_inf(dis.scaled(2.0)) == pytest.approx(2.0 * norm_inf(dis), rel=1e-12)
+        row, pos, w, _ = word_table(dis)
+        assert norm_inf(Disintegration(dis.matrix, dis.depth, row, pos, 2.0 * w)) == pytest.approx(2.0 * norm_inf(dis), rel=1e-12)
 
     def test_marginal_density_of_product(self):
         phi = marginal_density(product_dirac(CANTOR, 3))
@@ -87,7 +88,8 @@ class TestNorms:
     def test_marginal_density_scales(self):
         rng = np.random.default_rng(1)
         dis = random_disintegration(CANTOR.matrix, 2, rng)
-        assert np.allclose(marginal_density(dis.scaled(3.0)).values, 3.0 * marginal_density(dis).values)
+        row, pos, w, _ = word_table(dis)
+        assert np.allclose(marginal_density(Disintegration(dis.matrix, dis.depth, row, pos, 3.0 * w)).values, 3.0 * marginal_density(dis).values)
 
     def test_strong_norm_of_product_point_mass(self):
         # marginal density == 1 contributes 1, the fiber norm contributes 1
