@@ -337,7 +337,7 @@ def parse_observable(block, matrix, max_depth, pointer):
         raise ConfigError(fp, f"missing word {missing[0]}")
     if kind == "base_only":
         return Observable.base_only(matrix, depth, table)
-    return Observable(matrix, depth, table)
+    return Observable(matrix, depth, [table[w] for w in words], np.arange(len(words)))
 
 
 def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
@@ -761,7 +761,7 @@ def run_verify(config, out_dir):
     report.check("autocovariance_lag0_is_variance", abs(c0 - direct) <= 1e-10)
 
     level0 = gordin_norms(sys_, mu0, phi, nmax=2)[0]
-    s = fiber_average(sys_, mu0, centered)
+    s = fiber_average(mu0, centered)
     expected = math.sqrt(float(np.dot(masses, s.values**2)))
     report.check("gordin_level0_identity", abs(level0 - expected) <= 1e-10)
 

@@ -21,11 +21,12 @@ Gordin's conditional expectations need no word sums either: at level n
 their L2 norm is ||P^n s||, the base transfer operator power applied to the
 fiber integrals s of the centered observable (see ``gordin_norms``).
 
-``Observable.weigh`` evaluates an observable at the atoms of a
-disintegration, once per distinct (fiber, component) pair of its words.
+An ``Observable`` holds its pieces and the piece each word reads;
+``Observable.weigh`` evaluates it at the atoms of a disintegration, once per
+distinct (fiber, piece) pair of its words.
 The moment closure and the CLT read an observable affine in y on each word
 as p_w + q_w y, from its values at y = 0 and 1, one pair per word of its
-depth; a deeper word reads its prefix's pair (``TransitionMatrix.window_rows``).
+depth; a deeper word reads its prefix's pair (``TransitionMatrix.prefix_rows``).
 
 The CLT experiment reads its Birkhoff sums from ``skew.birkhoff_sums``,
 which owns the orbit stream, so memory does not grow with the trial count.
@@ -84,31 +85,31 @@ class InconsistencyError(RuntimeError):
 
 
 class Observable:
-    """Observable phi(x, y) = h_{x[:k]}(y) with one fiber component per word."""
+    """Observable phi(x, y) = h_{x[:k]}(y): word j of depth k reads piece ``pieces[piece_of_word[j]]``."""
 
-    def __init__(self, matrix, depth, components):
-        words = matrix.words(depth)
-        if depth < 1 or set(components) != set(words):
-            raise ValueError("need depth at least 1 and one fiber component per admissible word")
+    def __init__(self, matrix, depth, pieces, piece_of_word):
+        piece_of_word = np.asarray(piece_of_word, dtype=np.intp)
+        if depth < 1 or piece_of_word.shape != (matrix.word_count(depth),):
+            raise ValueError("need depth at least 1 and one piece index per admissible word")
+        if set(piece_of_word.tolist()) != set(range(len(pieces))):
+            raise ValueError("piece indices must index the pieces, and some word must read each piece")
         self.matrix = matrix
         self.depth = depth
-        # the distinct components by identity, in word order, and the piece of each word
-        self.pieces = list({id(components[w]): components[w] for w in words}.values())
-        slot = {id(h): j for j, h in enumerate(self.pieces)}
-        self.piece_of_word = np.array([slot[id(components[w])] for w in words], dtype=np.intp)
+        self.pieces = list(pieces)
+        self.piece_of_word = piece_of_word
 
     @classmethod
     def base_only(cls, matrix, depth, values):
-        """Observable constant on fibers: psi(x, y) = values[x[:k]]."""
-        comps = {w: PiecewiseLinearFn.constant(values[w]) for w in matrix.words(depth)}
-        return cls(matrix, depth, comps)
+        """Observable constant on fibers: psi(x, y) = values[x[:k]], one piece per word."""
+        words = matrix.words(depth)
+        return cls(matrix, depth, [PiecewiseLinearFn.constant(values[w]) for w in words], np.arange(len(words)))
 
     @classmethod
     def fiber(cls, matrix, h):
         """Observable depending on the fiber alone, phi(x, y) = h(y)."""
-        return cls(matrix, 1, {w: h for w in matrix.words(1)})
+        return cls(matrix, 1, [h], np.zeros(matrix.n_symbols, dtype=np.intp))
 
-    def weigh(self, dis, g=None, err_bound=0.0):
+    def weigh(self, dis, g=None):
         """Fiberwise product g(h_w) . mu|_w: each atom's weight times g of its word's component there.
 
         ``g`` maps an array of values and defaults to the identity.  It is
@@ -116,8 +117,7 @@ class Observable:
         """
         if self.depth > dis.depth:
             raise ValueError("observable depth exceeds the disintegration depth")
-        columns = dis.matrix.word_array(dis.depth).T[: self.depth]
-        pieces = self.piece_of_word[dis.matrix.window_rows(columns)]
+        pieces = self.piece_of_word[dis.matrix.prefix_rows(dis.depth, self.depth)]
 
         def times(piece, pos, w):
             order = np.argsort(piece, kind="stable")  # each piece reads its own range of atoms
@@ -127,7 +127,7 @@ class Observable:
                 values[idx] = h(pos[idx])
             return pos, w * (values if g is None else g(values))
 
-        return dis.mapped(pieces, times, err_bound)
+        return dis.mapped(pieces, times)
 
     def sup_norm(self):
         return max(h.sup_norm() for h in self.pieces)
@@ -140,9 +140,7 @@ class Observable:
         return max(max(h.lipschitz(), h.sup_norm()) for h in self.pieces)
 
     def shifted(self, c):
-        moved = [h.shifted(c) for h in self.pieces]
-        words = self.matrix.words(self.depth)
-        return Observable(self.matrix, self.depth, {w: moved[j] for w, j in zip(words, self.piece_of_word.tolist())})
+        return Observable(self.matrix, self.depth, [h.shifted(c) for h in self.pieces], self.piece_of_word)
 
     def __repr__(self):
         return f"Observable(depth={self.depth}, {self.piece_of_word.size} components)"
@@ -158,7 +156,7 @@ def integrate_observable(sys, dis, obs):
     return obs.weigh(dis).total_mass(sys.weights)
 
 
-def fiber_average(sys, mu0, obs):
+def fiber_average(mu0, obs):
     """Fiber averages s(w) = int h_w d mu0|_w / phi1(w) as a cylinder function."""
     integrals, masses = _fiber_integrals(mu0, obs), mu0.fiber_masses()
     if (masses == 0.0).any():
@@ -178,8 +176,9 @@ def _weighted_disintegration(dis, obs):
     the product, since g h has supremum sup(h) and Lipschitz constant
     Lip(g) sup(h) + sup(g) Lip(h) for any admissible test function g.
     """
-    factor = obs.sup_norm() + obs.fiber_lipschitz()
-    return obs.weigh(dis, err_bound=dis.err_bound * factor)
+    rho = obs.weigh(dis)
+    rho.err_bound = dis.err_bound * (obs.sup_norm() + obs.fiber_lipschitz())
+    return rho
 
 
 @dataclass
@@ -368,7 +367,7 @@ def asymptotic_variance(sys, phi, depth, nlags):
     if phi.depth > depth:
         raise ValueError(f"the moment closure needs phi of depth at most {depth}")
     words, closure, (a, b) = matrix.word_array(depth), _Closure(sys, depth), sys.word_branches(depth)
-    prefix = matrix.window_rows(words.T[: phi.depth])
+    prefix = matrix.prefix_rows(depth, phi.depth)
     p, end = (_Ball(v[prefix]) for v in _end_values(phi))
     q, (m1, m2, solves) = end - p, fiber_moments(sys, depth)
     m = cylinder_mass_vector(sys.weights, matrix, depth)

@@ -8,7 +8,7 @@ product); deeper offset tables couple the fiber to the base and produce
 genuinely non-product invariant measures.  The branch maps are built once,
 one slope/offset pair per offset-depth word (``SystemSpec.branches``), and
 a word of any working depth reads the pair of its offset prefix
-(``SystemSpec.prefix_rows``, ``SystemSpec.word_branches``).
+(``SystemSpec.word_branches``, by ``TransitionMatrix.prefix_rows``).
 
 The CLT's orbit stream has one owner, ``birkhoff_sums``: it streams the
 orbits of a seed in blocks of trials, about ``BLOCK_CELLS`` cells each.
@@ -127,7 +127,7 @@ class SystemSpec:
         d = self.offset_depth
         if depth < d:
             raise ValueError(f"offset depth {d} exceeds the working depth {depth}")
-        return self.matrix.window_rows(self.matrix.word_array(depth).T[:d])
+        return self.matrix.prefix_rows(depth, d)
 
     def word_branches(self, depth):
         """Branch slopes and offsets of the depth-``depth`` words, read at their offset prefixes, as two rows."""
@@ -159,7 +159,7 @@ def estimate_H(sys):
     y = 1.
     """
     d = sys.offset_depth
-    branches, labels = np.unique(np.column_stack(sys.word_branches(d)), axis=0, return_inverse=True)
+    branches, labels = np.unique(np.column_stack(sys.branches), axis=0, return_inverse=True)
     a, b = branches.T
     da, db = a[:, None] - a[None, :], b[:, None] - b[None, :]
     return pair_lipschitz(sys.matrix, d, sys.theta, labels.ravel(), np.maximum(np.abs(db), np.abs(da + db)))
@@ -262,27 +262,29 @@ def birkhoff_sums(sys, p, q, depth, seed, trials, burn_in, length):
     """Sums of q[c] y + p[c] over recorded steps burn_in .. burn_in + length - 1 of ``trials`` orbits from y = 1/2.
 
     ``p`` and ``q`` tabulate an observable affine in y on each word of depth
-    ``depth``, and c is the row of a window in ``words(depth)``
-    (``TransitionMatrix.window_rows``).  With p = v0
+    ``depth``, and c is the row in ``words(depth)`` of a step's first
+    ``depth`` symbols.  With p = v0
     and q = v1 - v0 for a piece with values v0, v1 at y = 0, 1, the one
     product and one sum are ``np.interp``'s own (y - 0) ((v1 - v0) / 1) + v0
     for y < 1 (at y = 1 ``np.interp`` returns v1 itself).
     The orbits stream in blocks of about ``BLOCK_CELLS`` cells, with
-    total = burn_in + length + max(depth, offset_depth) - 1 per trial:
+    total = burn_in + length + w - 1 per trial, w = max(depth, offset_depth):
     trial t reads draws t * total .. (t + 1) * total - 1 of
     ``orbit_stream(seed)`` (``symbol_tracks``).  The fiber recursion runs
-    time-major in a buffer of about ``FIBER_CELLS`` states, and row j of a
-    chunk's window rows selects both the branch of the chunk's step j and the
-    observable at the state before it.  Each trial's values are added one
+    time-major in a buffer of about ``FIBER_CELLS`` states.  The row of a
+    step's w-symbol window (``TransitionMatrix.window_rows``) selects its
+    branch in ``word_branches(w)`` and the observable at the state before it
+    in p and q gathered once at ``prefix_rows(w, depth)``.  Each trial's values are added one
     step at a time, in step order, so the sums depend on neither the block
     nor the chunk size.  Returns ``(sums, block_trials, sample_s, sum_s)``,
     the last two the wall seconds spent drawing symbol tracks and running
     the recursion with its sums.
     """
-    slopes, offsets = sys.branches
-    d, matrix = sys.offset_depth, sys.matrix
+    matrix, width = sys.matrix, max(depth, sys.offset_depth)
+    slopes, offsets = sys.word_branches(width)
+    p, q = (v[matrix.prefix_rows(width, depth)] for v in (p, q))
     steps = burn_in + length
-    total = steps + max(depth, d) - 1
+    total = steps + width - 1
     block = min(max(1, BLOCK_CELLS // total), trials)
     gen = orbit_stream(seed)
     sums = np.zeros(trials)
@@ -297,13 +299,11 @@ def birkhoff_sums(sys, p, q, depth, seed, trials, burn_in, length):
         buf = np.full((chunk + 1, part.size), 0.5)
         for t0 in range(0, steps, chunk):
             t1 = min(t0 + chunk, steps)
-            rows = matrix.window_rows([tracks[t0 + j: t1 + j] for j in range(d)])
+            rows = matrix.window_rows([tracks[t0 + j: t1 + j] for j in range(width)])
             for a, b, y, after in zip(slopes.take(rows), offsets.take(rows), buf, buf[1:]):
                 # rounds as slopes[c] * y + offsets[c] does: one product, then one sum
                 np.multiply(a, y, out=after)
                 after += b
-            if depth != d:
-                rows = matrix.window_rows([tracks[t0 + j: t1 + j] for j in range(depth)])
             r = max(burn_in - t0, 0)
             values = q.take(rows[r:])
             values *= buf[r:t1 - t0]

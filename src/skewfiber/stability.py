@@ -105,7 +105,7 @@ def _jacobian_gap(sys0, sys_d):
 
 def _fiber_gap(sys0, sys_d):
     # an affine gap in y peaks at an endpoint of [0, 1]
-    (a0, b0), (ad, bd) = (s.word_branches(sys0.offset_depth) for s in (sys0, sys_d))
+    (a0, b0), (ad, bd) = sys0.branches, sys_d.branches
     da, db = a0 - ad, b0 - bd
     return float(np.maximum(np.abs(db), np.abs(da + db)).max())
 

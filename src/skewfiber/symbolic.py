@@ -16,7 +16,8 @@ are arrays built once: ``BaseWeights.jacobian`` (the N x N branch weights),
 ``cylinder_mass_vector`` (one mass per word) and ``TransitionMatrix.preimages``
 (which word precedes which, under which symbol), the table the transfer
 operators read.  ``TransitionMatrix.window_rows`` gives a symbol window's row
-among the words of its length, so every table holds one entry per word.
+among the words of its length, and ``TransitionMatrix.prefix_rows`` the row
+of a deeper word's prefix, so every table holds one entry per word.
 """
 
 from __future__ import annotations
@@ -69,14 +70,18 @@ class TransitionMatrix:
             self._word_cache[depth] = tuple(enumerate_words(self, depth))
         return self._word_cache[depth]
 
+    def _table(self, key, build):
+        """``build()``, an array or a tuple of arrays, built once per key and kept read-only."""
+        if key not in self._word_cache:
+            tables = build()
+            for table in tables if isinstance(tables, tuple) else (tables,):
+                table.flags.writeable = False
+            self._word_cache[key] = tables
+        return self._word_cache[key]
+
     def word_array(self, depth):
         """``words(depth)`` as a read-only intp array, one word per row."""
-        key = ("array", depth)
-        if key not in self._word_cache:
-            arr = np.asarray(self.words(depth), dtype=np.intp)
-            arr.flags.writeable = False
-            self._word_cache[key] = arr
-        return self._word_cache[key]
+        return self._table(("array", depth), lambda: np.asarray(self.words(depth), dtype=np.intp))
 
     def preimages(self, depth):
         """Admissible one-symbol extensions i.w of the depth-``depth`` words, as intp arrays.
@@ -85,18 +90,15 @@ class TransitionMatrix:
         word ``source`` is ``(symbol,) + words[target][:-1]`` and ``head`` is
         the target's first symbol, so the branch weight is ``jacobian[symbol, head]``.
         """
-        key = ("preimages", depth)
-        if key not in self._word_cache:
-            if depth < 1:
-                raise ValueError("preimages need depth at least 1")
+        if depth < 1:
+            raise ValueError("preimages need depth at least 1")
+
+        def build():
             words = self.word_array(depth)
             target, symbol = np.nonzero(self.entries.T[words[:, 0]])
-            source = self.window_rows([symbol, *words[target, :-1].T])
-            tables = (target, source, symbol, words[target, 0])
-            for table in tables:
-                table.flags.writeable = False
-            self._word_cache[key] = tables
-        return self._word_cache[key]
+            return target, self.window_rows([symbol, *words[target, :-1].T]), symbol, words[target, 0]
+
+        return self._table(("preimages", depth), build)
 
     def window_rows(self, columns):
         """Row in ``words(len(columns))`` of each admissible symbol window, given column by column.
@@ -108,14 +110,16 @@ class TransitionMatrix:
         """
         rows = columns[0]
         for k, column in enumerate(columns[1:], 1):
-            key = ("successors", k)
-            if key not in self._word_cache:
-                allowed = self.entries[self.word_array(k)[:, -1]]
-                successors = np.cumsum(allowed).reshape(allowed.shape) - 1
-                successors.flags.writeable = False
-                self._word_cache[key] = successors
-            rows = self._word_cache[key][rows, column]
+            successors = self._table(("successors", k), lambda: np.cumsum(
+                self.entries[self.word_array(k)[:, -1]]).reshape(-1, self.n_symbols) - 1)
+            rows = successors[rows, column]
         return rows
+
+    def prefix_rows(self, depth, k):
+        """Row in ``words(k)`` of each depth-``depth`` word's first k symbols, a cached read-only intp array."""
+        if not 1 <= k <= depth:
+            raise ValueError(f"prefix length {k} must lie in 1..{depth}")
+        return self._table(("prefix", depth, k), lambda: self.window_rows(self.word_array(depth).T[:k]))
 
     def word_count(self, depth, stop=None):
         """Number of admissible words of a depth, without enumerating them.

@@ -72,27 +72,18 @@ class Disintegration:
     ``starts[r]:starts[r + 1]``, and word k's fiber is row ``word_fiber[k]``.
     Two words share a row exactly when their fibers are equal bit for bit,
     and rows are numbered in the order of their first word, so the layout is
-    a function of the measure alone.  The constructor takes one row per word,
-    and ``fibers``, ``fiber_masses``, ``total_mass`` and ``to_json_dict``
-    read one fiber per word.
+    a function of the measure alone.  The constructor takes each word's table
+    row as ``word_fiber`` (``None``: one row per word); ``fibers``,
+    ``fiber_masses``, ``total_mass`` and ``to_json_dict`` read one fiber per word.
     """
 
-    def __init__(self, matrix, depth, rows, positions, weights, err_bound=0.0):
-        n_words = matrix.word_count(depth)
+    def __init__(self, matrix, depth, rows, positions, weights, err_bound=0.0, word_fiber=None):
         row, pos, w = merge_atoms(rows, positions, weights)
-        if row.size and (row[0] < 0 or row[-1] >= n_words):
-            raise ValueError(f"atom rows must index the {n_words} admissible words")
-        self._store(matrix, depth, row, pos, w, np.arange(n_words), err_bound)
-
-    @classmethod
-    def _shared(cls, matrix, depth, rows, positions, weights, word_fiber, err_bound):
-        """Disintegration whose word k has the fiber of table row ``word_fiber[k]``."""
-        dis = cls.__new__(cls)
-        dis._store(matrix, depth, *merge_atoms(rows, positions, weights), word_fiber, err_bound)
-        return dis
-
-    def _store(self, matrix, depth, row, pos, w, word_fiber, err_bound):
-        """Keep one row per distinct fiber, numbered by first word, from a merged table."""
+        if word_fiber is None:
+            n_words = matrix.word_count(depth)
+            if row.size and (row[0] < 0 or row[-1] >= n_words):
+                raise ValueError(f"atom rows must index the {n_words} admissible words")
+            word_fiber = np.arange(n_words)
         starts = np.searchsorted(row, np.arange(int(word_fiber.max()) + 2)).tolist()
         renumber = np.zeros(len(starts) - 1, dtype=np.intp)
         kept, seen = [], {}
@@ -110,10 +101,6 @@ class Disintegration:
         self.depth = depth
         self.err_bound = float(err_bound)
 
-    def _with_atoms(self, pos, w, err_bound):
-        """Same word map, with each table atom moved to ``pos`` and weighted ``w``."""
-        return Disintegration._shared(self.matrix, self.depth, self.row, pos, w, self.word_fiber, err_bound)
-
     @classmethod
     def from_fibers(cls, matrix, depth, fibers, err_bound=0.0):
         """Table of a map from every admissible word to its atomic fiber measure."""
@@ -127,7 +114,7 @@ class Disintegration:
     @classmethod
     def product(cls, matrix, depth, fiber):
         """Product disintegration m x nu: the same fiber over every word."""
-        return cls.from_fibers(matrix, depth, dict.fromkeys(matrix.words(depth), fiber))
+        return cls(matrix, depth, 0, fiber.positions, fiber.weights, 0.0, np.zeros(matrix.word_count(depth), np.intp))
 
     def words(self):
         return self.matrix.words(self.depth)
@@ -148,7 +135,7 @@ class Disintegration:
         """Word -> fiber measure map, rebuilt on each read (for readers outside the package)."""
         return {word: AtomicMeasure(p, w) for word, (p, w) in zip(self.words(), self._per_word())}
 
-    def mapped(self, labels, f, err_bound=0.0):
+    def mapped(self, labels, f):
         """Each word's fiber with its atoms sent through ``f``, by the word's label.
 
         ``labels`` holds one nonnegative integer per word; ``f(label, pos, w)``
@@ -161,7 +148,7 @@ class Disintegration:
         fiber, label = np.divmod(pairs, n_labels)
         rows, take = _gather(self.starts, fiber)
         pos, w = f(label[rows], self.pos[take], self.w[take])
-        return Disintegration._shared(self.matrix, self.depth, rows, pos, w, word_pair.ravel(), err_bound)
+        return Disintegration(self.matrix, self.depth, rows, pos, w, word_fiber=word_pair.ravel())
 
     def fiber_masses(self):
         return np.bincount(self.row, weights=self.w, minlength=self.n_fibers)[self.word_fiber]
@@ -271,8 +258,8 @@ def transfer_apply(sys, dis):
     a, b = sys.branches[:, branch[term]]
     k, take = _gather(dis.starts, fiber[term])
     pos = a[k] * dis.pos[take] + b[k]
-    return Disintegration._shared(
-        dis.matrix, dis.depth, term_group[k], pos, g[k] * dis.w[take], group.ravel(), sys.alpha * dis.err_bound
+    return Disintegration(
+        dis.matrix, dis.depth, term_group[k], pos, g[k] * dis.w[take], sys.alpha * dis.err_bound, group.ravel()
     )
 
 
@@ -310,7 +297,7 @@ def quantize_disintegration(dis, grid):
         cost *= dis.w
         n = int(np.diff(dis.starts).max())
         step = round_up(float(np.bincount(dis.row, np.abs(cost, out=cost), 1).max()) + n * 2.0**-1074, n + 2)
-    return dis._with_atoms(pos, dis.w, dis.err_bound + step), step
+    return Disintegration(dis.matrix, dis.depth, dis.row, pos, dis.w, dis.err_bound + step, dis.word_fiber), step
 
 
 def change_between(d1, d2):

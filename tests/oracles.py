@@ -265,7 +265,7 @@ def fiber_average_margin(sys, mu0, obs, lip_mu0):
     caller for any number of observables.
     """
     theta = sys.theta
-    s = fiber_average(sys, mu0, obs)
+    s = fiber_average(mu0, obs)
     lip = observable_lipschitz(obs, theta)
     bound = max(lip, obs.sup_norm()) * lip_mu0 + lip
     return bound - s.lipschitz(theta)

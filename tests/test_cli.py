@@ -838,8 +838,11 @@ class TestArtifacts:
         assert len(calls) == len(cfg["stability"]["deltas"]) + 1
 
 
-def test_no_subcommand_imports_scipy(config_path, tmp_path):
-    """Every subcommand, ``verify`` included, runs with scipy blocked and loads none of it."""
+def test_no_subcommand_imports_scipy_or_numpy_ma(config_path, tmp_path):
+    """Every subcommand, ``verify`` included, runs with scipy blocked and loads none of it, nor ``numpy.ma``.
+
+    A plain ``np.unique`` imports ``numpy.ma`` on its first call, which costs every run's start-up.
+    """
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -848,6 +851,7 @@ def test_no_subcommand_imports_scipy(config_path, tmp_path):
         "for sub in SUBCOMMANDS:\n"
         "    assert main([sub, '--config', sys.argv[1], '--out', sys.argv[2] + '/' + sub]) == 0, sub\n"
         "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(skewfiber.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -855,4 +859,4 @@ def test_no_subcommand_imports_scipy(config_path, tmp_path):
         [sys.executable, "-c", script, config_path(small_config()), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[]", "False"]

@@ -86,6 +86,13 @@ class TestObservable:
         obs = first_symbol_indicator()
         assert base_lipschitz(obs, 0.5) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("piece_of_word", [[0, 2], [-1, 0], [0, 0], [0]])
+    def test_piece_table_must_match_the_words(self, piece_of_word):
+        # an index out of range, a piece that no word reads, or a wrong word count
+        h = PiecewiseLinearFn.identity()
+        with pytest.raises(ValueError):
+            Observable(CANTOR.matrix, 1, [h, h.shifted(1.0)], piece_of_word)
+
 
 def random_observables(sys, depth, rng):
     """A base_only, a fiber and a components observable; the last shares one piece per last symbol."""
@@ -94,7 +101,7 @@ def random_observables(sys, depth, rng):
     return [
         Observable.base_only(sys.matrix, depth, {w: rng.standard_normal() for w in words}),
         Observable.fiber(sys.matrix, PiecewiseLinearFn([0.0, 0.3, 1.0], rng.standard_normal(3))),
-        Observable(sys.matrix, depth, {w: shared[w[-1]] for w in words}),
+        Observable(sys.matrix, depth, shared, [w[-1] for w in words]),
     ]
 
 
@@ -133,7 +140,7 @@ class TestEvaluator:
                 integrals = np.array([integrate(fibers[w], component(obs, w)) for w in dis.words()])
                 mean = float(np.dot(masses, integrals))
                 assert integrate_observable(sys, dis, obs) == pytest.approx(mean, rel=1e-12)
-                average = fiber_average(sys, dis, obs).values
+                average = fiber_average(dis, obs).values
                 assert np.allclose(average, integrals / fiber_masses, rtol=1e-12, atol=0.0)
                 centered = obs.shifted(-mean)
                 s = np.array([integrate(fibers[w], component(centered, w)) for w in dis.words()])
@@ -152,7 +159,7 @@ class TestEvaluator:
 
         shared = [counted(PiecewiseLinearFn([0.0, 1.0], [i, i + 1.0])) for i in range(3)]
         words = MARKOV3.matrix.words(3)
-        phi = Observable(MARKOV3.matrix, 3, {w: shared[w[-1]] for w in words})
+        phi = Observable(MARKOV3.matrix, 3, shared, [w[-1] for w in words])
         # the fiber follows the first symbol and the piece the last, so words share (fiber, piece) pairs
         rng = np.random.default_rng(2)
         fibers = [AtomicMeasure(rng.random(k + 2), rng.uniform(0.1, 1.0, k + 2)) for k in range(3)]
@@ -198,13 +205,13 @@ class TestIntegrateObservable:
 class TestFiberAverage:
     def test_base_only_average_returns_values(self, mu0):
         psi = first_symbol_indicator()
-        s = fiber_average(CANTOR, mu0, psi)
+        s = fiber_average(mu0, psi)
         index = word_index(s.matrix, s.depth)
         for w in mu0.words():
             assert s.values[index[w]] == pytest.approx(component(psi, w)(0.0), abs=1e-12)
 
     def test_product_system_height_average_constant(self, mu0):
-        s = fiber_average(CANTOR, mu0, height_obs())
+        s = fiber_average(mu0, height_obs())
         assert np.allclose(s.values, 0.5, atol=1e-6)
         assert s.lipschitz(CANTOR.theta) <= 1e-9
 
@@ -293,7 +300,7 @@ class TestGordin:
         phi = height_obs(COUPLED)
         m = integrate_observable(COUPLED, mu0_coupled, phi)
         norms = gordin_norms(COUPLED, mu0_coupled, phi, nmax=3)
-        s = fiber_average(COUPLED, mu0_coupled, phi.shifted(-m))
+        s = fiber_average(mu0_coupled, phi.shifted(-m))
         masses = masses_by_word(COUPLED, mu0_coupled.depth)
         index = word_index(s.matrix, s.depth)
         expected = math.sqrt(sum(masses[w] * s.values[index[w]] ** 2 for w in mu0_coupled.words()))
@@ -438,8 +445,8 @@ class TestAsymptoticVariance:
             slopes = rng.uniform(-0.6, 0.6, 2)
             sys = SystemSpec(TransitionMatrix([[1, 1], [1, 1]]), 0.5, BaseWeights(transition / transition.sum(1, keepdims=True)),
                              [FiberMapSpec(a, rng.uniform(max(0.0, -a), min(1.0, 1.0 - a))) for a in slopes])
-            comps = {w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in sys.matrix.words(2)}
-            phi = Observable(sys.matrix, 2, comps)
+            comps = [PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for _ in sys.matrix.words(2)]
+            phi = Observable(sys.matrix, 2, comps, np.arange(len(comps)))
         else:
             sys = {"cantor": CANTOR, "coupled": COUPLED, "markov3": MARKOV3}[name]
             phi = height_obs(sys)
@@ -477,11 +484,8 @@ class TestCLT:
         # depth-6 windows read from one-byte symbol tracks: their base-3 codes reach 728,
         # beyond the symbol dtype, and each of the 182 words gets its own component
         rng = np.random.default_rng(12)
-        comps = {
-            w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2))
-            for w in MARKOV3.matrix.words(6)
-        }
-        phi = Observable(MARKOV3.matrix, 6, comps)
+        comps = [PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for _ in MARKOV3.matrix.words(6)]
+        phi = Observable(MARKOV3.matrix, 6, comps, np.arange(len(comps)))
         symbols, ys = sample_orbits(MARKOV3, seed=5, length=60, trials=8, burn_in=5, window=6)
         assert symbols.dtype == np.uint8
         windows = [symbols[:, j:60 + j] for j in range(6)]
@@ -546,14 +550,12 @@ class TestCLT:
         phi = height_obs(sys)
         rng = np.random.default_rng(6)
         if name == "markov3_depth6":
-            phi = Observable(MARKOV3.matrix, 6, {
-                w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in MARKOV3.matrix.words(6)
-            })
+            comps = [PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for _ in MARKOV3.matrix.words(6)]
+            phi = Observable(MARKOV3.matrix, 6, comps, np.arange(len(comps)))
         if name == "coupled_depth2":
             # at the offset depth, one window row per step selects both the branch and the piece
-            phi = Observable(COUPLED.matrix, 2, {
-                w: PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for w in COUPLED.matrix.words(2)
-            })
+            comps = [PiecewiseLinearFn([0.0, 1.0], rng.standard_normal(2)) for _ in COUPLED.matrix.words(2)]
+            phi = Observable(COUPLED.matrix, 2, comps, np.arange(len(comps)))
         # any mean centres the sums: one from a random disintegration of the observable's depth
         mu = random_disintegration(sys.matrix, phi.depth, np.random.default_rng(1), signed=False)
         mean = integrate_observable(sys, mu, phi)

@@ -393,6 +393,22 @@ def test_preimages_are_the_one_symbol_extensions(a, data):
         assert not table.flags.writeable
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(zero_one_matrices(max_order=5).filter(_is_primitive), st.data())
+def test_prefix_rows_are_the_rows_of_each_words_prefix(a, data):
+    # every prefix length k of a depth of 1-6 with at most 4096 words, cached and read-only
+    matrix = TransitionMatrix(a)
+    depth = data.draw(st.integers(1, max(d for d in range(1, 7) if matrix.word_count(d) <= 4096)))
+    for k in range(1, depth + 1):
+        rows = matrix.prefix_rows(depth, k)
+        assert np.array_equal(matrix.word_array(k)[rows], matrix.word_array(depth)[:, :k])
+        assert not rows.flags.writeable
+        assert matrix.prefix_rows(depth, k) is rows
+    for k in (0, depth + 1):
+        with pytest.raises(ValueError, match="prefix length"):
+            matrix.prefix_rows(depth, k)
+
+
 @st.composite
 def wide_zero_one_matrices(draw):
     """0/1 matrices of order 1-64, relabelled at random: an n-cycle plus one chord n-1 -> j,

@@ -143,7 +143,8 @@ def observables(draw, matrix, max_depth):
         PiecewiseLinearFn([0.0, 0.5, 1.0], draw(st.lists(st.integers(-4, 4), min_size=3, max_size=3)))
         for _ in range(2)
     ]
-    return Observable(matrix, depth, {w: pool[draw(st.integers(0, 1))] for w in matrix.words(depth)})
+    read, piece_of_word = np.unique([draw(st.integers(0, 1)) for _ in matrix.words(depth)], return_inverse=True)
+    return Observable(matrix, depth, [pool[j] for j in read.tolist()], piece_of_word)
 
 
 @st.composite

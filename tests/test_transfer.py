@@ -183,6 +183,16 @@ class TestTransferApply:
                 dis, _ = quantize_disintegration(dis, 64)
                 assert_canonical(dis)
 
+    def test_product_is_the_table_of_per_word_copies(self):
+        # the full 2-shift at depth 12: 4096 words, each reading one signed 98-atom fiber
+        rng = np.random.default_rng(4)
+        fiber = AtomicMeasure(rng.random(98), rng.standard_normal(98))
+        product = Disintegration.product(CANTOR.matrix, 12, fiber)
+        copies = Disintegration.from_fibers(CANTOR.matrix, 12, dict.fromkeys(CANTOR.matrix.words(12), fiber))
+        assert product.word_fiber.size == 4096 and fiber.n_atoms == 98
+        for name in ("row", "pos", "w", "starts", "word_fiber"):
+            assert np.array_equal(getattr(product, name), getattr(copies, name)), name
+
     def test_rows_outside_the_words_rejected(self):
         with pytest.raises(ValueError, match="admissible words"):
             Disintegration(CANTOR.matrix, 1, [2], [0.5], [1.0])
