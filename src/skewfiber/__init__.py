@@ -22,7 +22,6 @@ from .symbolic import (
     TransitionMatrix,
     base_rate,
     cylinder_mass_vector,
-    enumerate_words,
     ruelle_apply,
 )
 from .skew import (

@@ -21,9 +21,10 @@ Gordin's conditional expectations need no word sums either: at level n
 their L2 norm is ||P^n s||, the base transfer operator power applied to the
 fiber integrals s of the centered observable (see ``gordin_norms``).
 
-An ``Observable`` holds its pieces and the piece each word reads;
+An ``Observable`` holds its pieces and the piece each word reads, and
+``base_only`` keeps one constant piece per distinct value;
 ``Observable.weigh`` evaluates it at the atoms of a disintegration, once per
-distinct (fiber, piece) pair of its words.
+distinct (fiber, piece) pair of its words, each piece on one run of atoms.
 The moment closure and the CLT read an observable affine in y on each word
 as p_w + q_w y, from its values at y = 0 and 1, one pair per word of its
 depth; a deeper word reads its prefix's pair (``TransitionMatrix.prefix_rows``).
@@ -100,9 +101,10 @@ class Observable:
 
     @classmethod
     def base_only(cls, matrix, depth, values):
-        """Observable constant on fibers: psi(x, y) = values[x[:k]], one piece per word."""
-        words = matrix.words(depth)
-        return cls(matrix, depth, [PiecewiseLinearFn.constant(values[w]) for w in words], np.arange(len(words)))
+        """Observable psi(x, y) = values[x[:k]]: one constant piece per value, by bit pattern (0.0 is not -0.0)."""
+        table = np.array([values[w] for w in matrix.words(depth)], dtype=float)
+        bits, piece_of_word = np.unique(table.view(np.int64), return_inverse=True)
+        return cls(matrix, depth, [PiecewiseLinearFn.constant(c) for c in bits.view(float).tolist()], piece_of_word)
 
     @classmethod
     def fiber(cls, matrix, h):
@@ -113,18 +115,17 @@ class Observable:
         """Fiberwise product g(h_w) . mu|_w: each atom's weight times g of its word's component there.
 
         ``g`` maps an array of values and defaults to the identity.  It is
-        evaluated once per distinct (fiber, piece) pair of the words.
+        evaluated once per distinct (fiber, piece) pair of the words; as
+        ``Disintegration.mapped`` lists the pairs label-major, each piece reads
+        one run of atoms.
         """
         if self.depth > dis.depth:
             raise ValueError("observable depth exceeds the disintegration depth")
         pieces = self.piece_of_word[dis.matrix.prefix_rows(dis.depth, self.depth)]
 
         def times(piece, pos, w):
-            order = np.argsort(piece, kind="stable")  # each piece reads its own range of atoms
-            cuts = np.searchsorted(piece[order], np.arange(1, len(self.pieces)))
-            values = np.empty(pos.size)
-            for h, idx in zip(self.pieces, np.split(order, cuts)):
-                values[idx] = h(pos[idx])
+            runs = np.split(pos, np.searchsorted(piece, np.arange(1, len(self.pieces))))
+            values = np.concatenate([h(run) for h, run in zip(self.pieces, runs)])
             return pos, w * (values if g is None else g(values))
 
         return dis.mapped(pieces, times)
@@ -135,20 +136,11 @@ class Observable:
     def fiber_lipschitz(self):
         return max(h.lipschitz() for h in self.pieces)
 
-    def dual_bound(self):
-        """max(Lip, sup) of the worst component: converts wk errors to integral errors."""
-        return max(max(h.lipschitz(), h.sup_norm()) for h in self.pieces)
-
     def shifted(self, c):
         return Observable(self.matrix, self.depth, [h.shifted(c) for h in self.pieces], self.piece_of_word)
 
     def __repr__(self):
         return f"Observable(depth={self.depth}, {self.piece_of_word.size} components)"
-
-
-def _fiber_integrals(dis, obs):
-    """Fiber integrals int h_w d mu|_w, in word order."""
-    return obs.weigh(dis).fiber_masses()
 
 
 def integrate_observable(sys, dis, obs):
@@ -158,7 +150,7 @@ def integrate_observable(sys, dis, obs):
 
 def fiber_average(mu0, obs):
     """Fiber averages s(w) = int h_w d mu0|_w / phi1(w) as a cylinder function."""
-    integrals, masses = _fiber_integrals(mu0, obs), mu0.fiber_masses()
+    integrals, masses = obs.weigh(mu0).fiber_masses(), mu0.fiber_masses()
     if (masses == 0.0).any():
         raise ValueError(f"vanishing marginal density on word {mu0.words()[np.argmax(masses == 0.0)]}")
     return CylinderFunction(mu0.matrix, mu0.depth, integrals / masses)
@@ -204,7 +196,7 @@ def correlation_curve(sys, mu0, now, later, nmax, grid=DEFAULT_GRID):
     m_now = integrate_observable(sys, mu0, now)
     m_later = integrate_observable(sys, mu0, later)
     rho = _weighted_disintegration(mu0, now.shifted(-m_now))
-    to_value = later.dual_bound()
+    to_value = max(later.fiber_lipschitz(), later.sup_norm())  # turns a wk error into an integral error
     mass_err = now.fiber_lipschitz() * mu0.err_bound
     values, errs = np.empty(nmax + 1), np.empty(nmax + 1)
     for n in range(nmax + 1):
@@ -234,7 +226,7 @@ def gordin_norms(sys, mu0, phi, nmax):
     Returns the norms of levels 0..nmax.
     """
     m_phi = integrate_observable(sys, mu0, phi)
-    s = CylinderFunction(mu0.matrix, mu0.depth, _fiber_integrals(mu0, phi.shifted(-m_phi)))
+    s = CylinderFunction(mu0.matrix, mu0.depth, phi.shifted(-m_phi).weigh(mu0).fiber_masses())
     masses = cylinder_mass_vector(sys.weights, mu0.matrix, mu0.depth)
     norms = np.empty(nmax + 1)
     for n in range(nmax + 1):

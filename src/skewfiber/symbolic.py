@@ -15,9 +15,9 @@ masses and jacobian weights have one formula each.  The base quantities
 are arrays built once: ``BaseWeights.jacobian`` (the N x N branch weights),
 ``cylinder_mass_vector`` (one mass per word) and ``TransitionMatrix.preimages``
 (which word precedes which, under which symbol), the table the transfer
-operators read.  ``TransitionMatrix.window_rows`` gives a symbol window's row
-among the words of its length, and ``TransitionMatrix.prefix_rows`` the row
-of a deeper word's prefix, so every table holds one entry per word.
+operators read.  ``TransitionMatrix.word_array`` owns word order, each depth
+built from the one before; ``window_rows`` gives a symbol window's row among
+the words of its length, and ``prefix_rows`` a deeper word's prefix row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "WeightsError",
     "CylinderFunction",
     "check_theta",
-    "enumerate_words",
     "pair_lipschitz",
     "cylinder_mass_vector",
     "ruelle_apply",
@@ -65,9 +64,9 @@ class TransitionMatrix:
         self._word_cache = {}
 
     def words(self, depth):
-        """All admissible words of the given depth, lexicographically sorted."""
+        """``word_array(depth)`` as a cached tuple of word tuples."""
         if depth not in self._word_cache:
-            self._word_cache[depth] = tuple(enumerate_words(self, depth))
+            self._word_cache[depth] = tuple(map(tuple, self.word_array(depth).tolist()))
         return self._word_cache[depth]
 
     def _table(self, key, build):
@@ -80,8 +79,24 @@ class TransitionMatrix:
         return self._word_cache[key]
 
     def word_array(self, depth):
-        """``words(depth)`` as a read-only intp array, one word per row."""
-        return self._table(("array", depth), lambda: np.asarray(self.words(depth), dtype=np.intp))
+        """Admissible words of a depth, ascending, as a cached read-only intp array, one word per row.
+
+        Depth 0 is the one empty word.  The depth-(k+1) words extend each
+        depth-k word in turn by its admissible next symbols, taken row-major by
+        ``np.nonzero`` from the transition rows of the last symbols: the order
+        that ``window_rows``' successor tables count.
+        """
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        k = depth
+        while k and ("array", k) not in self._word_cache:  # down to the deepest depth built so far
+            k -= 1
+        words = self._table(("array", k), lambda: np.zeros((1, 0), dtype=np.intp))
+        for k in range(k + 1, depth + 1):
+            # any symbol may follow the empty word
+            rows, symbol = np.nonzero(self.entries[words[:, -1]] if k > 1 else np.ones((1, self.n_symbols)))
+            words = self._table(("array", k), lambda: np.column_stack([words[rows], symbol]))
+        return words
 
     def preimages(self, depth):
         """Admissible one-symbol extensions i.w of the depth-``depth`` words, as intp arrays.
@@ -242,21 +257,6 @@ def _stationary_vector(tm):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_words(matrix, depth):
-    """Admissible words of a given depth in lexicographic order.
-
-    Depth 0 yields the single empty word (the whole space, mass 1).
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth == 0:
-        return [()]
-    words = [(i,) for i in range(matrix.n_symbols)]
-    for _ in range(depth - 1):
-        words = [w + (j,) for w in words for j in range(matrix.n_symbols) if matrix.entries[w[-1], j]]
-    return words
-
-
 def _distances(rows, cols, theta):
     """Distances from the words of ``rows`` to those of ``cols``: theta^i summed over disagreements, i rising."""
     dist = np.zeros((len(rows), len(cols)))
@@ -349,12 +349,13 @@ def ruelle_apply(f, weights):
 
 
 def base_rate(weights):
-    """Exact rate of the base transfer operator on zero-mean functions.
+    """Rate of the base transfer operator on zero-mean functions, as ``np.linalg.eigvals``' float.
 
     It is the spectral radius of P - 1 pi^T, the largest |eigenvalue| of P
     other than the Perron 1, at every depth: d - 1 steps of ``ruelle_apply``
     leave a depth-1 function, moved by ``jacobian``^T, which has the
-    eigenvalues of P.  It is exactly 0 on a Bernoulli base.
+    eigenvalues of P.  No bound certifies the float; it is exactly 0 only
+    when P - 1 pi^T is the zero matrix, as on a Bernoulli base.
     """
     return float(np.abs(np.linalg.eigvals(weights.transition - weights.stationary)).max())
 

@@ -138,14 +138,13 @@ class Disintegration:
     def mapped(self, labels, f):
         """Each word's fiber with its atoms sent through ``f``, by the word's label.
 
-        ``labels`` holds one nonnegative integer per word; ``f(label, pos, w)``
+        ``labels`` is an integer array, one label >= 0 per word; ``f(label, pos, w)``
         acts atom by atom on arrays and returns the new ``(pos, w)``.  It runs
-        once on each distinct (fiber, label) pair of the words.
+        once on each distinct (fiber, label) pair of the words, with the pairs
+        listed label-major, so ``label`` never decreases.
         """
-        labels = np.asarray(labels, dtype=np.intp)
-        n_labels = int(labels.max()) + 1
-        pairs, word_pair = np.unique(self.word_fiber * n_labels + labels, return_inverse=True)
-        fiber, label = np.divmod(pairs, n_labels)
+        pairs, word_pair = np.unique(labels * self.n_fibers + self.word_fiber, return_inverse=True)
+        label, fiber = np.divmod(pairs, self.n_fibers)
         rows, take = _gather(self.starts, fiber)
         pos, w = f(label[rows], self.pos[take], self.w[take])
         return Disintegration(self.matrix, self.depth, rows, pos, w, word_fiber=word_pair.ravel())

@@ -508,7 +508,7 @@ def correlation_curve_per_word(sys, mu0, now, later, nmax, grid):
     factor = centered.sup_norm() + centered.fiber_lipschitz()
     rho = Disintegration(mu0.matrix, mu0.depth, row, pos, w * _on_atoms(centered, mu0, row, pos),
                          mu0.err_bound * factor)
-    to_value = later.dual_bound()
+    to_value = max(later.fiber_lipschitz(), later.sup_norm())
     mass_err = now.fiber_lipschitz() * mu0.err_bound
     values, errs = np.empty(nmax + 1), np.empty(nmax + 1)
     for n in range(nmax + 1):

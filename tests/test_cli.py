@@ -18,6 +18,7 @@ import skewfiber.stability
 from skewfiber.cli import CltConfig, ConfigError, main, parse_config
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import InconsistencyError
+from skewfiber.transfer import ConvergenceError
 
 BUNDLED = resources.files("skewfiber") / "data" / "cantor_demo.json"
 BUNDLED_COUPLED = resources.files("skewfiber") / "data" / "coupled_demo.json"
@@ -60,6 +61,18 @@ def small_config(**overrides):
         "clt": {"length": 200, "trials": 150, "truncation": 10},
     }
     cfg.update(overrides)
+    return cfg
+
+
+def components_config():
+    """markov3_small with a components psi, interior breakpoints on two symbols, and a depth-2 base_only phi."""
+    cfg = json.loads(PINNED["markov3_small"].read_text())
+    cfg["correlations"]["psi"] = {"type": "components", "depth": 1, "components": {
+        "0": {"breakpoints": [0, 0.3, 1], "values": [0, 1, 0.5]},
+        "1": {"breakpoints": [0, 0.5, 0.8, 1], "values": [1, -1, 0, 2]},
+        "2": {"breakpoints": [0, 1], "values": [0.2, 0.7]}}}
+    cfg["correlations"]["phi"] = {"type": "base_only", "depth": 2, "values": {
+        "00": 1, "01": 0, "10": -0.5, "12": 1, "20": 0, "21": 1, "22": -0.5}}
     return cfg
 
 
@@ -147,6 +160,13 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config("/nonexistent/config.json")
+
+    def test_truncated_json_fails_at_the_root(self, config_path):
+        path = Path(config_path(small_config()))
+        path.write_text(path.read_text()[:40])
+        with pytest.raises(ConfigError, match="not valid JSON") as caught:
+            parse_config(path)
+        assert caught.value.pointer == "/"
 
     def test_expanding_map_rejected_at_parse(self, config_path):
         cfg = small_config()
@@ -331,8 +351,13 @@ MALFORMED_FIELDS = [
     (("system", "matrix"), [["1", 1], [1, 1]], "/system/matrix"),
     (("system", "matrix"), [[True, 1], [1, 1]], "/system/matrix"),
     (("system", "matrix"), [[1, 0.5], [1, 1]], "/system/matrix"),
+    # a periodic matrix and a ragged one
+    (("system", "matrix"), [[0, 1], [1, 0]], "/system/matrix"),
+    (("system", "matrix"), [[1, 1], [1]], "/system/matrix"),
     # a relation between the two fields is reported at the observable's pointer
     (("correlations", "psi"), {"type": "fiber", "breakpoints": [0.5, 1.0], "values": [0.0, 1.0]}, "/correlations/psi"),
+    (("correlations", "phi"), {"type": "fiber", "breakpoints": [0, 0.6, 0.4, 1], "values": [0, 1, 0, 1]},
+     "/correlations/phi"),
     (
         ("correlations", "psi"),
         {"type": "components", "depth": 1, "components": {
@@ -514,6 +539,21 @@ class TestExitCodes:
         cfg["clt"]["length"] = 0
         code = main(["clt", "--config", config_path(cfg), "--out", str(tmp_path / "c")])
         assert code == 2
+
+    def test_stability_without_its_block_is_config_error(self, config_path, tmp_path, capsys):
+        cfg = small_config()
+        del cfg["stability"]
+        assert main(["stability", "--config", config_path(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert "config error: /stability: no stability block" in capsys.readouterr().err
+
+    def test_no_convergence_is_an_error_without_traceback(self, config_path, tmp_path, capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise ConvergenceError("no fixed point within 130 iterations (last change 1)")
+
+        monkeypatch.setattr(skewfiber.cli, "fixed_point", diverging)
+        assert main(["fixed-point", "--config", config_path(small_config()), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no fixed point within 130 iterations (last change 1)\n"
 
     def test_inconsistent_variance_is_bound_failure(self, config_path, tmp_path, monkeypatch):
         def inconsistent(*args, **kwargs):
@@ -795,6 +835,14 @@ class TestArtifacts:
     def test_certified_reports_are_pinned_at_seed_3(self, name, command, expected, tmp_path):
         # the branch table, R(delta) and the checks that read them, as bytes
         assert report_hashes(PINNED[name], command, expected, tmp_path) == expected
+
+    def test_components_observable_reports_are_pinned_at_seed_3(self, config_path, tmp_path):
+        # psi reads each symbol's own component, phi a depth-2 base_only table
+        expected = {
+            "correlations.csv": "0c51b47a1fc0b58cb1db569737d29aab606678416f795a2310c6548181d6edce",
+            "gordin.csv": "dbbe4767cd20768a5306a2c0da758557db2b26aeee8e23d7823f4a8d4db236e4",
+            "summary.json": "be9d7715169a521c24648b8e1307e037aeb725afde1913e2f274b715a6e004a4"}
+        assert report_hashes(config_path(components_config()), "correlations", expected, tmp_path) == expected
 
     def test_csv_cells_parse_as_numbers(self, tmp_path):
         out = tmp_path / "corr"

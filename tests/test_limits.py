@@ -12,6 +12,7 @@ from conftest import MARKOV3, random_disintegration
 from oracles import (
     base_lipschitz,
     component,
+    correlation_curve_per_word,
     correlation_lattice,
     exact_moment_closure,
     fiber_average_margin,
@@ -263,6 +264,17 @@ class TestCorrelationCurve:
         zero = Observable.base_only(CANTOR.matrix, 1, {(0,): 0.0, (1,): 0.0})
         curve = correlation_curve(CANTOR, mu0, zero, height_obs(), nmax=4)
         assert np.abs(curve.values).max() == 0.0
+
+    def test_deep_base_only_later_matches_per_word_reference(self):
+        # a two-valued depth-6 observable is two pieces, and every lag reads them as each word's own value
+        mu6 = fixed_point(COUPLED, depth=6, tol=1e-6, grid=1024).disintegration
+        words = COUPLED.matrix.words(6)
+        later = Observable.base_only(COUPLED.matrix, 6, {w: float(w[:2] == (0, 1) or w[-2:] == (1, 1)) for w in words})
+        assert len(later.pieces) == 2
+        curve = correlation_curve(COUPLED, mu6, height_obs(COUPLED), later, nmax=6, grid=1024)
+        values, errs = correlation_curve_per_word(COUPLED, mu6, height_obs(COUPLED), later, 6, 1024)
+        assert np.array_equal(curve.values, values)
+        assert np.array_equal(curve.err_bounds, errs)
 
 
 def gordin_norms_word_sum(sys, mu0, phi, nmax):

@@ -1,10 +1,11 @@
 """Property tests: the dual distance (LP oracle, primal flow, metric axioms,
 quantization), the class-pair Lipschitz pass against every word pair,
-primitivity by repeated squaring against the power-by-power loop, the KS
-test's normal CDF against scipy's, a one-segment piecewise-linear function
-against ``np.interp``, the orbit sampler's rank table against the
-compare-and-add inverse CDF, and the fixed-point certificate against a
-high-grid reference solve.
+primitivity by repeated squaring against the power-by-power loop, the word
+tables against the admissible words, ``base_only`` observables against
+their per-word values, the KS test's normal CDF against scipy's, a
+one-segment piecewise-linear function against ``np.interp``, the orbit
+sampler's rank table against the compare-and-add inverse CDF, and the
+fixed-point certificate against a high-grid reference solve.
 
 Generated inputs include near-balanced pairs, whose net total weight is zero
 up to floating-point rounding or a tiny residual.  Example counts are small
@@ -19,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import MARKOV3, one_row, random_disintegration  # noqa: E402
+from conftest import MARKOV3, one_row, random_disintegration, random_fiber  # noqa: E402
 from oracles import (  # noqa: E402
     dense_window_rows,
     is_primitive_by_powers,
@@ -28,6 +29,7 @@ from oracles import (  # noqa: E402
     wk_distance_bruteforce,
     word_distances,
     word_index,
+    word_table,
 )
 from skewfiber.measures import (  # noqa: E402
     AtomicMeasure,
@@ -407,6 +409,51 @@ def test_prefix_rows_are_the_rows_of_each_words_prefix(a, data):
     for k in (0, depth + 1):
         with pytest.raises(ValueError, match="prefix length"):
             matrix.prefix_rows(depth, k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(zero_one_matrices(max_order=5).filter(_is_primitive), st.data())
+def test_word_array_lists_the_admissible_words_in_ascending_order(a, data):
+    # a depth of 0-6 with at most 4096 words; words(d) is the tuple view of the read-only array
+    matrix = TransitionMatrix(a)
+    depth = data.draw(st.integers(0, max(d for d in range(7) if matrix.word_count(d) <= 4096)))
+    matrix.word_array(data.draw(st.integers(0, depth)))  # the build starts from a shallower cached depth
+    words = matrix.word_array(depth)
+    assert words.shape == (matrix.word_count(depth), depth) and words.dtype == np.intp
+    assert not words.flags.writeable and matrix.word_array(depth) is words
+    assert matrix.words(depth) == tuple(map(tuple, words.tolist()))
+    rows = words.tolist()
+    assert all(u < v for u, v in zip(rows, rows[1:]))
+    assert a[words[:, :-1], words[:, 1:]].all()
+    with pytest.raises(ValueError, match="nonnegative"):
+        matrix.word_array(-1)
+
+
+# 0.0 and -0.0 compare equal but have two bit patterns
+VALUE_POOL = [0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, -5e-324]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([MARKOV3, coupled_demo()]), st.integers(1, 3), st.integers(0, 1), st.data())
+def test_base_only_keeps_one_piece_per_bit_pattern(sys, depth, extra, data):
+    # a base_only table drawn from the pool, weighed on fibers shared by last symbol at a depth of depth + extra
+    matrix = sys.matrix
+    words = matrix.words(depth)
+    values = data.draw(st.lists(st.sampled_from(VALUE_POOL), min_size=len(words), max_size=len(words)))
+    obs = Observable.base_only(matrix, depth, dict(zip(words, values)))
+    bits = np.array(values).view(np.int64)
+    assert len(obs.pieces) == len(set(bits.tolist()))
+    read = np.array([obs.pieces[j].values for j in obs.piece_of_word.tolist()])
+    assert np.array_equal(read.view(np.int64), np.column_stack([bits, bits]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pool = [random_fiber(rng, 3) for _ in range(sys.n_symbols)]
+    deep = matrix.words(depth + extra)
+    dis = Disintegration.from_fibers(matrix, depth + extra, {w: pool[w[-1]] for w in deep})
+    # oracle: each word's own value times each atom's weight, summed in atom order
+    value_of = dict(zip(words, values))
+    row, _, w, _ = word_table(dis)
+    expected = np.bincount(row, w * np.array([value_of[deep[r][:depth]] for r in row.tolist()]), len(deep))
+    assert (obs.weigh(dis).fiber_masses() == expected).all()
 
 
 @st.composite

@@ -14,7 +14,6 @@ from skewfiber.symbolic import (
     TransitionMatrix,
     base_rate,
     cylinder_mass_vector,
-    enumerate_words,
     ruelle_apply,
 )
 
@@ -72,19 +71,19 @@ class TestTransitionMatrix:
 
 class TestEnumerateWords:
     def test_full_shift_depth_two(self):
-        assert enumerate_words(FULL2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert list(FULL2.words(2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_golden_mean_depth_two(self):
         # A[1][1] = 0 excludes the word 11
-        assert enumerate_words(GOLDEN, 2) == [(0, 0), (0, 1), (1, 0)]
+        assert list(GOLDEN.words(2)) == [(0, 0), (0, 1), (1, 0)]
 
     def test_golden_mean_depth_three_count(self):
-        words = enumerate_words(GOLDEN, 3)
+        words = list(GOLDEN.words(3))
         assert words == brute_force_words([[1, 1], [1, 0]], 3)
         assert len(words) == 5
 
     def test_depth_zero_is_empty_word(self):
-        assert enumerate_words(GOLDEN, 0) == [()]
+        assert list(GOLDEN.words(0)) == [()]
 
     @pytest.mark.parametrize("matrix", [FULL2, GOLDEN])
     @pytest.mark.parametrize("depth", range(1, 9))

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import MARKOV3, random_disintegration, random_vanishing_disintegration
+import skewfiber.transfer
+from conftest import MARKOV3, random_disintegration, random_fiber, random_vanishing_disintegration
 from oracles import disintegration_from_json, hutchinson_reference, word_distances, word_sum_iterate, word_table
 from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
@@ -17,6 +18,7 @@ from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, wk_distance
 from skewfiber.skew import FiberMapSpec, SystemSpec
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, ruelle_apply
 from skewfiber.transfer import (
+    ConvergenceError,
     Disintegration,
     change_between,
     equilibrium_decay,
@@ -249,17 +251,15 @@ class TestWordSum:
             word_sum_iterate(CANTOR, DIRAC0, 20, 6)
 
     def test_budget_error_before_enumerating(self, monkeypatch):
-        import skewfiber.symbolic
-
         depths = []
-        real = skewfiber.symbolic.enumerate_words
+        real = TransitionMatrix.word_array
 
         def recording(matrix, depth):
             depths.append(depth)
             return real(matrix, depth)
 
         sys = cantor_demo()  # a fresh matrix with an empty word cache
-        monkeypatch.setattr(skewfiber.symbolic, "enumerate_words", recording)
+        monkeypatch.setattr(TransitionMatrix, "word_array", recording)
         with pytest.raises(ValueError, match="budget"):
             word_sum_iterate(sys, DIRAC0, 20, 6)
         assert max(depths, default=0) < 20
@@ -272,6 +272,26 @@ class TestWordSum:
         bound = c1_constant(sys) / (1.0 - sys.theta)
         dis = word_sum_iterate(sys, DIRAC0, 4, 4)
         assert lip_constant(dis, sys.theta) <= bound + 1e-10
+
+
+class TestMapped:
+    def test_pairs_are_listed_label_major(self):
+        # fibers follow the first symbol and labels the last, so fiber-major order would lower the labels
+        rng = np.random.default_rng(8)
+        fibers = [random_fiber(rng) for _ in range(MARKOV3.n_symbols)]
+        words = MARKOV3.matrix.words(3)
+        dis = Disintegration.from_fibers(MARKOV3.matrix, 3, {w: fibers[w[0]] for w in words})
+        calls = []
+
+        def scaled(label, pos, w):
+            calls.append(label)
+            return pos, w * (label + 1.0)
+
+        out = dis.mapped(np.array([2 - w[-1] for w in words]), scaled)
+        assert len(calls) == 1 and (np.diff(calls[0]) >= 0).all()
+        for word, mu in out.fibers.items():
+            assert np.array_equal(mu.positions, fibers[word[0]].positions)
+            assert np.array_equal(mu.weights, fibers[word[0]].weights * (3.0 - word[-1]))
 
 
 class TestHutchinsonReference:
@@ -318,6 +338,12 @@ class TestFixedPoint:
         )
         gap = change_between(res_a.disintegration, res_b.disintegration)
         assert gap <= res_a.certified_error + res_b.certified_error
+
+    def test_no_convergence_names_the_iteration_cap(self, monkeypatch):
+        # the cap is 10 ceil(log tol / log alpha) transfer steps: 130 for alpha = 1/3 and tol = 1e-6
+        monkeypatch.setattr(skewfiber.transfer, "change_between", lambda d1, d2: 1.0)
+        with pytest.raises(ConvergenceError, match=r"^no fixed point within 130 iterations \(last change 1\)$"):
+            fixed_point(CANTOR, depth=2, tol=1e-6, grid=64)
 
     def test_coupled_demo_not_product(self):
         res = fixed_point(coupled_demo(), depth=3, tol=1e-6, grid=1024)
