@@ -60,7 +60,6 @@ from .limits import (
     clt_experiment,
     correlation_curve,
     fiber_average,
-    fiber_moments,
     gordin_norms,
     integrate_observable,
 )

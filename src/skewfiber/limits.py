@@ -33,8 +33,8 @@ The CLT experiment reads its Birkhoff sums from ``skew.birkhoff_sums``,
 which owns the orbit stream, so memory does not grow with the trial count.
 It centres them by the exact mean and tests them against the exact sigma^2
 of ``asymptotic_variance``: the fiber moments of affine branches close
-under the transfer operator, so two contraction solves and the base chain's
-fundamental matrix give both, with float bounds, and no fixed point.  The
+under the transfer operator, and ``_Closure``, the one owner of M_1, M_2,
+the tail and the lags, gives both with float bounds and no fixed point.  The
 decay layers return their sequences; only the command line fits them.
 """
 
@@ -62,7 +62,6 @@ __all__ = [
     "fiber_average",
     "correlation_curve",
     "gordin_norms",
-    "fiber_moments",
     "asymptotic_variance",
     "clt_experiment",
     "MIN_TRIALS",
@@ -262,26 +261,46 @@ class _Ball:
 
 
 class _Closure:
-    """A[c] v, the sum of g c v over each depth-``depth`` word's ``preimages`` terms, with float bounds.
+    """The affine moment closure of one system at one depth: M_1 and M_2 solved once, and the steps of sigma^2.
 
-    The per-word factors c multiply v before one ``ruelle_apply``.  ``rate``
+    A[c] v sums g c v over each depth-``depth`` word's ``preimages`` terms;
+    the per-word factors c multiply v before one ``ruelle_apply``.  ``rate``
     bounds ||A[c]||_inf by the largest jacobian column sum times max|c|, and a
     word's at most N terms round at most N + 2 times each, so gamma_{N+3}
     (Higham, section 3.1) bounds an application's rounding, with a sum to spare.
+    Affine branches y -> a y + b close the invariant fiber moments
+    M_k[w] = int y^k d mu|_w under the transfer operator (Barnsley & Demko,
+    Proc. R. Soc. Lond. A 399, 1985): M_1 = A[a] M_1 + A[b] 1 and
+    M_2 = A[a^2] M_2 + 2 A[ab] M_1 + A[b^2] 1, contractions at rates max|a|
+    and max a^2, as the weights into a word sum to 1.  They are ``m1`` and
+    ``m2``, and ``solves`` holds each solve's (name, kappa, iterations).
+
+    For p~ + q y centred, u = p~ + q M_1 and r_0 = p~ M_1 + q M_2, its lag-n
+    image has fiber masses A[1]^n u and first moments r_n = A[a] r_{n-1} +
+    A[b] A[1]^{n-1} u.  X = sum_{n>=1} A[1]^n u takes d - 1 steps, after which
+    the vector is a function z of the first symbol moved by P = jacobian^T, and
+    the base chain's fundamental matrix Z = I - P + 1 pi^T (Kemeny & Snell,
+    *Finite Markov Chains*, 1960, ch. 4) adds Z^-1 P z; ||Z^-1|| takes Rump's
+    ||R|| / (1 - ||I - R Z||) for R = inv(Z).
     """
 
     def __init__(self, sys, depth):
         self.sys, self.depth, n = sys, depth, sys.n_symbols
         self.colmax = round_up(float(sys.weights.jacobian.sum(axis=0).max()), n)
         self.gamma = round_up((n + 3) * UNIT_ROUNDOFF, n + 3)
+        self.a, self.b = a, b = sys.word_branches(depth)
+        self.m = cylinder_mass_vector(sys.weights, sys.matrix, depth)
+        self.msum = round_up(math.fsum(self.m.tolist()), 1)
+        one = _Ball(np.ones(a.size))
+        self.m1, *first = self.solve(self(one, b), a)
+        self.m2, *second = self.solve(self(one, b, b) + self(self.m1 + self.m1, a, b), a, a)
+        self.solves = [("M1", *first), ("M2", *second)]
 
     def rate(self, c):
         return round_up(self.colmax * math.prod(float(np.abs(f).max()) for f in c), len(c))
 
     def __call__(self, v, *c):
-        y = v.x
-        for f in c:
-            y = f * y
+        y = math.prod(c, start=v.x)
         out = ruelle_apply(CylinderFunction(self.sys.matrix, self.depth, y), self.sys.weights).values
         return _Ball(out, round_up(self.rate(c) * (v.e + self.gamma * v.top), 3))
 
@@ -301,21 +320,48 @@ class _Closure:
                 return last, kappa, steps
             last, x = ball, _Ball(y.x)
 
+    def dot(self, v):  # m.v by math.fsum: each product and the sum round once
+        return _Ball(math.fsum((self.m * v.x).tolist()), round_up(self.msum * (v.e + 2.0 * _2U * v.top), 3))
 
-def fiber_moments(sys, depth):
-    """Invariant fiber moments M_k[w] = int y^k d mu|_w, k = 1, 2, on the depth-``depth`` words.
+    def centre(self, phi):
+        """(mean, p~, q) of phi = p_w + q_w y on the words: mean = int phi = m.(p + q M_1), and p~ = p - mean."""
+        if phi.depth > self.depth:
+            raise ValueError(f"the moment closure needs phi of depth at most {self.depth}")
+        prefix = self.sys.matrix.prefix_rows(self.depth, phi.depth)
+        p, end = (_Ball(v[prefix]) for v in _end_values(phi))
+        q = end - p
+        mean = self.dot(p + q * self.m1)
+        return mean, p - mean, q
 
-    Affine branches y -> a y + b close them under the transfer operator
-    (Barnsley & Demko, Proc. R. Soc. Lond. A 399, 1985): M_1 = A[a] M_1 + A[b] 1
-    and M_2 = A[a^2] M_2 + 2 A[ab] M_1 + A[b^2] 1, contractions at rates max|a|
-    and max a^2, as the weights into a word sum to 1.  Returns M_1 and M_2,
-    each ``x`` with its float bound ``e``, and each solve's (name, kappa, iterations).
-    """
-    closure, (a, b) = _Closure(sys, depth), sys.word_branches(depth)
-    one = _Ball(np.ones(a.size))
-    m1, *first = closure.solve(closure(one, b), a)
-    m2, *second = closure.solve(closure(one, b, b) + closure(m1 + m1, a, b), a, a)
-    return m1, m2, [("M1", *first), ("M2", *second)]
+    def tail(self, u):
+        """X = sum_{n>=1} A[1]^n u: the d - 1 steps, then the fundamental-matrix solve under Rump's bound."""
+        n, x, xsum = self.sys.n_symbols, u, _Ball(np.zeros(self.m.size))
+        for _ in range(self.depth - 1):
+            x = self(x)
+            xsum = xsum + x
+        jac, heads = self.sys.weights.jacobian, self.sys.matrix.word_array(self.depth)[:, 0]
+        pz = jac.T @ x.x[np.searchsorted(heads, np.arange(n))]
+        zmat = np.eye(n) - jac.T + self.sys.weights.stationary
+        inv = np.linalg.inv(zmat)
+        t = inv @ pz
+        norm_inv, gap = (round_up(float(np.abs(mat).sum(axis=1).max()), n) for mat in (inv, np.eye(n) - inv @ zmat))
+        # W = 3 + colmax bounds ||Z||: zmat rounds by gamma W, and a product with it by gamma ||R|| 2W
+        w = round_up(3.0 * self.gamma * (3.0 + self.colmax), 3)
+        beta = round_up(gap + w * norm_inv, 2)
+        if not beta < 1.0:
+            raise InconsistencyError(f"the fundamental matrix is not verified: ||I - R Z|| <= {beta!r}")
+        top = float(np.abs(t).max())
+        residual = round_up(float(np.abs(pz - zmat @ t).max()) + self.gamma * self.colmax * x.top + w * top, 5)
+        return xsum + _Ball(t[heads], round_up(norm_inv * (self.colmax * x.e + residual) / (1.0 - beta), 5))
+
+    def lags(self, now, later, nlags):
+        """C_0..C_nlags = m.(p~' A[1]^n u + q' r_n) of centred pairs ``now`` = (p~, q) and ``later`` = (p~', q')."""
+        (pt, q), (pt_later, q_later) = now, later
+        r0, r1 = pt + q * self.m1, pt * self.m1 + q * self.m2
+        for k in range(nlags + 1):
+            if k:
+                r0, r1 = self(r0), self(r1, self.a) + self(r0, self.b)
+            yield self.dot(pt_later * r0 + q_later * r1)
 
 
 @dataclass
@@ -341,68 +387,22 @@ def _end_values(phi):
 
 
 def asymptotic_variance(sys, phi, depth, nlags):
-    """Mean, sigma^2 = C_0 + 2 sum_{n>=1} C_n and C_0..C_nlags of phi = p_w + q_w y, from the moment closure.
+    """Mean, sigma^2 = C_0 + 2 sum_{n>=1} C_n and C_0..C_nlags of phi = p_w + q_w y, each with its float bound.
 
-    With M_1, M_2 from ``fiber_moments``, masses m, p~ = p - int phi, u = p~ + q M_1
-    and w_0 = p~ M_1 + q M_2, the lag-n image of phi~ mu has fiber masses
-    A[1]^n u and first moments r_n = A[a] r_{n-1} + A[b] A[1]^{n-1} u, so
-    C_n = m.(p~ A[1]^n u + q r_n).  X = sum_{n>=1} A[1]^n u takes d - 1 steps,
-    after which the vector is a function z of the first symbol moved by
-    P = jacobian^T, and the base chain's fundamental matrix Z = I - P + 1 pi^T
-    (Kemeny & Snell, *Finite Markov Chains*, 1960, ch. 4) adds Z^-1 P z.
-    V = A[a] V + A[a] w_0 + A[b] (u + X), and sigma^2 = m.(p~ (u + 2X) + q (w_0 + 2V)).
-    Every value carries a rounded-up float bound; ||Z^-1|| takes Rump's
-    ||R|| / (1 - ||I - R Z||) for R = inv(Z).  |sigma^2| within its bound
-    flags a possible coboundary, and below minus it raises ``InconsistencyError``.
+    With ``_Closure``'s u, r_0 and X: V = A[a] V + A[a] r_0 + A[b] (u + X), sigma^2 = m.(p~ (u + 2X) + q (r_0 + 2V)).
+    |sigma^2| within its bound flags a possible coboundary, and below minus it raises ``InconsistencyError``.
     """
-    matrix, n = sys.matrix, sys.n_symbols
-    if phi.depth > depth:
-        raise ValueError(f"the moment closure needs phi of depth at most {depth}")
-    words, closure, (a, b) = matrix.word_array(depth), _Closure(sys, depth), sys.word_branches(depth)
-    prefix = matrix.prefix_rows(depth, phi.depth)
-    p, end = (_Ball(v[prefix]) for v in _end_values(phi))
-    q, (m1, m2, solves) = end - p, fiber_moments(sys, depth)
-    m = cylinder_mass_vector(sys.weights, matrix, depth)
-    msum = round_up(math.fsum(m.tolist()), 1)
-
-    def dot(v):  # m.v by math.fsum: each product and the sum round once
-        return _Ball(math.fsum((m * v.x).tolist()), round_up(msum * (v.e + 2.0 * _2U * v.top), 3))
-
-    mean = dot(p + q * m1)
-    pt = p - mean
-    u, w0 = pt + q * m1, pt * m1 + q * m2
-    x, xsum = u, _Ball(np.zeros(m.size))
-    for _ in range(depth - 1):
-        x = closure(x)
-        xsum = xsum + x
-    jac, heads, gamma, colmax = sys.weights.jacobian, words[:, 0], closure.gamma, closure.colmax
-    z = x.x[np.searchsorted(heads, np.arange(n))]
-    zmat = np.eye(n) - jac.T + sys.weights.stationary
-    inv = np.linalg.inv(zmat)
-    tail = inv @ (jac.T @ z)
-
-    def norm(mat):
-        return round_up(float(np.abs(mat).sum(axis=1).max()), n)
-
-    # W = 3 + colmax bounds ||Z||: zmat rounds by gamma W, and a product with it by gamma ||R|| 2W
-    w, norm_inv = round_up(3.0 * gamma * (3.0 + colmax), 3), norm(inv)
-    beta = round_up(norm(np.eye(n) - inv @ zmat) + w * norm_inv, 2)
-    if not beta < 1.0:
-        raise InconsistencyError(f"the fundamental matrix is not verified: ||I - R Z|| <= {beta!r}")
-    top = float(np.abs(tail).max())
-    residual = round_up(float(np.abs(jac.T @ z - zmat @ tail).max()) + gamma * colmax * x.top + w * top, 5)
-    xsum = xsum + _Ball(tail[heads], round_up(norm_inv * (colmax * x.e + residual) / (1.0 - beta), 5))
-    v, *third = closure.solve(closure(w0, a) + closure(u + xsum, b), a)
-    sigma2 = dot(pt * (u + xsum + xsum) + q * (w0 + v + v))
-    r0, r1, lags = u, w0, []
-    for k in range(nlags + 1):
-        if k:
-            r0, r1 = closure(r0), closure(r1, a) + closure(r0, b)
-        lags.append(dot(pt * r0 + q * r1))
+    closure = _Closure(sys, depth)
+    mean, pt, q = closure.centre(phi)
+    u, r0 = pt + q * closure.m1, pt * closure.m1 + q * closure.m2
+    xsum = closure.tail(u)
+    v, *third = closure.solve(closure(r0, closure.a) + closure(u + xsum, closure.b), closure.a)
+    sigma2 = closure.dot(pt * (u + xsum + xsum) + q * (r0 + v + v))
+    lags = list(closure.lags((pt, q), (pt, q), nlags))
     if sigma2.x < -sigma2.e:
         raise InconsistencyError(f"sigma^2 = {sigma2.x:.3g} is below minus its float bound {sigma2.e:.3g}")
     return VarianceResult(mean.x, mean.e, sigma2.x, sigma2.e, np.array([c.x for c in lags]),
-                          np.array([c.e for c in lags]), solves + [("V", *third)], abs(sigma2.x) <= sigma2.e)
+                          np.array([c.e for c in lags]), closure.solves + [("V", *third)], abs(sigma2.x) <= sigma2.e)
 
 
 @dataclass

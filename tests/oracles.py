@@ -94,8 +94,11 @@ def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
     line.  The objective only reads g at the atoms, so no finer grid can
     change the optimum.  The solver may move each g_i past its bounds by up
     to its feasibility tolerance, so the feasibility tolerances are 1e-10,
-    the smallest HiGHS accepts, not its default 1e-7.  The solver shares no
-    code with the heap pass in ``wk_distance``.
+    the smallest HiGHS accepts, not its default 1e-7.  They are absolute, so
+    the program runs on the weights scaled to unit total variation and its
+    optimum is scaled back: a lone atom of weight 3e-13 would otherwise sit
+    below the dual tolerance, and the solver could return minus its norm.
+    The solver shares no code with the heap pass in ``wk_distance``.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -111,11 +114,12 @@ def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
     a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(2 * (n - 1), n))
     b_ub = np.concatenate([gaps, gaps])
     tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    # linprog minimizes
-    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs", options=tol)
+    # linprog minimizes; merge_atoms drops zero weights, so the total variation is positive
+    scale = float(np.abs(c).sum())
+    res = linprog(-c / scale, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs", options=tol)
     if not res.success:
         raise RuntimeError(f"reference LP failed: {res.message}")
-    return float(-res.fun)
+    return float(-res.fun) * scale
 
 
 def disintegration_from_json(data):
@@ -341,7 +345,7 @@ def _exact_solve(a, rhs):
     return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
-def exact_moment_closure(sys, phi, depth, nlags):
+def exact_moment_closure(sys, phi, depth, nlags, later=None):
     """``asymptotic_variance`` in exact rational arithmetic: (mean, sigma2, lags, m1, m2) as ``Fraction``s.
 
     The jacobian, the branches, the cylinder masses, the stationary vector
@@ -351,6 +355,8 @@ def exact_moment_closure(sys, phi, depth, nlags):
     one-symbol extensions word by word, every solve is one Gauss-Jordan
     elimination on the whole n_words x n_words system, and the tail beyond
     d - 1 explicit steps solves Z T = P z with Z = I - P + 1 pi^T, P = jacobian^T.
+    The lags are C_n = cov(phi, later o F^n) = m.(p~' A[1]^n u + q' r_n), with
+    p~' and q' read from ``later`` (default phi) as p~ and q are from phi.
     """
     matrix, n = sys.matrix, sys.n_symbols
     words, index = matrix.words(depth), word_index(matrix, depth)
@@ -361,9 +367,6 @@ def exact_moment_closure(sys, phi, depth, nlags):
     maps = [branch_map(sys, w) for w in words]
     a, b = [Fraction(t.a) for t in maps], [Fraction(t.b) for t in maps]
     m = [Fraction(x) for x in cylinder_mass_vector(sys.weights, matrix, depth).tolist()]
-    ends = [component(phi, w).values for w in words]
-    p = [Fraction(v[0]) for v in ends]
-    q = [Fraction(v[-1]) - Fraction(v[0]) for v in ends]
 
     def mul(*vs):
         return [math.prod(xs) for xs in zip(*vs)]
@@ -382,11 +385,19 @@ def exact_moment_closure(sys, phi, depth, nlags):
                 mat[t][s] -= g * c[s]
         return _exact_solve(mat, f)
 
+    def centre(obs):
+        """(mean, p~, q) of obs = p + q y on the words, from its values at 0 and 1."""
+        ends = [component(obs, w).values for w in words]
+        p = [Fraction(v[0]) for v in ends]
+        q = [Fraction(v[-1]) - Fraction(v[0]) for v in ends]
+        mean = sum(mul(m, add(p, mul(q, m1))))
+        return mean, [x - mean for x in p], q
+
     one = [Fraction(1)] * size
     m1 = solve(a, apply(one, b))
     m2 = solve(mul(a, a), add(apply(one, mul(b, b)), mul([2] * size, apply(m1, mul(a, b)))))
-    mean = sum(mul(m, add(p, mul(q, m1))))
-    pt = [x - mean for x in p]
+    mean, pt, q = centre(phi)
+    _, pt_later, q_later = (mean, pt, q) if later is None else centre(later)
     u, w0 = add(pt, mul(q, m1)), add(mul(pt, m1), mul(q, m2))
     x, xsum = u, [Fraction(0)] * size
     for _ in range(depth - 1):
@@ -402,7 +413,7 @@ def exact_moment_closure(sys, phi, depth, nlags):
     for k in range(nlags + 1):
         if k:
             r0, r1 = apply(r0), add(apply(r1, a), apply(r0, b))
-        lags.append(sum(mul(m, add(mul(pt, r0), mul(q, r1)))))
+        lags.append(sum(mul(m, add(mul(pt_later, r0), mul(q_later, r1)))))
     return mean, sigma2, lags, m1, m2
 
 

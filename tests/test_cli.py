@@ -831,9 +831,18 @@ class TestArtifacts:
             "fixed_point.csv": "61a8ea66b58488d3d1f77c094d3682fa4b30edb9f3b2a2ae5aa70d30e8406c76",
             "disintegration.json": "076f2fa6393c5c29cc0a4263e259faf9f09984331accafa1dcd3a3995cb94ae9",
             "summary.json": "0905d832d21cdc5fc3e939d1c7f8ebe9b37b93c76ac137bb585a6eed34f7ca35"}),
+        ("cantor_small", "clt", {
+            "clt.json": "803bf1f6300136f79374262daff8e1ef3a6c8b3a4b7f001d1d1453e0d4a93355",
+            "autocovariance.csv": "6d9b13c0f64ae0da905ca637f775f32ee5c5ad3316d42961f50f02d1cae9d512"}),
+        ("markov3_small", "clt", {
+            "clt.json": "25751802eb70245b2fbb23f1006f671af0298c79b009b6a9290d46b24f56bee1",
+            "autocovariance.csv": "a0c92141479dcff6086360ffbb1fc07d42dbd1ed5deaf218a2ff8715260007e0"}),
+        ("coupled_demo", "clt", {
+            "clt.json": "2289c23add41c0bae128637c4b93a5fbe9c710c7e9da7647f482e53662c462a1",
+            "autocovariance.csv": "0ac4c5bee02036e2c7007f21a65aa19d4c216a0fcb55d8ec5cca411f847f9385"}),
     ])
     def test_certified_reports_are_pinned_at_seed_3(self, name, command, expected, tmp_path):
-        # the branch table, R(delta) and the checks that read them, as bytes
+        # the branch table, R(delta), the moment closure's sigma^2 and lags, and the checks that read them, as bytes
         assert report_hashes(PINNED[name], command, expected, tmp_path) == expected
 
     def test_components_observable_reports_are_pinned_at_seed_3(self, config_path, tmp_path):

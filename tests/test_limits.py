@@ -28,11 +28,11 @@ from skewfiber.limits import (
     CoboundaryError,
     Observable,
     VarianceResult,
+    _Closure,
     asymptotic_variance,
     clt_experiment,
     correlation_curve,
     fiber_average,
-    fiber_moments,
     gordin_norms,
     integrate_observable,
     ks_statistic,
@@ -371,7 +371,8 @@ class TestAsymptoticVariance:
         # C_0 = sum_w m_w int (y - mean)^2 d mu|_w = m.(M_2 - 2 mean M_1) + mean^2
         for sys, depth in ((CANTOR, 4), (COUPLED, 3), (MARKOV3, 4)):
             var = asymptotic_variance(sys, height_obs(sys), depth, 3)
-            m1, m2, _ = fiber_moments(sys, depth)
+            closure = _Closure(sys, depth)
+            m1, m2 = closure.m1, closure.m2
             masses = cylinder_mass_vector(sys.weights, sys.matrix, depth)
             direct = float(np.dot(masses, m2.x - 2.0 * var.mean * m1.x)) + var.mean**2
             assert var.mean == pytest.approx(float(np.dot(masses, m1.x)), abs=1e-15)
@@ -448,8 +449,9 @@ class TestAsymptoticVariance:
         with pytest.raises(ValueError, match="phi of depth at most 2"):
             asymptotic_variance(CANTOR, deep, 2, 5)
 
+    @pytest.mark.parametrize("now", ["phi", "psi"])
     @pytest.mark.parametrize("name,depth", [("cantor", 2), ("coupled", 2), ("markov3", 3), ("random", 3)])
-    def test_float_bounds_hold_against_exact_rationals(self, name, depth):
+    def test_float_bounds_hold_against_exact_rationals(self, name, depth, now):
         # the oracle evaluates the same closure on the same float tables in Fractions
         if name == "random":
             rng = np.random.default_rng(3)
@@ -462,11 +464,20 @@ class TestAsymptoticVariance:
         else:
             sys = {"cantor": CANTOR, "coupled": COUPLED, "markov3": MARKOV3}[name]
             phi = height_obs(sys)
-        var = asymptotic_variance(sys, phi, depth, 12)
-        mean, sigma2, lags, _, _ = exact_moment_closure(sys, phi, depth, 12)
-        assert abs(Fraction(var.mean) - mean) <= Fraction(var.mean_error)
-        assert abs(Fraction(var.sigma2) - sigma2) <= Fraction(var.numeric_error)
-        for value, err, exact in zip(var.lags.tolist(), var.lag_errors.tolist(), lags):
+        if now == "phi":
+            var = asymptotic_variance(sys, phi, depth, 12)
+            mean, sigma2, lags, _, _ = exact_moment_closure(sys, phi, depth, 12)
+            assert abs(Fraction(var.mean) - mean) <= Fraction(var.mean_error)
+            assert abs(Fraction(var.sigma2) - sigma2) <= Fraction(var.numeric_error)
+            values = zip(var.lags.tolist(), var.lag_errors.tolist())
+        else:
+            # two observables, as ``correlations`` pairs them: a depth-1 base_only psi now, phi = y later
+            psi = Observable.base_only(sys.matrix, 1, dict(zip(sys.matrix.words(1), (0.75, -1.25, 0.5))))
+            closure = _Closure(sys, depth)
+            pairs = (closure.centre(obs)[1:] for obs in (psi, height_obs(sys)))
+            values = ((c.x, c.e) for c in closure.lags(*pairs, 12))
+            lags = exact_moment_closure(sys, psi, depth, 12, later=height_obs(sys))[2]
+        for (value, err), exact in zip(values, lags, strict=True):
             assert abs(Fraction(value) - exact) <= Fraction(err)
 
 

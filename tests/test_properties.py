@@ -10,15 +10,19 @@ fixed-point certificate against a high-grid reference solve.
 Generated inputs include near-balanced pairs, whose net total weight is zero
 up to floating-point rounding or a tiny residual.  Example counts are small
 and the search is derandomized, so the suite stays fast and repeatable.
+Hypothesis still mixes constants from the loaded modules into its draws, so
+a run of this file alone draws other inputs than the whole suite does; the
+counterexamples either scope found are pinned with ``@example``.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import MARKOV3, one_row, random_disintegration, random_fiber  # noqa: E402
 from oracles import (  # noqa: E402
@@ -196,6 +200,8 @@ class TestWkProperties:
             one_signed_pairs(positions=close_positions),
         )
     )
+    # a lone atom far below HiGHS's absolute dual tolerance of 1e-10, which the LP once returned with the wrong sign
+    @example(pair=(AtomicMeasure([], []), AtomicMeasure([0.5], [-3e-13])))
     def test_primal_flow_matches_lp_and_sweep(self, pair):
         # the flow is exact: the LP sits within its 1e-10 feasibility tolerance
         # of it, and the heap pass within rounding, except that the balanced form
@@ -267,12 +273,38 @@ def snap_tables(draw):
     return Disintegration(matrix, 1, rows, pos, w), grid
 
 
+def snap_cost(mu, snapped, grid):
+    """Exact cost, in ``Fraction``s, of the snap's own flow from mu to ``snapped``; it bounds the exact move.
+
+    Each atom goes to its grid point at cost |w_i| |x^_i - x_i|, then each
+    point's summed float weight differs from the exact sum of its atoms by a
+    point mass, which costs its absolute weight.
+    """
+    cost, exact = Fraction(0), {}
+    for x, y, w in zip(mu.positions.tolist(), (np.round(mu.positions * grid) / grid).tolist(), mu.weights.tolist()):
+        cost += abs(Fraction(w)) * abs(Fraction(y) - Fraction(x))
+        exact[y] = exact.get(y, 0) + Fraction(w)
+    kept = dict(zip(snapped.positions.tolist(), snapped.weights.tolist()))
+    assert set(kept) <= set(exact)
+    return cost + sum(abs(Fraction(kept.get(y, 0.0)) - total) for y, total in exact.items())
+
+
+# one fiber of 6 atoms at grid 28 whose balanced closed-form norm lies an ulp above the step
+SNAP_ULP = (Disintegration(TransitionMatrix([[1]]), 1, [0] * 6, [float.fromhex(x) for x in (
+    "0x0.0p+0", "0x1.2492492492491p-6", "0x1.b6db6db6db6dap-5", "0x1.6db6db6db6db6p-4", "0x1.fffffffffffffp-4",
+    "0x1.0000000000001p-3")], [float.fromhex(x) for x in (
+    "0x1.0p-1", "0x1.b5cec07107091p-113", "0x1.0p+0", "0x1.0p+0", "0x1.0p+0", "0x1.fffffffffffffp+0")]), 28)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(snap_tables())
+@example(table=SNAP_ULP)
 def test_quantize_step_bounds_the_move(table):
     dis, grid = table
     snapped, step = quantize_disintegration(dis, grid)
-    assert change_between(dis, snapped) <= step
+    # the exact cost of the snap's flow, not change_between: the balanced closed form is itself an upper
+    # estimate, evaluated in float, and may lie an ulp above the step
+    assert max(snap_cost(mu, snapped.fibers[w], grid) for w, mu in dis.fibers.items()) <= Fraction(step)
     # at most the worst case of half a cell per atom, plus the charge for weights summed at one grid point
     mass = np.bincount(dis.row, np.abs(dis.w), dis.n_fibers).max()
     assert step <= mass * (0.5 / grid + 2.0**-52 * np.diff(dis.starts).max()) * (1 + 1e-12)

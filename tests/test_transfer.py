@@ -13,7 +13,7 @@ from oracles import disintegration_from_json, hutchinson_reference, word_distanc
 from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.fitting import exp_fit
-from skewfiber.limits import fiber_moments
+from skewfiber.limits import _Closure
 from skewfiber.measures import ZERO_MEASURE, AtomicMeasure, wk_distance
 from skewfiber.skew import FiberMapSpec, SystemSpec
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, ruelle_apply
@@ -362,7 +362,8 @@ class TestFixedPoint:
         # y^k has sup 1 and Lipschitz constant k on [0, 1], so |int y^k d(mu^ - mu)|_w| <= k wk(mu^|_w, mu|_w)
         cfg = parse_config(Path(__file__).resolve().parents[1] / config)
         res = fixed_point(cfg.system, depth=cfg.depth, tol=cfg.tol, grid=cfg.grid)
-        moments = fiber_moments(cfg.system, cfg.depth)[:2]
+        closure = _Closure(cfg.system, cfg.depth)
+        moments = closure.m1, closure.m2
         fibers = list(res.disintegration.fibers.values())
         gaps = []
         for k, exact in enumerate(moments, start=1):

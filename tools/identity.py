@@ -1,0 +1,135 @@
+"""Byte identity of every report against another revision's ``src/``.
+
+    python tools/identity.py REV
+
+Exports ``src/`` at REV with ``git archive`` into a temporary directory and
+runs the matrix below once against that tree and once against this
+checkout's ``src/``, each as ``python -m skewfiber.cli`` with its own
+``PYTHONPATH``.  Both sides read the same config files.  For every run it
+compares the exit code, standard output, standard error and each file
+written under ``--out``, prints one line per difference, and exits 1 on any
+difference, 0 when every run matches.
+
+The matrix: all six subcommands at seed 3 on the five shipped configs; ``clt``
+at seeds 0-29 on the four configs that CI sweeps; and the configs that CI
+builds (a 64-symbol cycle with a chord, the coupled demo at depth 12, a
+combined stability family, and two observable configs).
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+CHECKOUT = Path(__file__).resolve().parents[1]
+CONFIGS = {
+    "cantor_demo": CHECKOUT / "src" / "skewfiber" / "data" / "cantor_demo.json",
+    "coupled_demo": CHECKOUT / "src" / "skewfiber" / "data" / "coupled_demo.json",
+    "cantor_small": CHECKOUT / "bench" / "configs" / "cantor_small.json",
+    "markov3_small": CHECKOUT / "bench" / "configs" / "markov3_small.json",
+    "markov3": CHECKOUT / "bench" / "configs" / "markov3.json",
+}
+SUBCOMMANDS = ("verify", "fixed-point", "spectral", "stability", "correlations", "clt")
+
+
+def built_configs():
+    """The configs CI builds from the shipped ones, by name."""
+    n = 64
+    m = [[int(j == (i + 1) % n or (i, j) == (n - 1, 1)) for j in range(n)] for i in range(n)]
+    cycle64 = {"system": {"matrix": m, "theta": 0.5,
+                          "weights": {"kind": "markov", "transition": [[v / sum(r) for v in r] for r in m]},
+                          "fiber_maps": [{"slope": 0.5, "offset": 0.25}] * n, "offset_depth": 5}, "depth": 5}
+    coupled12 = json.loads(CONFIGS["coupled_demo"].read_text())
+    coupled12["depth"] = 12
+    combined = json.loads(CONFIGS["cantor_small"].read_text())
+    combined["stability"] = {"kind": "combined", "fiber_direction": [0, -1], "weight_direction": [1, -1],
+                             "depth": 2, "grid": 4096, "tol": 1e-7}
+    # markov3_small with a components psi (interior breakpoints on two symbols) and a depth-2 base_only phi
+    components = json.loads(CONFIGS["markov3_small"].read_text())
+    components["correlations"]["psi"] = {"type": "components", "depth": 1, "components": {
+        "0": {"breakpoints": [0, 0.3, 1], "values": [0, 1, 0.5]},
+        "1": {"breakpoints": [0, 0.5, 0.8, 1], "values": [1, -1, 0, 2]},
+        "2": {"breakpoints": [0, 1], "values": [0.2, 0.7]}}}
+    components["correlations"]["phi"] = {"type": "base_only", "depth": 2, "values": {
+        "00": 1, "01": 0, "10": -0.5, "12": 1, "20": 0, "21": 1, "22": -0.5}}
+    # the coupled demo at depth 12 with a two-valued depth-12 base_only phi
+    coupled12_phi = json.loads(json.dumps(coupled12))
+    words = (format(i, "012b") for i in range(4096))
+    coupled12_phi["correlations"]["phi"] = {"type": "base_only", "depth": 12, "values": {
+        w: float(w.startswith("01") or w.endswith("11")) for w in words}}
+    return {"cycle64": cycle64, "coupled12": coupled12, "combined": combined,
+            "components": components, "coupled12-phi": coupled12_phi}
+
+
+def matrix():
+    """(config name, subcommand, seed) of every run, each once."""
+    runs = [(name, sub, 3) for name in CONFIGS for sub in SUBCOMMANDS]
+    runs += [(name, "clt", seed) for name in ("cantor_small", "markov3_small", "markov3", "coupled_demo")
+             for seed in range(30)]
+    runs += [("cycle64", sub, 3) for sub in ("fixed-point", "correlations", "verify")]
+    runs += [("coupled12", sub, 3) for sub in ("fixed-point", "verify")]
+    runs += [("combined", "stability", 3), ("components", "correlations", 3), ("coupled12-phi", "correlations", 3)]
+    return list(dict.fromkeys(runs))
+
+
+def run(src, config, sub, seed, out):
+    """(exit code, stdout, stderr, {relative path: bytes}) of one CLI run against ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "skewfiber.cli", sub, "--config", str(config),
+                           "--seed", str(seed), "--out", str(out)], env=env, capture_output=True)
+    files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    return done.returncode, done.stdout, done.stderr, files
+
+
+def differences(label, ours, theirs):
+    """One line per part of a run that differs between the two sides."""
+    lines = [f"{label}: {part} differs" for part, a, b in zip(("exit code", "stdout", "stderr"), ours, theirs)
+             if a != b]
+    for name in sorted(set(ours[3]) | set(theirs[3])):
+        if name not in theirs[3] or name not in ours[3]:
+            lines.append(f"{label}: {name} written on one side only")
+        elif ours[3][name] != theirs[3][name]:
+            lines.append(f"{label}: {name} differs")
+    return lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tools/identity.py REV", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", argv[0], "src"],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "theirs")
+        configs = dict(CONFIGS)
+        for name, cfg in built_configs().items():
+            configs[name] = tmp / f"{name}.json"
+            configs[name].write_text(json.dumps(cfg))
+        sides = {"ours": CHECKOUT / "src", "theirs": tmp / "theirs" / "src"}
+
+        def one(job):
+            side, (name, sub, seed) = job
+            return run(sides[side], configs[name], sub, seed, tmp / side / f"{name}-{sub}-{seed}")
+
+        runs = matrix()
+        jobs = [(side, key) for key in runs for side in sides]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = dict(zip(jobs, pool.map(one, jobs)))
+    lines = [line for key in runs
+             for line in differences(f"{key[0]} {key[1]} --seed {key[2]}", results["ours", key], results["theirs", key])]
+    print("\n".join(lines) if lines else f"{len(runs)} runs byte-identical to {argv[0]}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
