@@ -105,6 +105,10 @@ MAX_WORDS = 4096
 # the most lags after lag 0 (each one CSV row and one transfer or closure step), and the most
 # CLT trials: one float each in the Birkhoff sums, at most one sampling block's cells
 MAX_LAGS, MAX_TRIALS = MAX_WORDS, BLOCK_CELLS
+# the finest quantization grid; the bundled configs use at most 2^18
+MAX_GRID = 2**20
+# the most atoms verify's exact transfer steps may reach: 128 MiB per float64 array
+MAX_ATOMS = 2**24
 
 # ``realized`` is ``realize_grid``'s (deltas, systems, budgets), built once at parse time
 StabilityConfig = namedtuple("StabilityConfig", "family realized depth grid tol")
@@ -354,7 +358,7 @@ def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
     except ValueError as exc:
         raise ConfigError(f"{pointer}/deltas", str(exc)) from exc
     depth = _depth(block, "depth", depth, system.matrix, system.offset_depth, pointer)
-    return StabilityConfig(family, realized, depth, _int(block, "grid", grid, 2, pointer),
+    return StabilityConfig(family, realized, depth, _int(block, "grid", grid, 2, pointer, MAX_GRID),
                            _positive(block, "tol", tol, pointer))
 
 
@@ -392,7 +396,7 @@ def parse_config(path):
     _reject_unknown(raw, _TOP_KEYS, "")
     system = _parse_system(_require(raw, "system", "/"))
     depth = _depth(raw, "depth", 4, system.matrix, system.offset_depth, "")
-    grid = _int(raw, "grid", 512, 2, "")
+    grid = _int(raw, "grid", 512, 2, "", MAX_GRID)
     tol = _positive(raw, "tol", 1e-6, "")
     seed = _int(raw, "seed", 0, 0, "")
     correlations = _parse_correlations(raw.get("correlations", {}), system.matrix, depth)
@@ -645,9 +649,16 @@ def run_clt(config, out_dir):
 
 def run_verify(config, out_dir):
     """Battery of invariant and property checks from every module."""
-    report = Report("verify", config, out_dir)
     sys_ = config.system
     matrix = sys_.matrix
+    # five exact transfer steps from 2-4 atoms per word at depth d reach up to 4 word_count(d + 5) atoms
+    small_depth = max(min(config.depth, 3), sys_.offset_depth)
+    atoms = 4 * matrix.word_count(small_depth + 5, stop=MAX_ATOMS)
+    if atoms > MAX_ATOMS:
+        pointer = "/system/offset_depth" if sys_.offset_depth >= min(config.depth, 3) else "/depth"
+        raise ConfigError(pointer, f"verify's exact steps at depth {small_depth} may reach {atoms} atoms "
+                                   f"or more, above the cap of {MAX_ATOMS}")
+    report = Report("verify", config, out_dir)
     rng = np.random.default_rng(config.seed)
 
     def random_measure(n):
@@ -696,8 +707,6 @@ def run_verify(config, out_dir):
         "ruelle_preserves_mean",
         abs(pf.mean(sys_.weights) - f.mean(sys_.weights)) <= 1e-10,
     )
-
-    small_depth = max(min(config.depth, 3), sys_.offset_depth)
 
     def random_dis(signed=True):
         fibers = {}

@@ -16,8 +16,9 @@ are arrays built once: ``BaseWeights.jacobian`` (the N x N branch weights),
 ``cylinder_mass_vector`` (one mass per word) and ``TransitionMatrix.preimages``
 (which word precedes which, under which symbol), the table the transfer
 operators read.  ``TransitionMatrix.word_array`` owns word order, each depth
-built from the one before; ``window_rows`` gives a symbol window's row among
-the words of its length, and ``prefix_rows`` a deeper word's prefix row.
+read back from the last-symbol columns of the depths up to it;
+``window_rows`` gives a symbol window's row among the words of its length,
+and ``prefix_rows`` a deeper word's prefix row.
 """
 
 from __future__ import annotations
@@ -84,19 +85,37 @@ class TransitionMatrix:
         Depth 0 is the one empty word.  The depth-(k+1) words extend each
         depth-k word in turn by its admissible next symbols, taken row-major by
         ``np.nonzero`` from the transition rows of the last symbols: the order
-        that ``window_rows``' successor tables count.
+        that ``window_rows``' successor tables count.  Only the depth asked for
+        is cached; its columns are read back, last first, from the cached
+        last-symbol columns of each depth.
         """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
+
+        def build():
+            words = np.zeros((len(self._last(depth)) if depth else 1, depth), dtype=np.intp)
+            rows = np.arange(len(words))
+            for k in range(depth, 0, -1):
+                words[:, k - 1] = self._last(k)[rows]
+                if k > 1:  # each depth-k word's prefix row among the depth-(k-1) words
+                    rows = np.nonzero(self.entries[self._last(k - 1)])[0][rows]
+            return words
+
+        return self._table(("array", depth), build)
+
+    def _last(self, depth):
+        """Last symbol of each depth-``depth`` word (depth >= 1), a cached read-only intp array.
+
+        The depth-(k+1) column is ``np.nonzero``'s symbol column over the
+        transition rows of the depth-k one.
+        """
         k = depth
-        while k and ("array", k) not in self._word_cache:  # down to the deepest depth built so far
+        while k > 1 and ("last", k) not in self._word_cache:  # down to the deepest depth built so far
             k -= 1
-        words = self._table(("array", k), lambda: np.zeros((1, 0), dtype=np.intp))
+        last = self._table(("last", k), lambda: np.arange(self.n_symbols))
         for k in range(k + 1, depth + 1):
-            # any symbol may follow the empty word
-            rows, symbol = np.nonzero(self.entries[words[:, -1]] if k > 1 else np.ones((1, self.n_symbols)))
-            words = self._table(("array", k), lambda: np.column_stack([words[rows], symbol]))
-        return words
+            last = self._table(("last", k), lambda: np.nonzero(self.entries[last])[1])
+        return last
 
     def preimages(self, depth):
         """Admissible one-symbol extensions i.w of the depth-``depth`` words, as intp arrays.
@@ -126,7 +145,7 @@ class TransitionMatrix:
         rows = columns[0]
         for k, column in enumerate(columns[1:], 1):
             successors = self._table(("successors", k), lambda: np.cumsum(
-                self.entries[self.word_array(k)[:, -1]]).reshape(-1, self.n_symbols) - 1)
+                self.entries[self._last(k)]).reshape(-1, self.n_symbols) - 1)
             rows = successors[rows, column]
         return rows
 

@@ -216,6 +216,12 @@ class TestParseConfig:
         assert (corr.nmax, corr.gordin_nmax, corr.psi.depth, corr.phi.depth) == (12, 8, 1, 1)
         assert config.clt == CltConfig(length=2000, trials=5000, truncation=30)
 
+    def test_grid_cap_is_inclusive(self, config_path):
+        cfg = small_config(grid=2**20)
+        cfg["stability"]["grid"] = 2**20
+        config = parse_config(config_path(cfg))
+        assert config.grid == config.stability.grid == 2**20
+
     def test_observable_deeper_than_working_depth(self, config_path, tmp_path, capsys):
         cfg = small_config()
         words = ("".join(w) for w in product("01", repeat=4))
@@ -296,6 +302,9 @@ MALFORMED_FIELDS = [
     (("grid",), 256.7, "/grid"),
     (("grid",), 10**400, "/grid"),
     (("stability", "grid"), 10**400, "/stability/grid"),
+    # a grid may have at most 2^20 steps
+    (("grid",), 2**20 + 1, "/grid"),
+    (("stability", "grid"), 2**20 + 1, "/stability/grid"),
     (("seed",), 10**400, "/seed"),
     (("tol",), True, "/tol"),
     (("seed",), 1.5, "/seed"),
@@ -545,6 +554,25 @@ class TestExitCodes:
         del cfg["stability"]
         assert main(["stability", "--config", config_path(cfg), "--out", str(tmp_path / "s")]) == 2
         assert "config error: /stability: no stability block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset_depth,depth,pointer", [(1, 2, "/depth"), (2, 2, "/system/offset_depth")])
+    def test_verify_refuses_exact_steps_that_cannot_fit(
+        self, offset_depth, depth, pointer, config_path, tmp_path, capsys
+    ):
+        # the full 16-symbol shift: five exact steps from depth 2 reach 4 * 16^7 atoms
+        n = 16
+        cfg = small_config(depth=depth)
+        cfg["system"].update(matrix=[[1] * n] * n, weights={"kind": "bernoulli", "p": [1 / n] * n},
+                             offset_depth=offset_depth,
+                             fiber_maps=[{"slope": 0.3, "offset": 0.7 * i / (n - 1)} for i in range(n)])
+        del cfg["stability"], cfg["correlations"]
+        out = tmp_path / "v"
+        started = time.perf_counter()
+        assert main(["verify", "--config", config_path(cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {pointer}: verify's exact steps at depth 2 ")
+        assert "Traceback" not in err and not out.exists()
 
     def test_no_convergence_is_an_error_without_traceback(self, config_path, tmp_path, capsys, monkeypatch):
         def diverging(*args, **kwargs):

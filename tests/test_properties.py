@@ -449,7 +449,7 @@ def test_word_array_lists_the_admissible_words_in_ascending_order(a, data):
     # a depth of 0-6 with at most 4096 words; words(d) is the tuple view of the read-only array
     matrix = TransitionMatrix(a)
     depth = data.draw(st.integers(0, max(d for d in range(7) if matrix.word_count(d) <= 4096)))
-    matrix.word_array(data.draw(st.integers(0, depth)))  # the build starts from a shallower cached depth
+    matrix.word_array(data.draw(st.integers(0, depth)))  # the build reads a shallower depth's cached columns
     words = matrix.word_array(depth)
     assert words.shape == (matrix.word_count(depth), depth) and words.dtype == np.intp
     assert not words.flags.writeable and matrix.word_array(depth) is words
@@ -459,6 +459,21 @@ def test_word_array_lists_the_admissible_words_in_ascending_order(a, data):
     assert a[words[:, :-1], words[:, 1:]].all()
     with pytest.raises(ValueError, match="nonnegative"):
         matrix.word_array(-1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(zero_one_matrices(max_order=4).filter(_is_primitive), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_exact_steps_gather_at_most_verifys_predicted_atoms(a, depth, seed):
+    # verify's five exact steps start from at most 4 atoms per word; each step's gather, the
+    # source fiber's atoms summed over the preimage terms, stays within 4 word_count(depth + 5)
+    matrix, rng = TransitionMatrix(a), np.random.default_rng(seed)
+    maps = [FiberMapSpec(s, 0.5 - s / 2) for s in rng.uniform(-0.5, 0.5, len(a))]
+    sys = SystemSpec(matrix, 0.5, BaseWeights(a / a.sum(axis=1, keepdims=True)), maps)
+    dis = random_disintegration(matrix, depth, rng, n_atoms=4, signed=False)
+    source = matrix.preimages(depth)[1]
+    for _ in range(5):
+        assert np.diff(dis.starts)[dis.word_fiber[source]].sum() <= 4 * matrix.word_count(depth + 5)
+        dis = transfer_apply(sys, dis)
 
 
 # 0.0 and -0.0 compare equal but have two bit patterns

@@ -85,6 +85,14 @@ class TestEnumerateWords:
     def test_depth_zero_is_empty_word(self):
         assert list(GOLDEN.words(0)) == [()]
 
+    def test_deep_tables_cache_only_the_depths_asked_for(self):
+        # the one-symbol shift at depth 4096: caching every level below would hold
+        # 1 + 2 + ... + 4096 intp entries of words alone, 64 MiB
+        matrix = TransitionMatrix([[1]])
+        matrix.word_array(4096), matrix.prefix_rows(4096, 1), matrix.preimages(4096)
+        tables = [t for v in matrix._word_cache.values() for t in (v if isinstance(v, tuple) else (v,))]
+        assert sum(t.nbytes for t in tables) < 4 * 2**20
+
     @pytest.mark.parametrize("matrix", [FULL2, GOLDEN])
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_count_matches_matrix_power(self, matrix, depth):

@@ -1,4 +1,4 @@
-"""Byte identity of every report against another revision's ``src/``.
+"""Byte identity of every report against another revision's ``src/``, and each run's exit code.
 
     python tools/identity.py REV
 
@@ -7,13 +7,17 @@ runs the matrix below once against that tree and once against this
 checkout's ``src/``, each as ``python -m skewfiber.cli`` with its own
 ``PYTHONPATH``.  Both sides read the same config files.  For every run it
 compares the exit code, standard output, standard error and each file
-written under ``--out``, prints one line per difference, and exits 1 on any
-difference, 0 when every run matches.
+written under ``--out``, and checks this checkout's exit code against the one
+its config calls for: 2 for ``stability`` on a config with no ``stability``
+block, 0 for every other run.  It prints one line per difference or missed
+exit code, and exits 1 on any, 0 when every run matches.  Against ``HEAD``
+itself it reruns every report and checks every exit code.
 
-The matrix: all six subcommands at seed 3 on the five shipped configs; ``clt``
-at seeds 0-29 on the four configs that CI sweeps; and the configs that CI
-builds (a 64-symbol cycle with a chord, the coupled demo at depth 12, a
-combined stability family, and two observable configs).
+The matrix: all six subcommands at seed 3 on the five shipped configs;
+``verify`` at seeds 0-9 on cantor_small and markov3_small; ``clt`` at seeds
+0-29 on four configs; and five configs built from the shipped ones (a
+64-symbol cycle with a chord, the coupled demo at depth 12, a combined
+stability family, and two observable configs).
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ CONFIGS = {
 SUBCOMMANDS = ("verify", "fixed-point", "spectral", "stability", "correlations", "clt")
 
 
-def built_configs():
-    """The configs CI builds from the shipped ones, by name."""
+def configs():
+    """Every config of the matrix by name: the five shipped ones, and five built from them."""
     n = 64
     m = [[int(j == (i + 1) % n or (i, j) == (n - 1, 1)) for j in range(n)] for i in range(n)]
     cycle64 = {"system": {"matrix": m, "theta": 0.5,
@@ -64,13 +68,15 @@ def built_configs():
     words = (format(i, "012b") for i in range(4096))
     coupled12_phi["correlations"]["phi"] = {"type": "base_only", "depth": 12, "values": {
         w: float(w.startswith("01") or w.endswith("11")) for w in words}}
-    return {"cycle64": cycle64, "coupled12": coupled12, "combined": combined,
-            "components": components, "coupled12-phi": coupled12_phi}
+    shipped = {name: json.loads(path.read_text()) for name, path in CONFIGS.items()}
+    return shipped | {"cycle64": cycle64, "coupled12": coupled12, "combined": combined,
+                      "components": components, "coupled12-phi": coupled12_phi}
 
 
 def matrix():
     """(config name, subcommand, seed) of every run, each once."""
     runs = [(name, sub, 3) for name in CONFIGS for sub in SUBCOMMANDS]
+    runs += [(name, "verify", seed) for name in ("cantor_small", "markov3_small") for seed in range(10)]
     runs += [(name, "clt", seed) for name in ("cantor_small", "markov3_small", "markov3", "coupled_demo")
              for seed in range(30)]
     runs += [("cycle64", sub, 3) for sub in ("fixed-point", "correlations", "verify")]
@@ -88,10 +94,16 @@ def run(src, config, sub, seed, out):
     return done.returncode, done.stdout, done.stderr, files
 
 
-def differences(label, ours, theirs):
-    """One line per part of a run that differs between the two sides."""
-    lines = [f"{label}: {part} differs" for part, a, b in zip(("exit code", "stdout", "stderr"), ours, theirs)
-             if a != b]
+def expected_exit(config, sub):
+    """2 for ``stability`` on a config with no ``stability`` block, 0 for every other run."""
+    return 2 if sub == "stability" and "stability" not in config else 0
+
+
+def differences(label, expected, ours, theirs):
+    """One line for a missed exit code and one per part of a run that differs between the two sides."""
+    lines = [f"{label}: exit code {ours[0]}, expected {expected}"] if ours[0] != expected else []
+    lines += [f"{label}: {part} differs" for part, a, b in zip(("exit code", "stdout", "stderr"), ours, theirs)
+              if a != b]
     for name in sorted(set(ours[3]) | set(theirs[3])):
         if name not in theirs[3] or name not in ours[3]:
             lines.append(f"{label}: {name} written on one side only")
@@ -100,35 +112,40 @@ def differences(label, ours, theirs):
     return lines
 
 
+def report(rev, outcomes):
+    """Print the differences of ``{run: (expected exit, ours, theirs)}``; 1 if there are any, else 0."""
+    lines = [line for (name, sub, seed), outcome in outcomes.items()
+             for line in differences(f"{name} {sub} --seed {seed}", *outcome)]
+    print("\n".join(lines) if lines else f"{len(outcomes)} runs byte-identical to {rev}")
+    return 1 if lines else 0
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print("usage: python tools/identity.py REV", file=sys.stderr)
         return 2
+    named = configs()
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", argv[0], "src"],
                                  capture_output=True, check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "theirs")
-        configs = dict(CONFIGS)
-        for name, cfg in built_configs().items():
-            configs[name] = tmp / f"{name}.json"
-            configs[name].write_text(json.dumps(cfg))
+        for name, cfg in named.items():
+            (tmp / f"{name}.json").write_text(json.dumps(cfg))
         sides = {"ours": CHECKOUT / "src", "theirs": tmp / "theirs" / "src"}
 
         def one(job):
             side, (name, sub, seed) = job
-            return run(sides[side], configs[name], sub, seed, tmp / side / f"{name}-{sub}-{seed}")
+            return run(sides[side], tmp / f"{name}.json", sub, seed, tmp / side / f"{name}-{sub}-{seed}")
 
         runs = matrix()
         jobs = [(side, key) for key in runs for side in sides]
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = dict(zip(jobs, pool.map(one, jobs)))
-    lines = [line for key in runs
-             for line in differences(f"{key[0]} {key[1]} --seed {key[2]}", results["ours", key], results["theirs", key])]
-    print("\n".join(lines) if lines else f"{len(runs)} runs byte-identical to {argv[0]}")
-    return 1 if lines else 0
+    return report(argv[0], {key: (expected_exit(named[key[0]], key[1]), results["ours", key],
+                                  results["theirs", key]) for key in runs})
 
 
 if __name__ == "__main__":
