@@ -58,6 +58,7 @@ from .symbolic import (
     ruelle_apply,
 )
 from .transfer import (
+    MAX_ATOMS,
     ConvergenceError,
     Disintegration,
     change_between,
@@ -107,8 +108,6 @@ MAX_WORDS = 4096
 MAX_LAGS, MAX_TRIALS = MAX_WORDS, BLOCK_CELLS
 # the finest quantization grid; the bundled configs use at most 2^18
 MAX_GRID = 2**20
-# the most atoms verify's exact transfer steps may reach: 128 MiB per float64 array
-MAX_ATOMS = 2**24
 
 # ``realized`` is ``realize_grid``'s (deltas, systems, budgets), built once at parse time
 StabilityConfig = namedtuple("StabilityConfig", "family realized depth grid tol")
@@ -518,7 +517,8 @@ def run_fixed_point(config, out_dir):
     again, _ = quantize_disintegration(transfer_apply(sys_, mu0), config.grid)
     move = change_between(again, mu0)
     report.check("reapplication_within_tol", move <= config.tol, f"moved {move!r}")
-    report.write_text("disintegration.json", json.dumps(mu0.to_json_dict()) + "\n")
+    dumped = mu0.to_json_dict() | {"errorBound": res.certified_error}
+    report.write_text("disintegration.json", json.dumps(dumped) + "\n")
     report.write_csv(
         "fixed_point.csv",
         "quantity,value",
@@ -603,7 +603,7 @@ def run_correlations(config, out_dir):
     corr = config.correlations
     res = _compute_fixed_point(config)
     mu0 = res.disintegration
-    curve = correlation_curve(sys_, mu0, corr.psi, corr.phi, corr.nmax)
+    curve = correlation_curve(sys_, res, corr.psi, corr.phi, corr.nmax)
     fit = exp_fit(curve.lags, curve.values)
     rows = [(n, curve.values[n], curve.err_bounds[n], fit.constant * fit.rate**n) for n in range(corr.nmax + 1)]
     report.write_csv("correlations.csv", "lag,value,err_bound,fit", rows)
@@ -763,7 +763,7 @@ def run_verify(config, out_dir):
     phi = Observable.fiber(matrix, PiecewiseLinearFn.identity())
     m_phi = integrate_observable(sys_, mu0, phi)
     centered = phi.shifted(-m_phi)
-    c0 = correlation_curve(sys_, mu0, centered, centered, 0).values[0]
+    c0 = correlation_curve(sys_, res, centered, centered, 0).values[0]
     masses = cylinder_mass_vector(sys_.weights, matrix, mu0.depth)
     squares = phi.weigh(mu0, lambda v: (v - m_phi) ** 2).fiber_masses()
     direct = float(np.dot(masses, squares))

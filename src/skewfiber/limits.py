@@ -160,18 +160,6 @@ def fiber_average(mu0, obs):
 # ---------------------------------------------------------------------------
 
 
-def _weighted_disintegration(dis, obs):
-    """Fiberwise pointwise product h_w . (mu|_w); exact on atoms.
-
-    A wk discrepancy of eps in a fiber becomes at most (sup + Lip) eps after
-    the product, since g h has supremum sup(h) and Lipschitz constant
-    Lip(g) sup(h) + sup(g) Lip(h) for any admissible test function g.
-    """
-    rho = obs.weigh(dis)
-    rho.err_bound = dis.err_bound * (obs.sup_norm() + obs.fiber_lipschitz())
-    return rho
-
-
 @dataclass
 class CorrelationCurve:
     lags: np.ndarray
@@ -179,33 +167,38 @@ class CorrelationCurve:
     err_bounds: np.ndarray
 
 
-def correlation_curve(sys, mu0, now, later, nmax, grid=DEFAULT_GRID):
-    """Lagged covariances C_n = cov(now, later o F^n) for n = 0..nmax.
+def correlation_curve(sys, fixed, now, later, nmax, grid=DEFAULT_GRID):
+    """Lagged covariances C_n = cov(now, later o F^n) for n = 0..nmax on the fixed point ``fixed``.
 
-    The centered ``now`` observable reweighs mu0; each lag is one transfer
-    step (quantized on ``grid`` when given, with the error tracked into
-    ``err_bounds``: the transfer step contracts the tracked error by alpha,
-    and each snap adds the mass it moved, measured and rounded up by
-    ``quantize_disintegration``).  On unit-mass fibers, as ``fixed_point``
-    returns, a fiber-dependent ``now`` also moves each fiber's mass, by at
-    most Lip(now) times mu0's error; mixing does not contract that, so every
-    step adds it, and the ``later`` mean it pairs with adds its share to
-    every lag.
+    The centered ``now`` observable h reweighs mu0 = ``fixed.disintegration``;
+    each lag is one transfer step, quantized on ``grid`` when given.  The
+    error tracked into ``err_bounds`` starts at (sup + Lip)(h) eps, eps =
+    ``fixed.certified_error``: g h has supremum sup(h) and Lipschitz constant
+    Lip(g) sup(h) + sup(g) Lip(h) for any admissible test function g.  The
+    transfer step contracts it by alpha, and each snap adds the mass it
+    moved (``quantize_disintegration``).  On unit-mass fibers a
+    fiber-dependent ``now`` also moves each fiber's mass, by at most
+    Lip(now) eps; mixing does not contract that, so every step adds it, and
+    the ``later`` mean it pairs with adds its share to every lag.
     """
+    mu0, eps = fixed.disintegration, fixed.certified_error
     m_now = integrate_observable(sys, mu0, now)
     m_later = integrate_observable(sys, mu0, later)
-    rho = _weighted_disintegration(mu0, now.shifted(-m_now))
+    centered = now.shifted(-m_now)
+    rho = centered.weigh(mu0)
+    err = eps * (centered.sup_norm() + centered.fiber_lipschitz())
     to_value = max(later.fiber_lipschitz(), later.sup_norm())  # turns a wk error into an integral error
-    mass_err = now.fiber_lipschitz() * mu0.err_bound
+    mass_err = now.fiber_lipschitz() * eps
     values, errs = np.empty(nmax + 1), np.empty(nmax + 1)
     for n in range(nmax + 1):
         if n:
             rho = transfer_apply(sys, rho)
-            rho.err_bound += mass_err
+            err = sys.alpha * err + mass_err
             if grid is not None:
-                rho, _ = quantize_disintegration(rho, grid)
+                rho, step = quantize_disintegration(rho, grid)
+                err += step
         values[n] = integrate_observable(sys, rho, later) - m_later * rho.total_mass(sys.weights)
-        errs[n] = to_value * rho.err_bound + abs(m_later) * mass_err
+        errs[n] = to_value * err + abs(m_later) * mass_err
     return CorrelationCurve(np.arange(nmax + 1), values, errs)
 
 

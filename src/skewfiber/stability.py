@@ -195,7 +195,9 @@ def stability_sweep(fam, realized, depth, tol, grid):
     realized system, the measured variation Delta(delta) = ||mu_delta - mu_0||_inf,
     R(delta), the ratio Delta / (R |log delta|), and the sum of the two
     fixed-point certificates.  A converged row keeps its fixed point for
-    later checks; a failed fixed point flags its row and the sweep continues.
+    later checks; a fixed point that does not converge flags its row and the
+    sweep continues, and any other error (such as ``transfer_apply``'s atom
+    cap) stops the sweep.
     """
     deltas, systems, budgets = realized
     base_res = fixed_point(fam.base, depth=depth, tol=tol, grid=grid)
@@ -203,7 +205,7 @@ def stability_sweep(fam, realized, depth, tol, grid):
     for delta, sys_d, r_delta in zip(deltas, systems, budgets):
         try:
             res = fixed_point(sys_d, depth=depth, tol=tol, grid=grid)
-        except (ConvergenceError, ValueError) as exc:
+        except ConvergenceError as exc:
             rows.append(StabilityRow(delta, r_delta, math.nan, math.nan, math.nan, 0, sys_d,
                                      failed=True, message=str(exc)))
             continue

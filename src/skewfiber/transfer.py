@@ -1,13 +1,13 @@
 """Finite-depth disintegrations and the fiberwise transfer operator.
 
 A measure on the product space is carried as its family of fiber
-restrictions over the admissible words of a working depth, together with a
-running bound on the accumulated quantization error.  Each distinct fiber is
-stored once, as one row of an atom table, and a map sends every word to its
-fiber's row: for an offset depth d the invariant fiber over x depends only on
-the first max(d - 1, 1) symbols of x, so most words share a row.  Only this
-module reads that map; every other reader sees one fiber per word.  The
-transfer operator mixes branch pushforwards with the base jacobian weights:
+restrictions over the admissible words of a working depth.  Each distinct
+fiber is stored once, as one row of an atom table, and a map sends every
+word to its fiber's row: for an offset depth d the invariant fiber over x
+depends only on the first max(d - 1, 1) symbols of x, so most words share a
+row.  Only this module reads that map; every other reader sees one fiber per
+word.  The transfer operator mixes branch pushforwards with the base
+jacobian weights:
 
     nu|_w = sum_i g(i.w) T_{i.w} # mu|_{i.w[:-1]},
 
@@ -15,8 +15,8 @@ so the marginal density evolves by the base transfer operator and the
 fiberwise dual norm never grows.  On pairs of disintegrations whose fibers
 carry equal masses word by word, one application contracts the fiberwise
 distance by the fiber contraction rate; that is what certifies the fixed
-point computation and the quantization error bookkeeping below.  Every
-fiberwise norm reads the table through ``measures.row_norms``.
+point computation below.  Every fiberwise norm reads the table through
+``measures.row_norms``.
 
 Each operation runs once per distinct fiber (or pair of fibers) and applies
 to it exactly the arithmetic that a word-by-word computation applies to
@@ -48,7 +48,11 @@ __all__ = [
     "fixed_point",
     "verify_ly",
     "equilibrium_decay",
+    "MAX_ATOMS",
 ]
+
+# the most atoms one transfer step may gather: 128 MiB per float64 array
+MAX_ATOMS = 2**24
 
 
 class ConvergenceError(RuntimeError):
@@ -77,7 +81,7 @@ class Disintegration:
     ``fiber_masses``, ``total_mass`` and ``to_json_dict`` read one fiber per word.
     """
 
-    def __init__(self, matrix, depth, rows, positions, weights, err_bound=0.0, word_fiber=None):
+    def __init__(self, matrix, depth, rows, positions, weights, word_fiber=None):
         row, pos, w = merge_atoms(rows, positions, weights)
         if word_fiber is None:
             n_words = matrix.word_count(depth)
@@ -99,22 +103,21 @@ class Disintegration:
         self.word_fiber = renumber[word_fiber]
         self.matrix = matrix
         self.depth = depth
-        self.err_bound = float(err_bound)
 
     @classmethod
-    def from_fibers(cls, matrix, depth, fibers, err_bound=0.0):
+    def from_fibers(cls, matrix, depth, fibers):
         """Table of a map from every admissible word to its atomic fiber measure."""
         if set(fibers) != set(matrix.words(depth)):
             raise ValueError("fibers must be given for exactly the admissible words")
         mus = [fibers[w] for w in matrix.words(depth)]
         rows = np.repeat(np.arange(len(mus)), [mu.n_atoms for mu in mus])
         pos = np.concatenate([mu.positions for mu in mus])
-        return cls(matrix, depth, rows, pos, np.concatenate([mu.weights for mu in mus]), err_bound)
+        return cls(matrix, depth, rows, pos, np.concatenate([mu.weights for mu in mus]))
 
     @classmethod
     def product(cls, matrix, depth, fiber):
         """Product disintegration m x nu: the same fiber over every word."""
-        return cls(matrix, depth, 0, fiber.positions, fiber.weights, 0.0, np.zeros(matrix.word_count(depth), np.intp))
+        return cls(matrix, depth, 0, fiber.positions, fiber.weights, np.zeros(matrix.word_count(depth), np.intp))
 
     def words(self):
         return self.matrix.words(self.depth)
@@ -164,13 +167,12 @@ class Disintegration:
             "words": [list(w) for w in self.words()],
             "atoms": [p.tolist() for p, _ in fibers],
             "weights": [w.tolist() for _, w in fibers],
-            "errorBound": self.err_bound,
         }
 
     def __repr__(self):
         return (
             f"Disintegration(depth={self.depth}, {self.word_fiber.size} words, "
-            f"{self.n_fibers} fibers, {self.w.size} atoms, err<={self.err_bound:.3g})"
+            f"{self.n_fibers} fibers, {self.w.size} atoms)"
         )
 
 
@@ -229,16 +231,14 @@ def lip_constant(dis, theta):
 def transfer_apply(sys, dis):
     """One exact step of the fiberwise transfer operator.
 
-    The accumulated error bound contracts by the fiber rate: the tracked
-    error is always against an equal-mass reference, and branch pushforwards
-    shrink equal-mass discrepancies by at least alpha before the convex
-    jacobian mixing.  The terms come from ``TransitionMatrix.preimages`` and
+    The terms come from ``TransitionMatrix.preimages`` and
     ``SystemSpec.prefix_rows``.  A target's fiber is fixed by its terms, in
     symbol order: each term's symbol, source fiber row, branch row (the
     source's offset prefix) and the target's head symbol, which picks the
     weight g = jacobian[symbol, head].  Targets with equal terms get
     bit-identical fibers, so one target per group is pushed, as one gather of
-    source fibers into one merge.
+    source fibers into one merge.  A gather of more than ``MAX_ATOMS`` atoms
+    raises ``ValueError`` before it allocates.
     """
     if dis.matrix != sys.matrix:
         raise ValueError("disintegration and system use different transition matrices")
@@ -255,11 +255,13 @@ def transfer_apply(sys, dis):
     term_group, term = _gather(term_starts, pushed)
     g = sys.weights.jacobian[symbol[term], head[term]]
     a, b = sys.branches[:, branch[term]]
+    atoms = int(np.diff(dis.starts)[fiber[term]].sum())
+    if atoms > MAX_ATOMS:
+        raise ValueError(f"a transfer step at depth {dis.depth} would gather {atoms} atoms, above the cap of "
+                         f"{MAX_ATOMS}; lower /grid or /depth")
     k, take = _gather(dis.starts, fiber[term])
     pos = a[k] * dis.pos[take] + b[k]
-    return Disintegration(
-        dis.matrix, dis.depth, term_group[k], pos, g[k] * dis.w[take], sys.alpha * dis.err_bound, group.ravel()
-    )
+    return Disintegration(dis.matrix, dis.depth, term_group[k], pos, g[k] * dis.w[take], group.ravel())
 
 
 def quantize_disintegration(dis, grid):
@@ -296,7 +298,7 @@ def quantize_disintegration(dis, grid):
         cost *= dis.w
         n = int(np.diff(dis.starts).max())
         step = round_up(float(np.bincount(dis.row, np.abs(cost, out=cost), 1).max()) + n * 2.0**-1074, n + 2)
-    return Disintegration(dis.matrix, dis.depth, dis.row, pos, dis.w, dis.err_bound + step, dis.word_fiber), step
+    return Disintegration(dis.matrix, dis.depth, dis.row, pos, dis.w, dis.word_fiber), step
 
 
 def change_between(d1, d2):
@@ -358,7 +360,6 @@ def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
     if np.abs(masses - 1.0).max() > 1e-9:
         raise ValueError("fixed point iteration expects unit fiber masses")
     mu, _ = quantize_disintegration(init, grid)
-    mu.err_bound = 0.0
     max_iter = 10 * max(1, math.ceil(math.log(tol) / math.log(alpha))) if alpha > 0 else 10
     for iteration in range(1, max_iter + 1):
         nu = transfer_apply(sys, mu)
@@ -367,9 +368,6 @@ def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
         mu = nu
         if delta < tol:
             certified = (alpha * delta + q_step) / (1.0 - alpha)
-            # downstream error propagation measures against the true invariant
-            # measure, so the disintegration carries the full certificate
-            mu.err_bound = certified
             return FixedPointResult(mu, certified, iteration, delta, q_step, alpha)
     raise ConvergenceError(
         f"no fixed point within {max_iter} iterations (last change {delta:.3g})"

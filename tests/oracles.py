@@ -129,7 +129,7 @@ def disintegration_from_json(data):
         tuple(w): AtomicMeasure(a, ws)
         for w, a, ws in zip(data["words"], data["atoms"], data["weights"])
     }
-    return Disintegration.from_fibers(matrix, data["depth"], fibers, data["errorBound"])
+    return Disintegration.from_fibers(matrix, data["depth"], fibers)
 
 
 def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):
@@ -306,19 +306,19 @@ def correlation_lattice(sys, mu0, now, later, lag, budget=1 << 21):
     return total
 
 
-def lag_loop_variance(sys, mu0, phi, truncation, grid=DEFAULT_GRID):
+def lag_loop_variance(sys, fixed, phi, truncation, grid=DEFAULT_GRID):
     """Truncated Green-Kubo variance from quantized lags, with a fitted geometric tail.
 
     sigma^2 = C_0 + 2 sum_{j<=J} C_j from ``correlation_curve`` on the
-    fixed point ``mu0``.  Returns ``(sigma2, tail, numeric, curve)``:
+    fixed point ``fixed`` (a ``FixedPointResult``).  Returns ``(sigma2, tail, numeric, curve)``:
     ``tail`` sums the curve's least-squares exponential envelope beyond the
     truncation, so it is fitted, not certified; ``numeric`` adds up the
     lags' certified quantization errors.  This is the estimate ``clt``
     tested against before it read sigma^2 from the moment closure.
     """
-    m_phi = integrate_observable(sys, mu0, phi)
+    m_phi = integrate_observable(sys, fixed.disintegration, phi)
     centered = phi.shifted(-m_phi)
-    curve = correlation_curve(sys, mu0, centered, centered, truncation, grid=grid)
+    curve = correlation_curve(sys, fixed, centered, centered, truncation, grid=grid)
     sigma2 = float(curve.values[0] + 2.0 * curve.values[1:].sum())
     fit = exp_fit(curve.lags, curve.values)
     if fit.n_used < 2:
@@ -441,7 +441,7 @@ def transfer_apply_per_word(sys, dis):
     counts = starts[source + 1] - lo
     take = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
     rows, g, a, b = (np.repeat(v, counts) for v in (target, g, a, b))
-    return Disintegration(dis.matrix, dis.depth, rows, a * pos[take] + b, g * w[take], sys.alpha * dis.err_bound)
+    return Disintegration(dis.matrix, dis.depth, rows, a * pos[take] + b, g * w[take])
 
 
 def quantize_per_word(dis, grid):
@@ -458,7 +458,7 @@ def quantize_per_word(dis, grid):
         costs.append(cost)
     n = int(np.diff(starts).max())
     step = round_up(max(costs) + n * 2.0**-1074, n + 2) if (snapped != pos).any() else 0.0
-    return Disintegration(dis.matrix, dis.depth, row, snapped, w, dis.err_bound + step), step
+    return Disintegration(dis.matrix, dis.depth, row, snapped, w), step
 
 
 def norm_inf_per_word(dis):
@@ -510,26 +510,28 @@ def _total_mass_per_word(sys, dis):
     return float(sum((masses * np.bincount(row, weights=w, minlength=starts.size - 1)).tolist()))
 
 
-def correlation_curve_per_word(sys, mu0, now, later, nmax, grid):
+def correlation_curve_per_word(sys, fixed, now, later, nmax, grid):
     """(values, err_bounds) of ``correlation_curve``, every lag on the word table."""
+    mu0, eps = fixed.disintegration, fixed.certified_error
     m_now = _integrate_per_word(sys, mu0, now)
     m_later = _integrate_per_word(sys, mu0, later)
     centered = now.shifted(-m_now)
     row, pos, w, _ = word_table(mu0)
     factor = centered.sup_norm() + centered.fiber_lipschitz()
-    rho = Disintegration(mu0.matrix, mu0.depth, row, pos, w * _on_atoms(centered, mu0, row, pos),
-                         mu0.err_bound * factor)
+    rho = Disintegration(mu0.matrix, mu0.depth, row, pos, w * _on_atoms(centered, mu0, row, pos))
+    err = eps * factor
     to_value = max(later.fiber_lipschitz(), later.sup_norm())
-    mass_err = now.fiber_lipschitz() * mu0.err_bound
+    mass_err = now.fiber_lipschitz() * eps
     values, errs = np.empty(nmax + 1), np.empty(nmax + 1)
     for n in range(nmax + 1):
         if n:
             rho = transfer_apply_per_word(sys, rho)
-            rho.err_bound += mass_err
+            err = sys.alpha * err + mass_err
             if grid is not None:
-                rho, _ = quantize_per_word(rho, grid)
+                rho, step = quantize_per_word(rho, grid)
+                err += step
         values[n] = _integrate_per_word(sys, rho, later) - m_later * _total_mass_per_word(sys, rho)
-        errs[n] = to_value * rho.err_bound + abs(m_later) * mass_err
+        errs[n] = to_value * err + abs(m_later) * mass_err
     return values, errs
 
 

@@ -235,18 +235,17 @@ def test_criterion_09_quantitative_stability():
 
 def test_criterion_10_decay_of_correlations(cantor_depth6):
     start = time.perf_counter()
-    mu0 = cantor_depth6.disintegration
     rng = np.random.default_rng(110)
     k = 2
     now = Observable.base_only(CANTOR.matrix, k, {w: rng.standard_normal() for w in CANTOR.matrix.words(k)})
     later = Observable.base_only(CANTOR.matrix, k, {w: rng.standard_normal() for w in CANTOR.matrix.words(k)})
-    curve_a = correlation_curve(CANTOR, mu0, now, later, nmax=10)
+    curve_a = correlation_curve(CANTOR, cantor_depth6, now, later, nmax=10)
     zero_tail = float(np.abs(curve_a.values[k:]).max())
     assert zero_tail <= 1e-12
 
     psi = Observable.base_only(CANTOR.matrix, 1, {(0,): 1.0, (1,): 0.0})
     phi = height_observable()
-    curve_b = correlation_curve(CANTOR, mu0, psi, phi, nmax=12)
+    curve_b = correlation_curve(CANTOR, cantor_depth6, psi, phi, nmax=12)
     fit = exp_fit(np.arange(1, 13), curve_b.values[1:])
     elapsed = time.perf_counter() - start
     assert fit.rate <= 0.45

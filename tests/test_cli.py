@@ -15,6 +15,7 @@ import pytest
 
 import skewfiber.cli
 import skewfiber.stability
+import skewfiber.transfer
 from skewfiber.cli import CltConfig, ConfigError, main, parse_config
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import InconsistencyError
@@ -583,6 +584,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: no fixed point within 130 iterations (last change 1)\n"
 
+    @pytest.mark.parametrize("command", ["fixed-point", "stability"])
+    def test_gather_past_the_atom_cap_is_an_error_without_traceback(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(skewfiber.transfer, "MAX_ATOMS", 64)
+        assert main([command, "--config", str(CANTOR_SMALL), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a transfer step at depth ") and err.endswith("; lower /grid or /depth\n")
+        assert err.count("\n") == 1
+
+    def test_a_delta_past_the_atom_cap_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # the base solve fits, then each delta's solve meets a cap of one atom: exit 2, not a failed row
+        solve = skewfiber.stability.fixed_point
+
+        def base_then_cap(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            monkeypatch.setattr(skewfiber.transfer, "MAX_ATOMS", 1)
+            return res
+
+        monkeypatch.setattr(skewfiber.stability, "fixed_point", base_then_cap)
+        assert main(["stability", "--config", str(CANTOR_SMALL), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a transfer step at depth ") and err.count("\n") == 1
+
     def test_inconsistent_variance_is_bound_failure(self, config_path, tmp_path, monkeypatch):
         def inconsistent(*args, **kwargs):
             raise InconsistencyError("sigma^2 below minus its float bound")
@@ -763,7 +786,8 @@ class TestArtifacts:
         code = main(["fixed-point", "--config", config_path(small_config()), "--out", str(out)])
         assert code == 0
         data = json.loads((out / "disintegration.json").read_text())
-        assert set(data) == {"depth", "matrix", "words", "atoms", "weights", "errorBound"}
+        assert list(data) == ["depth", "matrix", "words", "atoms", "weights", "errorBound"]
+        assert data["errorBound"] == json.loads((out / "summary.json").read_text())["metrics"]["certified_error"]
 
     def test_clt_summary_schema(self, config_path, tmp_path):
         out = tmp_path / "c"

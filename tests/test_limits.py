@@ -45,13 +45,23 @@ from skewfiber.transfer import Disintegration, fixed_point, lip_constant
 CANTOR = cantor_demo()
 COUPLED = coupled_demo()
 @pytest.fixture(scope="module")
-def mu0():
-    return fixed_point(CANTOR, depth=4, tol=1e-7, grid=1 << 14).disintegration
+def fixed():
+    return fixed_point(CANTOR, depth=4, tol=1e-7, grid=1 << 14)
 
 
 @pytest.fixture(scope="module")
-def mu0_coupled():
-    return fixed_point(COUPLED, depth=4, tol=1e-7, grid=1 << 14).disintegration
+def mu0(fixed):
+    return fixed.disintegration
+
+
+@pytest.fixture(scope="module")
+def fixed_coupled():
+    return fixed_point(COUPLED, depth=4, tol=1e-7, grid=1 << 14)
+
+
+@pytest.fixture(scope="module")
+def mu0_coupled(fixed_coupled):
+    return fixed_coupled.disintegration
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +236,7 @@ class TestFiberAverage:
 
 
 class TestCorrelationCurve:
-    def test_exact_zero_for_iid_base_only_blocks(self, mu0):
+    def test_exact_zero_for_iid_base_only_blocks(self, fixed):
         # depth-k base observables over an i.i.d. base decorrelate beyond lag k
         rng = np.random.default_rng(2)
         k = 2
@@ -234,45 +244,45 @@ class TestCorrelationCurve:
         vals_b = {w: rng.standard_normal() for w in CANTOR.matrix.words(k)}
         now = Observable.base_only(CANTOR.matrix, k, vals_a)
         later = Observable.base_only(CANTOR.matrix, k, vals_b)
-        curve = correlation_curve(CANTOR, mu0, now, later, nmax=8)
+        curve = correlation_curve(CANTOR, fixed, now, later, nmax=8)
         assert np.abs(curve.values[k:]).max() <= 1e-12
 
-    def test_cantor_base_to_fiber_closed_form(self, mu0):
+    def test_cantor_base_to_fiber_closed_form(self, fixed):
         # conditioning on the first symbol moves the fiber mean by -(1/3)^n / 2
-        curve = correlation_curve(CANTOR, mu0, first_symbol_indicator(), height_obs(), nmax=10)
+        curve = correlation_curve(CANTOR, fixed, first_symbol_indicator(), height_obs(), nmax=10)
         for n in range(1, 11):
             assert curve.values[n] == pytest.approx(-0.5 * 3.0**-n, abs=5e-5)
         fit = exp_fit(curve.lags, curve.values)
         assert fit.rate == pytest.approx(1 / 3, abs=0.02)
         assert fit.r_squared >= 0.99
 
-    def test_matches_lattice_oracle_at_small_lags(self, mu0_coupled):
+    def test_matches_lattice_oracle_at_small_lags(self, fixed_coupled):
         now = first_symbol_indicator(COUPLED)
         later = height_obs(COUPLED)
-        curve = correlation_curve(COUPLED, mu0_coupled, now, later, nmax=4, grid=None)
+        curve = correlation_curve(COUPLED, fixed_coupled, now, later, nmax=4, grid=None)
         for lag in range(5):
-            direct = correlation_lattice(COUPLED, mu0_coupled, now, later, lag)
+            direct = correlation_lattice(COUPLED, fixed_coupled.disintegration, now, later, lag)
             assert curve.values[lag] == pytest.approx(direct, abs=1e-10)
 
-    def test_forward_observable_orientation_vanishes_for_product(self, mu0):
+    def test_forward_observable_orientation_vanishes_for_product(self, fixed):
         # the displayed decay statement pairs a later base observable with a
         # current Lipschitz observable; for a product measure it is zero
-        curve = correlation_curve(CANTOR, mu0, height_obs(), first_symbol_indicator(), nmax=6)
+        curve = correlation_curve(CANTOR, fixed, height_obs(), first_symbol_indicator(), nmax=6)
         assert np.abs(curve.values).max() <= curve.err_bounds.max() + 1e-12
 
-    def test_zero_mean_now_gives_zero_everything(self, mu0):
+    def test_zero_mean_now_gives_zero_everything(self, fixed):
         zero = Observable.base_only(CANTOR.matrix, 1, {(0,): 0.0, (1,): 0.0})
-        curve = correlation_curve(CANTOR, mu0, zero, height_obs(), nmax=4)
+        curve = correlation_curve(CANTOR, fixed, zero, height_obs(), nmax=4)
         assert np.abs(curve.values).max() == 0.0
 
     def test_deep_base_only_later_matches_per_word_reference(self):
         # a two-valued depth-6 observable is two pieces, and every lag reads them as each word's own value
-        mu6 = fixed_point(COUPLED, depth=6, tol=1e-6, grid=1024).disintegration
+        fixed6 = fixed_point(COUPLED, depth=6, tol=1e-6, grid=1024)
         words = COUPLED.matrix.words(6)
         later = Observable.base_only(COUPLED.matrix, 6, {w: float(w[:2] == (0, 1) or w[-2:] == (1, 1)) for w in words})
         assert len(later.pieces) == 2
-        curve = correlation_curve(COUPLED, mu6, height_obs(COUPLED), later, nmax=6, grid=1024)
-        values, errs = correlation_curve_per_word(COUPLED, mu6, height_obs(COUPLED), later, 6, 1024)
+        curve = correlation_curve(COUPLED, fixed6, height_obs(COUPLED), later, nmax=6, grid=1024)
+        values, errs = correlation_curve_per_word(COUPLED, fixed6, height_obs(COUPLED), later, 6, 1024)
         assert np.array_equal(curve.values, values)
         assert np.array_equal(curve.err_bounds, errs)
 

@@ -41,8 +41,8 @@ from skewfiber.measures import (  # noqa: E402
     wk_distance,
     wk_distance_primal,
 )
-from skewfiber.demos import coupled_demo, markov_demo  # noqa: E402
-from skewfiber.limits import Observable, _weighted_disintegration, asymptotic_variance  # noqa: E402
+from skewfiber.demos import cantor_demo, coupled_demo, markov_demo  # noqa: E402
+from skewfiber.limits import Observable, asymptotic_variance, correlation_curve  # noqa: E402
 from skewfiber.skew import FiberMapSpec, SystemSpec, symbol_lookup, symbol_ranks  # noqa: E402
 from skewfiber.symbolic import (  # noqa: E402
     BaseWeights,
@@ -52,6 +52,7 @@ from skewfiber.symbolic import (  # noqa: E402
 )
 from skewfiber.transfer import (  # noqa: E402
     Disintegration,
+    FixedPointResult,
     change_between,
     fixed_point,
     quantize_disintegration,
@@ -669,9 +670,9 @@ class TestMomentClosureAgainstTheLagLoop:
     @given(systems())
     def test_exact_lags_and_sigma2_within_the_lag_loops_bounds(self, sys):
         phi = Observable.fiber(sys.matrix, PiecewiseLinearFn.identity())
-        mu0 = fixed_point(sys, depth=2, grid=512).disintegration
+        fixed = fixed_point(sys, depth=2, grid=512)
         exact = asymptotic_variance(sys, phi, 2, 400)
-        sigma2, tail, numeric, curve = lag_loop_variance(sys, mu0, phi, 30)
+        sigma2, tail, numeric, curve = lag_loop_variance(sys, fixed, phi, 30)
         # each quantized lag within its certified error of the exact one
         assert (np.abs(curve.values - exact.lags[:31]) <= curve.err_bounds + exact.lag_errors[:31]).all()
         # the truncated sum within its certified error and its fitted tail
@@ -682,10 +683,12 @@ class TestMomentClosureAgainstTheLagLoop:
 
     def test_reweighing_error_factor_is_attained(self):
         # y times delta_1 against y times delta_{1 - eps}: the fibers lie 2 eps - eps^2 apart in the dual
-        # norm, all but eps^2 of the (sup + Lip) eps that the weighted disintegration carries
-        eps = 2.0**-10
-        mu_hat = Disintegration.product(TransitionMatrix([[1, 1], [1, 1]]), 1, AtomicMeasure.dirac(1.0))
-        mu_hat.err_bound = eps
-        phi = Observable.fiber(mu_hat.matrix, PiecewiseLinearFn.identity())
+        # norm, all but eps^2 of the (sup + Lip) eps that lag 0 charges for the reweighing.  phi is y over
+        # [0] and -y over [1], so its mean is 0 and it is its own centring; as ``later`` it reads the charge once
+        sys, eps = cantor_demo(), 2.0**-10
+        mu_hat = Disintegration.product(sys.matrix, 1, AtomicMeasure.dirac(1.0))
+        phi = Observable(sys.matrix, 1, [PiecewiseLinearFn.identity(), PiecewiseLinearFn([0.0, 1.0], [0.0, -1.0])],
+                         [0, 1])
+        lag0 = correlation_curve(sys, FixedPointResult(mu_hat, eps, 0, 0.0, 0.0, sys.alpha), phi, phi, 0)
         gap = wk_distance(AtomicMeasure.dirac(1.0), AtomicMeasure.dirac(1.0 - eps, 1.0 - eps))
-        assert gap == 2.0 * eps - eps**2 <= _weighted_disintegration(mu_hat, phi).err_bound
+        assert gap == 2.0 * eps - eps**2 <= lag0.err_bounds[0]

@@ -32,6 +32,7 @@ from skewfiber.skew import FiberMapSpec, SystemSpec  # noqa: E402
 from skewfiber.symbolic import BaseWeights, TransitionMatrix  # noqa: E402
 from skewfiber.transfer import (  # noqa: E402
     Disintegration,
+    FixedPointResult,
     change_between,
     fixed_point,
     lip_constant,
@@ -105,7 +106,6 @@ def runs(draw):
 
 
 def assert_same_fibers(dis, ref):
-    assert dis.err_bound == ref.err_bound
     got, want = dis.fibers, ref.fibers
     for word in dis.words():
         assert np.array_equal(got[word].positions, want[word].positions)
@@ -150,18 +150,22 @@ def observables(draw, matrix, max_depth):
 @st.composite
 def correlation_runs(draw):
     sys, dis, steps, grid = draw(runs())
+    # the table stands in for a fixed point; its certificate is the error the steps' snaps add up to
+    eps = 0.0
     for _ in range(steps):
-        dis, _ = quantize_disintegration(transfer_apply(sys, dis), grid)
+        dis, step = quantize_disintegration(transfer_apply(sys, dis), grid)
+        eps = sys.alpha * eps + step
+    fixed = FixedPointResult(dis, eps, steps, 0.0, step, sys.alpha)
     now, later = (draw(observables(sys.matrix, dis.depth)) for _ in range(2))
-    return sys, dis, now, later, draw(st.integers(1, 4)), draw(st.sampled_from([None, *GRIDS]))
+    return sys, fixed, now, later, draw(st.integers(1, 4)), draw(st.sampled_from([None, *GRIDS]))
 
 
 @SHARED
 @given(correlation_runs())
 def test_correlation_curve_matches_per_word_reference(run):
-    sys, mu0, now, later, nmax, grid = run
-    curve = correlation_curve(sys, mu0, now, later, nmax, grid=grid)
-    values, errs = correlation_curve_per_word(sys, mu0, now, later, nmax, grid)
+    sys, fixed, now, later, nmax, grid = run
+    curve = correlation_curve(sys, fixed, now, later, nmax, grid=grid)
+    values, errs = correlation_curve_per_word(sys, fixed, now, later, nmax, grid)
     assert np.array_equal(curve.values, values)
     assert np.array_equal(curve.err_bounds, errs)
 
@@ -171,14 +175,12 @@ def test_correlation_curve_matches_per_word_reference(run):
 def test_fixed_point_matches_per_word_iteration(sys, depth):
     res = fixed_point(sys, depth=depth, tol=1e-6, grid=512)
     mu, _ = quantize_per_word(Disintegration.product(sys.matrix, depth, AtomicMeasure.dirac(0.5)), 512)
-    mu.err_bound = 0.0
     for _ in range(res.iterations):
         nu, q_step = quantize_per_word(transfer_apply_per_word(sys, mu), 512)
         delta = change_between_per_word(nu, mu)
         mu = nu
     assert delta < 1e-6 and res.last_change == delta
     assert res.certified_error == (sys.alpha * delta + q_step) / (1.0 - sys.alpha)
-    mu.err_bound = res.certified_error
     assert_same_fibers(res.disintegration, mu)
     # a handful of rows carries every word
     assert res.disintegration.n_fibers < len(mu.words()) // 2

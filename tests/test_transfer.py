@@ -203,6 +203,33 @@ class TestTransferApply:
         with pytest.raises(ValueError, match="offset depth"):
             transfer_apply(coupled_demo(), product_dirac(coupled_demo(), 1))
 
+    def test_gather_past_the_atom_cap_is_refused_before_it_gathers(self, monkeypatch):
+        # the step's one gather of source atoms, counted; a cap of that many passes, one fewer raises
+        dis = random_disintegration(MARKOV3.matrix, 3, np.random.default_rng(8))
+        gather, gathered = skewfiber.transfer._gather, []
+
+        def counting(starts, rows):
+            out = gather(starts, rows)
+            if starts is dis.starts:
+                gathered.append(out[1].size)
+            return out
+
+        monkeypatch.setattr(skewfiber.transfer, "_gather", counting)
+        transfer_apply(MARKOV3, dis)
+        (n,) = gathered
+        monkeypatch.setattr(skewfiber.transfer, "MAX_ATOMS", n)
+        transfer_apply(MARKOV3, dis)
+        monkeypatch.setattr(skewfiber.transfer, "MAX_ATOMS", n - 1)
+        with pytest.raises(ValueError, match=f"would gather {n} atoms, above the cap of {n - 1}; lower /grid or "):
+            transfer_apply(MARKOV3, dis)
+        assert gathered == [n, n]
+
+    def test_atom_cap_leaves_the_pair_tables_alone(self, monkeypatch):
+        dis = random_disintegration(MARKOV3.matrix, 3, np.random.default_rng(9))
+        lip, change = lip_constant(dis, MARKOV3.theta), change_between(dis, dis)
+        monkeypatch.setattr(skewfiber.transfer, "MAX_ATOMS", 1)
+        assert lip_constant(dis, MARKOV3.theta) == lip and change_between(dis, dis) == change
+
 
 class TestWordSum:
     def test_one_step_matches_transfer(self):
@@ -499,8 +526,6 @@ class TestSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(11)
         dis = random_disintegration(CANTOR.matrix, 3, rng)
-        dis.err_bound = 1.5e-4
         back = disintegration_from_json(json.loads(json.dumps(dis.to_json_dict())))
         assert back.depth == dis.depth
-        assert back.err_bound == dis.err_bound
         assert change_between(back, dis) == 0.0
