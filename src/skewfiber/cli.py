@@ -348,7 +348,7 @@ def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
     directions = {key: _finite_list(block, key, pointer) for key in sorted(_STAB_KEYS[kind] - _STAB_COMMON)}
     delta_max = _positive(block, "delta_max", 0.2, pointer)
     try:
-        family = PerturbationFamily(system, kind, delta_max=delta_max, **directions)
+        family = PerturbationFamily(system, delta_max=delta_max, **directions)
     except ValueError as exc:
         raise ConfigError(pointer, str(exc)) from exc
     deltas = _finite_list(block, "deltas", pointer, [0.1, 0.01, 0.001, 0.0001])
@@ -560,13 +560,14 @@ def run_stability(config, out_dir):
     result = stability_sweep(stab.family, stab.realized, depth=stab.depth, tol=stab.tol, grid=stab.grid)
     _note_fixed_point(config, result.base_result, "base fixed point")
     for row in result.rows:
-        if not row.failed:
+        if row.result is not None:
             _note_fixed_point(config, row.result, f"fixed point at delta={row.delta!r}")
     rows = [(r.delta, r.r_delta, r.variation, r.ratio, r.err_bound, r.iterations) for r in result.rows]
     report.write_csv("stability.csv", "delta,R_delta,Delta,ratio,err_bound,iterations", rows)
     report.metric("ratio_bound", result.ratio_bound)
-    ok_rows = [row for row in result.rows if not row.failed]
-    report.check("all_deltas_converged", len(ok_rows) == len(result.rows))
+    ok_rows = [row for row in result.rows if row.result is not None]
+    report.check("all_deltas_converged", len(ok_rows) == len(result.rows),
+                 "; ".join(f"delta={r.delta!r}: {r.message}" for r in result.rows if r.result is None))
     variations = [row.variation for row in ok_rows]
     if len(variations) >= 2:
         report.check(
@@ -741,7 +742,7 @@ def run_verify(config, out_dir):
     margins = []
     for _ in range(5):
         dis = random_dis(signed=False)
-        margins.extend(row.margin for row in verify_ly(sys_, dis, nmax=5))
+        margins.extend(bound - lip for lip, bound in verify_ly(sys_, dis, nmax=5))
     report.check("lasota_yorke_margins", min(margins) >= -1e-8, f"min margin {min(margins)!r}")
 
     diff = AtomicMeasure([0.0, 1.0], [1.0, -1.0])

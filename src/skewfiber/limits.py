@@ -368,7 +368,6 @@ class VarianceResult:
     lags: np.ndarray
     lag_errors: np.ndarray
     solves: list
-    possible_coboundary: bool
 
 
 def _end_values(phi):
@@ -383,7 +382,7 @@ def asymptotic_variance(sys, phi, depth, nlags):
     """Mean, sigma^2 = C_0 + 2 sum_{n>=1} C_n and C_0..C_nlags of phi = p_w + q_w y, each with its float bound.
 
     With ``_Closure``'s u, r_0 and X: V = A[a] V + A[a] r_0 + A[b] (u + X), sigma^2 = m.(p~ (u + 2X) + q (r_0 + 2V)).
-    |sigma^2| within its bound flags a possible coboundary, and below minus it raises ``InconsistencyError``.
+    sigma^2 below minus its bound raises ``InconsistencyError``.
     """
     closure = _Closure(sys, depth)
     mean, pt, q = closure.centre(phi)
@@ -395,7 +394,7 @@ def asymptotic_variance(sys, phi, depth, nlags):
     if sigma2.x < -sigma2.e:
         raise InconsistencyError(f"sigma^2 = {sigma2.x:.3g} is below minus its float bound {sigma2.e:.3g}")
     return VarianceResult(mean.x, mean.e, sigma2.x, sigma2.e, np.array([c.x for c in lags]),
-                          np.array([c.e for c in lags]), closure.solves + [("V", *third)], abs(sigma2.x) <= sigma2.e)
+                          np.array([c.e for c in lags]), closure.solves + [("V", *third)])
 
 
 @dataclass
@@ -443,11 +442,12 @@ def clt_experiment(sys, phi, length, trials, seed, variance):
     the exact sigma^2 of ``variance`` (an ``asymptotic_variance`` result),
     and the run passes when the KS statistic stays below the 5% critical
     value 1.36/sqrt(trials) inflated by ``KS_SLACK`` for the distance of
-    finite-length sums from their limit.
+    finite-length sums from their limit.  A sigma^2 within its float bound of
+    zero, or not positive, flags a possible coboundary: ``CoboundaryError``.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials for a meaningful KS test")
-    if variance.possible_coboundary or variance.sigma2 <= 0.0:
+    if abs(variance.sigma2) <= variance.numeric_error or variance.sigma2 <= 0.0:
         raise CoboundaryError("coboundary regime, CLT statement vacuous")
     p, end = _end_values(phi)
     sums, block_trials, sample_s, sum_s = birkhoff_sums(sys, p, end - p, phi.depth, seed, trials, BURN_IN, length)

@@ -1,7 +1,7 @@
 """Admissible perturbation families and quantitative stability of fixed points.
 
-A family is a direction of change (fiber offsets, Bernoulli weights, or
-both) applied at magnitude delta to a base system; the alphabet, transition
+A family is the directions it moves (fiber offsets, Bernoulli weights, or
+both), applied at magnitude delta to a base system; the alphabet, transition
 matrix and metric parameter never change.  The admissibility budget R(delta)
 is measured, not assumed: it is the larger of the jacobian-weight
 discrepancy and the fiber-map supremum gap.  The sweep computes invariant
@@ -38,28 +38,24 @@ __all__ = [
     "stability_sweep",
 ]
 
-KINDS = ("fiber_shift", "base_weights", "combined")
-
-
 @dataclass
 class PerturbationFamily:
-    """Perturbation direction around a base system with validity radius delta_max."""
+    """The directions a family moves a base system (offsets, Bernoulli weights, or both) within delta_max."""
 
     base: SystemSpec
-    kind: str
     fiber_direction: np.ndarray | None = None
     weight_direction: np.ndarray | None = None
     delta_max: float = 0.2
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+        if self.fiber_direction is None and self.weight_direction is None:
+            raise ValueError("a family needs a fiber direction, a weight direction, or both")
         n = self.base.n_symbols
-        if self.kind in ("fiber_shift", "combined"):
+        if self.fiber_direction is not None:
             self.fiber_direction = np.asarray(self.fiber_direction, dtype=float)
             if self.fiber_direction.shape != (n,):
                 raise ValueError("fiber direction needs one offset change per symbol")
-        if self.kind in ("base_weights", "combined"):
+        if self.weight_direction is not None:
             if not self.base.weights.is_bernoulli:
                 raise ValueError("base-weight perturbations require Bernoulli weights")
             self.weight_direction = np.asarray(self.weight_direction, dtype=float)
@@ -86,13 +82,13 @@ def realize(fam, delta):
         return fam.base
     base = fam.base
     maps = base.fiber_maps
-    if fam.kind in ("fiber_shift", "combined"):
+    if fam.fiber_direction is not None:
         maps = [
             FiberMapSpec(fm.slope, fm.offset + delta * shift, fm.offset_table)
             for fm, shift in zip(maps, fam.fiber_direction)
         ]
     weights = base.weights
-    if fam.kind in ("base_weights", "combined"):
+    if fam.weight_direction is not None:
         weights = BaseWeights.bernoulli(weights.stationary + delta * fam.weight_direction)
     return SystemSpec(base.matrix, base.theta, weights, maps, base.offset_depth)
 
@@ -152,8 +148,7 @@ class StabilityRow:
     err_bound: float
     iterations: int
     system: SystemSpec = field(repr=False)  # the realized system at delta
-    failed: bool = False
-    message: str = ""
+    message: str = ""  # set exactly when result is None: why the fixed point failed
     result: FixedPointResult | None = field(default=None, repr=False)
 
 
@@ -195,9 +190,9 @@ def stability_sweep(fam, realized, depth, tol, grid):
     realized system, the measured variation Delta(delta) = ||mu_delta - mu_0||_inf,
     R(delta), the ratio Delta / (R |log delta|), and the sum of the two
     fixed-point certificates.  A converged row keeps its fixed point for
-    later checks; a fixed point that does not converge flags its row and the
-    sweep continues, and any other error (such as ``transfer_apply``'s atom
-    cap) stops the sweep.
+    later checks; a row whose fixed point does not converge keeps no result,
+    only the message, and the sweep continues.  Any other error (such as
+    ``transfer_apply``'s atom cap) stops the sweep.
     """
     deltas, systems, budgets = realized
     base_res = fixed_point(fam.base, depth=depth, tol=tol, grid=grid)
@@ -206,14 +201,13 @@ def stability_sweep(fam, realized, depth, tol, grid):
         try:
             res = fixed_point(sys_d, depth=depth, tol=tol, grid=grid)
         except ConvergenceError as exc:
-            rows.append(StabilityRow(delta, r_delta, math.nan, math.nan, math.nan, 0, sys_d,
-                                     failed=True, message=str(exc)))
+            rows.append(StabilityRow(delta, r_delta, math.nan, math.nan, math.nan, 0, sys_d, message=str(exc)))
             continue
         variation = change_between(res.disintegration, base_res.disintegration)
         ratio = variation / (r_delta * abs(math.log(delta)))
         err = res.certified_error + base_res.certified_error
         rows.append(StabilityRow(delta, r_delta, variation, ratio, err, res.iterations, sys_d,
                                  result=res))
-    good = [row.ratio for row in rows if not row.failed]
+    good = [row.ratio for row in rows if row.result is not None]
     bound = max(good) if good else math.nan
     return SweepResult(rows=rows, ratio_bound=bound, base_result=base_res)

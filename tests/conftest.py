@@ -1,4 +1,7 @@
-"""Shared builders for randomized disintegration tests."""
+"""Shared builders for randomized disintegration tests, and ``tools/identity.py`` loaded as ``identity``."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -7,6 +10,10 @@ from skewfiber.measures import AtomicMeasure
 from skewfiber.skew import FiberMapSpec, SystemSpec
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector
 from skewfiber.transfer import Disintegration
+
+_SPEC = importlib.util.spec_from_file_location("identity", Path(__file__).parents[1] / "tools" / "identity.py")
+identity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(identity)
 
 # 3-symbol SFT that is not the full shift, with a Markov base and offset depth 3
 MARKOV3 = SystemSpec(

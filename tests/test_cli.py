@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import identity
 import skewfiber.cli
 import skewfiber.stability
 import skewfiber.transfer
@@ -27,10 +28,10 @@ CANTOR_SMALL = Path(__file__).parents[1] / "bench" / "configs" / "cantor_small.j
 # the configs whose seed-3 reports are pinned, by name
 PINNED = {"cantor_small": CANTOR_SMALL, "markov3_small": CANTOR_SMALL.parent / "markov3_small.json",
           "coupled_demo": BUNDLED_COUPLED}
+IDENTITY_CONFIGS = identity.configs()
 # weight-family stability blocks for the cantor_small system
 WEIGHT_FAMILIES = {
-    "combined": {"kind": "combined", "fiber_direction": [0, -1], "weight_direction": [1, -1],
-                 "depth": 2, "grid": 4096, "tol": 1e-7},
+    "combined": IDENTITY_CONFIGS["combined"]["stability"],
     "base_weights": {"kind": "base_weights", "weight_direction": [1, -1], "depth": 2, "grid": 4096, "tol": 1e-7},
 }
 
@@ -63,30 +64,6 @@ def small_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
-
-
-def components_config():
-    """markov3_small with a components psi, interior breakpoints on two symbols, and a depth-2 base_only phi."""
-    cfg = json.loads(PINNED["markov3_small"].read_text())
-    cfg["correlations"]["psi"] = {"type": "components", "depth": 1, "components": {
-        "0": {"breakpoints": [0, 0.3, 1], "values": [0, 1, 0.5]},
-        "1": {"breakpoints": [0, 0.5, 0.8, 1], "values": [1, -1, 0, 2]},
-        "2": {"breakpoints": [0, 1], "values": [0.2, 0.7]}}}
-    cfg["correlations"]["phi"] = {"type": "base_only", "depth": 2, "values": {
-        "00": 1, "01": 0, "10": -0.5, "12": 1, "20": 0, "21": 1, "22": -0.5}}
-    return cfg
-
-
-def cycle_chord_system(n, offset_depth):
-    """The n-symbol cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1: n + d - 1 words at depth d."""
-    matrix = [[int(j == (i + 1) % n or (i, j) == (n - 1, 1)) for j in range(n)] for i in range(n)]
-    return {
-        "matrix": matrix,
-        "theta": 0.5,
-        "weights": {"kind": "markov", "transition": [[v / sum(row) for v in row] for row in matrix]},
-        "fiber_maps": [{"slope": 0.5, "offset": 0.25}] * n,
-        "offset_depth": offset_depth,
-    }
 
 
 def parse_certificate(text):
@@ -606,6 +583,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: a transfer step at depth ") and err.count("\n") == 1
 
+    def test_a_delta_without_a_fixed_point_says_why(self, tmp_path, capsys, monkeypatch):
+        # the first delta's solve fails: the sweep goes on, and the failed check names that delta and the reason
+        solve = skewfiber.stability.fixed_point
+
+        def fail_first_delta(sys_d, **kwargs):
+            if sys_d.fiber_maps[1].offset == pytest.approx(2 / 3 - 0.1):
+                raise ConvergenceError("no fixed point within 130 iterations (last change 1)")
+            return solve(sys_d, **kwargs)
+
+        monkeypatch.setattr(skewfiber.stability, "fixed_point", fail_first_delta)
+        out = tmp_path / "s"
+        assert main(["stability", "--config", str(CANTOR_SMALL), "--out", str(out)]) == 1
+        detail = "delta=0.1: no fixed point within 130 iterations (last change 1)"
+        assert f"[FAIL] stability: all_deltas_converged ({detail})\n" in capsys.readouterr().out
+        verdicts = {v["name"]: v for v in json.loads((out / "summary.json").read_text())["verdicts"]}
+        assert verdicts["all_deltas_converged"] == {"name": "all_deltas_converged", "passed": False, "detail": detail}
+
     def test_inconsistent_variance_is_bound_failure(self, config_path, tmp_path, monkeypatch):
         def inconsistent(*args, **kwargs):
             raise InconsistencyError("sigma^2 below minus its float bound")
@@ -749,7 +743,7 @@ class TestArtifacts:
 
     def test_sparse_alphabet_runs_at_deep_offsets(self, config_path, tmp_path):
         # 64 symbols and 68 words at depth 5: the branch and observable tables hold one entry per word
-        system = cycle_chord_system(64, 5)
+        system = IDENTITY_CONFIGS["cycle64"]["system"]
         words = parse_config(config_path({"system": system, "depth": 5})).system.matrix.words(5)
         assert len(words) == 68
         psi = {"type": "base_only", "depth": 5, "values": {",".join(map(str, w)): float(w[0] == 0) for w in words}}
@@ -774,7 +768,7 @@ class TestArtifacts:
         )
         src = str(Path(skewfiber.cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        cfg = config_path({"system": cycle_chord_system(64, 4), "depth": 4})
+        cfg = config_path({"system": identity.cycle_chord_system(64, 4), "depth": 4})
         done = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
                               capture_output=True, text=True, env=env, check=True)
         code, peak_kib = map(int, done.stdout.splitlines()[-1].split())
@@ -903,7 +897,7 @@ class TestArtifacts:
             "correlations.csv": "0c51b47a1fc0b58cb1db569737d29aab606678416f795a2310c6548181d6edce",
             "gordin.csv": "dbbe4767cd20768a5306a2c0da758557db2b26aeee8e23d7823f4a8d4db236e4",
             "summary.json": "be9d7715169a521c24648b8e1307e037aeb725afde1913e2f274b715a6e004a4"}
-        assert report_hashes(config_path(components_config()), "correlations", expected, tmp_path) == expected
+        assert report_hashes(config_path(IDENTITY_CONFIGS["components"]), "correlations", expected, tmp_path) == expected
 
     def test_csv_cells_parse_as_numbers(self, tmp_path):
         out = tmp_path / "corr"

@@ -1,16 +1,12 @@
 """Tests of ``tools/identity.py``'s run matrix, configs and report, with no CLI process."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
+from conftest import identity
 from skewfiber.cli import parse_config
 
-_SPEC = importlib.util.spec_from_file_location("identity", Path(__file__).parents[1] / "tools" / "identity.py")
-identity = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(identity)
 CONFIGS = identity.configs()
 
 

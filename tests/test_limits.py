@@ -402,7 +402,7 @@ class TestAsymptoticVariance:
         assert 0.0 < var.numeric_error <= 1e-12
         assert abs(var.sigma2 - 0.25) <= var.numeric_error
         assert abs(var.mean - 0.5) <= var.mean_error
-        assert not var.possible_coboundary
+        assert not abs(var.sigma2) <= var.numeric_error
         assert [name for name, _, _ in var.solves] == ["M1", "M2", "V"]
 
     def test_sigma2_does_not_depend_on_the_lag_count(self):
@@ -416,7 +416,7 @@ class TestAsymptoticVariance:
         const = Observable.base_only(CANTOR.matrix, 1, {(0,): 2.0, (1,): 2.0})
         var = asymptotic_variance(CANTOR, const, 4, 5)
         assert var.sigma2 == pytest.approx(0.0, abs=1e-12)
-        assert var.possible_coboundary
+        assert abs(var.sigma2) <= var.numeric_error
 
     def test_telescoping_coboundary_flagged(self):
         # phi = u o F - u for base-only depth-1 u: variance telescopes to zero
@@ -427,7 +427,6 @@ class TestAsymptoticVariance:
         phi = Observable.base_only(CANTOR.matrix, 2, vals)
         var = asymptotic_variance(CANTOR, phi, 4, 20)
         assert abs(var.sigma2) <= var.numeric_error
-        assert var.possible_coboundary
 
     def test_centering_invariance(self):
         phi = height_obs()
@@ -596,7 +595,7 @@ class TestCLT:
         symbols, ys = sample_orbits(sys, 4, length, trials, burn_in=limits.BURN_IN, window=phi.depth)
         want = (observable_sums(phi, symbols, ys) - length * mean) / math.sqrt(length)
         variance = VarianceResult(mean=mean, mean_error=0.0, sigma2=1.0, numeric_error=0.0, lags=None, lag_errors=None,
-                                  solves=[], possible_coboundary=False)
+                                  solves=[])
         cells = limits.BURN_IN + length + max(phi.depth, sys.offset_depth) - 1
         monkeypatch.setattr(skew, "FIBER_CELLS", fiber_cells)
         for per_block in (trials, 7, 1):

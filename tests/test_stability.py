@@ -34,13 +34,13 @@ CANTOR = cantor_demo()
 
 def shift_family(delta_max=0.2):
     return PerturbationFamily(
-        CANTOR, "fiber_shift", fiber_direction=[0.0, -1.0], delta_max=delta_max
+        CANTOR, fiber_direction=[0.0, -1.0], delta_max=delta_max
     )
 
 
 def weight_family(delta_max=0.2):
     return PerturbationFamily(
-        CANTOR, "base_weights", weight_direction=[1.0, -1.0], delta_max=delta_max
+        CANTOR, weight_direction=[1.0, -1.0], delta_max=delta_max
     )
 
 
@@ -77,18 +77,29 @@ class TestRealize:
 
     def test_range_violation_propagates(self):
         fam = PerturbationFamily(
-            CANTOR, "fiber_shift", fiber_direction=[-1.0, 0.0], delta_max=0.9
+            CANTOR, fiber_direction=[-1.0, 0.0], delta_max=0.9
         )
         with pytest.raises(ValueError, match="unit interval"):
             realize(fam, 0.5)
 
+    def test_both_directions_move_both(self):
+        fam = PerturbationFamily(CANTOR, fiber_direction=[0.0, -1.0], weight_direction=[1.0, -1.0])
+        sys = realize(fam, 0.1)
+        assert [fm.offset for fm in sys.fiber_maps] == [0.0 + 0.1 * 0.0, 2 / 3 + 0.1 * -1.0]
+        assert sys.weights.stationary.tolist() == pytest.approx([0.6, 0.4])
+
+    def test_family_needs_a_direction(self):
+        with pytest.raises(ValueError, match="direction"):
+            PerturbationFamily(CANTOR)
+
     def test_weight_family_needs_bernoulli_base(self):
-        with pytest.raises(ValueError, match="Bernoulli"):
-            PerturbationFamily(markov_demo(), "base_weights", weight_direction=[1.0, -1.0])
+        for fiber_direction in (None, [0.0, -1.0]):
+            with pytest.raises(ValueError, match="Bernoulli"):
+                PerturbationFamily(markov_demo(), fiber_direction, weight_direction=[1.0, -1.0])
 
     def test_weight_direction_must_balance(self):
         with pytest.raises(ValueError, match="sum to zero"):
-            PerturbationFamily(CANTOR, "base_weights", weight_direction=[1.0, 0.0])
+            PerturbationFamily(CANTOR, weight_direction=[1.0, 0.0])
 
 
 class TestAdmissibility:
@@ -118,7 +129,7 @@ class TestAdmissibility:
 
     def test_a1_rate_is_exact_base_rate(self):
         # oracle: markov_demo's chain has eigenvalues 1 and 0.4
-        fam = PerturbationFamily(markov_demo(), "fiber_shift", fiber_direction=[0.0, -1.0])
+        fam = PerturbationFamily(markov_demo(), fiber_direction=[0.0, -1.0])
         report = admissibility_report(fam, [0.05, 0.01])
         assert report.a1_rate == pytest.approx(0.4, abs=1e-12)
 
@@ -135,8 +146,8 @@ class TestAdmissibility:
     @pytest.mark.parametrize("fam", [
         shift_family(),
         weight_family(),
-        PerturbationFamily(CANTOR, "combined", fiber_direction=[0.0, -1.0], weight_direction=[1.0, -1.0]),
-        PerturbationFamily(markov_demo(), "fiber_shift", fiber_direction=[0.3, -1.0]),
+        PerturbationFamily(CANTOR, fiber_direction=[0.0, -1.0], weight_direction=[1.0, -1.0]),
+        PerturbationFamily(markov_demo(), fiber_direction=[0.3, -1.0]),
     ], ids=["fiber_shift", "base_weights", "combined", "markov_fiber_shift"])
     def test_budget_is_an_upper_estimate_of_the_exact_gap(self, fam):
         deltas = [0.1, 0.0123, 0.01, 1e-3, 1e-4, 1e-7]
@@ -185,7 +196,7 @@ class TestOperatorGaps:
             "coupled": (coupled_demo(), [0.0, -1.0]),
             "markov3": (MARKOV3, [0.5, 0.0, -1.0]),
         }[name]
-        sys_d = realize(PerturbationFamily(base, "fiber_shift", fiber_direction=direction), delta)
+        sys_d = realize(PerturbationFamily(base, fiber_direction=direction), delta)
         dis = fixed_point(base, depth=base.offset_depth + 1, tol=1e-6, grid=512).disintegration
         per_word = max(
             wk_distance(pushforward(mu, branch_map(base, w)), pushforward(mu, branch_map(sys_d, w)))
@@ -220,10 +231,10 @@ class TestSweep:
         result = stability_sweep(fam, realize_grid(fam, [0.1, 0.01]), depth=2, tol=1e-6, grid=8192)
         variations = [row.variation for row in result.rows]
         assert variations[1] < variations[0]
-        assert all(not row.failed for row in result.rows)
+        assert all(row.result is not None for row in result.rows)
         assert math.isfinite(result.ratio_bound)
 
-    def test_failed_delta_is_flagged_and_sweep_continues(self, monkeypatch):
+    def test_failed_delta_keeps_no_result_and_sweep_continues(self, monkeypatch):
         import skewfiber.stability as stability_module
         from skewfiber.transfer import ConvergenceError
 
@@ -237,8 +248,9 @@ class TestSweep:
         monkeypatch.setattr(stability_module, "fixed_point", flaky)
         fam = shift_family()
         result = stability_sweep(fam, realize_grid(fam, [0.1, 0.01]), depth=2, tol=1e-6, grid=512)
-        assert [row.failed for row in result.rows] == [True, False]
-        assert "no fixed point" in result.rows[0].message
+        assert [row.result is None for row in result.rows] == [True, False]
+        assert result.rows[0].message == "no fixed point within 3 iterations"
+        assert result.rows[1].message == ""
         assert math.isfinite(result.rows[1].ratio)
 
     def test_r_delta_matches_admissibility_report(self):

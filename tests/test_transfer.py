@@ -407,7 +407,7 @@ class TestVerifyLY:
         for _ in range(3):
             dis = random_disintegration(sys.matrix, 3, rng, n_atoms=2, signed=False)
             rows = verify_ly(sys, dis, nmax=6)
-            assert min(row.margin for row in rows) >= -1e-8
+            assert min(bound - lip for lip, bound in rows) >= -1e-8
 
     def test_product_input_reduces_to_constant_bound(self):
         from skewfiber.skew import c1_constant
@@ -415,7 +415,7 @@ class TestVerifyLY:
         dis = product_dirac(CANTOR, 3, x=0.25)
         rows = verify_ly(CANTOR, dis, nmax=4)
         expected = c1_constant(CANTOR) / (1.0 - CANTOR.theta) * norm_inf(dis)
-        assert all(row.bound == pytest.approx(expected, rel=1e-12) for row in rows)
+        assert all(bound == pytest.approx(expected, rel=1e-12) for _, bound in rows)
 
     def test_rejects_signed_input(self):
         rng = np.random.default_rng(9)

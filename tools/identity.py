@@ -43,13 +43,21 @@ CONFIGS = {
 SUBCOMMANDS = ("verify", "fixed-point", "spectral", "stability", "correlations", "clt")
 
 
+def cycle_chord_system(n, offset_depth):
+    """The n-symbol cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1: n + d - 1 words at depth d."""
+    matrix = [[int(j == (i + 1) % n or (i, j) == (n - 1, 1)) for j in range(n)] for i in range(n)]
+    return {
+        "matrix": matrix,
+        "theta": 0.5,
+        "weights": {"kind": "markov", "transition": [[v / sum(row) for v in row] for row in matrix]},
+        "fiber_maps": [{"slope": 0.5, "offset": 0.25}] * n,
+        "offset_depth": offset_depth,
+    }
+
+
 def configs():
     """Every config of the matrix by name: the five shipped ones, and five built from them."""
-    n = 64
-    m = [[int(j == (i + 1) % n or (i, j) == (n - 1, 1)) for j in range(n)] for i in range(n)]
-    cycle64 = {"system": {"matrix": m, "theta": 0.5,
-                          "weights": {"kind": "markov", "transition": [[v / sum(r) for v in r] for r in m]},
-                          "fiber_maps": [{"slope": 0.5, "offset": 0.25}] * n, "offset_depth": 5}, "depth": 5}
+    cycle64 = {"system": cycle_chord_system(64, 5), "depth": 5}
     coupled12 = json.loads(CONFIGS["coupled_demo"].read_text())
     coupled12["depth"] = 12
     combined = json.loads(CONFIGS["cantor_small"].read_text())
