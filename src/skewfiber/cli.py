@@ -100,8 +100,8 @@ _OBS_KEYS = {"fiber": {"type", "breakpoints", "values"}, "base_only": {"type", "
              "components": {"type", "depth", "components"}}
 
 
-# the most admissible words a working depth may give; it bounds the per-word Python
-# loops and pair_lipschitz's |class| x n distance blocks (at most n^2/4 floats)
+# the most admissible words a working depth may give; it bounds the per-word loops and what a pair_lipschitz pass
+# holds, one |class| x n distance block and one gap row (c1_constant peaks at 0.8 MiB with 4059 branches at the cap)
 MAX_WORDS = 4096
 # the most lags after lag 0 (each one CSV row and one transfer or closure step), and the most
 # CLT trials: one float each in the Birkhoff sums, at most one sampling block's cells
@@ -390,6 +390,8 @@ def parse_config(path):
         raise ConfigError("/", f"config file {path} does not exist")
     try:
         raw = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError("/", f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("/", f"not valid JSON: {exc}") from exc
     _reject_unknown(raw, _TOP_KEYS, "")
@@ -429,7 +431,10 @@ class Report:
         self.experiment = experiment
         self.config = config
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot write reports to {out_dir}: {exc.strerror}") from exc
         self.verdicts = []
         self.artifacts = []
         self.metrics = {}

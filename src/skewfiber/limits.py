@@ -69,8 +69,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 1 << 15
-# CLT experiment: inflation of the KS critical value for finite-length sums,
-# the smallest trial count worth a KS test, and the fiber burn-in per orbit
+# CLT experiment: the slack setting the KS level, not a finite-length allowance (1.36 x 1.3 = 1.768 is the asymptotic
+# critical value at level 2 exp(-2 1.768^2) ~ 0.39%), the fewest trials worth a KS test, the fiber burn-in per orbit
 KS_SLACK = 1.3
 MIN_TRIALS = 100
 BURN_IN = 40
@@ -440,9 +440,9 @@ def clt_experiment(sys, phi, length, trials, seed, variance):
     before any draw.  The sums S_n, centred by n times the exact mean, are
     normalized by sqrt(n) and compared against the centred normal law with
     the exact sigma^2 of ``variance`` (an ``asymptotic_variance`` result),
-    and the run passes when the KS statistic stays below the 5% critical
-    value 1.36/sqrt(trials) inflated by ``KS_SLACK`` for the distance of
-    finite-length sums from their limit.  A sigma^2 within its float bound of
+    and the run passes when the KS statistic stays below 1.36/sqrt(trials)
+    times ``KS_SLACK``, 1.768/sqrt(trials): the asymptotic Kolmogorov critical
+    value at level 2 exp(-2 1.768^2) ~ 0.39%.  A sigma^2 within its float bound of
     zero, or not positive, flags a possible coboundary: ``CoboundaryError``.
     """
     if trials < MIN_TRIALS:

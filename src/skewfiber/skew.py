@@ -41,6 +41,7 @@ __all__ = [
     "FiberMapSpec",
     "SystemSpec",
     "verify_G1",
+    "affine_gap",
     "estimate_H",
     "c1_constant",
     "orbit_stream",
@@ -150,19 +151,23 @@ def verify_G1(sys):
     return alpha
 
 
+def affine_gap(da, db):
+    """Sup over y in [0, 1] of |da y + db|, elementwise: an affine function peaks at y = 0 or y = 1."""
+    return np.maximum(np.abs(db), np.abs(da + db))
+
+
 def estimate_H(sys):
     """Lipschitz constant of the fiber map in the base coordinate.
 
     Maximizes |G(u, y) - G(v, y)| / d_theta(u, v) over pairs of admissible
-    depth-d words and y in [0, 1].  The difference of two affine branches is
-    affine in y, so its supremum is max(|db|, |da + db|), taken at y = 0 or
-    y = 1.
+    depth-d words and y in [0, 1]: one ``pair_lipschitz`` pass over the
+    distinct branches, whose gap row a is the ``affine_gap`` of branch a
+    against each later branch.
     """
-    d = sys.offset_depth
     branches, labels = np.unique(np.column_stack(sys.branches), axis=0, return_inverse=True)
     a, b = branches.T
-    da, db = a[:, None] - a[None, :], b[:, None] - b[None, :]
-    return pair_lipschitz(sys.matrix, d, sys.theta, labels.ravel(), np.maximum(np.abs(db), np.abs(da + db)))
+    return pair_lipschitz(sys.matrix, sys.offset_depth, sys.theta, labels.ravel(),
+                          lambda i: affine_gap(a[i] - a[i + 1 :], b[i] - b[i + 1 :]))
 
 
 def c1_constant(sys):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import round_up
-from .skew import FiberMapSpec, SystemSpec
+from .skew import FiberMapSpec, SystemSpec, affine_gap
 from .symbolic import BaseWeights
 from .transfer import (
     ConvergenceError,
@@ -100,10 +100,8 @@ def _jacobian_gap(sys0, sys_d):
 
 
 def _fiber_gap(sys0, sys_d):
-    # an affine gap in y peaks at an endpoint of [0, 1]
     (a0, b0), (ad, bd) = sys0.branches, sys_d.branches
-    da, db = a0 - ad, b0 - bd
-    return float(np.maximum(np.abs(db), np.abs(da + db)).max())
+    return float(affine_gap(a0 - ad, b0 - bd).max())
 
 
 def _budget(sys0, sys_d):

@@ -284,21 +284,22 @@ def _distances(rows, cols, theta):
     return dist
 
 
-def pair_lipschitz(matrix, depth, theta, labels, gap):
-    """Largest gap[a, b] / d(w1, w2) over admissible words w1 of class a and w2 of class b > a.
+def pair_lipschitz(matrix, depth, theta, labels, gaps):
+    """Largest gap(a, b) / d(w1, w2) over admissible words w1 of class a and w2 of class b > a.
 
-    ``labels`` puts the words, in order, in dense classes 0..k-1; ``gap`` is a symmetric
-    k x k table of gaps >= 0.  As the rounded x / d never rises with d for x >= 0, a class
-    pair's maximum is its gap over its nearest words' distance, bit for bit.  No n x n table.
+    ``labels`` puts the words, in order, in dense classes 0..k-1; ``gaps(a)`` returns class
+    a's gaps >= 0 to classes a+1..k-1, one row at a time.  As the rounded x / d never rises
+    with d for x >= 0, a class pair's maximum is its gap over its nearest words' distance,
+    bit for bit.  The pass holds one class's |class| x n distance block and one gap row.
     """
     theta = check_theta(theta)
     order = np.argsort(labels, kind="stable")
-    words, cuts = matrix.word_array(depth)[order], np.searchsorted(labels[order], np.arange(len(gap)))
+    words, cuts = matrix.word_array(depth)[order], np.searchsorted(labels[order], np.arange(labels.max() + 1))
     best = 0.0
-    for a in range(len(gap) - 1):
+    for a in range(len(cuts) - 1):
         dist = _distances(words[cuts[a] : cuts[a + 1]], words[cuts[a + 1] :], theta)
         nearest = np.minimum.reduceat(dist.min(axis=0), cuts[a + 1 :] - cuts[a + 1])
-        best = max(best, float((gap[a, a + 1 :] / nearest).max()))
+        best = max(best, float((gaps(a) / nearest).max()))
     return best
 
 
@@ -343,7 +344,7 @@ class CylinderFunction:
     def lipschitz(self, theta):
         """Largest |f(w1)-f(w2)| / base distance over admissible word pairs."""
         u, labels = np.unique(self.values, return_inverse=True)
-        return pair_lipschitz(self.matrix, self.depth, theta, labels, np.abs(u[:, None] - u[None, :]))
+        return pair_lipschitz(self.matrix, self.depth, theta, labels, lambda a: np.abs(u[a] - u[a + 1 :]))
 
     def norm_theta(self, theta):
         return self.sup_norm() + self.lipschitz(theta)

@@ -213,14 +213,11 @@ def lip_constant(dis, theta):
     words, so the value is exact for this representation and an upper bound
     for the infimum over all equivalent disintegrations.  It is one
     ``symbolic.pair_lipschitz`` pass whose classes are the distinct fibers.
-    Fiber a's gaps are one ``_pair_norms`` table, fiber a against each later fiber.
+    Fiber a's gap row is one ``_pair_norms`` table, fiber a against each later fiber.
     """
     n = dis.n_fibers
-    gap = np.zeros((n, n))
-    for a in range(n - 1):
-        later = np.arange(a + 1, n)
-        gap[a, a + 1 :] = _pair_norms(dis, np.full(later.size, a), dis, later)
-    return pair_lipschitz(dis.matrix, dis.depth, theta, dis.word_fiber, gap)
+    return pair_lipschitz(dis.matrix, dis.depth, theta, dis.word_fiber,
+                          lambda a: _pair_norms(dis, np.full(n - a - 1, a), dis, np.arange(a + 1, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +330,7 @@ class FixedPointResult:
         return self.alpha * self.last_change / (1.0 - self.alpha), self.q_step / (1.0 - self.alpha)
 
 
-def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
+def fixed_point(sys, depth, tol=1e-6, grid=512):
     """Invariant disintegration by damped iteration with certified error.
 
     Iterates transfer then grid quantization from the product of the base
@@ -348,18 +345,12 @@ def fixed_point(sys, depth, tol=1e-6, grid=512, init=None):
     measured atom by atom and rounded up (``quantize_disintegration``), not
     its worst case.  The result keeps q and alpha, and
     ``certificate_parts`` splits the certificate into its contraction and
-    quantization parts.  The second initialization used in the test-suite
-    uniqueness probe is a uniform measure on the grid.
+    quantization parts.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     alpha = sys.alpha
-    if init is None:
-        init = Disintegration.product(sys.matrix, depth, AtomicMeasure.dirac(0.5))
-    masses = init.fiber_masses()
-    if np.abs(masses - 1.0).max() > 1e-9:
-        raise ValueError("fixed point iteration expects unit fiber masses")
-    mu, _ = quantize_disintegration(init, grid)
+    mu, _ = quantize_disintegration(Disintegration.product(sys.matrix, depth, AtomicMeasure.dirac(0.5)), grid)
     max_iter = 10 * max(1, math.ceil(math.log(tol) / math.log(alpha))) if alpha > 0 else 10
     for iteration in range(1, max_iter + 1):
         nu = transfer_apply(sys, mu)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from oracles import word_index
+from skewfiber.cli import _parse_system
 from skewfiber.measures import AtomicMeasure
 from skewfiber.skew import FiberMapSpec, SystemSpec
 from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector
@@ -27,6 +28,11 @@ MARKOV3 = SystemSpec(
     ],
     offset_depth=3,
 )
+
+
+def wide_system(offset_depth):
+    """``identity.wide_system`` as a SystemSpec: the full 2-shift with 2^offset_depth offset words."""
+    return _parse_system(identity.wide_system(offset_depth))
 
 
 def random_fiber(rng, n_atoms=3, signed=True, total=None):

@@ -552,6 +552,28 @@ class TestExitCodes:
         assert err.startswith(f"config error: {pointer}: verify's exact steps at depth 2 ")
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(skewfiber.cli.RUNNERS))
+    @pytest.mark.parametrize("config,out,message,reason", [
+        ("a_directory", "out", "config error: /: cannot read config file ", "Is a directory"),
+        ("config.json", "taken", "error: cannot write reports to ", "File exists"),
+        ("config.json", "taken/sub", "error: cannot write reports to ", "Not a directory"),
+    ], ids=["config-is-a-directory", "out-is-a-file", "out-under-a-file"])
+    def test_unusable_path_is_usage_error_before_any_compute(
+        self, command, config, out, message, reason, config_path, tmp_path, capsys, monkeypatch
+    ):
+        config_path(small_config())
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "taken").write_text("kept\n")
+        solves = []
+        for module in (skewfiber.cli, skewfiber.stability):
+            monkeypatch.setattr(module, "fixed_point", lambda *args, **kwargs: solves.append(args))
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(tmp_path / config), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.endswith(f": {reason}\n") and err.count("\n") == 1
+        assert solves == [] and sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
     def test_no_convergence_is_an_error_without_traceback(self, config_path, tmp_path, capsys, monkeypatch):
         def diverging(*args, **kwargs):
             raise ConvergenceError("no fixed point within 130 iterations (last change 1)")

@@ -10,9 +10,9 @@ from skewfiber.cli import parse_config
 CONFIGS = identity.configs()
 
 
-def test_matrix_has_172_distinct_runs():
+def test_matrix_has_173_distinct_runs():
     runs = identity.matrix()
-    assert len(runs) == len(set(runs)) == 172
+    assert len(runs) == len(set(runs)) == 173
     assert {name for name, _, _ in runs} == set(CONFIGS)
 
 

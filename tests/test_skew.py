@@ -1,9 +1,11 @@
 """Tests for the skew product layer: hypotheses, constants, orbit sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import MARKOV3
+from conftest import MARKOV3, wide_system
 from oracles import branch_map, sample_orbits, sample_orbits_per_trial, word_distances
 from skewfiber import skew
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
@@ -90,9 +92,11 @@ class TestEstimateH:
             dense = np.abs((ta.a - tb.a) * ys + (ta.b - tb.b)).max()
             assert estimate_H(sys) == dense / word_distances(FULL2, 1, sys.theta)[0, 1]
 
-    @pytest.mark.parametrize("sys", [coupled_demo(), MARKOV3])
-    def test_matches_pairwise_branch_loop(self, sys):
+    @pytest.mark.parametrize("sys,classes", [(coupled_demo(), 4), (MARKOV3, 7), (wide_system(5), 32)],
+                             ids=["coupled", "markov3", "wide5"])
+    def test_matches_pairwise_branch_loop(self, sys, classes):
         # oracle: the supremum over y of |G(u, y) - G(v, y)| / d(u, v), pair by pair
+        assert len(np.unique(np.column_stack(sys.branches), axis=0)) == classes
         words = sys.matrix.words(sys.offset_depth)
         dist = word_distances(sys.matrix, sys.offset_depth, sys.theta)
         best = 0.0
@@ -133,6 +137,18 @@ class TestC1Constant:
 
     def test_markov_weights_at_least_two(self):
         assert c1_constant(markov_demo()) >= 2.0
+
+    def test_memory_is_linear_in_the_branches(self):
+        # 4096 offset words, the MAX_WORDS cap, and 4059 distinct branches: one k x k table is 126 MiB
+        sys = wide_system(12)
+        assert np.unique(np.column_stack(sys.branches), axis=0).shape[0] == 4059
+        tracemalloc.start()
+        try:
+            c1_constant(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestOrbits:

@@ -384,3 +384,15 @@ class TestCylinderFunctionNorm:
         # words differing only at index 1 sit at distance theta
         f = CylinderFunction(FULL2, 2, [0.0, 1.0, 0.0, 0.0])
         assert f.lipschitz(0.5) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("matrix,depth", [(FULL2, 7), (GOLDEN, 8), (MARKOV3.matrix, 5)],
+                             ids=["full2", "golden", "markov3"])
+    def test_many_valued_lipschitz_matches_dense_pairwise_loop(self, matrix, depth):
+        # dozens of distinct values, some shared by several words, against every word pair of the n x n table
+        rng = np.random.default_rng(12)
+        n = matrix.word_count(depth)
+        values = rng.choice(rng.normal(size=n // 2), n)
+        dist = word_distances(matrix, depth, 0.4)
+        best = max(abs(values[i] - values[j]) / dist[i, j] for i in range(n) for j in range(i + 1, n))
+        assert len(np.unique(values)) >= 20
+        assert CylinderFunction(matrix, depth, values).lipschitz(0.4) == best

@@ -15,9 +15,11 @@ itself it reruns every report and checks every exit code.
 
 The matrix: all six subcommands at seed 3 on the five shipped configs;
 ``verify`` at seeds 0-9 on cantor_small and markov3_small; ``clt`` at seeds
-0-29 on four configs; and five configs built from the shipped ones (a
+0-29 on four configs; five configs built from the shipped ones (a
 64-symbol cycle with a chord, the coupled demo at depth 12, a combined
-stability family, and two observable configs).
+stability family, and two observable configs); and ``fixed-point`` on
+"wide8", a 2-shift with 256 distinct branches, so that every Lipschitz pass
+reads many gap rows.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -55,9 +58,28 @@ def cycle_chord_system(n, offset_depth):
     }
 
 
+def wide_system(offset_depth):
+    """The full 2-shift with each offset word's correction drawn after ``random.seed(7)``, in word order.
+
+    The 2^d offset words give 2^d distinct branches up to d = 8, and 4059 at d = 12, where rounded draws collide.
+    """
+    draw = random.Random(7)
+    words = [format(i, f"0{offset_depth}b") for i in range(2**offset_depth)]
+    return {
+        "matrix": [[1, 1], [1, 1]],
+        "theta": 0.5,
+        "weights": {"kind": "bernoulli", "p": [0.5, 0.5]},
+        "fiber_maps": [{"slope": 0.3, "offset": offset, "offset_table": {
+            w: round(draw.uniform(-0.05, 0.05), 6) for w in words if w[0] == str(i)}}
+            for i, offset in enumerate((0.05, 0.65))],
+        "offset_depth": offset_depth,
+    }
+
+
 def configs():
-    """Every config of the matrix by name: the five shipped ones, and five built from them."""
+    """Every config of the matrix by name: the five shipped ones, five built from them, and wide8."""
     cycle64 = {"system": cycle_chord_system(64, 5), "depth": 5}
+    wide8 = {"system": wide_system(8), "depth": 8, "grid": 4096}
     coupled12 = json.loads(CONFIGS["coupled_demo"].read_text())
     coupled12["depth"] = 12
     combined = json.loads(CONFIGS["cantor_small"].read_text())
@@ -78,7 +100,7 @@ def configs():
         w: float(w.startswith("01") or w.endswith("11")) for w in words}}
     shipped = {name: json.loads(path.read_text()) for name, path in CONFIGS.items()}
     return shipped | {"cycle64": cycle64, "coupled12": coupled12, "combined": combined,
-                      "components": components, "coupled12-phi": coupled12_phi}
+                      "components": components, "coupled12-phi": coupled12_phi, "wide8": wide8}
 
 
 def matrix():
@@ -90,6 +112,7 @@ def matrix():
     runs += [("cycle64", sub, 3) for sub in ("fixed-point", "correlations", "verify")]
     runs += [("coupled12", sub, 3) for sub in ("fixed-point", "verify")]
     runs += [("combined", "stability", 3), ("components", "correlations", 3), ("coupled12-phi", "correlations", 3)]
+    runs += [("wide8", "fixed-point", 3)]
     return list(dict.fromkeys(runs))
 
 
