@@ -129,6 +129,24 @@ class ExperimentConfig:
     verbose: bool = False
 
 
+class _Pairs(list):
+    """A JSON object as ``json.loads`` reads it: its (key, value) pairs in turn, a repeated key kept."""
+
+
+def _distinct_keys(value, pointer=""):
+    """``value`` with each ``_Pairs`` object made a dict; a key that an object repeats fails at its pointer."""
+    if isinstance(value, _Pairs):
+        block = {}
+        for key, item in value:
+            if key in block:
+                raise ConfigError(f"{pointer}/{key}", f"key {key!r} is given twice")
+            block[key] = _distinct_keys(item, f"{pointer}/{key}")
+        return block
+    if isinstance(value, list):
+        return [_distinct_keys(item, f"{pointer}/{i}") for i, item in enumerate(value)]
+    return value
+
+
 def _object(block, pointer):
     if not isinstance(block, dict):
         raise ConfigError(pointer or "/", f"must be an object, got {block!r}")
@@ -389,11 +407,12 @@ def parse_config(path):
     if not path.exists():
         raise ConfigError("/", f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_Pairs)
     except OSError as exc:
         raise ConfigError("/", f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("/", f"not valid JSON: {exc}") from exc
+    raw = _distinct_keys(raw)
     _reject_unknown(raw, _TOP_KEYS, "")
     system = _parse_system(_require(raw, "system", "/"))
     depth = _depth(raw, "depth", 4, system.matrix, system.offset_depth, "")
@@ -491,9 +510,9 @@ def _note_fixed_point(config, res, label="fixed point"):
     if config.verbose:
         dis = res.disintegration
         contraction, quantization = res.certificate_parts
-        print(f"{label}: {len(dis.words())} words, {dis.n_fibers} distinct fibers, {dis.w.size} atoms, "
-              f"{res.iterations} iterations; certificate {res.certified_error!r} = contraction {contraction!r}"
-              f" + quantization {quantization!r}", file=sys.stderr)
+        print(f"{label}: {len(dis.matrix.word_array(dis.depth))} words, {dis.n_fibers} distinct fibers, "
+              f"{dis.w.size} atoms, {res.iterations} iterations; certificate {res.certified_error!r} = contraction "
+              f"{contraction!r} + quantization {quantization!r}", file=sys.stderr)
 
 
 def _compute_fixed_point(config):
@@ -715,12 +734,15 @@ def run_verify(config, out_dir):
     )
 
     def random_dis(signed=True):
-        fibers = {}
-        for w in matrix.words(small_depth):
+        # word by word: an atom count, then the weights, then the positions
+        fibers = []
+        for _ in range(len(matrix.word_array(small_depth))):
             k = int(rng.integers(2, 5))
             weights = rng.uniform(-1, 1, k) if signed else rng.uniform(0.1, 1.0, k)
-            fibers[w] = AtomicMeasure(rng.random(k), weights)
-        return Disintegration.from_fibers(matrix, small_depth, fibers)
+            fibers.append((rng.random(k), weights))
+        rows = np.repeat(np.arange(len(fibers)), [p.size for p, _ in fibers])
+        pos, w = (np.concatenate(part) for part in zip(*fibers))
+        return Disintegration(matrix, small_depth, rows, pos, w)
 
     ok = True
     for _ in range(10):

@@ -327,9 +327,9 @@ class CylinderFunction:
 
     def __init__(self, matrix, depth, values):
         values = np.asarray(values, dtype=float)
-        words = matrix.words(depth)
-        if values.shape != (len(words),):
-            raise ValueError(f"expected {len(words)} values for depth {depth}, got {values.shape}")
+        n_words = len(matrix.word_array(depth))
+        if values.shape != (n_words,):
+            raise ValueError(f"expected {n_words} values for depth {depth}, got {values.shape}")
         self.matrix = matrix
         self.depth = depth
         self.values = values

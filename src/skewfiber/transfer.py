@@ -5,9 +5,10 @@ restrictions over the admissible words of a working depth.  Each distinct
 fiber is stored once, as one row of an atom table, and a map sends every
 word to its fiber's row: for an offset depth d the invariant fiber over x
 depends only on the first max(d - 1, 1) symbols of x, so most words share a
-row.  Only this module reads that map; every other reader sees one fiber per
-word.  The transfer operator mixes branch pushforwards with the base
-jacobian weights:
+row.  Only this module reads that map: every other reader sees one fiber per
+word, and ``to_json_dict`` writes the table as stored, each distinct fiber
+once with the map.  The transfer operator mixes branch pushforwards with
+the base jacobian weights:
 
     nu|_w = sum_i g(i.w) T_{i.w} # mu|_{i.w[:-1]},
 
@@ -77,18 +78,25 @@ class Disintegration:
     Two words share a row exactly when their fibers are equal bit for bit,
     and rows are numbered in the order of their first word, so the layout is
     a function of the measure alone.  The constructor takes each word's table
-    row as ``word_fiber`` (``None``: one row per word); ``fibers``,
-    ``fiber_masses``, ``total_mass`` and ``to_json_dict`` read one fiber per word.
+    row as ``word_fiber`` (``None``: one row per word), one nonnegative entry
+    per word, and refuses atoms in a row that no word reads.  ``fibers``,
+    ``fiber_masses`` and ``total_mass`` read one fiber per word;
+    ``to_json_dict`` writes the table as stored.
     """
 
     def __init__(self, matrix, depth, rows, positions, weights, word_fiber=None):
         row, pos, w = merge_atoms(rows, positions, weights)
-        if word_fiber is None:
-            n_words = matrix.word_count(depth)
-            if row.size and (row[0] < 0 or row[-1] >= n_words):
-                raise ValueError(f"atom rows must index the {n_words} admissible words")
-            word_fiber = np.arange(n_words)
-        starts = np.searchsorted(row, np.arange(int(word_fiber.max()) + 2)).tolist()
+        n_words = len(matrix.word_array(depth))
+        word_fiber = np.arange(n_words) if word_fiber is None else np.asarray(word_fiber, dtype=np.intp)
+        if word_fiber.shape != (n_words,):
+            raise ValueError(f"word_fiber has {word_fiber.size} entries for the {n_words} admissible words")
+        if word_fiber.min() < 0:
+            raise ValueError("word_fiber entries must be nonnegative")
+        starts = np.searchsorted(row, np.arange(int(word_fiber.max()) + 2))
+        unread = np.bincount(word_fiber, minlength=starts.size - 1) == 0
+        if starts[0] > 0 or starts[-1] < row.size or np.diff(starts)[unread].any():
+            raise ValueError(f"atoms lie in a table row that none of the {n_words} admissible words reads")
+        starts = starts.tolist()
         renumber = np.zeros(len(starts) - 1, dtype=np.intp)
         kept, seen = [], {}
         # the rows the words read, in the order of their first word
@@ -105,19 +113,9 @@ class Disintegration:
         self.depth = depth
 
     @classmethod
-    def from_fibers(cls, matrix, depth, fibers):
-        """Table of a map from every admissible word to its atomic fiber measure."""
-        if set(fibers) != set(matrix.words(depth)):
-            raise ValueError("fibers must be given for exactly the admissible words")
-        mus = [fibers[w] for w in matrix.words(depth)]
-        rows = np.repeat(np.arange(len(mus)), [mu.n_atoms for mu in mus])
-        pos = np.concatenate([mu.positions for mu in mus])
-        return cls(matrix, depth, rows, pos, np.concatenate([mu.weights for mu in mus]))
-
-    @classmethod
     def product(cls, matrix, depth, fiber):
         """Product disintegration m x nu: the same fiber over every word."""
-        return cls(matrix, depth, 0, fiber.positions, fiber.weights, np.zeros(matrix.word_count(depth), np.intp))
+        return cls(matrix, depth, 0, fiber.positions, fiber.weights, np.zeros(len(matrix.word_array(depth)), np.intp))
 
     def words(self):
         return self.matrix.words(self.depth)
@@ -127,16 +125,12 @@ class Disintegration:
         """Number of distinct fibers, the rows of the atom table."""
         return self.starts.size - 1
 
-    def _per_word(self):
-        """(positions, weights) of each word's fiber, in word order."""
-        cuts = self.starts[1:-1]
-        parts = list(zip(np.split(self.pos, cuts), np.split(self.w, cuts)))
-        return [parts[f] for f in self.word_fiber.tolist()]
-
     @property
     def fibers(self):
         """Word -> fiber measure map, rebuilt on each read (for readers outside the package)."""
-        return {word: AtomicMeasure(p, w) for word, (p, w) in zip(self.words(), self._per_word())}
+        cuts = self.starts[1:-1]
+        mus = [AtomicMeasure(p, w) for p, w in zip(np.split(self.pos, cuts), np.split(self.w, cuts))]
+        return dict(zip(self.words(), (mus[f] for f in self.word_fiber.tolist())))
 
     def mapped(self, labels, f):
         """Each word's fiber with its atoms sent through ``f``, by the word's label.
@@ -160,13 +154,15 @@ class Disintegration:
         return float(sum((masses * self.fiber_masses()).tolist()))
 
     def to_json_dict(self):
-        fibers = self._per_word()
+        """The table as stored: word k's fiber is ``atoms[wordFiber[k]]`` with ``weights[wordFiber[k]]``."""
+        cuts = self.starts[1:-1]
         return {
             "depth": self.depth,
             "matrix": self.matrix.entries.tolist(),
-            "words": [list(w) for w in self.words()],
-            "atoms": [p.tolist() for p, _ in fibers],
-            "weights": [w.tolist() for _, w in fibers],
+            "words": self.matrix.word_array(self.depth).tolist(),
+            "wordFiber": self.word_fiber.tolist(),
+            "atoms": [p.tolist() for p in np.split(self.pos, cuts)],
+            "weights": [w.tolist() for w in np.split(self.w, cuts)],
         }
 
     def __repr__(self):

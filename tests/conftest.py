@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import word_index
+from oracles import from_fibers, word_index
 from skewfiber.cli import _parse_system
 from skewfiber.measures import AtomicMeasure
 from skewfiber.skew import FiberMapSpec, SystemSpec
@@ -48,7 +48,7 @@ def random_disintegration(matrix, depth, rng, n_atoms=3, signed=True, unit_mass=
     fibers = {}
     for w in matrix.words(depth):
         fibers[w] = random_fiber(rng, n_atoms, signed, total=1.0 if unit_mass else None)
-    return Disintegration.from_fibers(matrix, depth, fibers)
+    return from_fibers(matrix, depth, fibers)
 
 
 def one_row(mu):
@@ -59,7 +59,7 @@ def one_row(mu):
 def random_vanishing_disintegration(matrix, weights, depth, rng, n_atoms=2):
     """Random signed disintegration whose marginal has zero base mean."""
     fibers = {w: random_fiber(rng, n_atoms, signed=True) for w in matrix.words(depth)}
-    dis = Disintegration.from_fibers(matrix, depth, fibers)
+    dis = from_fibers(matrix, depth, fibers)
     masses = cylinder_mass_vector(weights, matrix, depth)
     mean = float(np.dot(masses, dis.fiber_masses()))
     # shift every fiber's first atom weight to cancel the mean exactly
@@ -70,4 +70,4 @@ def random_vanishing_disintegration(matrix, weights, depth, rng, n_atoms=2):
         np.concatenate([fibers[first].positions, correction.positions]),
         np.concatenate([fibers[first].weights, correction.weights * scale]),
     )
-    return Disintegration.from_fibers(matrix, depth, fibers)
+    return from_fibers(matrix, depth, fibers)

@@ -11,10 +11,11 @@ hold the shared layout to the same floats.  So are the two references of
 the moment closure: ``lag_loop_variance`` is the quantized σ² estimate the
 closure replaced, on ``correlation_curve``, and ``exact_moment_closure``
 reads the package's float tables and does the rest in exact rationals.
-Four more are references that no command runs: ``branch_map`` reads one
-word's branch straight from its fiber map, ``word_index`` maps each word
-tuple to its row, ``word_distances`` is the dense n x n table of the
-distance kernel that ``pair_lipschitz`` reads one class at a time, and
+Five more are references that no command runs: ``branch_map`` reads one
+word's branch straight from its fiber map, ``from_fibers`` builds a table
+from a word -> measure dict, ``word_index`` maps each word tuple to its
+row, ``word_distances`` is the dense n x n table of the distance kernel
+that ``pair_lipschitz`` reads one class at a time, and
 ``admissibility_report`` lists the U2, U3, A1 and A2 quantities of a delta
 grid beside the package's R(delta), ``_budget``.
 None of them is part of the package.
@@ -122,14 +123,24 @@ def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):
     return float(-res.fun) * scale
 
 
+def from_fibers(matrix, depth, fibers):
+    """Table of a map from every admissible word to its atomic fiber measure, one row per word."""
+    if set(fibers) != set(matrix.words(depth)):
+        raise ValueError("fibers must be given for exactly the admissible words")
+    mus = [fibers[w] for w in matrix.words(depth)]
+    rows = np.repeat(np.arange(len(mus)), [mu.n_atoms for mu in mus])
+    pos = np.concatenate([mu.positions for mu in mus])
+    return Disintegration(matrix, depth, rows, pos, np.concatenate([mu.weights for mu in mus]))
+
+
 def disintegration_from_json(data):
-    """Inverse of ``Disintegration.to_json_dict``, fiber by fiber."""
+    """Inverse of ``Disintegration.to_json_dict``: its rows and ``wordFiber`` map, through the constructor."""
     matrix = TransitionMatrix(data["matrix"])
-    fibers = {
-        tuple(w): AtomicMeasure(a, ws)
-        for w, a, ws in zip(data["words"], data["atoms"], data["weights"])
-    }
-    return Disintegration.from_fibers(matrix, data["depth"], fibers)
+    if data["words"] != matrix.word_array(data["depth"]).tolist():
+        raise ValueError("words are not the admissible words of the depth, in order")
+    rows = np.repeat(np.arange(len(data["atoms"])), [len(a) for a in data["atoms"]])
+    pos, w = (np.concatenate([[], *data[key]]) for key in ("atoms", "weights"))
+    return Disintegration(matrix, data["depth"], rows, pos, w, np.array(data["wordFiber"]))
 
 
 def word_sum_iterate(sys, nu0, steps, depth, budget=2_000_000):

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import identity
+from oracles import disintegration_from_json
 import skewfiber.cli
 import skewfiber.stability
 import skewfiber.transfer
 from skewfiber.cli import CltConfig, ConfigError, main, parse_config
 from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import InconsistencyError
-from skewfiber.transfer import ConvergenceError
+from skewfiber.transfer import ConvergenceError, fixed_point
 
 BUNDLED = resources.files("skewfiber") / "data" / "cantor_demo.json"
 BUNDLED_COUPLED = resources.files("skewfiber") / "data" / "coupled_demo.json"
@@ -243,6 +244,22 @@ MALFORMED = [
 ]
 
 
+# (a text of the repeat_config JSON, that text with its key given twice, the repeated key's pointer)
+REPEATED_KEYS = [
+    ('"depth": 3', '"depth": 3, "depth": 4', "/depth"),
+    ('"theta": 0.5', '"theta": 0.5, "theta": 0.9', "/system/theta"),
+    ('"01": 0.01', '"01": 0.01, "01": 0.02', "/system/fiber_maps/0/offset_table/01"),
+]
+
+
+def repeat_config():
+    """``small_config`` with offset depth 2 and one offset_table entry."""
+    cfg = small_config()
+    cfg["system"]["offset_depth"] = 2
+    cfg["system"]["fiber_maps"][0]["offset_table"] = {"01": 0.01}
+    return cfg
+
+
 # (stability key, malformed value, JSON pointer of the offender)
 MALFORMED_STABILITY = [
     ("kind", "bogus", "/stability/kind"),
@@ -452,6 +469,17 @@ class TestExitCodes:
         code = main(["stability", "--config", config_path(cfg), "--out", str(tmp_path / "m")])
         assert code == 2
         assert f"config error: {pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,repeated,pointer", REPEATED_KEYS, ids=[r[2] for r in REPEATED_KEYS])
+    def test_repeated_key_is_config_error(self, text, repeated, pointer, config_path, tmp_path, capsys):
+        # json.loads alone keeps a repeated key's last value, and the run goes on with it
+        path = Path(config_path(repeat_config()))
+        assert path.read_text().count(text) == 1
+        path.write_text(path.read_text().replace(text, repeated))
+        assert main(["fixed-point", "--config", str(path), "--out", str(tmp_path / "m")]) == 2
+        key = pointer.rsplit("/", 1)[1]
+        assert capsys.readouterr() == ("", f"config error: {pointer}: key {key!r} is given twice\n")
+        assert not (tmp_path / "m").exists()
 
     def test_integer_beyond_float_range_is_config_error(self, config_path, tmp_path, capsys):
         cfg = small_config()
@@ -799,11 +827,25 @@ class TestArtifacts:
 
     def test_fixed_point_writes_disintegration(self, config_path, tmp_path):
         out = tmp_path / "f"
-        code = main(["fixed-point", "--config", config_path(small_config()), "--out", str(out)])
+        path = config_path(small_config())
+        code = main(["fixed-point", "--config", path, "--out", str(out)])
         assert code == 0
         data = json.loads((out / "disintegration.json").read_text())
-        assert list(data) == ["depth", "matrix", "words", "atoms", "weights", "errorBound"]
+        assert list(data) == ["depth", "matrix", "words", "wordFiber", "atoms", "weights", "errorBound"]
         assert data["errorBound"] == json.loads((out / "summary.json").read_text())["metrics"]["certified_error"]
+        # the file is the table as stored: read back through the constructor, it is fixed_point's table
+        config = parse_config(path)
+        table = fixed_point(config.system, config.depth, config.tol, config.grid).disintegration
+        back = disintegration_from_json(data)
+        for name in ("row", "pos", "w", "starts", "word_fiber"):
+            assert np.array_equal(getattr(back, name), getattr(table, name)), name
+
+    def test_disintegration_json_writes_each_fiber_once(self, config_path, tmp_path):
+        # cantor_small at depth 12: 4096 words read one 98-atom fiber, 9.8 MB when written once per word
+        cfg = json.loads(CANTOR_SMALL.read_text())
+        cfg["depth"] = 12
+        assert main(["fixed-point", "--config", config_path(cfg), "--out", str(tmp_path / "f")]) == 0
+        assert (tmp_path / "f" / "disintegration.json").stat().st_size < 512 * 1024
 
     def test_clt_summary_schema(self, config_path, tmp_path):
         out = tmp_path / "c"
@@ -897,7 +939,7 @@ class TestArtifacts:
             "summary.json": "83e2f70d2fa35551c903a58cb7648d9ca0d51b786d8285974b9254eb5223aaff"}),
         ("coupled_demo", "fixed-point", {
             "fixed_point.csv": "61a8ea66b58488d3d1f77c094d3682fa4b30edb9f3b2a2ae5aa70d30e8406c76",
-            "disintegration.json": "076f2fa6393c5c29cc0a4263e259faf9f09984331accafa1dcd3a3995cb94ae9",
+            "disintegration.json": "64c019a4174b407708b2812ee98ff49feefaa5a8318133cf4f41d27154628d5e",
             "summary.json": "0905d832d21cdc5fc3e939d1c7f8ebe9b37b93c76ac137bb585a6eed34f7ca35"}),
         ("cantor_small", "clt", {
             "clt.json": "803bf1f6300136f79374262daff8e1ef3a6c8b3a4b7f001d1d1453e0d4a93355",

@@ -16,6 +16,7 @@ from oracles import (
     correlation_lattice,
     exact_moment_closure,
     fiber_average_margin,
+    from_fibers,
     integrate,
     observable_sums,
     sample_orbits,
@@ -174,7 +175,7 @@ class TestEvaluator:
         # the fiber follows the first symbol and the piece the last, so words share (fiber, piece) pairs
         rng = np.random.default_rng(2)
         fibers = [AtomicMeasure(rng.random(k + 2), rng.uniform(0.1, 1.0, k + 2)) for k in range(3)]
-        dis = Disintegration.from_fibers(MARKOV3.matrix, 3, {w: fibers[w[0]] for w in words})
+        dis = from_fibers(MARKOV3.matrix, 3, {w: fibers[w[0]] for w in words})
         phi.weigh(dis, lambda v: v * v)
         pairs = {(w[0], w[-1]) for w in words}
         assert len(cells) == 3 and len(pairs) < len(words)

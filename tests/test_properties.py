@@ -27,6 +27,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from conftest import MARKOV3, one_row, random_disintegration, random_fiber  # noqa: E402
 from oracles import (  # noqa: E402
     dense_window_rows,
+    from_fibers,
     is_primitive_by_powers,
     lag_loop_variance,
     window_codes,
@@ -498,7 +499,7 @@ def test_base_only_keeps_one_piece_per_bit_pattern(sys, depth, extra, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     pool = [random_fiber(rng, 3) for _ in range(sys.n_symbols)]
     deep = matrix.words(depth + extra)
-    dis = Disintegration.from_fibers(matrix, depth + extra, {w: pool[w[-1]] for w in deep})
+    dis = from_fibers(matrix, depth + extra, {w: pool[w[-1]] for w in deep})
     # oracle: each word's own value times each atom's weight, summed in atom order
     value_of = dict(zip(words, values))
     row, _, w, _ = word_table(dis)

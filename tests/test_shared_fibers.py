@@ -20,6 +20,7 @@ from conftest import MARKOV3  # noqa: E402
 from oracles import (  # noqa: E402
     change_between_per_word,
     correlation_curve_per_word,
+    from_fibers,
     lip_constant_per_word,
     norm_inf_per_word,
     quantize_per_word,
@@ -96,7 +97,7 @@ def starts(draw, sys, depth):
         return Disintegration.product(sys.matrix, depth, draw(dyadic_measures(signed)))
     pool = [draw(dyadic_measures(signed)) for _ in range(2)]
     fibers = {w: pool[draw(st.integers(0, 1))] for w in sys.matrix.words(depth)}
-    return Disintegration.from_fibers(sys.matrix, depth, fibers)
+    return from_fibers(sys.matrix, depth, fibers)
 
 
 @st.composite

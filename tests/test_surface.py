@@ -50,3 +50,9 @@ def test_only_the_command_line_fits():
                 importers.add(path.name)
     assert importers == {"cli.py"}
     assert [f.name for f in dataclasses.fields(skewfiber.limits.CorrelationCurve)] == ["lags", "values", "err_bounds"]
+
+
+def test_tables_are_built_from_arrays():
+    # a word -> measure dict becomes a table only in the tests, through oracles.from_fibers
+    assert not hasattr(skewfiber.transfer.Disintegration, "from_fibers")
+    assert not hasattr(skewfiber.transfer.Disintegration, "_per_word")

@@ -9,7 +9,14 @@ import pytest
 
 import skewfiber.transfer
 from conftest import MARKOV3, random_disintegration, random_fiber, random_vanishing_disintegration
-from oracles import disintegration_from_json, hutchinson_reference, word_distances, word_sum_iterate, word_table
+from oracles import (
+    disintegration_from_json,
+    from_fibers,
+    hutchinson_reference,
+    word_distances,
+    word_sum_iterate,
+    word_table,
+)
 from skewfiber.cli import parse_config
 from skewfiber.demos import cantor_demo, coupled_demo, markov_demo
 from skewfiber.fitting import exp_fit
@@ -111,14 +118,14 @@ class TestLipConstant:
 
     def test_two_word_point_masses(self):
         fibers = {(0,): AtomicMeasure.dirac(0.0), (1,): AtomicMeasure.dirac(1.0)}
-        dis = Disintegration.from_fibers(CANTOR.matrix, 1, fibers)
+        dis = from_fibers(CANTOR.matrix, 1, fibers)
         assert lip_constant(dis, CANTOR.theta) == pytest.approx(1.0)
 
     def test_memory_at_the_word_cap(self):
         # 4096 words in two fibers: each class is measured against the other's
         # words, and the constant marginal density is one class, so no n x n table
         fibers = {w: AtomicMeasure.dirac(w[0] / 2) for w in CANTOR.matrix.words(12)}
-        dis = Disintegration.from_fibers(CANTOR.matrix, 12, fibers)
+        dis = from_fibers(CANTOR.matrix, 12, fibers)
         values, peaks = {}, {}
         tracemalloc.start()
         try:
@@ -190,7 +197,7 @@ class TestTransferApply:
         rng = np.random.default_rng(4)
         fiber = AtomicMeasure(rng.random(98), rng.standard_normal(98))
         product = Disintegration.product(CANTOR.matrix, 12, fiber)
-        copies = Disintegration.from_fibers(CANTOR.matrix, 12, dict.fromkeys(CANTOR.matrix.words(12), fiber))
+        copies = from_fibers(CANTOR.matrix, 12, dict.fromkeys(CANTOR.matrix.words(12), fiber))
         assert product.word_fiber.size == 4096 and fiber.n_atoms == 98
         for name in ("row", "pos", "w", "starts", "word_fiber"):
             assert np.array_equal(getattr(product, name), getattr(copies, name)), name
@@ -198,6 +205,21 @@ class TestTransferApply:
     def test_rows_outside_the_words_rejected(self):
         with pytest.raises(ValueError, match="admissible words"):
             Disintegration(CANTOR.matrix, 1, [2], [0.5], [1.0])
+
+    @pytest.mark.parametrize("word_fiber,message", [
+        ([0, 1, 0, 1], "word_fiber has 4 entries for the 2 admissible words"),
+        ([0, -1], "word_fiber entries must be nonnegative"),
+        ([0, 0], "atoms lie in a table row that none of the 2 admissible words reads"),
+        ([1, 1], "atoms lie in a table row that none of the 2 admissible words reads"),
+    ])
+    def test_word_fiber_map_is_checked(self, word_fiber, message):
+        # the full 2-shift at depth 1, one atom in each of rows 0 and 1
+        with pytest.raises(ValueError, match=message):
+            Disintegration(CANTOR.matrix, 1, [0, 1], [0.25, 0.75], [1.0, 1.0], np.array(word_fiber))
+
+    def test_an_empty_row_that_no_word_reads_is_dropped(self):
+        dis = Disintegration(CANTOR.matrix, 1, [0, 2], [0.25, 0.75], [1.0, 1.0], np.array([2, 0]))
+        assert dis.word_fiber.tolist() == [0, 1] and dis.pos.tolist() == [0.75, 0.25]
 
     def test_offset_depth_must_fit(self):
         with pytest.raises(ValueError, match="offset depth"):
@@ -307,7 +329,7 @@ class TestMapped:
         rng = np.random.default_rng(8)
         fibers = [random_fiber(rng) for _ in range(MARKOV3.n_symbols)]
         words = MARKOV3.matrix.words(3)
-        dis = Disintegration.from_fibers(MARKOV3.matrix, 3, {w: fibers[w[0]] for w in words})
+        dis = from_fibers(MARKOV3.matrix, 3, {w: fibers[w[0]] for w in words})
         calls = []
 
         def scaled(label, pos, w):
@@ -519,14 +541,20 @@ class TestTableNorms:
             fibers, words = d1.fibers, d1.words()
             for i in rng.permutation(len(words))[: len(words) // 3]:
                 fibers[words[i]] = ZERO_MEASURE
-            d1 = Disintegration.from_fibers(sys.matrix, depth, fibers)
+            d1 = from_fibers(sys.matrix, depth, fibers)
             assert_table_norms_match_loops(d1, d2, sys.theta)
 
 
 class TestSerialization:
     def test_roundtrip(self):
+        # eight words over three fibers, one of them empty
         rng = np.random.default_rng(11)
-        dis = random_disintegration(CANTOR.matrix, 3, rng)
-        back = disintegration_from_json(json.loads(json.dumps(dis.to_json_dict())))
-        assert back.depth == dis.depth
-        assert change_between(back, dis) == 0.0
+        pool = [random_fiber(rng, 3), ZERO_MEASURE, random_fiber(rng, 2)]
+        dis = from_fibers(CANTOR.matrix, 3, {w: pool[i % 3] for i, w in enumerate(CANTOR.matrix.words(3))})
+        assert dis.n_fibers == 3 and dis.w.size == 5
+        data = json.loads(json.dumps(dis.to_json_dict()))
+        assert data["wordFiber"] == [0, 1, 2, 0, 1, 2, 0, 1] and data["atoms"][1] == data["weights"][1] == []
+        back = disintegration_from_json(data)
+        assert back.depth == dis.depth and back.matrix == dis.matrix
+        for name in ("row", "pos", "w", "starts", "word_fiber"):
+            assert np.array_equal(getattr(back, name), getattr(dis, name)), name
