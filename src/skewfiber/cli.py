@@ -73,12 +73,26 @@ from .transfer import (
     verify_ly,
 )
 
+__all__ = [
+    "ConfigError", "ExperimentConfig", "StabilityConfig", "CorrelationsConfig", "CltConfig", "MAX_WORDS", "MAX_LAGS",
+    "MAX_TRIALS", "MAX_GRID", "MAX_BLOCK_STEPS", "parse_config", "parse_observable", "Report", "RUNNERS",
+    "SUBCOMMANDS", "build_parser", "main",
+]
+
+
 class ConfigError(ValueError):
     """Configuration problem, annotated with the JSON pointer of the offender."""
 
     def __init__(self, pointer, message):
         self.pointer = pointer
         super().__init__(f"{pointer}: {message}")
+
+
+def _child(pointer, *keys):
+    """``pointer`` extended by ``keys`` (RFC 6901): each writes ``~`` as ``~0`` first, then ``/`` as ``~1``."""
+    for key in keys:
+        pointer = f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}"
+    return pointer
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +122,10 @@ MAX_WORDS = 4096
 MAX_LAGS, MAX_TRIALS = MAX_WORDS, BLOCK_CELLS
 # the finest quantization grid; the bundled configs use at most 2^18
 MAX_GRID = 2**20
+# the most block steps of the CLT stream: its Python loops run over every step of every block, and a trial's track
+# of total steps fills 1 / (BLOCK_CELLS // total) of a block, so they take about trials x total^2 / BLOCK_CELLS steps.
+# At the budget, 100 trials of length 209600 took 10 s on cantor_small and 24 s on markov3_small (2 cores)
+MAX_BLOCK_STEPS = 2**22
 
 # ``realized`` is ``realize_grid``'s (deltas, systems, budgets), built once at parse time
 StabilityConfig = namedtuple("StabilityConfig", "family realized depth grid tol")
@@ -139,11 +157,13 @@ def _distinct_keys(value, pointer=""):
         block = {}
         for key, item in value:
             if key in block:
-                raise ConfigError(f"{pointer}/{key}", f"key {key!r} is given twice")
-            block[key] = _distinct_keys(item, f"{pointer}/{key}")
+                raise ConfigError(_child(pointer, key), f"key {key!r} is given twice")
+            block[key] = _distinct_keys(item, _child(pointer, key))
         return block
     if isinstance(value, list):
-        return [_distinct_keys(item, f"{pointer}/{i}") for i, item in enumerate(value)]
+        # a scalar holds no key, so it is kept as it is, with no pointer built
+        return [_distinct_keys(item, _child(pointer, i)) if isinstance(item, (_Pairs, list)) else item
+                for i, item in enumerate(value)]
     return value
 
 
@@ -156,7 +176,7 @@ def _object(block, pointer):
 def _reject_unknown(block, allowed, pointer):
     for key in _object(block, pointer):
         if key not in allowed:
-            raise ConfigError(f"{pointer}/{key}", f"unknown key {key!r}")
+            raise ConfigError(_child(pointer, key), f"unknown key {key!r}")
 
 
 def _require(block, key, pointer):
@@ -172,9 +192,9 @@ def _int(block, key, default, minimum, pointer, maximum=sys.float_info.max):
     """
     value = _require(block, key, pointer) if default is None else block.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{pointer}/{key}", f"must be an integer >= {minimum}, got {value!r}")
+        raise ConfigError(_child(pointer, key), f"must be an integer >= {minimum}, got {value!r}")
     if value > maximum:
-        raise ConfigError(f"{pointer}/{key}", f"must be at most {maximum!r}, got {value!r}")
+        raise ConfigError(_child(pointer, key), f"must be at most {maximum!r}, got {value!r}")
     return value
 
 
@@ -188,11 +208,11 @@ def _depth(block, key, default, matrix, minimum, pointer):
     count = matrix.word_count(depth, stop=MAX_WORDS**2)
     if count > MAX_WORDS:
         size = f"at least {count}" if count > MAX_WORDS**2 else str(count)
-        raise ConfigError(f"{pointer}/{key}", f"depth {depth} gives {size} admissible words, "
+        raise ConfigError(_child(pointer, key), f"depth {depth} gives {size} admissible words, "
                                               f"above the cap of {MAX_WORDS}")
     # a shift with two symbols or more has more words than its depth; the one-symbol shift has one
     if depth > MAX_WORDS:
-        raise ConfigError(f"{pointer}/{key}", f"depth {depth} is above the cap of {MAX_WORDS}")
+        raise ConfigError(_child(pointer, key), f"depth {depth} is above the cap of {MAX_WORDS}")
     return depth
 
 
@@ -208,9 +228,9 @@ def _number(value, pointer):
 
 
 def _positive(block, key, default, pointer):
-    value = _number(block.get(key, default), f"{pointer}/{key}")
+    value = _number(block.get(key, default), _child(pointer, key))
     if not value > 0:
-        raise ConfigError(f"{pointer}/{key}", f"must be a positive number, got {value!r}")
+        raise ConfigError(_child(pointer, key), f"must be a positive number, got {value!r}")
     return value
 
 
@@ -219,7 +239,7 @@ def _kind(block, keys, pointer, default=None, field="kind"):
     block = _object(block, pointer)
     kind = _require(block, field, pointer) if default is None else block.get(field, default)
     if not isinstance(kind, str) or kind not in keys:
-        raise ConfigError(f"{pointer}/{field}", f"must be one of {sorted(keys)}, got {kind!r}")
+        raise ConfigError(_child(pointer, field), f"must be one of {sorted(keys)}, got {kind!r}")
     _reject_unknown(block, keys[kind], pointer)
     return kind
 
@@ -242,7 +262,7 @@ def _word_table(block, words, what, pointer, parse):
     allowed = set(words)
     table = {}
     for key, value in _object(block, pointer).items():
-        kp = f"{pointer}/{key}"
+        kp = _child(pointer, key)
         word = _parse_word(key, kp)
         if word not in allowed:
             raise ConfigError(kp, f"{word} is not {what}")
@@ -256,7 +276,7 @@ def _square(block, key, pointer):
     """``block[key]`` as a nonempty square list of lists; anything else is a ConfigError at ``{pointer}/{key}``."""
     rows = _require(block, key, pointer)
     if not (isinstance(rows, list) and rows and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
-        raise ConfigError(f"{pointer}/{key}", f"must be a square list of lists, got {rows!r}")
+        raise ConfigError(_child(pointer, key), f"must be a square list of lists, got {rows!r}")
     return rows
 
 
@@ -265,18 +285,18 @@ def _transition_matrix(block, pointer):
     entries = _square(block, "matrix", pointer)
     # type() rejects the booleans and floats that np.asarray(dtype=int) would coerce
     if not all(type(v) is int and v in (0, 1) for row in entries for v in row):
-        raise ConfigError(f"{pointer}/matrix", f"entries must be the integers 0 or 1, got {entries!r}")
+        raise ConfigError(_child(pointer, "matrix"), f"entries must be the integers 0 or 1, got {entries!r}")
     try:
         return TransitionMatrix(entries)
     except ValueError as exc:
-        raise ConfigError(f"{pointer}/matrix", str(exc)) from exc
+        raise ConfigError(_child(pointer, "matrix"), str(exc)) from exc
 
 
 def _parse_weights(block, pointer):
     if _kind(block, _WEIGHT_KEYS, pointer) == "bernoulli":
         return BaseWeights.bernoulli(_finite_list(block, "p", pointer))
-    tp = f"{pointer}/transition"
-    transition = [_numbers(row, f"{tp}/{i}") for i, row in enumerate(_square(block, "transition", pointer))]
+    tp = _child(pointer, "transition")
+    transition = [_numbers(row, _child(tp, i)) for i, row in enumerate(_square(block, "transition", pointer))]
     stationary = _finite_list(block, "stationary", pointer) if "stationary" in block else None
     return BaseWeights(transition, stationary)
 
@@ -284,22 +304,22 @@ def _parse_weights(block, pointer):
 def _parse_system(block, pointer="/system"):
     _reject_unknown(block, _SYSTEM_KEYS, pointer)
     matrix = _transition_matrix(block, pointer)
-    theta = _number(_require(block, "theta", pointer), f"{pointer}/theta")
+    theta = _number(_require(block, "theta", pointer), _child(pointer, "theta"))
     try:
-        weights = _parse_weights(_require(block, "weights", pointer), f"{pointer}/weights")
+        weights = _parse_weights(_require(block, "weights", pointer), _child(pointer, "weights"))
     except WeightsError as exc:
-        raise ConfigError(f"{pointer}/weights/{exc.field}", str(exc)) from exc
+        raise ConfigError(_child(pointer, "weights", exc.field), str(exc)) from exc
     offset_depth = _depth(block, "offset_depth", 1, matrix, 1, pointer)
     maps = []
     if not isinstance(_require(block, "fiber_maps", pointer), list):
-        raise ConfigError(f"{pointer}/fiber_maps", "must be a list")
+        raise ConfigError(_child(pointer, "fiber_maps"), "must be a list")
     for i, mblock in enumerate(block["fiber_maps"]):
-        mp = f"{pointer}/fiber_maps/{i}"
+        mp = _child(pointer, "fiber_maps", i)
         _reject_unknown(mblock, _MAP_KEYS, mp)
         own = [w for w in matrix.words(offset_depth) if w[0] == i]
         what = f"an admissible word of depth {offset_depth} starting with symbol {i}"
-        table = _word_table(mblock.get("offset_table", {}), own, what, f"{mp}/offset_table", _number)
-        slope, offset = (_number(_require(mblock, key, mp), f"{mp}/{key}") for key in ("slope", "offset"))
+        table = _word_table(mblock.get("offset_table", {}), own, what, _child(mp, "offset_table"), _number)
+        slope, offset = (_number(_require(mblock, key, mp), _child(mp, key)) for key in ("slope", "offset"))
         maps.append((slope, offset, table))
     try:
         maps = [FiberMapSpec(*m) for m in maps]
@@ -318,7 +338,7 @@ def _numbers(value, pointer):
 def _finite_list(block, key, pointer, default=None):
     """``block[key]`` through ``_numbers``, reported at ``{pointer}/{key}``."""
     value = _require(block, key, pointer) if default is None else block.get(key, default)
-    return _numbers(value, f"{pointer}/{key}")
+    return _numbers(value, _child(pointer, key))
 
 
 def _piecewise(block, pointer):
@@ -347,10 +367,10 @@ def parse_observable(block, matrix, max_depth, pointer):
     depth = _int(block, "depth", None, 1, pointer)
     # checked before the words of that depth are listed
     if depth > max_depth:
-        raise ConfigError(f"{pointer}/depth", f"must be at most the working depth {max_depth}")
+        raise ConfigError(_child(pointer, "depth"), f"must be at most the working depth {max_depth}")
     words = matrix.words(depth)
     field, parse = ("values", _number) if kind == "base_only" else ("components", _component)
-    fp = f"{pointer}/{field}"
+    fp = _child(pointer, field)
     what = f"an admissible word of depth {depth}"
     table = _word_table(_require(block, field, pointer), words, what, fp, parse)
     missing = [w for w in words if w not in table]
@@ -373,7 +393,7 @@ def _parse_stability(block, system, depth, grid, tol, pointer="/stability"):
     try:
         realized = realize_grid(family, deltas)
     except ValueError as exc:
-        raise ConfigError(f"{pointer}/deltas", str(exc)) from exc
+        raise ConfigError(_child(pointer, "deltas"), str(exc)) from exc
     depth = _depth(block, "depth", depth, system.matrix, system.offset_depth, pointer)
     return StabilityConfig(family, realized, depth, _int(block, "grid", grid, 2, pointer, MAX_GRID),
                            _positive(block, "tol", tol, pointer))
@@ -387,7 +407,7 @@ def _parse_correlations(block, matrix, depth, pointer="/correlations"):
     }
     for key in ("psi", "phi"):
         if key in block:
-            observables[key] = parse_observable(block[key], matrix, depth, f"{pointer}/{key}")
+            observables[key] = parse_observable(block[key], matrix, depth, _child(pointer, key))
     nmax = _int(block, "nmax", 12, 0, pointer, MAX_LAGS)
     return CorrelationsConfig(**observables, nmax=nmax,
                               gordin_nmax=_int(block, "gordin_nmax", min(nmax, 8), 0, pointer, MAX_LAGS))
@@ -396,9 +416,15 @@ def _parse_correlations(block, matrix, depth, pointer="/correlations"):
 def _parse_clt(block, offset_depth, pointer="/clt"):
     _reject_unknown(block, _CLT_KEYS, pointer)
     # one trial's track, BURN_IN + length + offset_depth - 1 symbols, fits one sampling block
-    return CltConfig(length=_int(block, "length", 2000, 1, pointer, BLOCK_CELLS - BURN_IN - offset_depth + 1),
-                     trials=_int(block, "trials", 5000, MIN_TRIALS, pointer, MAX_TRIALS),
-                     truncation=_int(block, "truncation", 30, 1, pointer, MAX_LAGS))
+    clt = CltConfig(length=_int(block, "length", 2000, 1, pointer, BLOCK_CELLS - BURN_IN - offset_depth + 1),
+                    trials=_int(block, "trials", 5000, MIN_TRIALS, pointer, MAX_TRIALS),
+                    truncation=_int(block, "truncation", 30, 1, pointer, MAX_LAGS))
+    total = BURN_IN + clt.length + offset_depth - 1
+    if clt.trials * total * total > BLOCK_CELLS * MAX_BLOCK_STEPS:
+        raise ConfigError(_child(pointer, "length"), f"length {clt.length} with {clt.trials} trials takes about "
+                                                     f"{clt.trials * total * total // BLOCK_CELLS} block steps, "
+                                                     f"above the budget of {MAX_BLOCK_STEPS}")
+    return clt
 
 
 def parse_config(path):
@@ -530,11 +556,10 @@ def run_fixed_point(config, out_dir):
     s_inf = norm_s_inf(mu0, sys_.theta)
     lip = lip_constant(mu0, sys_.theta)
     bound = c1_constant(sys_) / (1.0 - sys_.theta)
-    report.metric("norm_inf", n_inf)
-    report.metric("norm_s_inf", s_inf)
-    report.metric("lip_constant", lip)
-    report.metric("certified_error", res.certified_error)
-    report.metric("iterations", res.iterations)
+    quantities = [("norm_inf", n_inf), ("norm_s_inf", s_inf), ("lip_constant", lip),
+                  ("certified_error", res.certified_error), ("iterations", res.iterations)]
+    for name, value in quantities:
+        report.metric(name, value)
     report.check("fiberwise_norm_is_one", abs(n_inf - 1.0) <= 1e-6, f"norm_inf={n_inf!r}")
     report.check("strong_norm_is_two", abs(s_inf - 2.0) <= 1e-6, f"norm_s_inf={s_inf!r}")
     report.check("lip_within_regularity_bound", lip <= bound + 1e-6, f"lip={lip!r} bound={bound!r}")
@@ -543,18 +568,7 @@ def run_fixed_point(config, out_dir):
     report.check("reapplication_within_tol", move <= config.tol, f"moved {move!r}")
     dumped = mu0.to_json_dict() | {"errorBound": res.certified_error}
     report.write_text("disintegration.json", json.dumps(dumped) + "\n")
-    report.write_csv(
-        "fixed_point.csv",
-        "quantity,value",
-        [
-            ("norm_inf", n_inf),
-            ("norm_s_inf", s_inf),
-            ("lip_constant", lip),
-            ("certified_error", res.certified_error),
-            ("iterations", res.iterations),
-            ("last_change", res.last_change),
-        ],
-    )
+    report.write_csv("fixed_point.csv", "quantity,value", quantities + [("last_change", res.last_change)])
     return report.finalize()
 
 

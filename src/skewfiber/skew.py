@@ -61,9 +61,6 @@ class FiberMapSpec:
         self.offset = float(offset)
         self.offset_table = {tuple(k): float(v) for k, v in (offset_table or {}).items()}
 
-    def correction(self, key):
-        return self.offset_table.get(key, 0.0)
-
     def __repr__(self):
         extra = f", table={self.offset_table}" if self.offset_table else ""
         return f"FiberMapSpec(a={self.slope!r}, b={self.offset!r}{extra})"
@@ -90,38 +87,41 @@ class SystemSpec:
         if offset_depth < 1:
             raise ValueError("offset depth must be at least 1")
         self.offset_depth = int(offset_depth)
-        self._validate_offset_tables()
         self.alpha = verify_G1(self)
-        self.branches = self._validate_range()
+        self.branches = self._branch_table()
 
     @property
     def n_symbols(self):
         return self.matrix.n_symbols
 
-    def _validate_offset_tables(self):
-        d = self.offset_depth
-        for i, fm in enumerate(self.fiber_maps):
-            for key in fm.offset_table:
-                if len(key) != d:
-                    raise ValueError(f"offset key {key} for symbol {i} must have depth {d}")
-                if key[0] != i:
-                    raise ValueError(f"offset key {key} must start with its own symbol {i}")
+    def _branch_table(self):
+        """Slopes and offsets of the offset-depth words' branch maps, as two rows, each checked to map [0, 1] into itself.
 
-    def _validate_range(self):
-        """Slopes and offsets of the offset-depth words' branch maps, each checked to map [0, 1] into itself."""
-        maps = []
-        for word in self.matrix.words(self.offset_depth):
-            # the word's first symbol picks the branch, and the whole word its offset correction
-            fm = self.fiber_maps[word[0]]
-            a, b = fm.slope, fm.offset + fm.correction(word)
-            lo, hi = sorted((b, a + b))
-            if lo < -_RANGE_TOL or hi > 1.0 + _RANGE_TOL:
-                raise ValueError(
-                    f"fiber map on cylinder {word} maps [0,1] to [{lo:.6g}, {hi:.6g}], "
-                    "outside the unit interval"
-                )
-            maps.append((a, b))
-        return np.array(maps).T
+        A word's first symbol picks its branch, and the whole word its entry in
+        that branch's offset table, if any; a key that names no admissible
+        offset word of its own symbol fails.
+        """
+        d = self.offset_depth
+        words = self.matrix.words(d)
+        row, heads = dict(zip(words, range(len(words)))), self.matrix.word_array(d)[:, 0]
+        correction = np.zeros(len(words))
+        for i, fm in enumerate(self.fiber_maps):
+            for key, value in fm.offset_table.items():
+                if key not in row or heads[row[key]] != i:
+                    raise ValueError(f"offset key {key} for symbol {i} is not an admissible word of depth {d} "
+                                     "starting with its own symbol")
+                correction[row[key]] = value
+        slopes, offsets = np.array([(fm.slope, fm.offset) for fm in self.fiber_maps]).T
+        # a word with no entry adds 0.0: the sum offset + table.get(word, 0.0), rounded once
+        a, b = slopes[heads], offsets[heads] + correction
+        lo, hi = np.sort([b, a + b], axis=0)
+        # a NaN bound fails
+        bad = np.flatnonzero(~((lo >= -_RANGE_TOL) & (hi <= 1.0 + _RANGE_TOL)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"fiber map on cylinder {words[k]} maps [0,1] to [{lo[k]:.6g}, {hi[k]:.6g}], "
+                             "outside the unit interval")
+        return np.array([a, b])
 
     def prefix_rows(self, depth):
         """Row of each depth-``depth`` word's offset prefix among the offset-depth words, its index in ``branches``."""
@@ -143,12 +143,11 @@ class SystemSpec:
 
 def verify_G1(sys):
     """Contraction rate of the fiber lamination; error if some branch expands."""
-    alpha = 0.0
     for i, fm in enumerate(sys.fiber_maps):
-        if abs(fm.slope) >= 1.0:
+        # a NaN slope fails
+        if not abs(fm.slope) < 1.0:
             raise ValueError(f"fiber map for symbol {i} has |slope| = {abs(fm.slope)} >= 1")
-        alpha = max(alpha, abs(fm.slope))
-    return alpha
+    return max(abs(fm.slope) for fm in sys.fiber_maps)
 
 
 def affine_gap(da, db):

@@ -6,10 +6,9 @@ from pathlib import Path
 import numpy as np
 
 from oracles import from_fibers, word_index
-from skewfiber.cli import _parse_system
+from skewfiber.cli import _parse_system, parse_config
 from skewfiber.measures import AtomicMeasure
-from skewfiber.skew import FiberMapSpec, SystemSpec
-from skewfiber.symbolic import BaseWeights, TransitionMatrix, cylinder_mass_vector
+from skewfiber.symbolic import TransitionMatrix, cylinder_mass_vector
 from skewfiber.transfer import Disintegration
 
 _SPEC = importlib.util.spec_from_file_location("identity", Path(__file__).parents[1] / "tools" / "identity.py")
@@ -17,17 +16,7 @@ identity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(identity)
 
 # 3-symbol SFT that is not the full shift, with a Markov base and offset depth 3
-MARKOV3 = SystemSpec(
-    TransitionMatrix([[1, 1, 0], [1, 0, 1], [1, 1, 1]]),
-    0.5,
-    BaseWeights([[0.6, 0.4, 0.0], [0.5, 0.0, 0.5], [0.3, 0.3, 0.4]]),
-    [
-        FiberMapSpec(0.3, 0.0, {(0, 1, 2): 0.05}),
-        FiberMapSpec(0.25, 0.375, {(1, 0, 0): 0.05}),
-        FiberMapSpec(0.35, 0.65, {(2, 2, 1): -0.05, (2, 0, 1): -0.1}),
-    ],
-    offset_depth=3,
-)
+MARKOV3 = parse_config(identity.CONFIGS["markov3_small"]).system
 
 
 def wide_system(offset_depth):

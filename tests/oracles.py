@@ -83,7 +83,7 @@ def branch_map(sys, source_word):
     if len(source_word) < d:
         raise ValueError(f"branch map needs a word of at least {d} symbols, got {source_word}")
     fm = sys.fiber_maps[source_word[0]]
-    return AffineMap(fm.slope, fm.offset + fm.correction(tuple(source_word[:d])))
+    return AffineMap(fm.slope, fm.offset + fm.offset_table.get(tuple(source_word[:d]), 0.0))
 
 
 def wk_distance_bruteforce(mu, nu=ZERO_MEASURE):

@@ -19,7 +19,6 @@ import skewfiber.cli
 import skewfiber.stability
 import skewfiber.transfer
 from skewfiber.cli import CltConfig, ConfigError, main, parse_config
-from skewfiber.demos import cantor_demo, coupled_demo
 from skewfiber.limits import InconsistencyError
 from skewfiber.transfer import ConvergenceError, fixed_point
 
@@ -99,17 +98,6 @@ class TestParseConfig:
             config = parse_config(str(bundle))
             assert config.system.n_symbols == 2
             assert config.digest
-
-    @pytest.mark.parametrize("bundle,demo", [(BUNDLED, cantor_demo), (BUNDLED_COUPLED, coupled_demo)])
-    def test_bundled_demos_are_the_python_demos(self, bundle, demo):
-        # the JSON files and skewfiber.demos are two copies of one system
-        parsed, built = parse_config(str(bundle)).system, demo()
-        assert np.array_equal(parsed.matrix.entries, built.matrix.entries)
-        assert np.array_equal(parsed.theta, built.theta)
-        assert np.array_equal(parsed.weights.transition, built.weights.transition)
-        assert np.array_equal(parsed.weights.stationary, built.weights.stationary)
-        assert np.array_equal(parsed.branches, built.branches)
-        assert parsed.offset_depth == built.offset_depth
 
     @pytest.mark.parametrize("path", sorted(
         [str(p) for p in (resources.files("skewfiber") / "data").iterdir() if p.name.endswith(".json")]
@@ -249,6 +237,8 @@ REPEATED_KEYS = [
     ('"depth": 3', '"depth": 3, "depth": 4', "/depth"),
     ('"theta": 0.5', '"theta": 0.5, "theta": 0.9', "/system/theta"),
     ('"01": 0.01', '"01": 0.01, "01": 0.02', "/system/fiber_maps/0/offset_table/01"),
+    # RFC 6901: within a key, ~ is written ~0 and then / is written ~1
+    ('"depth": 3', '"depth": 3, "a/b": 1, "a/b": 2', "/a~1b"),
 ]
 
 
@@ -412,6 +402,10 @@ MALFORMED_FIELDS = [
     (("system", "fiber_maps", 0, "offset_table"), {"00": 0.0}, "/system/fiber_maps/0/offset_table/00"),
     (("system", "fiber_maps", 0, "offset_table"), {"1": 0.0}, "/system/fiber_maps/0/offset_table/1"),
     (("system", "fiber_maps", 0, "offset_table"), {"x": 0.0}, "/system/fiber_maps/0/offset_table/x"),
+    # RFC 6901: within a key, ~ is written ~0 and then / is written ~1
+    (("system", "fiber_maps", 0, "offset_table"), {"0/1": 0.0}, "/system/fiber_maps/0/offset_table/0~11"),
+    (("system", "a/b"), 1, "/system/a~1b"),
+    (("system", "x~y"), 1, "/system/x~0y"),
     # an observable accepts only the keys its type reads
     (
         ("correlations", "psi"),
@@ -477,9 +471,23 @@ class TestExitCodes:
         assert path.read_text().count(text) == 1
         path.write_text(path.read_text().replace(text, repeated))
         assert main(["fixed-point", "--config", str(path), "--out", str(tmp_path / "m")]) == 2
-        key = pointer.rsplit("/", 1)[1]
+        key = pointer.rsplit("/", 1)[1].replace("~1", "/").replace("~0", "~")
         assert capsys.readouterr() == ("", f"config error: {pointer}: key {key!r} is given twice\n")
         assert not (tmp_path / "m").exists()
+
+    def test_clt_beyond_the_step_budget_exits_at_once(self, config_path, tmp_path):
+        # at the length cap, 100 trials would loop over about 10^8 block steps, minutes of summing
+        cfg = json.loads(CANTOR_SMALL.read_text())
+        cfg["clt"] = {"length": 2**20 - 40, "trials": 100}
+        src = str(Path(skewfiber.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "clt"
+        done = subprocess.run([sys.executable, "-m", "skewfiber.cli", "clt", "--config", config_path(cfg),
+                               "--out", str(out)], capture_output=True, text=True, env=env, timeout=5)
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: /clt/length: length 1048536 with 100 trials takes about ")
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_integer_beyond_float_range_is_config_error(self, config_path, tmp_path, capsys):
         cfg = small_config()

@@ -117,8 +117,11 @@ class TestEstimateH:
             assert estimate_H(sys) <= 1.0 / sys.theta + 1e-12
 
     def test_doubling_corrections_at_most_doubles(self):
-        h1 = estimate_H(coupled_demo(coupling=0.05))
-        h2 = estimate_H(coupled_demo(coupling=0.10))
+        sys = coupled_demo()
+        halved = [FiberMapSpec(fm.slope, fm.offset, {k: v / 2 for k, v in fm.offset_table.items()})
+                  for fm in sys.fiber_maps]
+        h1 = estimate_H(SystemSpec(sys.matrix, sys.theta, sys.weights, halved, sys.offset_depth))
+        h2 = estimate_H(sys)
         assert h2 <= 2 * h1 + 1e-12
 
 
@@ -320,6 +323,24 @@ class TestOffsetTables:
                 offset_depth=1,
             )
 
+    def test_inadmissible_key_rejected(self):
+        # 1 -> 1 is not an admissible transition of the golden-mean shift, so (1, 1) names no offset word
+        golden = TransitionMatrix([[1, 1], [1, 0]])
+        weights = BaseWeights([[0.5, 0.5], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"offset key \(1, 1\) for symbol 1 is not an admissible word"):
+            SystemSpec(golden, 0.5, weights, [FiberMapSpec(0.3, 0.0), FiberMapSpec(0.3, 0.5, {(1, 1): 0.1})],
+                       offset_depth=2)
+
+    @pytest.mark.parametrize("maps,match", [
+        ([FiberMapSpec(float("nan"), 0.0), FiberMapSpec(0.3, 0.5)], "symbol 0 has"),
+        ([FiberMapSpec(0.3, float("nan")), FiberMapSpec(0.3, 0.5)], r"cylinder \(0, 0\)"),
+        ([FiberMapSpec(0.3, 0.0, {(0, 1): float("nan")}), FiberMapSpec(0.3, 0.5)], r"cylinder \(0, 1\)"),
+    ], ids=["slope", "offset", "table_entry"])
+    def test_nan_rejected(self, maps, match):
+        # every comparison with NaN is false, so each check is written to fail on it
+        with pytest.raises(ValueError, match=match):
+            SystemSpec(FULL2, 0.5, FAIR, maps, offset_depth=2)
+
     def test_key_must_start_with_own_symbol(self):
         with pytest.raises(ValueError, match="own symbol"):
             SystemSpec(
@@ -329,7 +350,7 @@ class TestOffsetTables:
             )
 
     def test_short_word_rejected(self):
-        sys = coupled_demo(coupling=0.1)
+        sys = coupled_demo()
         with pytest.raises(ValueError, match="at least 2 symbols"):
             branch_map(sys, (0,))
         assert branch_map(sys, (0, 0)).b == 0.0

@@ -3,7 +3,10 @@
 import ast
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import skewfiber
@@ -56,3 +59,15 @@ def test_tables_are_built_from_arrays():
     # a word -> measure dict becomes a table only in the tests, through oracles.from_fibers
     assert not hasattr(skewfiber.transfer.Disintegration, "from_fibers")
     assert not hasattr(skewfiber.transfer.Disintegration, "_per_word")
+
+
+def test_importing_the_package_leaves_the_command_line_unloaded():
+    # the demos read their shipped configs through cli.parse_config, which a demo imports when called
+    script = ("import sys, skewfiber\n"
+              "print('skewfiber.cli' in sys.modules)\n"
+              "skewfiber.cantor_demo()\n"
+              "print('skewfiber.cli' in sys.modules)\n")
+    src = str(Path(skewfiber.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["False", "True"]

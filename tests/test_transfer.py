@@ -307,7 +307,7 @@ class TestWordSum:
             depths.append(depth)
             return real(matrix, depth)
 
-        sys = cantor_demo()  # a fresh matrix with an empty word cache
+        sys = cantor_demo()  # a fresh matrix, its word cache no deeper than the config's depth
         monkeypatch.setattr(TransitionMatrix, "word_array", recording)
         with pytest.raises(ValueError, match="budget"):
             word_sum_iterate(sys, DIRAC0, 20, 6)
